@@ -36,6 +36,17 @@ fn triple_join_workspace_with(n: usize, use_planner: bool, exec: EvalOptions) ->
     ws
 }
 
+/// Re-evaluate every rule over the full relations.  A converged workspace
+/// answers `fixpoint()` with a seeded no-op, so re-assert a base fact it
+/// already holds first: a direct assertion invalidates convergence and the
+/// next fixpoint runs the naive first round (deriving only duplicates, so
+/// the measured work is one complete planned evaluation).
+fn reevaluate(ws: &mut Workspace) -> usize {
+    ws.assert_fact("r", vec![Value::Int(0), Value::Int(1)])
+        .unwrap();
+    ws.fixpoint().unwrap().iterations
+}
+
 fn chain_workspace(n: usize) -> Workspace {
     let mut ws = Workspace::new();
     ws.install_source(
@@ -97,11 +108,10 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("planner_triple_join_10k", |b| {
         // Build once; every iteration re-evaluates the rule to fixpoint over
-        // the full relations (derivations are deduplicated, so the measured
-        // work is one complete planned evaluation per iteration).
+        // the full relations.
         let mut ws = triple_join_workspace(TRIPLE_JOIN_TUPLES, true);
         ws.fixpoint().unwrap();
-        b.iter(|| ws.fixpoint().unwrap().iterations)
+        b.iter(|| reevaluate(&mut ws))
     });
     group.bench_function("intern_insert_10k", |b| {
         // Dictionary-encoding cost: 10k mixed-type base facts (fresh strings
@@ -135,7 +145,7 @@ fn bench(c: &mut Criterion) {
                 .unwrap();
         }
         ws.fixpoint().unwrap();
-        b.iter(|| ws.fixpoint().unwrap().iterations)
+        b.iter(|| reevaluate(&mut ws))
     });
     // Persistent-pool scaling: the same triple join re-converged on a
     // long-lived worker pool at each width (the pool outlives every
@@ -148,7 +158,7 @@ fn bench(c: &mut Criterion) {
                 EvalOptions::with_workers(workers),
             );
             ws.fixpoint().unwrap();
-            b.iter(|| ws.fixpoint().unwrap().iterations)
+            b.iter(|| reevaluate(&mut ws))
         });
     }
     group.finish();

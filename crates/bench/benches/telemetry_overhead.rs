@@ -35,6 +35,17 @@ fn triple_join_workspace() -> Workspace {
     ws
 }
 
+/// Re-evaluate every rule over the full relations.  A converged workspace
+/// answers `fixpoint()` with a seeded no-op, so re-assert a base fact it
+/// already holds first: a direct assertion invalidates convergence and the
+/// next fixpoint runs the naive first round (deriving only duplicates, so
+/// the measured work is one complete planned evaluation).
+fn reevaluate(ws: &mut Workspace) -> usize {
+    ws.assert_fact("r", vec![Value::Int(0), Value::Int(1)])
+        .unwrap();
+    ws.fixpoint().unwrap().iterations
+}
+
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_overhead");
     group.sample_size(20);
@@ -46,7 +57,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("pool_triple_join_10k_enabled", |b| {
         let mut ws = triple_join_workspace();
         ws.fixpoint().unwrap();
-        b.iter(|| ws.fixpoint().unwrap().iterations)
+        b.iter(|| reevaluate(&mut ws))
     });
 
     // Registry disabled: histograms early-return, timers skip the clock.
@@ -56,7 +67,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("pool_triple_join_10k_disabled", |b| {
         let mut ws = triple_join_workspace();
         ws.fixpoint().unwrap();
-        b.iter(|| ws.fixpoint().unwrap().iterations)
+        b.iter(|| reevaluate(&mut ws))
     });
     secureblox_telemetry::set_metrics_enabled(true);
     group.finish();
@@ -76,11 +87,11 @@ fn bench(c: &mut Criterion) {
     for _ in 0..rounds {
         secureblox_telemetry::set_metrics_enabled(true);
         let t0 = Instant::now();
-        std::hint::black_box(ws.fixpoint().unwrap().iterations);
+        std::hint::black_box(reevaluate(&mut ws));
         enabled_total += t0.elapsed();
         secureblox_telemetry::set_metrics_enabled(false);
         let t0 = Instant::now();
-        std::hint::black_box(ws.fixpoint().unwrap().iterations);
+        std::hint::black_box(reevaluate(&mut ws));
         disabled_total += t0.elapsed();
     }
     secureblox_telemetry::set_metrics_enabled(true);

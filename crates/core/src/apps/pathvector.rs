@@ -257,7 +257,7 @@ mod tests {
         assert!(edges.len() >= n);
         let degree_sum: usize = 2 * edges.len();
         let avg = degree_sum as f64 / n as f64;
-        assert!(avg >= 2.0 && avg <= 4.0, "average degree {avg}");
+        assert!((2.0..=4.0).contains(&avg), "average degree {avg}");
         // Deterministic for a seed.
         assert_eq!(edges, random_graph(n, 3, 7));
         assert_ne!(edges, random_graph(n, 3, 8));

@@ -927,7 +927,7 @@ impl NodeCtx<'_> {
         batch: Vec<(String, Tuple)>,
         arrival: VirtualTime,
     ) -> Result<bool> {
-        let committed = self.apply_transaction(batch, arrival, false)?;
+        let committed = self.apply_transaction(batch, arrival)?;
         if committed {
             let finish = self.node.available_at;
             self.flush_updates(finish)?;
@@ -935,22 +935,16 @@ impl NodeCtx<'_> {
         Ok(committed)
     }
 
-    /// The transaction step shared by [`Deployment::process_batch`] and the
-    /// streaming drain: apply `batch` as one ACID transaction, account
-    /// virtual time, WAL-log on commit, and record the verdict.  Does NOT
-    /// flush update streams — the caller decides when (per transaction on
-    /// the per-envelope path, once per drained envelope in streaming mode).
-    ///
-    /// `incremental` selects [`Workspace::transaction_incremental`], the
-    /// seeded snapshot-free path with identical verdicts; it requires a
-    /// converged workspace, which every streaming drain has (the bootstrap
-    /// transaction at time zero converges each node, and every later
-    /// transaction or DRed retraction leaves a fixpoint).
+    /// The transaction step under every assert — bootstrap, local batches
+    /// and inbound deltas alike: apply `batch` as one ACID transaction,
+    /// account virtual time, WAL-log on commit, and record the verdict.  Does
+    /// NOT flush update streams — the caller decides when (per transaction
+    /// on the per-envelope path, once per drained envelope in streaming
+    /// mode).
     fn apply_transaction(
         &mut self,
         batch: Vec<(String, Tuple)>,
         arrival: VirtualTime,
-        incremental: bool,
     ) -> Result<bool> {
         let start_virtual = arrival.max(self.node.available_at);
         let started = Instant::now();
@@ -958,11 +952,7 @@ impl NodeCtx<'_> {
             Some(_) if !batch.is_empty() => Some(batch.clone()),
             _ => None,
         };
-        let outcome = if incremental {
-            self.node.workspace.transaction_incremental(batch)
-        } else {
-            self.node.workspace.transaction(batch)
-        };
+        let outcome = self.node.workspace.transaction(batch);
         let elapsed = started.elapsed();
         secureblox_telemetry::histogram!("engine_txn_apply_ns").record_duration(elapsed);
         let finish = start_virtual + elapsed.as_nanos() as u64;
@@ -1456,13 +1446,12 @@ impl NodeCtx<'_> {
         let mut update_span =
             secureblox_telemetry::span("engine", "update_apply").node(message.to.0 as u64);
         let from_principal = self.shared.principals[message.from.index()].clone();
-        let to_principal = self.node.info.principal.clone();
         let mut payload = message.payload.to_vec();
         if self.config.security.enc == EncScheme::Aes128 {
             let secret = self
                 .shared
                 .keystore
-                .shared_secret(&to_principal, &from_principal)
+                .shared_secret(&self.node.info.principal, &from_principal)
                 .map_err(|e| DatalogError::Eval(e.to_string()))?;
             match aes128_ctr_decrypt(secret, &payload) {
                 Ok(plain) => payload = plain,
@@ -1506,39 +1495,16 @@ impl NodeCtx<'_> {
                 secureblox_telemetry::histogram!("engine_shard_shuffle_apply_ns").start_timer()
             });
         if self.config.streaming.enabled {
-            accepted = self.drain_inbox(message.from, envelope.deltas, arrival)?;
+            accepted = self.drain_inbox(message.from, &envelope.deltas, arrival)?;
         } else {
-            for delta in envelope.deltas {
-                let batch = delta_batch(&delta);
-                match delta.op {
-                    DeltaOp::Assert => {
-                        // The receiver's own constraints (signature
-                        // verification, trust, write access) accept or roll
-                        // back the batch.
-                        if self.process_batch(batch, arrival)? {
-                            accepted = true;
-                        }
-                    }
-                    DeltaOp::Retract => {
-                        // Channel-level checks mirror the datalog-side assert
-                        // constraints: only the principal that said a fact —
-                        // and whose signature still verifies over it — may
-                        // retract it, and only at the addressee.
-                        let authorized = delta.tuple.len() >= 2
-                            && delta.tuple[0].as_str() == Some(from_principal.as_str())
-                            && delta.tuple[1].as_str() == Some(to_principal.as_str())
-                            && self.verify_update_signature(
-                                &from_principal,
-                                &to_principal,
-                                &delta,
-                            )?;
-                        if !authorized {
-                            self.timing.record_rejection(message.to, arrival);
-                            continue;
-                        }
-                        accepted = true;
-                        self.apply_retraction(batch, arrival)?;
-                    }
+            // Per-envelope path: cascaded exports and withdrawals flush
+            // after every delta that changed the database.
+            for delta in &envelope.deltas {
+                let (evidence, changed) = self.apply_delta(&from_principal, delta, arrival)?;
+                accepted |= evidence;
+                if changed {
+                    let finish = self.node.available_at;
+                    self.flush_updates(finish)?;
                 }
             }
         }
@@ -1554,16 +1520,66 @@ impl NodeCtx<'_> {
         Ok(())
     }
 
-    /// Verify a retract delta's detached signature under the deployment's
-    /// authentication scheme — the same coverage the generated `sig$T` rules
-    /// sign: the canonical encoding of the payload columns (after the two
-    /// principal columns).
-    fn verify_update_signature(
-        &self,
+    /// Apply one inbound update-stream delta — the one place a peer's change
+    /// enters this node, whichever way the envelope was delivered.  Returns
+    /// `(evidence, changed)`: whether the delta produced policy-accepted
+    /// evidence (a committed transaction or an authorized retraction), and
+    /// whether it changed the database so update streams need a flush.
+    ///
+    /// An `Assert` is its own ACID transaction (paper semantics): the
+    /// receiver's constraints — signature verification, trust, write access
+    /// — accept it or roll it back.  A `Retract` gets the channel-level
+    /// mirror of those constraints (only the principal that said a fact, and
+    /// whose signature still verifies over it, may retract it, and only at
+    /// the addressee), then DRed.  So does a re-`Assert` of a `says$T` tuple
+    /// already held whose `sig$T` row is not: no new `says$T` tuple means no
+    /// constraint would look at the signature, and an unverified row must
+    /// not reach the EDB, the WAL or the link's sequence watermark.
+    fn apply_delta(
+        &mut self,
         from_principal: &str,
-        to_principal: &str,
         delta: &UpdateDelta,
-    ) -> Result<bool> {
+        arrival: VirtualTime,
+    ) -> Result<(bool, bool)> {
+        let batch = delta_batch(delta);
+        let unchecked_by_constraints = match delta.op {
+            DeltaOp::Retract => true,
+            DeltaOp::Assert => {
+                let workspace = &self.node.workspace;
+                workspace.contains_fact(&batch[0].0, &batch[0].1)
+                    && !batch
+                        .get(1)
+                        .is_some_and(|(pred, tuple)| workspace.contains_fact(pred, tuple))
+            }
+        };
+        if unchecked_by_constraints && !self.delta_authorized(from_principal, delta)? {
+            self.timing
+                .record_rejection(NodeId(self.index as u32), arrival);
+            return Ok((false, false));
+        }
+        match delta.op {
+            DeltaOp::Assert => {
+                let committed = self.apply_transaction(batch, arrival)?;
+                Ok((committed, committed))
+            }
+            DeltaOp::Retract => Ok((true, self.apply_retraction_inner(batch, arrival)?)),
+        }
+    }
+
+    /// The channel-level authorization of a delta the datalog constraints
+    /// will not see: it names the sending principal and this node as its
+    /// `says` principals, and its detached signature verifies under the
+    /// deployment's authentication scheme — the same coverage the generated
+    /// `sig$T` rules sign: the canonical encoding of the payload columns
+    /// (after the two principal columns).
+    fn delta_authorized(&self, from_principal: &str, delta: &UpdateDelta) -> Result<bool> {
+        let to_principal = self.node.info.principal.as_str();
+        if delta.tuple.len() < 2
+            || delta.tuple[0].as_str() != Some(from_principal)
+            || delta.tuple[1].as_str() != Some(to_principal)
+        {
+            return Ok(false);
+        }
         secureblox_telemetry::counter!("engine_signature_checks_total").inc();
         let _verify_timer =
             secureblox_telemetry::histogram!("engine_update_verify_ns").start_timer();
@@ -1590,20 +1606,17 @@ impl NodeCtx<'_> {
     }
 
     /// Streaming mode: apply one delivered envelope's deltas in order, each
-    /// with exactly the per-envelope path's verdict — every `Assert` is its
-    /// own ACID transaction (via the seeded, snapshot-free
-    /// [`Workspace::transaction_incremental`], which commits and rolls back
-    /// identically to [`Workspace::transaction`]), every `Retract` is
-    /// authorized and DRed-applied individually.  What the batch amortizes
-    /// is *scheduling*, not semantics: one export flush per drained envelope
-    /// instead of one per committed delta (flushes are idempotent — the
-    /// `sent` cursor dedups — so deferring them cannot change what ships),
-    /// plus the sender-side coalescing and credit return below.  Returns
-    /// whether any delta produced policy-accepted evidence.
+    /// through [`NodeCtx::apply_delta`] with exactly the per-envelope path's
+    /// verdict.  What the batch amortizes is *scheduling*, not semantics:
+    /// one export flush per drained envelope instead of one per committed
+    /// delta (flushes are idempotent — the `sent` cursor dedups — so
+    /// deferring them cannot change what ships), plus the sender-side
+    /// coalescing and credit return below.  Returns whether any delta
+    /// produced policy-accepted evidence.
     fn drain_inbox(
         &mut self,
         from: NodeId,
-        deltas: Vec<UpdateDelta>,
+        deltas: &[UpdateDelta],
         arrival: VirtualTime,
     ) -> Result<bool> {
         let to_id = NodeId(self.index as u32);
@@ -1613,36 +1626,12 @@ impl NodeCtx<'_> {
             return Ok(false);
         }
         let from_principal = self.shared.principals[from.index()].clone();
-        let to_principal = self.node.info.principal.clone();
         let mut accepted = false;
         let mut dirty = false;
-        for delta in &deltas {
-            match delta.op {
-                DeltaOp::Assert => {
-                    if self.apply_transaction(delta_batch(delta), arrival, true)? {
-                        accepted = true;
-                        dirty = true;
-                    }
-                }
-                DeltaOp::Retract => {
-                    // Channel-level checks, per delta, exactly as on the
-                    // per-envelope path: only the principal that said a fact
-                    // — and whose signature still verifies over it — may
-                    // retract it, and only at the addressee.
-                    let authorized = delta.tuple.len() >= 2
-                        && delta.tuple[0].as_str() == Some(from_principal.as_str())
-                        && delta.tuple[1].as_str() == Some(to_principal.as_str())
-                        && self.verify_update_signature(&from_principal, &to_principal, delta)?;
-                    if !authorized {
-                        self.timing.record_rejection(to_id, arrival);
-                        continue;
-                    }
-                    accepted = true;
-                    if self.apply_retraction_inner(delta_batch(delta), arrival)? {
-                        dirty = true;
-                    }
-                }
-            }
+        for delta in deltas {
+            let (evidence, changed) = self.apply_delta(&from_principal, delta, arrival)?;
+            accepted |= evidence;
+            dirty |= changed;
         }
         if dirty {
             let now = self.node.available_at;
@@ -1667,10 +1656,9 @@ impl NodeCtx<'_> {
         Ok(accepted)
     }
 
-    /// Apply a verified retraction batch here and, when it deleted
-    /// stored facts, immediately propagate the cascaded withdrawals through
-    /// this node's own update streams (the per-envelope path's behaviour;
-    /// the streaming drain defers that flush to the end of the envelope).
+    /// Apply a circuit-authenticated retraction batch here and, when it
+    /// deleted stored facts, immediately propagate the cascaded withdrawals
+    /// through this node's own update streams.
     fn apply_retraction(
         &mut self,
         batch: Vec<(String, Tuple)>,

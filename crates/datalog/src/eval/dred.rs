@@ -48,23 +48,25 @@ impl<'a> Evaluator<'a> {
     ) -> Result<DeletionStats> {
         let mut stats = DeletionStats::default();
 
-        // Snapshot the pre-deletion database: over-deletion joins run against
-        // the original state, as in the standard formulation of DRed.  Held
-        // mutably so planned evaluation can build (and keep, across rules and
-        // frontier rounds) the secondary indexes it probes.
-        let mut original = self.relations.clone();
-
-        // 1. Remove the base facts.
+        // Over-deletion joins run against the pre-deletion database, as in
+        // the standard formulation of DRed.  The live relations *are* that
+        // database (with the indexes the plans probe already built), so the
+        // whole deletion closure is computed first and removed afterwards.
+        // `removal_order` keeps discovery order so the removals — and with
+        // them the relations' row order — are deterministic.
         let mut deleted: HashMap<String, HashSet<Tuple>> = HashMap::new();
+        let mut removal_order: Vec<(String, Tuple)> = Vec::new();
+
+        // 1. The base facts actually stored.
         for (pred, tuple) in base_deletions {
-            if let Some(relation) = self.relations.get_mut(pred) {
-                if relation.remove(tuple) {
-                    stats.base_deleted += 1;
-                    deleted
-                        .entry(pred.clone())
-                        .or_default()
-                        .insert(tuple.clone());
-                }
+            if self.relations.get(pred).is_some_and(|r| r.contains(tuple))
+                && deleted
+                    .entry(pred.clone())
+                    .or_default()
+                    .insert(tuple.clone())
+            {
+                stats.base_deleted += 1;
+                removal_order.push((pred.clone(), tuple.clone()));
             }
         }
         if stats.base_deleted == 0 {
@@ -73,7 +75,7 @@ impl<'a> Evaluator<'a> {
 
         // 2. Over-delete: propagate deletions through every rule until no new
         //    candidate deletions appear.  A candidate is any head tuple with a
-        //    derivation (in the original database) that uses a deleted tuple.
+        //    derivation that uses a deleted tuple.
         let mut frontier = deleted.clone();
         while frontier.values().any(|set| !set.is_empty()) {
             let mut next_frontier: HashMap<String, HashSet<Tuple>> = HashMap::new();
@@ -92,7 +94,7 @@ impl<'a> Evaluator<'a> {
                     // Cheap existence probe first: does any derivation of
                     // this rule go through the deleted tuples at this
                     // literal?  Stops at the first solution, and skips the
-                    // snapshot swap below for rules the deletions cannot
+                    // full evaluation below for rules the deletions cannot
                     // affect.  Runs the same plan full evaluation will use —
                     // the textual order may be unevaluable (hoisted
                     // comparisons) even when the planned order succeeds.
@@ -103,14 +105,14 @@ impl<'a> Evaluator<'a> {
                                 delta: Some(literal_index),
                             },
                             &rule.body,
-                            &original,
+                            self.relations,
                             self.udfs,
                             self.plan_stats,
                         ))
                     } else {
                         None
                     };
-                    let ctx = JoinContext::new(&original, self.udfs);
+                    let ctx = JoinContext::new(self.relations, self.udfs);
                     let mut bindings = super::bindings::Bindings::new();
                     let mut touched = false;
                     let restriction = DeltaRestriction {
@@ -147,10 +149,10 @@ impl<'a> Evaluator<'a> {
                     if !touched {
                         continue;
                     }
-                    // Evaluate the rule against the ORIGINAL relations with
-                    // this literal restricted to the deleted tuples,
-                    // instantiating heads through the normal path (handles
-                    // existential memoization identically to derivation).
+                    // Evaluate the rule with this literal restricted to the
+                    // deleted tuples, instantiating heads through the normal
+                    // path (handles existential memoization identically to
+                    // derivation).
                     // Aggregation rules cannot be head-instantiated from a
                     // body binding (the aggregate result is not a body
                     // variable); since they are recomputed from their full
@@ -170,12 +172,7 @@ impl<'a> Evaluator<'a> {
                         }
                         all
                     } else {
-                        self.evaluate_rule_against(
-                            rules,
-                            rule_index,
-                            Some((literal_index, pred_deleted)),
-                            &mut original,
-                        )?
+                        self.evaluate_rule(rules, rule_index, Some((literal_index, pred_deleted)))?
                     };
                     for (head_pred, tuple) in derived {
                         // Explicitly asserted facts survive over-deletion.
@@ -185,24 +182,24 @@ impl<'a> Evaluator<'a> {
                         {
                             continue;
                         }
+                        // Each tuple typically has many derivations through
+                        // the frontier: test membership before cloning.
                         let already = deleted
                             .get(&head_pred)
                             .is_some_and(|set| set.contains(&tuple));
-                        if already {
-                            continue;
-                        }
-                        if let Some(relation) = self.relations.get_mut(&head_pred) {
-                            if relation.remove(&tuple) {
-                                stats.over_deleted += 1;
-                                deleted
-                                    .entry(head_pred.clone())
-                                    .or_default()
-                                    .insert(tuple.clone());
-                                next_frontier
-                                    .entry(head_pred.clone())
-                                    .or_default()
-                                    .insert(tuple);
-                            }
+                        let stored = !already
+                            && self
+                                .relations
+                                .get(&head_pred)
+                                .is_some_and(|r| r.contains(&tuple));
+                        if stored {
+                            deleted
+                                .entry(head_pred.clone())
+                                .or_default()
+                                .insert(tuple.clone());
+                            stats.over_deleted += 1;
+                            removal_order.push((head_pred.clone(), tuple.clone()));
+                            next_frontier.entry(head_pred).or_default().insert(tuple);
                         }
                     }
                 }
@@ -210,7 +207,15 @@ impl<'a> Evaluator<'a> {
             frontier = next_frontier;
         }
 
-        // 3. Re-derive: running the ordinary fixpoint over the remaining facts
+        // 3. Remove the closure.
+        for (pred, tuple) in removal_order {
+            if let Some(relation) = self.relations.get_mut(&pred) {
+                relation.remove(&tuple);
+            }
+            self.journal.record_removed(&pred, tuple);
+        }
+
+        // 4. Re-derive: running the ordinary fixpoint over the remaining facts
         //    re-inserts every over-deleted tuple that still has a derivation.
         let before: usize = self.relations.values().map(|r| r.len()).sum();
         self.run(rules, strata)?;
@@ -218,33 +223,13 @@ impl<'a> Evaluator<'a> {
         stats.rederived = after.saturating_sub(before);
         Ok(stats)
     }
-
-    /// Like [`Evaluator::evaluate_rule`] but joining against an explicit
-    /// relation snapshot (used by over-deletion).
-    ///
-    /// The snapshot is swapped in directly — no clone — so the only mutation
-    /// evaluation performs on it (building secondary indexes) persists across
-    /// calls, paying each index build once per deletion instead of once per
-    /// (rule, literal, frontier round).
-    fn evaluate_rule_against(
-        &mut self,
-        rules: &[Rule],
-        rule_index: usize,
-        delta: Option<(usize, &HashSet<Tuple>)>,
-        snapshot: &mut HashMap<String, crate::relation::Relation>,
-    ) -> Result<Vec<(String, Tuple)>> {
-        std::mem::swap(self.relations, snapshot);
-        let result = self.evaluate_rule(rules, rule_index, delta);
-        std::mem::swap(self.relations, snapshot);
-        result
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::plan::{PlanCache, PlanStats};
-    use crate::eval::EvalConfig;
+    use crate::eval::{EvalConfig, EvalJournal};
     use crate::intern::Interner;
     use crate::parser::parse_program;
     use crate::relation::Relation;
@@ -319,7 +304,7 @@ mod tests {
                 plan_stats: &self.plan_stats,
                 interner: &self.interner,
                 pool: None,
-                journal: None,
+                journal: &mut EvalJournal::default(),
             };
             evaluator.run(&self.rules, &self.strata).unwrap();
         }
@@ -337,7 +322,7 @@ mod tests {
                 plan_stats: &self.plan_stats,
                 interner: &self.interner,
                 pool: None,
-                journal: None,
+                journal: &mut EvalJournal::default(),
             };
             // Keep the EDB bookkeeping in sync.
             self.edb.get_mut(pred).map(|set| set.remove(&tuple));
@@ -352,9 +337,7 @@ mod tests {
         }
 
         fn contains(&self, pred: &str, tuple: &[Value]) -> bool {
-            self.relations
-                .get(pred)
-                .map_or(false, |r| r.contains(tuple))
+            self.relations.get(pred).is_some_and(|r| r.contains(tuple))
         }
     }
 

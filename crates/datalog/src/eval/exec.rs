@@ -445,10 +445,7 @@ mod tests {
             let total: usize = shards.iter().map(|s| s.len()).sum();
             assert_eq!(total, tuples.len(), "shards must partition the input");
             for tuple in &tuples {
-                let holders = shards
-                    .iter()
-                    .filter(|s| s.iter().any(|held| *held == tuple))
-                    .count();
+                let holders = shards.iter().filter(|s| s.contains(&tuple)).count();
                 assert_eq!(holders, 1, "each tuple lives in exactly one shard");
             }
             // Shards borrow the input: no tuple is cloned by partitioning.

@@ -196,7 +196,7 @@ mod tests {
             .map(|r| r.expect("no panic"))
             .collect();
         assert_eq!(results.iter().sum::<usize>(), data.iter().sum::<usize>());
-        assert_eq!(results[0], 0 + 1 + 2 + 3 + 4);
+        assert_eq!(results[0], 1 + 2 + 3 + 4);
     }
 
     #[test]
@@ -254,7 +254,7 @@ mod tests {
     #[test]
     fn streaming_delivers_all_results_on_caller_thread() {
         let pool = WorkerPool::new(4);
-        let mut seen = vec![false; 16];
+        let mut seen = [false; 16];
         let caller = std::thread::current().id();
         pool.execute_streaming(
             (0..16).map(|i| move || i).collect::<Vec<_>>(),

@@ -62,82 +62,133 @@ enum Derivation {
     Ids(Vec<(String, IdBatch)>),
 }
 
-/// Undo log of the mutations one fixpoint run performs, letting
-/// `Workspace::transaction_incremental` roll a failed transaction back
-/// without having cloned the full relation map.  Ops are recorded in
-/// execution order; undoing replays them in reverse — an `Added` op removes
-/// the tuple again, a `Displaced` op re-inserts the value an aggregate
-/// recomputation displaced.  Interleaving matters: one run can insert a
-/// tuple and later displace it (or displace, then re-insert), and only
-/// strict reverse-order replay restores the exact prior state.
+/// The undo log of one transaction or retraction: every mutation of the
+/// relations, the EDB bookkeeping and the existential memo, recorded as it
+/// happens.  It is how `Workspace` rolls a refused change back (reverse
+/// replay instead of a pre-image of the database) and where the incremental
+/// constraint check gets its delta.
+///
+/// Undoing replays each relation's ops in reverse — an `Added` op removes the
+/// tuple again, a `Displaced` op re-inserts the value an aggregate
+/// recomputation displaced, a `Removed` op re-inserts a tuple DRed deleted.
+/// Interleaving matters: one run can insert a tuple and later displace it
+/// (or delete, then re-derive), and only strict reverse-order replay
+/// restores the exact prior contents.
 #[derive(Debug, Default)]
 pub struct EvalJournal {
-    ops: Vec<JournalOp>,
+    /// Relation mutations, per predicate, in execution order.  Mutations of
+    /// different relations commute, so undo needs only each relation's own
+    /// order — and recording pays one map probe, not a name allocation.
+    ops: HashMap<String, Vec<JournalOp>>,
     /// Relations created during the run, removed again on undo.
     created: Vec<String>,
     /// Existential-memo keys minted during the run.
     minted: Vec<(usize, Vec<Value>)>,
+    /// EDB-bookkeeping entries the change added / removed.
+    edb_added: Vec<(String, Tuple)>,
+    edb_removed: Vec<(String, Tuple)>,
 }
 
 #[derive(Debug)]
 enum JournalOp {
-    Added(String, Tuple),
-    Displaced(String, Tuple),
+    /// Shares the relation's stored row: journaling an insertion copies
+    /// nothing.
+    Added(Arc<Tuple>),
+    Displaced(Tuple),
+    Removed(Tuple),
 }
 
 impl EvalJournal {
-    pub(crate) fn record_added(&mut self, pred: &str, tuple: Tuple) {
-        self.ops.push(JournalOp::Added(pred.to_string(), tuple));
+    fn record(&mut self, pred: &str, op: JournalOp) {
+        match self.ops.get_mut(pred) {
+            Some(ops) => ops.push(op),
+            None => {
+                self.ops.insert(pred.to_string(), vec![op]);
+            }
+        }
+    }
+
+    pub(crate) fn record_added(&mut self, pred: &str, tuple: Arc<Tuple>) {
+        self.record(pred, JournalOp::Added(tuple));
     }
 
     pub(crate) fn record_displaced(&mut self, pred: &str, tuple: Tuple) {
-        self.ops.push(JournalOp::Displaced(pred.to_string(), tuple));
+        self.record(pred, JournalOp::Displaced(tuple));
+    }
+
+    pub(crate) fn record_removed(&mut self, pred: &str, tuple: Tuple) {
+        self.record(pred, JournalOp::Removed(tuple));
     }
 
     pub(crate) fn record_created(&mut self, pred: &str) {
         self.created.push(pred.to_string());
     }
 
+    pub(crate) fn record_edb_added(&mut self, pred: &str, tuple: Tuple) {
+        self.edb_added.push((pred.to_string(), tuple));
+    }
+
+    pub(crate) fn record_edb_removed(&mut self, pred: &str, tuple: Tuple) {
+        self.edb_removed.push((pred.to_string(), tuple));
+    }
+
     /// The run's surviving additions per predicate: every tuple recorded as
     /// inserted that is still stored (an aggregate displacement can remove
     /// an earlier insertion).  This is the incremental constraint-check
-    /// delta — the same set a full-snapshot version diff would produce.
+    /// delta.
     pub fn added_delta(
         &self,
         relations: &HashMap<String, Relation>,
     ) -> HashMap<String, HashSet<Tuple>> {
         let mut delta: HashMap<String, HashSet<Tuple>> = HashMap::new();
-        for op in &self.ops {
-            if let JournalOp::Added(pred, tuple) = op {
-                if relations.get(pred).is_some_and(|r| r.contains(tuple)) {
-                    delta.entry(pred.clone()).or_default().insert(tuple.clone());
-                }
+        for (pred, ops) in &self.ops {
+            let Some(relation) = relations.get(pred) else {
+                continue;
+            };
+            let surviving: HashSet<Tuple> = ops
+                .iter()
+                .filter_map(|op| match op {
+                    JournalOp::Added(tuple) if relation.contains(tuple) => {
+                        Some(Tuple::clone(tuple))
+                    }
+                    _ => None,
+                })
+                .collect();
+            if !surviving.is_empty() {
+                delta.insert(pred.clone(), surviving);
             }
         }
         delta
     }
 
-    /// Roll every journaled mutation back.  Restores the relations and the
-    /// existential memo to their exact pre-run state; the caller restores
-    /// the (plain-copy) entity counter itself.
+    /// Roll every journaled mutation back.  Restores the relations, the EDB
+    /// bookkeeping and the existential memo to their exact pre-run contents;
+    /// the caller restores the (plain-copy) entity counter itself.
     pub fn undo(
         self,
         relations: &mut HashMap<String, Relation>,
+        edb_facts: &mut HashMap<String, HashSet<Tuple>>,
         existential_memo: &mut HashMap<(usize, Vec<Value>), u64>,
     ) {
-        for op in self.ops.into_iter().rev() {
-            match op {
-                JournalOp::Added(pred, tuple) => {
-                    if let Some(relation) = relations.get_mut(&pred) {
+        for (pred, ops) in self.ops {
+            let Some(relation) = relations.get_mut(&pred) else {
+                continue;
+            };
+            for op in ops.into_iter().rev() {
+                match op {
+                    JournalOp::Added(tuple) => {
                         relation.remove(&tuple);
                     }
-                }
-                JournalOp::Displaced(pred, tuple) => {
                     // The displacing tuple was journaled as `Added` after
                     // this op, so reverse replay has already removed it;
                     // re-inserting the displaced value cannot conflict.
-                    if let Some(relation) = relations.get_mut(&pred) {
+                    JournalOp::Displaced(tuple) => {
                         let _ = relation.insert_or_replace(tuple);
+                    }
+                    // Everything added since the removal is already gone
+                    // again, so the tuple goes back without conflict.
+                    JournalOp::Removed(tuple) => {
+                        let _ = relation.insert(tuple);
                     }
                 }
             }
@@ -147,6 +198,19 @@ impl EvalJournal {
         }
         for key in self.minted {
             existential_memo.remove(&key);
+        }
+        // `edb_facts` never holds an empty set, so dropping an emptied entry
+        // is exact whether or not this change created it.
+        for (pred, tuple) in self.edb_added {
+            if let Some(set) = edb_facts.get_mut(&pred) {
+                set.remove(&tuple);
+                if set.is_empty() {
+                    edb_facts.remove(&pred);
+                }
+            }
+        }
+        for (pred, tuple) in self.edb_removed {
+            edb_facts.entry(pred).or_default().insert(tuple);
         }
     }
 }
@@ -174,96 +238,27 @@ pub struct Evaluator<'a> {
     /// Persistent worker pool for sharded and rule-level fan-out.  `None`
     /// keeps every execution on the calling thread.
     pub pool: Option<&'a WorkerPool>,
-    /// Undo log for incremental (snapshot-free) transactions.  `None` — the
-    /// default everywhere except [`Evaluator::run_seeded`] callers — records
-    /// nothing.
-    pub journal: Option<&'a mut EvalJournal>,
+    /// Record of every mutation this evaluator performs, appended at each
+    /// insertion and removal site; the owner undoes it to roll back.
+    pub journal: &'a mut EvalJournal,
+}
+
+/// How a stratum's first round is driven.
+enum FirstRound<'s> {
+    /// Every rule against the full relations — needed whenever the database
+    /// may not be at fixpoint.
+    Naive,
+    /// Only `(rule, literal)` combinations reading a predicate with new
+    /// tuples since the last fixpoint; the map accumulates this run's
+    /// deltas so later strata see earlier strata's additions as drivers.
+    Seeded(&'s mut HashMap<String, HashSet<Tuple>>),
 }
 
 impl<'a> Evaluator<'a> {
     /// Run all strata to fixpoint.  `strata` holds rule indices (into `rules`)
     /// grouped by stratum in evaluation order.
     pub fn run(&mut self, rules: &[Rule], strata: &[Vec<usize>]) -> Result<FixpointStats> {
-        let mut stats = FixpointStats::default();
-        for stratum in strata {
-            let stratum_stats = self.run_stratum(rules, stratum)?;
-            stats.derived += stratum_stats.derived;
-            stats.iterations += stratum_stats.iterations;
-        }
-        Ok(stats)
-    }
-
-    /// Run a single stratum (a set of mutually recursive rules) to fixpoint.
-    pub fn run_stratum(&mut self, rules: &[Rule], stratum: &[usize]) -> Result<FixpointStats> {
-        let mut stats = FixpointStats::default();
-
-        // Head predicates derived in this stratum; deltas are tracked per
-        // such predicate.
-        let mut idb_preds: HashSet<String> = HashSet::new();
-        for &rule_index in stratum {
-            for atom in &rules[rule_index].head {
-                idb_preds.insert(runtime_pred_name(&atom.pred)?);
-            }
-        }
-
-        let (agg_rules, normal_rules): (Vec<usize>, Vec<usize>) = stratum
-            .iter()
-            .copied()
-            .partition(|&i| rules[i].agg.is_some());
-
-        // Initial (naïve) round over the full relations.
-        let mut delta: HashMap<String, HashSet<Tuple>> = HashMap::new();
-        let combos: Vec<(usize, Option<usize>)> =
-            normal_rules.iter().map(|&index| (index, None)).collect();
-        let empty_delta = HashMap::new();
-        for derivation in self.evaluate_round(rules, &combos, &empty_delta)? {
-            stats.derived += self.insert_derivation(derivation, &mut delta)?;
-        }
-        for &rule_index in &agg_rules {
-            let derived = self.recompute_aggregate(rules, rule_index)?;
-            stats.derived += self.insert_replacing(derived, &mut delta)?;
-        }
-        stats.iterations += 1;
-
-        // Semi-naïve iterations.
-        while delta.values().any(|d| !d.is_empty()) {
-            if stats.iterations > self.config.max_iterations {
-                return Err(DatalogError::FixpointBudget {
-                    iterations: self.config.max_iterations,
-                });
-            }
-            let mut combos: Vec<(usize, Option<usize>)> = Vec::new();
-            for &rule_index in &normal_rules {
-                let rule = &rules[rule_index];
-                for (literal_index, literal) in rule.body.iter().enumerate() {
-                    let Literal::Pos(atom) = literal else {
-                        continue;
-                    };
-                    let pred = runtime_pred_name(&atom.pred)?;
-                    if !idb_preds.contains(&pred) {
-                        continue;
-                    }
-                    let Some(pred_delta) = delta.get(&pred) else {
-                        continue;
-                    };
-                    if pred_delta.is_empty() {
-                        continue;
-                    }
-                    combos.push((rule_index, Some(literal_index)));
-                }
-            }
-            let mut next_delta: HashMap<String, HashSet<Tuple>> = HashMap::new();
-            for derivation in self.evaluate_round(rules, &combos, &delta)? {
-                stats.derived += self.insert_derivation(derivation, &mut next_delta)?;
-            }
-            for &rule_index in &agg_rules {
-                let derived = self.recompute_aggregate(rules, rule_index)?;
-                stats.derived += self.insert_replacing(derived, &mut next_delta)?;
-            }
-            delta = next_delta;
-            stats.iterations += 1;
-        }
-        Ok(stats)
+        self.run_strata(rules, strata, None)
     }
 
     /// Run all strata to fixpoint from a **converged** database, driving the
@@ -276,128 +271,114 @@ impl<'a> Evaluator<'a> {
     /// least one new-tuple literal therefore produces the same final state,
     /// the same genuinely-new deltas, and the same verdicts as
     /// [`Evaluator::run`], at cost proportional to the seed's consequences
-    /// rather than to the whole database.  The caller owns two
-    /// preconditions: the database is at fixpoint, and no rule negates a
-    /// predicate that can *shrink* between fixpoints — aggregate heads are
-    /// the only such predicates (displacement is the one non-monotone
-    /// mutation a committed transaction performs), which is what
-    /// `Workspace` gates on before choosing this entry point.
+    /// rather than to the whole database.  Two preconditions, both checked
+    /// by `Workspace::transaction` before it picks this entry point: the
+    /// database is at fixpoint, and no rule negates a predicate that can
+    /// *shrink* between fixpoints — aggregate heads are the only such
+    /// predicates (displacement is the one non-monotone mutation a committed
+    /// transaction performs).
     pub fn run_seeded(
         &mut self,
         rules: &[Rule],
         strata: &[Vec<usize>],
-        seed: &HashMap<String, HashSet<Tuple>>,
+        seed: HashMap<String, HashSet<Tuple>>,
+    ) -> Result<FixpointStats> {
+        self.run_strata(rules, strata, Some(seed))
+    }
+
+    /// The strata in order; `accumulated` (a seeded run's drivers: the seed
+    /// plus every delta derived so far) selects each stratum's first round.
+    fn run_strata(
+        &mut self,
+        rules: &[Rule],
+        strata: &[Vec<usize>],
+        mut accumulated: Option<HashMap<String, HashSet<Tuple>>>,
     ) -> Result<FixpointStats> {
         let mut stats = FixpointStats::default();
-        // Everything new since the pre-transaction fixpoint: the seed plus
-        // every tuple derived so far.  Later strata must see earlier strata's
-        // additions as first-round drivers, so each stratum merges its deltas
-        // back in.
-        let mut accumulated: HashMap<String, HashSet<Tuple>> = seed
-            .iter()
-            .filter(|(_, set)| !set.is_empty())
-            .map(|(pred, set)| (pred.clone(), set.clone()))
-            .collect();
         for stratum in strata {
-            let stratum_stats = self.run_stratum_seeded(rules, stratum, &mut accumulated)?;
+            let first = match &mut accumulated {
+                Some(accumulated) => FirstRound::Seeded(accumulated),
+                None => FirstRound::Naive,
+            };
+            let stratum_stats = self.run_stratum(rules, stratum, first)?;
             stats.derived += stratum_stats.derived;
             stats.iterations += stratum_stats.iterations;
         }
         Ok(stats)
     }
 
-    /// One stratum of [`Evaluator::run_seeded`]: a seeded first round, then
-    /// the ordinary semi-naïve loop of [`Evaluator::run_stratum`].
-    fn run_stratum_seeded(
+    /// Run a single stratum (a set of mutually recursive rules) to fixpoint:
+    /// the first round as `first` says, then semi-naïve rounds driven by the
+    /// previous round's delta until it is empty.
+    fn run_stratum(
         &mut self,
         rules: &[Rule],
         stratum: &[usize],
-        accumulated: &mut HashMap<String, HashSet<Tuple>>,
+        mut first: FirstRound<'_>,
     ) -> Result<FixpointStats> {
         let mut stats = FixpointStats::default();
-        let mut idb_preds: HashSet<String> = HashSet::new();
-        for &rule_index in stratum {
-            for atom in &rules[rule_index].head {
-                idb_preds.insert(runtime_pred_name(&atom.pred)?);
-            }
-        }
         let (agg_rules, normal_rules): (Vec<usize>, Vec<usize>) = stratum
             .iter()
             .copied()
             .partition(|&i| rules[i].agg.is_some());
 
-        // Seeded first round: every `(rule, positive-literal)` combination
-        // whose predicate has accumulated new tuples.  Aggregation rules
-        // whose bodies are untouched are skipped — recomputation would
-        // reproduce the stored values exactly (the previous fixpoint's final
-        // round recomputed them against this same state).
         let mut delta: HashMap<String, HashSet<Tuple>> = HashMap::new();
-        let mut combos: Vec<(usize, Option<usize>)> = Vec::new();
-        for &rule_index in &normal_rules {
-            for (literal_index, literal) in rules[rule_index].body.iter().enumerate() {
-                let Literal::Pos(atom) = literal else {
-                    continue;
-                };
-                let pred = runtime_pred_name(&atom.pred)?;
-                if accumulated.get(&pred).is_some_and(|set| !set.is_empty()) {
-                    combos.push((rule_index, Some(literal_index)));
-                }
+        let derivations = match &first {
+            FirstRound::Naive => {
+                let combos: Vec<(usize, Option<usize>)> =
+                    normal_rules.iter().map(|&index| (index, None)).collect();
+                self.evaluate_round(rules, &combos, &HashMap::new())?
             }
-        }
-        for derivation in self.evaluate_round(rules, &combos, accumulated)? {
+            FirstRound::Seeded(accumulated) => {
+                let combos = delta_combos(rules, &normal_rules, accumulated)?;
+                self.evaluate_round(rules, &combos, accumulated)?
+            }
+        };
+        for derivation in derivations {
             stats.derived += self.insert_derivation(derivation, &mut delta)?;
         }
         for &rule_index in &agg_rules {
-            if !rule_touched(&rules[rule_index], accumulated) {
-                continue;
+            // A seeded round skips aggregation rules whose bodies are
+            // untouched: recomputation would reproduce the stored values
+            // exactly (the previous fixpoint's final round recomputed them
+            // against this same state).
+            if let FirstRound::Seeded(accumulated) = &first {
+                if !rule_touched(&rules[rule_index], accumulated) {
+                    continue;
+                }
             }
             let derived = self.recompute_aggregate(rules, rule_index)?;
             stats.derived += self.insert_replacing(derived, &mut delta)?;
         }
         stats.iterations += 1;
-        merge_delta(accumulated, &delta);
 
-        // Semi-naïve iterations, exactly as in `run_stratum` (aggregates
-        // recompute every round once the stratum is in motion).
-        while delta.values().any(|d| !d.is_empty()) {
+        loop {
+            if let FirstRound::Seeded(accumulated) = &mut first {
+                merge_delta(accumulated, &delta);
+            }
+            if delta.values().all(|d| d.is_empty()) {
+                return Ok(stats);
+            }
             if stats.iterations > self.config.max_iterations {
                 return Err(DatalogError::FixpointBudget {
                     iterations: self.config.max_iterations,
                 });
             }
-            let mut combos: Vec<(usize, Option<usize>)> = Vec::new();
-            for &rule_index in &normal_rules {
-                let rule = &rules[rule_index];
-                for (literal_index, literal) in rule.body.iter().enumerate() {
-                    let Literal::Pos(atom) = literal else {
-                        continue;
-                    };
-                    let pred = runtime_pred_name(&atom.pred)?;
-                    if !idb_preds.contains(&pred) {
-                        continue;
-                    }
-                    let Some(pred_delta) = delta.get(&pred) else {
-                        continue;
-                    };
-                    if pred_delta.is_empty() {
-                        continue;
-                    }
-                    combos.push((rule_index, Some(literal_index)));
-                }
-            }
+            // `delta` only ever holds head predicates of this stratum, so
+            // every combination it selects is a recursive one.
+            let combos = delta_combos(rules, &normal_rules, &delta)?;
             let mut next_delta: HashMap<String, HashSet<Tuple>> = HashMap::new();
             for derivation in self.evaluate_round(rules, &combos, &delta)? {
                 stats.derived += self.insert_derivation(derivation, &mut next_delta)?;
             }
+            // Aggregates recompute every round once the stratum is in motion.
             for &rule_index in &agg_rules {
                 let derived = self.recompute_aggregate(rules, rule_index)?;
                 stats.derived += self.insert_replacing(derived, &mut next_delta)?;
             }
             delta = next_delta;
             stats.iterations += 1;
-            merge_delta(accumulated, &delta);
         }
-        Ok(stats)
     }
 
     /// Phase A of one round: evaluate every `(rule, delta-literal)`
@@ -618,9 +599,7 @@ impl<'a> Evaluator<'a> {
                     std::collections::hash_map::Entry::Occupied(entry) => *entry.get(),
                     std::collections::hash_map::Entry::Vacant(entry) => {
                         *self.entity_counter += 1;
-                        if let Some(journal) = self.journal.as_deref_mut() {
-                            journal.minted.push(entry.key().clone());
-                        }
+                        self.journal.minted.push(entry.key().clone());
                         *entry.insert(*self.entity_counter)
                     }
                 };
@@ -706,13 +685,13 @@ impl<'a> Evaluator<'a> {
                             .relations
                             .get_mut(&pred)
                             .expect("relation just ensured");
-                        if relation.insert_ids(row)? {
+                        if let Some(stored) = relation.insert_ids(row)? {
                             inserted += 1;
-                            let tuple = relation.interner().resolve_row(row);
-                            if let Some(journal) = self.journal.as_deref_mut() {
-                                journal.record_added(&pred, tuple.clone());
-                            }
-                            delta.entry(pred.clone()).or_default().insert(tuple);
+                            delta
+                                .entry(pred.clone())
+                                .or_default()
+                                .insert(Tuple::clone(&stored));
+                            self.journal.record_added(&pred, stored);
                         }
                     }
                 }
@@ -730,12 +709,9 @@ impl<'a> Evaluator<'a> {
     ) -> Result<usize> {
         let mut inserted = 0usize;
         for (pred, tuple) in derived {
-            let relation = self.relation_entry(&pred);
-            if relation.insert(tuple.clone())? {
+            if let Some(stored) = self.relation_entry(&pred).insert_new(&tuple)? {
                 inserted += 1;
-                if let Some(journal) = self.journal.as_deref_mut() {
-                    journal.record_added(&pred, tuple.clone());
-                }
+                self.journal.record_added(&pred, stored);
                 delta.entry(pred).or_default().insert(tuple);
             }
         }
@@ -753,18 +729,14 @@ impl<'a> Evaluator<'a> {
         for (pred, tuple) in derived {
             let relation = self.relation_entry(&pred);
             let (added, displaced) = relation.insert_or_replace_returning(tuple.clone())?;
-            if let Some(journal) = self.journal.as_deref_mut() {
-                // Displacement is journaled before the insertion that caused
-                // it — reverse replay then restores the displaced value after
-                // removing its replacement.
-                if let Some(old) = displaced {
-                    journal.record_displaced(&pred, old);
-                }
-                if added {
-                    journal.record_added(&pred, tuple.clone());
-                }
+            // Displacement is journaled before the insertion that caused it
+            // — reverse replay then restores the displaced value after
+            // removing its replacement.
+            if let Some(old) = displaced {
+                self.journal.record_displaced(&pred, old);
             }
             if added {
+                self.journal.record_added(&pred, Arc::new(tuple.clone()));
                 inserted += 1;
                 delta.entry(pred).or_default().insert(tuple);
             }
@@ -784,14 +756,34 @@ impl<'a> Evaluator<'a> {
                 pred.to_string(),
                 Relation::with_interner(pred, key_arity, Arc::clone(self.interner)),
             );
-            if let Some(journal) = self.journal.as_deref_mut() {
-                journal.record_created(pred);
-            }
+            self.journal.record_created(pred);
         }
         self.relations
             .get_mut(pred)
             .expect("relation just inserted")
     }
+}
+
+/// Every `(rule, positive body literal)` combination whose predicate has
+/// driving tuples in `drivers`, in rule then literal order.
+fn delta_combos(
+    rules: &[Rule],
+    normal_rules: &[usize],
+    drivers: &HashMap<String, HashSet<Tuple>>,
+) -> Result<Vec<(usize, Option<usize>)>> {
+    let mut combos = Vec::new();
+    for &rule_index in normal_rules {
+        for (literal_index, literal) in rules[rule_index].body.iter().enumerate() {
+            let Literal::Pos(atom) = literal else {
+                continue;
+            };
+            let pred = runtime_pred_name(&atom.pred)?;
+            if drivers.get(&pred).is_some_and(|set| !set.is_empty()) {
+                combos.push((rule_index, Some(literal_index)));
+            }
+        }
+    }
+    Ok(combos)
 }
 
 /// Fold one round's delta into the accumulated new-tuple map of a seeded
@@ -1116,7 +1108,7 @@ mod tests {
                 plan_stats: &self.plan_stats,
                 interner: &self.interner,
                 pool: None,
-                journal: None,
+                journal: &mut EvalJournal::default(),
             };
             evaluator.run(&self.rules, &self.strata).unwrap()
         }
@@ -1272,7 +1264,7 @@ mod tests {
             plan_stats: &fixture.plan_stats,
             interner: &fixture.interner,
             pool: None,
-            journal: None,
+            journal: &mut EvalJournal::default(),
         };
         // Y is a head existential, so it actually mints an entity — that is
         // allowed.  A truly unsafe head would use an expression over unbound
@@ -1305,7 +1297,7 @@ mod tests {
             plan_stats: &fixture.plan_stats,
             interner: &fixture.interner,
             pool: None,
-            journal: None,
+            journal: &mut EvalJournal::default(),
         };
         let err = evaluator.run(&fixture.rules, &fixture.strata).unwrap_err();
         assert!(matches!(err, DatalogError::FixpointBudget { .. }));

@@ -171,9 +171,6 @@ pub struct Relation {
     fd_index: HashMap<u64, Vec<TupleId>, PassBuild>,
     /// Secondary indexes: signature → (hash of id projection → ids).
     indexes: HashMap<ColumnSet, HashMap<u64, Vec<TupleId>, PassBuild>>,
-    /// Bumped on every successful mutation (insert/remove/clear); lets the
-    /// transaction delta scan skip relations that provably did not change.
-    version: u64,
 }
 
 impl Default for Relation {
@@ -184,8 +181,8 @@ impl Default for Relation {
 
 /// Cloning preserves [`TupleId`]s, shares the interner and the `Arc`'d
 /// boundary rows, and drops the secondary indexes: they are rebuildable
-/// caches, and the clones the engine takes (transaction rollback snapshots,
-/// DRed's pre-deletion view) should not pay for copying them.  All other
+/// caches, and a copy (a `Workspace::clone` taken as a test oracle or a
+/// what-if analysis) should not pay for copying them.  All other
 /// state is integer vectors and integer-keyed maps, so a clone is a flat
 /// memcpy plus one refcount bump per tuple — no value is rehashed.
 impl Clone for Relation {
@@ -202,7 +199,6 @@ impl Clone for Relation {
             live: self.live.clone(),
             fd_index: self.fd_index.clone(),
             indexes: HashMap::new(),
-            version: self.version,
         }
     }
 }
@@ -233,7 +229,6 @@ impl Relation {
             live: HashMap::default(),
             fd_index: HashMap::default(),
             indexes: HashMap::new(),
-            version: 0,
         }
     }
 
@@ -250,12 +245,6 @@ impl Relation {
     /// The value dictionary this relation encodes against.
     pub fn interner(&self) -> &Arc<Interner> {
         &self.interner
-    }
-
-    /// Mutation counter: unchanged version ⇒ unchanged contents (the
-    /// converse does not hold; a remove+reinsert bumps it twice).
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Number of tuples.
@@ -440,19 +429,30 @@ impl Relation {
         }
     }
 
+    /// [`Relation::insert`] for a caller that keeps the tuple (the
+    /// evaluator: it goes on into the delta set and the journal).  Returns
+    /// the stored row — shared, not copied — when the tuple is new; a
+    /// duplicate returns `None` and costs no copy at all.
+    pub fn insert_new(&mut self, tuple: &Tuple) -> Result<Option<Arc<Tuple>>> {
+        let mut ids = Vec::with_capacity(tuple.len());
+        self.interner.intern_row(tuple, &mut ids);
+        Ok(self.check_insert_ids(&ids)?.map(|()| {
+            let row = Arc::new(tuple.clone());
+            self.insert_row(Arc::clone(&row), &ids);
+            row
+        }))
+    }
+
     /// Insert a pre-encoded id row (the batch executor's insert path; the
     /// ids must come from this relation's own interner).  Identical
-    /// semantics to [`Relation::insert`]; the boundary row is rehydrated
+    /// semantics to [`Relation::insert_new`]; the boundary row is rehydrated
     /// once, only for genuinely new tuples.
-    pub fn insert_ids(&mut self, ids: &[u32]) -> Result<bool> {
-        match self.check_insert_ids(ids)? {
-            None => Ok(false),
-            Some(()) => {
-                let tuple = self.interner.resolve_row(ids);
-                self.insert_row(Arc::new(tuple), ids);
-                Ok(true)
-            }
-        }
+    pub fn insert_ids(&mut self, ids: &[u32]) -> Result<Option<Arc<Tuple>>> {
+        Ok(self.check_insert_ids(ids)?.map(|()| {
+            let row = Arc::new(self.interner.resolve_row(ids));
+            self.insert_row(Arc::clone(&row), ids);
+            row
+        }))
     }
 
     /// Shared admission check: `Ok(None)` = duplicate, `Ok(Some(()))` =
@@ -522,7 +522,6 @@ impl Relation {
             }
         }
         self.len += 1;
-        self.version += 1;
     }
 
     /// Insert a tuple for a functional predicate, replacing any existing
@@ -621,7 +620,6 @@ impl Relation {
         };
         self.free.push(id);
         self.len -= 1;
-        self.version += 1;
     }
 
     /// Remove all tuples (and drop every index).
@@ -634,7 +632,6 @@ impl Relation {
         self.live.clear();
         self.fd_index.clear();
         self.indexes.clear();
-        self.version += 1;
     }
 
     /// Look up the dependent value for `key` in a functional predicate.
@@ -962,7 +959,6 @@ mod tests {
         assert_eq!(cloned.sorted(), rel.sorted());
         // The dictionary is shared, so id-space ops agree across clones.
         assert!(Arc::ptr_eq(rel.interner(), cloned.interner()));
-        assert_eq!(cloned.version(), rel.version());
     }
 
     #[test]
@@ -994,8 +990,8 @@ mod tests {
         let mut rel = Relation::with_interner("edge", None, Arc::clone(&interner));
         let mut ids = Vec::new();
         interner.intern_row(&t(&[4, 5]), &mut ids);
-        assert!(rel.insert_ids(&ids).unwrap());
-        assert!(!rel.insert_ids(&ids).unwrap(), "id insert dedups");
+        assert!(rel.insert_ids(&ids).unwrap().is_some());
+        assert!(rel.insert_ids(&ids).unwrap().is_none(), "id insert dedups");
         assert!(!rel.insert(t(&[4, 5])).unwrap(), "value insert sees it");
         assert!(rel.contains(&t(&[4, 5])));
         assert_eq!(rel.sorted(), vec![t(&[4, 5])]);
@@ -1003,7 +999,7 @@ mod tests {
         let mut frel = Relation::with_interner("f", Some(1), Arc::clone(&interner));
         let mut row = Vec::new();
         interner.intern_row(&t(&[1, 10]), &mut row);
-        assert!(frel.insert_ids(&row).unwrap());
+        assert!(frel.insert_ids(&row).unwrap().is_some());
         interner.intern_row(&t(&[1, 11]), &mut row);
         assert!(frel.insert_ids(&row).is_err());
     }
@@ -1023,21 +1019,6 @@ mod tests {
         for &id in candidates {
             assert_eq!(rel.tuple_by_id(id)[0], Value::Int(1));
         }
-    }
-
-    #[test]
-    fn version_tracks_mutations_only() {
-        let mut rel = Relation::new("edge", None);
-        let v0 = rel.version();
-        rel.insert(t(&[1, 2])).unwrap();
-        let v1 = rel.version();
-        assert_ne!(v0, v1);
-        rel.insert(t(&[1, 2])).unwrap(); // duplicate: no change
-        assert_eq!(rel.version(), v1);
-        rel.ensure_index(column_set([0])); // cache build: no change
-        assert_eq!(rel.version(), v1);
-        assert!(rel.remove(&t(&[1, 2])));
-        assert_ne!(rel.version(), v1);
     }
 
     #[test]

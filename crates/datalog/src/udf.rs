@@ -195,7 +195,7 @@ mod tests {
         let mut registry = UdfRegistry::new();
         registry.register("is_even", |args| {
             let x = require_bound(args, 0, "is_even")?;
-            if x.as_int().map_or(false, |v| v % 2 == 0) {
+            if x.as_int().is_some_and(|v| v % 2 == 0) {
                 Ok(vec![vec![x]])
             } else {
                 Ok(vec![])

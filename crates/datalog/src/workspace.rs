@@ -15,7 +15,7 @@ use crate::constraint::{check_constraints_incremental_planned, check_constraints
 use crate::error::{DatalogError, Result};
 use crate::eval::dred::DeletionStats;
 use crate::eval::{
-    Bindings, EvalConfig, EvalJournal, EvalOptions, Evaluator, FixpointStats, PlanCache, PlanStats,
+    Bindings, EvalConfig, EvalJournal, EvalOptions, Evaluator, PlanCache, PlanStats,
     PlanStatsSnapshot, WorkerPool,
 };
 use crate::intern::Interner;
@@ -83,6 +83,12 @@ pub struct Workspace {
     /// derivations a delta-seeded first round never drives.  Recomputed on
     /// every program install.
     seedable: bool,
+    /// Whether the stored relations are known to be a fixpoint of the
+    /// installed program: set when a transaction or retraction commits,
+    /// cleared by every mutation that bypasses one (program install, direct
+    /// fact assertion, relation clearing, UDF registration).  A rollback
+    /// restores the pre-call contents and leaves the flag as it was.
+    converged: bool,
 }
 
 impl std::fmt::Debug for Workspace {
@@ -126,6 +132,7 @@ impl Workspace {
             interner: Arc::new(Interner::new()),
             pool: None,
             seedable: true,
+            converged: false,
         }
     }
 
@@ -186,6 +193,7 @@ impl Workspace {
 
     /// The UDF registry (mutable, for registering application functions).
     pub fn udfs_mut(&mut self) -> &mut UdfRegistry {
+        self.converged = false;
         &mut self.udfs
     }
 
@@ -197,7 +205,7 @@ impl Workspace {
             + Sync
             + 'static,
     {
-        self.udfs.register(name, f);
+        self.udfs_mut().register(name, f);
     }
 
     /// Register a family of user-defined functions (`family$param`).
@@ -208,7 +216,7 @@ impl Workspace {
             + Sync
             + 'static,
     {
-        self.udfs.register_family(family, f);
+        self.udfs_mut().register_family(family, f);
     }
 
     /// Parse and install a program from source text.
@@ -230,6 +238,7 @@ impl Workspace {
                     .into(),
             ));
         }
+        self.converged = false;
         self.schema.absorb_program(program)?;
         if self.strict_typing {
             typecheck_program(program, &self.schema, &self.udfs)?;
@@ -301,12 +310,14 @@ impl Workspace {
 
     /// Assert a single extensional fact (no fixpoint is run).
     pub fn assert_fact(&mut self, pred: &str, tuple: Tuple) -> Result<()> {
+        self.converged = false;
         self.insert_edb(pred, tuple)
     }
 
     /// Set the value of a zero-key functional (singleton) predicate, e.g.
     /// `self[] = "n3"`.
     pub fn set_singleton(&mut self, pred: &str, value: Value) -> Result<()> {
+        self.converged = false;
         let relation = self
             .relations
             .entry(pred.to_string())
@@ -320,10 +331,7 @@ impl Workspace {
     }
 
     fn insert_edb(&mut self, pred: &str, tuple: Tuple) -> Result<()> {
-        let key_arity = self.schema.get(pred).and_then(|decl| match decl.kind {
-            PredicateKind::Functional { key_arity } => Some(key_arity),
-            PredicateKind::Relation => None,
-        });
+        let key_arity = self.key_arity(pred);
         let relation = self.relations.entry(pred.to_string()).or_insert_with(|| {
             Relation::with_interner(pred, key_arity, Arc::clone(&self.interner))
         });
@@ -394,14 +402,16 @@ impl Workspace {
     /// Remove every tuple of a predicate without touching derived data (used
     /// for transient outbox predicates such as `export`).
     pub fn clear_relation(&mut self, pred: &str) {
+        self.converged = false;
         if let Some(relation) = self.relations.get_mut(pred) {
             relation.clear();
         }
         self.edb_facts.remove(pred);
     }
 
-    /// Run installed rules to fixpoint and check all constraints, without
-    /// inserting new facts.  Rolls back on violation.
+    /// An empty transaction: run the installed rules to fixpoint and check
+    /// the constraints over whatever that derives.  Rolls back on violation;
+    /// on a converged workspace there is nothing to derive.
     pub fn fixpoint(&mut self) -> Result<TransactionReport> {
         self.transaction(Vec::new())
     }
@@ -409,16 +419,20 @@ impl Workspace {
     /// Process a batch of incoming facts inside a local ACID transaction:
     /// insert the facts, run the installed rules to fixpoint, check every
     /// constraint, and either commit or roll the whole batch back.
+    ///
+    /// Every mutation is journaled, so a constraint violation or FD conflict
+    /// rolls back by reverse-replaying the journal — no pre-image of the
+    /// database is taken.  From a converged workspace running a seedable
+    /// program the fixpoint's first round is driven by this batch's new base
+    /// tuples alone (see [`Evaluator::run_seeded`]); otherwise it is naïve.
+    /// Verdicts and the resulting database are the same either way.
     pub fn transaction(&mut self, batch: Vec<(String, Tuple)>) -> Result<TransactionReport> {
         let start = Instant::now();
-        let snapshot_relations = self.relations.clone();
-        let snapshot_edb = self.edb_facts.clone();
-        let snapshot_counter = self.entity_counter;
-        let snapshot_memo = self.existential_memo.clone();
-
-        let result = self.transaction_inner(batch, &snapshot_relations);
-        match result {
+        let counter = self.entity_counter;
+        let mut journal = EvalJournal::default();
+        match self.transaction_body(batch, &mut journal) {
             Ok(mut report) => {
+                self.converged = true;
                 report.duration = start.elapsed();
                 secureblox_telemetry::histogram!("datalog_fixpoint_ns")
                     .record_duration(report.duration);
@@ -427,46 +441,55 @@ impl Workspace {
                 Ok(report)
             }
             Err(error) => {
-                self.relations = snapshot_relations;
-                self.edb_facts = snapshot_edb;
-                self.entity_counter = snapshot_counter;
-                self.existential_memo = snapshot_memo;
+                self.rollback(journal, counter);
                 Err(error)
             }
         }
     }
 
-    fn transaction_inner(
+    fn transaction_body(
         &mut self,
         batch: Vec<(String, Tuple)>,
-        snapshot: &HashMap<String, Relation>,
+        journal: &mut EvalJournal,
     ) -> Result<TransactionReport> {
         let mut report = TransactionReport::default();
+        let mut seed: HashMap<String, HashSet<Tuple>> = HashMap::new();
         for (pred, tuple) in batch {
-            self.insert_edb(&pred, tuple)?;
+            let key_arity = self.key_arity(&pred);
+            if !self.relations.contains_key(&pred) {
+                journal.record_created(&pred);
+            }
+            let relation = self.relations.entry(pred.clone()).or_insert_with(|| {
+                Relation::with_interner(&pred, key_arity, Arc::clone(&self.interner))
+            });
+            if let Some(stored) = relation.insert_new(&tuple)? {
+                journal.record_added(&pred, stored);
+                seed.entry(pred.clone()).or_default().insert(tuple.clone());
+            }
+            if self
+                .edb_facts
+                .entry(pred.clone())
+                .or_default()
+                .insert(tuple.clone())
+            {
+                journal.record_edb_added(&pred, tuple);
+            }
             report.inserted += 1;
         }
-        let stats = self.run_rules()?;
+        let seeded = self.seedable && self.converged;
+        let stats = {
+            let (mut evaluator, rules, strata, _) = self.evaluator(journal);
+            if seeded {
+                evaluator.run_seeded(rules, strata, seed)?
+            } else {
+                evaluator.run(rules, strata)?
+            }
+        };
         report.derived = stats.derived;
         report.iterations = stats.iterations;
-        // Incremental constraint checking over the tuples this transaction
-        // added (paper §2: constraints are checked for every new fact).
-        let mut delta: HashMap<String, HashSet<Tuple>> = HashMap::new();
-        for (pred, relation) in &self.relations {
-            let before = snapshot.get(pred);
-            // Mutation counters make untouched relations free to skip — on
-            // converged fixpoints this reduces the delta scan to nothing.
-            if before.is_some_and(|r| r.version() == relation.version()) {
-                continue;
-            }
-            for tuple in relation.iter() {
-                if before.is_none_or(|r| !r.contains(tuple)) {
-                    delta.entry(pred.clone()).or_default().insert(tuple.clone());
-                }
-            }
-        }
-        self.ensure_pool();
-        let pool = self.pool.clone();
+        // Incremental constraint checking over this transaction's surviving
+        // additions (paper §2: constraints are checked for every new fact).
+        let delta = journal.added_delta(&self.relations);
         check_constraints_incremental_planned(
             &self.constraints,
             &mut self.relations,
@@ -475,9 +498,27 @@ impl Workspace {
             &self.plan_stats,
             &delta,
             &self.config.exec,
-            pool.as_deref(),
+            self.pool.as_deref(),
         )?;
         Ok(report)
+    }
+
+    /// Undo a refused transaction or retraction: reverse-replay its journal
+    /// and restore the entity counter.
+    fn rollback(&mut self, journal: EvalJournal, counter: u64) {
+        journal.undo(
+            &mut self.relations,
+            &mut self.edb_facts,
+            &mut self.existential_memo,
+        );
+        self.entity_counter = counter;
+    }
+
+    fn key_arity(&self, pred: &str) -> Option<usize> {
+        self.schema.get(pred).and_then(|decl| match decl.kind {
+            PredicateKind::Functional { key_arity } => Some(key_arity),
+            PredicateKind::Relation => None,
+        })
     }
 
     /// Lazily (re)create the persistent worker pool to match the configured
@@ -493,10 +534,21 @@ impl Workspace {
         }
     }
 
-    fn run_rules(&mut self) -> Result<FixpointStats> {
+    /// The evaluator over this workspace's mutable state, journaling into
+    /// `journal`, beside the parts of the workspace it reads but does not
+    /// own: the rules, their strata, and the EDB bookkeeping.
+    #[allow(clippy::type_complexity)]
+    fn evaluator<'a>(
+        &'a mut self,
+        journal: &'a mut EvalJournal,
+    ) -> (
+        Evaluator<'a>,
+        &'a [Rule],
+        &'a [Vec<usize>],
+        &'a HashMap<String, HashSet<Tuple>>,
+    ) {
         self.ensure_pool();
-        let pool = self.pool.clone();
-        let mut evaluator = Evaluator {
+        let evaluator = Evaluator {
             relations: &mut self.relations,
             schema: &self.schema,
             udfs: &self.udfs,
@@ -506,36 +558,10 @@ impl Workspace {
             plan_cache: &mut self.plan_cache,
             plan_stats: &self.plan_stats,
             interner: &self.interner,
-            pool: pool.as_deref(),
-            journal: None,
+            pool: self.pool.as_deref(),
+            journal,
         };
-        evaluator.run(&self.rules, &self.strata)
-    }
-
-    /// Run the installed rules from a converged state, driving the first
-    /// semi-naïve round with `seed` (this transaction's new base tuples) and
-    /// journaling every mutation for snapshot-free rollback.
-    fn run_rules_seeded(
-        &mut self,
-        seed: &HashMap<String, HashSet<Tuple>>,
-        journal: &mut EvalJournal,
-    ) -> Result<FixpointStats> {
-        self.ensure_pool();
-        let pool = self.pool.clone();
-        let mut evaluator = Evaluator {
-            relations: &mut self.relations,
-            schema: &self.schema,
-            udfs: &self.udfs,
-            config: &self.config,
-            entity_counter: &mut self.entity_counter,
-            existential_memo: &mut self.existential_memo,
-            plan_cache: &mut self.plan_cache,
-            plan_stats: &self.plan_stats,
-            interner: &self.interner,
-            pool: pool.as_deref(),
-            journal: Some(journal),
-        };
-        evaluator.run_seeded(&self.rules, &self.strata, seed)
+        (evaluator, &self.rules, &self.strata, &self.edb_facts)
     }
 
     /// Planner and index counters accumulated by this workspace.
@@ -550,37 +576,27 @@ impl Workspace {
 
     /// Retract base facts and incrementally maintain derived relations with
     /// DRed.  Constraints are re-checked afterwards; a violation rolls the
-    /// whole retraction back.
+    /// whole retraction back through the journal, exactly as a refused
+    /// transaction does.
     pub fn retract(&mut self, batch: Vec<(String, Tuple)>) -> Result<DeletionStats> {
         let timer = secureblox_telemetry::histogram!("datalog_retract_ns").start_timer();
-        let snapshot_relations = self.relations.clone();
-        let snapshot_edb = self.edb_facts.clone();
-
+        let counter = self.entity_counter;
+        let mut journal = EvalJournal::default();
         for (pred, tuple) in &batch {
             if let Some(set) = self.edb_facts.get_mut(pred) {
-                set.remove(tuple);
+                if set.remove(tuple) {
+                    journal.record_edb_removed(pred, tuple.clone());
+                }
+                if set.is_empty() {
+                    self.edb_facts.remove(pred);
+                }
             }
         }
-        let edb = self.edb_facts.clone();
-        self.ensure_pool();
-        let pool = self.pool.clone();
-        let stats = {
-            let mut evaluator = Evaluator {
-                relations: &mut self.relations,
-                schema: &self.schema,
-                udfs: &self.udfs,
-                config: &self.config,
-                entity_counter: &mut self.entity_counter,
-                existential_memo: &mut self.existential_memo,
-                plan_cache: &mut self.plan_cache,
-                plan_stats: &self.plan_stats,
-                interner: &self.interner,
-                pool: pool.as_deref(),
-                journal: None,
-            };
-            evaluator.delete_with_dred(&self.rules, &self.strata, &batch, &edb)
+        let deleted = {
+            let (mut evaluator, rules, strata, edb) = self.evaluator(&mut journal);
+            evaluator.delete_with_dred(rules, strata, &batch, edb)
         };
-        let check = stats.and_then(|s| {
+        let checked = deleted.and_then(|stats| {
             check_constraints_planned(
                 &self.constraints,
                 &mut self.relations,
@@ -588,134 +604,24 @@ impl Workspace {
                 &mut self.plan_cache,
                 &self.plan_stats,
                 &self.config.exec,
-                pool.as_deref(),
+                self.pool.as_deref(),
             )
-            .map(|_| s)
+            .map(|_| stats)
         });
-        match check {
-            Ok(stats) => Ok(stats),
+        match checked {
+            Ok(stats) => {
+                // A retraction that found nothing stored ran no fixpoint.
+                if stats.base_deleted > 0 {
+                    self.converged = true;
+                }
+                Ok(stats)
+            }
             Err(error) => {
-                self.relations = snapshot_relations;
-                self.edb_facts = snapshot_edb;
+                self.rollback(journal, counter);
                 timer.cancel();
                 Err(error)
             }
         }
-    }
-
-    /// [`Workspace::transaction`] without the per-transaction snapshot clone
-    /// or the O(database) naive first round: the fixpoint is *seeded* with
-    /// this batch's new base tuples (valid only from a converged state — every
-    /// committed or rolled-back transaction and every DRed retraction leaves
-    /// one), and every mutation is journaled so a constraint violation or FD
-    /// conflict rolls back by reverse-replaying the journal.  Verdicts and
-    /// the resulting database are identical to [`Workspace::transaction`];
-    /// only the cost differs.  This is the streaming runtime's per-delta
-    /// apply step, keeping exact per-envelope acceptance semantics while a
-    /// drained batch amortizes flushes and scheduling.
-    ///
-    /// Programs where a negated literal reads an aggregate head are not
-    /// seedable (see `seedable`); those fall back to the snapshot path.
-    pub fn transaction_incremental(
-        &mut self,
-        batch: Vec<(String, Tuple)>,
-    ) -> Result<TransactionReport> {
-        if !self.seedable {
-            return self.transaction(batch);
-        }
-        let start = Instant::now();
-        let snapshot_counter = self.entity_counter;
-        let mut journal = EvalJournal::default();
-        let mut edb_added: Vec<(String, Tuple)> = Vec::new();
-        let mut edb_created: Vec<String> = Vec::new();
-        let result = self.transaction_incremental_inner(
-            batch,
-            &mut journal,
-            &mut edb_added,
-            &mut edb_created,
-        );
-        match result {
-            Ok(mut report) => {
-                report.duration = start.elapsed();
-                secureblox_telemetry::histogram!("datalog_fixpoint_ns")
-                    .record_duration(report.duration);
-                secureblox_telemetry::gauge!("datalog_intern_table_size")
-                    .set_max(self.interner.len() as i64);
-                Ok(report)
-            }
-            Err(error) => {
-                journal.undo(&mut self.relations, &mut self.existential_memo);
-                for (pred, tuple) in edb_added.iter().rev() {
-                    if let Some(set) = self.edb_facts.get_mut(pred) {
-                        set.remove(tuple);
-                    }
-                }
-                for pred in &edb_created {
-                    self.edb_facts.remove(pred);
-                }
-                self.entity_counter = snapshot_counter;
-                Err(error)
-            }
-        }
-    }
-
-    fn transaction_incremental_inner(
-        &mut self,
-        batch: Vec<(String, Tuple)>,
-        journal: &mut EvalJournal,
-        edb_added: &mut Vec<(String, Tuple)>,
-        edb_created: &mut Vec<String>,
-    ) -> Result<TransactionReport> {
-        let mut report = TransactionReport::default();
-        let mut seed: HashMap<String, HashSet<Tuple>> = HashMap::new();
-        for (pred, tuple) in batch {
-            let key_arity = self.schema.get(&pred).and_then(|decl| match decl.kind {
-                PredicateKind::Functional { key_arity } => Some(key_arity),
-                PredicateKind::Relation => None,
-            });
-            if !self.relations.contains_key(&pred) {
-                journal.record_created(&pred);
-            }
-            let relation = self.relations.entry(pred.clone()).or_insert_with(|| {
-                Relation::with_interner(&pred, key_arity, Arc::clone(&self.interner))
-            });
-            if relation.insert(tuple.clone())? {
-                journal.record_added(&pred, tuple.clone());
-                seed.entry(pred.clone()).or_default().insert(tuple.clone());
-            }
-            if !self.edb_facts.contains_key(&pred) {
-                edb_created.push(pred.clone());
-            }
-            if self
-                .edb_facts
-                .entry(pred.clone())
-                .or_default()
-                .insert(tuple.clone())
-            {
-                edb_added.push((pred, tuple));
-            }
-            report.inserted += 1;
-        }
-        let stats = self.run_rules_seeded(&seed, journal)?;
-        report.derived = stats.derived;
-        report.iterations = stats.iterations;
-        // Incremental constraint checking over this transaction's surviving
-        // additions — the journal yields the same delta a full-snapshot
-        // version diff would.
-        let delta = journal.added_delta(&self.relations);
-        self.ensure_pool();
-        let pool = self.pool.clone();
-        check_constraints_incremental_planned(
-            &self.constraints,
-            &mut self.relations,
-            &self.udfs,
-            &mut self.plan_cache,
-            &self.plan_stats,
-            &delta,
-            &self.config.exec,
-            pool.as_deref(),
-        )?;
-        Ok(report)
     }
 
     /// Names of all predicates with stored tuples (sorted, for diagnostics).
@@ -828,99 +734,8 @@ mod tests {
         assert_eq!(ws.query("owner"), vec![vec![s("k"), s("v1")]]);
     }
 
-    /// Drive the same delta sequence through `transaction` and
-    /// `transaction_incremental` on parallel workspaces, asserting identical
-    /// per-delta verdicts and identical final databases.
-    fn assert_incremental_matches(source: &str, batches: &[Vec<(String, Tuple)>]) {
-        let mut full = Workspace::new();
-        full.install_source(source).unwrap();
-        full.fixpoint().unwrap();
-        let mut inc = Workspace::new();
-        inc.install_source(source).unwrap();
-        inc.fixpoint().unwrap();
-        for (step, batch) in batches.iter().enumerate() {
-            let a = full.transaction(batch.clone());
-            let b = inc.transaction_incremental(batch.clone());
-            match (&a, &b) {
-                (Ok(ra), Ok(rb)) => assert_eq!(ra.inserted, rb.inserted, "step {step}"),
-                (Err(ea), Err(eb)) => assert_eq!(
-                    std::mem::discriminant(ea),
-                    std::mem::discriminant(eb),
-                    "step {step}: verdicts diverged ({ea} vs {eb})"
-                ),
-                _ => panic!("step {step}: verdicts diverged ({a:?} vs {b:?})"),
-            }
-            assert_eq!(
-                full.predicate_names(),
-                inc.predicate_names(),
-                "step {step}: predicate sets diverged"
-            );
-            for pred in full.predicate_names() {
-                assert_eq!(
-                    full.query(&pred),
-                    inc.query(&pred),
-                    "step {step}: {pred} diverged"
-                );
-            }
-        }
-    }
-
     #[test]
-    fn transaction_incremental_matches_transaction() {
-        assert_incremental_matches(
-            "reachable(X, Y) <- link(X, Y).\n\
-             reachable(X, Y) <- link(X, Z), reachable(Z, Y).\n\
-             link(a, b).",
-            &[
-                vec![("link".into(), vec![s("b"), s("c")])],
-                vec![
-                    ("link".into(), vec![s("c"), s("d")]),
-                    ("link".into(), vec![s("d"), s("a")]),
-                ],
-                // Duplicate re-assertion: no new delta, nothing derived.
-                vec![("link".into(), vec![s("a"), s("b")])],
-            ],
-        );
-    }
-
-    #[test]
-    fn transaction_incremental_matches_on_rejection_order() {
-        // The exact shape from the streaming engine: a delta that violates a
-        // constraint must be rejected in its own transaction even though a
-        // LATER delta would have satisfied it — per-delta verdicts are
-        // order-sensitive and the incremental path must preserve that.
-        assert_incremental_matches(
-            "says_link(P, Q) -> principal(P), principal(Q).\n\
-             link(X, Y) <- says_link(X, Y).\n\
-             principal(alice).",
-            &[
-                vec![("says_link".into(), vec![s("alice"), s("mallory")])], // rejected
-                vec![("principal".into(), vec![s("mallory")])],             // commits
-                vec![("says_link".into(), vec![s("alice"), s("mallory")])], // now commits
-            ],
-        );
-    }
-
-    #[test]
-    fn transaction_incremental_matches_with_aggregates_and_existentials() {
-        // Aggregate displacement (min over paths) plus head-existential
-        // minting, across commits and an FD rejection.
-        assert_incremental_matches(
-            "cost[X, Y] = C -> string(X), string(Y), int(C).\n\
-             pathvar(P) -> .\n\
-             pathvar(P), path(P, X, Y, C) <- cost[X, Y] = C.\n\
-             best[X] = C <- agg<< C = min(Cx) >> path(_, X, _, Cx).\n\
-             cost[a, b] = 5.",
-            &[
-                vec![("cost".into(), vec![s("a"), s("c"), Value::Int(3)])], // displaces best[a]
-                vec![("cost".into(), vec![s("a"), s("b"), Value::Int(1)])], // FD conflict: rolls back
-                vec![("cost".into(), vec![s("b"), s("c"), Value::Int(9)])],
-            ],
-        );
-    }
-
-    #[test]
-    fn transaction_incremental_rollback_restores_exact_state() {
+    fn seeded_rollback_restores_exact_state() {
         let mut ws = Workspace::new();
         ws.install_source(
             "says_link(P, Q) -> principal(P), principal(Q).\n\
@@ -935,36 +750,18 @@ mod tests {
         let before_facts = ws.total_facts();
         let before_links = ws.query("link");
         let err = ws
-            .transaction_incremental(vec![("says_link".into(), vec![s("bob"), s("mallory")])])
+            .transaction(vec![("says_link".into(), vec![s("bob"), s("mallory")])])
             .unwrap_err();
         assert!(matches!(err, DatalogError::ConstraintViolation(_)));
         assert_eq!(ws.total_facts(), before_facts);
         assert_eq!(ws.query("link"), before_links);
         assert_eq!(ws.count("says_link"), 1);
         // And the workspace is still fully usable afterwards.
-        ws.transaction_incremental(vec![("principal".into(), vec![s("mallory")])])
+        ws.transaction(vec![("principal".into(), vec![s("mallory")])])
             .unwrap();
-        ws.transaction_incremental(vec![("says_link".into(), vec![s("bob"), s("mallory")])])
+        ws.transaction(vec![("says_link".into(), vec![s("bob"), s("mallory")])])
             .unwrap();
         assert!(ws.contains_fact("reach", &[s("alice"), s("mallory")]));
-    }
-
-    #[test]
-    fn non_seedable_program_falls_back_to_snapshot_path() {
-        // Negation over an aggregate head: not seedable, must still be
-        // correct via the `transaction` fallback.
-        let source = "cost[X] = C -> string(X), int(C).\n\
-                      best[] = C <- agg<< C = min(Cx) >> cost[_] = Cx.\n\
-                      cheap(X) <- cost[X] = C, !best[] = _, C > 0.\n\
-                      cost[a] = 5.";
-        let mut ws = Workspace::new();
-        ws.set_strict_typing(false);
-        ws.install_source(source).unwrap();
-        assert!(!ws.seedable);
-        ws.fixpoint().unwrap();
-        ws.transaction_incremental(vec![("cost".into(), vec![s("b"), Value::Int(2)])])
-            .unwrap();
-        assert_eq!(ws.singleton("best"), Some(Value::Int(2)));
     }
 
     #[test]
@@ -1190,9 +987,12 @@ mod tests {
         assert!(stats.plans_compiled > 0);
         assert!(stats.index_probes > 0, "recursive join should probe");
         assert!(ws.cached_plans() > 0);
-        // A second fixpoint reuses the cached plans.
-        ws.fixpoint().unwrap();
+        // A second transaction reuses the cached plans for the combinations
+        // the first one already ran.
+        ws.transaction(vec![("link".into(), vec![Value::Int(30), Value::Int(31)])])
+            .unwrap();
         assert!(ws.plan_stats().plan_cache_hits > stats.plan_cache_hits);
+        assert_eq!(ws.count("reachable"), 31 * 32 / 2);
     }
 
     #[test]

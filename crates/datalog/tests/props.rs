@@ -167,6 +167,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Warshall-style reference transitive closure.
+// Warshall's triple loop reads best with plain indices.
+#[allow(clippy::needless_range_loop)]
 fn reference_closure(n: usize, edges: &BTreeSet<(usize, usize)>) -> BTreeSet<(usize, usize)> {
     let mut reach = vec![vec![false; n]; n];
     for &(a, b) in edges {
@@ -363,6 +365,271 @@ proptest! {
             prop_assert!(ws.count("reachable") >= expected_links.len());
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// One transaction path: journaled rollback, seeded and naïve first rounds
+// ---------------------------------------------------------------------------
+
+/// Recursion (`reach`), head existentials (`pathvar`/`hop`), a `min`
+/// aggregate (`best`), a functional dependency and a constraint (both on
+/// `cost`: one value per key, both ends declared nodes).
+const TXN_PROGRAM: &str = "\
+    cost[X, Y] = C -> node(X), node(Y), int(C).\n\
+    reach(X, Y) <- cost[X, Y] = _.\n\
+    reach(X, Y) <- cost[X, Z] = _, reach(Z, Y).\n\
+    pathvar(P) -> .\n\
+    pathvar(P), hop(P, X, Y, C) <- cost[X, Y] = C.\n\
+    best[X] = C <- agg<< C = min(Cx) >> hop(_, X, _, Cx).\n";
+
+/// Negation over the aggregate head makes the program non-seedable: a new
+/// minimum un-blocks `offbest` for tuples no new fact touches, which only a
+/// naïve first round finds.  (Under insertions `offbest` only grows, so the
+/// insert-only evaluator and a from-scratch run still agree.)
+const NEGATED_AGGREGATE: &str = "offbest(X, Y) <- cost[X, Y] = C, !best[X] = C.\n";
+
+type Fact = (String, Vec<Value>);
+/// Relations by predicate name, tuples in `Workspace::query` order.
+type Dump = Vec<(String, Vec<Vec<Value>>)>;
+
+fn arb_fact() -> impl Strategy<Value = Fact> {
+    prop_oneof![
+        // Few sources, so minima get displaced often.
+        (0usize..3, 0usize..5, 1i64..5).prop_map(|(x, y, c)| (
+            "cost".to_string(),
+            vec![node_value(x), node_value(y), Value::Int(c)]
+        )),
+        (0usize..5).prop_map(|x| ("node".to_string(), vec![node_value(x)])),
+        (0usize..5, 0usize..5)
+            .prop_map(|(x, y)| ("reach".to_string(), vec![node_value(x), node_value(y)])),
+    ]
+}
+
+fn txn_workspace(source: &str) -> Workspace {
+    let mut ws = Workspace::new();
+    ws.set_strict_typing(false);
+    ws.install_source(source).unwrap();
+    ws
+}
+
+/// Every relation, exactly (entity ids and empty relations included).
+fn dump(ws: &Workspace) -> Dump {
+    ws.predicate_names()
+        .into_iter()
+        .map(|pred| {
+            let tuples = ws.query(&pred);
+            (pred, tuples)
+        })
+        .collect()
+}
+
+/// Every non-empty relation with entity ids masked: what two workspaces
+/// with different minting histories can be expected to share.
+fn dump_modulo_entities(ws: &Workspace) -> Dump {
+    let mut out = Vec::new();
+    for (pred, tuples) in dump(ws) {
+        let mut masked: Vec<Vec<Value>> = tuples
+            .into_iter()
+            .map(|tuple| {
+                tuple
+                    .into_iter()
+                    .map(|v| match v {
+                        Value::Entity(_) => Value::Entity(0),
+                        other => other,
+                    })
+                    .collect()
+            })
+            .collect();
+        masked.sort_by(|a, b| secureblox_datalog::value::tuple_total_cmp(a, b));
+        if !masked.is_empty() {
+            out.push((pred, masked));
+        }
+    }
+    out
+}
+
+fn verdict<T>(
+    result: &Result<T, secureblox_datalog::DatalogError>,
+) -> Option<std::mem::Discriminant<secureblox_datalog::DatalogError>> {
+    result.as_ref().err().map(std::mem::discriminant)
+}
+
+/// What a copy of a workspace must agree on with the original, whatever
+/// the row order inside their relations: every relation up to the naming of
+/// entities, and the exact set of entity ids in use.
+fn observable(ws: &Workspace) -> (Dump, Vec<Vec<Value>>) {
+    (dump_modulo_entities(ws), ws.query("pathvar"))
+}
+
+/// Drive the state a workspace does not expose (EDB bookkeeping,
+/// existential memo, entity counter) into view: run the same follow-up on
+/// copies of both workspaces and require identical verdicts and
+/// observations after every step.  The refused facts are made admissible
+/// and re-submitted, a ring of `cost` edges makes every `reach` tuple
+/// derivable (minting more entities), then every `cost` fact is withdrawn.
+/// A counter that was not restored mints different ids; a memo entry that
+/// was not unwound recalls an id the restored counter hands out again, so
+/// two paths share one entity; a stale or missing EDB mark decides whether
+/// a derivable `reach` tuple outlives the withdrawal.
+fn assert_same_hidden_state(
+    a: &Workspace,
+    b: &Workspace,
+    refused: &[Fact],
+) -> Result<(), TestCaseError> {
+    let (mut a, mut b) = (a.clone(), b.clone());
+    let mut admissible: Vec<Fact> = (0..5)
+        .map(|i| ("node".to_string(), vec![node_value(i)]))
+        .collect();
+    // `reach` facts stay out: re-submitting them would legitimately mark
+    // them as base facts on both sides and hide a stale mark.
+    admissible.extend(refused.iter().filter(|(pred, _)| pred != "reach").cloned());
+    let mut batches = vec![admissible];
+    for i in 0..5 {
+        // An FD conflict here means the key already has an edge: still a ring.
+        batches.push(vec![(
+            "cost".to_string(),
+            vec![node_value(i), node_value((i + 1) % 5), Value::Int(1)],
+        )]);
+    }
+    for batch in batches {
+        prop_assert_eq!(
+            verdict(&a.transaction(batch.clone())),
+            verdict(&b.transaction(batch))
+        );
+        prop_assert_eq!(observable(&a), observable(&b));
+    }
+    let costs: Vec<Fact> = a
+        .query("cost")
+        .into_iter()
+        .map(|t| ("cost".to_string(), t))
+        .collect();
+    prop_assert_eq!(
+        verdict(&a.retract(costs.clone())),
+        verdict(&b.retract(costs))
+    );
+    prop_assert_eq!(observable(&a), observable(&b));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random interleavings of `transaction`, `retract` and
+    /// `assert_fact`-then-`transaction`, judged without reference to the
+    /// journal.  A refused call leaves the workspace equal to a clone taken
+    /// before it — visibly and in its hidden state.  A committed call leaves
+    /// it equal to a fresh workspace that naïve-fixpoints the committed base
+    /// facts.
+    #[test]
+    fn transactions_commit_to_the_fixpoint_and_roll_back_to_the_clone(
+        negated in any::<bool>(),
+        ops in proptest::collection::vec(
+            (0u8..3, proptest::collection::vec(arb_fact(), 1..4), arb_fact(), 0usize..64), 1..14)
+    ) {
+        let source = if negated {
+            format!("{TXN_PROGRAM}{NEGATED_AGGREGATE}")
+        } else {
+            TXN_PROGRAM.to_string()
+        };
+        let mut ws = txn_workspace(&source);
+        // n4 stays undeclared, so a good share of `cost` batches is refused.
+        let mut committed: Vec<Fact> = (0..4)
+            .map(|i| ("node".to_string(), vec![node_value(i)]))
+            .collect();
+        for (pred, tuple) in &committed {
+            ws.assert_fact(pred, tuple.clone()).unwrap();
+        }
+        // Whether the last thing that happened was a committed fixpoint run
+        // (a retraction that finds nothing stored runs none).
+        let mut settled = false;
+        for (kind, mut batch, extra, pick) in ops {
+            if kind == 2 && ws.assert_fact(&extra.0, extra.1.clone()).is_ok() {
+                committed.push(extra);
+                settled = false;
+            }
+            let before = ws.clone();
+            let outcome = if kind == 1 {
+                // Mostly withdraw facts that are there.
+                if let Some(fact) = committed.get(pick % committed.len().max(1)) {
+                    batch[0] = fact.clone();
+                }
+                if negated {
+                    // A larger minimum would strand `offbest` tuples that
+                    // DRed does not chase through negation.
+                    batch.retain(|(pred, _)| pred != "cost");
+                }
+                ws.retract(batch.clone()).map(|stats| stats.base_deleted > 0)
+            } else {
+                ws.transaction(batch.clone()).map(|_| true)
+            };
+            match outcome {
+                Err(_) => {
+                    prop_assert_eq!(dump(&ws), dump(&before));
+                    assert_same_hidden_state(&ws, &before, &batch)?;
+                }
+                Ok(ran_fixpoint) => {
+                    if kind == 1 {
+                        committed.retain(|fact| !batch.contains(fact));
+                    } else {
+                        committed.extend(batch);
+                    }
+                    settled |= ran_fixpoint;
+                    if settled {
+                        let mut oracle = txn_workspace(&source);
+                        for (pred, tuple) in &committed {
+                            oracle.assert_fact(pred, tuple.clone()).unwrap();
+                        }
+                        oracle.fixpoint().unwrap();
+                        prop_assert_eq!(dump_modulo_entities(&ws), dump_modulo_entities(&oracle));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A retraction can mint entities before it is refused: withdrawing
+/// `owner(a)` makes the negated body true, re-derivation mints the `orphan`
+/// entity, and only then does the constraint fire.  The rollback must take
+/// the mint back — relations, memo and counter — so the next entity minted
+/// is the one a workspace that never attempted the retraction mints.
+#[test]
+fn refused_retraction_unwinds_minted_entities() {
+    let mut ws = txn_workspace(
+        "pathvar(P) -> .\n\
+         pathvar(P), orphan(P, X) <- item(X), !owner(X).\n\
+         orphan(P, X) -> allowed(X).\n\
+         item(a). owner(a).",
+    );
+    ws.fixpoint().unwrap();
+    let mut untouched = ws.clone();
+
+    let owner_a = vec![("owner".to_string(), vec![Value::str("a")])];
+    let refused = ws.retract(owner_a.clone());
+    assert!(
+        matches!(
+            refused,
+            Err(secureblox_datalog::DatalogError::ConstraintViolation(_))
+        ),
+        "{refused:?}"
+    );
+    assert_eq!(dump(&ws), dump(&untouched));
+
+    // A different binding mints next: a leaked counter would skip an id.
+    let item_b = vec![
+        ("allowed".to_string(), vec![Value::str("b")]),
+        ("item".to_string(), vec![Value::str("b")]),
+    ];
+    // Then the refused binding, now admissible: a leaked memo entry would be
+    // recalled where the untouched workspace mints.
+    let allow_a = vec![("allowed".to_string(), vec![Value::str("a")])];
+    for w in [&mut ws, &mut untouched] {
+        w.transaction(item_b.clone()).unwrap();
+        w.transaction(allow_a.clone()).unwrap();
+        w.retract(owner_a.clone()).unwrap();
+    }
+    assert_eq!(ws.count("orphan"), 2);
+    assert_eq!(dump(&ws), dump(&untouched));
 }
 
 // ---------------------------------------------------------------------------

@@ -242,6 +242,6 @@ mod tests {
     fn arity_of_unknown_is_none() {
         let db = build("a(X) <- b(X).");
         assert_eq!(db.arity_of("zzz"), None);
-        assert_eq!(db.total_facts() > 0, true);
+        assert!(db.total_facts() > 0);
     }
 }

@@ -184,7 +184,7 @@ proptest! {
         }
         let mean = total / durations.len() as u32;
         let got = timing.average_transaction_duration();
-        let diff = if got > mean { got - mean } else { mean - got };
+        let diff = got.abs_diff(mean);
         prop_assert!(diff <= Duration::from_nanos(1000));
         prop_assert_eq!(timing.total_transactions(), durations.len());
         prop_assert_eq!(timing.fixpoint_time(), max_finish);

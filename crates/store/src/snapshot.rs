@@ -238,7 +238,7 @@ mod tests {
             vec![Value::str("a"), Value::Int(1)],
             vec![Value::str("b"), Value::Int(2), Value::Bool(true)],
         ];
-        tuples.sort_by(|x, y| serialize_tuple(x).cmp(&serialize_tuple(y)));
+        tuples.sort_by_key(|x| serialize_tuple(x));
         let encoded: Vec<Vec<u8>> = tuples.iter().map(|t| serialize_tuple(t)).collect();
         (encode_relation("link", encoded.iter()), tuples)
     }

@@ -71,12 +71,15 @@ pub fn enable_tracing_to<P: AsRef<Path>>(path: P) -> std::io::Result<()> {
 /// Start recording spans into the ring buffer only (no file).  Used by
 /// tests that assert on span contents.
 pub fn enable_tracing_to_ring() {
+    // An explicit setting outranks the lazy `SECUREBLOX_TRACE` read.
+    TRACE_INIT.call_once(|| {});
     *trace_file().lock().unwrap_or_else(PoisonError::into_inner) = None;
     TRACING.store(true, Ordering::Relaxed);
 }
 
 /// Stop recording spans and close the trace file.
 pub fn disable_tracing() {
+    TRACE_INIT.call_once(|| {});
     TRACING.store(false, Ordering::Relaxed);
     *trace_file().lock().unwrap_or_else(PoisonError::into_inner) = None;
 }

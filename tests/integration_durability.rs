@@ -4,7 +4,9 @@
 //! identical queries from a synced read replica.
 
 use secureblox::policy::SecurityConfig;
-use secureblox::runtime::{Deployment, DeploymentConfig, DurabilityError, NodeSpec};
+use secureblox::runtime::{
+    DeltaOp, Deployment, DeploymentConfig, DurabilityError, NodeSpec, UpdateDelta, UpdateEnvelope,
+};
 use secureblox::{AuthScheme, DurabilityConfig, EncScheme, StoreError, Value};
 use secureblox_datalog::codec::serialize_tuple;
 use secureblox_datalog::value::Tuple;
@@ -312,6 +314,72 @@ fn checkpoint_compacts_wal_and_recovery_is_equivalent() {
     drop(recovered);
     let again = Deployment::recover(&dir, REACH_APP, &line_specs(), durable_config(&dir)).unwrap();
     assert_eq!(all_queries(&again), queries);
+}
+
+#[test]
+fn forged_reassert_of_a_held_fact_never_reaches_the_edb() {
+    // n0 already holds `says$remote_link(n1, n0, n1, n2)`.  Re-asserting it
+    // adds no `says` tuple, so no generated constraint looks at the
+    // signature riding along: the engine itself must verify it before any
+    // transaction, or the junk `sig$remote_link` row would land in the EDB
+    // and the WAL, move the Merkle root, and — with the envelope counted as
+    // accepted — push the link's sequence watermark past n1's real traffic.
+    for auth in [AuthScheme::HmacSha1, AuthScheme::Rsa] {
+        let dir = fresh_dir(&format!("forgedreassert-{auth:?}"));
+        let config = DeploymentConfig {
+            security: SecurityConfig::new(auth, EncScheme::None),
+            ..durable_config(&dir)
+        };
+        let mut deployment = Deployment::build(REACH_APP, &line_specs(), config).unwrap();
+        let rejected = deployment.run().unwrap().rejected_batches;
+        let held = vec![
+            Value::str("n1"),
+            Value::str("n0"),
+            Value::str("n1"),
+            Value::str("n2"),
+        ];
+        assert!(deployment.query("n0", "says$remote_link").contains(&held));
+        let wal_len = |dir: &Path| std::fs::metadata(dir.join("n0/wal.log")).unwrap().len();
+        let observe = |deployment: &Deployment| {
+            (
+                all_queries(deployment),
+                sorted(deployment.query("n0", "sig$remote_link")),
+                deployment.edb_roots().unwrap(),
+                wal_len(&dir),
+            )
+        };
+        let before = observe(&deployment);
+
+        let forged = UpdateEnvelope {
+            seq: 1 << 40,
+            deltas: vec![UpdateDelta {
+                op: DeltaOp::Assert,
+                pred: "remote_link".into(),
+                tuple: held.clone(),
+                signature: vec![0xAB; 20],
+            }],
+        };
+        deployment.inject_message(1, 0, forged.encode());
+        let report = deployment.run().unwrap();
+        assert_eq!(report.rejected_batches, rejected + 1, "{auth:?}");
+        assert_eq!(observe(&deployment), before, "{auth:?}");
+
+        // The link still listens: n1's next legitimate envelope (a signed
+        // withdrawal, at a sequence number far below the forged one) applies.
+        deployment
+            .retract(
+                "n1",
+                vec![("link".into(), vec![Value::str("n1"), Value::str("n2")])],
+            )
+            .unwrap();
+        deployment.run().unwrap();
+        assert!(
+            !deployment.query("n0", "says$remote_link").contains(&held),
+            "{auth:?}: the forged envelope muted the link"
+        );
+        drop(deployment);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
