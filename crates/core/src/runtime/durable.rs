@@ -17,20 +17,22 @@
 //!    fixpoint — derived state is rebuilt, never read from disk;
 //! 4. resume each node's virtual clock at its watermark. Assert exports keep
 //!    at-least-once semantics across a crash (messages in flight at the
-//!    crash may never have arrived): the outbox dedup set omits every tuple
-//!    still derived, so the first `run()` re-ships it and receivers absorb
-//!    duplicates idempotently. Retract exports are recovered from the WAL's
-//!    export-cursor records: a cursor entry whose tuple is *no longer*
+//!    crash may never have arrived): the replayed commits leave every
+//!    exportable tuple still derived among the node's export candidates and
+//!    out of its cursor, so the first `run()` re-ships it and receivers
+//!    absorb duplicates idempotently. Retract exports are recovered from the
+//!    WAL's export-cursor records: a cursor entry whose tuple is *no longer*
 //!    derived marks a withdrawal that may have been lost in flight, so it is
-//!    restored into the outbox set and the first `run()` re-sends the
-//!    retraction under the originally recorded signature.
+//!    restored into the cursor as a removed candidate and the first `run()`
+//!    re-sends the retraction under the originally recorded signature.
 //!
 //! A recovered deployment answers the same queries and commits to the same
 //! per-node Merkle roots as the one that was dropped.
 
-use crate::runtime::engine::{Deployment, DeploymentConfig, NodeSpec};
+use crate::runtime::engine::{Deployment, DeploymentConfig, NodeSpec, NodeState};
 use secureblox_datalog::error::DatalogError;
 use secureblox_datalog::value::Tuple;
+use secureblox_datalog::FactDelta;
 use secureblox_store::{derive_node_key, DurabilityConfig, FactStore, StoreError, WalOp};
 use std::fmt;
 use std::path::PathBuf;
@@ -179,10 +181,18 @@ impl Deployment {
 
             // Replay the snapshot as one transaction, then the WAL suffix
             // with the original commit boundaries (records sharing a
-            // watermark committed together).
+            // watermark committed together).  Every replayed commit feeds
+            // the node's export candidates like a live one; the first is
+            // evaluated naively from the freshly built workspace, so
+            // together they cover the whole exportable state.
+            let insert = |node: &mut NodeState, batch: Vec<(String, Tuple)>| {
+                let report = node.workspace.transaction(batch)?;
+                node.export_pending.absorb(report.added, FactDelta::new());
+                Ok::<(), DatalogError>(())
+            };
             let snapshot_facts = store.recovered_snapshot_facts().to_vec();
             if !snapshot_facts.is_empty() {
-                node.workspace.transaction(snapshot_facts)?;
+                insert(node, snapshot_facts)?;
             }
             let mut pending: Vec<(String, Tuple)> = Vec::new();
             let mut pending_mark = 0u64;
@@ -190,45 +200,46 @@ impl Deployment {
                 match record.op {
                     WalOp::Insert => {
                         if !pending.is_empty() && record.watermark != pending_mark {
-                            node.workspace.transaction(std::mem::take(&mut pending))?;
+                            insert(node, std::mem::take(&mut pending))?;
                         }
                         pending_mark = record.watermark;
                         pending.push((record.pred, record.tuple));
                     }
                     WalOp::Retract => {
                         if !pending.is_empty() {
-                            node.workspace.transaction(std::mem::take(&mut pending))?;
+                            insert(node, std::mem::take(&mut pending))?;
                         }
-                        node.workspace.retract(vec![(record.pred, record.tuple)])?;
+                        let stats = node.workspace.retract(vec![(record.pred, record.tuple)])?;
+                        node.export_pending.absorb(stats.added, stats.removed);
                     }
                     // Export-cursor records carry no base facts; the store
                     // already folded them into its cursor state at open.
                     WalOp::ExportMark | WalOp::ExportClear => {}
                 }
             }
-            if !pending.is_empty() {
-                node.workspace.transaction(pending)?;
-            }
             // Derive IDB state even when the store was empty (the provisioned
-            // facts alone may drive rules).
-            node.workspace.fixpoint()?;
+            // facts alone may drive rules): the last batch, or an empty one.
+            insert(node, pending)?;
 
-            // Rebuild the outbox dedup set from the WAL's export cursor.
-            // Entries whose tuple is still derived stay OUT of `sent`: a
-            // crash may have dropped the assert in flight, so the first
-            // run() re-ships it and receivers absorb the duplicate as an
-            // idempotent set insert (at-least-once asserts).  Entries whose
-            // tuple is *gone* from the fixpoint are the §9.3 gap: the local
-            // retraction committed but the withdrawal message may never
-            // have left.  Restoring them into `sent` (with the signature
-            // the export went out under) and flagging a retraction scan
-            // makes the first flush re-send exactly those Retract deltas.
+            // Rebuild the export cursor from the WAL's.  Entries whose tuple
+            // is still derived stay OUT of `sent`: a crash may have dropped
+            // the assert in flight, so — being among the replay's added
+            // candidates — the first run() re-ships it and receivers absorb
+            // the duplicate as an idempotent set insert (at-least-once
+            // asserts).  Entries whose tuple is *gone* from the fixpoint are
+            // the §9.3 gap: the local retraction committed but the
+            // withdrawal message may never have left.  Restoring them into
+            // `sent` (with the signature the export went out under) as
+            // removed candidates makes the first flush re-send exactly those
+            // Retract deltas.
+            let mut vanished = FactDelta::new();
             for (pred, tuple, signature) in store.export_cursor() {
                 if !node.workspace.contains_fact(&pred, &tuple) {
-                    node.sent.insert((pred, tuple), signature);
+                    node.sent.insert((pred.clone(), tuple.clone()), signature);
+                    vanished.entry(pred).or_default().insert(tuple);
                 }
             }
-            node.needs_retraction_scan = !node.sent.is_empty();
+            node.export_pending.absorb(FactDelta::new(), vanished);
             node.available_at = store.watermark();
             node.store = Some(store);
         }

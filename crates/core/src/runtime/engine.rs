@@ -28,6 +28,7 @@
 
 use crate::policy::{compile_secured_program, SecurityConfig};
 use crate::runtime::codec::{serialize_tuple, DeltaOp, UpdateDelta, UpdateEnvelope};
+use crate::runtime::export::{ExportCandidate, ExportCandidates, ExportChannel};
 use crate::runtime::reactor::ReactorConfig;
 use crate::runtime::replication::ReplicaState;
 use crate::runtime::shard::{self, ShardMap, ShardReport};
@@ -39,8 +40,10 @@ use secureblox_crypto::{
 };
 use secureblox_datalog::error::{DatalogError, Result};
 use secureblox_datalog::eval::shuffle::{is_exchange_pred, ExchangeSummary};
-use secureblox_datalog::value::{tuple_total_cmp, Tuple, Value};
-use secureblox_datalog::{column_set, EvalConfig, EvalOptions, PlanStatsSnapshot, Workspace};
+use secureblox_datalog::value::{Tuple, Value};
+use secureblox_datalog::{
+    column_set, EvalConfig, EvalOptions, FactDelta, PlanStatsSnapshot, Workspace,
+};
 use secureblox_net::stats::TimingStats;
 use secureblox_net::{
     LatencyModel, Message, MessageKind, NodeId, NodeInfo, SimNetwork, VirtualTime,
@@ -293,20 +296,22 @@ pub(crate) struct Circuit {
 pub(crate) struct NodeState {
     pub(crate) info: NodeInfo,
     pub(crate) workspace: Workspace,
-    /// Outgoing `says`/`anon` tuples already exported, mapped to the detached
-    /// signature they shipped with.  Membership deduplicates asserts; a tuple
-    /// that later disappears from the workspace is withdrawn through the same
-    /// channel as a `Retract` delta carrying the recorded signature, and its
-    /// entry is removed so a re-derivation re-asserts it.
+    /// The export cursor: outgoing `says`/`anon` tuples already shipped,
+    /// mapped to the detached signature they shipped with.  Only ever probed
+    /// by key: membership deduplicates asserts, and a removed candidate found
+    /// here is withdrawn through the same channel as a `Retract` delta
+    /// carrying the recorded signature — its entry goes, so a re-derivation
+    /// re-asserts it.
     pub(crate) sent: HashMap<(String, Tuple), Vec<u8>>,
+    /// Exportable tuples this node's commits added or removed since its last
+    /// flush — the only thing [`NodeCtx::flush_updates`] reads.  Every
+    /// runtime commit (transaction, retraction, recovery replay) feeds its
+    /// journal delta in; nothing rescans the workspace to find exports.
+    pub(crate) export_pending: ExportCandidates,
     pub(crate) available_at: VirtualTime,
     pub(crate) pending_bootstrap: Vec<(String, Tuple)>,
     /// The node's durable fact store, when durability is configured.
     pub(crate) store: Option<FactStore>,
-    /// Set after a local or delivered retraction: the next flush scans `sent`
-    /// for withdrawn exports.  Insert-only transactions never remove `says`
-    /// tuples, so the scan is skipped on the common path.
-    pub(crate) needs_retraction_scan: bool,
     /// Highest update-stream sequence number seen per sending node, used to
     /// drop stale duplicates (at-most-once application per delta).
     pub(crate) last_update_seq_in: HashMap<u32, u64>,
@@ -565,10 +570,10 @@ impl Deployment {
                 info: NodeInfo::new(index as u32, spec.principal.clone()),
                 workspace,
                 sent: HashMap::new(),
+                export_pending: ExportCandidates::default(),
                 available_at: 0,
                 pending_bootstrap: spec.base_facts.clone(),
                 store: None,
-                needs_retraction_scan: false,
                 last_update_seq_in: HashMap::new(),
                 stream_seq: HashMap::new(),
                 exchange_bytes: 0,
@@ -681,7 +686,10 @@ impl Deployment {
 
     /// Retract base facts at `principal`'s node: incremental deletion (DRed)
     /// in the workspace, logged to the node's durable store when durability
-    /// is enabled so recovery replays the retraction in order.
+    /// is enabled so recovery replays the retraction in order.  Facts that
+    /// are not stored there are a no-op: nothing is logged, timed or shipped.
+    /// A retraction a constraint refuses rolls back and is returned as the
+    /// error.
     ///
     /// Retraction is distributed: any previously exported `says$T` /
     /// `anon_says$T` tuple that the deletion un-derives is withdrawn through
@@ -695,18 +703,13 @@ impl Deployment {
             .principal_index
             .get(principal)
             .ok_or_else(|| DatalogError::Eval(format!("unknown principal {principal}")))?;
-        let started = Instant::now();
-        self.nodes[index].workspace.retract(batch.clone())?;
-        let finish = self.nodes[index].available_at + started.elapsed().as_nanos() as u64;
-        self.nodes[index].available_at = finish;
-        if let Some(store) = &mut self.nodes[index].store {
-            store
-                .log_retracts(batch.iter().map(|(p, t)| (p.as_str(), t)), finish)
-                .map_err(|e| DatalogError::Eval(format!("durability: {e}")))?;
+        let mut ctx = self.node_ctx(index);
+        let now = ctx.node.available_at;
+        if ctx.commit_retraction(batch, now, None)? > 0 {
+            let finish = ctx.node.available_at;
+            ctx.flush_updates(finish)?;
         }
-        self.timing.record_retraction(NodeId(index as u32), finish);
-        self.nodes[index].needs_retraction_scan = true;
-        self.node_ctx(index).flush_updates(finish)
+        Ok(())
     }
 
     /// Borrow one node's engine context against the deployment's shared state
@@ -958,7 +961,7 @@ impl NodeCtx<'_> {
         let finish = start_virtual + elapsed.as_nanos() as u64;
         self.node.available_at = finish;
         match outcome {
-            Ok(_) => {
+            Ok(report) => {
                 // Log only *committed* batches: rolled-back facts are not
                 // part of the EDB and must not resurface at recovery.
                 if let (Some(store), Some(batch)) = (&mut self.node.store, log_batch) {
@@ -966,6 +969,9 @@ impl NodeCtx<'_> {
                         .log_inserts(batch.iter().map(|(p, t)| (p.as_str(), t)), finish)
                         .map_err(|e| DatalogError::Eval(format!("durability: {e}")))?;
                 }
+                self.node
+                    .export_pending
+                    .absorb(report.added, FactDelta::new());
                 self.timing
                     .record_transaction(NodeId(self.index as u32), elapsed, finish);
                 Ok(true)
@@ -989,139 +995,75 @@ impl NodeCtx<'_> {
         }
     }
 
-    /// Flush this node's update streams: withdraw previously exported
-    /// tuples the workspace no longer derives (as signed `Retract` deltas),
-    /// export newly derived `says$T` / anonymity tuples (as `Assert` deltas),
-    /// and ship one ordered [`UpdateEnvelope`] per destination over a FIFO
-    /// link.
+    /// Flush this node's update streams from the export candidates its
+    /// commits left since the last flush — O(delta), whatever the relations
+    /// hold.  A removed candidate that was shipped (`sent`) and is not stored
+    /// now goes out as a signed `Retract` delta; an added candidate that is
+    /// stored now, this node's to ship, and not yet in `sent` goes out as an
+    /// `Assert`.  Judging both against the workspace *now* is what lets one
+    /// flush cover several commits: a tuple asserted then retracted (or
+    /// retracted then re-asserted) between two flushes ships nothing.  One
+    /// ordered [`UpdateEnvelope`] per destination over a FIFO link.
     pub(crate) fn flush_updates(&mut self, now: VirtualTime) -> Result<()> {
-        let self_principal = self.node.info.principal.clone();
         let started = Instant::now();
+        let (removed, added) = self.node.export_pending.take_sorted();
+        secureblox_telemetry::counter!("engine_export_candidates_total")
+            .add((added.len() + removed.len()) as u64);
         // Ordered deltas per destination node: retractions first (they refer
         // to the pre-flush state), then asserts, each in deterministic order.
         let mut per_dest: BTreeMap<usize, Vec<UpdateDelta>> = BTreeMap::new();
-        let mut anon_outgoing: Vec<(usize, Message)> = Vec::new();
-        // Export-cursor mutations to WAL-log after the scans: marks for newly
-        // shipped tuples, clears for flushed withdrawals.
+        let mut anon_outgoing: Vec<Message> = Vec::new();
+        // Export-cursor mutations to WAL-log before anything ships: marks
+        // for newly shipped tuples, clears for flushed withdrawals.
         let mut export_marks: Vec<(String, Tuple, Vec<u8>)> = Vec::new();
         let mut export_clears: Vec<(String, Tuple)> = Vec::new();
 
-        // 1. Withdrawals.  Insert-only transactions never remove `says`
-        //    tuples, so the scan over the export history only runs after a
-        //    retraction touched this node.
-        if self.node.needs_retraction_scan {
-            self.node.needs_retraction_scan = false;
-            let node = &self.node;
-            let mut withdrawn: Vec<(String, Tuple)> = node
-                .sent
-                .keys()
-                .filter(|(pred, tuple)| !node.workspace.contains_fact(pred, tuple))
-                .cloned()
-                .collect();
-            withdrawn.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| tuple_total_cmp(&a.1, &b.1)));
-            for key in withdrawn {
-                let signature = self.node.sent.remove(&key).unwrap_or_default();
-                export_clears.push(key.clone());
-                let (pred, tuple) = key;
-                if let Some(param) = pred.strip_prefix("says$") {
-                    let Some(to) = tuple.get(1).and_then(|v| v.as_str()) else {
-                        continue;
-                    };
-                    let Some(&dest) = self.shared.principal_index.get(to) else {
-                        continue;
-                    };
-                    per_dest.entry(dest).or_default().push(UpdateDelta {
-                        op: DeltaOp::Retract,
-                        pred: param.to_string(),
-                        tuple,
-                        signature,
-                    });
-                } else if let Some(param) = pred.strip_prefix("anon_says$") {
-                    let Some(to) = tuple.get(1).and_then(|v| v.as_str()).map(String::from) else {
-                        continue;
-                    };
-                    let message = self.onion_wrap_forward(param, &to, &tuple, DeltaOp::Retract)?;
-                    anon_outgoing.push(message);
-                } else if let Some(param) = pred.strip_prefix("anon_says_id_out$") {
-                    if let Some(message) =
-                        self.onion_wrap_backward(param, &tuple, DeltaOp::Retract)?
-                    {
-                        anon_outgoing.push(message);
-                    }
-                }
+        // 1. Withdrawals.  A repeated candidate finds its `sent` entry gone.
+        for candidate in removed {
+            let (pred, tuple) = &candidate.fact;
+            if self.node.workspace.contains_fact(pred, tuple) {
+                continue;
             }
+            let Some(signature) = self.node.sent.remove(&candidate.fact) else {
+                continue;
+            };
+            export_clears.push(candidate.fact.clone());
+            self.route(
+                candidate,
+                DeltaOp::Retract,
+                signature,
+                &mut per_dest,
+                &mut anon_outgoing,
+            )?;
         }
 
-        // 2. Assertions.
-        let predicate_names = self.node.workspace.predicate_names();
-        for pred in &predicate_names {
-            if let Some(param) = pred.strip_prefix("says$") {
-                let tuples = self.node.workspace.query(pred);
-                for tuple in tuples {
-                    if tuple.len() < 2 {
-                        continue;
-                    }
-                    let from = tuple[0].as_str().unwrap_or_default().to_string();
-                    let to = tuple[1].as_str().unwrap_or_default().to_string();
-                    if from != self_principal || to == self_principal {
-                        continue;
-                    }
-                    let key = (pred.clone(), tuple.clone());
-                    if self.node.sent.contains_key(&key) {
-                        continue;
-                    }
-                    let signature = self.lookup_signature(param, &tuple);
-                    export_marks.push((key.0.clone(), key.1.clone(), signature.clone()));
-                    self.node.sent.insert(key, signature.clone());
-                    let Some(&dest) = self.shared.principal_index.get(&to) else {
-                        continue;
-                    };
-                    per_dest.entry(dest).or_default().push(UpdateDelta {
-                        op: DeltaOp::Assert,
-                        pred: param.to_string(),
-                        tuple,
-                        signature,
-                    });
-                }
-            } else if let Some(param) = pred.strip_prefix("anon_says$") {
-                let tuples = self.node.workspace.query(pred);
-                for tuple in tuples {
-                    if tuple.len() < 2 {
-                        continue;
-                    }
-                    let from = tuple[0].as_str().unwrap_or_default().to_string();
-                    let to = tuple[1].as_str().unwrap_or_default().to_string();
-                    if from != self_principal {
-                        continue;
-                    }
-                    let key = (pred.clone(), tuple.clone());
-                    if self.node.sent.contains_key(&key) {
-                        continue;
-                    }
-                    export_marks.push((key.0.clone(), key.1.clone(), Vec::new()));
-                    self.node.sent.insert(key, Vec::new());
-                    let message = self.onion_wrap_forward(param, &to, &tuple, DeltaOp::Assert)?;
-                    anon_outgoing.push(message);
-                }
-            } else if let Some(param) = pred.strip_prefix("anon_says_id_out$") {
-                let tuples = self.node.workspace.query(pred);
-                for tuple in tuples {
-                    if tuple.is_empty() {
-                        continue;
-                    }
-                    let key = (pred.clone(), tuple.clone());
-                    if self.node.sent.contains_key(&key) {
-                        continue;
-                    }
-                    export_marks.push((key.0.clone(), key.1.clone(), Vec::new()));
-                    self.node.sent.insert(key, Vec::new());
-                    if let Some(message) =
-                        self.onion_wrap_backward(param, &tuple, DeltaOp::Assert)?
-                    {
-                        anon_outgoing.push(message);
-                    }
-                }
+        // 2. Assertions.  A repeated candidate finds its `sent` entry there.
+        for candidate in added {
+            let (pred, tuple) = &candidate.fact;
+            if !candidate
+                .channel
+                .originates_at(&self.node.info.principal, tuple)
+                || self.node.sent.contains_key(&candidate.fact)
+                || !self.node.workspace.contains_fact(pred, tuple)
+            {
+                continue;
             }
+            let signature = match candidate.channel {
+                ExportChannel::Says => self.lookup_signature(candidate.param(), tuple),
+                // The onion layers authenticate circuit traffic.
+                ExportChannel::AnonForward | ExportChannel::AnonBackward => Vec::new(),
+            };
+            export_marks.push((pred.clone(), tuple.clone(), signature.clone()));
+            self.node
+                .sent
+                .insert(candidate.fact.clone(), signature.clone());
+            self.route(
+                candidate,
+                DeltaOp::Assert,
+                signature,
+                &mut per_dest,
+                &mut anon_outgoing,
+            )?;
         }
 
         // Persist the export-cursor mutations before anything ships: a mark
@@ -1149,6 +1091,7 @@ impl NodeCtx<'_> {
         //    destination, the seed path) or through the per-link outboxes
         //    (streaming: coalescing, annihilation, credit).
         let overhead = started.elapsed();
+        secureblox_telemetry::histogram!("engine_export_flush_ns").record_duration(overhead);
         let send_time = now + overhead.as_nanos() as u64;
         self.node.available_at = self.node.available_at.max(send_time);
         if self.config.streaming.enabled {
@@ -1176,8 +1119,45 @@ impl NodeCtx<'_> {
                 self.ship_envelope(dest, UpdateEnvelope { seq, deltas }, send_time)?;
             }
         }
-        for (_, message) in anon_outgoing {
+        for message in anon_outgoing {
             self.net.send_fifo(message, send_time);
+        }
+        Ok(())
+    }
+
+    /// Put one delta on its channel: the addressee's envelope, or an onion
+    /// cell of this node's circuit.  A tuple addressed to no known principal
+    /// ships nowhere (its cursor entry is kept all the same).
+    fn route(
+        &self,
+        candidate: ExportCandidate,
+        op: DeltaOp,
+        signature: Vec<u8>,
+        per_dest: &mut BTreeMap<usize, Vec<UpdateDelta>>,
+        anon_outgoing: &mut Vec<Message>,
+    ) -> Result<()> {
+        let pred = candidate.param().to_string();
+        let tuple = candidate.fact.1;
+        let addressee = tuple.get(1).and_then(|v| v.as_str());
+        match candidate.channel {
+            ExportChannel::Says => {
+                if let Some(&dest) = addressee.and_then(|to| self.shared.principal_index.get(to)) {
+                    per_dest.entry(dest).or_default().push(UpdateDelta {
+                        op,
+                        pred,
+                        tuple,
+                        signature,
+                    });
+                }
+            }
+            ExportChannel::AnonForward => {
+                if let Some(to) = addressee {
+                    anon_outgoing.push(self.onion_wrap_forward(&pred, to, &tuple, op)?);
+                }
+            }
+            ExportChannel::AnonBackward => {
+                anon_outgoing.extend(self.onion_wrap_backward(&pred, &tuple, op)?);
+            }
         }
         Ok(())
     }
@@ -1315,7 +1295,7 @@ impl NodeCtx<'_> {
         destination: &str,
         tuple: &[Value],
         op: DeltaOp,
-    ) -> Result<(usize, Message)> {
+    ) -> Result<Message> {
         let circuit = self.circuit_for(destination).ok_or_else(|| {
             DatalogError::Eval(format!(
                 "no anonymity circuit from {} to {destination}; declare it in DeploymentConfig::circuits",
@@ -1341,14 +1321,11 @@ impl NodeCtx<'_> {
         }
         let first_hop = circuit.relays.first().copied().unwrap_or(circuit.endpoint);
         let payload = encode_anon_cell(circuit.id, 0, &body);
-        Ok((
-            first_hop,
-            Message::new(
-                NodeId(self.index as u32),
-                NodeId(first_hop as u32),
-                MessageKind::AnonForward,
-                payload,
-            ),
+        Ok(Message::new(
+            NodeId(self.index as u32),
+            NodeId(first_hop as u32),
+            MessageKind::AnonForward,
+            payload,
         ))
     }
 
@@ -1358,7 +1335,7 @@ impl NodeCtx<'_> {
         param: &str,
         tuple: &[Value],
         op: DeltaOp,
-    ) -> Result<Option<(usize, Message)>> {
+    ) -> Result<Option<Message>> {
         let Some(circuit_id) = tuple[0].as_int() else {
             return Ok(None);
         };
@@ -1390,14 +1367,11 @@ impl NodeCtx<'_> {
             None => (circuit.initiator, u32::MAX),
         };
         let payload = encode_anon_cell(circuit.id, hop, &body);
-        Ok(Some((
-            next,
-            Message::new(
-                NodeId(self.index as u32),
-                NodeId(next as u32),
-                MessageKind::AnonBackward,
-                payload,
-            ),
+        Ok(Some(Message::new(
+            NodeId(self.index as u32),
+            NodeId(next as u32),
+            MessageKind::AnonBackward,
+            payload,
         )))
     }
 
@@ -1609,9 +1583,10 @@ impl NodeCtx<'_> {
     /// through [`NodeCtx::apply_delta`] with exactly the per-envelope path's
     /// verdict.  What the batch amortizes is *scheduling*, not semantics:
     /// one export flush per drained envelope instead of one per committed
-    /// delta (flushes are idempotent — the `sent` cursor dedups — so
-    /// deferring them cannot change what ships), plus the sender-side
-    /// coalescing and credit return below.  Returns whether any delta
+    /// delta (the deltas' export candidates accumulate, and the flush judges
+    /// them against the workspace and the `sent` cursor as they stand then,
+    /// so a tuple the envelope both added and removed ships nothing), plus
+    /// the sender-side coalescing and credit return below.  Returns whether any delta
     /// produced policy-accepted evidence.
     fn drain_inbox(
         &mut self,
@@ -1671,59 +1646,80 @@ impl NodeCtx<'_> {
         Ok(())
     }
 
-    /// DRed the batch out of the workspace, WAL-log it (so recovery replays
-    /// it in order), and record the verdict.  Returns whether stored facts
-    /// were actually deleted — only then does the caller need to flush
-    /// update streams for cascaded withdrawals.
+    /// An inbound retraction: the shared body, with a refusal recorded as a
+    /// verdict instead of returned — the sender is not notified, as for a
+    /// refused assert.  Returns whether stored facts were actually deleted —
+    /// only then does the caller need to flush update streams for cascaded
+    /// withdrawals.
     fn apply_retraction_inner(
         &mut self,
         batch: Vec<(String, Tuple)>,
         arrival: VirtualTime,
     ) -> Result<bool> {
-        let start_virtual = arrival.max(self.node.available_at);
-        let started = Instant::now();
-        let outcome = self.node.workspace.retract(batch.clone());
-        let elapsed = started.elapsed();
-        secureblox_telemetry::histogram!("engine_retraction_apply_ns").record_duration(elapsed);
-        let finish = start_virtual + elapsed.as_nanos() as u64;
-        self.node.available_at = finish;
-        match outcome {
-            Ok(stats) => {
-                if stats.base_deleted == 0 {
-                    // Nothing was stored here (e.g. the assert had been
-                    // rejected); at-most-once means there is nothing to log
-                    // or propagate.
-                    return Ok(false);
-                }
-                if let Some(store) = &mut self.node.store {
-                    store
-                        .log_retracts(batch.iter().map(|(p, t)| (p.as_str(), t)), finish)
-                        .map_err(|e| DatalogError::Eval(format!("durability: {e}")))?;
-                }
+        let apply_ns = secureblox_telemetry::histogram!("engine_retraction_apply_ns");
+        let node = NodeId(self.index as u32);
+        match self.commit_retraction(batch, arrival, Some(apply_ns)) {
+            Ok(0) => Ok(false),
+            Ok(deleted) => {
                 // A cascade: the retraction removed stored facts and may now
                 // propagate further withdrawals through this node's streams.
                 secureblox_telemetry::counter!("engine_retraction_cascades_total").inc();
                 secureblox_telemetry::histogram!("engine_retraction_deleted_facts")
-                    .record((stats.base_deleted + stats.over_deleted) as u64);
-                self.timing
-                    .record_retraction(NodeId(self.index as u32), finish);
-                self.node.needs_retraction_scan = true;
+                    .record(deleted as u64);
                 Ok(true)
             }
             Err(DatalogError::ConstraintViolation(_)) => {
                 // Deleting the fact would violate a constraint: the whole
                 // retraction rolls back, mirroring assert-batch semantics.
-                self.timing
-                    .record_rejection(NodeId(self.index as u32), finish);
+                self.timing.record_rejection(node, self.node.available_at);
                 Ok(false)
             }
             Err(DatalogError::FunctionalDependency { .. }) => {
-                self.timing
-                    .record_conflict(NodeId(self.index as u32), finish);
+                self.timing.record_conflict(node, self.node.available_at);
                 Ok(false)
             }
             Err(other) => Err(other),
         }
+    }
+
+    /// The one retraction body, local ([`Deployment::retract`]) and inbound
+    /// alike: DRed the batch out of the workspace, charge the measured time
+    /// to the node's clock (and to `apply_ns`, the inbound path's histogram),
+    /// then WAL-log it (so recovery replays it in order), record the timing
+    /// sample and absorb the journal's delta into the export candidates.
+    /// Returns how many stored facts the retraction deleted, base and
+    /// derived; on zero nothing was stored here (e.g. the assert had been
+    /// rejected) and at-most-once means there is nothing to log or
+    /// propagate.  A refusal (constraint, FD) has rolled back and is the
+    /// caller's to report.
+    fn commit_retraction(
+        &mut self,
+        batch: Vec<(String, Tuple)>,
+        arrival: VirtualTime,
+        apply_ns: Option<&secureblox_telemetry::Histogram>,
+    ) -> Result<usize> {
+        let start_virtual = arrival.max(self.node.available_at);
+        let started = Instant::now();
+        let outcome = self.node.workspace.retract(batch.clone());
+        let elapsed = started.elapsed();
+        if let Some(histogram) = apply_ns {
+            histogram.record_duration(elapsed);
+        }
+        let finish = start_virtual + elapsed.as_nanos() as u64;
+        self.node.available_at = finish;
+        let stats = outcome?;
+        if stats.base_deleted == 0 {
+            return Ok(0);
+        }
+        if let Some(store) = &mut self.node.store {
+            store
+                .log_retracts(batch.iter().map(|(p, t)| (p.as_str(), t)), finish)
+                .map_err(|e| DatalogError::Eval(format!("durability: {e}")))?;
+        }
+        self.timing
+            .record_retraction(NodeId(self.index as u32), finish);
+        self.node.export_pending.absorb(stats.added, stats.removed);
+        Ok(stats.base_deleted + stats.over_deleted)
     }
 
     fn deliver_anon_forward(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {

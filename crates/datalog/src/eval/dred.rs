@@ -16,7 +16,7 @@
 
 use super::join::{DeltaRestriction, DeltaTuples, JoinContext};
 use super::runtime_pred_name;
-use super::seminaive::Evaluator;
+use super::seminaive::{Evaluator, FactDelta};
 use crate::ast::{Literal, Rule};
 use crate::error::Result;
 use crate::value::Tuple;
@@ -31,6 +31,16 @@ pub struct DeletionStats {
     pub over_deleted: usize,
     /// Tuples re-derived (re-inserted) because alternative derivations exist.
     pub rederived: usize,
+    /// The committed retraction's net change per predicate, filled in by
+    /// [`Workspace::retract`](crate::Workspace::retract) from its journal
+    /// ([`EvalJournal::net_delta`](super::EvalJournal::net_delta)): tuples
+    /// stored before and gone now (the base facts and every over-deletion
+    /// that was not re-derived), and tuples the re-derivation fixpoint
+    /// stored for the first time.  Over-deleted tuples that came back are in
+    /// neither.  Both empty when nothing was stored to delete.
+    pub removed: FactDelta,
+    /// See [`removed`](Self::removed).
+    pub added: FactDelta,
 }
 
 impl<'a> Evaluator<'a> {

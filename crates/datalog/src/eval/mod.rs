@@ -17,7 +17,7 @@ pub use bindings::Bindings;
 pub use exec::EvalOptions;
 pub use plan::{PlanCache, PlanKey, PlanStats, PlanStatsSnapshot, RulePlan};
 pub use pool::WorkerPool;
-pub use seminaive::{EvalJournal, Evaluator, FixpointStats};
+pub use seminaive::{EvalJournal, Evaluator, FactDelta, FixpointStats};
 
 use crate::ast::PredRef;
 use crate::error::{DatalogError, Result};

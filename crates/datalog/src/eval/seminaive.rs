@@ -54,6 +54,9 @@ pub struct FixpointStats {
     pub iterations: usize,
 }
 
+/// Tuples per predicate: the shape of every delta a run or a commit reports.
+pub type FactDelta = HashMap<String, HashSet<Tuple>>;
+
 /// Result of evaluating one `(rule, delta-literal)` combination in phase A.
 /// Id-space derivations stay interned until insertion; only genuinely new
 /// tuples are rehydrated (for the delta sets).
@@ -132,33 +135,48 @@ impl EvalJournal {
         self.edb_removed.push((pred.to_string(), tuple));
     }
 
-    /// The run's surviving additions per predicate: every tuple recorded as
-    /// inserted that is still stored (an aggregate displacement can remove
-    /// an earlier insertion).  This is the incremental constraint-check
-    /// delta.
-    pub fn added_delta(
-        &self,
-        relations: &HashMap<String, Relation>,
-    ) -> HashMap<String, HashSet<Tuple>> {
-        let mut delta: HashMap<String, HashSet<Tuple>> = HashMap::new();
+    /// The run's net change per predicate, as `(added, removed)`, judged
+    /// against the relations at commit.  A tuple's first op says whether it
+    /// was stored before the run (`Added` journals only genuinely new rows,
+    /// `Displaced`/`Removed` only stored ones) and the relation says whether
+    /// it is stored now, so a tuple inserted and then displaced, or DRed
+    /// over-deleted and then re-derived, is in neither set.  `added` is the
+    /// incremental constraint-check delta; both are what a commit hands
+    /// downstream (`TransactionReport::added`, `DeletionStats`).
+    pub fn net_delta(&self, relations: &HashMap<String, Relation>) -> (FactDelta, FactDelta) {
+        let mut added = FactDelta::new();
+        let mut removed = FactDelta::new();
         for (pred, ops) in &self.ops {
-            let Some(relation) = relations.get(pred) else {
-                continue;
-            };
-            let surviving: HashSet<Tuple> = ops
-                .iter()
-                .filter_map(|op| match op {
-                    JournalOp::Added(tuple) if relation.contains(tuple) => {
-                        Some(Tuple::clone(tuple))
-                    }
-                    _ => None,
-                })
-                .collect();
-            if !surviving.is_empty() {
-                delta.insert(pred.clone(), surviving);
+            let relation = relations.get(pred);
+            // A tuple repeats only across a removal, so an insert-only
+            // history (every plain transaction's) needs no first-op set.
+            let repeats = ops.iter().any(|op| !matches!(op, JournalOp::Added(_)));
+            let mut seen: HashSet<&Tuple> = HashSet::new();
+            let mut now_stored: HashSet<Tuple> = HashSet::new();
+            let mut now_gone: HashSet<Tuple> = HashSet::new();
+            for op in ops {
+                let (tuple, stored_before): (&Tuple, bool) = match op {
+                    JournalOp::Added(tuple) => (tuple, false),
+                    JournalOp::Displaced(tuple) | JournalOp::Removed(tuple) => (tuple, true),
+                };
+                if repeats && !seen.insert(tuple) {
+                    continue;
+                }
+                let stored_now = relation.is_some_and(|r| r.contains(tuple));
+                match (stored_before, stored_now) {
+                    (false, true) => now_stored.insert(tuple.clone()),
+                    (true, false) => now_gone.insert(tuple.clone()),
+                    _ => continue,
+                };
+            }
+            if !now_stored.is_empty() {
+                added.insert(pred.clone(), now_stored);
+            }
+            if !now_gone.is_empty() {
+                removed.insert(pred.clone(), now_gone);
             }
         }
-        delta
+        (added, removed)
     }
 
     /// Roll every journaled mutation back.  Restores the relations, the EDB

@@ -15,7 +15,7 @@ use crate::constraint::{check_constraints_incremental_planned, check_constraints
 use crate::error::{DatalogError, Result};
 use crate::eval::dred::DeletionStats;
 use crate::eval::{
-    Bindings, EvalConfig, EvalJournal, EvalOptions, Evaluator, PlanCache, PlanStats,
+    Bindings, EvalConfig, EvalJournal, EvalOptions, Evaluator, FactDelta, PlanCache, PlanStats,
     PlanStatsSnapshot, WorkerPool,
 };
 use crate::intern::Interner;
@@ -42,6 +42,11 @@ pub struct TransactionReport {
     /// Wall-clock duration of the transaction (insert + fixpoint + constraint
     /// check), which the evaluation harness reports as "transaction duration".
     pub duration: Duration,
+    /// What the commit added, per predicate — base and derived tuples alike,
+    /// each stored now and not before ([`EvalJournal::net_delta`]).  This is
+    /// the commit's journal handed downstream: the distributed runtime reads
+    /// its export candidates from here instead of rescanning relations.
+    pub added: FactDelta,
 }
 
 /// A LogicBlox-style workspace.
@@ -489,14 +494,14 @@ impl Workspace {
         report.iterations = stats.iterations;
         // Incremental constraint checking over this transaction's surviving
         // additions (paper §2: constraints are checked for every new fact).
-        let delta = journal.added_delta(&self.relations);
+        (report.added, _) = journal.net_delta(&self.relations);
         check_constraints_incremental_planned(
             &self.constraints,
             &mut self.relations,
             &self.udfs,
             &mut self.plan_cache,
             &self.plan_stats,
-            &delta,
+            &report.added,
             &self.config.exec,
             self.pool.as_deref(),
         )?;
@@ -609,10 +614,11 @@ impl Workspace {
             .map(|_| stats)
         });
         match checked {
-            Ok(stats) => {
+            Ok(mut stats) => {
                 // A retraction that found nothing stored ran no fixpoint.
                 if stats.base_deleted > 0 {
                     self.converged = true;
+                    (stats.added, stats.removed) = journal.net_delta(&self.relations);
                 }
                 Ok(stats)
             }
