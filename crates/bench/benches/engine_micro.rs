@@ -1,10 +1,13 @@
 //! Ablation B: DatalogLB engine micro-benchmarks — fixpoint evaluation,
-//! transactional batches with constraint checking, incremental deletion, and
-//! the planner-vs-naive join comparison (a 3-literal rule over 10k-tuple
+//! transactional batches with constraint checking, incremental deletion
+//! (build, first fixpoint and steady-state retraction timed apart), the
+//! signature-shaped constraint check against a growing inbox, and the
+//! planner-vs-naive join comparison (a 3-literal rule over 10k-tuple
 //! relations, nested-loop scans vs selectivity-ordered index probes).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use secureblox_datalog::{EvalConfig, EvalOptions, Value, Workspace};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use secureblox_datalog::{EvalConfig, EvalOptions, Tuple, Value, Workspace};
+use std::cell::RefCell;
 use std::time::Instant;
 
 /// Join-heavy workload: `out(X, W) <- r(X, Y), s(Y, Z), t(Z, W).` over three
@@ -67,6 +70,39 @@ fn chain_workspace(n: usize) -> Workspace {
     ws
 }
 
+/// A receiver holding `inbox` signed facts from four principals under the
+/// shape of the generated `says`/`sig` policy constraint: `me[]` is the one
+/// column every held row shares, the left-hand side binds the rest.
+fn fanin_workspace(inbox: usize) -> Workspace {
+    let mut ws = Workspace::new();
+    ws.install_source("says_item(P, me[], V) -> sig_item(P, me[], V, S), secret(P, K).")
+        .unwrap();
+    ws.set_singleton("me", Value::str("sink")).unwrap();
+    for p in 0..4 {
+        let secret = vec![Value::str(format!("p{p}")), Value::Int(p)];
+        ws.assert_fact("secret", secret).unwrap();
+    }
+    for v in 0..inbox as i64 {
+        let (says, sig) = fanin_fact(v);
+        ws.assert_fact("sig_item", sig).unwrap();
+        ws.assert_fact("says_item", says).unwrap();
+    }
+    ws.fixpoint().unwrap();
+    ws
+}
+
+/// `says_item` and `sig_item` rows for value `v`.
+fn fanin_fact(v: i64) -> (Tuple, Tuple) {
+    let says = vec![
+        Value::str(format!("p{}", v % 4)),
+        Value::str("sink"),
+        Value::Int(v),
+    ];
+    let mut sig = says.clone();
+    sig.push(Value::Int(v * 31));
+    (says, sig)
+}
+
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_micro");
     group.sample_size(20);
@@ -95,17 +131,51 @@ fn bench(c: &mut Criterion) {
             .unwrap()
         })
     });
-    group.bench_function("dred_retract_one_link", |b| {
-        b.iter(|| {
-            let mut ws = chain_workspace(20);
-            ws.fixpoint().unwrap();
-            ws.retract(vec![(
-                "link".into(),
-                vec![Value::str("n10"), Value::str("n11")],
-            )])
-            .unwrap()
-        })
+    // One link of a 20-link chain withdrawn: building the workspace, its
+    // first fixpoint, and the retraction each on their own clock.
+    group.bench_function("dred_build", |b| b.iter(|| chain_workspace(20)));
+    group.bench_function("dred_fixpoint", |b| {
+        b.iter_batched(
+            || chain_workspace(20),
+            |mut ws| ws.fixpoint().unwrap(),
+            BatchSize::PerIteration,
+        )
     });
+    group.bench_function("dred_retract", |b| {
+        // Steady state: plans cached, indexes built; the link goes back
+        // (off the clock) before each retraction.
+        let link = || {
+            vec![(
+                "link".to_string(),
+                vec![Value::str("n10"), Value::str("n11")],
+            )]
+        };
+        let ws = RefCell::new(chain_workspace(20));
+        ws.borrow_mut().fixpoint().unwrap();
+        b.iter_batched(
+            || {
+                ws.borrow_mut().transaction(link()).unwrap();
+            },
+            |()| ws.borrow_mut().retract(link()).unwrap(),
+            BatchSize::PerIteration,
+        )
+    });
+    // One new signed fact checked against an inbox of 1k and of 10k held
+    // signatures: the constraint's right-hand side probes `sig_item` on the
+    // columns the new fact binds, so the two cost the same.
+    for (label, inbox) in [("1k", 1_000usize), ("10k", 10_000)] {
+        group.bench_function(format!("constraint_check_fanin_{label}"), |b| {
+            let ws = RefCell::new(fanin_workspace(inbox));
+            let says = || vec![("says_item".to_string(), fanin_fact(0).0)];
+            b.iter_batched(
+                || {
+                    ws.borrow_mut().retract(says()).unwrap();
+                },
+                |()| ws.borrow_mut().transaction(says()).unwrap(),
+                BatchSize::PerIteration,
+            )
+        });
+    }
     group.bench_function("planner_triple_join_10k", |b| {
         // Build once; every iteration re-evaluates the rule to fixpoint over
         // the full relations.

@@ -132,6 +132,42 @@ impl Bencher {
         }
         self.result = Some((started.elapsed(), iterations, best));
     }
+
+    /// Time `routine` on a fresh input from `setup` each iteration; only the
+    /// routine is on the clock.  The warm-up and measurement budgets bound
+    /// wall time, setup included.
+    pub fn iter_batched<I, O, S: FnMut() -> I, R: FnMut(I) -> O>(
+        &mut self,
+        mut setup: S,
+        mut routine: R,
+        _size: BatchSize,
+    ) {
+        let warm_deadline = Instant::now() + self.warm_up;
+        while Instant::now() < warm_deadline {
+            std::hint::black_box(routine(setup()));
+        }
+        let started = Instant::now();
+        let mut timed = Duration::ZERO;
+        let mut iterations = 0usize;
+        let mut best = Duration::MAX;
+        while iterations < self.min_samples || started.elapsed() < self.measurement {
+            let input = setup();
+            let t0 = Instant::now();
+            std::hint::black_box(routine(input));
+            let elapsed = t0.elapsed();
+            timed += elapsed;
+            best = best.min(elapsed);
+            iterations += 1;
+        }
+        self.result = Some((timed, iterations, best));
+    }
+}
+
+/// How many inputs real criterion prepares per timing batch.  This stand-in
+/// always prepares one per iteration, the only size its callers ask for.
+#[derive(Debug, Clone, Copy)]
+pub enum BatchSize {
+    PerIteration,
 }
 
 /// Throughput annotation (reported alongside the timing).

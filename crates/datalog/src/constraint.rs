@@ -10,19 +10,22 @@
 //!
 //! Constraint bodies run through the same cost-based planner and shared
 //! [`PlanCache`] as rule evaluation: the workspace-level entry points
-//! ([`check_constraints_planned`], [`check_constraints_incremental_planned`])
-//! compile a plan per constraint side, build the secondary indexes the plans
-//! probe, and execute with index probes instead of the textual nested-loop
-//! order.  The plain textual functions remain for callers without a cache
-//! (the BloxGenerics compile-time checker) and as the equivalence baseline.
+//! ([`check_constraints_planned`], [`check_constraints_for_delta`]) compile a
+//! plan per constraint side — the right-hand side under the variables the
+//! left-hand side leaves bound, so its probes use them — build the secondary
+//! indexes the plans probe, and execute with index probes instead of the
+//! textual nested-loop order.  The plain textual functions remain for
+//! callers without a cache (the BloxGenerics compile-time checker) and as
+//! the equivalence baseline.
 
-use crate::ast::Constraint;
+use crate::ast::{Constraint, Literal};
 use crate::error::{ConstraintViolation, DatalogError, Result};
 use crate::eval::bindings::Bindings;
 use crate::eval::exec::{self, EvalOptions};
 use crate::eval::join::{DeltaRestriction, DeltaTuples, JoinContext};
-use crate::eval::plan::{PlanCache, PlanKey, PlanStats, RulePlan};
+use crate::eval::plan::{bound_after, PlanCache, PlanKey, PlanStats, RulePlan};
 use crate::eval::pool::WorkerPool;
+use crate::eval::{runtime_pred_name, FactDelta};
 use crate::relation::Relation;
 use crate::udf::UdfRegistry;
 use crate::value::Tuple;
@@ -125,13 +128,16 @@ fn prepare_constraint_plans(
             delta: delta_literal,
         },
         &constraint.lhs,
+        HashSet::new,
         relations,
         udfs,
         stats,
     );
+    // `check_constraint_with` starts the rhs from each lhs binding.
     let rhs = cache.plan_for(
         PlanKey::ConstraintRhs { constraint: index },
         &constraint.rhs,
+        || bound_after(&constraint.lhs, udfs),
         relations,
         udfs,
         stats,
@@ -183,11 +189,55 @@ fn check_constraint_sharded(
     .map(|_| ())
 }
 
-/// Check all constraints through the cost-based planner and the shared plan
-/// cache; the first violation wins.  When the pool is enabled and an lhs
-/// drives off a stored relation above the parallel threshold, that
-/// relation's extension is hash-partitioned and the shards check
+/// Check one constraint over the whole database.  When the pool is enabled
+/// and the lhs drives off a stored relation above the parallel threshold,
+/// that relation's extension is hash-partitioned and the shards check
 /// concurrently.
+#[allow(clippy::too_many_arguments)]
+fn check_constraint_in_full(
+    index: usize,
+    constraint: &Constraint,
+    relations: &mut HashMap<String, Relation>,
+    udfs: &UdfRegistry,
+    cache: &mut PlanCache,
+    stats: &PlanStats,
+    options: &EvalOptions,
+    pool: Option<&WorkerPool>,
+) -> Result<()> {
+    let (lhs_plan, rhs_plan) =
+        prepare_constraint_plans(index, constraint, None, relations, udfs, cache, stats);
+    let relations = &*relations;
+    if pool.is_some() {
+        if let Some((drive, shards)) =
+            exec::shard_driving_relation(&constraint.lhs, Some(&lhs_plan), relations, udfs, options)
+        {
+            return check_constraint_sharded(
+                constraint,
+                relations,
+                udfs,
+                (&lhs_plan, &rhs_plan),
+                drive,
+                &shards,
+                stats,
+                pool,
+            );
+        }
+    }
+    check_constraint_with(
+        constraint,
+        relations,
+        udfs,
+        Some((&lhs_plan, &rhs_plan)),
+        None,
+        Some(stats),
+    )
+}
+
+/// Check every constraint over the whole database through the cost-based
+/// planner and the shared plan cache; the first violation wins.  This is the
+/// check of a commit whose starting state was not known to satisfy the
+/// constraints (facts entered outside a transaction), and the oracle the
+/// delta-driven check is tested against.
 pub fn check_constraints_planned(
     constraints: &[Constraint],
     relations: &mut HashMap<String, Relation>,
@@ -198,57 +248,54 @@ pub fn check_constraints_planned(
     pool: Option<&WorkerPool>,
 ) -> Result<()> {
     for (index, constraint) in constraints.iter().enumerate() {
-        if constraint.rhs.is_empty() {
-            continue;
+        if !constraint.rhs.is_empty() {
+            check_constraint_in_full(
+                index, constraint, relations, udfs, cache, stats, options, pool,
+            )?;
         }
-        let (lhs_plan, rhs_plan) =
-            prepare_constraint_plans(index, constraint, None, relations, udfs, cache, stats);
-        let relations = &*relations;
-        if pool.is_some() {
-            if let Some((drive, shards)) = exec::shard_driving_relation(
-                &constraint.lhs,
-                Some(&lhs_plan),
-                relations,
-                udfs,
-                options,
-            ) {
-                check_constraint_sharded(
-                    constraint,
-                    relations,
-                    udfs,
-                    (&lhs_plan, &rhs_plan),
-                    drive,
-                    &shards,
-                    stats,
-                    pool,
-                )?;
-                continue;
-            }
-        }
-        check_constraint_with(
-            constraint,
-            relations,
-            udfs,
-            Some((&lhs_plan, &rhs_plan)),
-            None,
-            Some(stats),
-        )?;
     }
     Ok(())
 }
 
-/// Planned variant of [`check_constraints_incremental`]: only left-hand-side
-/// bindings that touch a tuple in `delta` are examined, each through a
-/// cached plan with the delta literal pinned.  Deltas above the parallel
+/// Does `literals` hold an atom of the given polarity over a predicate with
+/// tuples in `delta`?
+fn reads_changed(literals: &[Literal], negated: bool, delta: &FactDelta) -> bool {
+    literals.iter().any(|literal| {
+        let atom = match literal {
+            Literal::Pos(atom) if !negated => atom,
+            Literal::Neg(atom) if negated => atom,
+            _ => return false,
+        };
+        runtime_pred_name(&atom.pred)
+            .is_ok_and(|pred| delta.get(&pred).is_some_and(|set| !set.is_empty()))
+    })
+}
+
+/// Check the constraints a commit's net delta (`added`, `removed` — see
+/// `EvalJournal::net_delta`) can newly violate, given that all of them held
+/// before it.  `lhs -> rhs` is violated by an lhs binding
+/// with no rhs witness, so a commit can only break it by
+///
+/// * creating an lhs binding through an added tuple: each positive lhs
+///   literal over a predicate with additions is checked with that literal
+///   pinned to them (paper §2: "for every new fact that is derived"), cost
+///   proportional to the additions;
+/// * creating an lhs binding by removing what a negated lhs literal
+///   excluded, or taking a witness away — removing a tuple a positive rhs
+///   literal matched, adding one a negated rhs literal excludes: no added
+///   tuple drives those bindings, so the constraint is checked in full.
+///
+/// A constraint none of this touches is skipped.  Deltas above the parallel
 /// threshold are hash-partitioned and checked concurrently on the pool.
 #[allow(clippy::too_many_arguments)]
-pub fn check_constraints_incremental_planned(
+pub fn check_constraints_for_delta(
     constraints: &[Constraint],
     relations: &mut HashMap<String, Relation>,
     udfs: &UdfRegistry,
     cache: &mut PlanCache,
     stats: &PlanStats,
-    delta: &HashMap<String, HashSet<Tuple>>,
+    added: &FactDelta,
+    removed: &FactDelta,
     options: &EvalOptions,
     pool: Option<&WorkerPool>,
 ) -> Result<()> {
@@ -256,19 +303,25 @@ pub fn check_constraints_incremental_planned(
         if constraint.rhs.is_empty() {
             continue;
         }
+        if reads_changed(&constraint.lhs, true, removed)
+            || reads_changed(&constraint.rhs, false, removed)
+            || reads_changed(&constraint.rhs, true, added)
+        {
+            check_constraint_in_full(
+                index, constraint, relations, udfs, cache, stats, options, pool,
+            )?;
+            continue;
+        }
         for (literal_index, literal) in constraint.lhs.iter().enumerate() {
             let Some(atom) = literal.as_pos() else {
                 continue;
             };
-            let Ok(pred) = crate::eval::runtime_pred_name(&atom.pred) else {
+            let Ok(pred) = runtime_pred_name(&atom.pred) else {
                 continue;
             };
-            let Some(pred_delta) = delta.get(&pred) else {
+            let Some(pred_delta) = added.get(&pred).filter(|set| !set.is_empty()) else {
                 continue;
             };
-            if pred_delta.is_empty() {
-                continue;
-            }
             let (lhs_plan, rhs_plan) = prepare_constraint_plans(
                 index,
                 constraint,
@@ -306,51 +359,6 @@ pub fn check_constraints_incremental_planned(
                     delta: pred_delta.into(),
                 }),
                 Some(stats),
-            )?;
-        }
-    }
-    Ok(())
-}
-
-/// Check constraints incrementally: only left-hand-side bindings that touch
-/// at least one tuple in `delta` (the tuples inserted by the current
-/// transaction) are examined.  This matches the engine description in the
-/// paper ("the engine checks for constraint violations for every new fact
-/// that is derived", §2) and keeps signature verification proportional to the
-/// batch size rather than to the whole database.
-pub fn check_constraints_incremental(
-    constraints: &[Constraint],
-    relations: &HashMap<String, Relation>,
-    udfs: &UdfRegistry,
-    delta: &HashMap<String, HashSet<Tuple>>,
-) -> Result<()> {
-    for constraint in constraints {
-        if constraint.rhs.is_empty() {
-            continue;
-        }
-        for (literal_index, literal) in constraint.lhs.iter().enumerate() {
-            let Some(atom) = literal.as_pos() else {
-                continue;
-            };
-            let Ok(pred) = crate::eval::runtime_pred_name(&atom.pred) else {
-                continue;
-            };
-            let Some(pred_delta) = delta.get(&pred) else {
-                continue;
-            };
-            if pred_delta.is_empty() {
-                continue;
-            }
-            check_constraint_with(
-                constraint,
-                relations,
-                udfs,
-                None,
-                Some(DeltaRestriction {
-                    literal_index,
-                    delta: pred_delta.into(),
-                }),
-                None,
             )?;
         }
     }

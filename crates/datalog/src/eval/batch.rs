@@ -27,7 +27,7 @@
 //! (`Evaluator::evaluate_round`).
 
 use super::exec::EvalOptions;
-use super::plan::{PlanStats, RulePlan};
+use super::plan::{is_membership, PlanStats, RulePlan};
 use super::pool::WorkerPool;
 use super::runtime_pred_name;
 use crate::ast::{Literal, Rule, Term};
@@ -171,6 +171,10 @@ struct ProbeExec {
     /// True when `cols` covers every `Const`/`Bound` position, so matches
     /// depend only on the key and per-key caching is sound.
     cacheable: bool,
+    /// True when `cols` covers every position: the key is the whole row, so
+    /// the step is a membership test on the primary map (the plan declares
+    /// no index for it).
+    member: bool,
 }
 
 struct StepExec {
@@ -307,6 +311,7 @@ pub(crate) fn compile_batch(
                         cols,
                         key,
                         cacheable,
+                        member: is_membership(positions.len(), cols),
                     })
                 } else {
                     None
@@ -575,6 +580,14 @@ fn extend_frame(
                     IdSrc::Const(id) => *id,
                 });
             }
+            if probe.member {
+                // The key is the whole row: nothing to bind, no candidates.
+                PlanStats::bump(&stats.index_probes);
+                if relation.find_ids(&key).is_some() {
+                    emit(i, &[]);
+                }
+                continue;
+            }
             let hash = fnv_ids(probe.cols, key.iter().copied());
             if caching {
                 lookups += 1;
@@ -598,6 +611,7 @@ fn extend_frame(
                 Some(map) => map.get(&hash).map(Vec::as_slice).unwrap_or(&[]),
                 None => fallback,
             };
+            PlanStats::add(&stats.rows_examined, candidates.len());
             let match_at = match_arena.len();
             let mut match_rows = 0u32;
             for &id in candidates {
@@ -641,6 +655,7 @@ fn extend_frame(
         None => {
             PlanStats::bump(&stats.full_scans);
             if let Some(group) = relation.and_then(|r| r.group(step.arity)) {
+                PlanStats::add(&stats.rows_examined, group.rows());
                 let mut row = Vec::with_capacity(step.arity);
                 for index in 0..group.rows() {
                     row.clear();
@@ -758,7 +773,7 @@ mod tests {
         let (mut relations, interner) = setup(facts);
         let rule = parse_rule(source).unwrap();
         let udfs = UdfRegistry::new();
-        let plan = compile_body_plan(&rule.body, None, &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
         if build_indexes {
             for spec in &plan.ensure {
                 if let Some(relation) = relations.get_mut(&spec.pred) {
@@ -853,7 +868,7 @@ mod tests {
         let (mut relations, interner) = setup(&facts);
         let rule = parse_rule("out(X, Z) <- r(X, Y), s(Y, Z).").unwrap();
         let udfs = UdfRegistry::new();
-        let plan = compile_body_plan(&rule.body, None, &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
         for spec in &plan.ensure {
             if let Some(relation) = relations.get_mut(&spec.pred) {
                 relation.ensure_index(spec.cols);

@@ -7,17 +7,16 @@
 //! over-deleted tuple with a surviving alternative derivation is put back by
 //! running the normal fixpoint over the remaining facts.
 //!
-//! Both phases ride the sharded worker pool (DESIGN.md §8): over-deletion's
-//! candidate enumeration goes through [`Evaluator::evaluate_rule`], which
-//! hash-partitions the deleted-tuple frontier across workers once it clears
-//! the parallel threshold, and re-derivation is an ordinary fixpoint run.
-//! Only the cheap existence probe stays serial — it aborts at the first
-//! solution, so there is no work to partition.
+//! Both phases run through the fixpoint's own machinery (DESIGN.md §8):
+//! each over-deletion `(rule, literal)` combination is handed to
+//! `Evaluator::evaluate_round` with the deleted-tuple frontier as its delta
+//! set — batch executor where the rule shape allows, tuple path otherwise,
+//! sharded across the worker pool once the frontier clears the parallel
+//! threshold — and re-derivation is an ordinary fixpoint run.
 
-use super::join::{DeltaRestriction, DeltaTuples, JoinContext};
 use super::runtime_pred_name;
-use super::seminaive::{Evaluator, FactDelta};
-use crate::ast::{Literal, Rule};
+use super::seminaive::{delta_combos, Derivation, Evaluator, FactDelta};
+use crate::ast::Rule;
 use crate::error::Result;
 use crate::value::Tuple;
 use std::collections::{HashMap, HashSet};
@@ -86,131 +85,80 @@ impl<'a> Evaluator<'a> {
         // 2. Over-delete: propagate deletions through every rule until no new
         //    candidate deletions appear.  A candidate is any head tuple with a
         //    derivation that uses a deleted tuple.
+        let (agg_rules, normal_rules): (Vec<usize>, Vec<usize>) =
+            (0..rules.len()).partition(|&index| rules[index].agg.is_some());
         let mut frontier = deleted.clone();
         while frontier.values().any(|set| !set.is_empty()) {
             let mut next_frontier: HashMap<String, HashSet<Tuple>> = HashMap::new();
-            for (rule_index, rule) in rules.iter().enumerate() {
-                for (literal_index, literal) in rule.body.iter().enumerate() {
-                    let Literal::Pos(atom) = literal else {
-                        continue;
-                    };
-                    let pred = runtime_pred_name(&atom.pred)?;
-                    let Some(pred_deleted) = frontier.get(&pred) else {
-                        continue;
-                    };
-                    if pred_deleted.is_empty() {
-                        continue;
-                    }
-                    // Cheap existence probe first: does any derivation of
-                    // this rule go through the deleted tuples at this
-                    // literal?  Stops at the first solution, and skips the
-                    // full evaluation below for rules the deletions cannot
-                    // affect.  Runs the same plan full evaluation will use —
-                    // the textual order may be unevaluable (hoisted
-                    // comparisons) even when the planned order succeeds.
-                    let plan = if self.config.use_planner {
-                        Some(self.plan_cache.plan_for(
-                            super::plan::PlanKey::Rule {
-                                rule: rule_index,
-                                delta: Some(literal_index),
-                            },
-                            &rule.body,
-                            self.relations,
-                            self.udfs,
-                            self.plan_stats,
-                        ))
-                    } else {
-                        None
-                    };
-                    let ctx = JoinContext::new(self.relations, self.udfs);
-                    let mut bindings = super::bindings::Bindings::new();
-                    let mut touched = false;
-                    let restriction = DeltaRestriction {
-                        literal_index,
-                        delta: DeltaTuples::Set(pred_deleted),
-                    };
-                    let mut stop_at_first = |_: &super::bindings::Bindings| {
-                        touched = true;
-                        // Sentinel: aborts the enumeration immediately.
-                        Err(crate::error::DatalogError::Eval(
-                            "dred existence probe satisfied".into(),
-                        ))
-                    };
-                    let probe = match &plan {
-                        Some(plan) => ctx.join_planned(
-                            &rule.body,
-                            plan,
-                            Some(restriction),
-                            &mut bindings,
-                            &mut stop_at_first,
-                        ),
-                        None => ctx.join(
-                            &rule.body,
-                            Some(restriction),
-                            &mut bindings,
-                            &mut stop_at_first,
-                        ),
-                    };
-                    match probe {
-                        Ok(()) => {}
-                        Err(_) if touched => {}
-                        Err(error) => return Err(error),
-                    }
-                    if !touched {
+            // Stored tuples of `head_pred` with a derivation through the
+            // frontier join the closure, unless explicitly asserted (a
+            // non-rule derivation) or in it already.  A tuple typically has
+            // many such derivations: membership is tested before cloning.
+            let mut over_delete = |head_pred: &str, stored: &mut dyn Iterator<Item = &Tuple>| {
+                let asserted = edb_facts.get(head_pred);
+                let gone = deleted.entry(head_pred.to_string()).or_default();
+                let next = next_frontier.entry(head_pred.to_string()).or_default();
+                for tuple in stored {
+                    if asserted.is_some_and(|set| set.contains(tuple)) || gone.contains(tuple) {
                         continue;
                     }
-                    // Evaluate the rule with this literal restricted to the
-                    // deleted tuples, instantiating heads through the normal
-                    // path (handles existential memoization identically to
-                    // derivation).
-                    // Aggregation rules cannot be head-instantiated from a
-                    // body binding (the aggregate result is not a body
-                    // variable); since they are recomputed from their full
-                    // bodies on every stratum iteration, DRed may
-                    // over-approximate instead: a deletion touching the body
-                    // invalidates every stored tuple of the head predicate,
-                    // and re-derivation recomputes the surviving groups.
-                    let derived = if rule.agg.is_some() {
-                        let mut all = Vec::new();
-                        for atom in &rule.head {
-                            let head_pred = runtime_pred_name(&atom.pred)?;
-                            if let Some(relation) = self.relations.get(&head_pred) {
-                                for tuple in relation.iter() {
-                                    all.push((head_pred.clone(), tuple.clone()));
-                                }
+                    gone.insert(tuple.clone());
+                    next.insert(tuple.clone());
+                    removal_order.push((head_pred.to_string(), tuple.clone()));
+                    stats.over_deleted += 1;
+                }
+            };
+            // Each rule with a positive literal over the frontier, that
+            // literal pinned to the deleted tuples: its heads are the
+            // candidates.  Existential heads recall their memoized entities,
+            // exactly as in derivation.
+            for combo in delta_combos(rules, &normal_rules, &frontier)? {
+                // One batch-join observation per combination; the round
+                // evaluator records its own for a head-existential rule.
+                let timer = rules[combo.0].head_existentials().is_empty().then(|| {
+                    secureblox_telemetry::histogram!("datalog_rule_batch_join_ns").start_timer()
+                });
+                let derivation = self.evaluate_round(rules, &[combo], &frontier)?.pop();
+                drop(timer);
+                let relations = &*self.relations;
+                match derivation.expect("one derivation per combination") {
+                    Derivation::Values(derived) => {
+                        for run in derived.chunk_by(|a, b| a.0 == b.0) {
+                            let head_pred = &run[0].0;
+                            if let Some(relation) = relations.get(head_pred) {
+                                let tuples = run.iter().map(|(_, tuple)| tuple);
+                                let mut stored = tuples.filter(|tuple| relation.contains(tuple));
+                                over_delete(head_pred, &mut stored);
                             }
                         }
-                        all
-                    } else {
-                        self.evaluate_rule(rules, rule_index, Some((literal_index, pred_deleted)))?
-                    };
-                    for (head_pred, tuple) in derived {
-                        // Explicitly asserted facts survive over-deletion.
-                        if edb_facts
-                            .get(&head_pred)
-                            .is_some_and(|set| set.contains(&tuple))
-                        {
-                            continue;
+                    }
+                    // Id rows are looked up as they are: only a tuple that
+                    // joins the closure is copied out.
+                    Derivation::Ids(derived) => {
+                        for (head_pred, batch) in &derived {
+                            if let Some(relation) = relations.get(head_pred) {
+                                let mut stored =
+                                    batch.iter().filter_map(|row| relation.find_ids(row));
+                                over_delete(head_pred, &mut stored);
+                            }
                         }
-                        // Each tuple typically has many derivations through
-                        // the frontier: test membership before cloning.
-                        let already = deleted
-                            .get(&head_pred)
-                            .is_some_and(|set| set.contains(&tuple));
-                        let stored = !already
-                            && self
-                                .relations
-                                .get(&head_pred)
-                                .is_some_and(|r| r.contains(&tuple));
-                        if stored {
-                            deleted
-                                .entry(head_pred.clone())
-                                .or_default()
-                                .insert(tuple.clone());
-                            stats.over_deleted += 1;
-                            removal_order.push((head_pred.clone(), tuple.clone()));
-                            next_frontier.entry(head_pred).or_default().insert(tuple);
-                        }
+                    }
+                }
+            }
+            // Aggregation rules cannot be head-instantiated from a body
+            // binding (the aggregate result is not a body variable); since
+            // they are recomputed from their full bodies on every stratum
+            // iteration, DRed may over-approximate instead: a deletion
+            // reaching the body invalidates every stored tuple of the head
+            // predicate, and re-derivation recomputes the surviving groups.
+            for &rule_index in &agg_rules {
+                if delta_combos(rules, &[rule_index], &frontier)?.is_empty() {
+                    continue;
+                }
+                for atom in &rules[rule_index].head {
+                    let head_pred = runtime_pred_name(&atom.pred)?;
+                    if let Some(relation) = self.relations.get(&head_pred) {
+                        over_delete(&head_pred, &mut relation.iter());
                     }
                 }
             }

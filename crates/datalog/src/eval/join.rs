@@ -7,16 +7,17 @@
 //! Execution is driven by a [`RulePlan`]: an ordered list of steps, each
 //! naming a body literal and (for stored-relation literals) the bound-column
 //! signature to probe a secondary index with.  [`JoinContext::join`] runs the
-//! trivial textual-order plan (used by constraint checking and the naive
-//! evaluation mode); [`JoinContext::join_planned`] runs a compiled plan with
-//! index probes.
+//! trivial textual-order plan (used by the textual constraint oracle and the
+//! naive evaluation mode); [`JoinContext::join_planned`] runs a compiled plan
+//! with index probes.
 //!
 //! Literal kinds handled:
 //!
 //! * positive atoms over stored relations (optionally restricted to a delta
 //!   set for semi-naïve evaluation), executed as an index probe when the
-//!   plan provides a signature and the relation has that index, falling back
-//!   to a full scan otherwise,
+//!   plan provides a signature and the relation has that index — a
+//!   membership test when the signature covers every argument — falling
+//!   back to a full scan otherwise,
 //! * positive atoms over built-in primitive types (`int(X)`, `string(X)`, …)
 //!   which type-check an already-bound value,
 //! * positive atoms over user-defined functions,
@@ -25,7 +26,7 @@
 //! * comparisons, where `Var = ground-term` doubles as an assignment.
 
 use super::bindings::{eval_term, match_tuple, Bindings};
-use super::plan::{PlanStats, PlanStep, RulePlan};
+use super::plan::{is_membership, PlanStats, PlanStep, RulePlan};
 use super::runtime_pred_name;
 use crate::ast::{Atom, CmpOp, Literal, Term};
 use crate::error::{DatalogError, Result};
@@ -111,6 +112,12 @@ impl<'a> JoinContext<'a> {
     fn bump(&self, pick: impl Fn(&PlanStats) -> &AtomicU64) {
         if let Some(stats) = self.stats {
             PlanStats::bump(pick(stats));
+        }
+    }
+
+    fn examined(&self, rows: usize) {
+        if let Some(stats) = self.stats {
+            PlanStats::add(&stats.rows_examined, rows);
         }
     }
 
@@ -328,13 +335,23 @@ impl<'a> JoinContext<'a> {
         }
 
         // Index probe: evaluate the plan's bound columns and look the key up
-        // in the relation's secondary index.  Falls back to a scan when a key
-        // term is not ground at runtime (e.g. an unset singleton) or the
-        // index is missing.
+        // in the relation's secondary index — or, when the plan bound every
+        // column, in its primary map: the key is the tuple, there is nothing
+        // left to bind and no candidate to match.  Falls back to a scan when
+        // a key term is not ground at runtime (e.g. an unset singleton) or
+        // the index is missing.
         if let Some(cols) = probe {
             if let Some(key) = self.probe_key(atom, cols, bindings)? {
+                if is_membership(atom.terms.len(), cols) {
+                    self.bump(|s| &s.index_probes);
+                    if relation.contains(&key) {
+                        self.join_steps(literals, steps, position + 1, delta, bindings, callback)?;
+                    }
+                    return Ok(());
+                }
                 if let Some(ids) = relation.probe(cols, &key) {
                     self.bump(|s| &s.index_probes);
+                    self.examined(ids.len());
                     for id in ids {
                         let tuple = relation.tuple_by_id(id);
                         if let Some(newly_bound) =
@@ -362,6 +379,7 @@ impl<'a> JoinContext<'a> {
         // General scan.  All borrows are shared, so the recursion can run
         // under the live iterator — no snapshot of the relation is taken.
         self.bump(|s| &s.full_scans);
+        self.examined(relation.len());
         for tuple in relation.iter() {
             if let Some(newly_bound) = match_tuple(&atom.terms, tuple, bindings, self.relations)? {
                 let result =
@@ -569,7 +587,7 @@ mod tests {
         let mut relations = relations_with_edges(&[("n1", "n2"), ("n2", "n3"), ("n2", "n4")]);
         let udfs = UdfRegistry::new();
         let rule = parse_rule("out(X, Y) <- link(X, Z), link(Z, Y).").unwrap();
-        let plan = compile_body_plan(&rule.body, None, &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
         for spec in &plan.ensure {
             relations
                 .get_mut(&spec.pred)
@@ -672,7 +690,7 @@ mod tests {
         assert_eq!(results, vec![Value::Int(4)]);
         // The planner hoists the assignments, so the planned execution takes
         // the functional fast path instead of scanning.
-        let plan = compile_body_plan(&rule.body, None, &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
         let stats = PlanStats::default();
         let ctx = JoinContext::with_stats(&relations, &udfs, &stats);
         let mut results = Vec::new();
@@ -726,7 +744,7 @@ mod tests {
         assert!(result.is_err());
         // The planner cannot make `Undefined` bindable either: the planned
         // execution reports the same error instead of silently dropping it.
-        let plan = compile_body_plan(&rule.body, None, &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
         let mut bindings = Bindings::new();
         let result = ctx.join_planned(&rule.body, &plan, None, &mut bindings, &mut |_| Ok(()));
         assert!(result.is_err());

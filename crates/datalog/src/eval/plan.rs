@@ -20,7 +20,12 @@
 //!   semantics.
 //! * Each planned stored-relation literal carries the bound-column signature
 //!   its probe will use; the plan lists the secondary indexes the executor
-//!   must [`crate::relation::Relation::ensure_index`] before joining.
+//!   must [`crate::relation::Relation::ensure_index`] before joining.  A
+//!   literal whose every argument is ground is a membership test on the
+//!   relation's primary map and needs no index.
+//! * A body is planned under the variables already bound when it starts
+//!   ([`bound_after`] of a constraint's left-hand side, for its right-hand
+//!   side; nothing, for rule bodies), so probes use what the caller knows.
 //! * [`PlanCache`] memoizes compiled plans per [`PlanKey`] — rule bodies and
 //!   constraint sides share the cache — and
 //!   recompiles only when the body relations' cardinalities drift past a
@@ -55,8 +60,18 @@ pub struct PlanStep {
     pub literal: usize,
     /// For stored-relation literals: the bound-column signature the executor
     /// should probe with (`None` → scan, delta restriction, or a literal kind
-    /// that never probes).
+    /// that never probes).  The [`full_signature`] of the literal — every
+    /// argument ground — is a membership test on the primary map, for which
+    /// no secondary index is declared or built.
     pub probe: Option<ColumnSet>,
+}
+
+/// The signature binding every column of an `arity`-column literal, or
+/// `None` when there is no column to bind or too many for a [`ColumnSet`].
+pub fn full_signature(arity: usize) -> Option<ColumnSet> {
+    (1..=64)
+        .contains(&arity)
+        .then(|| ColumnSet::MAX >> (64 - arity))
 }
 
 /// A secondary index the executor must ensure before running the plan.
@@ -108,6 +123,10 @@ pub struct PlanStats {
     pub index_probes: AtomicU64,
     pub full_scans: AtomicU64,
     pub functional_hits: AtomicU64,
+    /// Stored rows a probe bucket or a scan handed to the matcher, in both
+    /// executors.  A probe on a column every row shares is one
+    /// `index_probes` and the whole relation here.
+    pub rows_examined: AtomicU64,
     /// Rule / aggregate executions that took the sharded worker-pool path.
     pub parallel_batches: AtomicU64,
     /// Rule / aggregate executions that ran serially (single worker
@@ -124,6 +143,10 @@ impl PlanStats {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
+    pub fn add(counter: &AtomicU64, n: usize) {
+        counter.fetch_add(n as u64, Ordering::Relaxed);
+    }
+
     /// A plain-value copy of the counters.
     pub fn snapshot(&self) -> PlanStatsSnapshot {
         PlanStatsSnapshot {
@@ -134,6 +157,7 @@ impl PlanStats {
             index_probes: self.index_probes.load(Ordering::Relaxed),
             full_scans: self.full_scans.load(Ordering::Relaxed),
             functional_hits: self.functional_hits.load(Ordering::Relaxed),
+            rows_examined: self.rows_examined.load(Ordering::Relaxed),
             parallel_batches: self.parallel_batches.load(Ordering::Relaxed),
             serial_batches: self.serial_batches.load(Ordering::Relaxed),
             shards_executed: self.shards_executed.load(Ordering::Relaxed),
@@ -152,6 +176,7 @@ impl Clone for PlanStats {
             index_probes: AtomicU64::new(snapshot.index_probes),
             full_scans: AtomicU64::new(snapshot.full_scans),
             functional_hits: AtomicU64::new(snapshot.functional_hits),
+            rows_examined: AtomicU64::new(snapshot.rows_examined),
             parallel_batches: AtomicU64::new(snapshot.parallel_batches),
             serial_batches: AtomicU64::new(snapshot.serial_batches),
             shards_executed: AtomicU64::new(snapshot.shards_executed),
@@ -170,6 +195,7 @@ pub struct PlanStatsSnapshot {
     pub index_probes: u64,
     pub full_scans: u64,
     pub functional_hits: u64,
+    pub rows_examined: u64,
     pub parallel_batches: u64,
     pub serial_batches: u64,
     pub shards_executed: u64,
@@ -199,6 +225,7 @@ impl PlanStatsSnapshot {
         gauge!("datalog_plan_stats_index_probes").set(self.index_probes as i64);
         gauge!("datalog_plan_stats_full_scans").set(self.full_scans as i64);
         gauge!("datalog_plan_stats_functional_hits").set(self.functional_hits as i64);
+        gauge!("datalog_plan_stats_rows_examined").set(self.rows_examined as i64);
         gauge!("datalog_plan_stats_parallel_batches").set(self.parallel_batches as i64);
         gauge!("datalog_plan_stats_serial_batches").set(self.serial_batches as i64);
         gauge!("datalog_plan_stats_shards_executed").set(self.shards_executed as i64);
@@ -216,6 +243,7 @@ impl std::ops::Add for PlanStatsSnapshot {
             index_probes: self.index_probes + other.index_probes,
             full_scans: self.full_scans + other.full_scans,
             functional_hits: self.functional_hits + other.functional_hits,
+            rows_examined: self.rows_examined + other.rows_examined,
             parallel_batches: self.parallel_batches + other.parallel_batches,
             serial_batches: self.serial_batches + other.serial_batches,
             shards_executed: self.shards_executed + other.shards_executed,
@@ -243,7 +271,9 @@ pub enum PlanKey {
         delta: Option<usize>,
     },
     /// The right-hand side of an installed constraint (always checked from
-    /// the lhs bindings; never delta-restricted).
+    /// the lhs bindings, hence planned under [`bound_after`] of the lhs — a
+    /// function of the constraint, so it needs no place in the key; never
+    /// delta-restricted).
     ConstraintRhs { constraint: usize },
 }
 
@@ -282,12 +312,15 @@ impl PlanCache {
         self.plans.is_empty()
     }
 
-    /// Fetch (or compile) the plan for `body` under `key`.  Returns a clone
-    /// so the caller can mutate relations (index ensures) while holding it.
+    /// Fetch (or compile) the plan for `body` under `key`.  `bound` yields
+    /// the variables bound before the body runs; it must be a function of
+    /// `key`, and is only asked on a compile.  Returns a clone so the caller
+    /// can mutate relations (index ensures) while holding it.
     pub fn plan_for(
         &mut self,
         key: PlanKey,
         body: &[Literal],
+        bound: impl FnOnce() -> HashSet<String>,
         relations: &HashMap<String, Relation>,
         udfs: &UdfRegistry,
         stats: &PlanStats,
@@ -305,7 +338,7 @@ impl PlanCache {
             secureblox_telemetry::counter!("datalog_plans_compiled_total").inc();
         }
         let timer = secureblox_telemetry::histogram!("datalog_plan_compile_ns").start_timer();
-        let plan = compile_body_plan(body, key.delta_literal(), relations, udfs);
+        let plan = compile_body_plan(body, key.delta_literal(), &bound(), relations, udfs);
         drop(timer);
         self.plans.insert(key, plan.clone());
         plan
@@ -340,6 +373,51 @@ enum LitKind {
     Neg,
     /// Comparison (filter or assignment).
     Cmp,
+}
+
+/// Classify every literal of a body, or `None` when one names a meta-level
+/// predicate the planner cannot analyze.
+fn classify(body: &[Literal], udfs: &UdfRegistry) -> Option<Vec<LitKind>> {
+    body.iter()
+        .map(|literal| match literal {
+            Literal::Cmp(..) => Some(LitKind::Cmp),
+            Literal::Neg(_) => Some(LitKind::Neg),
+            Literal::Pos(atom) => {
+                let pred = runtime_pred_name(&atom.pred).ok()?;
+                Some(
+                    if BUILTIN_TYPES.contains(&pred.as_str()) && atom.terms.len() == 1 {
+                        LitKind::TypeCheck
+                    } else if udfs.is_udf(&pred) {
+                        LitKind::Udf
+                    } else {
+                        LitKind::Stored { pred }
+                    },
+                )
+            }
+        })
+        .collect()
+}
+
+/// The variables every solution of `body` leaves bound, in whatever order
+/// its literals ran: the closure of the planner's own `binds` analysis over
+/// them (an assignment binds once its other side is ground, so it may need
+/// a literal that follows it textually).  Empty for a body the planner cannot
+/// analyze.  This is the set a constraint's right-hand side is planned
+/// under.
+pub fn bound_after(body: &[Literal], udfs: &UdfRegistry) -> HashSet<String> {
+    let mut bound = HashSet::new();
+    let Some(kinds) = classify(body, udfs) else {
+        return bound;
+    };
+    loop {
+        let before = bound.len();
+        for (literal, kind) in body.iter().zip(&kinds) {
+            bound.extend(binds(literal, kind, &bound));
+        }
+        if bound.len() == before {
+            return bound;
+        }
+    }
 }
 
 /// Is `term` statically ground given the currently bound variables?
@@ -414,6 +492,14 @@ fn probe_signature(atom: &Atom, bound: &HashSet<String>) -> ColumnSet {
     )
 }
 
+/// Does `cols` bind every argument of an `arity`-argument literal?  Such a
+/// literal — positive or negated — is answered by the relation's primary
+/// map: the planner declares no index for it and the executors test
+/// membership.
+pub(super) fn is_membership(arity: usize, cols: ColumnSet) -> bool {
+    full_signature(arity) == Some(cols)
+}
+
 /// Estimated cost of scheduling a stored-relation literal next.
 fn literal_cost(
     atom: &Atom,
@@ -452,35 +538,27 @@ pub fn scan_cost(cardinality: usize, bound_cols: usize) -> f64 {
 /// semi-naïve pass; it is pinned to run first among the stored-relation
 /// literals (delta sets are small, so driving the join off them maximizes
 /// selectivity).
+///
+/// `initially_bound` holds the variables the caller's bindings already
+/// carry when the body starts (empty for a rule body or a constraint's
+/// left-hand side).  Both passes below start from it, so a probe signature
+/// covers those variables' columns and a negation, UDF or type check keeps
+/// exactly the boundness textual evaluation from those bindings gives it.
+/// Naming a variable that turns out unbound at run time costs a scan, never
+/// a wrong answer: the executor re-evaluates every probe key.
 pub fn compile_body_plan(
     body: &[Literal],
     delta_literal: Option<usize>,
+    initially_bound: &HashSet<String>,
     relations: &HashMap<String, Relation>,
     udfs: &UdfRegistry,
 ) -> RulePlan {
     let n = body.len();
 
-    // Classify literals; bail to textual order on meta-level predicates.
-    let mut kinds: Vec<LitKind> = Vec::with_capacity(n);
-    for literal in body {
-        let kind = match literal {
-            Literal::Cmp(..) => LitKind::Cmp,
-            Literal::Neg(_) => LitKind::Neg,
-            Literal::Pos(atom) => {
-                let Ok(pred) = runtime_pred_name(&atom.pred) else {
-                    return RulePlan::textual(n);
-                };
-                if BUILTIN_TYPES.contains(&pred.as_str()) && atom.terms.len() == 1 {
-                    LitKind::TypeCheck
-                } else if udfs.is_udf(&pred) {
-                    LitKind::Udf
-                } else {
-                    LitKind::Stored { pred }
-                }
-            }
-        };
-        kinds.push(kind);
-    }
+    // Bail to textual order on meta-level predicates.
+    let Some(kinds) = classify(body, udfs) else {
+        return RulePlan::textual(n);
+    };
 
     // Textual forward pass: record, for each pinned-kind literal (negation,
     // type check, UDF), which of its variables textual evaluation would see
@@ -488,7 +566,7 @@ pub fn compile_body_plan(
     // boundness to preserve semantics.
     let mut req: Vec<HashSet<String>> = Vec::with_capacity(n);
     {
-        let mut bound: HashSet<String> = HashSet::new();
+        let mut bound: HashSet<String> = initially_bound.clone();
         for (literal, kind) in body.iter().zip(&kinds) {
             let vars = literal_vars(literal);
             req.push(
@@ -516,7 +594,7 @@ pub fn compile_body_plan(
         })
         .collect();
 
-    let mut bound: HashSet<String> = HashSet::new();
+    let mut bound: HashSet<String> = initially_bound.clone();
     let mut scheduled = vec![false; n];
     let mut order: Vec<PlanStep> = Vec::with_capacity(n);
     let mut ensure: Vec<IndexSpec> = Vec::new();
@@ -548,7 +626,7 @@ pub fn compile_body_plan(
                         pred: pred.clone(),
                         cols,
                     };
-                    if !ensure.contains(&spec) {
+                    if !is_membership(atom.terms.len(), cols) && !ensure.contains(&spec) {
                         ensure.push(spec);
                     }
                 }
@@ -560,11 +638,12 @@ pub fn compile_body_plan(
             if let Literal::Neg(atom) = &body[index] {
                 if let Ok(pred) = runtime_pred_name(&atom.pred) {
                     let cols = probe_signature(atom, bound);
-                    if cols != 0 {
-                        let spec = IndexSpec { pred, cols };
-                        if !ensure.contains(&spec) {
-                            ensure.push(spec);
-                        }
+                    let spec = IndexSpec { pred, cols };
+                    if cols != 0
+                        && !is_membership(atom.terms.len(), cols)
+                        && !ensure.contains(&spec)
+                    {
+                        ensure.push(spec);
                     }
                 }
             }
@@ -746,7 +825,7 @@ mod tests {
         let relations = relations_with(&[("big", 1000), ("small", 3)]);
         let udfs = UdfRegistry::new();
         let rule = parse_rule("out(X, Z) <- big(X, Y), small(Y, Z).").unwrap();
-        let plan = compile_body_plan(&rule.body, None, &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
         assert_eq!(order_of(&plan), vec![1, 0]);
         // The second literal probes on its bound column (Y = column 1 of big).
         assert_eq!(plan.order[1].probe, Some(column_set([1])));
@@ -761,7 +840,7 @@ mod tests {
         let relations = relations_with(&[("big", 1000), ("small", 3)]);
         let udfs = UdfRegistry::new();
         let rule = parse_rule("out(X, Z) <- big(X, Y), small(Y, Z).").unwrap();
-        let plan = compile_body_plan(&rule.body, Some(0), &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, Some(0), &HashSet::new(), &relations, &udfs);
         assert_eq!(order_of(&plan), vec![0, 1]);
         assert_eq!(plan.order[0].probe, None, "delta literal scans the delta");
         assert_eq!(plan.order[1].probe, Some(column_set([0])));
@@ -774,7 +853,7 @@ mod tests {
         // Textual order would scan edge first; the plan assigns X = 7 first
         // and probes edge on column 0.
         let rule = parse_rule("out(Y) <- edge(X, Y), X = 7.").unwrap();
-        let plan = compile_body_plan(&rule.body, None, &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
         assert_eq!(order_of(&plan), vec![1, 0]);
         assert_eq!(plan.order[1].probe, Some(column_set([0])));
     }
@@ -785,7 +864,7 @@ mod tests {
         let udfs = UdfRegistry::new();
         // C = Y + 1 precedes its producer textually; the plan defers it.
         let rule = parse_rule("out(C) <- C = Y + 1, edge(X, Y).").unwrap();
-        let plan = compile_body_plan(&rule.body, None, &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
         assert_eq!(order_of(&plan), vec![1, 0]);
     }
 
@@ -796,7 +875,7 @@ mod tests {
         // !b(X, Z) textually sees X bound and Z unbound; c(Z, W) must not be
         // scheduled before the negation even if it were cheaper.
         let rule = parse_rule("out(X, W) <- a(X, Y), !b(X, Z), c(Z, W).").unwrap();
-        let plan = compile_body_plan(&rule.body, None, &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
         let order = order_of(&plan);
         let pos = |i: usize| order.iter().position(|&x| x == i).unwrap();
         assert!(pos(0) < pos(1), "a before !b");
@@ -810,10 +889,74 @@ mod tests {
         // !b(X, Z) textually sees Z unbound (∄ b(X, _)); hoisting Z = 5 ahead
         // of it would collapse that into the membership check !b(X, 5).
         let rule = parse_rule("out(X) <- a(X), !b(X, Z), Z = 5.").unwrap();
-        let plan = compile_body_plan(&rule.body, None, &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
         let order = order_of(&plan);
         let pos = |i: usize| order.iter().position(|&x| x == i).unwrap();
         assert!(pos(1) < pos(2), "!b must run before Z = 5 is assigned");
+    }
+
+    fn bound(vars: &[&str]) -> HashSet<String> {
+        vars.iter().map(|v| v.to_string()).collect()
+    }
+
+    #[test]
+    fn a_body_probes_on_what_its_caller_already_bound() {
+        let relations = relations_with(&[("sig", 1000), ("secret", 10)]);
+        let udfs = UdfRegistry::new();
+        // The generated signature constraint's right-hand side: P, V bound
+        // by the left-hand side, `me[]` shared by every row of `sig`.
+        let rule = parse_rule("out(S) <- sig(P, me[], V, S), secret(P, K).").unwrap();
+        let from_nothing = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
+        let sig_step = |plan: &RulePlan| plan.order.iter().find(|s| s.literal == 0).unwrap().probe;
+        assert_ne!(sig_step(&from_nothing), Some(column_set([0, 1, 2])));
+        let plan = compile_body_plan(&rule.body, None, &bound(&["P", "V"]), &relations, &udfs);
+        assert_eq!(sig_step(&plan), Some(column_set([0, 1, 2])));
+        assert!(plan.ensure.contains(&IndexSpec {
+            pred: "sig".into(),
+            cols: column_set([0, 1, 2])
+        }));
+    }
+
+    #[test]
+    fn a_fully_ground_literal_declares_no_index() {
+        let relations = relations_with(&[("a", 10), ("b", 10)]);
+        let udfs = UdfRegistry::new();
+        // Positive and negated, ground from the caller and from the body.
+        let rule = parse_rule("out(X) <- b(X, Y), a(X, Y), !b(Y, X), a(P, 3).").unwrap();
+        let plan = compile_body_plan(&rule.body, None, &bound(&["P"]), &relations, &udfs);
+        let probe_of = |literal: usize| {
+            plan.order
+                .iter()
+                .find(|s| s.literal == literal)
+                .unwrap()
+                .probe
+        };
+        assert_eq!(probe_of(1), full_signature(2));
+        assert_eq!(probe_of(3), full_signature(2));
+        assert!(plan.ensure.is_empty(), "{:?}", plan.ensure);
+        assert_eq!(full_signature(0), None);
+        assert_eq!(full_signature(64), Some(u64::MAX));
+        assert_eq!(full_signature(65), None);
+    }
+
+    #[test]
+    fn bound_after_is_the_closure_of_what_the_literals_bind() {
+        let udfs = UdfRegistry::new();
+        let vars = |source: &str| {
+            let rule = parse_rule(&format!("out(X) <- {source}.")).unwrap();
+            let mut vars: Vec<String> = bound_after(&rule.body, &udfs).into_iter().collect();
+            vars.sort();
+            vars
+        };
+        assert_eq!(vars("a(X, Y), !c(Q), int(R)"), ["X", "Y"]);
+        // An assignment binds whichever side a later literal makes ground,
+        // and chains; a comparison that is not one binds nothing.
+        assert_eq!(
+            vars("C = B + 1, B = Y, a(X, Y), X < D"),
+            ["B", "C", "X", "Y"]
+        );
+        assert_eq!(vars("a(X, me[]), Z = me[]"), ["X", "Z"]);
+        assert!(vars("says[T](P, X)").is_empty());
     }
 
     #[test]
@@ -821,7 +964,7 @@ mod tests {
         let relations = relations_with(&[]);
         let udfs = UdfRegistry::new();
         let rule = parse_rule("out(X) <- says[T](P, X), other(X).").unwrap();
-        let plan = compile_body_plan(&rule.body, None, &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
         assert_eq!(order_of(&plan), vec![0, 1]);
         assert!(plan.ensure.is_empty());
     }
@@ -839,6 +982,7 @@ mod tests {
                 delta: None,
             },
             &rule.body,
+            HashSet::new,
             &relations,
             &udfs,
             &stats,
@@ -849,6 +993,7 @@ mod tests {
                 delta: None,
             },
             &rule.body,
+            HashSet::new,
             &relations,
             &udfs,
             &stats,
@@ -869,6 +1014,7 @@ mod tests {
                 delta: None,
             },
             &rule.body,
+            HashSet::new,
             &relations,
             &udfs,
             &stats,

@@ -60,7 +60,7 @@ pub type FactDelta = HashMap<String, HashSet<Tuple>>;
 /// Result of evaluating one `(rule, delta-literal)` combination in phase A.
 /// Id-space derivations stay interned until insertion; only genuinely new
 /// tuples are rehydrated (for the delta sets).
-enum Derivation {
+pub(super) enum Derivation {
     Values(Vec<(String, Tuple)>),
     Ids(Vec<(String, IdBatch)>),
 }
@@ -140,9 +140,11 @@ impl EvalJournal {
     /// was stored before the run (`Added` journals only genuinely new rows,
     /// `Displaced`/`Removed` only stored ones) and the relation says whether
     /// it is stored now, so a tuple inserted and then displaced, or DRed
-    /// over-deleted and then re-derived, is in neither set.  `added` is the
-    /// incremental constraint-check delta; both are what a commit hands
-    /// downstream (`TransactionReport::added`, `DeletionStats`).
+    /// over-deleted and then re-derived, is in neither set.  The pair selects
+    /// the constraints a commit re-checks
+    /// ([`check_constraints_for_delta`](crate::constraint::check_constraints_for_delta))
+    /// and is what the commit hands downstream (`TransactionReport::added`,
+    /// `DeletionStats`).
     pub fn net_delta(&self, relations: &HashMap<String, Relation>) -> (FactDelta, FactDelta) {
         let mut added = FactDelta::new();
         let mut removed = FactDelta::new();
@@ -410,7 +412,11 @@ impl<'a> Evaluator<'a> {
     /// read-only and fan out across the worker pool when any driving set
     /// clears the parallel threshold.  Errors surface in combination order,
     /// so failures are deterministic at any worker count.
-    fn evaluate_round(
+    ///
+    /// DRed's over-deletion ([`super::dred`]) is the other caller: a
+    /// combination pinned to the deleted-tuple frontier is evaluated exactly
+    /// as one pinned to a semi-naïve delta.
+    pub(super) fn evaluate_round(
         &mut self,
         rules: &[Rule],
         combos: &[(usize, Option<usize>)],
@@ -462,7 +468,12 @@ impl<'a> Evaluator<'a> {
         // Serial part: head-existential combinations, in combination order.
         for (index, &(rule_index, delta)) in resolved.iter().enumerate() {
             if !rules[rule_index].head_existentials().is_empty() {
-                let derived = self.evaluate_rule(rules, rule_index, delta)?;
+                let derived = self.evaluate_existential(
+                    rule_index,
+                    &rules[rule_index],
+                    plans[index].as_ref(),
+                    delta,
+                )?;
                 results[index] = Some(Derivation::Values(derived));
             }
         }
@@ -540,40 +551,22 @@ impl<'a> Evaluator<'a> {
             .collect())
     }
 
-    /// Evaluate one (non-aggregate) rule, optionally restricting one body
+    /// Evaluate one head-existential rule, optionally restricting one body
     /// literal to a delta set, and return the derived `(predicate, tuple)`
-    /// pairs without inserting them.
-    ///
-    /// Non-existential rules run through the read-only combination path
-    /// (sharded across the worker pool when the driving set is large
-    /// enough).  Rules with head existentials always run serially: entity
-    /// minting is order-sensitive.
-    pub fn evaluate_rule(
+    /// pairs without inserting them.  Always serial: entity minting is
+    /// order-sensitive.
+    fn evaluate_existential(
         &mut self,
-        rules: &[Rule],
         rule_index: usize,
+        rule: &Rule,
+        plan: Option<&RulePlan>,
         delta: Option<(usize, &HashSet<Tuple>)>,
     ) -> Result<Vec<(String, Tuple)>> {
-        let rule = &rules[rule_index];
         let existentials = rule.head_existentials();
-        // One observation per (rule, delta) batch execution — coarse enough
-        // to stay inside the telemetry overhead budget.
+        // One observation per (rule, delta) execution — coarse enough to
+        // stay inside the telemetry overhead budget.
         let _batch_timer =
             secureblox_telemetry::histogram!("datalog_rule_batch_join_ns").start_timer();
-        let plan = self.prepare_plan(rules, rule_index, delta.as_ref().map(|(i, _)| *i));
-
-        if existentials.is_empty() {
-            return evaluate_tuple_combo(
-                rule,
-                plan.as_ref(),
-                delta,
-                self.relations,
-                self.udfs,
-                self.plan_stats,
-                &self.config.exec,
-                self.pool,
-            );
-        }
         PlanStats::bump(&self.plan_stats.serial_batches);
 
         let mut body_vars: Vec<String> = Vec::new();
@@ -591,7 +584,7 @@ impl<'a> Evaluator<'a> {
             literal_index: index,
             delta: DeltaTuples::Set(tuples),
         });
-        match &plan {
+        match plan {
             Some(plan) => {
                 ctx.join_planned(&rule.body, plan, restriction, &mut bindings, &mut |b| {
                     solutions.push(b.clone());
@@ -647,6 +640,7 @@ impl<'a> Evaluator<'a> {
                 delta: delta_literal,
             },
             &rules[rule_index].body,
+            HashSet::new,
             self.relations,
             self.udfs,
             self.plan_stats,
@@ -784,7 +778,7 @@ impl<'a> Evaluator<'a> {
 
 /// Every `(rule, positive body literal)` combination whose predicate has
 /// driving tuples in `drivers`, in rule then literal order.
-fn delta_combos(
+pub(super) fn delta_combos(
     rules: &[Rule],
     normal_rules: &[usize],
     drivers: &HashMap<String, HashSet<Tuple>>,
@@ -1290,8 +1284,8 @@ mod tests {
         // unset.
         let program = parse_program("out(K) <- link(X, _), K = missing[] + 1.").unwrap();
         let rules: Vec<Rule> = program.rules().cloned().collect();
-        let result = evaluator.evaluate_rule(&rules, 0, None);
-        assert!(result.is_err() || result.unwrap().is_empty());
+        let result = evaluator.evaluate_round(&rules, &[(0, None)], &HashMap::new());
+        assert!(result.is_err_and(|error| matches!(error, DatalogError::Eval(_))));
     }
 
     #[test]

@@ -394,6 +394,14 @@ impl Relation {
         self.interner.try_row(tuple, &mut ids) && self.find_live(&ids).is_some()
     }
 
+    /// The stored row whose dictionary ids are `ids` (which must come from
+    /// this relation's own interner), if there is one: membership in id
+    /// space, for callers that hold an interned row.
+    pub fn find_ids(&self, ids: &[u32]) -> Option<&Tuple> {
+        self.find_live(ids)
+            .map(|id| self.rows[id as usize].as_ref())
+    }
+
     /// Iterate over all tuples in [`TupleId`]-stable group order — a
     /// deterministic function of the operation sequence applied to the
     /// relation (unlike the value-hash order of the previous row store).
@@ -784,6 +792,11 @@ impl Relation {
 
     /// True if at least one tuple matches the partial binding pattern.
     pub fn matches_any(&self, pattern: &[Option<Value>]) -> bool {
+        // Fully ground: membership on the primary map, no index needed.
+        if !pattern.is_empty() && pattern.iter().all(Option::is_some) {
+            let tuple: Tuple = pattern.iter().flatten().cloned().collect();
+            return self.contains(&tuple);
+        }
         let cols = Self::pattern_cols(pattern);
         if cols != 0 {
             if let Some(ids) =

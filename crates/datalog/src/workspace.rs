@@ -11,7 +11,7 @@
 //! back" (§5.2) — [`Workspace::transaction`] implements exactly that.
 
 use crate::ast::{Constraint, Literal, Program, Rule, Statement, Term};
-use crate::constraint::{check_constraints_incremental_planned, check_constraints_planned};
+use crate::constraint::{check_constraints_for_delta, check_constraints_planned};
 use crate::error::{DatalogError, Result};
 use crate::eval::dred::DeletionStats;
 use crate::eval::{
@@ -492,20 +492,42 @@ impl Workspace {
         };
         report.derived = stats.derived;
         report.iterations = stats.iterations;
-        // Incremental constraint checking over this transaction's surviving
-        // additions (paper §2: constraints are checked for every new fact).
-        (report.added, _) = journal.net_delta(&self.relations);
-        check_constraints_incremental_planned(
+        let removed;
+        (report.added, removed) = journal.net_delta(&self.relations);
+        self.check_constraints(&report.added, &removed)?;
+        Ok(report)
+    }
+
+    /// The constraint check of a commit whose net change is `(added,
+    /// removed)`.  From a converged workspace every constraint held before
+    /// the commit and the journal saw every change since, so only what the
+    /// delta can newly violate is checked (paper §2: constraints are checked
+    /// for every new fact).  Otherwise facts entered unjournaled
+    /// (`install_program`, `assert_fact`, `set_singleton`) and nothing has
+    /// checked them yet: every constraint, over the whole database.
+    fn check_constraints(&mut self, added: &FactDelta, removed: &FactDelta) -> Result<()> {
+        if !self.converged {
+            return check_constraints_planned(
+                &self.constraints,
+                &mut self.relations,
+                &self.udfs,
+                &mut self.plan_cache,
+                &self.plan_stats,
+                &self.config.exec,
+                self.pool.as_deref(),
+            );
+        }
+        check_constraints_for_delta(
             &self.constraints,
             &mut self.relations,
             &self.udfs,
             &mut self.plan_cache,
             &self.plan_stats,
-            &report.added,
+            added,
+            removed,
             &self.config.exec,
             self.pool.as_deref(),
-        )?;
-        Ok(report)
+        )
     }
 
     /// Undo a refused transaction or retraction: reverse-replay its journal
@@ -580,7 +602,8 @@ impl Workspace {
     }
 
     /// Retract base facts and incrementally maintain derived relations with
-    /// DRed.  Constraints are re-checked afterwards; a violation rolls the
+    /// DRed.  The constraints its net change can violate are re-checked
+    /// afterwards, by the same rule as a transaction's; a violation rolls the
     /// whole retraction back through the journal, exactly as a refused
     /// transaction does.
     pub fn retract(&mut self, batch: Vec<(String, Tuple)>) -> Result<DeletionStats> {
@@ -601,25 +624,18 @@ impl Workspace {
             let (mut evaluator, rules, strata, edb) = self.evaluator(&mut journal);
             evaluator.delete_with_dred(rules, strata, &batch, edb)
         };
-        let checked = deleted.and_then(|stats| {
-            check_constraints_planned(
-                &self.constraints,
-                &mut self.relations,
-                &self.udfs,
-                &mut self.plan_cache,
-                &self.plan_stats,
-                &self.config.exec,
-                self.pool.as_deref(),
-            )
-            .map(|_| stats)
+        // A retraction that found nothing stored ran no fixpoint and changed
+        // nothing: there is no delta to check or report.
+        let checked = deleted.and_then(|mut stats| {
+            if stats.base_deleted > 0 {
+                (stats.added, stats.removed) = journal.net_delta(&self.relations);
+                self.check_constraints(&stats.added, &stats.removed)?;
+            }
+            Ok(stats)
         });
         match checked {
-            Ok(mut stats) => {
-                // A retraction that found nothing stored ran no fixpoint.
-                if stats.base_deleted > 0 {
-                    self.converged = true;
-                    (stats.added, stats.removed) = journal.net_delta(&self.relations);
-                }
+            Ok(stats) => {
+                self.converged |= stats.base_deleted > 0;
                 Ok(stats)
             }
             Err(error) => {
@@ -1138,24 +1154,173 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ws.cached_plans(), 0);
+        // The install left the workspace non-converged, so the first commit
+        // checks the constraint in full (lhs plan, no delta literal)...
         ws.transaction(vec![("says_link".into(), vec![s("alice"), s("bob")])])
             .unwrap();
         assert!(
             ws.cached_plans() > 0,
-            "incremental constraint check must compile and cache plans"
+            "constraint check must compile and cache plans"
         );
+        // ...the second from its delta: one more lhs plan, pinned to the
+        // delta literal, and the rhs plan shared with the full check.
         let compiled = ws.plan_stats().plans_compiled;
-        // A second batch reuses the cached constraint plans.
         ws.transaction(vec![("says_link".into(), vec![s("bob"), s("alice")])])
             .unwrap();
+        assert_eq!(ws.plan_stats().plans_compiled, compiled + 1);
+        // From then on every constraint plan is a cache hit.
         let stats = ws.plan_stats();
-        assert_eq!(stats.plans_compiled, compiled);
-        assert!(stats.plan_cache_hits > 0);
+        ws.transaction(vec![("says_link".into(), vec![s("bob"), s("bob")])])
+            .unwrap();
+        assert_eq!(ws.plan_stats().plans_compiled, stats.plans_compiled);
+        assert!(ws.plan_stats().plan_cache_hits > stats.plan_cache_hits);
         // Verdicts are unchanged: an unknown principal still rolls back.
         let err = ws
             .transaction(vec![("says_link".into(), vec![s("mallory"), s("bob")])])
             .unwrap_err();
         assert!(matches!(err, DatalogError::ConstraintViolation(_)));
+    }
+
+    /// Relations and entity-visible state, for exact before/after checks.
+    fn contents(ws: &Workspace) -> Vec<(String, Vec<Tuple>)> {
+        ws.predicate_names()
+            .into_iter()
+            .map(|pred| (pred.clone(), ws.query(&pred)))
+            .collect()
+    }
+
+    #[test]
+    fn a_non_converged_commit_checks_facts_no_transaction_saw() {
+        // Facts entered outside a transaction are not journaled, so the
+        // commit that follows must check every constraint, not its own delta.
+        let refused = |ws: &mut Workspace| {
+            let before = contents(ws);
+            let error = ws.fixpoint().unwrap_err();
+            assert!(
+                matches!(error, DatalogError::ConstraintViolation(_)),
+                "{error}"
+            );
+            assert_eq!(contents(ws), before);
+            // Still not converged: asking again gives the same answer.
+            assert!(ws.fixpoint().is_err());
+        };
+
+        let mut installed = Workspace::new();
+        installed.install_source("p(X) -> r(X).\np(1).").unwrap();
+        refused(&mut installed);
+        // The same fact through a transaction was always refused.
+        let mut transacted = Workspace::new();
+        transacted.install_source("p(X) -> r(X).").unwrap();
+        assert!(transacted
+            .transaction(vec![("p".into(), vec![Value::Int(1)])])
+            .is_err());
+
+        let mut asserted = Workspace::new();
+        asserted.install_source("p(X) -> r(X).").unwrap();
+        asserted.fixpoint().unwrap();
+        asserted.assert_fact("p", vec![Value::Int(1)]).unwrap();
+        refused(&mut asserted);
+        // Supplying the witness the same way makes the next commit pass,
+        // and from there on commits are checked from their deltas again.
+        asserted.assert_fact("r", vec![Value::Int(1)]).unwrap();
+        asserted.fixpoint().unwrap();
+        assert!(asserted
+            .transaction(vec![("p".into(), vec![Value::Int(2)])])
+            .is_err());
+
+        let mut singleton = Workspace::new();
+        singleton
+            .install_source("me[] = X -> allowed(X).\nallowed(n1).")
+            .unwrap();
+        singleton.fixpoint().unwrap();
+        singleton.set_singleton("me", s("n2")).unwrap();
+        refused(&mut singleton);
+        singleton.set_singleton("me", s("n1")).unwrap();
+        singleton.fixpoint().unwrap();
+    }
+
+    #[test]
+    fn an_added_tuple_a_negated_rhs_excludes_is_refused() {
+        let mut ws = Workspace::new();
+        ws.install_source("p(X) -> !q(X).\np(1).").unwrap();
+        ws.fixpoint().unwrap();
+        let before = contents(&ws);
+        let error = ws
+            .transaction(vec![("q".into(), vec![Value::Int(1)])])
+            .unwrap_err();
+        assert!(
+            matches!(error, DatalogError::ConstraintViolation(_)),
+            "{error}"
+        );
+        assert_eq!(contents(&ws), before);
+        // A tuple the negation does not exclude for any held lhs commits.
+        ws.transaction(vec![("q".into(), vec![Value::Int(2)])])
+            .unwrap();
+    }
+
+    #[test]
+    fn a_displaced_rhs_witness_is_refused() {
+        let mut ws = Workspace::new();
+        ws.install_source(
+            "need(X) -> best[X] = 5.\n\
+             best[X] = C <- agg<< C = min(V) >> cost(X, V).\n\
+             cost(1, 5). need(1).",
+        )
+        .unwrap();
+        ws.fixpoint().unwrap();
+        let before = contents(&ws);
+        // The new minimum displaces best[1] = 5, the witness need(1) has.
+        let error = ws
+            .transaction(vec![("cost".into(), vec![Value::Int(1), Value::Int(3)])])
+            .unwrap_err();
+        assert!(
+            matches!(error, DatalogError::ConstraintViolation(_)),
+            "{error}"
+        );
+        assert_eq!(contents(&ws), before);
+        assert_eq!(ws.query("best"), vec![vec![Value::Int(1), Value::Int(5)]]);
+        // A cost that leaves the minimum alone commits.
+        ws.transaction(vec![("cost".into(), vec![Value::Int(1), Value::Int(7)])])
+            .unwrap();
+    }
+
+    #[test]
+    fn a_retraction_is_checked_by_what_it_removed() {
+        let mut program =
+            parse_program("p(X) -> r(X).\np(1). r(1). r(2). item(a). owner(a). other(z).").unwrap();
+        // `item(X), !owner(X) -> spare(X).`: the surface syntax has no
+        // negated lhs literal, the AST (and the generics compiler) does.
+        let side = |body: &str| {
+            crate::parser::parse_rule(&format!("x(X) <- {body}."))
+                .unwrap()
+                .body
+        };
+        program.statements.push(Statement::Constraint(Constraint {
+            lhs: side("item(X), !owner(X)"),
+            rhs: side("spare(X)"),
+        }));
+        let mut ws = Workspace::new();
+        ws.install_program(&program).unwrap();
+        ws.fixpoint().unwrap();
+        let before = contents(&ws);
+        // Removing an rhs witness, and removing what a negated lhs literal
+        // excluded, are both refused and rolled back...
+        for (pred, tuple) in [("r", vec![Value::Int(1)]), ("owner", vec![s("a")])] {
+            let error = ws.retract(vec![(pred.into(), tuple)]).unwrap_err();
+            assert!(
+                matches!(error, DatalogError::ConstraintViolation(_)),
+                "{error}"
+            );
+            assert_eq!(contents(&ws), before);
+        }
+        // ...a witness nothing needs goes, and a removal no constraint reads
+        // re-checks none: its commit examines no stored row.
+        ws.retract(vec![("r".into(), vec![Value::Int(2)])]).unwrap();
+        let examined = ws.plan_stats().rows_examined;
+        let probes = ws.plan_stats().index_probes;
+        ws.retract(vec![("other".into(), vec![s("z")])]).unwrap();
+        assert_eq!(ws.plan_stats().rows_examined, examined);
+        assert_eq!(ws.plan_stats().index_probes, probes);
     }
 
     #[test]

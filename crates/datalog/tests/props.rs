@@ -8,9 +8,18 @@
 //! parser/pretty-printer pair reaches a fixpoint.
 
 use proptest::prelude::*;
-use secureblox_datalog::{parse_program, Relation, Value, Workspace};
+use secureblox_datalog::constraint::{
+    check_constraints, check_constraints_for_delta, check_constraints_planned,
+};
+use secureblox_datalog::eval::join::JoinContext;
+use secureblox_datalog::eval::plan::{bound_after, compile_body_plan, full_signature};
+use secureblox_datalog::eval::{Bindings, PlanCache, PlanStats};
+use secureblox_datalog::{
+    parse_program, parse_rule, Constraint, EvalConfig, EvalOptions, FactDelta, Literal, Relation,
+    UdfRegistry, Value, Workspace,
+};
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 // ---------------------------------------------------------------------------
 // Value: total order
@@ -368,6 +377,217 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Constraints planned under the lhs bindings ≡ the textual oracle
+// ---------------------------------------------------------------------------
+
+/// Left-hand sides over `a/2`, `b/2`, `c/1` and the singleton `me[]`.  Every
+/// one binds X and Y; the second binds Z, by an assignment only.  (The
+/// surface syntax admits only positive atoms on the left of `->`; the AST
+/// and the planner take any literal, so sides are parsed as rule bodies.)
+const LHS: [&str; 8] = [
+    "a(X, Y)",
+    "a(X, Y), Z = Y + 1",
+    "a(X, Y), a(Y, X)",
+    "a(X, Y), b(Y, 1)",
+    "a(X, Y), c(me[])",
+    "a(X, Y), !c(X)",
+    "a(X, Y), X < 3",
+    "a(X, me[]), Y = X",
+];
+
+/// Right-hand-side pieces, one to three of which make a right-hand side:
+/// existential and repeated variables, constants, the singleton, fully
+/// ground atoms, negation with bound and unbound positions, comparisons, an
+/// assignment feeding a probe, the UDF verifier, builtin type checks — and
+/// Z, which is bound or existential depending on the left-hand side.
+const RHS: [&str; 18] = [
+    "b(X, W)",
+    "b(X, Y)",
+    "b(Y, W), c(W)",
+    "b(W, W)",
+    "b(X, 2)",
+    "c(me[])",
+    "b(X, me[])",
+    "!c(X)",
+    "!b(X, V)",
+    "!b(Y, X)",
+    "Y < 3",
+    "U = X + 1, c(U)",
+    "even(X)",
+    "int(X)",
+    "string(Y)",
+    "c(Z)",
+    "!c(Z)",
+    "a(Y, X)",
+];
+
+type Rows = Vec<(String, Vec<Value>)>;
+
+/// Few `a` rows (they drive every left-hand side) among more `b` and `c`
+/// rows over a small domain, so a constraint often holds non-vacuously.
+fn arb_constraint_rows() -> impl Strategy<Value = Rows> {
+    let pair = |pred: &'static str, max: usize| {
+        proptest::collection::vec((0i64..3, 0i64..3), 0..max).prop_map(move |rows| {
+            rows.into_iter()
+                .map(|(x, y)| (pred.to_string(), vec![Value::Int(x), Value::Int(y)]))
+                .collect::<Rows>()
+        })
+    };
+    let unary = proptest::collection::vec(0i64..4, 0..4).prop_map(|rows| {
+        rows.into_iter()
+            .map(|x| ("c".to_string(), vec![Value::Int(x)]))
+            .collect::<Rows>()
+    });
+    (pair("a", 4), pair("b", 9), unary).prop_map(|(a, b, c)| [a, b, c].concat())
+}
+
+fn constraint_relations(rows: &Rows, me: Option<i64>) -> HashMap<String, Relation> {
+    let mut relations: HashMap<String, Relation> = ["a", "b", "c"]
+        .into_iter()
+        .map(|pred| (pred.to_string(), Relation::new(pred, None)))
+        .collect();
+    for (pred, tuple) in rows {
+        relations
+            .get_mut(pred)
+            .unwrap()
+            .insert(tuple.clone())
+            .unwrap();
+    }
+    if let Some(me) = me {
+        let mut singleton = Relation::new("me", Some(0));
+        singleton.insert(vec![Value::Int(me)]).unwrap();
+        relations.insert("me".to_string(), singleton);
+    }
+    relations
+}
+
+fn constraint_udfs() -> UdfRegistry {
+    let mut udfs = UdfRegistry::new();
+    udfs.register("even", |args| {
+        let value = secureblox_datalog::udf::require_bound(args, 0, "even")?;
+        Ok(match value.as_int() {
+            Some(n) if n % 2 == 0 => vec![vec![value]],
+            _ => Vec::new(),
+        })
+    });
+    udfs
+}
+
+fn side(literals: &str) -> Vec<Literal> {
+    parse_rule(&format!("x(X) <- {literals}.")).unwrap().body
+}
+
+/// The (possibly negated) atoms of a constraint side.
+fn atoms(literals: &[Literal]) -> impl Iterator<Item = &secureblox_datalog::Atom> {
+    literals.iter().filter_map(|literal| match literal {
+        Literal::Pos(atom) | Literal::Neg(atom) => Some(atom),
+        Literal::Cmp(..) => None,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// On random constraints and relations the planned full check, and the
+    /// delta-driven check of a random change to a state that satisfied the
+    /// constraint, reach the textual oracle's verdict; the set the rhs is
+    /// planned under is bound by every lhs solution; and no plan asks for an
+    /// index over all of a relation's columns.
+    #[test]
+    fn planned_constraint_checks_match_the_textual_oracle(
+        lhs in 0..LHS.len(),
+        rhs in proptest::collection::vec(0..RHS.len(), 1..4),
+        rows in arb_constraint_rows(),
+        me in (any::<bool>(), 0i64..4).prop_map(|(set, me)| set.then_some(me)),
+        change in arb_constraint_rows(),
+        drop_mask in proptest::collection::vec(any::<bool>(), 14),
+    ) {
+        let rhs: Vec<&str> = rhs.iter().map(|&i| RHS[i]).collect();
+        let constraint = Constraint { lhs: side(LHS[lhs]), rhs: side(&rhs.join(", ")) };
+        let constraints = [constraint.clone()];
+        let udfs = constraint_udfs();
+        let oracle = |relations: &HashMap<String, Relation>| {
+            verdict(&check_constraints(&constraints, relations, &udfs))
+        };
+        let exec = EvalOptions::serial();
+
+        let mut relations = constraint_relations(&rows, me);
+        let held = oracle(&relations);
+        let (mut cache, stats) = (PlanCache::new(), PlanStats::default());
+        let planned = check_constraints_planned(
+            &constraints, &mut relations, &udfs, &mut cache, &stats, &exec, None);
+        prop_assert!(verdict(&planned) == held, "full check of {}", constraint);
+
+        // What the rhs is planned under, every lhs solution binds.
+        let bound = bound_after(&constraint.lhs, &udfs);
+        let mut unbound = Vec::new();
+        JoinContext::new(&relations, &udfs)
+            .join(&constraint.lhs, None, &mut Bindings::new(), &mut |solution| {
+                unbound.extend(bound.iter().filter(|v| !solution.is_bound(v)).cloned());
+                Ok(())
+            })
+            .unwrap();
+        prop_assert!(unbound.is_empty(), "{:?} over-estimated for {}", unbound, constraint);
+
+        // Changes to a state that satisfied the constraint: each stored row
+        // removed alone, each row of `change` added alone, and all of it at
+        // once.  (`me[]` stays: a singleton is read through a term, which
+        // the delta rule does not follow.)
+        let without = |dropped: &dyn Fn(usize) -> bool| -> Rows {
+            let kept = rows.iter().enumerate().filter(|(i, _)| !dropped(*i));
+            kept.map(|(_, row)| row.clone()).collect()
+        };
+        let mut changes: Vec<Rows> = (0..rows.len()).map(|gone| without(&|i| i == gone)).collect();
+        changes.extend(change.iter().map(|row| [rows.clone(), vec![row.clone()]].concat()));
+        changes.push([without(&|i| drop_mask[i]), change].concat());
+        let mut changed = relations.clone();
+        for after in changes.iter().filter(|_| held.is_none()) {
+            changed = constraint_relations(after, me);
+            let (mut added, mut removed) = (FactDelta::new(), FactDelta::new());
+            for (from, to, delta) in [
+                (&changed, &relations, &mut added),
+                (&relations, &changed, &mut removed),
+            ] {
+                for (pred, relation) in from {
+                    for tuple in relation.iter().filter(|t| !to[pred].contains(t)) {
+                        delta.entry(pred.clone()).or_default().insert(tuple.clone());
+                    }
+                }
+            }
+            let expected = oracle(&changed);
+            let incremental = check_constraints_for_delta(
+                &constraints, &mut changed, &udfs, &mut cache, &stats, &added, &removed,
+                &exec, None);
+            prop_assert!(
+                verdict(&incremental) == expected,
+                "{} after +{:?} -{:?}", constraint, added, removed
+            );
+        }
+
+        // Fully ground literals are membership tests: neither the plans nor
+        // the relations they ran on hold an all-columns index.
+        for literals in [&constraint.lhs, &constraint.rhs] {
+            let initially = if std::ptr::eq(literals, &constraint.rhs) {
+                bound.clone()
+            } else {
+                Default::default()
+            };
+            let plan = compile_body_plan(literals, None, &initially, &relations, &udfs);
+            for spec in &plan.ensure {
+                for atom in atoms(literals).filter(|a| a.pred.as_named() == Some(&spec.pred)) {
+                    prop_assert_ne!(full_signature(atom.terms.len()), Some(spec.cols));
+                }
+            }
+        }
+        for relations in [&relations, &changed] {
+            for (pred, arity) in [("a", 2), ("b", 2), ("c", 1)] {
+                prop_assert!(!relations[pred].has_index(full_signature(arity).unwrap()));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // One transaction path: journaled rollback, seeded and naïve first rounds
 // ---------------------------------------------------------------------------
 
@@ -406,7 +626,14 @@ fn arb_fact() -> impl Strategy<Value = Fact> {
 }
 
 fn txn_workspace(source: &str) -> Workspace {
-    let mut ws = Workspace::new();
+    txn_workspace_with(source, EvalOptions::serial())
+}
+
+fn txn_workspace_with(source: &str, exec: EvalOptions) -> Workspace {
+    let mut ws = Workspace::with_config(EvalConfig {
+        exec,
+        ..EvalConfig::default()
+    });
     ws.set_strict_typing(false);
     ws.install_source(source).unwrap();
     ws
@@ -519,7 +746,10 @@ proptest! {
     /// journal.  A refused call leaves the workspace equal to a clone taken
     /// before it — visibly and in its hidden state.  A committed call leaves
     /// it equal to a fresh workspace that naïve-fixpoints the committed base
-    /// facts.
+    /// facts.  The same calls on a four-worker workspace that shards every
+    /// driving set (DRed's over-deletion frontier included) give the same
+    /// verdicts and the same relations, entity ids and all, and leave the
+    /// same memo and entity counter behind.
     #[test]
     fn transactions_commit_to_the_fixpoint_and_roll_back_to_the_clone(
         negated in any::<bool>(),
@@ -532,18 +762,24 @@ proptest! {
             TXN_PROGRAM.to_string()
         };
         let mut ws = txn_workspace(&source);
+        let mut sharded = txn_workspace_with(
+            &source,
+            EvalOptions { workers: 4, parallel_threshold: 1 },
+        );
         // n4 stays undeclared, so a good share of `cost` batches is refused.
         let mut committed: Vec<Fact> = (0..4)
             .map(|i| ("node".to_string(), vec![node_value(i)]))
             .collect();
         for (pred, tuple) in &committed {
             ws.assert_fact(pred, tuple.clone()).unwrap();
+            sharded.assert_fact(pred, tuple.clone()).unwrap();
         }
         // Whether the last thing that happened was a committed fixpoint run
         // (a retraction that finds nothing stored runs none).
         let mut settled = false;
         for (kind, mut batch, extra, pick) in ops {
             if kind == 2 && ws.assert_fact(&extra.0, extra.1.clone()).is_ok() {
+                sharded.assert_fact(&extra.0, extra.1.clone()).unwrap();
                 committed.push(extra);
                 settled = false;
             }
@@ -562,6 +798,13 @@ proptest! {
             } else {
                 ws.transaction(batch.clone()).map(|_| true)
             };
+            let sharded_outcome = if kind == 1 {
+                sharded.retract(batch.clone()).map(|_| ())
+            } else {
+                sharded.transaction(batch.clone()).map(|_| ())
+            };
+            prop_assert_eq!(verdict(&sharded_outcome), verdict(&outcome));
+            prop_assert_eq!(dump(&sharded), dump(&ws));
             match outcome {
                 Err(_) => {
                     prop_assert_eq!(dump(&ws), dump(&before));
@@ -585,6 +828,7 @@ proptest! {
                 }
             }
         }
+        assert_same_hidden_state(&sharded, &ws, &[])?;
     }
 }
 

@@ -2,7 +2,7 @@
 //! evaluation at every worker count.
 //!
 //! Random programs (joins, recursion, comparisons, assignments, stratified
-//! negation, aggregation) over random edge relations are evaluated once per
+//! negation, aggregation, head existentials) over random edge relations are evaluated once per
 //! worker count in `{1, 2, 4, 7}` with the shard threshold forced to 1 so
 //! every execution takes the parallel path.  Every run must agree with the
 //! single-worker baseline on:
@@ -11,7 +11,9 @@
 //! * the Merkle commitment of the database logged into a `secureblox-store`
 //!   fact store,
 //! * constraint verdicts (which probe batches commit vs roll back), and
-//! * DRed retraction sequences — relations after every single retraction.
+//! * DRed retraction sequences — every relation after every single
+//!   retraction, minted entity ids included (over-deletion runs through the
+//!   same sharded round evaluator as derivation).
 //!
 //! Debug builds additionally assert parallel-vs-serial equivalence inside
 //! every sharded rule execution (see `eval::exec`), so a shrunk failure here
@@ -24,8 +26,8 @@ use std::path::PathBuf;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
-/// Verdict and `tc` contents observed after one retraction step.
-type RetractionTrace = Vec<(bool, Vec<Vec<Value>>)>;
+/// Verdict and every relation's contents observed after one retraction step.
+type RetractionTrace = Vec<(bool, Vec<(String, Vec<Vec<Value>>)>)>;
 
 fn arb_edges() -> impl Strategy<Value = Vec<(u8, u8)>> {
     proptest::collection::vec(
@@ -39,7 +41,13 @@ fn arb_edges() -> impl Strategy<Value = Vec<(u8, u8)>> {
 /// evaluator never errors and equivalence is meaningful.  A runtime
 /// constraint (`probe` tuples must be `tc`-reachable pairs) exercises the
 /// planned constraint checker under every worker count.
-fn build_program(cmp_kind: u8, with_negation: bool, with_agg: bool, with_triple: bool) -> String {
+fn build_program(
+    cmp_kind: u8,
+    with_negation: bool,
+    with_agg: bool,
+    with_triple: bool,
+    with_existential: bool,
+) -> String {
     let mut program = String::from(
         "tc(X, Y) <- e0(X, Y).\n\
          tc(X, Z) <- e0(X, Y), tc(Y, Z).\n\
@@ -61,6 +69,12 @@ fn build_program(cmp_kind: u8, with_negation: bool, with_agg: bool, with_triple:
     }
     if with_agg {
         program.push_str("total[X] = S <- agg<< S = sum(Y) >> e0(X, Y).\n");
+    }
+    if with_existential {
+        // One entity per closure pair that an e1 edge leaves: recursion
+        // feeding a minting rule, which a retraction both over-deletes
+        // (recalling memoized entities) and re-derives.
+        program.push_str("hopvar(H) -> .\nhopvar(H), hop(H, X, Z) <- tc(X, Y), e1(Y, Z).\n");
     }
     program
 }
@@ -102,7 +116,7 @@ fn run_scenario(
         verdicts.push(outcome.is_ok());
     }
 
-    // DRed retraction sequence: observe the verdict and the `tc` relation
+    // DRed retraction sequence: observe the verdict and every relation
     // after every step.  A retraction that breaks a committed `probe` fact's
     // constraint legitimately rolls back — that outcome must also be
     // identical at every worker count.
@@ -112,7 +126,12 @@ fn run_scenario(
             "e0".into(),
             vec![Value::Int(*a as i64), Value::Int(*b as i64)],
         )]);
-        traces.push((outcome.is_ok(), ws.query("tc")));
+        let relations = ws
+            .predicate_names()
+            .into_iter()
+            .map(|pred| (pred.clone(), ws.query(&pred)))
+            .collect();
+        traces.push((outcome.is_ok(), relations));
     }
     (ws, verdicts, traces)
 }
@@ -147,9 +166,11 @@ proptest! {
         with_negation in any::<bool>(),
         with_agg in any::<bool>(),
         with_triple in any::<bool>(),
+        with_existential in any::<bool>(),
         probe_seed in any::<u8>(),
     ) {
-        let program = build_program(cmp_kind, with_negation, with_agg, with_triple);
+        let program =
+            build_program(cmp_kind, with_negation, with_agg, with_triple, with_existential);
         // Probe both a likely-reachable pair (an asserted edge) and an
         // arbitrary pair, so commits and rollbacks are both exercised.
         let mut probes: Vec<(u8, u8)> = Vec::new();
