@@ -6,7 +6,7 @@
 //! relations, nested-loop scans vs selectivity-ordered index probes).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use secureblox_datalog::{EvalConfig, EvalOptions, Tuple, Value, Workspace};
+use secureblox_datalog::{EvalConfig, Tuple, Value, Workspace};
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -17,13 +17,8 @@ use std::time::Instant;
 const TRIPLE_JOIN_TUPLES: usize = 10_000;
 
 fn triple_join_workspace(n: usize, use_planner: bool) -> Workspace {
-    triple_join_workspace_with(n, use_planner, EvalOptions::serial())
-}
-
-fn triple_join_workspace_with(n: usize, use_planner: bool, exec: EvalOptions) -> Workspace {
     let mut ws = Workspace::with_config(EvalConfig {
         use_planner,
-        exec,
         ..EvalConfig::default()
     });
     ws.install_source("out(X, W) <- r(X, Y), s(Y, Z), t(Z, W).")
@@ -217,100 +212,47 @@ fn bench(c: &mut Criterion) {
         ws.fixpoint().unwrap();
         b.iter(|| reevaluate(&mut ws))
     });
-    // Persistent-pool scaling: the same triple join re-converged on a
-    // long-lived worker pool at each width (the pool outlives every
-    // fixpoint, so these measure steady-state dispatch, not thread spawns).
-    for workers in [1usize, 2, 4, 8] {
-        group.bench_function(format!("pool_triple_join_10k_w{workers}"), |b| {
-            let mut ws = triple_join_workspace_with(
-                TRIPLE_JOIN_TUPLES,
-                true,
-                EvalOptions::with_workers(workers),
-            );
-            ws.fixpoint().unwrap();
-            b.iter(|| reevaluate(&mut ws))
-        });
-    }
     group.finish();
 
-    // Direct comparisons below run outside Criterion: one measured full
-    // evaluation each.  A CLI filter that names neither series skips both
-    // (so filtered bench runs do not pay for the multi-second naive
-    // evaluation); `planner_vs_naive_10k` and `worker_scaling_10k` select
-    // them individually.
+    // The planner-vs-naive comparison runs outside Criterion: one measured
+    // full evaluation each.  A CLI filter that does not name it skips it (so
+    // filtered bench runs do not pay for the multi-second naive evaluation).
     let filters: Vec<String> = std::env::args()
         .skip(1)
         .filter(|arg| !arg.starts_with('-'))
         .collect();
-    let selected =
-        |name: &str| filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str()));
-    let run_naive = selected("planner_vs_naive_10k");
-    let run_scaling = selected("worker_scaling_10k");
-    if !run_naive && !run_scaling {
+    let name = "planner_vs_naive_10k";
+    if !filters.is_empty() && !filters.iter().any(|f| name.contains(f.as_str())) {
         return;
     }
     let mut planned = triple_join_workspace(TRIPLE_JOIN_TUPLES, true);
     let started = Instant::now();
     planned.fixpoint().unwrap();
     let planned_time = started.elapsed();
-    let derived = planned.count("out");
-    if run_naive {
-        let mut naive = triple_join_workspace(TRIPLE_JOIN_TUPLES, false);
-        let started = Instant::now();
-        naive.fixpoint().unwrap();
-        let naive_time = started.elapsed();
-        assert_eq!(
-            derived,
-            naive.count("out"),
-            "planned and naive evaluation disagree"
-        );
-        let speedup = naive_time.as_secs_f64() / planned_time.as_secs_f64().max(1e-9);
-        println!(
-            "bench engine_micro/planner_vs_naive_10k                  planned {planned_time:>12?}  \
-             naive {naive_time:>12?}  speedup {speedup:>8.1}x"
-        );
-        let stats = planned.plan_stats();
-        println!(
-            "bench engine_micro/planner_counters                      plans {} hits {} probes {} \
-             scans {} index_builds {}",
-            stats.plans_compiled,
-            stats.plan_cache_hits,
-            stats.index_probes,
-            stats.full_scans,
-            stats.index_builds,
-        );
-    }
-    if !run_scaling {
-        return;
-    }
-
-    // Worker-scaling series over the same 10k-tuple 3-literal join: one
-    // measured full planned evaluation per worker count, all relative to the
-    // single-worker run (DESIGN.md §8 records the numbers).
-    let mut baseline = std::time::Duration::ZERO;
-    for workers in [1usize, 2, 4, 8] {
-        let mut ws = triple_join_workspace_with(
-            TRIPLE_JOIN_TUPLES,
-            true,
-            EvalOptions::with_workers(workers),
-        );
-        let started = Instant::now();
-        ws.fixpoint().unwrap();
-        let elapsed = started.elapsed();
-        if workers == 1 {
-            baseline = elapsed;
-        }
-        assert_eq!(ws.count("out"), derived, "worker pool changed the fixpoint");
-        let stats = ws.plan_stats();
-        println!(
-            "bench engine_micro/worker_scaling_10k/w{workers}                 {elapsed:>12?}  \
-             speedup {:>6.2}x  parallel_batches {} shards {} utilization {:.2}",
-            baseline.as_secs_f64() / elapsed.as_secs_f64().max(1e-9),
-            stats.parallel_batches,
-            stats.shards_executed,
-            stats.worker_utilization(workers),
-        );
-    }
+    let mut naive = triple_join_workspace(TRIPLE_JOIN_TUPLES, false);
+    let started = Instant::now();
+    naive.fixpoint().unwrap();
+    let naive_time = started.elapsed();
+    assert_eq!(
+        planned.count("out"),
+        naive.count("out"),
+        "planned and naive evaluation disagree"
+    );
+    let speedup = naive_time.as_secs_f64() / planned_time.as_secs_f64().max(1e-9);
+    println!(
+        "bench engine_micro/planner_vs_naive_10k                  planned {planned_time:>12?}  \
+         naive {naive_time:>12?}  speedup {speedup:>8.1}x"
+    );
+    let stats = planned.plan_stats();
+    println!(
+        "bench engine_micro/planner_counters                      plans {} hits {} probes {} \
+         scans {} index_builds {}",
+        stats.plans_compiled,
+        stats.plan_cache_hits,
+        stats.index_probes,
+        stats.full_scans,
+        stats.index_builds,
+    );
 }
 
 criterion_group!(benches, bench);

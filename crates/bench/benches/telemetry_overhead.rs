@@ -1,5 +1,5 @@
 //! Telemetry-overhead series: the same planned triple join (the
-//! `pool_triple_join_10k` workload from `engine_micro`) measured with the
+//! `planner_triple_join_10k` workload from `engine_micro`) measured with the
 //! metric registry enabled — the default — and disabled, proving the
 //! instrumentation stays inside its ≤5% budget on the hottest evaluation
 //! path.  The disabled run exercises the cheap path the telemetry crate
@@ -7,21 +7,15 @@
 //! timers never read the clock.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use secureblox_datalog::{EvalConfig, EvalOptions, Value, Workspace};
+use secureblox_datalog::{Value, Workspace};
 use std::time::{Duration, Instant};
 
 const TRIPLE_JOIN_TUPLES: usize = 10_000;
-const POOL_WORKERS: usize = 4;
 
 /// `out(X, W) <- r(X, Y), s(Y, Z), t(Z, W).` over three 10k-tuple chain
-/// relations, evaluated on a persistent 4-worker pool — the same shape and
-/// width as `engine_micro/pool_triple_join_10k_w4`.
+/// relations — the same shape as `engine_micro/planner_triple_join_10k`.
 fn triple_join_workspace() -> Workspace {
-    let mut ws = Workspace::with_config(EvalConfig {
-        use_planner: true,
-        exec: EvalOptions::with_workers(POOL_WORKERS),
-        ..EvalConfig::default()
-    });
+    let mut ws = Workspace::new();
     ws.install_source("out(X, W) <- r(X, Y), s(Y, Z), t(Z, W).")
         .unwrap();
     for i in 0..TRIPLE_JOIN_TUPLES as i64 {
@@ -54,7 +48,7 @@ fn bench(c: &mut Criterion) {
 
     // Registry enabled (the default shipped configuration).
     secureblox_telemetry::set_metrics_enabled(true);
-    group.bench_function("pool_triple_join_10k_enabled", |b| {
+    group.bench_function("triple_join_10k_enabled", |b| {
         let mut ws = triple_join_workspace();
         ws.fixpoint().unwrap();
         b.iter(|| reevaluate(&mut ws))
@@ -64,7 +58,7 @@ fn bench(c: &mut Criterion) {
     // Counters/gauges stay live by design (their cost matches the plan-stats
     // counters the engine always paid), so this isolates the *gated* cost.
     secureblox_telemetry::set_metrics_enabled(false);
-    group.bench_function("pool_triple_join_10k_disabled", |b| {
+    group.bench_function("triple_join_10k_disabled", |b| {
         let mut ws = triple_join_workspace();
         ws.fixpoint().unwrap();
         b.iter(|| reevaluate(&mut ws))

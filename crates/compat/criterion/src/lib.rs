@@ -94,7 +94,7 @@ pub fn write_bench_report() {
     // Sidecar telemetry snapshot: every counter/gauge/histogram the bench
     // touched, in Prometheus text format, so a perf regression can be
     // cross-read against the runtime's own instrumentation (cache hits,
-    // WAL batch sizes, pool queue depth, …) from the same run.
+    // WAL batch sizes, rule executions by path, …) from the same run.
     let telemetry = secureblox_telemetry::prometheus_text();
     if !telemetry.is_empty() {
         let telemetry_path = dir.join(format!("TELEMETRY_{name}.prom"));

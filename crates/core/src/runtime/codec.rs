@@ -11,6 +11,7 @@
 
 pub use secureblox_datalog::codec::{deserialize_tuple, serialize_tuple};
 
+use secureblox_datalog::codec::read_count;
 use secureblox_datalog::value::Tuple;
 
 /// The two operations an update-stream delta can describe.
@@ -90,8 +91,9 @@ impl UpdateEnvelope {
         let seq_bytes = data.get(0..8).ok_or("truncated stream sequence")?;
         pos += 8;
         let seq = u64::from_be_bytes(seq_bytes.try_into().expect("8 bytes"));
-        let count = take4(data, &mut pos, "delta count")?;
-        let mut deltas = Vec::with_capacity(count.min(1024));
+        // The shortest delta: op, empty predicate, empty tuple, no signature.
+        let count = read_count(data, &mut pos, 13, "delta count")?;
+        let mut deltas = Vec::with_capacity(count);
         for _ in 0..count {
             let op = match data.get(pos) {
                 Some(0) => DeltaOp::Assert,

@@ -28,6 +28,7 @@
 
 use crate::policy::{compile_secured_program, SecurityConfig};
 use crate::runtime::codec::{serialize_tuple, DeltaOp, UpdateDelta, UpdateEnvelope};
+use crate::runtime::env;
 use crate::runtime::export::{ExportCandidate, ExportCandidates, ExportChannel};
 use crate::runtime::reactor::ReactorConfig;
 use crate::runtime::replication::ReplicaState;
@@ -41,9 +42,7 @@ use secureblox_crypto::{
 use secureblox_datalog::error::{DatalogError, Result};
 use secureblox_datalog::eval::shuffle::{is_exchange_pred, ExchangeSummary};
 use secureblox_datalog::value::{Tuple, Value};
-use secureblox_datalog::{
-    column_set, EvalConfig, EvalOptions, FactDelta, PlanStatsSnapshot, Workspace,
-};
+use secureblox_datalog::{column_set, FactDelta, PlanStatsSnapshot, Workspace};
 use secureblox_net::stats::TimingStats;
 use secureblox_net::{
     LatencyModel, Message, MessageKind, NodeId, NodeInfo, SimNetwork, VirtualTime,
@@ -117,9 +116,11 @@ pub struct DeploymentConfig {
     /// WAL under `durability.dir/<principal>`, enabling
     /// [`Deployment::checkpoint`] and [`Deployment::recover`].
     pub durability: Option<DurabilityConfig>,
-    /// Per-node evaluation parallelism: each node's workspace hash-partitions
-    /// its fixpoint deltas across this many workers (`<= 1` means serial).
-    /// The default honours `SECUREBLOX_WORKERS`.
+    /// Always 1: a node evaluates on one thread (DESIGN.md §8), and
+    /// [`Deployment::build`] / [`Deployment::recover`] refuse anything larger
+    /// with [`DatalogError::Config`].  Kept only because
+    /// `examples/benchmark/sut.rs` sets it; goes at the next benchmark
+    /// re-base (ROADMAP item 4).
     pub parallelism: usize,
     /// Streaming-scheduler knobs: per-link delta batching, annihilation, and
     /// credit-based backpressure.  The default honours `SECUREBLOX_STREAMING`,
@@ -157,9 +158,9 @@ impl Default for DeploymentConfig {
             grant_default_trust: true,
             grant_default_write_access: true,
             durability: env_durability(),
-            parallelism: EvalOptions::default().workers,
+            parallelism: 1,
             streaming: StreamingConfig::default(),
-            message_budget: env_message_budget(),
+            message_budget: env::usize_at_least("SECUREBLOX_MESSAGE_BUDGET", 1, 10_000_000),
             reactor: ReactorConfig::default(),
             sharding: None,
         }
@@ -176,22 +177,12 @@ pub(crate) fn is_data_plane(kind: MessageKind) -> bool {
     )
 }
 
-/// Message-budget default from the environment (`SECUREBLOX_MESSAGE_BUDGET`),
-/// falling back to 10 million deliveries.
-fn env_message_budget() -> usize {
-    std::env::var("SECUREBLOX_MESSAGE_BUDGET")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or(10_000_000)
-}
-
 /// Durability default from the environment: when `SECUREBLOX_DURABILITY_DIR`
 /// is set, every default-configured deployment persists its nodes under a
 /// fresh subdirectory of it.  This lets the CI matrix run the whole
-/// integration suite with durability and the worker pool enabled together
-/// without code changes.  Each call yields a distinct directory (process id
-/// plus a counter) because a fresh build refuses a directory with state.
+/// integration suite with durability on without code changes.  Each call
+/// yields a distinct directory (process id plus a counter) because a fresh
+/// build refuses a directory with state.
 fn env_durability() -> Option<DurabilityConfig> {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let base = std::env::var_os("SECUREBLOX_DURABILITY_DIR")?;
@@ -234,12 +225,6 @@ pub struct DeploymentReport {
     /// Planner / index counters summed over every node's workspace (plan
     /// cache hits, index probes, full scans, …) for the bench harness.
     pub plan: PlanStatsSnapshot,
-    /// The per-node worker-pool size the deployment ran with.
-    pub workers: usize,
-    /// Fraction of the worker pool kept busy across sharded evaluations:
-    /// `shards_executed / (parallel_batches × workers)`.  `0.0` when every
-    /// batch stayed on the serial path.
-    pub worker_utilization: f64,
     /// Median committed-transaction (apply) latency across all nodes — the
     /// p50 figure of the streaming-throughput benchmark.
     pub apply_latency_p50: Duration,
@@ -407,6 +392,13 @@ impl Deployment {
         // — spec-placed or shared — to its ring owner.  Everything here is a
         // deterministic function of (app_source, specs, config), which
         // durable recovery's rebuild-then-replay depends on.
+        if config.parallelism > 1 {
+            return Err(DatalogError::Config(format!(
+                "DeploymentConfig::parallelism = {}: a node evaluates on one thread; scale by \
+                 adding nodes (and ReactorConfig threads)",
+                config.parallelism
+            )));
+        }
         let mut config = config;
         let mut effective_source = app_source.to_string();
         let mut routed_specs: Option<Vec<NodeSpec>> = None;
@@ -488,13 +480,7 @@ impl Deployment {
 
         let mut nodes = Vec::with_capacity(specs.len());
         for (index, spec) in specs.iter().enumerate() {
-            let mut workspace = Workspace::with_config(EvalConfig {
-                exec: EvalOptions {
-                    workers: config.parallelism.max(1),
-                    ..EvalOptions::default()
-                },
-                ..EvalConfig::default()
-            });
+            let mut workspace = Workspace::new();
             workspace.set_strict_typing(config.strict_typing);
             workspace.set_allow_recursive_negation(config.allow_recursive_negation);
             workspace.set_entity_namespace(index as u64 + 1);
@@ -831,7 +817,6 @@ impl Deployment {
     pub fn report(&self) -> DeploymentReport {
         let stats = self.network.stats();
         let plan = self.plan_stats();
-        let workers = self.config.parallelism.max(1);
         // Publish the summed planner counters and per-node traffic to the
         // global registry as gauge views, then snapshot every histogram the
         // run touched into the report's telemetry section.
@@ -856,8 +841,6 @@ impl Deployment {
             per_node_bytes: stats.nodes().iter().map(|n| n.bytes_sent).collect(),
             total_messages: stats.nodes().iter().map(|n| n.messages_sent).sum(),
             plan,
-            workers,
-            worker_utilization: plan.worker_utilization(workers),
             apply_latency_p50: self.timing.transaction_duration_percentile(0.5),
             apply_latency_p99: self.timing.transaction_duration_percentile(0.99),
             shard: self.shard_report(),
@@ -2069,37 +2052,27 @@ mod tests {
     }
 
     #[test]
-    fn parallel_deployment_matches_serial_and_reports_workers() {
-        let serial_config = DeploymentConfig {
-            security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
-            parallelism: 1,
+    fn parallelism_above_one_is_refused() {
+        let config = DeploymentConfig {
+            parallelism: 2,
             ..DeploymentConfig::default()
         };
-        let mut serial = Deployment::build(GOSSIP_APP, &two_node_specs(), serial_config).unwrap();
-        let serial_report = serial.run().unwrap();
-        let parallel_config = DeploymentConfig {
-            security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
-            parallelism: 4,
-            ..DeploymentConfig::default()
-        };
-        let mut parallel =
-            Deployment::build(GOSSIP_APP, &two_node_specs(), parallel_config).unwrap();
-        let parallel_report = parallel.run().unwrap();
-        assert_eq!(serial_report.workers, 1);
-        assert_eq!(parallel_report.workers, 4);
-        assert!(parallel_report.worker_utilization >= 0.0);
-        assert!(parallel_report.worker_utilization <= 1.0);
-        for principal in ["n0", "n1"] {
-            assert_eq!(
-                serial.query(principal, "remote_link"),
-                parallel.query(principal, "remote_link"),
-                "parallel evaluation must not change {principal}'s fixpoint"
-            );
-        }
-        assert_eq!(
-            serial_report.rejected_batches,
-            parallel_report.rejected_batches
+        let refused = Deployment::build(GOSSIP_APP, &two_node_specs(), config.clone());
+        assert!(
+            matches!(&refused, Err(DatalogError::Config(message)) if message.contains("parallelism")),
+            "{:?}",
+            refused.err()
         );
+        // Recovery rebuilds first, so it refuses before it opens a store.
+        let dir = std::env::temp_dir().join("sbx-parallelism-refused-never-created");
+        let refused = Deployment::recover(&dir, GOSSIP_APP, &two_node_specs(), config);
+        assert!(matches!(
+            refused,
+            Err(crate::runtime::DurabilityError::Engine(
+                DatalogError::Config(_)
+            ))
+        ));
+        assert!(!dir.exists());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 pub mod codec;
 pub mod durable;
 pub mod engine;
+mod env;
 mod export;
 pub mod reactor;
 pub mod replication;

@@ -38,7 +38,7 @@ use crate::runtime::engine::{
     is_data_plane, Deployment, DeploymentConfig, DeploymentReport, EngineShared, NetSink, NodeCtx,
     NodeState,
 };
-use crate::runtime::stream::{env_flag, env_usize};
+use crate::runtime::env;
 use secureblox_datalog::error::{DatalogError, Result};
 use secureblox_net::{
     record_message_latency, LinkLanes, Message, NetworkStats, TimingStats, VirtualTime,
@@ -63,8 +63,8 @@ pub struct ReactorConfig {
 impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
-            enabled: env_flag("SECUREBLOX_REACTOR"),
-            threads: env_usize("SECUREBLOX_REACTOR_THREADS", default_threads()),
+            enabled: env::flag("SECUREBLOX_REACTOR"),
+            threads: env::usize_at_least("SECUREBLOX_REACTOR_THREADS", 1, default_threads()),
         }
     }
 }

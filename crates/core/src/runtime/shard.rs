@@ -40,6 +40,7 @@
 
 use crate::runtime::codec::serialize_tuple;
 use crate::runtime::engine::{Deployment, NodeSpec};
+use crate::runtime::env;
 use secureblox_crypto::sha1;
 use secureblox_datalog::ast::{Atom, Constraint, Literal, PredRef, Program, Rule, Statement, Term};
 use secureblox_datalog::error::{DatalogError, Result};
@@ -96,23 +97,6 @@ pub fn slot_position(slot: i64) -> i64 {
     slot * (i64::MAX / SHARD_SLOTS)
 }
 
-/// Vnodes-per-member default (`SECUREBLOX_SHARD_VNODES`).
-fn env_vnodes() -> usize {
-    std::env::var("SECUREBLOX_SHARD_VNODES")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or(16)
-}
-
-/// Broadcast-threshold default (`SECUREBLOX_SHARD_BROADCAST_MAX`).
-fn env_broadcast_max() -> usize {
-    std::env::var("SECUREBLOX_SHARD_BROADCAST_MAX")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(64)
-}
-
 /// Declares which base relations are partitioned, on which column, across
 /// which group members.  Carried in [`DeploymentConfig::sharding`].
 #[derive(Debug, Clone)]
@@ -135,8 +119,8 @@ impl ShardMap {
         ShardMap {
             group: group.into_iter().map(Into::into).collect(),
             relations: BTreeMap::new(),
-            vnodes: env_vnodes(),
-            broadcast_max: env_broadcast_max(),
+            vnodes: env::usize_at_least("SECUREBLOX_SHARD_VNODES", 1, 16),
+            broadcast_max: env::usize_at_least("SECUREBLOX_SHARD_BROADCAST_MAX", 0, 64),
         }
     }
 

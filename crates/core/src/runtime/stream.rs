@@ -26,6 +26,7 @@
 //! [`MessageKind::Credit`]: secureblox_net::MessageKind::Credit
 
 use crate::runtime::codec::{DeltaOp, UpdateDelta};
+use crate::runtime::env;
 use secureblox_datalog::value::Tuple;
 use secureblox_net::VirtualTime;
 use std::collections::{HashMap, VecDeque};
@@ -60,9 +61,13 @@ pub struct StreamingConfig {
 impl Default for StreamingConfig {
     fn default() -> Self {
         StreamingConfig {
-            enabled: env_flag("SECUREBLOX_STREAMING"),
-            batch_max: env_usize("SECUREBLOX_BATCH_MAX", DEFAULT_BATCH_MAX),
-            queue_high_water: env_usize("SECUREBLOX_QUEUE_HIGH_WATER", DEFAULT_QUEUE_HIGH_WATER),
+            enabled: env::flag("SECUREBLOX_STREAMING"),
+            batch_max: env::usize_at_least("SECUREBLOX_BATCH_MAX", 1, DEFAULT_BATCH_MAX),
+            queue_high_water: env::usize_at_least(
+                "SECUREBLOX_QUEUE_HIGH_WATER",
+                1,
+                DEFAULT_QUEUE_HIGH_WATER,
+            ),
         }
     }
 }
@@ -85,21 +90,6 @@ impl StreamingConfig {
             queue_high_water: DEFAULT_QUEUE_HIGH_WATER,
         }
     }
-}
-
-pub(crate) fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| {
-        let v = v.trim().to_ascii_lowercase();
-        !v.is_empty() && v != "0" && v != "false" && v != "off"
-    })
-}
-
-pub(crate) fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or(default)
 }
 
 /// A queued delta slot.  `None` marks a tombstone left by annihilation; the

@@ -107,11 +107,30 @@ pub fn serialize_tuple(tuple: &[Value]) -> Vec<u8> {
     out
 }
 
+/// Read a `u32` element count and refuse one the rest of `data` cannot hold
+/// (every element takes at least `min_element_len` bytes), so a decoder of
+/// untrusted bytes can allocate for `count` elements without trusting it.
+pub fn read_count(
+    data: &[u8],
+    pos: &mut usize,
+    min_element_len: usize,
+    what: &str,
+) -> Result<usize, String> {
+    let bytes = data
+        .get(*pos..*pos + 4)
+        .ok_or_else(|| format!("truncated {what}"))?;
+    *pos += 4;
+    let count = u32::from_be_bytes(bytes.try_into().expect("4 bytes")) as usize;
+    if count > (data.len() - *pos) / min_element_len {
+        return Err(format!("{what} {count} exceeds the remaining input"));
+    }
+    Ok(count)
+}
+
 /// Deserialize a tuple serialized with [`serialize_tuple`].
 pub fn deserialize_tuple(data: &[u8], pos: &mut usize) -> Result<Tuple, String> {
-    let len_bytes = data.get(*pos..*pos + 4).ok_or("truncated tuple length")?;
-    *pos += 4;
-    let len = u32::from_be_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
+    // The shortest value is a tag byte and a bool.
+    let len = read_count(data, pos, 2, "tuple length")?;
     let mut tuple = Vec::with_capacity(len);
     for _ in 0..len {
         tuple.push(read_value(data, pos)?);
@@ -171,6 +190,23 @@ mod tests {
             );
         }
         assert!(deserialize_tuple(&[0, 0, 0, 5, 9], &mut 0).is_err());
+    }
+
+    #[test]
+    fn decode_refuses_a_length_the_input_cannot_hold() {
+        // Four bytes claiming four billion values: refused before anything
+        // is allocated for them.
+        let error = deserialize_tuple(&[0xFF; 4], &mut 0).unwrap_err();
+        assert!(error.contains("exceeds the remaining input"), "{error}");
+        // One byte short of the two bools claimed.
+        assert!(deserialize_tuple(&[0, 0, 0, 2, 2, 1, 2], &mut 0).is_err());
+        let mut pos = 0;
+        let tuple = deserialize_tuple(&[0, 0, 0, 2, 2, 1, 2, 0], &mut pos).unwrap();
+        assert_eq!(tuple, vec![Value::Bool(true), Value::Bool(false)]);
+        assert_eq!(pos, 8);
+        // The count is judged against what follows `pos`, not the whole input.
+        let padded = [[0u8; 16].as_slice(), &[0, 0, 0, 9]].concat();
+        assert!(deserialize_tuple(&padded, &mut 16).is_err());
     }
 
     #[test]

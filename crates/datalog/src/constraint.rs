@@ -21,14 +21,11 @@
 use crate::ast::{Constraint, Literal};
 use crate::error::{ConstraintViolation, DatalogError, Result};
 use crate::eval::bindings::Bindings;
-use crate::eval::exec::{self, EvalOptions};
-use crate::eval::join::{DeltaRestriction, DeltaTuples, JoinContext};
+use crate::eval::join::{DeltaRestriction, JoinContext};
 use crate::eval::plan::{bound_after, PlanCache, PlanKey, PlanStats, RulePlan};
-use crate::eval::pool::WorkerPool;
 use crate::eval::{runtime_pred_name, FactDelta};
 use crate::relation::Relation;
 use crate::udf::UdfRegistry;
-use crate::value::Tuple;
 use std::collections::{HashMap, HashSet};
 
 /// Check a single constraint against the current relations, optionally with
@@ -152,48 +149,7 @@ fn prepare_constraint_plans(
     (lhs, rhs)
 }
 
-/// Shard one constraint's left-hand-side enumeration across the worker
-/// pool: each shard checks its slice of the driving tuples independently
-/// (the rhs witness search runs per lhs binding, inside the shard), and
-/// errors are reported from the lowest shard index, so which violation
-/// aborts is as deterministic as the partition itself.  Whether *any*
-/// violation exists — the transaction verdict — is shard-independent.
-#[allow(clippy::too_many_arguments)]
-fn check_constraint_sharded(
-    constraint: &Constraint,
-    relations: &HashMap<String, Relation>,
-    udfs: &UdfRegistry,
-    plans: (&RulePlan, &RulePlan),
-    literal_index: usize,
-    shards: &[Vec<&Tuple>],
-    stats: &PlanStats,
-    pool: Option<&WorkerPool>,
-) -> Result<()> {
-    if shards.iter().filter(|shard| !shard.is_empty()).count() > 1 {
-        PlanStats::bump(&stats.parallel_batches);
-    }
-    exec::run_shards(pool, shards, |shard| {
-        PlanStats::bump(&stats.shards_executed);
-        check_constraint_with(
-            constraint,
-            relations,
-            udfs,
-            Some(plans),
-            Some(DeltaRestriction {
-                literal_index,
-                delta: DeltaTuples::Shard(shard),
-            }),
-            Some(stats),
-        )
-    })
-    .map(|_| ())
-}
-
-/// Check one constraint over the whole database.  When the pool is enabled
-/// and the lhs drives off a stored relation above the parallel threshold,
-/// that relation's extension is hash-partitioned and the shards check
-/// concurrently.
-#[allow(clippy::too_many_arguments)]
+/// Check one constraint over the whole database.
 fn check_constraint_in_full(
     index: usize,
     constraint: &Constraint,
@@ -201,28 +157,9 @@ fn check_constraint_in_full(
     udfs: &UdfRegistry,
     cache: &mut PlanCache,
     stats: &PlanStats,
-    options: &EvalOptions,
-    pool: Option<&WorkerPool>,
 ) -> Result<()> {
     let (lhs_plan, rhs_plan) =
         prepare_constraint_plans(index, constraint, None, relations, udfs, cache, stats);
-    let relations = &*relations;
-    if pool.is_some() {
-        if let Some((drive, shards)) =
-            exec::shard_driving_relation(&constraint.lhs, Some(&lhs_plan), relations, udfs, options)
-        {
-            return check_constraint_sharded(
-                constraint,
-                relations,
-                udfs,
-                (&lhs_plan, &rhs_plan),
-                drive,
-                &shards,
-                stats,
-                pool,
-            );
-        }
-    }
     check_constraint_with(
         constraint,
         relations,
@@ -244,14 +181,10 @@ pub fn check_constraints_planned(
     udfs: &UdfRegistry,
     cache: &mut PlanCache,
     stats: &PlanStats,
-    options: &EvalOptions,
-    pool: Option<&WorkerPool>,
 ) -> Result<()> {
     for (index, constraint) in constraints.iter().enumerate() {
         if !constraint.rhs.is_empty() {
-            check_constraint_in_full(
-                index, constraint, relations, udfs, cache, stats, options, pool,
-            )?;
+            check_constraint_in_full(index, constraint, relations, udfs, cache, stats)?;
         }
     }
     Ok(())
@@ -285,9 +218,7 @@ fn reads_changed(literals: &[Literal], negated: bool, delta: &FactDelta) -> bool
 ///   literal matched, adding one a negated rhs literal excludes: no added
 ///   tuple drives those bindings, so the constraint is checked in full.
 ///
-/// A constraint none of this touches is skipped.  Deltas above the parallel
-/// threshold are hash-partitioned and checked concurrently on the pool.
-#[allow(clippy::too_many_arguments)]
+/// A constraint none of this touches is skipped.
 pub fn check_constraints_for_delta(
     constraints: &[Constraint],
     relations: &mut HashMap<String, Relation>,
@@ -296,8 +227,6 @@ pub fn check_constraints_for_delta(
     stats: &PlanStats,
     added: &FactDelta,
     removed: &FactDelta,
-    options: &EvalOptions,
-    pool: Option<&WorkerPool>,
 ) -> Result<()> {
     for (index, constraint) in constraints.iter().enumerate() {
         if constraint.rhs.is_empty() {
@@ -307,9 +236,7 @@ pub fn check_constraints_for_delta(
             || reads_changed(&constraint.rhs, false, removed)
             || reads_changed(&constraint.rhs, true, added)
         {
-            check_constraint_in_full(
-                index, constraint, relations, udfs, cache, stats, options, pool,
-            )?;
+            check_constraint_in_full(index, constraint, relations, udfs, cache, stats)?;
             continue;
         }
         for (literal_index, literal) in constraint.lhs.iter().enumerate() {
@@ -331,24 +258,6 @@ pub fn check_constraints_for_delta(
                 cache,
                 stats,
             );
-            let relations = &*relations;
-            if pool.is_some()
-                && options.parallel_enabled()
-                && pred_delta.len() >= options.parallel_threshold
-            {
-                let shards = exec::partition(pred_delta.iter(), options.workers);
-                check_constraint_sharded(
-                    constraint,
-                    relations,
-                    udfs,
-                    (&lhs_plan, &rhs_plan),
-                    literal_index,
-                    &shards,
-                    stats,
-                    pool,
-                )?;
-                continue;
-            }
             check_constraint_with(
                 constraint,
                 relations,
@@ -356,7 +265,7 @@ pub fn check_constraints_for_delta(
                 Some((&lhs_plan, &rhs_plan)),
                 Some(DeltaRestriction {
                     literal_index,
-                    delta: pred_delta.into(),
+                    delta: pred_delta,
                 }),
                 Some(stats),
             )?;

@@ -35,6 +35,8 @@ pub enum DatalogError {
     FixpointBudget { iterations: usize },
     /// A generic (meta-level) error from the BloxGenerics compiler.
     Generics(String),
+    /// A configuration value the engine or the runtime refuses.
+    Config(String),
     /// Any other evaluation error.
     Eval(String),
 }
@@ -91,6 +93,7 @@ impl fmt::Display for DatalogError {
                 )
             }
             DatalogError::Generics(msg) => write!(f, "BloxGenerics error: {msg}"),
+            DatalogError::Config(msg) => write!(f, "configuration error: {msg}"),
             DatalogError::Eval(msg) => write!(f, "evaluation error: {msg}"),
         }
     }

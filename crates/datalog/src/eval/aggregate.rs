@@ -5,12 +5,10 @@
 //! this for the path-vector protocol's `bestcost` relation (§7.1).
 
 use super::bindings::{eval_term, Bindings};
-use super::exec::{self, EvalOptions};
-use super::join::{DeltaRestriction, DeltaTuples, JoinContext};
+use super::join::JoinContext;
 use super::plan::{PlanStats, RulePlan};
-use super::pool::WorkerPool;
 use super::runtime_pred_name;
-use crate::ast::{AggFunc, Rule, Term};
+use crate::ast::{AggFunc, AggSpec, Rule, Term};
 use crate::error::{DatalogError, Result};
 use crate::relation::Relation;
 use crate::udf::UdfRegistry;
@@ -25,48 +23,17 @@ pub fn evaluate_agg_rule(
     relations: &HashMap<String, Relation>,
     udfs: &UdfRegistry,
 ) -> Result<Vec<(String, Tuple)>> {
-    evaluate_agg_rule_with(rule, relations, udfs, None, None)
+    evaluate_agg_rule_exec(rule, relations, udfs, None, None)
 }
 
 /// Like [`evaluate_agg_rule`] but executing the body with a compiled plan
 /// (and recording probe statistics) when one is supplied.
-pub fn evaluate_agg_rule_with(
-    rule: &Rule,
-    relations: &HashMap<String, Relation>,
-    udfs: &UdfRegistry,
-    plan: Option<&RulePlan>,
-    stats: Option<&PlanStats>,
-) -> Result<Vec<(String, Tuple)>> {
-    evaluate_agg_rule_exec(
-        rule,
-        relations,
-        udfs,
-        plan,
-        stats,
-        &EvalOptions::serial(),
-        None,
-    )
-}
-
-/// Like [`evaluate_agg_rule_with`], additionally sharding the body
-/// enumeration across the worker pool when one is configured and the driving
-/// relation (the plan's first stored-relation literal) is large enough.
-///
-/// Each worker folds its shard of the driving tuples into a worker-local
-/// group-accumulator map; the maps are merged in shard order.  Every
-/// aggregate function the engine supports (`min`, `max`, `sum`, `count`)
-/// merges commutatively and associatively, so the merged groups — and hence
-/// the derived tuples — are independent of the sharding (asserted against
-/// the serial fold in debug builds).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_agg_rule_exec(
     rule: &Rule,
     relations: &HashMap<String, Relation>,
     udfs: &UdfRegistry,
     plan: Option<&RulePlan>,
     stats: Option<&PlanStats>,
-    options: &EvalOptions,
-    pool: Option<&WorkerPool>,
 ) -> Result<Vec<(String, Tuple)>> {
     let agg = rule.agg.as_ref().ok_or_else(|| {
         DatalogError::Eval("evaluate_agg_rule called on a non-aggregate rule".into())
@@ -83,81 +50,10 @@ pub(crate) fn evaluate_agg_rule_exec(
         .cloned()
         .collect();
 
-    let groups = match exec::shard_driving_relation(&rule.body, plan, relations, udfs, options) {
-        Some((drive, shards)) => {
-            if let Some(stats) = stats {
-                PlanStats::bump(&stats.parallel_batches);
-            }
-            let buffers = exec::run_shards(pool, &shards, |shard| {
-                if let Some(stats) = stats {
-                    PlanStats::bump(&stats.shards_executed);
-                }
-                let restriction = Some(DeltaRestriction {
-                    literal_index: drive,
-                    delta: DeltaTuples::Shard(shard),
-                });
-                fold_groups(
-                    rule,
-                    plan,
-                    restriction,
-                    relations,
-                    udfs,
-                    stats,
-                    &group_vars,
-                    agg.func,
-                    &agg.input_var,
-                )
-            })?;
-            let mut merged: HashMap<Vec<Value>, AggAccumulator> = HashMap::new();
-            for buffer in buffers {
-                for (key, accumulator) in buffer {
-                    match merged.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(mut entry) => {
-                            entry.get_mut().merge(accumulator)?
-                        }
-                        std::collections::hash_map::Entry::Vacant(entry) => {
-                            entry.insert(accumulator);
-                        }
-                    }
-                }
-            }
-            #[cfg(debug_assertions)]
-            {
-                let serial = fold_groups(
-                    rule,
-                    plan,
-                    None,
-                    relations,
-                    udfs,
-                    None,
-                    &group_vars,
-                    agg.func,
-                    &agg.input_var,
-                )?;
-                debug_assert_eq!(
-                    merged, serial,
-                    "sharded aggregation diverged from serial for rule `{rule}`"
-                );
-            }
-            merged
-        }
-        None => {
-            if let Some(stats) = stats {
-                PlanStats::bump(&stats.serial_batches);
-            }
-            fold_groups(
-                rule,
-                plan,
-                None,
-                relations,
-                udfs,
-                stats,
-                &group_vars,
-                agg.func,
-                &agg.input_var,
-            )?
-        }
-    };
+    if let Some(stats) = stats {
+        PlanStats::bump(&stats.serial_batches);
+    }
+    let groups = fold_groups(rule, agg, plan, relations, udfs, stats, &group_vars)?;
 
     // Instantiate the head once per group.
     let mut derived: Vec<(String, Tuple)> = Vec::new();
@@ -190,19 +86,15 @@ pub(crate) fn evaluate_agg_rule_exec(
     Ok(derived)
 }
 
-/// Enumerate the body solutions (optionally restricted to a shard of the
-/// driving literal) and fold them into per-group accumulators.
-#[allow(clippy::too_many_arguments)]
+/// Enumerate the body solutions and fold them into per-group accumulators.
 fn fold_groups(
     rule: &Rule,
+    agg: &AggSpec,
     plan: Option<&RulePlan>,
-    restriction: Option<DeltaRestriction<'_>>,
     relations: &HashMap<String, Relation>,
     udfs: &UdfRegistry,
     stats: Option<&PlanStats>,
     group_vars: &[String],
-    func: AggFunc,
-    input_var: &str,
 ) -> Result<HashMap<Vec<Value>, AggAccumulator>> {
     let ctx = match stats {
         Some(stats) => JoinContext::with_stats(relations, udfs, stats),
@@ -222,29 +114,30 @@ fn fold_groups(
                 }
             }
         }
-        let input = match func {
+        let input = match agg.func {
             AggFunc::Count => Value::Int(1),
-            _ => b.get(input_var).cloned().ok_or_else(|| {
+            _ => b.get(&agg.input_var).cloned().ok_or_else(|| {
                 DatalogError::Eval(format!(
-                    "aggregation input variable {input_var} is not bound by the rule body"
+                    "aggregation input variable {} is not bound by the rule body",
+                    agg.input_var
                 ))
             })?,
         };
         groups
             .entry(key)
-            .or_insert_with(|| AggAccumulator::new(func))
+            .or_insert_with(|| AggAccumulator::new(agg.func))
             .add(&input)?;
         Ok(())
     };
     match plan {
-        Some(plan) => ctx.join_planned(&rule.body, plan, restriction, &mut bindings, &mut fold)?,
-        None => ctx.join(&rule.body, restriction, &mut bindings, &mut fold)?,
+        Some(plan) => ctx.join_planned(&rule.body, plan, None, &mut bindings, &mut fold)?,
+        None => ctx.join(&rule.body, None, &mut bindings, &mut fold)?,
     }
     Ok(groups)
 }
 
 /// Accumulator for one aggregation group.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct AggAccumulator {
     func: AggFunc,
     current: Option<Value>,
@@ -282,42 +175,6 @@ impl AggAccumulator {
                 Some(existing) if existing.total_cmp(value).is_ge() => {}
                 _ => self.current = Some(value.clone()),
             },
-        }
-        Ok(())
-    }
-
-    /// Combine another shard's accumulator for the same group into this one.
-    /// Commutative and associative for every supported function, which is
-    /// what makes the sharded fold order-independent.
-    fn merge(&mut self, other: AggAccumulator) -> Result<()> {
-        debug_assert_eq!(
-            self.func, other.func,
-            "merging accumulators of different functions"
-        );
-        self.count += other.count;
-        match self.func {
-            AggFunc::Count => {}
-            AggFunc::Sum => {
-                self.sum = self.sum.checked_add(other.sum).ok_or_else(|| {
-                    DatalogError::Eval("integer overflow in sum aggregation".into())
-                })?;
-            }
-            AggFunc::Min => {
-                if let Some(value) = other.current {
-                    match &self.current {
-                        Some(existing) if existing.total_cmp(&value).is_le() => {}
-                        _ => self.current = Some(value),
-                    }
-                }
-            }
-            AggFunc::Max => {
-                if let Some(value) = other.current {
-                    match &self.current {
-                        Some(existing) if existing.total_cmp(&value).is_ge() => {}
-                        _ => self.current = Some(value),
-                    }
-                }
-            }
         }
         Ok(())
     }

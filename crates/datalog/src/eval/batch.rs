@@ -9,35 +9,31 @@
 //! integer-column operations and only *new* tuples are ever rehydrated into
 //! `Value` rows (at insert, by [`crate::relation::Relation::insert_ids`]).
 //!
-//! ## Two phases, one thread contract
+//! ## Two phases
 //!
-//! [`compile_batch`] runs **only on the evaluator thread**: it is the one
-//! place the batch path interns (head constants), which keeps dictionary id
-//! assignment a pure function of the operation sequence — independent of
-//! the worker count ([`crate::intern`] module docs).  [`execute_batch`] is
-//! read-only and safe to run from pool workers.
+//! [`compile_batch`] is the one place the batch path interns (head
+//! constants); the evaluator calls it in combination order, which keeps
+//! dictionary id assignment a pure function of the operation sequence
+//! ([`crate::intern`] module docs).  [`execute_batch`] is read-only.
 //!
 //! ## Determinism
 //!
 //! The executor's output is canonicalized — per head predicate, id rows are
-//! sorted and deduplicated — so the result is independent of frame order,
-//! sharding, and cache hits.  Since ids are worker-count-independent, so is
-//! the id-sorted insertion order downstream.  Debug builds additionally
-//! assert the rehydrated output equals the tuple-at-a-time enumeration
-//! (`Evaluator::evaluate_round`).
+//! sorted and deduplicated — so the result is independent of frame order
+//! and cache hits, and so is the id-sorted insertion order downstream.
+//! Debug builds additionally assert the rehydrated output equals the
+//! tuple-at-a-time enumeration (`Evaluator::evaluate_round`).
 
-use super::exec::EvalOptions;
+use super::join::DeltaRestriction;
 use super::plan::{is_membership, PlanStats, RulePlan};
-use super::pool::WorkerPool;
 use super::runtime_pred_name;
 use crate::ast::{Literal, Rule, Term};
-use crate::error::{DatalogError, Result};
+use crate::error::Result;
 use crate::intern::{fnv_ids, Interner, PassBuild};
 use crate::relation::Relation;
 use crate::schema::BUILTIN_TYPES;
 use crate::udf::UdfRegistry;
-use crate::value::Tuple;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One tuple as dictionary ids (scratch rows only; bulk data travels as
@@ -46,8 +42,8 @@ pub(crate) type IdRow = Vec<u32>;
 
 /// Fixed-stride, densely packed id rows — the batch plane's unit of bulk
 /// data.  `data` holds `rows * stride` ids row-major in one contiguous
-/// buffer, so moving a batch between pipeline stages (or across the worker
-/// pool) costs zero per-row allocations and sorts compare adjacent memory.
+/// buffer, so moving a batch between pipeline stages costs zero per-row
+/// allocations and sorts compare adjacent memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct IdBatch {
     stride: usize,
@@ -196,8 +192,8 @@ struct HeadExec {
 pub(crate) struct BatchJob {
     steps: Vec<StepExec>,
     heads: Vec<HeadExec>,
-    /// Delta rows driving step 0, pre-encoded on the evaluator thread and
-    /// pre-filtered to step 0's arity.
+    /// Delta rows driving step 0, pre-encoded at compile and pre-filtered
+    /// to step 0's arity.
     delta_rows: Option<IdBatch>,
     /// A body constant is absent from the dictionary: no stored tuple can
     /// match, so the derivation is provably empty.
@@ -208,13 +204,11 @@ pub(crate) struct BatchJob {
 /// the batch-executable shape (negation, comparisons, UDFs, builtin type
 /// checks, expression terms, singleton refs, head existentials, a relation
 /// on a foreign dictionary, or a delta literal the plan did not pin first).
-///
-/// Must run on the evaluator thread: head constants are interned here.
-#[allow(clippy::too_many_arguments)]
+/// Head constants are interned here.
 pub(crate) fn compile_batch(
     rule: &Rule,
     plan: &RulePlan,
-    delta: Option<(usize, &HashSet<Tuple>)>,
+    delta: Option<DeltaRestriction<'_>>,
     relations: &HashMap<String, Relation>,
     udfs: &UdfRegistry,
     interner: &Arc<Interner>,
@@ -222,10 +216,8 @@ pub(crate) fn compile_batch(
     if rule.agg.is_some() || plan.order.is_empty() {
         return None;
     }
-    if let Some((index, _)) = delta {
-        if plan.order[0].literal != index {
-            return None;
-        }
+    if delta.is_some_and(|pinned| plan.order[0].literal != pinned.literal_index) {
+        return None;
     }
 
     let mut vars: HashMap<String, usize> = HashMap::new();
@@ -279,7 +271,7 @@ pub(crate) fn compile_batch(
             }
         }
 
-        let is_delta = delta.map(|(index, _)| index) == Some(step.literal);
+        let is_delta = delta.is_some_and(|pinned| pinned.literal_index == step.literal);
         let probe = match step.probe {
             Some(cols) if cols != 0 && !is_delta => {
                 let mut key = Vec::new();
@@ -342,16 +334,15 @@ pub(crate) fn compile_batch(
         heads.push(HeadExec { pred, srcs });
     }
 
-    // Encode the delta rows up front (still on the evaluator thread).  Delta
-    // tuples were inserted into relations, so their values are already
-    // interned; a miss means the set is not encodable and the tuple path
-    // must run instead.
+    // Encode the delta rows up front.  Delta tuples were inserted into
+    // relations, so their values are already interned; a miss means the set
+    // is not encodable and the tuple path must run instead.
     let delta_rows = match delta {
-        Some((_, tuples)) => {
+        Some(pinned) => {
             let arity = steps[0].arity;
             let mut batch = IdBatch::new(arity);
             let mut ids = Vec::new();
-            for tuple in tuples {
+            for tuple in pinned.delta {
                 if !interner.try_row(tuple, &mut ids) {
                     return None;
                 }
@@ -388,109 +379,23 @@ impl Frame {
     }
 }
 
-/// Execute a compiled batch job and return canonicalized (sorted,
-/// deduplicated) id rows per head predicate.  Read-only over `relations`;
-/// shards the driving rows across `pool` when they clear the configured
-/// threshold.
+/// Execute a compiled batch job — the step pipeline, then the head
+/// projection — and return canonicalized (sorted, deduplicated) id rows per
+/// head predicate.  Read-only over `relations`.
 pub(crate) fn execute_batch(
     job: &BatchJob,
     relations: &HashMap<String, Relation>,
     stats: &PlanStats,
-    options: &EvalOptions,
-    pool: Option<&WorkerPool>,
 ) -> Result<Vec<(String, IdBatch)>> {
-    if job.impossible || job.steps.is_empty() {
+    if job.impossible {
         return Ok(Vec::new());
     }
-
-    // Materialize the driving rows only when sharding; the serial path
-    // streams step 0 straight from the column group (or the delta rows).
-    let driving_len = match &job.delta_rows {
-        Some(batch) => batch.rows(),
-        None => relations
-            .get(&job.steps[0].pred)
-            .and_then(|r| r.group(job.steps[0].arity))
-            .map(|g| g.rows())
-            .unwrap_or(0),
-    };
-    let want_shards = options.parallel_enabled()
-        && pool.is_some()
-        && job.steps[0].probe.is_none()
-        && driving_len >= options.parallel_threshold;
-
-    if want_shards {
-        let pool = pool.expect("checked above");
-        let workers = options.workers;
-        let arity = job.steps[0].arity;
-        let mut shards: Vec<IdBatch> = (0..workers).map(|_| IdBatch::new(arity)).collect();
-        match &job.delta_rows {
-            Some(batch) => {
-                for row in batch.iter() {
-                    shards[shard_of_ids(row, workers)].push_row(row);
-                }
-            }
-            None => {
-                if let Some(group) = relations
-                    .get(&job.steps[0].pred)
-                    .and_then(|r| r.group(arity))
-                {
-                    let mut row = Vec::with_capacity(group.arity());
-                    for index in 0..group.rows() {
-                        row.clear();
-                        for col in 0..group.arity() {
-                            row.push(group.col(col)[index]);
-                        }
-                        shards[shard_of_ids(&row, workers)].push_row(&row);
-                    }
-                }
-            }
-        }
-        let occupied: Vec<IdBatch> = shards.into_iter().filter(|s| s.rows() > 0).collect();
-        if occupied.len() > 1 {
-            PlanStats::bump(&stats.parallel_batches);
-            let tasks: Vec<_> = occupied
-                .iter()
-                .map(|shard| {
-                    move || {
-                        PlanStats::bump(&stats.shards_executed);
-                        run_steps(job, relations, Some(shard), stats)
-                    }
-                })
-                .collect();
-            let mut merged: Vec<(String, IdBatch)> = Vec::new();
-            for result in pool.execute(tasks) {
-                let buffer = result
-                    .map_err(|_| DatalogError::Eval("evaluation worker panicked".into()))??;
-                merged.extend(buffer);
-            }
-            return Ok(canonicalize(merged));
-        }
-        // Everything hashed into one shard: fall through to the serial path.
-    }
-
-    PlanStats::bump(&stats.serial_batches);
-    let rows = run_steps(job, relations, job.delta_rows.as_ref(), stats)?;
-    Ok(canonicalize(rows))
-}
-
-/// Content hash of an id row, for sharding (worker-count dependent bucketing
-/// is fine: the output is canonicalized).
-fn shard_of_ids(row: &[u32], workers: usize) -> usize {
-    (fnv_ids(row.len() as u64, row.iter().copied()) % workers as u64) as usize
-}
-
-/// Run the step pipeline over one driving set (`driving` overrides step 0's
-/// scan; `None` streams the full column group) and project the heads.
-fn run_steps(
-    job: &BatchJob,
-    relations: &HashMap<String, Relation>,
-    driving: Option<&IdBatch>,
-    stats: &PlanStats,
-) -> Result<Vec<(String, IdBatch)>> {
     let mut frame = Frame::unit();
     for (index, step) in job.steps.iter().enumerate() {
-        let source = if index == 0 { driving } else { None };
-        frame = extend_frame(&frame, step, source, relations, stats)?;
+        // The delta rows override step 0's scan; without them it streams
+        // the full column group.
+        let driving = job.delta_rows.as_ref().filter(|_| index == 0);
+        frame = extend_frame(&frame, step, driving, relations, stats)?;
         if frame.len == 0 {
             return Ok(Vec::new());
         }
@@ -511,7 +416,7 @@ fn run_steps(
         batch.rows = frame.len;
         out.push((head.pred.clone(), batch));
     }
-    Ok(out)
+    Ok(canonicalize(out))
 }
 
 /// Join one step against the frame, producing the extended frame.
@@ -716,7 +621,7 @@ fn verify_static(positions: &[PosSpec], row: &[u32]) -> bool {
 
 /// Merge per-head buffers by predicate, then sort and deduplicate the rows —
 /// the canonical form that makes the output independent of enumeration
-/// order, sharding, and caching.
+/// order and caching.
 fn canonicalize(buffers: Vec<(String, IdBatch)>) -> Vec<(String, IdBatch)> {
     let mut out: Vec<(String, IdBatch)> = Vec::new();
     for (pred, batch) in buffers {
@@ -738,6 +643,7 @@ mod tests {
     use crate::eval::plan::{compile_body_plan, PlanStats};
     use crate::parser::parse_rule;
     use crate::value::Value;
+    use std::collections::HashSet;
 
     fn setup(facts: &[(&str, Vec<Value>)]) -> (HashMap<String, Relation>, Arc<Interner>) {
         let interner = Arc::new(Interner::new());
@@ -783,7 +689,7 @@ mod tests {
         }
         let job = compile_batch(&rule, &plan, None, &relations, &udfs, &interner)?;
         let stats = PlanStats::default();
-        let rows = execute_batch(&job, &relations, &stats, &EvalOptions::serial(), None).unwrap();
+        let rows = execute_batch(&job, &relations, &stats).unwrap();
         Some(rehydrate(&interner, rows))
     }
 
@@ -853,37 +759,5 @@ mod tests {
             derived,
             vec![("tagged".to_string(), vec![int(1), Value::str("marker")])]
         );
-    }
-
-    #[test]
-    fn sharded_execution_matches_serial() {
-        let facts: Vec<(&str, Vec<Value>)> = (0..200)
-            .flat_map(|i| {
-                vec![
-                    ("r", vec![int(i), int(i + 1)]),
-                    ("s", vec![int(i + 1), int(i % 13)]),
-                ]
-            })
-            .collect();
-        let (mut relations, interner) = setup(&facts);
-        let rule = parse_rule("out(X, Z) <- r(X, Y), s(Y, Z).").unwrap();
-        let udfs = UdfRegistry::new();
-        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
-        for spec in &plan.ensure {
-            if let Some(relation) = relations.get_mut(&spec.pred) {
-                relation.ensure_index(spec.cols);
-            }
-        }
-        let job = compile_batch(&rule, &plan, None, &relations, &udfs, &interner).unwrap();
-        let stats = PlanStats::default();
-        let serial = execute_batch(&job, &relations, &stats, &EvalOptions::serial(), None).unwrap();
-        let pool = WorkerPool::new(4);
-        let options = EvalOptions {
-            workers: 4,
-            parallel_threshold: 1,
-        };
-        let sharded = execute_batch(&job, &relations, &stats, &options, Some(&pool)).unwrap();
-        assert_eq!(serial, sharded);
-        assert!(stats.snapshot().parallel_batches > 0);
     }
 }

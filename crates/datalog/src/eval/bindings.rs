@@ -12,10 +12,9 @@ use std::collections::HashMap;
 /// space; [`Bindings::bind`] records nothing — callers track which variables
 /// they introduced and remove them on backtrack.
 ///
-/// `Bindings` is `Send + Sync` (values are `Arc`-shared): each worker of the
-/// sharded executor owns its own substitution and explores its shard of the
-/// search space independently, so no synchronization is needed during the
-/// join.
+/// `Bindings` is `Send + Sync` (values are `Arc`-shared), like everything
+/// else a workspace owns: the reactor executor moves workspaces between its
+/// threads.
 #[derive(Debug, Clone, Default)]
 pub struct Bindings {
     map: HashMap<String, Value>,

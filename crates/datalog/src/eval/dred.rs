@@ -10,9 +10,8 @@
 //! Both phases run through the fixpoint's own machinery (DESIGN.md §8):
 //! each over-deletion `(rule, literal)` combination is handed to
 //! `Evaluator::evaluate_round` with the deleted-tuple frontier as its delta
-//! set — batch executor where the rule shape allows, tuple path otherwise,
-//! sharded across the worker pool once the frontier clears the parallel
-//! threshold — and re-derivation is an ordinary fixpoint run.
+//! set — batch executor where the rule shape allows, tuple path otherwise —
+//! and re-derivation is an ordinary fixpoint run.
 
 use super::runtime_pred_name;
 use super::seminaive::{delta_combos, Derivation, Evaluator, FactDelta};
@@ -113,13 +112,7 @@ impl<'a> Evaluator<'a> {
             // candidates.  Existential heads recall their memoized entities,
             // exactly as in derivation.
             for combo in delta_combos(rules, &normal_rules, &frontier)? {
-                // One batch-join observation per combination; the round
-                // evaluator records its own for a head-existential rule.
-                let timer = rules[combo.0].head_existentials().is_empty().then(|| {
-                    secureblox_telemetry::histogram!("datalog_rule_batch_join_ns").start_timer()
-                });
                 let derivation = self.evaluate_round(rules, &[combo], &frontier)?.pop();
-                drop(timer);
                 let relations = &*self.relations;
                 match derivation.expect("one derivation per combination") {
                     Derivation::Values(derived) => {
@@ -261,7 +254,6 @@ mod tests {
                 plan_cache: &mut self.plan_cache,
                 plan_stats: &self.plan_stats,
                 interner: &self.interner,
-                pool: None,
                 journal: &mut EvalJournal::default(),
             };
             evaluator.run(&self.rules, &self.strata).unwrap();
@@ -279,7 +271,6 @@ mod tests {
                 plan_cache: &mut self.plan_cache,
                 plan_stats: &self.plan_stats,
                 interner: &self.interner,
-                pool: None,
                 journal: &mut EvalJournal::default(),
             };
             // Keep the EDB bookkeeping in sync.

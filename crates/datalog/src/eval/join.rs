@@ -37,46 +37,14 @@ use crate::value::{Tuple, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicU64;
 
-/// The driving tuples of a [`DeltaRestriction`]: either an owned delta set
-/// (semi-naïve deltas, DRed frontiers, constraint-check deltas) or a borrowed
-/// shard of tuple references — the parallel executor's per-worker view, which
-/// costs no copying or re-hashing of the driving tuples.
-#[derive(Debug, Clone, Copy)]
-pub enum DeltaTuples<'a> {
-    /// A delta set owned by the evaluation state.
-    Set(&'a HashSet<Tuple>),
-    /// A borrowed shard: references into a delta set or a relation arena.
-    Shard(&'a [&'a Tuple]),
-}
-
-impl<'a> DeltaTuples<'a> {
-    /// Number of driving tuples.
-    pub fn len(&self) -> usize {
-        match self {
-            DeltaTuples::Set(set) => set.len(),
-            DeltaTuples::Shard(shard) => shard.len(),
-        }
-    }
-
-    /// True when there is nothing to drive on.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<'a> From<&'a HashSet<Tuple>> for DeltaTuples<'a> {
-    fn from(set: &'a HashSet<Tuple>) -> Self {
-        DeltaTuples::Set(set)
-    }
-}
-
 /// A restriction of one body literal to a delta set (semi-naïve evaluation).
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaRestriction<'a> {
     /// Index of the body literal that must match a delta tuple.
     pub literal_index: usize,
-    /// The delta tuples of that literal's predicate.
-    pub delta: DeltaTuples<'a>,
+    /// The delta tuples of that literal's predicate (a semi-naïve delta, a
+    /// DRed frontier, or a commit's additions under a constraint check).
+    pub delta: &'a HashSet<Tuple>,
 }
 
 /// Join context: the relations and UDFs visible to the evaluation.
@@ -248,31 +216,20 @@ impl<'a> JoinContext<'a> {
         }
 
         // Stored relation (possibly restricted to the delta set).
-        let use_delta = delta.is_some_and(|d| d.literal_index == steps[position].literal);
-        if use_delta {
-            let delta_tuples = delta.expect("delta restriction checked above").delta;
-            return match delta_tuples {
-                DeltaTuples::Set(set) => self.join_delta(
-                    literals,
-                    steps,
-                    position,
-                    atom,
-                    set.iter(),
-                    delta,
-                    bindings,
-                    callback,
-                ),
-                DeltaTuples::Shard(shard) => self.join_delta(
-                    literals,
-                    steps,
-                    position,
-                    atom,
-                    shard.iter().copied(),
-                    delta,
-                    bindings,
-                    callback,
-                ),
-            };
+        if let Some(pinned) = delta.filter(|d| d.literal_index == steps[position].literal) {
+            for tuple in pinned.delta {
+                if let Some(newly_bound) =
+                    match_tuple(&atom.terms, tuple, bindings, self.relations)?
+                {
+                    let result =
+                        self.join_steps(literals, steps, position + 1, delta, bindings, callback);
+                    for var in &newly_bound {
+                        bindings.unbind(var);
+                    }
+                    result?;
+                }
+            }
+            return Ok(());
         }
 
         let Some(relation) = self.relations.get(&name) else {
@@ -381,36 +338,6 @@ impl<'a> JoinContext<'a> {
         self.bump(|s| &s.full_scans);
         self.examined(relation.len());
         for tuple in relation.iter() {
-            if let Some(newly_bound) = match_tuple(&atom.terms, tuple, bindings, self.relations)? {
-                let result =
-                    self.join_steps(literals, steps, position + 1, delta, bindings, callback);
-                for var in &newly_bound {
-                    bindings.unbind(var);
-                }
-                result?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Enumerate the driving tuples of a delta-restricted literal.  Shared by
-    /// the owned-set and borrowed-shard delta views so both run identically.
-    #[allow(clippy::too_many_arguments)]
-    fn join_delta<'t, F>(
-        &self,
-        literals: &[Literal],
-        steps: &[PlanStep],
-        position: usize,
-        atom: &Atom,
-        tuples: impl Iterator<Item = &'t Tuple>,
-        delta: Option<DeltaRestriction<'_>>,
-        bindings: &mut Bindings,
-        callback: &mut F,
-    ) -> Result<()>
-    where
-        F: FnMut(&Bindings) -> Result<()>,
-    {
-        for tuple in tuples {
             if let Some(newly_bound) = match_tuple(&atom.terms, tuple, bindings, self.relations)? {
                 let result =
                     self.join_steps(literals, steps, position + 1, delta, bindings, callback);
@@ -721,7 +648,7 @@ mod tests {
             &rule.body,
             Some(DeltaRestriction {
                 literal_index: 0,
-                delta: DeltaTuples::Set(&delta),
+                delta: &delta,
             }),
             &mut bindings,
             &mut |b| {

@@ -1,22 +1,18 @@
-//! Rule evaluation: bindings, joins, per-rule planning, sharded parallel
-//! execution, semi-naïve fixpoint, aggregation, and incremental deletion
-//! (DRed).
+//! Rule evaluation: bindings, joins, per-rule planning, semi-naïve fixpoint,
+//! aggregation, and incremental deletion (DRed).  One workspace evaluates on
+//! one thread (DESIGN.md §8).
 
 pub mod aggregate;
 pub mod batch;
 pub mod bindings;
 pub mod dred;
-pub mod exec;
 pub mod join;
 pub mod plan;
-pub mod pool;
 pub mod seminaive;
 pub mod shuffle;
 
 pub use bindings::Bindings;
-pub use exec::EvalOptions;
 pub use plan::{PlanCache, PlanKey, PlanStats, PlanStatsSnapshot, RulePlan};
-pub use pool::WorkerPool;
 pub use seminaive::{EvalJournal, Evaluator, FactDelta, FixpointStats};
 
 use crate::ast::PredRef;
@@ -34,11 +30,6 @@ pub struct EvalConfig {
     /// pre-planner behaviour, kept for equivalence testing and as a bench
     /// baseline).
     pub use_planner: bool,
-    /// Worker-pool configuration for sharded parallel execution (see
-    /// [`exec`]).  The default honours `SECUREBLOX_WORKERS` /
-    /// `SECUREBLOX_PARALLEL_THRESHOLD`; `workers <= 1` keeps the serial
-    /// path.
-    pub exec: EvalOptions,
 }
 
 impl Default for EvalConfig {
@@ -46,7 +37,6 @@ impl Default for EvalConfig {
         EvalConfig {
             max_iterations: 10_000,
             use_planner: true,
-            exec: EvalOptions::default(),
         }
     }
 }

@@ -127,15 +127,10 @@ pub struct PlanStats {
     /// executors.  A probe on a column every row shares is one
     /// `index_probes` and the whole relation here.
     pub rows_examined: AtomicU64,
-    /// Rule / aggregate executions that took the sharded worker-pool path.
-    pub parallel_batches: AtomicU64,
-    /// Rule / aggregate executions that ran serially (single worker
-    /// configured, driving set under the threshold, or an order-sensitive
-    /// rule such as one with head existentials).
+    /// Rule executions (one per `(rule, delta-literal)` combination of a
+    /// round, DRed's over-deletion combinations included) plus aggregate
+    /// recomputations.
     pub serial_batches: AtomicU64,
-    /// Non-empty shards executed by workers (≤ `parallel_batches × workers`;
-    /// the ratio is the deployment's worker utilization).
-    pub shards_executed: AtomicU64,
 }
 
 impl PlanStats {
@@ -158,9 +153,8 @@ impl PlanStats {
             full_scans: self.full_scans.load(Ordering::Relaxed),
             functional_hits: self.functional_hits.load(Ordering::Relaxed),
             rows_examined: self.rows_examined.load(Ordering::Relaxed),
-            parallel_batches: self.parallel_batches.load(Ordering::Relaxed),
+            parallel_batches: 0,
             serial_batches: self.serial_batches.load(Ordering::Relaxed),
-            shards_executed: self.shards_executed.load(Ordering::Relaxed),
         }
     }
 }
@@ -177,9 +171,7 @@ impl Clone for PlanStats {
             full_scans: AtomicU64::new(snapshot.full_scans),
             functional_hits: AtomicU64::new(snapshot.functional_hits),
             rows_examined: AtomicU64::new(snapshot.rows_examined),
-            parallel_batches: AtomicU64::new(snapshot.parallel_batches),
             serial_batches: AtomicU64::new(snapshot.serial_batches),
-            shards_executed: AtomicU64::new(snapshot.shards_executed),
         }
     }
 }
@@ -196,22 +188,14 @@ pub struct PlanStatsSnapshot {
     pub full_scans: u64,
     pub functional_hits: u64,
     pub rows_examined: u64,
+    /// Always 0: there is no intra-node pool (DESIGN.md §8).  Kept only
+    /// because `examples/benchmark/sut.rs` reads it; goes at the next
+    /// benchmark re-base (ROADMAP item 4).
     pub parallel_batches: u64,
     pub serial_batches: u64,
-    pub shards_executed: u64,
 }
 
 impl PlanStatsSnapshot {
-    /// Fraction of the configured worker pool kept busy across parallel
-    /// batches: `shards_executed / (parallel_batches × workers)`.  `0.0`
-    /// when nothing went parallel.
-    pub fn worker_utilization(&self, workers: usize) -> f64 {
-        if self.parallel_batches == 0 || workers == 0 {
-            return 0.0;
-        }
-        self.shards_executed as f64 / (self.parallel_batches * workers as u64) as f64
-    }
-
     /// Publish this snapshot into the global telemetry registry as
     /// `datalog_plan_stats_*` gauges, so exporters see the same numbers this
     /// struct reports.  The snapshot (summed across a deployment's
@@ -226,9 +210,7 @@ impl PlanStatsSnapshot {
         gauge!("datalog_plan_stats_full_scans").set(self.full_scans as i64);
         gauge!("datalog_plan_stats_functional_hits").set(self.functional_hits as i64);
         gauge!("datalog_plan_stats_rows_examined").set(self.rows_examined as i64);
-        gauge!("datalog_plan_stats_parallel_batches").set(self.parallel_batches as i64);
         gauge!("datalog_plan_stats_serial_batches").set(self.serial_batches as i64);
-        gauge!("datalog_plan_stats_shards_executed").set(self.shards_executed as i64);
     }
 }
 
@@ -244,9 +226,8 @@ impl std::ops::Add for PlanStatsSnapshot {
             full_scans: self.full_scans + other.full_scans,
             functional_hits: self.functional_hits + other.functional_hits,
             rows_examined: self.rows_examined + other.rows_examined,
-            parallel_batches: self.parallel_batches + other.parallel_batches,
+            parallel_batches: 0,
             serial_batches: self.serial_batches + other.serial_batches,
-            shards_executed: self.shards_executed + other.shards_executed,
         }
     }
 }

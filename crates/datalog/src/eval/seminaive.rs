@@ -16,26 +16,22 @@
 //! ## Round structure (DESIGN.md §10)
 //!
 //! Each round of a stratum runs in two phases.  **Phase A** evaluates every
-//! `(rule, delta-literal)` combination read-only against the round-start
-//! relations: batch-eligible combinations run the columnar id-space executor
-//! ([`super::batch`]), the rest the tuple-at-a-time join, and independent
-//! combinations fan out across the persistent worker pool.  **Phase B**
-//! inserts the collected derivations sequentially in combination order.
-//! Because phase A never observes phase B, the end state of a round is a
-//! pure function of its start state — independent of the worker count.
-//! Rules with head existentials always evaluate serially in phase A: entity
-//! minting is order-sensitive.
+//! `(rule, delta-literal)` combination against the round-start relations, in
+//! combination order on the calling thread: a batch-eligible combination
+//! runs the columnar id-space executor ([`super::batch`]), any other the
+//! tuple-at-a-time join — both read-only — and a rule with head existentials
+//! the serial minting step.  **Phase B** inserts the collected derivations
+//! sequentially in combination order.  Because phase A never observes phase
+//! B, the end state of a round is a pure function of its start state.
 
 use super::aggregate::evaluate_agg_rule_exec;
-use super::batch::{self, BatchJob, IdBatch};
-use super::bindings::Bindings;
-use super::exec::{self, EvalOptions};
-use super::join::{DeltaRestriction, DeltaTuples, JoinContext};
+use super::batch::{self, IdBatch};
+use super::bindings::{eval_term, Bindings};
+use super::join::{DeltaRestriction, JoinContext};
 use super::plan::{PlanCache, PlanKey, PlanStats, RulePlan};
-use super::pool::WorkerPool;
 use super::runtime_pred_name;
 use super::EvalConfig;
-use crate::ast::{Literal, Rule};
+use crate::ast::{Literal, Rule, Term};
 use crate::error::{DatalogError, Result};
 use crate::intern::Interner;
 use crate::relation::Relation;
@@ -255,9 +251,6 @@ pub struct Evaluator<'a> {
     /// share — batch execution requires one dictionary per workspace (see
     /// [`crate::intern`]).
     pub interner: &'a Arc<Interner>,
-    /// Persistent worker pool for sharded and rule-level fan-out.  `None`
-    /// keeps every execution on the calling thread.
-    pub pool: Option<&'a WorkerPool>,
     /// Record of every mutation this evaluator performs, appended at each
     /// insertion and removal site; the owner undoes it to roll back.
     pub journal: &'a mut EvalJournal,
@@ -406,12 +399,11 @@ impl<'a> Evaluator<'a> {
     /// derivations in combination order (phase B —
     /// [`Self::insert_derivation`] — is the caller's loop).
     ///
-    /// Plans are prepared serially (they mutate the plan cache and build
-    /// indexes); head-existential combinations evaluate serially next
-    /// (entity minting is order-sensitive); the remaining combinations are
-    /// read-only and fan out across the worker pool when any driving set
-    /// clears the parallel threshold.  Errors surface in combination order,
-    /// so failures are deterministic at any worker count.
+    /// A combination runs one of two read-only ways — a compiled batch job
+    /// over id columns where the rule shape allows, the tuple-at-a-time join
+    /// otherwise — or, for a rule with head existentials, the serial minting
+    /// step.  All on the calling thread, so the first error in combination
+    /// order wins.
     ///
     /// DRed's over-deletion ([`super::dred`]) is the other caller: a
     /// combination pinned to the deleted-tuple frontier is evaluated exactly
@@ -422,153 +414,91 @@ impl<'a> Evaluator<'a> {
         combos: &[(usize, Option<usize>)],
         delta_sets: &HashMap<String, HashSet<Tuple>>,
     ) -> Result<Vec<Derivation>> {
-        type ResolvedCombo<'a> = (usize, Option<(usize, &'a HashSet<Tuple>)>);
-        let mut resolved: Vec<ResolvedCombo> = Vec::with_capacity(combos.len());
+        let mut derivations = Vec::with_capacity(combos.len());
         for &(rule_index, literal) in combos {
+            let rule = &rules[rule_index];
             let delta = match literal {
                 Some(literal_index) => {
-                    let Literal::Pos(atom) = &rules[rule_index].body[literal_index] else {
+                    let Literal::Pos(atom) = &rule.body[literal_index] else {
                         return Err(DatalogError::Eval(
                             "delta combination on a non-positive literal".into(),
                         ));
                     };
                     let pred = runtime_pred_name(&atom.pred)?;
-                    let set = delta_sets.get(&pred).ok_or_else(|| {
+                    let delta = delta_sets.get(&pred).ok_or_else(|| {
                         DatalogError::Eval("delta combination without a delta set".into())
                     })?;
-                    Some((literal_index, set))
+                    Some(DeltaRestriction {
+                        literal_index,
+                        delta,
+                    })
                 }
                 None => None,
             };
-            resolved.push((rule_index, delta));
-        }
+            let plan = self.prepare_plan(rules, rule_index, literal);
 
-        let mut plans: Vec<Option<RulePlan>> = Vec::with_capacity(resolved.len());
-        for &(rule_index, delta) in &resolved {
-            plans.push(self.prepare_plan(rules, rule_index, delta.map(|(i, _)| i)));
-        }
-
-        // Batch-compile on this (the evaluator) thread — the only place the
-        // batch path interns, which keeps dictionary ids worker-independent.
-        let mut results: Vec<Option<Derivation>> = combos.iter().map(|_| None).collect();
-        let mut jobs: Vec<Option<BatchJob>> = Vec::with_capacity(resolved.len());
-        let mut pending: Vec<usize> = Vec::new();
-        for (index, &(rule_index, delta)) in resolved.iter().enumerate() {
-            let rule = &rules[rule_index];
-            if !rule.head_existentials().is_empty() {
-                jobs.push(None);
-                continue;
-            }
-            jobs.push(plans[index].as_ref().and_then(|plan| {
-                batch::compile_batch(rule, plan, delta, self.relations, self.udfs, self.interner)
-            }));
-            pending.push(index);
-        }
-
-        // Serial part: head-existential combinations, in combination order.
-        for (index, &(rule_index, delta)) in resolved.iter().enumerate() {
-            if !rules[rule_index].head_existentials().is_empty() {
-                let derived = self.evaluate_existential(
+            // One observation and one count per combination, whichever way
+            // it runs — coarse enough to stay inside the telemetry overhead
+            // budget.  `compile_batch` is the only place the batch path
+            // interns (head constants), so dictionary ids follow combination
+            // order.
+            let _join_timer =
+                secureblox_telemetry::histogram!("datalog_rule_batch_join_ns").start_timer();
+            PlanStats::bump(&self.plan_stats.serial_batches);
+            let existentials = rule.head_existentials();
+            let derivation = if !existentials.is_empty() {
+                secureblox_telemetry::counter!("datalog_rule_exec_existential_total").inc();
+                Derivation::Values(self.evaluate_existential(
                     rule_index,
-                    &rules[rule_index],
-                    plans[index].as_ref(),
+                    rule,
+                    &existentials,
+                    plan.as_ref(),
                     delta,
-                )?;
-                results[index] = Some(Derivation::Values(derived));
-            }
-        }
-
-        // Read-only part.
-        let relations: &HashMap<String, Relation> = self.relations;
-        let udfs = self.udfs;
-        let stats = self.plan_stats;
-        let options = &self.config.exec;
-        let pool = self.pool;
-        let run_one = |index: usize| -> Result<Derivation> {
-            let (rule_index, delta) = resolved[index];
-            match &jobs[index] {
-                Some(job) => {
-                    batch::execute_batch(job, relations, stats, options, pool).map(Derivation::Ids)
-                }
-                None => evaluate_tuple_combo(
-                    &rules[rule_index],
-                    plans[index].as_ref(),
-                    delta,
-                    relations,
-                    udfs,
-                    stats,
-                    options,
-                    pool,
-                )
-                .map(Derivation::Values),
-            }
-        };
-        let fan_out = pool.is_some()
-            && options.parallel_enabled()
-            && pending.len() > 1
-            && pending.iter().any(|&index| {
-                let (rule_index, delta) = resolved[index];
-                driving_size(&rules[rule_index], delta, relations) >= options.parallel_threshold
-            });
-        if fan_out {
-            PlanStats::bump(&stats.parallel_batches);
-            let run_one = &run_one;
-            let tasks: Vec<_> = pending
-                .iter()
-                .map(|&index| move || run_one(index))
-                .collect();
-            let outcomes = pool.expect("fan-out requires a pool").execute(tasks);
-            for (&index, outcome) in pending.iter().zip(outcomes) {
-                let derivation = outcome
-                    .map_err(|_| DatalogError::Eval("evaluation worker panicked".into()))??;
-                results[index] = Some(derivation);
-            }
-        } else {
-            for &index in &pending {
-                results[index] = Some(run_one(index)?);
-            }
-        }
-
-        #[cfg(debug_assertions)]
-        for &index in &pending {
-            if let (Some(_), Some(Derivation::Ids(rows))) = (&jobs[index], &results[index]) {
-                let (rule_index, delta) = resolved[index];
+                )?)
+            } else if let Some(job) = plan.as_ref().and_then(|plan| {
+                batch::compile_batch(rule, plan, delta, self.relations, self.udfs, self.interner)
+            }) {
+                secureblox_telemetry::counter!("datalog_rule_exec_batch_total").inc();
+                let rows = batch::execute_batch(&job, self.relations, self.plan_stats)?;
+                #[cfg(debug_assertions)]
                 debug_verify_batch(
-                    &rules[rule_index],
-                    plans[index].as_ref(),
+                    rule,
+                    plan.as_ref(),
                     delta,
-                    relations,
-                    udfs,
+                    self.relations,
+                    self.udfs,
                     self.interner,
-                    rows,
+                    &rows,
                 )?;
-            }
+                Derivation::Ids(rows)
+            } else {
+                secureblox_telemetry::counter!("datalog_rule_exec_tuple_total").inc();
+                Derivation::Values(evaluate_tuple_combo(
+                    rule,
+                    plan.as_ref(),
+                    delta,
+                    self.relations,
+                    self.udfs,
+                    self.plan_stats,
+                )?)
+            };
+            derivations.push(derivation);
         }
-
-        Ok(results
-            .into_iter()
-            .map(|result| result.expect("every combination evaluated"))
-            .collect())
+        Ok(derivations)
     }
 
     /// Evaluate one head-existential rule, optionally restricting one body
     /// literal to a delta set, and return the derived `(predicate, tuple)`
-    /// pairs without inserting them.  Always serial: entity minting is
-    /// order-sensitive.
+    /// pairs without inserting them.  Not read-only: it mints (or recalls)
+    /// entities, in solution order.
     fn evaluate_existential(
         &mut self,
         rule_index: usize,
         rule: &Rule,
+        existentials: &[String],
         plan: Option<&RulePlan>,
-        delta: Option<(usize, &HashSet<Tuple>)>,
+        restriction: Option<DeltaRestriction<'_>>,
     ) -> Result<Vec<(String, Tuple)>> {
-        let existentials = rule.head_existentials();
-        // One observation per (rule, delta) execution — coarse enough to
-        // stay inside the telemetry overhead budget.
-        let _batch_timer =
-            secureblox_telemetry::histogram!("datalog_rule_batch_join_ns").start_timer();
-        PlanStats::bump(&self.plan_stats.serial_batches);
-
         let mut body_vars: Vec<String> = Vec::new();
         for literal in &rule.body {
             literal.collect_vars(&mut body_vars);
@@ -580,10 +510,6 @@ impl<'a> Evaluator<'a> {
         let ctx = JoinContext::with_stats(self.relations, self.udfs, self.plan_stats);
         let mut solutions: Vec<Bindings> = Vec::new();
         let mut bindings = Bindings::new();
-        let restriction = delta.map(|(index, tuples)| DeltaRestriction {
-            literal_index: index,
-            delta: DeltaTuples::Set(tuples),
-        });
         match plan {
             Some(plan) => {
                 ctx.join_planned(&rule.body, plan, restriction, &mut bindings, &mut |b| {
@@ -618,7 +544,7 @@ impl<'a> Evaluator<'a> {
             }
             // Same head projection the combination paths use — one
             // implementation, so the paths cannot drift.
-            derived.append(&mut exec::project_heads(rule, &solution, self.relations)?);
+            derived.append(&mut project_heads(rule, &solution, self.relations)?);
         }
         Ok(derived)
     }
@@ -655,24 +581,20 @@ impl<'a> Evaluator<'a> {
         Some(plan)
     }
 
-    /// Recompute an aggregation rule from the full body relations, sharding
-    /// the fold across the worker pool when the driving relation is large
-    /// enough (accumulator merges are commutative and associative, so the
-    /// result is order-independent).
+    /// Recompute an aggregation rule from the full body relations.
     fn recompute_aggregate(
         &mut self,
         rules: &[Rule],
         rule_index: usize,
     ) -> Result<Vec<(String, Tuple)>> {
         let plan = self.prepare_plan(rules, rule_index, None);
+        secureblox_telemetry::counter!("datalog_rule_exec_aggregate_total").inc();
         evaluate_agg_rule_exec(
             &rules[rule_index],
             self.relations,
             self.udfs,
             plan.as_ref(),
             Some(self.plan_stats),
-            &self.config.exec,
-            self.pool,
         )
     }
 
@@ -831,59 +753,22 @@ fn rule_touched(rule: &Rule, accumulated: &HashMap<String, HashSet<Tuple>>) -> b
     })
 }
 
-/// Rough size of a combination's driving tuple set, for the rule-level
-/// fan-out gate: the delta set when one is pinned, otherwise the first
-/// stored body relation.
-fn driving_size(
-    rule: &Rule,
-    delta: Option<(usize, &HashSet<Tuple>)>,
-    relations: &HashMap<String, Relation>,
-) -> usize {
-    if let Some((_, set)) = delta {
-        return set.len();
-    }
-    for literal in &rule.body {
-        if let Literal::Pos(atom) = literal {
-            if let Ok(pred) = runtime_pred_name(&atom.pred) {
-                if let Some(relation) = relations.get(&pred) {
-                    return relation.len();
-                }
-            }
-        }
-    }
-    0
-}
-
-/// Evaluate one non-existential `(rule, delta)` combination read-only:
-/// sharded across the worker pool when the driving set is large enough,
-/// serial tuple-at-a-time otherwise.  Heads are projected inside the
-/// enumeration callback — no per-solution `Bindings` clone.
-#[allow(clippy::too_many_arguments)]
+/// Evaluate one non-existential `(rule, delta)` combination read-only,
+/// tuple at a time.  Heads are projected inside the enumeration callback —
+/// no per-solution `Bindings` clone.
 fn evaluate_tuple_combo(
     rule: &Rule,
     plan: Option<&RulePlan>,
-    delta: Option<(usize, &HashSet<Tuple>)>,
+    restriction: Option<DeltaRestriction<'_>>,
     relations: &HashMap<String, Relation>,
     udfs: &UdfRegistry,
     stats: &PlanStats,
-    options: &EvalOptions,
-    pool: Option<&WorkerPool>,
 ) -> Result<Vec<(String, Tuple)>> {
-    if let Some(merged) =
-        evaluate_tuple_sharded(rule, plan, delta, relations, udfs, stats, options, pool)?
-    {
-        return Ok(merged);
-    }
-    PlanStats::bump(&stats.serial_batches);
     let ctx = JoinContext::with_stats(relations, udfs, stats);
-    let restriction = delta.map(|(index, tuples)| DeltaRestriction {
-        literal_index: index,
-        delta: DeltaTuples::Set(tuples),
-    });
     let mut derived: Vec<(String, Tuple)> = Vec::new();
     let mut bindings = Bindings::new();
     let mut collect = |b: &Bindings| {
-        derived.append(&mut exec::project_heads(rule, b, relations)?);
+        derived.append(&mut project_heads(rule, b, relations)?);
         Ok(())
     };
     match plan {
@@ -895,143 +780,60 @@ fn evaluate_tuple_combo(
     Ok(derived)
 }
 
-/// Try the sharded parallel path for one combination.  Returns `Ok(None)`
-/// when the execution should stay serial: parallelism disabled, a driving
-/// set below the threshold, or a body with no stored relation to drive on.
-///
-/// The driving literal is the delta literal when one is pinned, otherwise
-/// the first stored-relation literal in plan execution order (the join's
-/// outer loop).  Its tuple set is hash-partitioned; each worker runs the
-/// full planned join with its shard as a [`DeltaRestriction`] against shared
-/// read-only relation views (every index the plan probes was built in
-/// [`Evaluator::prepare_plan`] before this point), instantiating head tuples
-/// in a worker-local buffer.  Workers sort and deduplicate their own
-/// buffers; the caller folds them with a pipelined two-way merge as they
-/// arrive — bit-identical to the serial result (asserted in debug builds).
-#[allow(clippy::too_many_arguments)]
-fn evaluate_tuple_sharded(
+/// Instantiate the head atoms of a rule under one body solution (with any
+/// head-existential variable already bound to its entity).
+fn project_heads(
     rule: &Rule,
-    plan: Option<&RulePlan>,
-    delta: Option<(usize, &HashSet<Tuple>)>,
+    solution: &Bindings,
     relations: &HashMap<String, Relation>,
-    udfs: &UdfRegistry,
-    stats: &PlanStats,
-    options: &EvalOptions,
-    pool: Option<&WorkerPool>,
-) -> Result<Option<Vec<(String, Tuple)>>> {
-    if !options.parallel_enabled() {
-        return Ok(None);
-    }
-    let (drive, shards) = match delta {
-        Some((index, tuples)) => {
-            if tuples.len() < options.parallel_threshold {
-                return Ok(None);
-            }
-            (index, exec::partition(tuples.iter(), options.workers))
-        }
-        None => {
-            let Some(sharded) =
-                exec::shard_driving_relation(&rule.body, plan, relations, udfs, options)
-            else {
-                return Ok(None);
+) -> Result<Vec<(String, Tuple)>> {
+    let mut derived = Vec::with_capacity(rule.head.len());
+    for atom in &rule.head {
+        let pred = runtime_pred_name(&atom.pred)?;
+        let mut tuple: Tuple = Vec::with_capacity(atom.terms.len());
+        for term in &atom.terms {
+            let value = match term {
+                Term::Var(v) => solution.get(v).cloned(),
+                other => eval_term(other, solution, relations)?,
             };
-            sharded
-        }
-    };
-    PlanStats::bump(&stats.parallel_batches);
-    let merged = exec::run_shards_merged(pool, &shards, |shard| {
-        PlanStats::bump(&stats.shards_executed);
-        let ctx = JoinContext::with_stats(relations, udfs, stats);
-        let restriction = Some(DeltaRestriction {
-            literal_index: drive,
-            delta: DeltaTuples::Shard(shard),
-        });
-        let mut derived: Vec<(String, Tuple)> = Vec::new();
-        let mut bindings = Bindings::new();
-        let mut collect = |b: &Bindings| {
-            derived.append(&mut exec::project_heads(rule, b, relations)?);
-            Ok(())
-        };
-        match plan {
-            Some(plan) => {
-                ctx.join_planned(&rule.body, plan, restriction, &mut bindings, &mut collect)?
+            match value {
+                Some(v) => tuple.push(v),
+                None => {
+                    return Err(DatalogError::Eval(format!(
+                        "unsafe rule: head term {term} of {pred} is not bound by the body in \
+                         rule `{rule}`"
+                    )))
+                }
             }
-            None => ctx.join(&rule.body, restriction, &mut bindings, &mut collect)?,
         }
-        Ok(derived)
-    })?;
-    #[cfg(debug_assertions)]
-    debug_verify_against_serial(rule, plan, delta, relations, udfs, &merged)?;
-    Ok(Some(merged))
-}
-
-/// Debug-build check of the determinism argument: the merged parallel
-/// output must equal the serial enumeration of the same execution
-/// (sorted and deduplicated).  Runs without stats so the counters
-/// reflect only the real evaluation.
-#[cfg(debug_assertions)]
-fn debug_verify_against_serial(
-    rule: &Rule,
-    plan: Option<&RulePlan>,
-    delta: Option<(usize, &HashSet<Tuple>)>,
-    relations: &HashMap<String, Relation>,
-    udfs: &UdfRegistry,
-    merged: &[(String, Tuple)],
-) -> Result<()> {
-    let ctx = JoinContext::new(relations, udfs);
-    let restriction = delta.map(|(index, tuples)| DeltaRestriction {
-        literal_index: index,
-        delta: DeltaTuples::Set(tuples),
-    });
-    let mut serial: Vec<(String, Tuple)> = Vec::new();
-    let mut bindings = Bindings::new();
-    let mut collect = |b: &Bindings| {
-        serial.append(&mut exec::project_heads(rule, b, relations)?);
-        Ok(())
-    };
-    match plan {
-        Some(plan) => {
-            ctx.join_planned(&rule.body, plan, restriction, &mut bindings, &mut collect)?
-        }
-        None => ctx.join(&rule.body, restriction, &mut bindings, &mut collect)?,
+        derived.push((pred, tuple));
     }
-    debug_assert_eq!(
-        exec::canonicalize_derived(serial),
-        merged,
-        "sharded evaluation diverged from serial evaluation for rule `{rule}`"
-    );
-    Ok(())
+    Ok(derived)
 }
 
 /// Debug-build check of the batch executor: its rehydrated output must equal
-/// the tuple-at-a-time enumeration of the same combination.
+/// the tuple-at-a-time enumeration of the same combination (both sorted and
+/// deduplicated).  Counts into scratch stats so the workspace's counters
+/// reflect only the real evaluation.
 #[cfg(debug_assertions)]
 fn debug_verify_batch(
     rule: &Rule,
     plan: Option<&RulePlan>,
-    delta: Option<(usize, &HashSet<Tuple>)>,
+    delta: Option<DeltaRestriction<'_>>,
     relations: &HashMap<String, Relation>,
     udfs: &UdfRegistry,
     interner: &Arc<Interner>,
     rows: &[(String, IdBatch)],
 ) -> Result<()> {
-    let ctx = JoinContext::new(relations, udfs);
-    let restriction = delta.map(|(index, tuples)| DeltaRestriction {
-        literal_index: index,
-        delta: DeltaTuples::Set(tuples),
-    });
-    let mut serial: Vec<(String, Tuple)> = Vec::new();
-    let mut bindings = Bindings::new();
-    let mut collect = |b: &Bindings| {
-        serial.append(&mut exec::project_heads(rule, b, relations)?);
-        Ok(())
-    };
-    match plan {
-        Some(plan) => {
-            ctx.join_planned(&rule.body, plan, restriction, &mut bindings, &mut collect)?
-        }
-        None => ctx.join(&rule.body, restriction, &mut bindings, &mut collect)?,
+    fn canonicalize(mut derived: Vec<(String, Tuple)>) -> Vec<(String, Tuple)> {
+        derived.sort_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| crate::value::tuple_total_cmp(&a.1, &b.1))
+        });
+        derived.dedup();
+        derived
     }
+    let serial = evaluate_tuple_combo(rule, plan, delta, relations, udfs, &PlanStats::default())?;
     let rehydrated: Vec<(String, Tuple)> = rows
         .iter()
         .flat_map(|(pred, batch)| {
@@ -1041,8 +843,8 @@ fn debug_verify_batch(
         })
         .collect();
     debug_assert_eq!(
-        exec::canonicalize_derived(serial),
-        exec::canonicalize_derived(rehydrated),
+        canonicalize(serial),
+        canonicalize(rehydrated),
         "batch evaluation diverged from tuple-at-a-time for rule `{rule}`"
     );
     Ok(())
@@ -1119,7 +921,6 @@ mod tests {
                 plan_cache: &mut self.plan_cache,
                 plan_stats: &self.plan_stats,
                 interner: &self.interner,
-                pool: None,
                 journal: &mut EvalJournal::default(),
             };
             evaluator.run(&self.rules, &self.strata).unwrap()
@@ -1275,7 +1076,6 @@ mod tests {
             plan_cache: &mut fixture.plan_cache,
             plan_stats: &fixture.plan_stats,
             interner: &fixture.interner,
-            pool: None,
             journal: &mut EvalJournal::default(),
         };
         // Y is a head existential, so it actually mints an entity — that is
@@ -1308,7 +1108,6 @@ mod tests {
             plan_cache: &mut fixture.plan_cache,
             plan_stats: &fixture.plan_stats,
             interner: &fixture.interner,
-            pool: None,
             journal: &mut EvalJournal::default(),
         };
         let err = evaluator.run(&fixture.rules, &fixture.strata).unwrap_err();

@@ -15,12 +15,14 @@
 //! is value equality for any two rows encoded against the *same* interner
 //! (the batch executor checks `Arc::ptr_eq` before joining in id space).
 //!
-//! Threading contract: reads (`try_id`, `try_row`, `value`, `resolve_row`)
-//! are taken freely from worker threads; **only the evaluator thread
-//! interns** (`intern`, `intern_row`).  This keeps id assignment order a
-//! pure function of the operation sequence, independent of worker count and
-//! scheduling, which the determinism contract (`props_parallel.rs`,
-//! `props_columnar.rs`) relies on.
+//! Threading contract: one workspace evaluates on one thread, so id
+//! assignment order is a pure function of that workspace's operation
+//! sequence.  The dictionary is nevertheless `Sync` (a read-write lock):
+//! workspace clones share it through the `Arc`, and the reactor executor
+//! moves workspaces between threads, so a reader (`try_id`, `try_row`,
+//! `value`, `resolve_row`) on one thread can meet an `intern` on another.
+//! Readers never observe a half-written entry, and an id once handed out
+//! never changes meaning.
 
 use crate::value::{Tuple, Value};
 use std::collections::HashMap;
@@ -114,8 +116,9 @@ impl Interner {
         Interner::default()
     }
 
-    // The interner stays usable even if a worker panicked while holding a
-    // read guard: readers never leave the state inconsistent, so poisoning
+    // The interner stays usable even if a thread panicked while holding a
+    // guard: an entry is pushed and mapped under one write guard, nothing
+    // in between can panic short of allocation failure, so poisoning
     // carries no information here.
     fn read(&self) -> RwLockReadGuard<'_, InternerState> {
         self.inner.read().unwrap_or_else(PoisonError::into_inner)
@@ -136,7 +139,6 @@ impl Interner {
     }
 
     /// Encode `value`, assigning the next dense id on first sight.
-    /// Evaluator-thread only (see the module docs).
     pub fn intern(&self, value: &Value) -> u32 {
         if let Some(id) = self.try_id(value) {
             return id;
@@ -159,7 +161,6 @@ impl Interner {
     }
 
     /// Encode a whole row into `out` (cleared first) under one lock.
-    /// Evaluator-thread only.
     pub fn intern_row(&self, values: &[Value], out: &mut Vec<u32>) {
         out.clear();
         // Fast path: all values already known under a single read lock.

@@ -24,16 +24,15 @@
 //! maintained incrementally, so delta application and DRed see a consistent
 //! view at all times.
 //!
-//! Concurrency contract (DESIGN.md §8): a `Relation` is `Send + Sync`, and
-//! every read path ([`Relation::probe`], [`Relation::iter`],
-//! [`Relation::select`], [`Relation::matches_any`],
-//! [`Relation::functional_lookup`], [`Relation::tuple_by_id`],
-//! [`Relation::group`]) takes `&self`, so the worker pool shares relations
-//! across threads as read-only probe views.  All mutation — inserts,
-//! removals, and [`Relation::ensure_index`] builds — is single-writer: the
-//! evaluator thread builds the indexes a plan probes *before* handing
-//! batches to workers and applies the merged derivation buffer *after* they
-//! finish.
+//! Concurrency contract: a workspace — and with it every one of its
+//! relations — is evaluated by one thread at a time (DESIGN.md §8); there
+//! are no evaluation workers.  A `Relation` is still `Send + Sync`, and every
+//! read path ([`Relation::probe`], [`Relation::iter`], [`Relation::select`],
+//! [`Relation::matches_any`], [`Relation::functional_lookup`],
+//! [`Relation::tuple_by_id`], [`Relation::group`]) takes `&self`, because
+//! the reactor executor moves a node's workspace between its threads from
+//! one task to the next.  All mutation — inserts, removals, and
+//! [`Relation::ensure_index`] builds — takes `&mut self`.
 
 use crate::error::{DatalogError, Result};
 use crate::intern::{fnv_ids, Interner, PassBuild};

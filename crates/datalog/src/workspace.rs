@@ -15,8 +15,8 @@ use crate::constraint::{check_constraints_for_delta, check_constraints_planned};
 use crate::error::{DatalogError, Result};
 use crate::eval::dred::DeletionStats;
 use crate::eval::{
-    Bindings, EvalConfig, EvalJournal, EvalOptions, Evaluator, FactDelta, PlanCache, PlanStats,
-    PlanStatsSnapshot, WorkerPool,
+    Bindings, EvalConfig, EvalJournal, Evaluator, FactDelta, PlanCache, PlanStats,
+    PlanStatsSnapshot,
 };
 use crate::intern::Interner;
 use crate::parser::parse_program;
@@ -78,9 +78,6 @@ pub struct Workspace {
     /// shares it, which is what makes the columnar batch executor eligible
     /// (see [`crate::intern`]).
     interner: Arc<Interner>,
-    /// Persistent worker pool, created lazily on the first parallel fixpoint
-    /// and kept for the workspace's lifetime.  Clones share the pool.
-    pool: Option<Arc<WorkerPool>>,
     /// Whether the installed program is eligible for seeded (incremental)
     /// transactions: no negated body literal reads an aggregate-rule head.
     /// Aggregate heads are the one predicate class that can *shrink* during a
@@ -135,7 +132,6 @@ impl Workspace {
             plan_cache: PlanCache::new(),
             plan_stats: PlanStats::default(),
             interner: Arc::new(Interner::new()),
-            pool: None,
             seedable: true,
             converged: false,
         }
@@ -153,19 +149,6 @@ impl Workspace {
     /// schema is intentionally partial).
     pub fn set_strict_typing(&mut self, strict: bool) {
         self.strict_typing = strict;
-    }
-
-    /// Reconfigure the evaluation worker pool (see
-    /// [`EvalOptions`](crate::eval::EvalOptions)): `workers > 1` shards each
-    /// stratum's driving tuple sets across scoped worker threads; `workers
-    /// <= 1` keeps the serial path.  Takes effect from the next transaction.
-    pub fn set_eval_options(&mut self, options: EvalOptions) {
-        self.config.exec = options;
-    }
-
-    /// The current worker-pool configuration.
-    pub fn eval_options(&self) -> EvalOptions {
-        self.config.exec
     }
 
     /// Permit negation inside recursive components (locally-stratified
@@ -513,8 +496,6 @@ impl Workspace {
                 &self.udfs,
                 &mut self.plan_cache,
                 &self.plan_stats,
-                &self.config.exec,
-                self.pool.as_deref(),
             );
         }
         check_constraints_for_delta(
@@ -525,8 +506,6 @@ impl Workspace {
             &self.plan_stats,
             added,
             removed,
-            &self.config.exec,
-            self.pool.as_deref(),
         )
     }
 
@@ -548,19 +527,6 @@ impl Workspace {
         })
     }
 
-    /// Lazily (re)create the persistent worker pool to match the configured
-    /// worker count; drop it when parallelism is disabled.
-    fn ensure_pool(&mut self) {
-        if !self.config.exec.parallel_enabled() {
-            self.pool = None;
-            return;
-        }
-        let workers = self.config.exec.workers;
-        if self.pool.as_ref().is_none_or(|p| p.size() != workers) {
-            self.pool = Some(Arc::new(WorkerPool::new(workers)));
-        }
-    }
-
     /// The evaluator over this workspace's mutable state, journaling into
     /// `journal`, beside the parts of the workspace it reads but does not
     /// own: the rules, their strata, and the EDB bookkeeping.
@@ -574,7 +540,6 @@ impl Workspace {
         &'a [Vec<usize>],
         &'a HashMap<String, HashSet<Tuple>>,
     ) {
-        self.ensure_pool();
         let evaluator = Evaluator {
             relations: &mut self.relations,
             schema: &self.schema,
@@ -585,7 +550,6 @@ impl Workspace {
             plan_cache: &mut self.plan_cache,
             plan_stats: &self.plan_stats,
             interner: &self.interner,
-            pool: self.pool.as_deref(),
             journal,
         };
         (evaluator, &self.rules, &self.strata, &self.edb_facts)
@@ -1015,134 +979,6 @@ mod tests {
             .unwrap();
         assert!(ws.plan_stats().plan_cache_hits > stats.plan_cache_hits);
         assert_eq!(ws.count("reachable"), 31 * 32 / 2);
-    }
-
-    #[test]
-    fn sharded_fixpoint_matches_serial_and_reports_utilization() {
-        let source = "reachable(X, Y) <- link(X, Y).\n\
-                      reachable(X, Y) <- link(X, Z), reachable(Z, Y).";
-        let mut serial = Workspace::with_config(EvalConfig {
-            exec: crate::eval::EvalOptions::serial(),
-            ..EvalConfig::default()
-        });
-        let mut parallel = Workspace::with_config(EvalConfig {
-            exec: crate::eval::EvalOptions {
-                workers: 4,
-                parallel_threshold: 2,
-            },
-            ..EvalConfig::default()
-        });
-        for ws in [&mut serial, &mut parallel] {
-            ws.install_source(source).unwrap();
-            for i in 0..40 {
-                ws.assert_fact("link", vec![Value::Int(i), Value::Int(i + 1)])
-                    .unwrap();
-            }
-            ws.fixpoint().unwrap();
-        }
-        assert_eq!(serial.query("reachable"), parallel.query("reachable"));
-        let stats = parallel.plan_stats();
-        assert!(stats.parallel_batches > 0, "worker pool must engage");
-        assert!(stats.shards_executed >= stats.parallel_batches);
-        let utilization = stats.worker_utilization(4);
-        assert!(utilization > 0.0 && utilization <= 1.0);
-        assert_eq!(serial.plan_stats().parallel_batches, 0);
-    }
-
-    #[test]
-    fn sharded_retraction_matches_serial() {
-        let source = "reachable(X, Y) <- link(X, Y).\n\
-                      reachable(X, Y) <- link(X, Z), reachable(Z, Y).";
-        let mut serial = Workspace::with_config(EvalConfig {
-            exec: crate::eval::EvalOptions::serial(),
-            ..EvalConfig::default()
-        });
-        let mut parallel = Workspace::with_config(EvalConfig {
-            exec: crate::eval::EvalOptions {
-                workers: 4,
-                parallel_threshold: 1,
-            },
-            ..EvalConfig::default()
-        });
-        for ws in [&mut serial, &mut parallel] {
-            ws.install_source(source).unwrap();
-            for i in 0..30 {
-                ws.assert_fact("link", vec![Value::Int(i), Value::Int(i + 1)])
-                    .unwrap();
-            }
-            ws.fixpoint().unwrap();
-            ws.retract(vec![("link".into(), vec![Value::Int(15), Value::Int(16)])])
-                .unwrap();
-        }
-        assert_eq!(serial.query("reachable"), parallel.query("reachable"));
-        assert!(parallel.plan_stats().parallel_batches > 0);
-    }
-
-    #[test]
-    fn sharded_constraint_check_matches_serial() {
-        let source = "says_link(P, Q) -> principal(P), principal(Q).\n\
-                      link(X, Y) <- says_link(X, Y).";
-        let configs = [
-            crate::eval::EvalOptions::serial(),
-            crate::eval::EvalOptions {
-                workers: 4,
-                parallel_threshold: 2,
-            },
-        ];
-        for exec in configs {
-            let mut ws = Workspace::with_config(EvalConfig {
-                exec,
-                ..EvalConfig::default()
-            });
-            ws.install_source(source).unwrap();
-            let mut batch = Vec::new();
-            for i in 0..40 {
-                let (p, q) = (format!("p{i}"), format!("p{}", i + 1));
-                ws.assert_fact("principal", vec![Value::str(p.clone())])
-                    .unwrap();
-                ws.assert_fact("principal", vec![Value::str(q.clone())])
-                    .unwrap();
-                batch.push(("says_link".into(), vec![Value::str(p), Value::str(q)]));
-            }
-            // A large satisfied batch passes under sharded checking...
-            ws.transaction(batch.clone()).unwrap();
-            // ...and one unknown principal among many still aborts.
-            batch.push((
-                "says_link".into(),
-                vec![Value::str("mallory"), Value::str("p0")],
-            ));
-            let before = ws.count("link");
-            assert!(ws.transaction(batch).is_err());
-            assert_eq!(ws.count("link"), before, "violation must roll back");
-        }
-    }
-
-    #[test]
-    fn small_deltas_stay_on_the_serial_fast_path() {
-        let mut ws = Workspace::with_config(EvalConfig {
-            exec: crate::eval::EvalOptions {
-                workers: 4,
-                parallel_threshold: 1_000_000,
-            },
-            ..EvalConfig::default()
-        });
-        ws.install_source(
-            "reachable(X, Y) <- link(X, Y).\n\
-             reachable(X, Y) <- link(X, Z), reachable(Z, Y).",
-        )
-        .unwrap();
-        for i in 0..20 {
-            ws.assert_fact("link", vec![Value::Int(i), Value::Int(i + 1)])
-                .unwrap();
-        }
-        ws.fixpoint().unwrap();
-        let stats = ws.plan_stats();
-        assert_eq!(
-            stats.parallel_batches, 0,
-            "below-threshold deltas must not shard"
-        );
-        assert!(stats.serial_batches > 0);
-        assert_eq!(ws.count("reachable"), 20 * 21 / 2);
     }
 
     #[test]

@@ -15,8 +15,8 @@ use secureblox_datalog::eval::join::JoinContext;
 use secureblox_datalog::eval::plan::{bound_after, compile_body_plan, full_signature};
 use secureblox_datalog::eval::{Bindings, PlanCache, PlanStats};
 use secureblox_datalog::{
-    parse_program, parse_rule, Constraint, EvalConfig, EvalOptions, FactDelta, Literal, Relation,
-    UdfRegistry, Value, Workspace,
+    parse_program, parse_rule, Constraint, FactDelta, Literal, Relation, UdfRegistry, Value,
+    Workspace,
 };
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
@@ -509,13 +509,11 @@ proptest! {
         let oracle = |relations: &HashMap<String, Relation>| {
             verdict(&check_constraints(&constraints, relations, &udfs))
         };
-        let exec = EvalOptions::serial();
-
         let mut relations = constraint_relations(&rows, me);
         let held = oracle(&relations);
         let (mut cache, stats) = (PlanCache::new(), PlanStats::default());
-        let planned = check_constraints_planned(
-            &constraints, &mut relations, &udfs, &mut cache, &stats, &exec, None);
+        let planned =
+            check_constraints_planned(&constraints, &mut relations, &udfs, &mut cache, &stats);
         prop_assert!(verdict(&planned) == held, "full check of {}", constraint);
 
         // What the rhs is planned under, every lhs solution binds.
@@ -556,8 +554,7 @@ proptest! {
             }
             let expected = oracle(&changed);
             let incremental = check_constraints_for_delta(
-                &constraints, &mut changed, &udfs, &mut cache, &stats, &added, &removed,
-                &exec, None);
+                &constraints, &mut changed, &udfs, &mut cache, &stats, &added, &removed);
             prop_assert!(
                 verdict(&incremental) == expected,
                 "{} after +{:?} -{:?}", constraint, added, removed
@@ -626,14 +623,7 @@ fn arb_fact() -> impl Strategy<Value = Fact> {
 }
 
 fn txn_workspace(source: &str) -> Workspace {
-    txn_workspace_with(source, EvalOptions::serial())
-}
-
-fn txn_workspace_with(source: &str, exec: EvalOptions) -> Workspace {
-    let mut ws = Workspace::with_config(EvalConfig {
-        exec,
-        ..EvalConfig::default()
-    });
+    let mut ws = Workspace::new();
     ws.set_strict_typing(false);
     ws.install_source(source).unwrap();
     ws
@@ -746,10 +736,7 @@ proptest! {
     /// journal.  A refused call leaves the workspace equal to a clone taken
     /// before it — visibly and in its hidden state.  A committed call leaves
     /// it equal to a fresh workspace that naïve-fixpoints the committed base
-    /// facts.  The same calls on a four-worker workspace that shards every
-    /// driving set (DRed's over-deletion frontier included) give the same
-    /// verdicts and the same relations, entity ids and all, and leave the
-    /// same memo and entity counter behind.
+    /// facts.
     #[test]
     fn transactions_commit_to_the_fixpoint_and_roll_back_to_the_clone(
         negated in any::<bool>(),
@@ -762,24 +749,18 @@ proptest! {
             TXN_PROGRAM.to_string()
         };
         let mut ws = txn_workspace(&source);
-        let mut sharded = txn_workspace_with(
-            &source,
-            EvalOptions { workers: 4, parallel_threshold: 1 },
-        );
         // n4 stays undeclared, so a good share of `cost` batches is refused.
         let mut committed: Vec<Fact> = (0..4)
             .map(|i| ("node".to_string(), vec![node_value(i)]))
             .collect();
         for (pred, tuple) in &committed {
             ws.assert_fact(pred, tuple.clone()).unwrap();
-            sharded.assert_fact(pred, tuple.clone()).unwrap();
         }
         // Whether the last thing that happened was a committed fixpoint run
         // (a retraction that finds nothing stored runs none).
         let mut settled = false;
         for (kind, mut batch, extra, pick) in ops {
             if kind == 2 && ws.assert_fact(&extra.0, extra.1.clone()).is_ok() {
-                sharded.assert_fact(&extra.0, extra.1.clone()).unwrap();
                 committed.push(extra);
                 settled = false;
             }
@@ -798,13 +779,6 @@ proptest! {
             } else {
                 ws.transaction(batch.clone()).map(|_| true)
             };
-            let sharded_outcome = if kind == 1 {
-                sharded.retract(batch.clone()).map(|_| ())
-            } else {
-                sharded.transaction(batch.clone()).map(|_| ())
-            };
-            prop_assert_eq!(verdict(&sharded_outcome), verdict(&outcome));
-            prop_assert_eq!(dump(&sharded), dump(&ws));
             match outcome {
                 Err(_) => {
                     prop_assert_eq!(dump(&ws), dump(&before));
@@ -828,7 +802,6 @@ proptest! {
                 }
             }
         }
-        assert_same_hidden_state(&sharded, &ws, &[])?;
     }
 }
 

@@ -19,7 +19,7 @@ use crate::error::{Result, StoreError};
 use crate::merkle::{leaf_hash, merkle_root, HASH_LEN};
 use crate::object::{is_object_id, ObjectId};
 use secureblox_crypto::sha1;
-use secureblox_datalog::codec::{deserialize_tuple, read_string, write_string};
+use secureblox_datalog::codec::{deserialize_tuple, read_count, read_string, write_string};
 use secureblox_datalog::value::Tuple;
 use std::fs;
 use std::path::Path;
@@ -99,9 +99,10 @@ impl SnapshotManifest {
         };
         let watermark = take8(8)?;
         let wal_seq = take8(16)?;
-        let count_bytes = data.get(24..28).ok_or_else(|| corrupt("truncated count"))?;
-        let count = u32::from_be_bytes(count_bytes.try_into().expect("4 bytes")) as usize;
-        let mut pos = 28usize;
+        let mut pos = 24usize;
+        // An entry is two length-prefixed strings.
+        let count = read_count(data, &mut pos, 8, "relation count")
+            .map_err(|reason| StoreError::CorruptSnapshot { reason })?;
         let mut relations = Vec::with_capacity(count);
         for _ in 0..count {
             let name = read_string(data, &mut pos)
@@ -170,11 +171,8 @@ pub fn decode_relation(data: &[u8]) -> Result<(String, Vec<Tuple>)> {
     }
     let mut pos = 8usize;
     let name = read_string(data, &mut pos).map_err(corrupt)?;
-    let count_bytes = data
-        .get(pos..pos + 4)
-        .ok_or_else(|| corrupt("truncated tuple count".into()))?;
-    pos += 4;
-    let count = u32::from_be_bytes(count_bytes.try_into().expect("4 bytes")) as usize;
+    // The shortest tuple is its own four-byte length.
+    let count = read_count(data, &mut pos, 4, "tuple count").map_err(corrupt)?;
     let mut tuples = Vec::with_capacity(count);
     for _ in 0..count {
         tuples.push(deserialize_tuple(data, &mut pos).map_err(corrupt)?);
@@ -274,6 +272,25 @@ mod tests {
         assert!(matches!(
             SnapshotManifest::decode(&forged.encode()),
             Err(StoreError::RootMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn hostile_counts_are_corrupt_snapshots_not_allocations() {
+        let (relation, _) = sample_relation();
+        let count_at = 8 + 4 + "link".len();
+        let mut hostile = relation[..count_at].to_vec();
+        hostile.extend_from_slice(&[0xFF; 4]);
+        assert!(matches!(
+            decode_relation(&hostile),
+            Err(StoreError::CorruptSnapshot { .. })
+        ));
+        let mut manifest = MANIFEST_MAGIC.to_vec();
+        manifest.extend_from_slice(&[0; 16]);
+        manifest.extend_from_slice(&[0xFF; 4]);
+        assert!(matches!(
+            SnapshotManifest::decode(&manifest),
+            Err(StoreError::CorruptSnapshot { .. })
         ));
     }
 

@@ -34,7 +34,7 @@
 //!   formatting, no clock read.
 //!
 //! The `telemetry_overhead` bench series holds the ≤5% budget on the
-//! `pool_triple_join_10k` baseline.
+//! `planner_triple_join_10k` baseline.
 //!
 //! Like the `compat` crates, this is a stand-in shaped by what the workspace
 //! needs, not a rebuild of `metrics`/`tracing` — the container has no

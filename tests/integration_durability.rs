@@ -383,6 +383,37 @@ fn forged_reassert_of_a_held_fact_never_reaches_the_edb() {
 }
 
 #[test]
+fn hostile_tuple_length_is_a_rejected_batch_not_an_abort() {
+    // 21 bytes any peer can send in the clear under NoAuth and HMAC: one
+    // delta whose tuple claims four billion values.  A decoder that
+    // allocates for them before reading one aborts the whole process.
+    let mut payload = 1u64.to_be_bytes().to_vec(); // seq
+    payload.extend_from_slice(&1u32.to_be_bytes()); // one delta
+    payload.push(0); // assert
+    payload.extend_from_slice(&0u32.to_be_bytes()); // empty predicate name
+    payload.extend_from_slice(&[0xFF; 4]); // tuple length
+    assert_eq!(payload.len(), 21);
+    for auth in [AuthScheme::NoAuth, AuthScheme::HmacSha1] {
+        let dir = fresh_dir(&format!("hostilelen-{auth:?}"));
+        let config = DeploymentConfig {
+            security: SecurityConfig::new(auth, EncScheme::None),
+            ..durable_config(&dir)
+        };
+        let mut deployment = Deployment::build(REACH_APP, &line_specs(), config).unwrap();
+        let rejected = deployment.run().unwrap().rejected_batches;
+        let before = (all_queries(&deployment), deployment.edb_roots().unwrap());
+
+        deployment.inject_message(1, 0, payload.clone());
+        let report = deployment.run().unwrap();
+        assert_eq!(report.rejected_batches, rejected + 1, "{auth:?}");
+        let after = (all_queries(&deployment), deployment.edb_roots().unwrap());
+        assert_eq!(after, before, "{auth:?}");
+        drop(deployment);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn tampered_wal_record_is_a_typed_error() {
     // No checkpoint here: checkpointing compacts the log, so the un-snapshot
     // WAL is where tampering is meaningful.

@@ -1,10 +1,5 @@
 //! Properties of the interned columnar engine.
 //!
-//! Three things must hold no matter how the batch executor shards work:
-//!
-//! * **Worker-count invariance** — the fixpoint (every relation, byte for
-//!   byte) and the store Merkle root are identical at every worker count in
-//!   `{1, 2, 4, 7}` with the shard threshold forced to 1.
 //! * **Dictionary ids never leak** — tuples observed through `query` must
 //!   serialize (via the canonical codec) byte-identically to freshly
 //!   constructed [`Value`]s computed by an independent model of the program,
@@ -14,18 +9,19 @@
 //! * **Durability round-trip** — logging the fixpoint into a `FactStore`,
 //!   checkpointing, and recovering reproduces the same root and fact count.
 //!
+//! (The property's name predates the removal of the intra-node worker pool:
+//! it used to repeat the run at worker counts `{1, 2, 4, 7}` as well.)
+//!
 //! The generated program exercises the columnar strides the batch plane
 //! special-cases (1, 2, and wide), mixed value types (ints, strings, bytes),
 //! recursion, negation, and aggregation.
 
 use proptest::prelude::*;
 use secureblox_datalog::codec::serialize_tuple;
-use secureblox_datalog::{EvalConfig, EvalOptions, Value, Workspace};
+use secureblox_datalog::{Value, Workspace};
 use secureblox_store::{derive_node_key, FactStore};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
 const PROGRAM: &str = "tc(X, Y) <- e0(X, Y).\n\
      tc(X, Z) <- e0(X, Y), tc(Y, Z).\n\
@@ -51,15 +47,9 @@ fn tag_bytes(i: u8) -> Value {
 }
 
 /// Install the program, load the edges plus the fixed `lab`/`tag` tables,
-/// and converge at the given worker count.
-fn run_fixpoint(e0: &[(u8, u8)], e1: &[(u8, u8)], workers: usize) -> Workspace {
-    let mut ws = Workspace::with_config(EvalConfig {
-        exec: EvalOptions {
-            workers,
-            parallel_threshold: 1,
-        },
-        ..EvalConfig::default()
-    });
+/// and converge.
+fn run_fixpoint(e0: &[(u8, u8)], e1: &[(u8, u8)]) -> Workspace {
+    let mut ws = Workspace::new();
     ws.install_source(PROGRAM).unwrap();
     for (pred, edges) in [("e0", e0), ("e1", e1)] {
         for (a, b) in edges {
@@ -136,7 +126,7 @@ proptest! {
         e0 in arb_edges(),
         e1 in arb_edges(),
     ) {
-        let baseline = run_fixpoint(&e0, &e1, WORKER_COUNTS[0]);
+        let baseline = run_fixpoint(&e0, &e1);
 
         // ------------------------------------------------------------------
         // Dictionary ids never leak into codec bytes: every derived relation
@@ -245,27 +235,6 @@ proptest! {
             merkle_root(&model_facts, "model") == baseline_root,
             "interner identity influenced a Merkle leaf"
         );
-
-        // ------------------------------------------------------------------
-        // Worker-count invariance: relations and roots are byte-identical.
-        // ------------------------------------------------------------------
-        for &workers in &WORKER_COUNTS[1..] {
-            let ws = run_fixpoint(&e0, &e1, workers);
-            prop_assert_eq!(baseline.predicate_names(), ws.predicate_names());
-            for pred in baseline.predicate_names() {
-                prop_assert!(
-                    baseline.query(&pred) == ws.query(&pred),
-                    "relation {} diverged at {} workers",
-                    pred,
-                    workers
-                );
-            }
-            prop_assert!(
-                merkle_root(&all_facts(&ws), &format!("w{workers}")) == baseline_root,
-                "Merkle root diverged at {} workers",
-                workers
-            );
-        }
 
         // ------------------------------------------------------------------
         // Durability round-trip: checkpoint + recovery reproduce the root.

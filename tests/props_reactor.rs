@@ -10,8 +10,8 @@
 //!
 //! * the deterministic REACH app (no existentials, no FD races) is compared
 //!   **bit-for-bit** — relations, verdict counters, EDB Merkle roots —
-//!   across worker counts {1, 4}, reactor threads {1, 4}, streaming on/off,
-//!   and the durable recovery path;
+//!   across reactor threads {1, 4}, streaming on/off, and the durable
+//!   recovery path;
 //! * random path-vector topologies are compared at **outcome** level
 //!   (routes found, bestcost entries, rejected batches): virtual time
 //!   advances by measured wall-clock compute, so message/transaction counts
@@ -63,14 +63,12 @@ fn durable_config(
     dir: &Path,
     reactor: ReactorConfig,
     streaming: StreamingConfig,
-    parallelism: usize,
 ) -> DeploymentConfig {
     DeploymentConfig {
         security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
         durability: Some(DurabilityConfig::new(dir)),
         reactor,
         streaming,
-        parallelism,
         ..DeploymentConfig::default()
     }
 }
@@ -120,12 +118,11 @@ fn run_durable_scenario(
     dir: &Path,
     reactor: ReactorConfig,
     streaming: StreamingConfig,
-    parallelism: usize,
 ) -> (Snapshot, Deployment) {
     let mut deployment = Deployment::build(
         REACH_APP,
         &line_specs(),
-        durable_config(dir, reactor, streaming, parallelism),
+        durable_config(dir, reactor, streaming),
     )
     .unwrap();
     let first = deployment.run().unwrap();
@@ -146,54 +143,43 @@ fn run_durable_scenario(
 }
 
 /// Reactor-mode delivery is bit-identical to the reference loop on a
-/// deterministic app: relations, verdicts, and Merkle roots all match, for
-/// serial and parallel fixpoints, 1 and 4 reactor threads, and with the
-/// streaming scheduler both off (per-envelope) and on (coalescing + credit).
+/// deterministic app: relations, verdicts, and Merkle roots all match, for 1
+/// and 4 reactor threads, and with the streaming scheduler both off
+/// (per-envelope) and on (coalescing + credit).
 #[test]
 fn reactor_durable_run_matches_reference_bit_for_bit() {
-    for parallelism in [1usize, 4] {
-        for streaming in [
-            StreamingConfig::disabled(),
-            StreamingConfig::with_knobs(4, 8),
-        ] {
-            let label = format!("base-w{parallelism}-s{}", streaming.enabled as u8);
-            let base_dir = fresh_dir(&label);
-            let (baseline, _) = run_durable_scenario(
-                &base_dir,
-                ReactorConfig::disabled(),
-                streaming.clone(),
-                parallelism,
-            );
-            let _ = std::fs::remove_dir_all(&base_dir);
+    for streaming in [
+        StreamingConfig::disabled(),
+        StreamingConfig::with_knobs(4, 8),
+    ] {
+        let base_dir = fresh_dir(&format!("base-s{}", streaming.enabled as u8));
+        let (baseline, _) =
+            run_durable_scenario(&base_dir, ReactorConfig::disabled(), streaming.clone());
+        let _ = std::fs::remove_dir_all(&base_dir);
 
-            for threads in [1usize, 4] {
-                let dir = fresh_dir(&format!(
-                    "r{threads}-w{parallelism}-s{}",
-                    streaming.enabled as u8
-                ));
-                let (reactor, _) = run_durable_scenario(
-                    &dir,
-                    ReactorConfig::with_threads(threads),
-                    streaming.clone(),
-                    parallelism,
-                );
-                let _ = std::fs::remove_dir_all(&dir);
-                assert_eq!(
-                    reactor.0, baseline.0,
-                    "relations diverged (threads={threads}, workers={parallelism}, streaming={})",
-                    streaming.enabled
-                );
-                assert_eq!(
-                    reactor.1, baseline.1,
-                    "constraint verdicts diverged (threads={threads}, workers={parallelism}, streaming={})",
-                    streaming.enabled
-                );
-                assert_eq!(
-                    reactor.2, baseline.2,
-                    "store Merkle roots diverged (threads={threads}, workers={parallelism}, streaming={})",
-                    streaming.enabled
-                );
-            }
+        for threads in [1usize, 4] {
+            let dir = fresh_dir(&format!("r{threads}-s{}", streaming.enabled as u8));
+            let (reactor, _) = run_durable_scenario(
+                &dir,
+                ReactorConfig::with_threads(threads),
+                streaming.clone(),
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+            assert_eq!(
+                reactor.0, baseline.0,
+                "relations diverged (threads={threads}, streaming={})",
+                streaming.enabled
+            );
+            assert_eq!(
+                reactor.1, baseline.1,
+                "constraint verdicts diverged (threads={threads}, streaming={})",
+                streaming.enabled
+            );
+            assert_eq!(
+                reactor.2, baseline.2,
+                "store Merkle roots diverged (threads={threads}, streaming={})",
+                streaming.enabled
+            );
         }
     }
 }
@@ -206,14 +192,14 @@ fn recovery_replays_a_reactor_mode_wal() {
     let streaming = StreamingConfig::with_knobs(8, 32);
     let dir = fresh_dir("recover");
     let (live, deployment) =
-        run_durable_scenario(&dir, ReactorConfig::with_threads(4), streaming.clone(), 1);
+        run_durable_scenario(&dir, ReactorConfig::with_threads(4), streaming.clone());
     drop(deployment);
 
     let recovered = Deployment::recover(
         &dir,
         REACH_APP,
         &line_specs(),
-        durable_config(&dir, ReactorConfig::disabled(), streaming, 1),
+        durable_config(&dir, ReactorConfig::disabled(), streaming),
     )
     .unwrap();
     assert_eq!(

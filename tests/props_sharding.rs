@@ -8,10 +8,9 @@
 //!
 //! * the union of every relation across the group (sorted, deduplicated) is
 //!   compared against the unsharded reference across partitions {1, 2, 4} ×
-//!   workers {1, 4} × streaming on/off, together with the constraint
-//!   verdicts;
+//!   streaming on/off, together with the constraint verdicts;
 //! * at a fixed partitioning, the per-node EDB Merkle roots must be
-//!   bit-identical across workers × streaming — executor knobs must not
+//!   bit-identical with streaming on and off — delivery knobs must not
 //!   change any partition's content;
 //! * a membership change ([`Deployment::apply_shard_map`]) must move only a
 //!   minority of tuples (consistent hashing), keep the global content
@@ -91,7 +90,6 @@ fn shard_map(partitions: usize) -> ShardMap {
 
 fn sharded_config(
     partitions: usize,
-    workers: usize,
     streaming: StreamingConfig,
     facts: Vec<(String, Tuple)>,
 ) -> DeploymentConfig {
@@ -99,7 +97,6 @@ fn sharded_config(
         security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
         shared_facts: facts,
         sharding: Some(shard_map(partitions)),
-        parallelism: workers,
         streaming,
         ..DeploymentConfig::default()
     }
@@ -107,7 +104,6 @@ fn sharded_config(
 
 fn build_sharded(
     partitions: usize,
-    workers: usize,
     streaming: StreamingConfig,
     facts: Vec<(String, Tuple)>,
 ) -> Deployment {
@@ -117,7 +113,7 @@ fn build_sharded(
     Deployment::build(
         SHARD_APP,
         &specs,
-        sharded_config(partitions, workers, streaming, facts),
+        sharded_config(partitions, streaming, facts),
     )
     .unwrap()
 }
@@ -151,10 +147,11 @@ fn fresh_dir(label: &str) -> PathBuf {
     dir
 }
 
-/// The tentpole equality: across partitions × workers × streaming, the union
-/// of every relation matches the unsharded reference, the verdicts are
-/// clean, and — at each fixed partitioning — the per-node Merkle roots are
-/// identical across executor knobs.
+/// The tentpole equality: across partitions × streaming, the union of every
+/// relation matches the unsharded reference, the verdicts are clean, and —
+/// at each fixed partitioning — the per-node Merkle roots are identical with
+/// streaming on and off.  (The name predates the removal of the intra-node
+/// worker pool, which used to be a third axis here.)
 #[test]
 fn sharded_unions_match_unsharded_across_partitions_workers_streaming() {
     let reference = reference_unions(base_facts());
@@ -165,52 +162,46 @@ fn sharded_unions_match_unsharded_across_partitions_workers_streaming() {
 
     for partitions in [1usize, 2, 4] {
         let mut roots_by_knobs: Vec<Vec<(String, String)>> = Vec::new();
-        for workers in [1usize, 4] {
-            for streaming in [
-                StreamingConfig::disabled(),
-                StreamingConfig::with_knobs(16, 64),
-            ] {
-                let dir = fresh_dir(&format!("grid-p{partitions}-w{workers}"));
-                let mut config =
-                    sharded_config(partitions, workers, streaming.clone(), base_facts());
-                config.durability = Some(DurabilityConfig::new(&dir));
-                let specs: Vec<NodeSpec> = (0..partitions)
-                    .map(|i| NodeSpec::new(principal_name(i)))
-                    .collect();
-                let mut deployment = Deployment::build(SHARD_APP, &specs, config).unwrap();
-                let report = deployment.run().unwrap();
-                assert_eq!(report.rejected_batches, 0, "p={partitions} w={workers}");
-                assert_eq!(report.conflicting_batches, 0, "p={partitions} w={workers}");
-                assert_eq!(
-                    unions(&deployment),
-                    reference,
-                    "unions diverged from the unsharded reference \
-                     (partitions={partitions}, workers={workers}, \
-                      streaming={})",
-                    streaming.enabled
-                );
-                let shard_view = report.shard.expect("sharded run reports the shard plane");
-                assert_eq!(shard_view.partitions, partitions);
-                let placed: usize = shard_view
-                    .per_partition_tuples
-                    .iter()
-                    .map(|(_, n)| *n)
-                    .sum();
-                assert_eq!(
-                    placed,
-                    distinct_sharded_count(),
-                    "every sharded base tuple is placed exactly once"
-                );
-                roots_by_knobs.push(deployment.edb_roots().unwrap());
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-        }
-        for roots in &roots_by_knobs[1..] {
+        for streaming in [
+            StreamingConfig::disabled(),
+            StreamingConfig::with_knobs(16, 64),
+        ] {
+            let dir = fresh_dir(&format!("grid-p{partitions}"));
+            let mut config = sharded_config(partitions, streaming.clone(), base_facts());
+            config.durability = Some(DurabilityConfig::new(&dir));
+            let specs: Vec<NodeSpec> = (0..partitions)
+                .map(|i| NodeSpec::new(principal_name(i)))
+                .collect();
+            let mut deployment = Deployment::build(SHARD_APP, &specs, config).unwrap();
+            let report = deployment.run().unwrap();
+            assert_eq!(report.rejected_batches, 0, "p={partitions}");
+            assert_eq!(report.conflicting_batches, 0, "p={partitions}");
             assert_eq!(
-                roots, &roots_by_knobs[0],
-                "per-node Merkle roots diverged across workers/streaming at partitions={partitions}"
+                unions(&deployment),
+                reference,
+                "unions diverged from the unsharded reference \
+                 (partitions={partitions}, streaming={})",
+                streaming.enabled
             );
+            let shard_view = report.shard.expect("sharded run reports the shard plane");
+            assert_eq!(shard_view.partitions, partitions);
+            let placed: usize = shard_view
+                .per_partition_tuples
+                .iter()
+                .map(|(_, n)| *n)
+                .sum();
+            assert_eq!(
+                placed,
+                distinct_sharded_count(),
+                "every sharded base tuple is placed exactly once"
+            );
+            roots_by_knobs.push(deployment.edb_roots().unwrap());
+            let _ = std::fs::remove_dir_all(&dir);
         }
+        assert_eq!(
+            roots_by_knobs[1], roots_by_knobs[0],
+            "per-node Merkle roots diverged across streaming at partitions={partitions}"
+        );
     }
 }
 
@@ -228,7 +219,7 @@ fn ingest_routes_to_ring_owners_and_preserves_equality() {
     all_facts.extend(extra.clone());
     let reference = reference_unions(all_facts);
 
-    let mut deployment = build_sharded(4, 1, StreamingConfig::disabled(), base_facts());
+    let mut deployment = build_sharded(4, StreamingConfig::disabled(), base_facts());
     deployment.run().unwrap();
     deployment.ingest(extra.clone()).unwrap();
     deployment.run().unwrap();
@@ -371,7 +362,7 @@ proptest! {
         }
         facts.push(("boost".to_string(), vec![Value::Int(10)]));
         let reference = reference_unions(facts.clone());
-        let mut deployment = build_sharded(2, 1, StreamingConfig::disabled(), facts);
+        let mut deployment = build_sharded(2, StreamingConfig::disabled(), facts);
         deployment.run().unwrap();
         prop_assert_eq!(unions(&deployment), reference);
     }

@@ -8,9 +8,9 @@
 //!
 //! * the deterministic REACH app (no existentials, no FD races) is compared
 //!   **bit-for-bit** — every relation, every verdict counter, every EDB
-//!   Merkle root — across worker counts {1, 4} and a spread of
-//!   batch/credit-window knobs including a credit window of 1 (maximum
-//!   backpressure: every delta stalls until the previous one is acked);
+//!   Merkle root — across a spread of batch/credit-window knobs including
+//!   a credit window of 1 (maximum backpressure: every delta stalls until
+//!   the previous one is acked);
 //! * random path-vector topologies are compared at **outcome** level
 //!   (routes found, bestcost entries, rejected batches): virtual time
 //!   advances by measured wall-clock compute, so message/transaction counts
@@ -62,12 +62,11 @@ fn line_specs() -> Vec<NodeSpec> {
     ]
 }
 
-fn durable_config(dir: &Path, streaming: StreamingConfig, parallelism: usize) -> DeploymentConfig {
+fn durable_config(dir: &Path, streaming: StreamingConfig) -> DeploymentConfig {
     DeploymentConfig {
         security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
         durability: Some(DurabilityConfig::new(dir)),
         streaming,
-        parallelism,
         ..DeploymentConfig::default()
     }
 }
@@ -113,17 +112,9 @@ fn snapshot(deployment: &Deployment, verdicts: (usize, usize, usize)) -> Snapsho
 
 /// One full durable scenario: build, run to fixpoint, retract a link (so the
 /// DRed/WAL retract path executes under batching), run to re-convergence.
-fn run_durable_scenario(
-    dir: &Path,
-    streaming: StreamingConfig,
-    parallelism: usize,
-) -> (Snapshot, Deployment) {
-    let mut deployment = Deployment::build(
-        REACH_APP,
-        &line_specs(),
-        durable_config(dir, streaming, parallelism),
-    )
-    .unwrap();
+fn run_durable_scenario(dir: &Path, streaming: StreamingConfig) -> (Snapshot, Deployment) {
+    let mut deployment =
+        Deployment::build(REACH_APP, &line_specs(), durable_config(dir, streaming)).unwrap();
     let first = deployment.run().unwrap();
     deployment
         .retract(
@@ -142,39 +133,32 @@ fn run_durable_scenario(
 }
 
 /// Batched/backpressured delivery is bit-identical to per-envelope delivery
-/// on a deterministic app: relations, verdicts, and Merkle roots all match,
-/// for serial and parallel fixpoints and across batching knobs from
-/// "degenerate" (batch of 1, credit window 1 — every delta individually
-/// acked) to "greedy" (the shipped defaults).
+/// on a deterministic app: relations, verdicts, and Merkle roots all match
+/// across batching knobs from "degenerate" (batch of 1, credit window 1 —
+/// every delta individually acked) to "greedy" (the shipped defaults).
 #[test]
 fn streaming_durable_run_matches_per_envelope_bit_for_bit() {
-    for parallelism in [1usize, 4] {
-        let base_dir = fresh_dir(&format!("base-w{parallelism}"));
-        let (baseline, _) =
-            run_durable_scenario(&base_dir, StreamingConfig::disabled(), parallelism);
-        let _ = std::fs::remove_dir_all(&base_dir);
+    let base_dir = fresh_dir("base");
+    let (baseline, _) = run_durable_scenario(&base_dir, StreamingConfig::disabled());
+    let _ = std::fs::remove_dir_all(&base_dir);
 
-        for (batch_max, high_water) in [(1usize, 1usize), (4, 8), (64, 256)] {
-            let dir = fresh_dir(&format!("s{batch_max}-{high_water}-w{parallelism}"));
-            let (streamed, _) = run_durable_scenario(
-                &dir,
-                StreamingConfig::with_knobs(batch_max, high_water),
-                parallelism,
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-            assert_eq!(
-                streamed.0, baseline.0,
-                "relations diverged (workers={parallelism}, batch={batch_max}, window={high_water})"
-            );
-            assert_eq!(
-                streamed.1, baseline.1,
-                "constraint verdicts diverged (workers={parallelism}, batch={batch_max}, window={high_water})"
-            );
-            assert_eq!(
-                streamed.2, baseline.2,
-                "store Merkle roots diverged (workers={parallelism}, batch={batch_max}, window={high_water})"
-            );
-        }
+    for (batch_max, high_water) in [(1usize, 1usize), (4, 8), (64, 256)] {
+        let dir = fresh_dir(&format!("s{batch_max}-{high_water}"));
+        let (streamed, _) =
+            run_durable_scenario(&dir, StreamingConfig::with_knobs(batch_max, high_water));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            streamed.0, baseline.0,
+            "relations diverged (batch={batch_max}, window={high_water})"
+        );
+        assert_eq!(
+            streamed.1, baseline.1,
+            "constraint verdicts diverged (batch={batch_max}, window={high_water})"
+        );
+        assert_eq!(
+            streamed.2, baseline.2,
+            "store Merkle roots diverged (batch={batch_max}, window={high_water})"
+        );
     }
 }
 
@@ -185,14 +169,14 @@ fn streaming_durable_run_matches_per_envelope_bit_for_bit() {
 fn recovery_replays_streaming_batch_wal_records_in_order() {
     let streaming = StreamingConfig::with_knobs(8, 32);
     let dir = fresh_dir("recover");
-    let (live, deployment) = run_durable_scenario(&dir, streaming.clone(), 1);
+    let (live, deployment) = run_durable_scenario(&dir, streaming.clone());
     drop(deployment);
 
     let recovered = Deployment::recover(
         &dir,
         REACH_APP,
         &line_specs(),
-        durable_config(&dir, streaming, 1),
+        durable_config(&dir, streaming),
     )
     .unwrap();
     assert_eq!(

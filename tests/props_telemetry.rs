@@ -210,6 +210,70 @@ fn report_telemetry_exposes_fixpoint_wal_and_update_apply() {
     });
 }
 
+/// Every rule execution is counted once, by the way it ran, and observed
+/// once: on one workspace the `datalog_rule_exec_*_total` counters add up to
+/// `serial_batches`, and `datalog_rule_batch_join_ns` holds one observation
+/// per combination — everything but the aggregate recomputations.
+#[test]
+fn rule_executions_are_counted_by_path_and_observed_once() {
+    let _lock = FLAG_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let registry = secureblox_telemetry::registry();
+    let read = || {
+        let counter = |path: &str| {
+            registry
+                .counter(&format!("datalog_rule_exec_{path}_total"))
+                .get()
+        };
+        (
+            [
+                counter("batch"),
+                counter("tuple"),
+                counter("existential"),
+                counter("aggregate"),
+            ],
+            registry.histogram("datalog_rule_batch_join_ns").count(),
+        )
+    };
+    with_telemetry(true, || {
+        let (before, observed_before) = read();
+        // A batch-eligible recursion, a comparison (tuple path), a head
+        // existential and an aggregate, through a naive fixpoint, a seeded
+        // transaction and a DRed retraction.
+        let mut ws = secureblox_datalog::Workspace::new();
+        ws.install_source(
+            "reach(X, Y) <- link(X, Y).\n\
+             reach(X, Z) <- link(X, Y), reach(Y, Z).\n\
+             up(X, Y) <- link(X, Y), X < Y.\n\
+             hopvar(H) -> .\n\
+             hopvar(H), hop(H, X, Y) <- link(X, Y).\n\
+             fanout[X] = N <- agg<< N = count(Y) >> link(X, Y).\n\
+             link(1, 2). link(2, 3). link(3, 1).",
+        )
+        .unwrap();
+        ws.fixpoint().unwrap();
+        let link = |x, y| vec![("link".to_string(), vec![Value::Int(x), Value::Int(y)])];
+        ws.transaction(link(3, 4)).unwrap();
+        ws.retract(link(2, 3)).unwrap();
+
+        let (after, observed_after) = read();
+        let [batch, tuple, existential, aggregate] =
+            std::array::from_fn(|path| after[path] - before[path]);
+        for (path, count) in [
+            ("batch", batch),
+            ("tuple", tuple),
+            ("existential", existential),
+            ("aggregate", aggregate),
+        ] {
+            assert!(count > 0, "no {path} execution counted");
+        }
+        let executions = ws.plan_stats().serial_batches;
+        assert_eq!(batch + tuple + existential + aggregate, executions);
+        assert_eq!(observed_after - observed_before, executions - aggregate);
+    });
+}
+
 /// The observed run really was observed: with ring tracing on, engine spans
 /// land in the buffer; with everything off, nothing is recorded — so the
 /// equality above compares an instrumented run against a bare one.
