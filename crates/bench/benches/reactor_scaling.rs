@@ -76,10 +76,7 @@ fn run_mode(n: usize, label: &str, reactor: ReactorConfig) -> ModeResult {
     let dir = fresh_dir(&format!("{label}-n{n}"));
     let config = DeploymentConfig {
         security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
-        streaming: StreamingConfig::with_knobs(
-            secureblox::runtime::stream::DEFAULT_BATCH_MAX,
-            secureblox::runtime::stream::DEFAULT_QUEUE_HIGH_WATER,
-        ),
+        streaming: StreamingConfig::default(),
         durability: Some(DurabilityConfig::new(&dir)),
         reactor,
         ..DeploymentConfig::default()

@@ -121,12 +121,9 @@ fn run_sharded(n: usize, trial: usize) -> ShardedResult {
                 .shard("tableA", 0)
                 .shard("tableB", 0),
         ),
-        // The streaming scheduler is the shard plane's production delivery
-        // path: exchange deltas coalesce into multi-delta envelopes and every
-        // delta applies through the seeded snapshot-free transaction.  The
-        // per-envelope path re-runs a full O(database) fixpoint per delivered
-        // tuple, which measures the seed executor, not the shard plane.
-        streaming: StreamingConfig::with_knobs(64, 256),
+        // Pinned so `SECUREBLOX_BATCH_MAX` in the caller's environment
+        // cannot move the series.
+        streaming: StreamingConfig::default(),
         durability: Some(DurabilityConfig::new(&dir)),
         ..DeploymentConfig::default()
     };

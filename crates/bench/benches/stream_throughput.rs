@@ -1,6 +1,7 @@
 //! Streaming-scheduler throughput: sustained update-stream deltas applied
-//! per second, per-envelope baseline vs the batching/backpressure scheduler,
-//! at 6 / 18 / 36 nodes.
+//! per second, the unbatched baseline (`StreamingConfig::unbatched()`: one
+//! delta per envelope) vs the default batching/backpressure knobs, at
+//! 6 / 18 / 36 nodes.
 //!
 //! The workload is a gossip flood on a ring: every node exports its own
 //! `link` facts *and everything it has heard* to every other principal, so
@@ -132,35 +133,28 @@ fn main() {
     };
     let mut entries = Vec::new();
     for &n in &node_counts {
-        let per_envelope = run_mode(n, "per_envelope", StreamingConfig::disabled());
-        let streamed = run_mode(
-            n,
-            "streaming",
-            StreamingConfig::with_knobs(
-                secureblox::runtime::stream::DEFAULT_BATCH_MAX,
-                secureblox::runtime::stream::DEFAULT_QUEUE_HIGH_WATER,
-            ),
-        );
+        let unbatched = run_mode(n, "unbatched", StreamingConfig::unbatched());
+        let streamed = run_mode(n, "streaming", StreamingConfig::default());
         assert_eq!(
-            per_envelope.state, streamed.state,
+            unbatched.state, streamed.state,
             "final state diverged between modes at {n} nodes"
         );
         assert_eq!(
-            per_envelope.updates, streamed.updates,
+            unbatched.updates, streamed.updates,
             "update count diverged between modes at {n} nodes"
         );
-        let speedup = rate(&streamed) / rate(&per_envelope).max(1e-9);
+        let speedup = rate(&streamed) / rate(&unbatched).max(1e-9);
         println!(
-            "bench stream_throughput/n{n:<3} per_envelope {:>10.0}/s  streaming {:>10.0}/s  \
+            "bench stream_throughput/n{n:<3} unbatched {:>10.0}/s  streaming {:>10.0}/s  \
              speedup {speedup:>5.2}x  (p99 apply {:?} -> {:?})",
-            rate(&per_envelope),
+            rate(&unbatched),
             rate(&streamed),
-            per_envelope.apply_p99,
+            unbatched.apply_p99,
             streamed.apply_p99,
         );
         entries.push(format!(
-            r#"    {{"n": {n}, "per_envelope": {}, "streaming": {}, "speedup": {speedup:.2}, "final_state_identical": true}}"#,
-            mode_json(&per_envelope),
+            r#"    {{"n": {n}, "unbatched": {}, "streaming": {}, "speedup": {speedup:.2}, "final_state_identical": true}}"#,
+            mode_json(&unbatched),
             mode_json(&streamed),
         ));
     }

@@ -89,9 +89,9 @@ pub struct PathVectorConfig {
     pub security: SecurityConfig,
     pub latency: LatencyModel,
     pub seed: u64,
-    /// Executor choice.  The default honours `SECUREBLOX_REACTOR`; the
+    /// Executor choice.  The default is the deployment default's; the
     /// figure-reproduction byte/latency comparisons pin
-    /// [`ReactorConfig::disabled`] because wire-byte totals under streaming
+    /// [`ReactorConfig::disabled`] because wire-byte totals under outbox
     /// coalescing are properties of the deterministic reference schedule.
     pub reactor: ReactorConfig,
 }
@@ -105,7 +105,7 @@ impl Default for PathVectorConfig {
             security: SecurityConfig::default(),
             latency: LatencyModel::default(),
             seed: 1,
-            reactor: ReactorConfig::default(),
+            reactor: DeploymentConfig::default().reactor,
         }
     }
 }

@@ -43,13 +43,12 @@ pub struct UpdateDelta {
 /// models a TCP-like channel), and `seq` lets a receiver drop stale
 /// duplicates so every delta is applied at most once.
 ///
-/// The envelope is natively **multi-delta**: the streaming scheduler's
-/// per-link outbox coalesces up to `SECUREBLOX_BATCH_MAX` consecutive deltas
-/// (assert-then-retract pairs for the same fact annihilate before shipping)
-/// into one envelope, which the receiver drains as one run-grouped batch
-/// apply.  The per-envelope path simply ships whatever one flush produced.
-/// Either way the wire format is identical — a batched stream decodes with
-/// the same [`UpdateEnvelope::decode`] as a per-flush stream.
+/// The envelope is natively **multi-delta**: the per-link outbox coalesces
+/// up to `StreamingConfig::batch_max` consecutive deltas (assert-then-retract
+/// pairs for the same fact annihilate before shipping) into one envelope,
+/// which the receiver drains delta by delta and flushes once.  The wire
+/// format does not depend on the knobs — an unbatched stream (one delta per
+/// envelope) decodes with the same [`UpdateEnvelope::decode`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpdateEnvelope {
     /// Position of this envelope in the sender's per-link stream (1-based).

@@ -123,12 +123,12 @@ pub struct DeploymentConfig {
     /// re-base (ROADMAP item 4).
     pub parallelism: usize,
     /// Streaming-scheduler knobs: per-link delta batching, annihilation, and
-    /// credit-based backpressure.  The default honours `SECUREBLOX_STREAMING`,
-    /// `SECUREBLOX_BATCH_MAX`, and `SECUREBLOX_QUEUE_HIGH_WATER`.
+    /// credit-based backpressure.  The default honours `SECUREBLOX_BATCH_MAX`
+    /// and `SECUREBLOX_QUEUE_HIGH_WATER`.
     pub streaming: StreamingConfig,
     /// Maximum data-plane deliveries one [`Deployment::run`] will process
-    /// before declaring the protocol non-convergent.  The default honours
-    /// `SECUREBLOX_MESSAGE_BUDGET` (falling back to 10 million).
+    /// before declaring the protocol non-convergent.  Defaults to ten
+    /// million.
     pub message_budget: usize,
     /// Event-driven reactor executor: nodes run as wall-clock-parallel worker
     /// tasks woken by message arrival instead of turns in the virtual-time
@@ -144,7 +144,9 @@ pub struct DeploymentConfig {
 }
 
 impl Default for DeploymentConfig {
+    /// The one place the runtime reads its environment (DESIGN.md §9.6).
     fn default() -> Self {
+        let env = env::read(|name| std::env::var_os(name));
         DeploymentConfig {
             security: SecurityConfig::default(),
             latency: LatencyModel::default(),
@@ -157,11 +159,11 @@ impl Default for DeploymentConfig {
             extra_policies: Vec::new(),
             grant_default_trust: true,
             grant_default_write_access: true,
-            durability: env_durability(),
+            durability: env.durability_dir.map(fresh_durability),
             parallelism: 1,
-            streaming: StreamingConfig::default(),
-            message_budget: env::usize_at_least("SECUREBLOX_MESSAGE_BUDGET", 1, 10_000_000),
-            reactor: ReactorConfig::default(),
+            streaming: env.streaming,
+            message_budget: 10_000_000,
+            reactor: env.reactor,
             sharding: None,
         }
     }
@@ -178,18 +180,15 @@ pub(crate) fn is_data_plane(kind: MessageKind) -> bool {
 }
 
 /// Durability default from the environment: when `SECUREBLOX_DURABILITY_DIR`
-/// is set, every default-configured deployment persists its nodes under a
-/// fresh subdirectory of it.  This lets the CI matrix run the whole
+/// names `base`, every default-configured deployment persists its nodes
+/// under a fresh subdirectory of it.  This lets the CI matrix run the whole
 /// integration suite with durability on without code changes.  Each call
 /// yields a distinct directory (process id plus a counter) because a fresh
 /// build refuses a directory with state.
-fn env_durability() -> Option<DurabilityConfig> {
+fn fresh_durability(base: PathBuf) -> DurabilityConfig {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let base = std::env::var_os("SECUREBLOX_DURABILITY_DIR")?;
     let unique = COUNTER.fetch_add(1, Ordering::Relaxed);
-    Some(DurabilityConfig::new(
-        PathBuf::from(base).join(format!("deploy-{}-{unique}", std::process::id())),
-    ))
+    DurabilityConfig::new(base.join(format!("deploy-{}-{unique}", std::process::id())))
 }
 
 /// Summary of one deployment run — the quantities the paper's figures plot.
@@ -307,8 +306,8 @@ pub(crate) struct NodeState {
     /// this node shipped on the update stream — the wire cost of the shard
     /// plane, separated from ordinary `says` traffic.
     pub(crate) exchange_bytes: usize,
-    /// Streaming mode: this node's per-destination sender outboxes
-    /// (coalescing + credit).  A `BTreeMap` so the quiescence force-flush
+    /// This node's per-destination sender outboxes (coalescing + credit).
+    /// A `BTreeMap` so the quiescence force-flush
     /// walks links in a deterministic order (the reference executor's
     /// bit-for-bit reproducibility depends on it).  Sender-owned: a credit
     /// grant is *addressed to* the data sender, so delivering it only ever
@@ -398,6 +397,13 @@ impl Deployment {
                  adding nodes (and ReactorConfig threads)",
                 config.parallelism
             )));
+        }
+        if !config.streaming.enabled {
+            return Err(DatalogError::Config(
+                "StreamingConfig::enabled = false: the link outbox is the only delivery path; \
+                 StreamingConfig::unbatched() ships one delta per envelope"
+                    .into(),
+            ));
         }
         let mut config = config;
         let mut effective_source = app_source.to_string();
@@ -756,15 +762,15 @@ impl Deployment {
             let batch = std::mem::take(&mut self.nodes[index].pending_bootstrap);
             self.node_ctx(index).process_batch(batch, 0)?;
         }
-        // Message loop.  When the network goes quiet the streaming
-        // scheduler may still hold sub-batch residues in its outboxes
-        // (Nagle hold, see `drain_outbox`); force-flushing them wakes the
-        // loop back up until delivery *and* outboxes are both drained.
+        // Message loop.  When the network goes quiet the outboxes may still
+        // hold sub-batch residues (Nagle hold, see `drain_outbox`);
+        // force-flushing them wakes the loop back up until delivery *and*
+        // outboxes are both drained.
         let mut guard = 0usize;
         let message_budget = self.config.message_budget;
         loop {
             let Some((arrival, message)) = self.network.next_delivery() else {
-                if self.config.streaming.enabled && self.flush_pending_outboxes()? {
+                if self.flush_pending_outboxes()? {
                     continue;
                 }
                 break;
@@ -772,8 +778,8 @@ impl Deployment {
             // Only data-plane traffic spends budget.  Control messages —
             // credit grants above all — are *caused* by data deliveries
             // (bounded by them one-to-one), and counting them once made
-            // backpressure-heavy streaming runs trip the non-convergence
-            // error at half the configured budget.
+            // backpressure-heavy runs trip the non-convergence error at half
+            // the configured budget.
             if is_data_plane(message.kind) {
                 guard += 1;
                 if guard > message_budget {
@@ -807,8 +813,8 @@ impl Deployment {
             .collect();
         DatalogError::Eval(format!(
             "distributed execution exceeded its message budget of {message_budget} \
-             (SECUREBLOX_MESSAGE_BUDGET / DeploymentConfig::message_budget); the \
-             protocol is not converging; busiest links: {}",
+             (DeploymentConfig::message_budget); the protocol is not converging; \
+             busiest links: {}",
             busiest.join(", ")
         ))
     }
@@ -858,46 +864,34 @@ impl Deployment {
             .fold(PlanStatsSnapshot::default(), |acc, s| acc + s)
     }
 
-    /// Force-flush every outbox still holding deltas (see
-    /// [`NodeCtx::drain_outbox`]'s Nagle hold).  Called by the reference
-    /// loop when the network goes quiet; returns whether anything shipped
-    /// (so the message loop resumes).  Credit is returned unconditionally
-    /// per drained delta, so by quiescence every window has refilled — an
-    /// unshippable residue here is a protocol bug, not a schedule, and
-    /// fails loudly rather than silently dropping deltas.
+    /// The reference loop's quiescence step: run
+    /// [`NodeCtx::flush_residues`] on every node, in node order.  Returns
+    /// whether anything shipped (so the message loop resumes).
     fn flush_pending_outboxes(&mut self) -> Result<bool> {
         let mut shipped = false;
         for index in 0..self.nodes.len() {
-            let pending: Vec<usize> = self.nodes[index]
-                .outboxes
-                .iter()
-                .filter(|(_, outbox)| outbox.live() > 0)
-                .map(|(&dest, _)| dest)
-                .collect();
-            if pending.is_empty() {
-                continue;
-            }
-            let now = self.nodes[index].available_at;
-            let mut ctx = self.node_ctx(index);
-            for dest in pending {
-                let before = ctx.node.outboxes[&dest].live();
-                ctx.drain_outbox(dest, now, true)?;
-                let after = ctx.node.outboxes.get(&dest).map_or(0, |o| o.live());
-                shipped |= after < before;
-            }
+            shipped |= self.node_ctx(index).flush_residues()?;
         }
-        if !shipped
-            && self
-                .nodes
-                .iter()
-                .any(|node| node.outboxes.values().any(|o| o.live() > 0))
-        {
-            return Err(DatalogError::Eval(
-                "streaming outboxes wedged at quiescence: held deltas with no credit".into(),
-            ));
+        if !shipped && self.nodes.iter().any(NodeState::holds_residue) {
+            return Err(wedged_at_quiescence());
         }
         Ok(shipped)
     }
+}
+
+impl NodeState {
+    /// Whether any of this node's outboxes still holds unshipped deltas.
+    pub(crate) fn holds_residue(&self) -> bool {
+        self.outboxes.values().any(|outbox| outbox.live() > 0)
+    }
+}
+
+/// Credit is returned unconditionally per drained delta, so by quiescence
+/// every window has refilled — a residue no executor's force-flush could
+/// ship is a protocol bug, not a schedule, and fails loudly rather than
+/// silently dropping deltas.
+pub(crate) fn wedged_at_quiescence() -> DatalogError {
+    DatalogError::Eval("outboxes wedged at quiescence: held deltas with no credit".into())
 }
 
 impl NodeCtx<'_> {
@@ -924,9 +918,8 @@ impl NodeCtx<'_> {
     /// The transaction step under every assert — bootstrap, local batches
     /// and inbound deltas alike: apply `batch` as one ACID transaction,
     /// account virtual time, WAL-log on commit, and record the verdict.  Does
-    /// NOT flush update streams — the caller decides when (per transaction
-    /// on the per-envelope path, once per drained envelope in streaming
-    /// mode).
+    /// NOT flush update streams — the caller decides when (per local batch,
+    /// once per drained envelope for inbound deltas).
     fn apply_transaction(
         &mut self,
         batch: Vec<(String, Tuple)>,
@@ -985,8 +978,9 @@ impl NodeCtx<'_> {
     /// stored now, this node's to ship, and not yet in `sent` goes out as an
     /// `Assert`.  Judging both against the workspace *now* is what lets one
     /// flush cover several commits: a tuple asserted then retracted (or
-    /// retracted then re-asserted) between two flushes ships nothing.  One
-    /// ordered [`UpdateEnvelope`] per destination over a FIFO link.
+    /// retracted then re-asserted) between two flushes ships nothing.  The
+    /// deltas go, in order, into each destination's [`LinkOutbox`], which
+    /// ships them as [`UpdateEnvelope`]s over the FIFO link.
     pub(crate) fn flush_updates(&mut self, now: VirtualTime) -> Result<()> {
         let started = Instant::now();
         let (removed, added) = self.node.export_pending.take_sorted();
@@ -1070,37 +1064,25 @@ impl NodeCtx<'_> {
 
         // 3. Export processing (serialization, signature lookup, encryption)
         //    costs real compute; charge it to the node's virtual clock, then
-        //    ship over the FIFO stream — directly (one envelope per
-        //    destination, the seed path) or through the per-link outboxes
-        //    (streaming: coalescing, annihilation, credit).
+        //    ship through the per-link outboxes (coalescing, annihilation,
+        //    credit).
         let overhead = started.elapsed();
         secureblox_telemetry::histogram!("engine_export_flush_ns").record_duration(overhead);
         let send_time = now + overhead.as_nanos() as u64;
         self.node.available_at = self.node.available_at.max(send_time);
-        if self.config.streaming.enabled {
-            for (dest, deltas) in per_dest {
-                let high_water = self.config.streaming.queue_high_water;
-                let outbox = self
-                    .node
-                    .outboxes
-                    .entry(dest)
-                    .or_insert_with(|| LinkOutbox::new(high_water));
-                for delta in deltas {
-                    if outbox.push(delta) {
-                        secureblox_telemetry::counter!("engine_stream_annihilated_total").add(2);
-                    }
+        let high_water = self.config.streaming.queue_high_water;
+        for (dest, deltas) in per_dest {
+            let outbox = self
+                .node
+                .outboxes
+                .entry(dest)
+                .or_insert_with(|| LinkOutbox::new(high_water));
+            for delta in deltas {
+                if outbox.push(delta) {
+                    secureblox_telemetry::counter!("engine_stream_annihilated_total").add(2);
                 }
-                self.drain_outbox(dest, send_time, false)?;
             }
-        } else {
-            for (dest, deltas) in per_dest {
-                let seq = {
-                    let counter = self.node.stream_seq.entry(dest).or_insert(0);
-                    *counter += 1;
-                    *counter
-                };
-                self.ship_envelope(dest, UpdateEnvelope { seq, deltas }, send_time)?;
-            }
+            self.drain_outbox(dest, send_time, false)?;
         }
         for message in anon_outgoing {
             self.net.send_fifo(message, send_time);
@@ -1189,6 +1171,26 @@ impl NodeCtx<'_> {
             };
             self.ship_envelope(dest, UpdateEnvelope { seq, deltas }, now)?;
         }
+    }
+
+    /// Force-flush every outbox of this node still holding deltas (see
+    /// [`NodeCtx::drain_outbox`]'s Nagle hold) — the per-node body of both
+    /// executors' quiescence step.  Returns whether anything shipped.
+    pub(crate) fn flush_residues(&mut self) -> Result<bool> {
+        let pending: Vec<(usize, usize)> = self
+            .node
+            .outboxes
+            .iter()
+            .filter(|(_, outbox)| outbox.live() > 0)
+            .map(|(&dest, outbox)| (dest, outbox.live()))
+            .collect();
+        let now = self.node.available_at;
+        let mut shipped = false;
+        for (dest, before) in pending {
+            self.drain_outbox(dest, now, true)?;
+            shipped |= self.node.outboxes[&dest].live() < before;
+        }
+        Ok(shipped)
     }
 
     /// Encode (and, under AES, encrypt) one update-stream envelope and send
@@ -1438,7 +1440,6 @@ impl NodeCtx<'_> {
         // signature-verified retraction).  An envelope of forged deltas —
         // whatever sequence number it claims — must not be able to mute the
         // link for the peer's legitimate traffic.
-        let mut accepted = false;
         update_span.record_field("from", message.from.0 as u64);
         update_span.record_field("seq", envelope.seq);
         update_span.record_field("deltas", envelope.deltas.len() as u64);
@@ -1451,20 +1452,7 @@ impl NodeCtx<'_> {
             .then(|| {
                 secureblox_telemetry::histogram!("engine_shard_shuffle_apply_ns").start_timer()
             });
-        if self.config.streaming.enabled {
-            accepted = self.drain_inbox(message.from, &envelope.deltas, arrival)?;
-        } else {
-            // Per-envelope path: cascaded exports and withdrawals flush
-            // after every delta that changed the database.
-            for delta in &envelope.deltas {
-                let (evidence, changed) = self.apply_delta(&from_principal, delta, arrival)?;
-                accepted |= evidence;
-                if changed {
-                    let finish = self.node.available_at;
-                    self.flush_updates(finish)?;
-                }
-            }
-        }
+        let accepted = self.drain_inbox(message.from, &envelope.deltas, arrival)?;
         if accepted {
             let last = self
                 .node
@@ -1478,7 +1466,7 @@ impl NodeCtx<'_> {
     }
 
     /// Apply one inbound update-stream delta — the one place a peer's change
-    /// enters this node, whichever way the envelope was delivered.  Returns
+    /// enters this node.  Returns
     /// `(evidence, changed)`: whether the delta produced policy-accepted
     /// evidence (a committed transaction or an authorized retraction), and
     /// whether it changed the database so update streams need a flush.
@@ -1562,15 +1550,15 @@ impl NodeCtx<'_> {
         }
     }
 
-    /// Streaming mode: apply one delivered envelope's deltas in order, each
-    /// through [`NodeCtx::apply_delta`] with exactly the per-envelope path's
-    /// verdict.  What the batch amortizes is *scheduling*, not semantics:
-    /// one export flush per drained envelope instead of one per committed
-    /// delta (the deltas' export candidates accumulate, and the flush judges
-    /// them against the workspace and the `sent` cursor as they stand then,
-    /// so a tuple the envelope both added and removed ships nothing), plus
-    /// the sender-side coalescing and credit return below.  Returns whether any delta
-    /// produced policy-accepted evidence.
+    /// Apply one delivered envelope's deltas in order, each through
+    /// [`NodeCtx::apply_delta`] with exactly the verdict it would get in an
+    /// envelope of its own.  What the batch amortizes is *scheduling*, not
+    /// semantics: one export flush per drained envelope instead of one per
+    /// committed delta (the deltas' export candidates accumulate, and the
+    /// flush judges them against the workspace and the `sent` cursor as they
+    /// stand then, so a tuple the envelope both added and removed ships
+    /// nothing), plus the sender-side coalescing and credit return below.
+    /// Returns whether any delta produced policy-accepted evidence.
     fn drain_inbox(
         &mut self,
         from: NodeId,
@@ -2076,6 +2064,32 @@ mod tests {
     }
 
     #[test]
+    fn streaming_disabled_is_refused() {
+        let config = DeploymentConfig {
+            streaming: StreamingConfig {
+                enabled: false,
+                ..StreamingConfig::default()
+            },
+            ..DeploymentConfig::default()
+        };
+        let refused = Deployment::build(GOSSIP_APP, &two_node_specs(), config.clone());
+        assert!(
+            matches!(&refused, Err(DatalogError::Config(message)) if message.contains("enabled")),
+            "{:?}",
+            refused.err()
+        );
+        let dir = std::env::temp_dir().join("sbx-streaming-refused-never-created");
+        let refused = Deployment::recover(&dir, GOSSIP_APP, &two_node_specs(), config);
+        assert!(matches!(
+            refused,
+            Err(crate::runtime::DurabilityError::Engine(
+                DatalogError::Config(_)
+            ))
+        ));
+        assert!(!dir.exists());
+    }
+
+    #[test]
     fn stale_seq_replay_is_rejected_even_out_of_order() {
         // NoAuth, so nothing but the sequence watermark stands between an
         // injected replay and the workspace: the deltas would be accepted if
@@ -2132,10 +2146,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_gossip_matches_per_envelope_path() {
+    fn streaming_gossip_matches_unbatched_path() {
         let baseline_config = DeploymentConfig {
             security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
-            streaming: StreamingConfig::disabled(),
+            streaming: StreamingConfig::unbatched(),
             ..DeploymentConfig::default()
         };
         let mut baseline =
@@ -2172,7 +2186,7 @@ mod tests {
     fn streaming_retraction_converges_and_annihilates_nothing_shipped() {
         // Assert, converge, retract at the source: the withdrawal must cross
         // the wire as a Retract delta and remove the remote copy, exactly as
-        // on the per-envelope path.
+        // on an unbatched stream.
         let config = DeploymentConfig {
             security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
             streaming: StreamingConfig::with_knobs(8, 32),
@@ -2192,15 +2206,13 @@ mod tests {
         assert!(report.retractions_applied >= 1);
     }
 
-    /// Regression (PR 9): the non-convergence guard must count only
-    /// data-plane deliveries.  A streaming gossip exchange is exactly two
-    /// Update envelopes plus two Credit grants; with the old counting the
-    /// credits spent half the budget and a budget of 2 tripped spuriously.
-    #[test]
-    fn credit_messages_do_not_spend_the_message_budget() {
+    /// A gossip exchange through the outboxes is exactly two Update
+    /// envelopes plus two Credit grants, and the non-convergence guard
+    /// counts only the data-plane half.
+    fn assert_exchange_is_two_data_plane_deliveries(streaming: StreamingConfig) {
         let config = DeploymentConfig {
             security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
-            streaming: StreamingConfig::with_knobs(8, 32),
+            streaming,
             message_budget: 2,
             ..DeploymentConfig::default()
         };
@@ -2217,6 +2229,20 @@ mod tests {
         );
         assert_eq!(deployment.query("n0", "remote_link").len(), 1);
         assert_eq!(deployment.query("n1", "remote_link").len(), 1);
+    }
+
+    /// Regression (PR 9): with the old counting the credits spent half the
+    /// budget and a budget of 2 tripped spuriously.
+    #[test]
+    fn credit_messages_do_not_spend_the_message_budget() {
+        assert_exchange_is_two_data_plane_deliveries(StreamingConfig::with_knobs(8, 32));
+    }
+
+    /// The credits prove the default configuration's deltas left through a
+    /// [`LinkOutbox`]: nothing else asks for them.
+    #[test]
+    fn default_config_ships_through_the_outbox() {
+        assert_exchange_is_two_data_plane_deliveries(DeploymentConfig::default().streaming);
     }
 
     #[test]

@@ -228,7 +228,7 @@ mod tests {
     fn executors() -> Vec<(StreamingConfig, ReactorConfig)> {
         let mut matrix = Vec::new();
         for streaming in [
-            StreamingConfig::disabled(),
+            StreamingConfig::unbatched(),
             StreamingConfig::with_knobs(4, 8),
         ] {
             for reactor in [ReactorConfig::disabled(), ReactorConfig::with_threads(2)] {
@@ -353,10 +353,10 @@ mod tests {
     #[test]
     fn recovery_after_a_crash_inside_retract_converges_to_the_rescan() {
         for streaming in [
-            StreamingConfig::disabled(),
+            StreamingConfig::unbatched(),
             StreamingConfig::with_knobs(4, 8),
         ] {
-            let dir = fresh_dir(&format!("crash-s{}", streaming.enabled as u8));
+            let dir = fresh_dir(&format!("crash-b{}", streaming.batch_max));
             let mut rng = StdRng::seed_from_u64(5);
             let mut specs = random_reach_specs(&mut rng, 4);
             specs[1].base_facts.push(link(1, 2));
@@ -421,7 +421,7 @@ mod tests {
         "#;
         let edge = |a: i64, b: i64| ("edge".to_string(), vec![Value::Int(a), Value::Int(b)]);
         for streaming in [
-            StreamingConfig::disabled(),
+            StreamingConfig::unbatched(),
             StreamingConfig::with_knobs(4, 8),
         ] {
             let mut rng = StdRng::seed_from_u64(9);
@@ -576,7 +576,7 @@ mod tests {
             &specs,
             DeploymentConfig {
                 durability: Some(DurabilityConfig::new(&dir)),
-                ..config(StreamingConfig::disabled(), ReactorConfig::disabled())
+                ..config(StreamingConfig::unbatched(), ReactorConfig::disabled())
             },
         )
         .unwrap();

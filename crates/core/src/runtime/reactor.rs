@@ -2,7 +2,7 @@
 //! task woken by message arrival, instead of a turn in the reference
 //! executor's global virtual-time loop.
 //!
-//! The reference loop ([`Deployment::run`] with `SECUREBLOX_REACTOR=0`)
+//! The reference loop ([`Deployment::run`] under [`ReactorConfig::disabled`])
 //! replays the deployment as a discrete-event simulation: one thread pops
 //! messages off a global heap in virtual-time order, so a 36-node deployment
 //! uses one core no matter how many the host has.  The reactor keeps the
@@ -24,8 +24,8 @@
 //! workers release counts only *after* processing (so counts taken by a
 //! message's children overlap with its own), and `outstanding == 0` therefore
 //! means no work exists anywhere.  The coordinator then force-flushes any
-//! streaming outbox residues (the Nagle hold, exactly like the reference
-//! loop) and shuts the pool down when nothing ships.
+//! outbox residues (the Nagle hold, exactly like the reference loop) and
+//! shuts the pool down when nothing ships.
 //!
 //! What is deliberately *not* reproduced is the global cross-link
 //! virtual-time interleaving: per-link FIFO order and the PR 8 credit-window
@@ -35,10 +35,9 @@
 //! schedule-equivalent.  DESIGN.md §13 documents the argument.
 
 use crate::runtime::engine::{
-    is_data_plane, Deployment, DeploymentConfig, DeploymentReport, EngineShared, NetSink, NodeCtx,
-    NodeState,
+    is_data_plane, wedged_at_quiescence, Deployment, DeploymentConfig, DeploymentReport,
+    EngineShared, NetSink, NodeCtx, NodeState,
 };
-use crate::runtime::env;
 use secureblox_datalog::error::{DatalogError, Result};
 use secureblox_net::{
     record_message_latency, LinkLanes, Message, NetworkStats, TimingStats, VirtualTime,
@@ -48,10 +47,9 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-/// Reactor-executor knobs.  The default honours `SECUREBLOX_REACTOR`
-/// (off = the deterministic virtual-time reference loop) and
-/// `SECUREBLOX_REACTOR_THREADS` (worker-pool size, default: available
-/// hardware parallelism).
+/// Reactor-executor knobs.  Nothing here reads the environment:
+/// `DeploymentConfig::default()` is where `SECUREBLOX_REACTOR` and
+/// `SECUREBLOX_REACTOR_THREADS` enter (DESIGN.md §9.6).
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
     /// Run [`Deployment::run`] on the event-driven executor.
@@ -61,16 +59,20 @@ pub struct ReactorConfig {
 }
 
 impl Default for ReactorConfig {
+    /// The deterministic virtual-time reference loop; should the reactor be
+    /// switched on, one worker per hardware thread.
     fn default() -> Self {
         ReactorConfig {
-            enabled: env::flag("SECUREBLOX_REACTOR"),
-            threads: env::usize_at_least("SECUREBLOX_REACTOR_THREADS", 1, default_threads()),
+            enabled: false,
+            threads: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
         }
     }
 }
 
 impl ReactorConfig {
-    /// The reference executor, ignoring the environment.
+    /// The reference executor.
     pub fn disabled() -> Self {
         ReactorConfig {
             enabled: false,
@@ -85,12 +87,6 @@ impl ReactorConfig {
             threads: threads.max(1),
         }
     }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 // The per-node wake state machine.  Transitions:
@@ -390,9 +386,9 @@ impl<'d> Reactor<'d> {
         }
     }
 
-    /// The main-thread coordinator: wait for quiescence, force-flush
-    /// streaming residues (which creates new work and resumes the pool), and
-    /// shut down when the system is genuinely drained.
+    /// The main-thread coordinator: wait for quiescence, force-flush outbox
+    /// residues (which creates new work and resumes the pool), and shut down
+    /// when the system is genuinely drained.
     fn coordinate(&self) {
         loop {
             {
@@ -402,9 +398,6 @@ impl<'d> Reactor<'d> {
                 }
             }
             if self.halted() {
-                break;
-            }
-            if !self.config.streaming.enabled {
                 break;
             }
             match self.flush_residues() {
@@ -421,45 +414,22 @@ impl<'d> Reactor<'d> {
         self.runq_cv.notify_all();
     }
 
-    /// At quiescence, force-flush every outbox still holding deltas — the
-    /// reactor's twin of the reference loop's `flush_pending_outboxes`.
-    /// Runs on the coordinator with the pool parked (outstanding == 0), so
-    /// locking cells one at a time is race-free; anything shipped re-wakes
-    /// its receiver.  Credit is returned unconditionally per drained delta,
-    /// so by quiescence every window has refilled — an unshippable residue
-    /// is a protocol bug, not a schedule, and fails loudly.
+    /// At quiescence, run [`NodeCtx::flush_residues`] on every node.  Runs on
+    /// the coordinator with the pool parked (outstanding == 0), so locking
+    /// cells one at a time is race-free; anything shipped re-wakes its
+    /// receiver.
     fn flush_residues(&self) -> Result<bool> {
         let mut shipped = false;
         for (index, slot) in self.slots.iter().enumerate() {
             let mut cell = slot.cell.lock().expect("node cell poisoned");
-            let pending: Vec<usize> = cell
-                .node
-                .outboxes
-                .iter()
-                .filter(|(_, outbox)| outbox.live() > 0)
-                .map(|(&dest, _)| dest)
-                .collect();
-            if pending.is_empty() {
-                continue;
-            }
-            let now = cell.node.available_at;
-            for dest in pending {
-                let before = cell.node.outboxes[&dest].live();
-                self.with_ctx(index, &mut cell, |ctx| ctx.drain_outbox(dest, now, true))?;
-                let after = cell.node.outboxes.get(&dest).map_or(0, |o| o.live());
-                shipped |= after < before;
-            }
+            shipped |= self.with_ctx(index, &mut cell, |ctx| ctx.flush_residues())?;
         }
-        if !shipped {
-            let wedged = self.slots.iter().any(|slot| {
-                let cell = slot.cell.lock().expect("node cell poisoned");
-                cell.node.outboxes.values().any(|outbox| outbox.live() > 0)
-            });
-            if wedged {
-                return Err(DatalogError::Eval(
-                    "streaming outboxes wedged at quiescence: held deltas with no credit".into(),
-                ));
-            }
+        let holds_residue = |slot: &NodeSlot| {
+            let cell = slot.cell.lock().expect("node cell poisoned");
+            cell.node.holds_residue()
+        };
+        if !shipped && self.slots.iter().any(holds_residue) {
+            return Err(wedged_at_quiescence());
         }
         Ok(shipped)
     }

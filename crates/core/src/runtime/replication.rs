@@ -35,7 +35,7 @@ pub struct ReplicaState {
     /// Per-node cursor: principal → last acked master WAL sequence.
     ///
     /// Cursors count WAL *records*, not update-stream deltas, so they are
-    /// oblivious to batching: a streaming-mode master logs a whole combined
+    /// oblivious to batching: a master logs a multi-fact
     /// batch as consecutive records sharing one watermark, and a cursor
     /// sitting anywhere inside that group simply ships the remaining records
     /// on the next sync — recovery's grouping by watermark restores the

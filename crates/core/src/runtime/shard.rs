@@ -40,7 +40,6 @@
 
 use crate::runtime::codec::serialize_tuple;
 use crate::runtime::engine::{Deployment, NodeSpec};
-use crate::runtime::env;
 use secureblox_crypto::sha1;
 use secureblox_datalog::ast::{Atom, Constraint, Literal, PredRef, Program, Rule, Statement, Term};
 use secureblox_datalog::error::{DatalogError, Result};
@@ -108,9 +107,10 @@ pub struct ShardMap {
 }
 
 impl ShardMap {
-    /// A shard map over `group` (deployment principals).  Vnodes-per-member
-    /// and the broadcast threshold honour `SECUREBLOX_SHARD_VNODES` /
-    /// `SECUREBLOX_SHARD_BROADCAST_MAX`.
+    /// A shard map over `group` (deployment principals), with 16 virtual
+    /// ring points per member ([`ShardMap::with_vnodes`]) and an
+    /// always-broadcast threshold of 64 rows
+    /// ([`ShardMap::with_broadcast_max`]).
     pub fn new<I, S>(group: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -119,8 +119,8 @@ impl ShardMap {
         ShardMap {
             group: group.into_iter().map(Into::into).collect(),
             relations: BTreeMap::new(),
-            vnodes: env::usize_at_least("SECUREBLOX_SHARD_VNODES", 1, 16),
-            broadcast_max: env::usize_at_least("SECUREBLOX_SHARD_BROADCAST_MAX", 0, 64),
+            vnodes: 16,
+            broadcast_max: 64,
         }
     }
 

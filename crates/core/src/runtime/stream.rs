@@ -1,13 +1,11 @@
 //! The streaming scheduler: per-link outbox coalescing and credit-based
 //! backpressure for the authenticated update stream.
 //!
-//! The seed runtime shipped one [`UpdateEnvelope`] per `flush_updates` call
-//! and applied one transaction per delta on delivery.  The streaming runtime
-//! (DESIGN.md §12) replaces that hot path with:
+//! Every delta a node exports ships this way (DESIGN.md §12):
 //!
 //! * **Sender:** every exported delta is pushed into a per-link
-//!   [`LinkOutbox`].  Consecutive deltas coalesce into one signed multi-delta
-//!   envelope of up to [`StreamingConfig::batch_max`] deltas; an
+//!   [`LinkOutbox`].  Consecutive deltas coalesce into one multi-delta
+//!   [`UpdateEnvelope`] of up to [`StreamingConfig::batch_max`] deltas; an
 //!   assert-then-retract pair for the same fact *annihilates* in the outbox
 //!   before it ever hits the wire (the receiver would have inserted and then
 //!   deleted it — net nothing).
@@ -26,28 +24,26 @@
 //! [`MessageKind::Credit`]: secureblox_net::MessageKind::Credit
 
 use crate::runtime::codec::{DeltaOp, UpdateDelta};
-use crate::runtime::env;
 use secureblox_datalog::value::Tuple;
 use secureblox_net::VirtualTime;
 use std::collections::{HashMap, VecDeque};
 
-/// Default deltas per shipped envelope (`SECUREBLOX_BATCH_MAX`).
+/// Default deltas per shipped envelope.
 pub const DEFAULT_BATCH_MAX: usize = 64;
 
-/// Default per-link credit window in deltas (`SECUREBLOX_QUEUE_HIGH_WATER`).
+/// Default per-link credit window in deltas.
 pub const DEFAULT_QUEUE_HIGH_WATER: usize = 256;
 
-/// Streaming-runtime knobs.
-///
-/// The defaults honour `SECUREBLOX_STREAMING` (any value but `0`, `false`, or
-/// `off` enables the scheduler), `SECUREBLOX_BATCH_MAX`, and
-/// `SECUREBLOX_QUEUE_HIGH_WATER`, so the CI matrix can run the whole suite
-/// with batching and backpressure on without code changes.
+/// Streaming-scheduler knobs.  Nothing here reads the environment:
+/// `DeploymentConfig::default()` is where `SECUREBLOX_BATCH_MAX` and
+/// `SECUREBLOX_QUEUE_HIGH_WATER` enter (DESIGN.md §9.6).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamingConfig {
-    /// Route update streams through per-link outboxes and batched applies.
-    /// When false the runtime keeps the seed's one-envelope-per-flush,
-    /// one-transaction-per-delta path exactly.
+    /// Always true: the link outbox is the only delivery path, and
+    /// `Deployment::build` / `Deployment::recover` refuse `false` with
+    /// `DatalogError::Config`.  Kept only because
+    /// `examples/benchmark/sut.rs` reads it; goes at the next benchmark
+    /// re-base (ROADMAP item 4).
     pub enabled: bool,
     /// Maximum deltas per shipped envelope.
     pub batch_max: usize,
@@ -60,20 +56,12 @@ pub struct StreamingConfig {
 
 impl Default for StreamingConfig {
     fn default() -> Self {
-        StreamingConfig {
-            enabled: env::flag("SECUREBLOX_STREAMING"),
-            batch_max: env::usize_at_least("SECUREBLOX_BATCH_MAX", 1, DEFAULT_BATCH_MAX),
-            queue_high_water: env::usize_at_least(
-                "SECUREBLOX_QUEUE_HIGH_WATER",
-                1,
-                DEFAULT_QUEUE_HIGH_WATER,
-            ),
-        }
+        StreamingConfig::with_knobs(DEFAULT_BATCH_MAX, DEFAULT_QUEUE_HIGH_WATER)
     }
 }
 
 impl StreamingConfig {
-    /// The scheduler with explicit knobs, ignoring the environment.
+    /// The scheduler with explicit knobs (each at least 1).
     pub fn with_knobs(batch_max: usize, queue_high_water: usize) -> Self {
         StreamingConfig {
             enabled: true,
@@ -82,13 +70,11 @@ impl StreamingConfig {
         }
     }
 
-    /// The seed's per-envelope path, ignoring the environment.
-    pub fn disabled() -> Self {
-        StreamingConfig {
-            enabled: false,
-            batch_max: DEFAULT_BATCH_MAX,
-            queue_high_water: DEFAULT_QUEUE_HIGH_WATER,
-        }
+    /// One delta per envelope: with `batch_max = 1` nothing coalesces, no
+    /// residue can be held, and the receiver applies and flushes one delta
+    /// at a time.  The baseline every equivalence test compares against.
+    pub fn unbatched() -> Self {
+        StreamingConfig::with_knobs(1, DEFAULT_QUEUE_HIGH_WATER)
     }
 }
 
@@ -340,6 +326,9 @@ mod tests {
         assert!(config.enabled);
         assert_eq!(config.batch_max, 1);
         assert_eq!(config.queue_high_water, 1);
-        assert!(!StreamingConfig::disabled().enabled);
+        let unbatched = StreamingConfig::unbatched();
+        assert!(unbatched.enabled);
+        assert_eq!(unbatched.batch_max, 1);
+        assert_eq!(unbatched.queue_high_water, DEFAULT_QUEUE_HIGH_WATER);
     }
 }

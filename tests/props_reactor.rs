@@ -10,7 +10,7 @@
 //!
 //! * the deterministic REACH app (no existentials, no FD races) is compared
 //!   **bit-for-bit** — relations, verdict counters, EDB Merkle roots —
-//!   across reactor threads {1, 4}, streaming on/off, and the durable
+//!   across reactor threads {1, 4}, unbatched and batched streams, and the durable
 //!   recovery path;
 //! * random path-vector topologies are compared at **outcome** level
 //!   (routes found, bestcost entries, rejected batches): virtual time
@@ -144,21 +144,21 @@ fn run_durable_scenario(
 
 /// Reactor-mode delivery is bit-identical to the reference loop on a
 /// deterministic app: relations, verdicts, and Merkle roots all match, for 1
-/// and 4 reactor threads, and with the streaming scheduler both off
-/// (per-envelope) and on (coalescing + credit).
+/// and 4 reactor threads, and with the stream both unbatched (one delta per
+/// envelope) and batched (coalescing + credit).
 #[test]
 fn reactor_durable_run_matches_reference_bit_for_bit() {
     for streaming in [
-        StreamingConfig::disabled(),
+        StreamingConfig::unbatched(),
         StreamingConfig::with_knobs(4, 8),
     ] {
-        let base_dir = fresh_dir(&format!("base-s{}", streaming.enabled as u8));
+        let base_dir = fresh_dir(&format!("base-b{}", streaming.batch_max));
         let (baseline, _) =
             run_durable_scenario(&base_dir, ReactorConfig::disabled(), streaming.clone());
         let _ = std::fs::remove_dir_all(&base_dir);
 
         for threads in [1usize, 4] {
-            let dir = fresh_dir(&format!("r{threads}-s{}", streaming.enabled as u8));
+            let dir = fresh_dir(&format!("r{threads}-b{}", streaming.batch_max));
             let (reactor, _) = run_durable_scenario(
                 &dir,
                 ReactorConfig::with_threads(threads),
@@ -167,18 +167,18 @@ fn reactor_durable_run_matches_reference_bit_for_bit() {
             let _ = std::fs::remove_dir_all(&dir);
             assert_eq!(
                 reactor.0, baseline.0,
-                "relations diverged (threads={threads}, streaming={})",
-                streaming.enabled
+                "relations diverged (threads={threads}, batch_max={})",
+                streaming.batch_max
             );
             assert_eq!(
                 reactor.1, baseline.1,
-                "constraint verdicts diverged (threads={threads}, streaming={})",
-                streaming.enabled
+                "constraint verdicts diverged (threads={threads}, batch_max={})",
+                streaming.batch_max
             );
             assert_eq!(
                 reactor.2, baseline.2,
-                "store Merkle roots diverged (threads={threads}, streaming={})",
-                streaming.enabled
+                "store Merkle roots diverged (threads={threads}, batch_max={})",
+                streaming.batch_max
             );
         }
     }
@@ -266,14 +266,14 @@ proptest! {
     /// On any random topology the protocol *outcome* — routes found, join
     /// entries, policy verdicts — is identical whether nodes take turns in
     /// the virtual-time loop or run wall-clock-parallel as reactor tasks,
-    /// with the streaming scheduler both off and on.  Scheduling counters
+    /// with the stream both unbatched and batched.  Scheduling counters
     /// (total transactions / messages) are deliberately not compared:
     /// virtual time advances by measured wall-clock compute, so duplicate
     /// re-send counts vary between any two runs of the same scenario.
     #[test]
     fn pathvector_outcome_is_independent_of_the_executor(num_nodes in 4usize..7,
                                                          seed in 0u64..1000) {
-        for streaming in [StreamingConfig::disabled(), StreamingConfig::with_knobs(16, 64)] {
+        for streaming in [StreamingConfig::unbatched(), StreamingConfig::with_knobs(16, 64)] {
             let reference = run_pathvector(
                 num_nodes, seed, ReactorConfig::disabled(), streaming.clone());
             let reactor = run_pathvector(

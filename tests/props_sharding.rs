@@ -8,9 +8,9 @@
 //!
 //! * the union of every relation across the group (sorted, deduplicated) is
 //!   compared against the unsharded reference across partitions {1, 2, 4} ×
-//!   streaming on/off, together with the constraint verdicts;
+//!   unbatched/batched streams, together with the constraint verdicts;
 //! * at a fixed partitioning, the per-node EDB Merkle roots must be
-//!   bit-identical with streaming on and off — delivery knobs must not
+//!   bit-identical unbatched and batched — delivery knobs must not
 //!   change any partition's content;
 //! * a membership change ([`Deployment::apply_shard_map`]) must move only a
 //!   minority of tuples (consistent hashing), keep the global content
@@ -149,8 +149,8 @@ fn fresh_dir(label: &str) -> PathBuf {
 
 /// The tentpole equality: across partitions × streaming, the union of every
 /// relation matches the unsharded reference, the verdicts are clean, and —
-/// at each fixed partitioning — the per-node Merkle roots are identical with
-/// streaming on and off.  (The name predates the removal of the intra-node
+/// at each fixed partitioning — the per-node Merkle roots are identical
+/// unbatched and batched.  (The name predates the removal of the intra-node
 /// worker pool, which used to be a third axis here.)
 #[test]
 fn sharded_unions_match_unsharded_across_partitions_workers_streaming() {
@@ -163,7 +163,7 @@ fn sharded_unions_match_unsharded_across_partitions_workers_streaming() {
     for partitions in [1usize, 2, 4] {
         let mut roots_by_knobs: Vec<Vec<(String, String)>> = Vec::new();
         for streaming in [
-            StreamingConfig::disabled(),
+            StreamingConfig::unbatched(),
             StreamingConfig::with_knobs(16, 64),
         ] {
             let dir = fresh_dir(&format!("grid-p{partitions}"));
@@ -180,8 +180,8 @@ fn sharded_unions_match_unsharded_across_partitions_workers_streaming() {
                 unions(&deployment),
                 reference,
                 "unions diverged from the unsharded reference \
-                 (partitions={partitions}, streaming={})",
-                streaming.enabled
+                 (partitions={partitions}, batch_max={})",
+                streaming.batch_max
             );
             let shard_view = report.shard.expect("sharded run reports the shard plane");
             assert_eq!(shard_view.partitions, partitions);
@@ -219,7 +219,7 @@ fn ingest_routes_to_ring_owners_and_preserves_equality() {
     all_facts.extend(extra.clone());
     let reference = reference_unions(all_facts);
 
-    let mut deployment = build_sharded(4, StreamingConfig::disabled(), base_facts());
+    let mut deployment = build_sharded(4, StreamingConfig::unbatched(), base_facts());
     deployment.run().unwrap();
     deployment.ingest(extra.clone()).unwrap();
     deployment.run().unwrap();
@@ -362,7 +362,7 @@ proptest! {
         }
         facts.push(("boost".to_string(), vec![Value::Int(10)]));
         let reference = reference_unions(facts.clone());
-        let mut deployment = build_sharded(2, StreamingConfig::disabled(), facts);
+        let mut deployment = build_sharded(2, StreamingConfig::unbatched(), facts);
         deployment.run().unwrap();
         prop_assert_eq!(unions(&deployment), reference);
     }

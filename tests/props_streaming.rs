@@ -1,7 +1,8 @@
 //! The streaming scheduler is semantics-free: batched, annihilated,
 //! credit-backpressured delivery must produce exactly the same relations,
 //! the same constraint verdicts, and the same store Merkle roots as the
-//! per-envelope delivery path.  Batching changes *when* deltas travel and
+//! unbatched stream (`StreamingConfig::unbatched()`: one delta per envelope,
+//! applied and flushed one at a time).  Batching changes *when* deltas travel and
 //! how many envelopes carry them — never what the receivers end up knowing.
 //!
 //! Two comparison regimes, matching `props_telemetry.rs`:
@@ -16,9 +17,9 @@
 //!   advances by measured wall-clock compute, so message/transaction counts
 //!   legitimately differ between any two runs of the same scenario.
 //!
-//! The durable REACH scenario also exercises recovery: a streaming-mode WAL
-//! (one record group per delta transaction, exactly as on the per-envelope
-//! path) must replay to the same state the live deployment held.
+//! The durable REACH scenario also exercises recovery: a batched run's WAL
+//! (one record group per delta transaction, exactly as on the unbatched
+//! stream) must replay to the same state the live deployment held.
 
 use proptest::prelude::*;
 use secureblox::apps::pathvector;
@@ -132,14 +133,14 @@ fn run_durable_scenario(dir: &Path, streaming: StreamingConfig) -> (Snapshot, De
     (snap, deployment)
 }
 
-/// Batched/backpressured delivery is bit-identical to per-envelope delivery
+/// Batched/backpressured delivery is bit-identical to unbatched delivery
 /// on a deterministic app: relations, verdicts, and Merkle roots all match
 /// across batching knobs from "degenerate" (batch of 1, credit window 1 —
 /// every delta individually acked) to "greedy" (the shipped defaults).
 #[test]
-fn streaming_durable_run_matches_per_envelope_bit_for_bit() {
+fn streaming_durable_run_matches_unbatched_bit_for_bit() {
     let base_dir = fresh_dir("base");
-    let (baseline, _) = run_durable_scenario(&base_dir, StreamingConfig::disabled());
+    let (baseline, _) = run_durable_scenario(&base_dir, StreamingConfig::unbatched());
     let _ = std::fs::remove_dir_all(&base_dir);
 
     for (batch_max, high_water) in [(1usize, 1usize), (4, 8), (64, 256)] {
@@ -199,7 +200,7 @@ fn recovery_replays_streaming_batch_wal_records_in_order() {
 /// An app whose import acceptance is ORDER-SENSITIVE: an imported `edge`
 /// only satisfies its constraint once both endpoint `vertex` facts are
 /// known, and the export scan (sorted by predicate name) ships `says$edge`
-/// *before* `says$vertex` in the same flush.  The per-envelope path rejects
+/// *before* `says$vertex` in the same flush.  The unbatched stream rejects
 /// the edge delta permanently — its transaction runs before the vertices
 /// arrive, and the sender's `sent` cursor never re-ships it.
 const ORDER_APP: &str = r#"
@@ -252,26 +253,26 @@ fn run_order_scenario(streaming: StreamingConfig) -> (Vec<Tuple>, Vec<Tuple>, us
 /// The regression locked in by the review: a coalesced envelope carrying
 /// [`says$edge(a,b)`, `says$vertex(a)`, `says$vertex(b)`] must NOT accept
 /// the edge just because the vertices ride in the same batch.  Per-delta
-/// verdicts are order-sensitive, and streaming must reproduce the
-/// per-envelope path's rejection exactly — a combined whole-batch
+/// verdicts are order-sensitive, and batching must reproduce the
+/// unbatched stream's rejection exactly — a combined whole-batch
 /// transaction would commit and silently widen policy acceptance.
 #[test]
 fn coalesced_envelope_keeps_per_delta_rejection_semantics() {
-    let per_envelope = run_order_scenario(StreamingConfig::disabled());
+    let unbatched = run_order_scenario(StreamingConfig::unbatched());
     // The edge is rejected (its endpoints are unknown when it applies) and
     // never re-shipped; the vertices land.
-    assert_eq!(per_envelope.0, Vec::<Tuple>::new());
+    assert_eq!(unbatched.0, Vec::<Tuple>::new());
     assert_eq!(
-        per_envelope.1,
+        unbatched.1,
         vec![vec![Value::str("n0")], vec![Value::str("n1")]]
     );
-    assert!(per_envelope.2 >= 1, "edge delta must be rejected");
+    assert!(unbatched.2 >= 1, "edge delta must be rejected");
 
     for (batch_max, high_water) in [(4usize, 16usize), (64, 256)] {
         let streamed = run_order_scenario(StreamingConfig::with_knobs(batch_max, high_water));
         assert_eq!(
-            streamed, per_envelope,
-            "streaming (batch={batch_max}, window={high_water}) diverged from per-envelope"
+            streamed, unbatched,
+            "streaming (batch={batch_max}, window={high_water}) diverged from unbatched"
         );
     }
 }
@@ -324,7 +325,7 @@ proptest! {
 
     /// On any random topology the protocol *outcome* — routes found, join
     /// entries, policy verdicts — is identical whether deltas travel one
-    /// envelope per flush or coalesced under credit-based backpressure.
+    /// per envelope or coalesced under credit-based backpressure.
     /// Scheduling counters (total transactions / messages) are deliberately
     /// not compared: virtual time advances by measured wall-clock compute,
     /// so duplicate-resend counts vary between any two runs of the same
@@ -332,10 +333,10 @@ proptest! {
     #[test]
     fn pathvector_outcome_is_independent_of_streaming(num_nodes in 4usize..7,
                                                       seed in 0u64..1000) {
-        let per_envelope = run_pathvector(num_nodes, seed, StreamingConfig::disabled());
+        let unbatched = run_pathvector(num_nodes, seed, StreamingConfig::unbatched());
         let streamed = run_pathvector(num_nodes, seed, StreamingConfig::with_knobs(16, 64));
-        prop_assert_eq!(streamed.0, per_envelope.0);
-        prop_assert_eq!(streamed.1, per_envelope.1);
-        prop_assert_eq!(streamed.2, per_envelope.2);
+        prop_assert_eq!(streamed.0, unbatched.0);
+        prop_assert_eq!(streamed.1, unbatched.1);
+        prop_assert_eq!(streamed.2, unbatched.2);
     }
 }
