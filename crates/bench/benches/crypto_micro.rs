@@ -4,13 +4,18 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use secureblox_crypto::{aes128_ctr_encrypt, hmac_sha1, sha1, RsaKeyPair};
+use secureblox_crypto::bignum::MontgomeryCtx;
+use secureblox_crypto::{aes128_ctr_encrypt, hmac_sha1, sha1, BigUint, RsaKeyPair};
 
 fn bench(c: &mut Criterion) {
     let payload = vec![0xabu8; 1024];
     let mut rng = StdRng::seed_from_u64(1);
     let keypair = RsaKeyPair::generate(&mut rng, 512).unwrap();
     let signature = keypair.sign(&payload);
+    let keypair_1024 = RsaKeyPair::generate(&mut rng, 1024).unwrap();
+    let signature_1024 = keypair_1024.sign(&payload);
+    let keypair_bytes = keypair.to_bytes();
+    let modulus = BigUint::random_prime(&mut rng, 512, 4);
 
     let mut group = c.benchmark_group("crypto_micro");
     group.throughput(Throughput::Bytes(payload.len() as u64));
@@ -27,6 +32,25 @@ fn bench(c: &mut Criterion) {
     group.bench_function("rsa_sign_512", |b| b.iter(|| keypair.sign(&payload)));
     group.bench_function("rsa_verify_512", |b| {
         b.iter(|| assert!(keypair.public_key().verify(&payload, &signature)))
+    });
+    group.bench_function("rsa_sign_1024", |b| b.iter(|| keypair_1024.sign(&payload)));
+    group.bench_function("rsa_verify_1024", |b| {
+        b.iter(|| assert!(keypair_1024.public_key().verify(&payload, &signature_1024)))
+    });
+    // What the `rsa_sign` UDF pays per call before it can sign: parse and
+    // validate the key pair and build its three contexts.
+    group.bench_function("rsa_keypair_from_bytes_512", |b| {
+        b.iter(|| RsaKeyPair::from_bytes(&keypair_bytes).unwrap())
+    });
+    group.bench_function("mont_ctx_new_512", |b| {
+        b.iter(|| MontgomeryCtx::new(&modulus).unwrap())
+    });
+    group.bench_function("rsa_keygen_512", |b| {
+        let mut seed = 0;
+        b.iter(|| {
+            seed += 1;
+            RsaKeyPair::generate(&mut StdRng::seed_from_u64(seed), 512).unwrap()
+        })
     });
     group.finish();
 }

@@ -3,8 +3,10 @@
 //! Only the operations needed by RSA are implemented: comparison, addition,
 //! subtraction, multiplication, division with remainder, modular
 //! exponentiation, modular inverse, and Miller–Rabin primality testing.
-//! Limbs are 32-bit, stored little-endian, so all intermediate products fit
-//! in `u64` without overflow.
+//! `BigUint` limbs are 32-bit, stored little-endian, so all intermediate
+//! products fit in `u64` without overflow.  Exponentiation modulo an odd
+//! number — the hot path of RSA — runs on [`MontgomeryCtx`], which holds the
+//! modulus as 64-bit limbs.
 
 use rand::Rng;
 use std::cmp::Ordering;
@@ -345,18 +347,25 @@ impl BigUint {
         self.mul(other).rem(modulus)
     }
 
-    /// Modular exponentiation via square-and-multiply.
+    /// Modular exponentiation.
     ///
-    /// Odd moduli (every RSA modulus and Miller–Rabin candidate) take a
-    /// Montgomery-multiplication fast path; even moduli fall back to repeated
-    /// `mulmod`, which reduces with long division.
+    /// Odd moduli (every RSA modulus and Miller–Rabin candidate) build a
+    /// [`MontgomeryCtx`] and run its windowed kernel; even moduli take the
+    /// square-and-multiply `mulmod` loop, which reduces with long division.
     pub fn modpow(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "modpow with zero modulus");
+        match MontgomeryCtx::new(modulus) {
+            Some(ctx) => ctx.pow(self, exponent),
+            None => self.modpow_naive(exponent, modulus),
+        }
+    }
+
+    /// Bit-at-a-time square-and-multiply over `mulmod`: the path for even
+    /// moduli, and the oracle the tests hold the Montgomery kernel against
+    /// (it shares no code with it).
+    pub(crate) fn modpow_naive(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         if modulus.cmp(&BigUint::one()) == Ordering::Equal {
             return BigUint::zero();
-        }
-        if !modulus.is_even() {
-            return self.modpow_montgomery(exponent, modulus);
         }
         let mut result = BigUint::one();
         let mut base = self.rem(modulus);
@@ -369,36 +378,28 @@ impl BigUint {
         result
     }
 
-    /// Montgomery-form modular exponentiation for odd moduli.
-    fn modpow_montgomery(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
-        let l = modulus.limbs.len();
-        let n = &modulus.limbs;
-        let n0inv = montgomery_n0inv(n[0]);
-
-        // R = 2^(32·l); enter the Montgomery domain with two slow reductions.
-        let r_mod_n = BigUint::one().shl(32 * l).rem(modulus);
-        let base_mont = self.rem(modulus).shl(32 * l).rem(modulus);
-
-        let pad = |value: &BigUint| -> Vec<u32> {
-            let mut limbs = value.limbs.clone();
-            limbs.resize(l, 0);
-            limbs
-        };
-        let mut result = pad(&r_mod_n);
-        let mut base = pad(&base_mont);
-        for i in 0..exponent.bits() {
-            if exponent.bit(i) {
-                result = montgomery_mul(&result, &base, n, n0inv);
-            }
-            base = montgomery_mul(&base, &base, n, n0inv);
+    /// Little-endian 64-bit limbs, zero-padded to at least `len` limbs.
+    fn to_limbs64(&self, len: usize) -> Vec<u64> {
+        let mut out: Vec<u64> = self
+            .limbs
+            .chunks(2)
+            .map(|pair| pair[0] as u64 | (pair.get(1).copied().unwrap_or(0) as u64) << 32)
+            .collect();
+        if out.len() < len {
+            out.resize(len, 0);
         }
-        // Leave the Montgomery domain: multiply by 1.
-        let mut one = vec![0u32; l];
-        one[0] = 1;
-        let out = montgomery_mul(&result, &one, n, n0inv);
-        let mut value = BigUint { limbs: out };
-        value.normalize();
-        value
+        out
+    }
+
+    fn from_limbs64(limbs: &[u64]) -> BigUint {
+        let mut out = BigUint {
+            limbs: limbs
+                .iter()
+                .flat_map(|&limb| [limb as u32, (limb >> 32) as u32])
+                .collect(),
+        };
+        out.normalize();
+        out
     }
 
     /// Greatest common divisor (Euclid).
@@ -554,14 +555,15 @@ impl BigUint {
             s += 1;
         }
 
+        let ctx = MontgomeryCtx::new(self).expect("odd and above the small primes");
         'witness: for _ in 0..rounds {
             let a = BigUint::random_below(rng, &self.sub(&three)).add(&two);
-            let mut x = a.modpow(&d, self);
+            let mut x = ctx.pow(&a, &d);
             if x.cmp(&BigUint::one()) == Ordering::Equal || x.cmp(&n_minus_1) == Ordering::Equal {
                 continue 'witness;
             }
             for _ in 0..s - 1 {
-                x = x.mulmod(&x, self);
+                x = ctx.mulmod(&x, &x);
                 if x.cmp(&n_minus_1) == Ordering::Equal {
                     continue 'witness;
                 }
@@ -586,86 +588,247 @@ impl BigUint {
     }
 }
 
-/// `-n[0]^{-1} mod 2^32` for an odd least-significant limb, via Newton
-/// iteration on the 2-adic inverse.
-fn montgomery_n0inv(n0: u32) -> u32 {
-    debug_assert!(n0 & 1 == 1, "Montgomery reduction requires an odd modulus");
-    let mut inv = n0; // correct to 3 bits for odd n0
-    for _ in 0..5 {
-        inv = inv.wrapping_mul(2u32.wrapping_sub(n0.wrapping_mul(inv)));
-    }
-    inv.wrapping_neg()
+/// Width of an exponent window in [`MontgomeryCtx::pow`].  It divides the
+/// 32-bit limb, so no window straddles two limbs of the exponent.
+const WINDOW_BITS: usize = 4;
+
+/// Everything an exponentiation modulo one odd `n ≥ 3` needs that depends on
+/// `n` alone, computed once per key: the modulus as 64-bit limbs, the
+/// Montgomery constant and the two powers of `R = 2^(64·l)` that take values
+/// into and out of the Montgomery domain.  This is the crate's only
+/// odd-modulus kernel: [`BigUint::modpow`], Miller–Rabin and RSA all run on
+/// it.  Products are CIOS over `u64` limbs with `u128` accumulators.
+///
+/// The schedule of products in [`MontgomeryCtx::pow`] depends on the
+/// exponent's length only, but table lookups are indexed by its bits and the
+/// final subtraction of each product is data-dependent: this is not
+/// constant-time code.
+#[derive(Clone)]
+pub struct MontgomeryCtx {
+    /// The modulus, `l` little-endian limbs with a non-zero top limb.
+    n: Vec<u64>,
+    /// `-n⁻¹ mod 2^64`.
+    n0inv: u64,
+    /// `R mod n`: the Montgomery form of one.
+    r1: Vec<u64>,
+    /// `R² mod n`: a Montgomery product with it enters the domain.
+    r2: Vec<u64>,
 }
 
-/// CIOS Montgomery multiplication: returns `a · b · R⁻¹ mod n` where
-/// `R = 2^(32·n.len())`.  `a` and `b` must have exactly `n.len()` limbs.
-fn montgomery_mul(a: &[u32], b: &[u32], n: &[u32], n0inv: u32) -> Vec<u32> {
-    let l = n.len();
-    debug_assert_eq!(a.len(), l);
-    debug_assert_eq!(b.len(), l);
-    let mut t = vec![0u32; l + 2];
-    for &ai in a.iter() {
-        // t += ai · b
-        let ai = ai as u64;
-        let mut carry = 0u64;
-        for j in 0..l {
-            let cur = t[j] as u64 + ai * b[j] as u64 + carry;
-            t[j] = cur as u32;
-            carry = cur >> 32;
-        }
-        let cur = t[l] as u64 + carry;
-        t[l] = cur as u32;
-        t[l + 1] = (cur >> 32) as u32;
+impl fmt::Debug for MontgomeryCtx {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "MontgomeryCtx({} limbs)", self.n.len())
+    }
+}
 
-        // m chosen so that (t + m·n) is divisible by 2^32.
-        let m = t[0].wrapping_mul(n0inv) as u64;
-        let cur = t[0] as u64 + m * n[0] as u64;
-        let mut carry = cur >> 32;
-        for j in 1..l {
-            let cur = t[j] as u64 + m * n[j] as u64 + carry;
-            t[j - 1] = cur as u32;
-            carry = cur >> 32;
+impl MontgomeryCtx {
+    /// The context of `modulus`, or `None` when it is even or below three.
+    ///
+    /// No long division: `R mod n` is `2^(bits−1)` doubled up to `R`, and
+    /// `R² mod n` is the Montgomery form of two raised to the `64·l`-th power
+    /// inside the domain (`log₂(64·l)` squarings, each set bit a doubling).
+    pub fn new(modulus: &BigUint) -> Option<Self> {
+        if modulus.is_even() || modulus.bits() < 2 {
+            return None;
         }
-        let cur = t[l] as u64 + carry;
-        t[l - 1] = cur as u32;
-        carry = cur >> 32;
-        t[l] = (t[l + 1] as u64 + carry) as u32;
-        t[l + 1] = 0;
+        let n = modulus.to_limbs64(0);
+        let l = n.len();
+        // 2-adic Newton iteration: an odd n0 is its own inverse to 3 bits,
+        // and each step doubles the number of correct bits.
+        let mut inv = n[0];
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
+        }
+        let mut ctx = MontgomeryCtx {
+            n,
+            n0inv: inv.wrapping_neg(),
+            r1: Vec::new(),
+            r2: Vec::new(),
+        };
+
+        let top_bit = modulus.bits() - 1;
+        let mut r1 = vec![0; l];
+        r1[top_bit / 64] = 1 << (top_bit % 64);
+        for _ in top_bit..64 * l {
+            ctx.double(&mut r1);
+        }
+
+        let mut acc = r1.clone();
+        ctx.double(&mut acc);
+        let (mut tmp, mut t) = (vec![0; l], vec![0; l + 2]);
+        let power = 64 * l;
+        for bit in (0..power.ilog2()).rev() {
+            ctx.mul(&acc, &acc, &mut t, &mut tmp);
+            std::mem::swap(&mut acc, &mut tmp);
+            if (power >> bit) & 1 == 1 {
+                ctx.double(&mut acc);
+            }
+        }
+        ctx.r1 = r1;
+        ctx.r2 = acc;
+        Some(ctx)
     }
-    // t[0..=l] now holds the reduced product, strictly less than 2n.
-    let needs_sub = t[l] != 0 || {
-        // Compare t[0..l] with n from the most significant limb down.
-        let mut greater_or_equal = true;
-        for j in (0..l).rev() {
-            match t[j].cmp(&n[j]) {
-                Ordering::Greater => break,
-                Ordering::Equal => continue,
-                Ordering::Less => {
-                    greater_or_equal = false;
-                    break;
-                }
-            }
+
+    /// `base^exponent mod n`, for a base of any width.
+    ///
+    /// Fixed-window exponentiation that multiplies on every window, zero
+    /// windows included (by the Montgomery form of one), so which products
+    /// run depends on the exponent's length and not on its bits.
+    pub fn pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
+        if exponent.is_zero() {
+            return BigUint::one();
         }
-        greater_or_equal
-    };
-    let mut out = vec![0u32; l];
-    if needs_sub {
-        let mut borrow = 0i64;
-        for j in 0..l {
-            let diff = t[j] as i64 - n[j] as i64 - borrow;
-            if diff < 0 {
-                out[j] = (diff + (1i64 << 32)) as u32;
-                borrow = 1;
-            } else {
-                out[j] = diff as u32;
-                borrow = 0;
-            }
+        let l = self.n.len();
+        let mut t = vec![0; l + 2];
+        let base = self.enter(base, &mut t);
+
+        // table[i·l..][..l] = baseⁱ in Montgomery form.
+        let mut table = vec![0; l << WINDOW_BITS];
+        table[..l].copy_from_slice(&self.r1);
+        table[l..2 * l].copy_from_slice(&base);
+        for i in 2..1 << WINDOW_BITS {
+            let (done, rest) = table.split_at_mut(i * l);
+            self.mul(&done[(i - 1) * l..], &base, &mut t, &mut rest[..l]);
         }
-        // Any final borrow is absorbed by t[l] (t < 2n guarantees this).
-    } else {
+        let entry = |window: usize| {
+            let per_limb = 32 / WINDOW_BITS;
+            let limb = exponent.limbs.get(window / per_limb).copied().unwrap_or(0);
+            let digit =
+                (limb >> (WINDOW_BITS * (window % per_limb))) as usize & ((1 << WINDOW_BITS) - 1);
+            &table[digit * l..][..l]
+        };
+
+        let windows = exponent.bits().div_ceil(WINDOW_BITS);
+        let mut acc = entry(windows - 1).to_vec();
+        let mut tmp = vec![0; l];
+        for window in (0..windows - 1).rev() {
+            for _ in 0..WINDOW_BITS {
+                self.mul(&acc, &acc, &mut t, &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+            self.mul(&acc, entry(window), &mut t, &mut tmp);
+            std::mem::swap(&mut acc, &mut tmp);
+        }
+        self.leave(&acc, &mut t)
+    }
+
+    /// `a · b mod n`, for operands of any width.
+    pub fn mulmod(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        let l = self.n.len();
+        let mut t = vec![0; l + 2];
+        let (a, b) = (self.enter(a, &mut t), self.enter(b, &mut t));
+        let mut product = vec![0; l];
+        self.mul(&a, &b, &mut t, &mut product);
+        self.leave(&product, &mut t)
+    }
+
+    /// `x · R mod n` for an `x` of any width: Horner's rule over `l`-limb
+    /// chunks from the top, where "shift by one chunk" and "enter the
+    /// domain" are both a Montgomery product with `R² mod n`.  An `x` of up
+    /// to `l` limbs — a signature, a Miller–Rabin base — costs one product;
+    /// a message reduced modulo one RSA prime costs three.
+    fn enter(&self, x: &BigUint, t: &mut [u64]) -> Vec<u64> {
+        let l = self.n.len();
+        let limbs = x.to_limbs64(l);
+        let (mut acc, mut tmp, mut chunk) = (vec![0; l], vec![0; l], vec![0; l]);
+        for (i, part) in limbs.chunks(l).rev().enumerate() {
+            chunk.fill(0);
+            chunk[..part.len()].copy_from_slice(part);
+            if i == 0 {
+                self.mul(&chunk, &self.r2, t, &mut acc);
+                continue;
+            }
+            self.mul(&acc, &self.r2, t, &mut tmp);
+            self.mul(&chunk, &self.r2, t, &mut acc);
+            let mut carry = 0;
+            for (a, &b) in acc.iter_mut().zip(&tmp) {
+                let sum = *a as u128 + b as u128 + carry;
+                *a = sum as u64;
+                carry = sum >> 64;
+            }
+            self.reduce_once(&mut acc, carry != 0);
+        }
+        acc
+    }
+
+    /// Leave the Montgomery domain: a product with one.
+    fn leave(&self, x: &[u64], t: &mut [u64]) -> BigUint {
+        let l = self.n.len();
+        let mut one = vec![0; l];
+        one[0] = 1;
+        let mut out = vec![0; l];
+        self.mul(x, &one, t, &mut out);
+        BigUint::from_limbs64(&out)
+    }
+
+    /// CIOS Montgomery product: `out = a · b · R⁻¹ mod n`.  `a`, `b` and `out`
+    /// hold `l` limbs, the scratch `t` holds `l + 2`; `b` is below `n` and `a`
+    /// below `R`, which keeps every partial sum below `2n`.
+    fn mul(&self, a: &[u64], b: &[u64], t: &mut [u64], out: &mut [u64]) {
+        let l = self.n.len();
+        let (n, a, b) = (&self.n[..l], &a[..l], &b[..l]);
+        let (t, out) = (&mut t[..l + 2], &mut out[..l]);
+        t.fill(0);
+        for &ai in a {
+            // t += ai · b
+            let ai = ai as u128;
+            let mut carry = 0u128;
+            for j in 0..l {
+                let cur = t[j] as u128 + ai * b[j] as u128 + carry;
+                t[j] = cur as u64;
+                carry = cur >> 64;
+            }
+            let cur = t[l] as u128 + carry;
+            t[l] = cur as u64;
+            t[l + 1] = (cur >> 64) as u64;
+
+            // t = (t + m · n) / 2^64, with m chosen so the division is exact.
+            let m = t[0].wrapping_mul(self.n0inv) as u128;
+            let mut carry = (t[0] as u128 + m * n[0] as u128) >> 64;
+            for j in 1..l {
+                let cur = t[j] as u128 + m * n[j] as u128 + carry;
+                t[j - 1] = cur as u64;
+                carry = cur >> 64;
+            }
+            let cur = t[l] as u128 + carry;
+            t[l - 1] = cur as u64;
+            t[l] = t[l + 1] + (cur >> 64) as u64;
+        }
         out.copy_from_slice(&t[..l]);
+        self.reduce_once(out, t[l] != 0);
     }
-    out
+
+    /// `x = 2x mod n` for an `x` below `n`.
+    fn double(&self, x: &mut [u64]) {
+        let mut carry = 0;
+        for limb in x.iter_mut() {
+            let shifted = (*limb << 1) | carry;
+            carry = *limb >> 63;
+            *limb = shifted;
+        }
+        self.reduce_once(x, carry != 0);
+    }
+
+    /// Subtract `n` from a value below `2n` whose bit `64·l` is `overflow`,
+    /// if it is not already below `n`.
+    fn reduce_once(&self, x: &mut [u64], overflow: bool) {
+        let below = !overflow
+            && x.iter()
+                .rev()
+                .zip(self.n.iter().rev())
+                .find_map(|(a, b)| (a != b).then_some(a < b))
+                .unwrap_or(false);
+        if below {
+            return;
+        }
+        let mut borrow = false;
+        for (a, &b) in x.iter_mut().zip(&self.n) {
+            let (diff, b1) = a.overflowing_sub(b);
+            let (diff, b2) = diff.overflowing_sub(borrow as u64);
+            *a = diff;
+            borrow = b1 | b2;
+        }
+    }
 }
 
 impl PartialOrd for BigUint {
@@ -761,6 +924,69 @@ mod tests {
                 .cmp(&BigUint::one()),
             Ordering::Equal
         );
+    }
+
+    fn random_odd(rng: &mut StdRng, bits: usize) -> BigUint {
+        let n = BigUint::random_bits(rng, bits);
+        if n.is_even() {
+            n.add(&BigUint::one())
+        } else {
+            n
+        }
+    }
+
+    /// The Montgomery kernel against the long-division square-and-multiply
+    /// loop, at limb-boundary widths, with bases below, at and above the
+    /// modulus (up to past double width) and short and full-length exponents.
+    #[test]
+    fn montgomery_pow_matches_naive_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x6d6f_6e74);
+        for bits in [63, 64, 65, 127, 128, 129, 255, 256, 511, 512, 1024] {
+            let rounds = if bits > 512 { 1 } else { 3 };
+            for _ in 0..rounds {
+                let n = random_odd(&mut rng, bits);
+                let ctx = MontgomeryCtx::new(&n).expect("odd modulus");
+                let bases = [
+                    BigUint::zero(),
+                    BigUint::one(),
+                    BigUint::random_below(&mut rng, &n),
+                    n.sub(&BigUint::one()),
+                    n.clone(),
+                    n.add(&BigUint::one()),
+                    BigUint::random_bits(&mut rng, bits + 1),
+                    BigUint::random_bits(&mut rng, 2 * bits),
+                    BigUint::random_bits(&mut rng, 2 * bits + 70),
+                ];
+                let exponents = [
+                    BigUint::zero(),
+                    BigUint::one(),
+                    big(65_537),
+                    BigUint::random_bits(&mut rng, bits),
+                ];
+                for base in &bases {
+                    for exponent in &exponents {
+                        assert_eq!(
+                            ctx.pow(base, exponent),
+                            base.modpow_naive(exponent, &n),
+                            "{base}^{exponent} mod {n}"
+                        );
+                    }
+                    assert_eq!(ctx.mulmod(base, &bases[2]), base.mulmod(&bases[2], &n));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn montgomery_ctx_refuses_even_and_tiny_moduli() {
+        for n in [0u64, 1, 2, 4, 1 << 40] {
+            assert!(MontgomeryCtx::new(&big(n)).is_none(), "{n}");
+        }
+        let three = MontgomeryCtx::new(&big(3)).expect("three is odd");
+        assert_eq!(three.pow(&big(5), &big(3)), big(125 % 3));
+        // modpow still answers for the moduli the context refuses.
+        assert_eq!(big(7).modpow(&big(5), &big(10)), big(16_807 % 10));
+        assert!(big(7).modpow(&big(5), &BigUint::one()).is_zero());
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! * [`hmac`] — HMAC-SHA1 keyed message authentication (RFC 2104).
 //! * [`aes`] — AES-128 block cipher plus a CTR-mode stream construction.
 //! * [`bignum`] — arbitrary-precision unsigned integers (the little that RSA
-//!   needs: add, sub, mul, div/rem, modular exponentiation, Miller–Rabin).
-//! * [`rsa`] — RSA key generation, signing and verification of SHA-1 digests.
+//!   needs: add, sub, mul, div/rem, Miller–Rabin) and the per-modulus
+//!   Montgomery context every odd-modulus exponentiation runs on.
+//! * [`rsa`] — RSA key generation, CRT signing (checked before release) and
+//!   verification of SHA-1 digests; keys are validated where they are parsed.
 //! * [`keys`] — a small key store mapping principals to key material, used by
 //!   the distributed runtime to look up `public_key`, `private_key`, and the
 //!   pairwise `secret` relations referenced by the generated policies.

@@ -6,10 +6,12 @@
 //! arithmetic identities) over randomly generated inputs.
 
 use proptest::prelude::*;
+use secureblox_crypto::bignum::MontgomeryCtx;
 use secureblox_crypto::{
-    aes128_ctr_decrypt, aes128_ctr_encrypt, hmac_sha1, hmac_sha1_verify, sha1, BigUint, RsaKeyPair,
-    RsaSignature, Sha1,
+    aes128_ctr_decrypt, aes128_ctr_encrypt, hmac_sha1, hmac_sha1_verify, sha1, BigUint,
+    CryptoError, RsaKeyPair, RsaPublicKey, RsaSignature, Sha1,
 };
+use std::ops::Range;
 use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
@@ -253,6 +255,36 @@ proptest! {
         prop_assert_eq!(got.cmp(&big(expected as u64)), std::cmp::Ordering::Equal);
     }
 
+    /// The Montgomery context agrees with a square-and-multiply loop over
+    /// the long-division `mulmod`, for any odd modulus, base and exponent
+    /// width (the base may be several times wider than the modulus).
+    #[test]
+    fn montgomery_ctx_matches_mulmod_loop(modulus in proptest::collection::vec(any::<u8>(), 1..40),
+                                          base in proptest::collection::vec(any::<u8>(), 0..100),
+                                          exponent in proptest::collection::vec(any::<u8>(), 0..24)) {
+        let mut modulus = modulus;
+        *modulus.last_mut().expect("non-empty") |= 1;
+        let (n, base, exponent) = (
+            BigUint::from_bytes_be(&modulus),
+            BigUint::from_bytes_be(&base),
+            BigUint::from_bytes_be(&exponent),
+        );
+        let Some(ctx) = MontgomeryCtx::new(&n) else {
+            prop_assert!(n.bits() < 2);
+            return Ok(());
+        };
+        let mut expected = BigUint::one();
+        for i in (0..exponent.bits()).rev() {
+            expected = expected.mulmod(&expected, &n);
+            if exponent.bit(i) {
+                expected = expected.mulmod(&base, &n);
+            }
+        }
+        prop_assert_eq!(ctx.pow(&base, &exponent), expected.clone());
+        prop_assert_eq!(base.modpow(&exponent, &n), expected);
+        prop_assert_eq!(ctx.mulmod(&base, &exponent), base.mulmod(&exponent, &n));
+    }
+
     /// gcd divides both operands and is commutative.
     #[test]
     fn bignum_gcd_divides(a in 1u64.., b in 1u64..) {
@@ -362,4 +394,100 @@ fn rsa_keypair_roundtrips_through_bytes() {
         decoded.public_key().modulus_bytes(),
         kp.public_key().modulus_bytes()
     );
+}
+
+// ---------------------------------------------------------------------------
+// Key encodings under corruption
+// ---------------------------------------------------------------------------
+
+/// The byte ranges of the length-prefixed fields laid end to end in `data`.
+fn field_ranges(data: &[u8]) -> Vec<Range<usize>> {
+    let mut ranges = Vec::new();
+    let mut at = 0;
+    while at < data.len() {
+        let len = u32::from_be_bytes(data[at..at + 4].try_into().expect("length")) as usize;
+        ranges.push(at + 4..at + 4 + len);
+        at += 4 + len;
+    }
+    ranges
+}
+
+/// A wrong `dp`, `dq` or `qinv` is a CRT fault waiting to happen: the key
+/// still parses (checking them costs the divisions keeping them saves), and
+/// every signature is the one the intact key gives, because the faulty CRT
+/// result fails its check and is never released.  A wrong `p`, `q` or `n` is
+/// refused at parse.
+#[test]
+fn rsa_corrupted_crt_values_never_change_a_signature() {
+    let kp = test_keypair();
+    let encoded = kp.to_bytes();
+    let fields = field_ranges(&encoded);
+    let [public, _d, p, q, dp, dq, qinv] = fields.as_slice() else {
+        panic!("a key pair is seven fields, found {}", fields.len());
+    };
+    let message = b"path(p, n1, n3, 2)";
+    let intact = kp.sign(message);
+
+    for index in dp.start..qinv.end {
+        if !(dp.contains(&index) || dq.contains(&index) || qinv.contains(&index)) {
+            continue; // a length prefix
+        }
+        for mask in [0x01, 0x80, 0xff] {
+            let mut corrupt = encoded.clone();
+            corrupt[index] ^= mask;
+            let parsed = RsaKeyPair::from_bytes(&corrupt).expect("CRT values are not validated");
+            assert_eq!(parsed.sign(message), intact, "byte {index} ^ {mask:#x}");
+        }
+    }
+
+    let n = field_ranges(&encoded[public.clone()])[0].clone();
+    let n = public.start + n.start..public.start + n.end;
+    for region in [&n, p, q] {
+        for index in region.clone() {
+            let mut corrupt = encoded.clone();
+            corrupt[index] ^= 0x04;
+            assert!(
+                matches!(
+                    RsaKeyPair::from_bytes(&corrupt),
+                    Err(CryptoError::InvalidKey(_))
+                ),
+                "byte {index}"
+            );
+        }
+    }
+}
+
+/// No single corrupted byte of a key encoding, length prefixes included,
+/// makes parsing, signing or verifying panic; and a public key that parses
+/// to something else never accepts the original key's signature.
+#[test]
+fn rsa_key_encodings_survive_every_byte_flip() {
+    let kp = test_keypair();
+    let message = b"flip";
+    let signature = kp.sign(message);
+
+    let public = kp.public_key().to_bytes();
+    for index in 0..public.len() {
+        for mask in [0x01, 0xff] {
+            let mut corrupt = public.clone();
+            corrupt[index] ^= mask;
+            if let Ok(parsed) = RsaPublicKey::from_bytes(&corrupt) {
+                assert_ne!(&parsed, kp.public_key());
+                assert!(!parsed.verify(message, &signature), "byte {index}");
+            }
+        }
+    }
+
+    let pair = kp.to_bytes();
+    for index in 0..pair.len() {
+        for mask in [0x01, 0xff] {
+            let mut corrupt = pair.clone();
+            corrupt[index] ^= mask;
+            if let Ok(parsed) = RsaKeyPair::from_bytes(&corrupt) {
+                let signed = parsed.sign(message);
+                assert_eq!(signed.0.len(), parsed.public_key().modulus_bytes());
+                let _ = parsed.public_key().verify(message, &signed);
+            }
+        }
+    }
 }

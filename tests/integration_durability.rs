@@ -118,6 +118,84 @@ fn checkpoint_recover_same_fixpoint_and_roots() {
     }
 }
 
+/// Every file under `dir`, concatenated.
+fn all_bytes_under(dir: &Path) -> Vec<u8> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.extend(all_bytes_under(&path));
+        } else {
+            out.extend(std::fs::read(&path).unwrap());
+        }
+    }
+    out
+}
+
+/// An RSA + AES deployment survives checkpoint → more work → crash →
+/// recover → run with the same relations and roots.  Key material is
+/// provisioned from the seed on both sides and never written (§5.1), so the
+/// shape of the `private_key[]` encoding is invisible to the store: the
+/// recovered node holds the same key bytes, and no file holds any of them.
+#[test]
+fn rsa_aes_deployment_recovers_and_persists_no_key_material() {
+    let dir = fresh_dir("rsa-aes");
+    let config = || DeploymentConfig {
+        security: SecurityConfig::new(AuthScheme::Rsa, EncScheme::Aes128),
+        ..durable_config(&dir)
+    };
+    let mut deployment = Deployment::build(REACH_APP, &line_specs(), config()).unwrap();
+    let report = deployment.run().unwrap();
+    assert_eq!(report.rejected_batches, 0);
+    assert!(deployment
+        .query("n0", "reach")
+        .contains(&vec![Value::str("n0"), Value::str("n2")]));
+    deployment.checkpoint().unwrap();
+
+    // Work after the checkpoint, so recovery replays a WAL suffix of
+    // RSA-signed imports and a signed retraction on top of the snapshot.
+    deployment
+        .retract(
+            "n1",
+            vec![("link".into(), vec![Value::str("n1"), Value::str("n2")])],
+        )
+        .unwrap();
+    let report = deployment.run().unwrap();
+    assert_eq!(report.rejected_batches, 0);
+    assert!(!deployment
+        .query("n0", "reach")
+        .contains(&vec![Value::str("n0"), Value::str("n2")]));
+    let queries = all_queries(&deployment);
+    let roots = deployment.edb_roots().unwrap();
+    let private_keys: Vec<Vec<Tuple>> = ["n0", "n1", "n2"]
+        .iter()
+        .map(|principal| deployment.query(principal, "private_key"))
+        .collect();
+    drop(deployment);
+
+    let mut recovered = Deployment::recover(&dir, REACH_APP, &line_specs(), config()).unwrap();
+    assert_eq!(all_queries(&recovered), queries);
+    assert_eq!(recovered.edb_roots().unwrap(), roots);
+    let report = recovered.run().unwrap();
+    assert_eq!(report.rejected_batches, 0);
+    assert_eq!(all_queries(&recovered), queries);
+    assert_eq!(recovered.edb_roots().unwrap(), roots);
+
+    let on_disk = all_bytes_under(&dir);
+    assert!(!on_disk.is_empty());
+    for (principal, before) in ["n0", "n1", "n2"].iter().zip(&private_keys) {
+        assert_eq!(&recovered.query(principal, "private_key"), before);
+        let key = before[0][0].as_bytes().expect("private_key[] holds bytes");
+        // The encoding ends in dq and qinv; the public half (its first
+        // fields) is allowed on disk, the private tail is not.
+        let tail = &key[key.len() - 24..];
+        assert!(
+            !on_disk.windows(tail.len()).any(|window| window == tail),
+            "private key material of {principal} found under the durability dir"
+        );
+    }
+}
+
 #[test]
 fn wal_only_recovery_without_any_checkpoint() {
     let dir = fresh_dir("walonly");
