@@ -27,22 +27,19 @@
 //! parallel even though the simulation executes them in one process.
 
 use crate::policy::{compile_secured_program, SecurityConfig};
-use crate::runtime::codec::{serialize_tuple, DeltaOp, UpdateDelta, UpdateEnvelope};
 use crate::runtime::env;
-use crate::runtime::export::{ExportCandidate, ExportCandidates, ExportChannel};
+use crate::runtime::export::ExportCandidates;
+use crate::runtime::node::NodeCtx;
 use crate::runtime::reactor::ReactorConfig;
 use crate::runtime::replication::ReplicaState;
 use crate::runtime::shard::{self, ShardMap, ShardReport};
 use crate::runtime::stream::{LinkOutbox, StreamingConfig};
 use crate::runtime::udfs::register_crypto_udfs;
-use secureblox_crypto::{
-    aes128_ctr_decrypt, aes128_ctr_encrypt, hmac_sha1_verify, AuthScheme, EncScheme, KeyStore,
-    RsaSignature,
-};
+use secureblox_crypto::KeyStore;
 use secureblox_datalog::error::{DatalogError, Result};
-use secureblox_datalog::eval::shuffle::{is_exchange_pred, ExchangeSummary};
+use secureblox_datalog::eval::shuffle::ExchangeSummary;
 use secureblox_datalog::value::{Tuple, Value};
-use secureblox_datalog::{column_set, FactDelta, PlanStatsSnapshot, Workspace};
+use secureblox_datalog::{PlanStatsSnapshot, Workspace};
 use secureblox_net::stats::TimingStats;
 use secureblox_net::{
     LatencyModel, Message, MessageKind, NodeId, NodeInfo, SimNetwork, VirtualTime,
@@ -52,7 +49,7 @@ use secureblox_telemetry::HistogramSummary;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Specification of one simulated node.
 #[derive(Debug, Clone)]
@@ -267,13 +264,13 @@ impl DeploymentReport {
 /// A pre-established anonymity circuit.
 #[derive(Debug, Clone)]
 pub(crate) struct Circuit {
-    id: u64,
-    initiator: usize,
+    pub(crate) id: u64,
+    pub(crate) initiator: usize,
     /// Relay node indices in forward order.
-    relays: Vec<usize>,
-    endpoint: usize,
+    pub(crate) relays: Vec<usize>,
+    pub(crate) endpoint: usize,
     /// Per-hop symmetric keys: one per relay, then the endpoint's key.
-    keys: Vec<Vec<u8>>,
+    pub(crate) keys: Vec<Vec<u8>>,
 }
 
 /// State of one simulated node.
@@ -342,43 +339,6 @@ pub struct Deployment {
     /// Exchange-planner classification counts from the post-compile rewrite,
     /// surfaced through [`DeploymentReport::shard`].
     pub(crate) shard_summary: Option<ExchangeSummary>,
-}
-
-/// Where a node context's outbound messages go.  The reference executor
-/// passes the [`SimNetwork`] itself; the reactor substitutes a per-task sink
-/// that computes delivery times locally, records into a per-task statistics
-/// shard, and enqueues into the concurrent [`secureblox_net::LinkLanes`].
-pub(crate) trait NetSink {
-    /// Latency-modelled send; returns the delivery time.
-    fn send(&mut self, message: Message, now: VirtualTime) -> VirtualTime;
-    /// Send on the link's FIFO stream: delivery never precedes the previous
-    /// `send_fifo` message on the same (from, to) link.
-    fn send_fifo(&mut self, message: Message, now: VirtualTime) -> VirtualTime;
-}
-
-impl NetSink for SimNetwork {
-    fn send(&mut self, message: Message, now: VirtualTime) -> VirtualTime {
-        SimNetwork::send(self, message, now)
-    }
-
-    fn send_fifo(&mut self, message: Message, now: VirtualTime) -> VirtualTime {
-        SimNetwork::send_fifo(self, message, now)
-    }
-}
-
-/// One node's engine context: exclusive access to that node's state plus the
-/// shared immutable deployment state, an outbound [`NetSink`], and a timing
-/// recorder.  Every per-node operation — transactions, export flushes,
-/// delivery handlers — lives here, so the virtual-time reference loop and the
-/// reactor's worker tasks drive *identical* logic and differ only in how they
-/// schedule nodes and route messages.
-pub(crate) struct NodeCtx<'a> {
-    pub(crate) index: usize,
-    pub(crate) node: &'a mut NodeState,
-    pub(crate) shared: &'a EngineShared,
-    pub(crate) config: &'a DeploymentConfig,
-    pub(crate) net: &'a mut dyn NetSink,
-    pub(crate) timing: &'a mut TimingStats,
 }
 
 impl Deployment {
@@ -894,975 +854,11 @@ pub(crate) fn wedged_at_quiescence() -> DatalogError {
     DatalogError::Eval("outboxes wedged at quiescence: held deltas with no credit".into())
 }
 
-impl NodeCtx<'_> {
-    // ------------------------------------------------------------------
-    // Batch processing and export
-    // ------------------------------------------------------------------
-
-    /// Process one incoming batch as a local ACID transaction.  Returns
-    /// whether the batch *committed* — callers use this as channel-level
-    /// evidence that the peer's envelope was accepted by policy.
-    pub(crate) fn process_batch(
-        &mut self,
-        batch: Vec<(String, Tuple)>,
-        arrival: VirtualTime,
-    ) -> Result<bool> {
-        let committed = self.apply_transaction(batch, arrival)?;
-        if committed {
-            let finish = self.node.available_at;
-            self.flush_updates(finish)?;
-        }
-        Ok(committed)
-    }
-
-    /// The transaction step under every assert — bootstrap, local batches
-    /// and inbound deltas alike: apply `batch` as one ACID transaction,
-    /// account virtual time, WAL-log on commit, and record the verdict.  Does
-    /// NOT flush update streams — the caller decides when (per local batch,
-    /// once per drained envelope for inbound deltas).
-    fn apply_transaction(
-        &mut self,
-        batch: Vec<(String, Tuple)>,
-        arrival: VirtualTime,
-    ) -> Result<bool> {
-        let start_virtual = arrival.max(self.node.available_at);
-        let started = Instant::now();
-        let log_batch = match &self.node.store {
-            Some(_) if !batch.is_empty() => Some(batch.clone()),
-            _ => None,
-        };
-        let outcome = self.node.workspace.transaction(batch);
-        let elapsed = started.elapsed();
-        secureblox_telemetry::histogram!("engine_txn_apply_ns").record_duration(elapsed);
-        let finish = start_virtual + elapsed.as_nanos() as u64;
-        self.node.available_at = finish;
-        match outcome {
-            Ok(report) => {
-                // Log only *committed* batches: rolled-back facts are not
-                // part of the EDB and must not resurface at recovery.
-                if let (Some(store), Some(batch)) = (&mut self.node.store, log_batch) {
-                    store
-                        .log_inserts(batch.iter().map(|(p, t)| (p.as_str(), t)), finish)
-                        .map_err(|e| DatalogError::Eval(format!("durability: {e}")))?;
-                }
-                self.node
-                    .export_pending
-                    .absorb(report.added, FactDelta::new());
-                self.timing
-                    .record_transaction(NodeId(self.index as u32), elapsed, finish);
-                Ok(true)
-            }
-            Err(DatalogError::ConstraintViolation(_)) => {
-                // The paper's semantics: the whole batch (including the input
-                // tuples) rolls back; the sender is not notified.
-                self.timing
-                    .record_rejection(NodeId(self.index as u32), finish);
-                Ok(false)
-            }
-            Err(DatalogError::FunctionalDependency { .. }) => {
-                // Same rollback semantics, but counted separately: this is a
-                // data-level duplicate (e.g. a second composition for an
-                // already-known path entity), not a policy refusing the batch.
-                self.timing
-                    .record_conflict(NodeId(self.index as u32), finish);
-                Ok(false)
-            }
-            Err(other) => Err(other),
-        }
-    }
-
-    /// Flush this node's update streams from the export candidates its
-    /// commits left since the last flush — O(delta), whatever the relations
-    /// hold.  A removed candidate that was shipped (`sent`) and is not stored
-    /// now goes out as a signed `Retract` delta; an added candidate that is
-    /// stored now, this node's to ship, and not yet in `sent` goes out as an
-    /// `Assert`.  Judging both against the workspace *now* is what lets one
-    /// flush cover several commits: a tuple asserted then retracted (or
-    /// retracted then re-asserted) between two flushes ships nothing.  The
-    /// deltas go, in order, into each destination's [`LinkOutbox`], which
-    /// ships them as [`UpdateEnvelope`]s over the FIFO link.
-    pub(crate) fn flush_updates(&mut self, now: VirtualTime) -> Result<()> {
-        let started = Instant::now();
-        let (removed, added) = self.node.export_pending.take_sorted();
-        secureblox_telemetry::counter!("engine_export_candidates_total")
-            .add((added.len() + removed.len()) as u64);
-        // Ordered deltas per destination node: retractions first (they refer
-        // to the pre-flush state), then asserts, each in deterministic order.
-        let mut per_dest: BTreeMap<usize, Vec<UpdateDelta>> = BTreeMap::new();
-        let mut anon_outgoing: Vec<Message> = Vec::new();
-        // Export-cursor mutations to WAL-log before anything ships: marks
-        // for newly shipped tuples, clears for flushed withdrawals.
-        let mut export_marks: Vec<(String, Tuple, Vec<u8>)> = Vec::new();
-        let mut export_clears: Vec<(String, Tuple)> = Vec::new();
-
-        // 1. Withdrawals.  A repeated candidate finds its `sent` entry gone.
-        for candidate in removed {
-            let (pred, tuple) = &candidate.fact;
-            if self.node.workspace.contains_fact(pred, tuple) {
-                continue;
-            }
-            let Some(signature) = self.node.sent.remove(&candidate.fact) else {
-                continue;
-            };
-            export_clears.push(candidate.fact.clone());
-            self.route(
-                candidate,
-                DeltaOp::Retract,
-                signature,
-                &mut per_dest,
-                &mut anon_outgoing,
-            )?;
-        }
-
-        // 2. Assertions.  A repeated candidate finds its `sent` entry there.
-        for candidate in added {
-            let (pred, tuple) = &candidate.fact;
-            if !candidate
-                .channel
-                .originates_at(&self.node.info.principal, tuple)
-                || self.node.sent.contains_key(&candidate.fact)
-                || !self.node.workspace.contains_fact(pred, tuple)
-            {
-                continue;
-            }
-            let signature = match candidate.channel {
-                ExportChannel::Says => self.lookup_signature(candidate.param(), tuple),
-                // The onion layers authenticate circuit traffic.
-                ExportChannel::AnonForward | ExportChannel::AnonBackward => Vec::new(),
-            };
-            export_marks.push((pred.clone(), tuple.clone(), signature.clone()));
-            self.node
-                .sent
-                .insert(candidate.fact.clone(), signature.clone());
-            self.route(
-                candidate,
-                DeltaOp::Assert,
-                signature,
-                &mut per_dest,
-                &mut anon_outgoing,
-            )?;
-        }
-
-        // Persist the export-cursor mutations before anything ships: a mark
-        // must hit the WAL no later than its message leaves, or a crash in
-        // between would lose the recovery obligation the message created.
-        if !export_clears.is_empty() || !export_marks.is_empty() {
-            if let Some(store) = &mut self.node.store {
-                store
-                    .log_export_clears(export_clears.iter().map(|(p, t)| (p.as_str(), t)), now)
-                    .map_err(|e| DatalogError::Eval(format!("durability: {e}")))?;
-                store
-                    .log_export_marks(
-                        export_marks
-                            .iter()
-                            .map(|(p, t, s)| (p.as_str(), t, s.as_slice())),
-                        now,
-                    )
-                    .map_err(|e| DatalogError::Eval(format!("durability: {e}")))?;
-            }
-        }
-
-        // 3. Export processing (serialization, signature lookup, encryption)
-        //    costs real compute; charge it to the node's virtual clock, then
-        //    ship through the per-link outboxes (coalescing, annihilation,
-        //    credit).
-        let overhead = started.elapsed();
-        secureblox_telemetry::histogram!("engine_export_flush_ns").record_duration(overhead);
-        let send_time = now + overhead.as_nanos() as u64;
-        self.node.available_at = self.node.available_at.max(send_time);
-        let high_water = self.config.streaming.queue_high_water;
-        for (dest, deltas) in per_dest {
-            let outbox = self
-                .node
-                .outboxes
-                .entry(dest)
-                .or_insert_with(|| LinkOutbox::new(high_water));
-            for delta in deltas {
-                if outbox.push(delta) {
-                    secureblox_telemetry::counter!("engine_stream_annihilated_total").add(2);
-                }
-            }
-            self.drain_outbox(dest, send_time, false)?;
-        }
-        for message in anon_outgoing {
-            self.net.send_fifo(message, send_time);
-        }
-        Ok(())
-    }
-
-    /// Put one delta on its channel: the addressee's envelope, or an onion
-    /// cell of this node's circuit.  A tuple addressed to no known principal
-    /// ships nowhere (its cursor entry is kept all the same).
-    fn route(
-        &self,
-        candidate: ExportCandidate,
-        op: DeltaOp,
-        signature: Vec<u8>,
-        per_dest: &mut BTreeMap<usize, Vec<UpdateDelta>>,
-        anon_outgoing: &mut Vec<Message>,
-    ) -> Result<()> {
-        let pred = candidate.param().to_string();
-        let tuple = candidate.fact.1;
-        let addressee = tuple.get(1).and_then(|v| v.as_str());
-        match candidate.channel {
-            ExportChannel::Says => {
-                if let Some(&dest) = addressee.and_then(|to| self.shared.principal_index.get(to)) {
-                    per_dest.entry(dest).or_default().push(UpdateDelta {
-                        op,
-                        pred,
-                        tuple,
-                        signature,
-                    });
-                }
-            }
-            ExportChannel::AnonForward => {
-                if let Some(to) = addressee {
-                    anon_outgoing.push(self.onion_wrap_forward(&pred, to, &tuple, op)?);
-                }
-            }
-            ExportChannel::AnonBackward => {
-                anon_outgoing.extend(self.onion_wrap_backward(&pred, &tuple, op)?);
-            }
-        }
-        Ok(())
-    }
-
-    /// Ship as much of this node's `dest` outbox as its credit window
-    /// allows, in envelopes of up to `batch_max` deltas each.  Marks the
-    /// outbox stalled when deltas remain with no credit left — the stall ends
-    /// (and shipping resumes) when the receiver's credit grant arrives.
-    ///
-    /// Unless `force`d, a residue smaller than `batch_max` is *held* (Nagle
-    /// style): while other traffic is still in flight, the next flushes keep
-    /// topping the outbox up and whole-batch envelopes amortize the
-    /// receiver's per-transaction cost.  Both executors force-flush every
-    /// outbox at quiescence, so held deltas always ship before a run can
-    /// converge.
-    pub(crate) fn drain_outbox(
-        &mut self,
-        dest: usize,
-        now: VirtualTime,
-        force: bool,
-    ) -> Result<()> {
-        let batch_max = self.config.streaming.batch_max;
-        loop {
-            let Some(outbox) = self.node.outboxes.get_mut(&dest) else {
-                return Ok(());
-            };
-            if outbox.live() == 0 || (!force && outbox.live() < batch_max) {
-                return Ok(());
-            }
-            if outbox.credit() == 0 {
-                outbox.mark_stalled(now);
-                return Ok(());
-            }
-            let take = batch_max.min(outbox.credit());
-            let deltas = outbox.take_batch(take);
-            outbox.consume_credit(deltas.len());
-            if deltas.is_empty() {
-                return Ok(());
-            }
-            secureblox_telemetry::histogram!("engine_stream_batch_deltas")
-                .record(deltas.len() as u64);
-            let seq = {
-                let counter = self.node.stream_seq.entry(dest).or_insert(0);
-                *counter += 1;
-                *counter
-            };
-            self.ship_envelope(dest, UpdateEnvelope { seq, deltas }, now)?;
-        }
-    }
-
-    /// Force-flush every outbox of this node still holding deltas (see
-    /// [`NodeCtx::drain_outbox`]'s Nagle hold) — the per-node body of both
-    /// executors' quiescence step.  Returns whether anything shipped.
-    pub(crate) fn flush_residues(&mut self) -> Result<bool> {
-        let pending: Vec<(usize, usize)> = self
-            .node
-            .outboxes
-            .iter()
-            .filter(|(_, outbox)| outbox.live() > 0)
-            .map(|(&dest, outbox)| (dest, outbox.live()))
-            .collect();
-        let now = self.node.available_at;
-        let mut shipped = false;
-        for (dest, before) in pending {
-            self.drain_outbox(dest, now, true)?;
-            shipped |= self.node.outboxes[&dest].live() < before;
-        }
-        Ok(shipped)
-    }
-
-    /// Encode (and, under AES, encrypt) one update-stream envelope and send
-    /// it on the link's FIFO stream.
-    fn ship_envelope(
-        &mut self,
-        dest: usize,
-        envelope: UpdateEnvelope,
-        send_time: VirtualTime,
-    ) -> Result<()> {
-        if self.config.sharding.is_some() {
-            let bytes: usize = envelope
-                .deltas
-                .iter()
-                .filter(|delta| is_exchange_pred(&delta.pred))
-                .map(|delta| {
-                    delta.pred.len() + serialize_tuple(&delta.tuple).len() + delta.signature.len()
-                })
-                .sum();
-            if bytes > 0 {
-                self.node.exchange_bytes += bytes;
-                secureblox_telemetry::counter!("engine_shard_exchange_bytes_total")
-                    .add(bytes as u64);
-            }
-        }
-        let mut payload = envelope.encode();
-        if self.config.security.enc == EncScheme::Aes128 {
-            let from_principal = &self.node.info.principal;
-            let to_principal = &self.shared.principals[dest];
-            let secret = self
-                .shared
-                .keystore
-                .shared_secret(from_principal, to_principal)
-                .map_err(|e| DatalogError::Eval(e.to_string()))?;
-            payload = aes128_ctr_encrypt(secret, &payload);
-        }
-        self.net.send_fifo(
-            Message::new(
-                NodeId(self.index as u32),
-                NodeId(dest as u32),
-                MessageKind::Update,
-                payload,
-            ),
-            send_time,
-        );
-        Ok(())
-    }
-
-    /// Find the detached signature for a `says$T` tuple in the corresponding
-    /// `sig$T` relation (empty when the scheme carries no signatures), via a
-    /// secondary index on the tuple prefix — built once, maintained
-    /// incrementally — instead of a linear scan per exported tuple.
-    fn lookup_signature(&mut self, param: &str, says_tuple: &[Value]) -> Vec<u8> {
-        let sig_pred = format!("sig${param}");
-        let cols = column_set(0..says_tuple.len());
-        for tuple in self
-            .node
-            .workspace
-            .probe_indexed(&sig_pred, cols, says_tuple)
-        {
-            if tuple.len() == says_tuple.len() + 1 {
-                if let Some(bytes) = tuple[says_tuple.len()].as_bytes() {
-                    return bytes.to_vec();
-                }
-            }
-        }
-        Vec::new()
-    }
-
-    // ------------------------------------------------------------------
-    // Anonymity circuits
-    // ------------------------------------------------------------------
-
-    fn circuit_for(&self, endpoint: &str) -> Option<&Circuit> {
-        let endpoint_index = *self.shared.principal_index.get(endpoint)?;
-        self.shared
-            .circuits
-            .iter()
-            .find(|c| c.initiator == self.index && c.endpoint == endpoint_index)
-    }
-
-    /// Wrap an `anon_says$T` delta in onion layers and address it to the
-    /// first hop of this node's circuit to the destination.
-    fn onion_wrap_forward(
-        &self,
-        param: &str,
-        destination: &str,
-        tuple: &[Value],
-        op: DeltaOp,
-    ) -> Result<Message> {
-        let circuit = self.circuit_for(destination).ok_or_else(|| {
-            DatalogError::Eval(format!(
-                "no anonymity circuit from {} to {destination}; declare it in DeploymentConfig::circuits",
-                self.node.info.principal
-            ))
-        })?;
-        // The serialized payload omits the initiator: the endpoint can only
-        // name the circuit (paper §6.2).  Circuit traffic rides the same
-        // delta envelope as peer streams; the onion layers authenticate it in
-        // place of a detached signature.
-        let envelope = UpdateEnvelope {
-            seq: 0,
-            deltas: vec![UpdateDelta {
-                op,
-                pred: param.to_string(),
-                tuple: tuple[2..].to_vec(),
-                signature: Vec::new(),
-            }],
-        };
-        let mut body = envelope.encode();
-        for key in circuit.keys.iter().rev() {
-            body = aes128_ctr_encrypt(key, &body);
-        }
-        let first_hop = circuit.relays.first().copied().unwrap_or(circuit.endpoint);
-        let payload = encode_anon_cell(circuit.id, 0, &body);
-        Ok(Message::new(
-            NodeId(self.index as u32),
-            NodeId(first_hop as u32),
-            MessageKind::AnonForward,
-            payload,
-        ))
-    }
-
-    /// Wrap an `anon_says_id_out$T` reply delta for the backward direction.
-    fn onion_wrap_backward(
-        &self,
-        param: &str,
-        tuple: &[Value],
-        op: DeltaOp,
-    ) -> Result<Option<Message>> {
-        let Some(circuit_id) = tuple[0].as_int() else {
-            return Ok(None);
-        };
-        let Some(circuit) = self
-            .shared
-            .circuits
-            .iter()
-            .find(|c| c.id == circuit_id as u64 && c.endpoint == self.index)
-        else {
-            return Ok(None);
-        };
-        let envelope = UpdateEnvelope {
-            seq: 0,
-            deltas: vec![UpdateDelta {
-                op,
-                pred: param.to_string(),
-                tuple: tuple[1..].to_vec(),
-                signature: Vec::new(),
-            }],
-        };
-        // The endpoint adds its own layer; each relay will add one more on
-        // the way back and the initiator peels them all.
-        let body = aes128_ctr_encrypt(
-            circuit.keys.last().expect("endpoint key"),
-            &envelope.encode(),
-        );
-        let (next, hop) = match circuit.relays.last() {
-            Some(&relay) => (relay, circuit.relays.len() as u32 - 1),
-            None => (circuit.initiator, u32::MAX),
-        };
-        let payload = encode_anon_cell(circuit.id, hop, &body);
-        Ok(Some(Message::new(
-            NodeId(self.index as u32),
-            NodeId(next as u32),
-            MessageKind::AnonBackward,
-            payload,
-        )))
-    }
-
-    // ------------------------------------------------------------------
-    // Delivery
-    // ------------------------------------------------------------------
-
-    pub(crate) fn deliver(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {
-        match message.kind {
-            MessageKind::Update => self.deliver_update(message, arrival),
-            MessageKind::AnonForward => self.deliver_anon_forward(message, arrival),
-            MessageKind::AnonBackward => self.deliver_anon_backward(message, arrival),
-            MessageKind::Bootstrap => Ok(()),
-            MessageKind::Credit => self.deliver_credit(message, arrival),
-        }
-    }
-
-    /// A credit grant travelling back to a sender: top up the link's outbox
-    /// window (capped at the high-water mark, so forged or replayed grants
-    /// can refill but never grow it) and resume a stalled stream.
-    fn deliver_credit(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {
-        let Some(granted) = secureblox_net::message::decode_credit(&message.payload) else {
-            // Malformed grant — drop it rather than trusting the count.
-            self.timing.record_rejection(message.to, arrival);
-            return Ok(());
-        };
-        // The grant is addressed to the sender side of the data stream: this
-        // node is the sender, `message.from` the receiver that granted.
-        let dest = message.from.index();
-        let Some(outbox) = self.node.outboxes.get_mut(&dest) else {
-            // Credit for a stream that never sent anything (forged): ignore.
-            return Ok(());
-        };
-        if let Some(stalled_for) = outbox.grant_credit(granted, arrival) {
-            secureblox_telemetry::histogram!("engine_stream_stall_ns").record(stalled_for);
-        }
-        self.drain_outbox(dest, arrival, false)
-    }
-
-    /// Apply one inbound update-stream envelope: decrypt, decode, drop stale
-    /// duplicates, then apply every delta in order — each `Assert` as its own
-    /// ACID transaction (paper semantics), each `Retract` as a verified
-    /// incremental deletion.
-    fn deliver_update(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {
-        let _apply_timer = secureblox_telemetry::histogram!("engine_update_apply_ns").start_timer();
-        let mut update_span =
-            secureblox_telemetry::span("engine", "update_apply").node(message.to.0 as u64);
-        let from_principal = self.shared.principals[message.from.index()].clone();
-        let mut payload = message.payload.to_vec();
-        if self.config.security.enc == EncScheme::Aes128 {
-            let secret = self
-                .shared
-                .keystore
-                .shared_secret(&self.node.info.principal, &from_principal)
-                .map_err(|e| DatalogError::Eval(e.to_string()))?;
-            match aes128_ctr_decrypt(secret, &payload) {
-                Ok(plain) => payload = plain,
-                Err(_) => {
-                    self.timing.record_rejection(message.to, arrival);
-                    return Ok(());
-                }
-            }
-        }
-        let envelope = match UpdateEnvelope::decode(&payload) {
-            Ok(envelope) => envelope,
-            Err(_) => {
-                self.timing.record_rejection(message.to, arrival);
-                return Ok(());
-            }
-        };
-        // At-most-once per delta: links are FIFO, so a sequence number at or
-        // below the highest *accepted* sequence from this sender is a
-        // duplicate of an already applied envelope and is dropped whole.
-        if let Some(&last) = self.node.last_update_seq_in.get(&message.from.0) {
-            if envelope.seq <= last {
-                return Ok(());
-            }
-        }
-        // The watermark advances below only when some delta produces
-        // policy-accepted evidence (a committed transaction or a
-        // signature-verified retraction).  An envelope of forged deltas —
-        // whatever sequence number it claims — must not be able to mute the
-        // link for the peer's legitimate traffic.
-        update_span.record_field("from", message.from.0 as u64);
-        update_span.record_field("seq", envelope.seq);
-        update_span.record_field("deltas", envelope.deltas.len() as u64);
-        // Shuffle-apply latency: wall time to apply an envelope that carries
-        // exchange deltas — the receive half of a shard exchange step.
-        let _shuffle_timer = envelope
-            .deltas
-            .iter()
-            .any(|delta| is_exchange_pred(&delta.pred))
-            .then(|| {
-                secureblox_telemetry::histogram!("engine_shard_shuffle_apply_ns").start_timer()
-            });
-        let accepted = self.drain_inbox(message.from, &envelope.deltas, arrival)?;
-        if accepted {
-            let last = self
-                .node
-                .last_update_seq_in
-                .entry(message.from.0)
-                .or_insert(0);
-            *last = (*last).max(envelope.seq);
-        }
-        update_span.record_field("accepted", accepted as u64);
-        Ok(())
-    }
-
-    /// Apply one inbound update-stream delta — the one place a peer's change
-    /// enters this node.  Returns
-    /// `(evidence, changed)`: whether the delta produced policy-accepted
-    /// evidence (a committed transaction or an authorized retraction), and
-    /// whether it changed the database so update streams need a flush.
-    ///
-    /// An `Assert` is its own ACID transaction (paper semantics): the
-    /// receiver's constraints — signature verification, trust, write access
-    /// — accept it or roll it back.  A `Retract` gets the channel-level
-    /// mirror of those constraints (only the principal that said a fact, and
-    /// whose signature still verifies over it, may retract it, and only at
-    /// the addressee), then DRed.  So does a re-`Assert` of a `says$T` tuple
-    /// already held whose `sig$T` row is not: no new `says$T` tuple means no
-    /// constraint would look at the signature, and an unverified row must
-    /// not reach the EDB, the WAL or the link's sequence watermark.
-    fn apply_delta(
-        &mut self,
-        from_principal: &str,
-        delta: &UpdateDelta,
-        arrival: VirtualTime,
-    ) -> Result<(bool, bool)> {
-        let batch = delta_batch(delta);
-        let unchecked_by_constraints = match delta.op {
-            DeltaOp::Retract => true,
-            DeltaOp::Assert => {
-                let workspace = &self.node.workspace;
-                workspace.contains_fact(&batch[0].0, &batch[0].1)
-                    && !batch
-                        .get(1)
-                        .is_some_and(|(pred, tuple)| workspace.contains_fact(pred, tuple))
-            }
-        };
-        if unchecked_by_constraints && !self.delta_authorized(from_principal, delta)? {
-            self.timing
-                .record_rejection(NodeId(self.index as u32), arrival);
-            return Ok((false, false));
-        }
-        match delta.op {
-            DeltaOp::Assert => {
-                let committed = self.apply_transaction(batch, arrival)?;
-                Ok((committed, committed))
-            }
-            DeltaOp::Retract => Ok((true, self.apply_retraction_inner(batch, arrival)?)),
-        }
-    }
-
-    /// The channel-level authorization of a delta the datalog constraints
-    /// will not see: it names the sending principal and this node as its
-    /// `says` principals, and its detached signature verifies under the
-    /// deployment's authentication scheme — the same coverage the generated
-    /// `sig$T` rules sign: the canonical encoding of the payload columns
-    /// (after the two principal columns).
-    fn delta_authorized(&self, from_principal: &str, delta: &UpdateDelta) -> Result<bool> {
-        let to_principal = self.node.info.principal.as_str();
-        if delta.tuple.len() < 2
-            || delta.tuple[0].as_str() != Some(from_principal)
-            || delta.tuple[1].as_str() != Some(to_principal)
-        {
-            return Ok(false);
-        }
-        secureblox_telemetry::counter!("engine_signature_checks_total").inc();
-        let _verify_timer =
-            secureblox_telemetry::histogram!("engine_update_verify_ns").start_timer();
-        let payload = serialize_tuple(&delta.tuple[2..]);
-        match self.config.security.auth {
-            AuthScheme::NoAuth => Ok(true),
-            AuthScheme::HmacSha1 => {
-                let secret = self
-                    .shared
-                    .keystore
-                    .shared_secret(to_principal, from_principal)
-                    .map_err(|e| DatalogError::Eval(e.to_string()))?;
-                Ok(hmac_sha1_verify(secret, &payload, &delta.signature))
-            }
-            AuthScheme::Rsa => {
-                let public = self
-                    .shared
-                    .keystore
-                    .public_key(from_principal)
-                    .map_err(|e| DatalogError::Eval(e.to_string()))?;
-                Ok(public.verify(&payload, &RsaSignature(delta.signature.clone())))
-            }
-        }
-    }
-
-    /// Apply one delivered envelope's deltas in order, each through
-    /// [`NodeCtx::apply_delta`] with exactly the verdict it would get in an
-    /// envelope of its own.  What the batch amortizes is *scheduling*, not
-    /// semantics: one export flush per drained envelope instead of one per
-    /// committed delta (the deltas' export candidates accumulate, and the
-    /// flush judges them against the workspace and the `sent` cursor as they
-    /// stand then, so a tuple the envelope both added and removed ships
-    /// nothing), plus the sender-side coalescing and credit return below.
-    /// Returns whether any delta produced policy-accepted evidence.
-    fn drain_inbox(
-        &mut self,
-        from: NodeId,
-        deltas: &[UpdateDelta],
-        arrival: VirtualTime,
-    ) -> Result<bool> {
-        let to_id = NodeId(self.index as u32);
-        secureblox_telemetry::histogram!("engine_stream_recv_batch_deltas")
-            .record(deltas.len() as u64);
-        if deltas.is_empty() {
-            return Ok(false);
-        }
-        let from_principal = self.shared.principals[from.index()].clone();
-        let mut accepted = false;
-        let mut dirty = false;
-        for delta in deltas {
-            let (evidence, changed) = self.apply_delta(&from_principal, delta, arrival)?;
-            accepted |= evidence;
-            dirty |= changed;
-        }
-        if dirty {
-            let now = self.node.available_at;
-            self.flush_updates(now)?;
-        }
-        // Return the drained deltas' credit once the applies finish.  The
-        // grant is unconditional — rejected deltas were still drained — so
-        // every shipped delta eventually refills the sender's window and a
-        // stalled outbox can never deadlock.  Credit rides a plain
-        // (unordered) message: grants are cumulative counts, order-free.
-        let send_at = arrival.max(self.node.available_at);
-        secureblox_telemetry::counter!("engine_stream_credits_total").inc();
-        self.net.send(
-            Message::new(
-                to_id,
-                from,
-                MessageKind::Credit,
-                secureblox_net::message::encode_credit(deltas.len() as u64),
-            ),
-            send_at,
-        );
-        Ok(accepted)
-    }
-
-    /// Apply a circuit-authenticated retraction batch here and, when it
-    /// deleted stored facts, immediately propagate the cascaded withdrawals
-    /// through this node's own update streams.
-    fn apply_retraction(
-        &mut self,
-        batch: Vec<(String, Tuple)>,
-        arrival: VirtualTime,
-    ) -> Result<()> {
-        if self.apply_retraction_inner(batch, arrival)? {
-            let finish = self.node.available_at;
-            self.flush_updates(finish)?;
-        }
-        Ok(())
-    }
-
-    /// An inbound retraction: the shared body, with a refusal recorded as a
-    /// verdict instead of returned — the sender is not notified, as for a
-    /// refused assert.  Returns whether stored facts were actually deleted —
-    /// only then does the caller need to flush update streams for cascaded
-    /// withdrawals.
-    fn apply_retraction_inner(
-        &mut self,
-        batch: Vec<(String, Tuple)>,
-        arrival: VirtualTime,
-    ) -> Result<bool> {
-        let apply_ns = secureblox_telemetry::histogram!("engine_retraction_apply_ns");
-        let node = NodeId(self.index as u32);
-        match self.commit_retraction(batch, arrival, Some(apply_ns)) {
-            Ok(0) => Ok(false),
-            Ok(deleted) => {
-                // A cascade: the retraction removed stored facts and may now
-                // propagate further withdrawals through this node's streams.
-                secureblox_telemetry::counter!("engine_retraction_cascades_total").inc();
-                secureblox_telemetry::histogram!("engine_retraction_deleted_facts")
-                    .record(deleted as u64);
-                Ok(true)
-            }
-            Err(DatalogError::ConstraintViolation(_)) => {
-                // Deleting the fact would violate a constraint: the whole
-                // retraction rolls back, mirroring assert-batch semantics.
-                self.timing.record_rejection(node, self.node.available_at);
-                Ok(false)
-            }
-            Err(DatalogError::FunctionalDependency { .. }) => {
-                self.timing.record_conflict(node, self.node.available_at);
-                Ok(false)
-            }
-            Err(other) => Err(other),
-        }
-    }
-
-    /// The one retraction body, local ([`Deployment::retract`]) and inbound
-    /// alike: DRed the batch out of the workspace, charge the measured time
-    /// to the node's clock (and to `apply_ns`, the inbound path's histogram),
-    /// then WAL-log it (so recovery replays it in order), record the timing
-    /// sample and absorb the journal's delta into the export candidates.
-    /// Returns how many stored facts the retraction deleted, base and
-    /// derived; on zero nothing was stored here (e.g. the assert had been
-    /// rejected) and at-most-once means there is nothing to log or
-    /// propagate.  A refusal (constraint, FD) has rolled back and is the
-    /// caller's to report.
-    fn commit_retraction(
-        &mut self,
-        batch: Vec<(String, Tuple)>,
-        arrival: VirtualTime,
-        apply_ns: Option<&secureblox_telemetry::Histogram>,
-    ) -> Result<usize> {
-        let start_virtual = arrival.max(self.node.available_at);
-        let started = Instant::now();
-        let outcome = self.node.workspace.retract(batch.clone());
-        let elapsed = started.elapsed();
-        if let Some(histogram) = apply_ns {
-            histogram.record_duration(elapsed);
-        }
-        let finish = start_virtual + elapsed.as_nanos() as u64;
-        self.node.available_at = finish;
-        let stats = outcome?;
-        if stats.base_deleted == 0 {
-            return Ok(0);
-        }
-        if let Some(store) = &mut self.node.store {
-            store
-                .log_retracts(batch.iter().map(|(p, t)| (p.as_str(), t)), finish)
-                .map_err(|e| DatalogError::Eval(format!("durability: {e}")))?;
-        }
-        self.timing
-            .record_retraction(NodeId(self.index as u32), finish);
-        self.node.export_pending.absorb(stats.added, stats.removed);
-        Ok(stats.base_deleted + stats.over_deleted)
-    }
-
-    fn deliver_anon_forward(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {
-        let here = self.index;
-        let Some((circuit_id, hop, body)) = decode_anon_cell(&message.payload) else {
-            self.timing.record_rejection(message.to, arrival);
-            return Ok(());
-        };
-        let Some(circuit) = self
-            .shared
-            .circuits
-            .iter()
-            .find(|c| c.id == circuit_id)
-            .cloned()
-        else {
-            self.timing.record_rejection(message.to, arrival);
-            return Ok(());
-        };
-        let key = circuit.keys.get(hop as usize).cloned().unwrap_or_default();
-        let Ok(peeled) = aes128_ctr_decrypt(&key, &body) else {
-            self.timing.record_rejection(message.to, arrival);
-            return Ok(());
-        };
-        let is_endpoint = (hop as usize) == circuit.relays.len();
-        if is_endpoint || circuit.relays.is_empty() && here == circuit.endpoint {
-            // Deliver into the endpoint's workspace keyed by the circuit.
-            let envelope = match UpdateEnvelope::decode(&peeled) {
-                Ok(envelope) => envelope,
-                Err(_) => {
-                    self.timing.record_rejection(message.to, arrival);
-                    return Ok(());
-                }
-            };
-            for delta in envelope.deltas {
-                let mut tuple = vec![Value::Int(circuit.id as i64)];
-                tuple.extend(delta.tuple);
-                let batch = vec![(format!("anon_says_id_in${}", delta.pred), tuple)];
-                match delta.op {
-                    DeltaOp::Assert => {
-                        self.process_batch(batch, arrival)?;
-                    }
-                    // The onion layers already authenticate circuit traffic;
-                    // a withdrawal needs no detached signature.
-                    DeltaOp::Retract => self.apply_retraction(batch, arrival)?,
-                }
-            }
-            return Ok(());
-        }
-        // Relay: forward the peeled cell to the next hop.
-        let next_hop_index = hop as usize + 1;
-        let next = if next_hop_index == circuit.relays.len() {
-            circuit.endpoint
-        } else {
-            circuit.relays[next_hop_index]
-        };
-        let forward = Message::new(
-            NodeId(here as u32),
-            NodeId(next as u32),
-            MessageKind::AnonForward,
-            encode_anon_cell(circuit_id, next_hop_index as u32, &peeled),
-        );
-        let send_at = arrival.max(self.node.available_at);
-        self.node.available_at = send_at;
-        self.net.send_fifo(forward, send_at);
-        Ok(())
-    }
-
-    fn deliver_anon_backward(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {
-        let here = self.index;
-        let Some((circuit_id, hop, body)) = decode_anon_cell(&message.payload) else {
-            self.timing.record_rejection(message.to, arrival);
-            return Ok(());
-        };
-        let Some(circuit) = self
-            .shared
-            .circuits
-            .iter()
-            .find(|c| c.id == circuit_id)
-            .cloned()
-        else {
-            self.timing.record_rejection(message.to, arrival);
-            return Ok(());
-        };
-        if hop == u32::MAX || here == circuit.initiator {
-            // Initiator: peel every layer (relays in forward order, then the
-            // endpoint's innermost layer).
-            let mut plain = body;
-            for key in &circuit.keys {
-                match aes128_ctr_decrypt(key, &plain) {
-                    Ok(next) => plain = next,
-                    Err(_) => {
-                        self.timing.record_rejection(message.to, arrival);
-                        return Ok(());
-                    }
-                }
-            }
-            let envelope = match UpdateEnvelope::decode(&plain) {
-                Ok(envelope) => envelope,
-                Err(_) => {
-                    self.timing.record_rejection(message.to, arrival);
-                    return Ok(());
-                }
-            };
-            for delta in envelope.deltas {
-                let batch = vec![(format!("anon_reply${}", delta.pred), delta.tuple)];
-                match delta.op {
-                    DeltaOp::Assert => {
-                        self.process_batch(batch, arrival)?;
-                    }
-                    DeltaOp::Retract => self.apply_retraction(batch, arrival)?,
-                }
-            }
-            return Ok(());
-        }
-        // Relay: add this hop's layer and forward towards the initiator.
-        let key = circuit.keys.get(hop as usize).cloned().unwrap_or_default();
-        let wrapped = aes128_ctr_encrypt(&key, &body);
-        let (next, next_hop) = if hop == 0 {
-            (circuit.initiator, u32::MAX)
-        } else {
-            (circuit.relays[hop as usize - 1], hop - 1)
-        };
-        let forward = Message::new(
-            NodeId(here as u32),
-            NodeId(next as u32),
-            MessageKind::AnonBackward,
-            encode_anon_cell(circuit_id, next_hop, &wrapped),
-        );
-        let send_at = arrival.max(self.node.available_at);
-        self.node.available_at = send_at;
-        self.net.send_fifo(forward, send_at);
-        Ok(())
-    }
-}
-
-/// The receiver-side insertion batch for one update-stream delta: the
-/// `says$T` tuple plus, when a detached signature rides along, the matching
-/// `sig$T` row the generated verification constraints consume.
-fn delta_batch(delta: &UpdateDelta) -> Vec<(String, Tuple)> {
-    let mut batch: Vec<(String, Tuple)> =
-        vec![(format!("says${}", delta.pred), delta.tuple.clone())];
-    if !delta.signature.is_empty() {
-        let mut sig_tuple = delta.tuple.clone();
-        sig_tuple.push(Value::bytes(delta.signature.clone()));
-        batch.push((format!("sig${}", delta.pred), sig_tuple));
-    }
-    batch
-}
-
-/// Encode an anonymity cell: circuit id, hop index, body.
-fn encode_anon_cell(circuit_id: u64, hop: u32, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + body.len());
-    out.extend_from_slice(&circuit_id.to_be_bytes());
-    out.extend_from_slice(&hop.to_be_bytes());
-    out.extend_from_slice(body);
-    out
-}
-
-/// Decode an anonymity cell.
-fn decode_anon_cell(payload: &[u8]) -> Option<(u64, u32, Vec<u8>)> {
-    if payload.len() < 12 {
-        return None;
-    }
-    let circuit_id = u64::from_be_bytes(payload[0..8].try_into().ok()?);
-    let hop = u32::from_be_bytes(payload[8..12].try_into().ok()?);
-    Some((circuit_id, hop, payload[12..].to_vec()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::{SecurityConfig, TrustModel};
+    use crate::runtime::codec::{DeltaOp, UpdateDelta, UpdateEnvelope};
     use secureblox_crypto::{AuthScheme, EncScheme};
 
     /// A two-node "reachability gossip" application: each node says its links
@@ -2288,14 +1284,5 @@ mod tests {
         let text = err.to_string();
         assert!(text.contains("message budget of 1"), "got: {text}");
         assert!(text.contains("busiest links:"), "got: {text}");
-    }
-
-    #[test]
-    fn anon_cell_roundtrip() {
-        let cell = encode_anon_cell(7, 2, b"body bytes");
-        let (id, hop, body) = decode_anon_cell(&cell).unwrap();
-        assert_eq!((id, hop), (7, 2));
-        assert_eq!(body, b"body bytes");
-        assert!(decode_anon_cell(&cell[..5]).is_none());
     }
 }

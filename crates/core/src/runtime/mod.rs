@@ -8,6 +8,7 @@ pub mod durable;
 pub mod engine;
 mod env;
 mod export;
+mod node;
 pub mod reactor;
 pub mod replication;
 pub mod shard;

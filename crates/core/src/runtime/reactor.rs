@@ -36,8 +36,9 @@
 
 use crate::runtime::engine::{
     is_data_plane, wedged_at_quiescence, Deployment, DeploymentConfig, DeploymentReport,
-    EngineShared, NetSink, NodeCtx, NodeState,
+    EngineShared, NodeState,
 };
+use crate::runtime::node::{NetSink, NodeCtx};
 use secureblox_datalog::error::{DatalogError, Result};
 use secureblox_net::{
     record_message_latency, LinkLanes, Message, NetworkStats, TimingStats, VirtualTime,
