@@ -29,10 +29,12 @@
 //! A recovered deployment answers the same queries and commits to the same
 //! per-node Merkle roots as the one that was dropped.
 
-use crate::runtime::engine::{Deployment, DeploymentConfig, NodeSpec, NodeState};
+use crate::runtime::engine::{Deployment, DeploymentConfig, NodeSpec};
+use crate::runtime::node::{CommitOp, Verdict};
 use secureblox_datalog::error::DatalogError;
 use secureblox_datalog::value::Tuple;
 use secureblox_datalog::FactDelta;
+use secureblox_net::stats::TimingStats;
 use secureblox_store::{derive_node_key, DurabilityConfig, FactStore, StoreError, WalOp};
 use std::fmt;
 use std::path::PathBuf;
@@ -169,30 +171,33 @@ impl Deployment {
             let mut store = FactStore::open(durability.node_dir(&principal), &key)?;
             store.set_flush_each_batch(durability.flush_each_batch);
 
-            let node = &mut deployment.nodes[index];
+            let mut ctx = deployment.node_ctx(index);
             // Once a node's store holds any history, the WAL supersedes the
             // bootstrap facts (they were logged when the original deployment
             // committed them at virtual time zero).  An empty store means the
             // original crashed between build and run — keep the bootstrap so
             // a subsequent run() commits (and logs) it normally.
             if store.wal_seq() > 0 || store.snapshot().is_some() {
-                node.pending_bootstrap.clear();
+                ctx.node.pending_bootstrap.clear();
             }
 
             // Replay the snapshot as one transaction, then the WAL suffix
             // with the original commit boundaries (records sharing a
-            // watermark committed together).  Every replayed commit feeds
-            // the node's export candidates like a live one; the first is
-            // evaluated naively from the freshly built workspace, so
-            // together they cover the whole exportable state.
-            let insert = |node: &mut NodeState, batch: Vec<(String, Tuple)>| {
-                let report = node.workspace.transaction(batch)?;
-                node.export_pending.absorb(report.added, FactDelta::new());
-                Ok::<(), DatalogError>(())
-            };
+            // watermark committed together), through the same sink as a live
+            // commit.  The store is not attached yet, so nothing is logged;
+            // every replayed commit feeds the node's export candidates like a
+            // live one, and the first is evaluated naively from the freshly
+            // built workspace, so together they cover the whole exportable
+            // state.  A commit the log holds was accepted once: refused now,
+            // it is a replay error.
+            let mut replay =
+                |op: CommitOp, batch: Vec<(String, Tuple)>| match ctx.commit(op, batch, 0)? {
+                    Verdict::Refused(refusal) => Err(refusal),
+                    Verdict::Changed | Verdict::Unchanged => Ok(()),
+                };
             let snapshot_facts = store.recovered_snapshot_facts().to_vec();
             if !snapshot_facts.is_empty() {
-                insert(node, snapshot_facts)?;
+                replay(CommitOp::Assert, snapshot_facts)?;
             }
             let mut pending: Vec<(String, Tuple)> = Vec::new();
             let mut pending_mark = 0u64;
@@ -200,17 +205,16 @@ impl Deployment {
                 match record.op {
                     WalOp::Insert => {
                         if !pending.is_empty() && record.watermark != pending_mark {
-                            insert(node, std::mem::take(&mut pending))?;
+                            replay(CommitOp::Assert, std::mem::take(&mut pending))?;
                         }
                         pending_mark = record.watermark;
                         pending.push((record.pred, record.tuple));
                     }
                     WalOp::Retract => {
                         if !pending.is_empty() {
-                            insert(node, std::mem::take(&mut pending))?;
+                            replay(CommitOp::Assert, std::mem::take(&mut pending))?;
                         }
-                        let stats = node.workspace.retract(vec![(record.pred, record.tuple)])?;
-                        node.export_pending.absorb(stats.added, stats.removed);
+                        replay(CommitOp::LocalRetract, vec![(record.pred, record.tuple)])?;
                     }
                     // Export-cursor records carry no base facts; the store
                     // already folded them into its cursor state at open.
@@ -219,7 +223,7 @@ impl Deployment {
             }
             // Derive IDB state even when the store was empty (the provisioned
             // facts alone may drive rules): the last batch, or an empty one.
-            insert(node, pending)?;
+            replay(CommitOp::Assert, pending)?;
 
             // Rebuild the export cursor from the WAL's.  Entries whose tuple
             // is still derived stay OUT of `sent`: a crash may have dropped
@@ -232,6 +236,7 @@ impl Deployment {
             // `sent` (with the signature the export went out under) as
             // removed candidates makes the first flush re-send exactly those
             // Retract deltas.
+            let node = ctx.node;
             let mut vanished = FactDelta::new();
             for (pred, tuple, signature) in store.export_cursor() {
                 if !node.workspace.contains_fact(&pred, &tuple) {
@@ -240,9 +245,14 @@ impl Deployment {
                 }
             }
             node.export_pending.absorb(FactDelta::new(), vanished);
+            // The replay charged this host's time to the clock; the node
+            // resumes where the log says it stopped.
             node.available_at = store.watermark();
             node.store = Some(store);
         }
+        // The replay is not part of the recovered deployment's run: its
+        // timing samples go.
+        deployment.timing = TimingStats::new(deployment.nodes.len());
         Ok(deployment)
     }
 }

@@ -29,7 +29,7 @@
 use crate::policy::{compile_secured_program, SecurityConfig};
 use crate::runtime::env;
 use crate::runtime::export::ExportCandidates;
-use crate::runtime::node::NodeCtx;
+use crate::runtime::node::{CommitOp, NodeCtx, Verdict};
 use crate::runtime::reactor::ReactorConfig;
 use crate::runtime::replication::ReplicaState;
 use crate::runtime::shard::{self, ShardMap, ShardReport};
@@ -657,11 +657,14 @@ impl Deployment {
             .ok_or_else(|| DatalogError::Eval(format!("unknown principal {principal}")))?;
         let mut ctx = self.node_ctx(index);
         let now = ctx.node.available_at;
-        if ctx.commit_retraction(batch, now, None)? > 0 {
-            let finish = ctx.node.available_at;
-            ctx.flush_updates(finish)?;
+        match ctx.commit(CommitOp::LocalRetract, batch, now)? {
+            Verdict::Changed => {
+                let finish = ctx.node.available_at;
+                ctx.flush_updates(finish)
+            }
+            Verdict::Unchanged => Ok(()),
+            Verdict::Refused(refusal) => Err(refusal),
         }
-        Ok(())
     }
 
     /// Borrow one node's engine context against the deployment's shared state

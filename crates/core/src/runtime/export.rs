@@ -2,8 +2,8 @@
 //!
 //! A node ships the `says` tuples its transactions *derived* (paper §2, §6).
 //! Every runtime commit — transaction, retraction, recovery replay — reports
-//! its net delta from the evaluation journal (`TransactionReport::added`,
-//! `DeletionStats::{added, removed}`); [`ExportCandidates::absorb`] keeps the
+//! its net delta from the evaluation journal (`Commit::added`,
+//! `Commit::removed`); [`ExportCandidates::absorb`] keeps the
 //! exportable part, classified once by generated predicate name, and
 //! `NodeCtx::flush_updates` reads nothing else.  A flush therefore costs
 //! O(delta), whatever the relations hold.
@@ -132,9 +132,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use secureblox_crypto::{hmac_sha1, AuthScheme, EncScheme};
-    use secureblox_datalog::value::{Tuple, Value};
+    use secureblox_datalog::value::{tuple_total_cmp, Tuple, Value};
+    use secureblox_datalog::DatalogError;
     use secureblox_net::MessageKind;
-    use secureblox_store::{derive_node_key, DurabilityConfig, FactStore};
+    use secureblox_store::{derive_node_key, DurabilityConfig, FactStore, WalOp};
     use std::collections::HashSet;
     use std::path::PathBuf;
 
@@ -262,48 +263,83 @@ mod tests {
             .collect()
     }
 
-    /// Random REACH churn: stored and never-stored links are retracted,
-    /// fresh and already-held links are asserted, and the oracle holds after
-    /// every step and every re-convergence, on every executor.
+    /// Random REACH churn on one executor: stored and never-stored links are
+    /// retracted, fresh and already-held links are asserted, and the oracle
+    /// holds after every step and every re-convergence.  With `crash_in`, the
+    /// deployment is durable there and is dropped and recovered mid-sequence,
+    /// so the replay's commits face the same oracle as the live ones.  The
+    /// crash comes at quiescence: a withdrawal that was flushed (its cursor
+    /// entry cleared) and is still in flight dies with the simulated network,
+    /// which no recovery can pay back (ROADMAP item 2).  Returns every node's
+    /// final relations.
+    fn reach_churn(
+        streaming: &StreamingConfig,
+        reactor: &ReactorConfig,
+        seed: u64,
+        crash_in: Option<&PathBuf>,
+    ) -> Vec<Vec<Tuple>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nodes = rng.gen_range(3..6);
+        let specs = random_reach_specs(&mut rng, nodes);
+        let config = || DeploymentConfig {
+            durability: crash_in.map(DurabilityConfig::new),
+            ..config(streaming.clone(), reactor.clone())
+        };
+        let mut deployment = Deployment::build(REACH_APP, &specs, config()).unwrap();
+        deployment.run().unwrap();
+        assert_cursor_is_the_rescan(&deployment, "after the first run");
+        for step in 0..8 {
+            if let (Some(dir), 4) = (crash_in, step) {
+                deployment.run().unwrap();
+                drop(deployment);
+                deployment = Deployment::recover(dir, REACH_APP, &specs, config()).unwrap();
+                assert_recovery_owes_the_rescan(&deployment);
+                deployment.run().unwrap();
+                assert_cursor_is_the_rescan(&deployment, &format!("after recovery (seed {seed})"));
+            }
+            let (a, b) = (rng.gen_range(0..nodes), rng.gen_range(0..nodes));
+            if a == b {
+                continue;
+            }
+            let when = format!("(seed {seed}, step {step}, {a}->{b})");
+            if rng.gen_range(0..2) == 0 {
+                deployment.retract(&name(a), vec![link(a, b)]).unwrap();
+                assert_cursor_is_the_rescan(&deployment, &format!("after retract {when}"));
+            } else {
+                let now = deployment.nodes[a].available_at;
+                deployment
+                    .node_ctx(a)
+                    .process_batch(vec![link(a, b)], now)
+                    .unwrap();
+                assert_cursor_is_the_rescan(&deployment, &format!("after assert {when}"));
+            }
+            if rng.gen_range(0..2) == 0 {
+                deployment.run().unwrap();
+                assert_cursor_is_the_rescan(&deployment, &format!("after run {when}"));
+            }
+        }
+        deployment.run().unwrap();
+        assert_cursor_is_the_rescan(&deployment, "after the last run");
+        relations(&deployment)
+    }
+
+    /// [`reach_churn`] on every executor — and again durable with a crash
+    /// and recovery in the middle, which must not change where it ends up.
     #[test]
     fn reach_churn_keeps_the_cursor_equal_to_the_rescan() {
         for (streaming, reactor) in executors() {
             for seed in 0..4u64 {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let nodes = rng.gen_range(3..6);
-                let specs = random_reach_specs(&mut rng, nodes);
-                let mut deployment = Deployment::build(
-                    REACH_APP,
-                    &specs,
-                    config(streaming.clone(), reactor.clone()),
-                )
-                .unwrap();
-                deployment.run().unwrap();
-                assert_cursor_is_the_rescan(&deployment, "after the first run");
-                for step in 0..8 {
-                    let (a, b) = (rng.gen_range(0..nodes), rng.gen_range(0..nodes));
-                    if a == b {
-                        continue;
-                    }
-                    let when = format!("(seed {seed}, step {step}, {a}->{b})");
-                    if rng.gen_range(0..2) == 0 {
-                        deployment.retract(&name(a), vec![link(a, b)]).unwrap();
-                        assert_cursor_is_the_rescan(&deployment, &format!("after retract {when}"));
-                    } else {
-                        let now = deployment.nodes[a].available_at;
-                        deployment
-                            .node_ctx(a)
-                            .process_batch(vec![link(a, b)], now)
-                            .unwrap();
-                        assert_cursor_is_the_rescan(&deployment, &format!("after assert {when}"));
-                    }
-                    if rng.gen_range(0..2) == 0 {
-                        deployment.run().unwrap();
-                        assert_cursor_is_the_rescan(&deployment, &format!("after run {when}"));
-                    }
-                }
-                deployment.run().unwrap();
-                assert_cursor_is_the_rescan(&deployment, "after the last run");
+                let uninterrupted = reach_churn(&streaming, &reactor, seed, None);
+                let dir = fresh_dir(&format!(
+                    "churn-b{}-r{}-s{seed}",
+                    streaming.batch_max, reactor.enabled
+                ));
+                let recovered = reach_churn(&streaming, &reactor, seed, Some(&dir));
+                assert_eq!(
+                    recovered, uninterrupted,
+                    "crash and recovery changed the outcome (seed {seed})"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
             }
         }
     }
@@ -490,22 +526,27 @@ mod tests {
         deployment
     }
 
-    /// Deliver one coalesced, correctly signed n0 -> n1 envelope and return
-    /// how many update envelopes the run put on the wire besides it.
-    fn onward_envelopes(deployment: &mut Deployment, ops: [DeltaOp; 2], payload: Tuple) -> usize {
-        let mut tuple = vec![Value::str("n0"), Value::str("n1")];
+    /// Inject one correctly signed `from -> to` envelope of `remote_link`
+    /// deltas, one per op, all over `payload`.
+    fn inject_signed(
+        deployment: &mut Deployment,
+        (from, to): (usize, usize),
+        ops: &[DeltaOp],
+        payload: Tuple,
+    ) {
+        let mut tuple = vec![Value::str(name(from)), Value::str(name(to))];
         tuple.extend(payload);
         let secret = deployment
             .shared
             .keystore
-            .shared_secret("n1", "n0")
+            .shared_secret(&name(to), &name(from))
             .unwrap();
         let signature = hmac_sha1(secret, &serialize_tuple(&tuple[2..])).to_vec();
         let envelope = UpdateEnvelope {
             seq: 1_000,
             deltas: ops
-                .into_iter()
-                .map(|op| UpdateDelta {
+                .iter()
+                .map(|&op| UpdateDelta {
                     op,
                     pred: "remote_link".into(),
                     tuple: tuple.clone(),
@@ -513,11 +554,17 @@ mod tests {
                 })
                 .collect(),
         };
+        deployment.inject_message(from, to, envelope.encode());
+    }
+
+    /// Deliver one coalesced, correctly signed n0 -> n1 envelope and return
+    /// how many update envelopes the run put on the wire besides it.
+    fn onward_envelopes(deployment: &mut Deployment, ops: [DeltaOp; 2], payload: Tuple) -> usize {
         let updates = |d: &Deployment| d.network.stats().messages_for_kind(MessageKind::Update);
         let before = updates(deployment);
         let retractions = deployment.timing.total_retractions();
         let rejections = deployment.timing.total_rejections();
-        deployment.inject_message(0, 1, envelope.encode());
+        inject_signed(deployment, (0, 1), &ops, payload);
         deployment.run().unwrap();
         assert_eq!(
             deployment.timing.total_retractions(),
@@ -597,6 +644,182 @@ mod tests {
             deployment.report().retractions_applied,
             report.retractions_applied + 1
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn two_durable_nodes(app: &str, dir: &PathBuf) -> (Deployment, Vec<NodeSpec>) {
+        let specs = vec![
+            NodeSpec {
+                principal: name(0),
+                base_facts: vec![link(0, 1)],
+            },
+            NodeSpec {
+                principal: name(1),
+                base_facts: vec![link(1, 0)],
+            },
+        ];
+        let mut deployment = Deployment::build(app, &specs, durable(dir)).unwrap();
+        deployment.run().unwrap();
+        (deployment, specs)
+    }
+
+    fn durable(dir: &PathBuf) -> DeploymentConfig {
+        DeploymentConfig {
+            durability: Some(DurabilityConfig::new(dir)),
+            ..config(StreamingConfig::unbatched(), ReactorConfig::disabled())
+        }
+    }
+
+    fn wal_seqs(deployment: &Deployment) -> Vec<u64> {
+        let seq = |node: &NodeState| node.store.as_ref().unwrap().wal_seq();
+        deployment.nodes.iter().map(seq).collect()
+    }
+
+    fn relations(deployment: &Deployment) -> Vec<Vec<Tuple>> {
+        let mut out = Vec::new();
+        for node in &deployment.nodes {
+            for pred in ["link", "remote_link", "reach", "says$remote_link"] {
+                let mut tuples = node.workspace.query(pred);
+                tuples.sort_by(|a, b| tuple_total_cmp(a, b));
+                out.push(tuples);
+            }
+        }
+        out
+    }
+
+    type Landing = (Vec<Vec<Tuple>>, Vec<(String, String)>);
+
+    /// Crash `deployment` at quiescence; returns where it was — relations
+    /// and EDB roots.
+    fn crash(mut deployment: Deployment) -> Landing {
+        deployment.run().unwrap();
+        (relations(&deployment), deployment.edb_roots().unwrap())
+    }
+
+    /// Recovery from `dir` must land where the crash was.
+    fn assert_recovery_lands(dir: &PathBuf, specs: &[NodeSpec], landing: Landing) {
+        let mut recovered = Deployment::recover(dir, REACH_APP, specs, durable(dir)).unwrap();
+        recovered.run().unwrap();
+        assert_eq!(
+            (relations(&recovered), recovered.edb_roots().unwrap()),
+            landing
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The WAL group is the commit's base delta, not the caller's batch: a
+    /// re-assert of a held fact, local or inbound, appends nothing.
+    #[test]
+    fn a_reassert_of_a_held_fact_appends_nothing_to_the_wal() {
+        let dir = fresh_dir("reassert");
+        let (mut deployment, specs) = two_durable_nodes(REACH_APP, &dir);
+        let seqs = wal_seqs(&deployment);
+        let now = deployment.nodes[0].available_at;
+        assert!(deployment
+            .node_ctx(0)
+            .process_batch(vec![link(0, 1)], now)
+            .unwrap());
+        inject_signed(&mut deployment, (0, 1), &[DeltaOp::Assert], link(0, 1).1);
+        let report = deployment.run().unwrap();
+        assert_eq!(report.rejected_batches, 0);
+        assert_eq!(wal_seqs(&deployment), seqs, "a held fact is no base change");
+        assert_recovery_lands(&dir, &specs, crash(deployment));
+    }
+
+    /// A retraction naming one stored and one never-stored fact appends one
+    /// `Retract` record: only the stored fact left the EDB.
+    #[test]
+    fn a_mixed_retract_appends_only_the_stored_fact_to_the_wal() {
+        let dir = fresh_dir("mixed-retract");
+        let (mut deployment, specs) = two_durable_nodes(REACH_APP, &dir);
+        deployment
+            .retract("n0", vec![link(0, 1), link(0, 7)])
+            .unwrap();
+        let key = derive_node_key(deployment.config.seed, "n0");
+        let landing = crash(deployment);
+        let retracts: Vec<_> = FactStore::open(dir.join("n0"), &key)
+            .unwrap()
+            .recovered_suffix()
+            .iter()
+            .filter(|record| record.op == WalOp::Retract)
+            .map(|record| (record.pred.clone(), record.tuple.clone()))
+            .collect();
+        assert_eq!(retracts, vec![link(0, 1)]);
+        assert_recovery_lands(&dir, &specs, landing);
+    }
+
+    /// A refused commit leaves no trace but its verdict: nothing in the WAL,
+    /// no export candidate, no committed-transaction sample — whether it was
+    /// an inbound `Assert`, an inbound `Retract`, or a local retraction (whose
+    /// refusal is returned, not recorded).
+    #[test]
+    fn a_refused_commit_leaves_wal_candidates_and_samples_untouched() {
+        // `pinned` refuses the local retraction of its link, `held` the
+        // inbound retraction of its import.
+        let app = format!(
+            "{REACH_APP}
+            pinned(N1, N2) -> node(N1), node(N2).
+            pinned(N1, N2) -> link(N1, N2).
+            held(N1, N2) -> node(N1), node(N2).
+            held(N1, N2) -> remote_link(N1, N2)."
+        );
+        let dir = fresh_dir("refused");
+        let (mut deployment, _) = two_durable_nodes(&app, &dir);
+        let fact = |pred: &str, (_, tuple): (String, Tuple)| (pred.to_string(), tuple);
+        let now = deployment.nodes[0].available_at;
+        assert!(deployment
+            .node_ctx(0)
+            .process_batch(
+                vec![fact("pinned", link(0, 1)), fact("held", link(1, 0))],
+                now
+            )
+            .unwrap());
+        deployment.run().unwrap();
+
+        // What a refusal must leave alone at n0.  Every `run()` opens with an
+        // (empty) bootstrap transaction per node, so `runs` of those samples
+        // are the runs' own.
+        let state = |d: &Deployment, runs: usize| {
+            let pending = &d.nodes[0].export_pending;
+            assert!(pending.added.is_empty() && pending.removed.is_empty());
+            let samples = d.completion_times("n0").len() - runs;
+            (wal_seqs(d), samples, relations(d))
+        };
+        let before = state(&deployment, 0);
+        let verdicts = |d: &Deployment| (d.timing.total_rejections(), d.timing.total_retractions());
+        let (rejections, retractions) = verdicts(&deployment);
+
+        // An inbound assert whose signature does not verify.
+        let mut tuple = vec![Value::str("n1"), Value::str("n0")];
+        tuple.extend(link(1, 1).1);
+        let forged = UpdateEnvelope {
+            seq: 2_000,
+            deltas: vec![UpdateDelta {
+                op: DeltaOp::Assert,
+                pred: "remote_link".into(),
+                tuple,
+                signature: vec![0u8; 20],
+            }],
+        };
+        deployment.inject_message(1, 0, forged.encode());
+        deployment.run().unwrap();
+        assert_eq!(verdicts(&deployment), (rejections + 1, retractions));
+        assert_eq!(state(&deployment, 1), before);
+
+        // An authorized inbound retraction a constraint refuses.
+        inject_signed(&mut deployment, (1, 0), &[DeltaOp::Retract], link(1, 0).1);
+        deployment.run().unwrap();
+        assert_eq!(verdicts(&deployment), (rejections + 2, retractions));
+        assert_eq!(state(&deployment, 2), before);
+
+        // A local retraction a constraint refuses: the caller hears of it.
+        let refused = deployment.retract("n0", vec![link(0, 1)]);
+        assert!(
+            matches!(refused, Err(DatalogError::ConstraintViolation(_))),
+            "{refused:?}"
+        );
+        assert_eq!(verdicts(&deployment), (rejections + 2, retractions));
+        assert_eq!(state(&deployment, 2), before);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,14 +11,15 @@ use crate::runtime::stream::LinkOutbox;
 use secureblox_crypto::{
     aes128_ctr_decrypt, aes128_ctr_encrypt, hmac_sha1_verify, AuthScheme, EncScheme, RsaSignature,
 };
+use secureblox_datalog::column_set;
 use secureblox_datalog::error::{DatalogError, Result};
 use secureblox_datalog::eval::shuffle::is_exchange_pred;
 use secureblox_datalog::value::{Tuple, Value};
-use secureblox_datalog::{column_set, FactDelta};
 use secureblox_net::stats::TimingStats;
 use secureblox_net::{Message, MessageKind, NodeId, SimNetwork, VirtualTime};
+use secureblox_store::StoreError;
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Where a node context's outbound messages go.  The reference executor
 /// passes the [`SimNetwork`] itself; the reactor substitutes a per-task sink
@@ -40,6 +41,46 @@ impl NetSink for SimNetwork {
     fn send_fifo(&mut self, message: Message, now: VirtualTime) -> VirtualTime {
         SimNetwork::send_fifo(self, message, now)
     }
+}
+
+/// What a commit does to the workspace and where it came from — which
+/// decides the `TimingStats` and telemetry series it feeds and who hears of
+/// a refusal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CommitOp {
+    /// Insert a batch of base facts: bootstrap, a local batch, an inbound
+    /// `Assert` delta, a replayed WAL insert group.
+    Assert,
+    /// An inbound `Retract` delta, from a peer stream or a circuit.  A
+    /// refusal is recorded, as for an assert: the sender is not notified.
+    Retract,
+    /// [`Deployment::retract`](crate::runtime::Deployment::retract) and a
+    /// replayed WAL `Retract` record: the caller is there to hear of a
+    /// refusal, so it is handed back and not recorded.
+    LocalRetract,
+}
+
+impl From<DeltaOp> for CommitOp {
+    fn from(op: DeltaOp) -> Self {
+        match op {
+            DeltaOp::Assert => CommitOp::Assert,
+            DeltaOp::Retract => CommitOp::Retract,
+        }
+    }
+}
+
+/// How [`NodeCtx::commit`] ended.
+#[derive(Debug)]
+pub(crate) enum Verdict {
+    /// Committed, logged and absorbed: the update streams need a flush.
+    Changed,
+    /// A retraction that found none of its facts stored (e.g. the assert had
+    /// been rejected).  At-most-once means there is nothing to log, time or
+    /// propagate.
+    Unchanged,
+    /// Refused by a constraint or a functional dependency and rolled back
+    /// whole — the input tuples included (paper §5.2).
+    Refused(DatalogError),
 }
 
 /// One node's engine context: exclusive access to that node's state plus the
@@ -70,68 +111,121 @@ impl NodeCtx<'_> {
         batch: Vec<(String, Tuple)>,
         arrival: VirtualTime,
     ) -> Result<bool> {
-        let committed = self.apply_transaction(batch, arrival)?;
-        if committed {
-            let finish = self.node.available_at;
-            self.flush_updates(finish)?;
-        }
-        Ok(committed)
+        self.commit_and_flush(CommitOp::Assert, batch, arrival)
     }
 
-    /// The transaction step under every assert — bootstrap, local batches
-    /// and inbound deltas alike: apply `batch` as one ACID transaction,
-    /// account virtual time, WAL-log on commit, and record the verdict.  Does
-    /// NOT flush update streams — the caller decides when (per local batch,
-    /// once per drained envelope for inbound deltas).
-    fn apply_transaction(
+    /// [`NodeCtx::commit`], then flush the update streams at once if it
+    /// changed anything.  Returns whether it did.
+    fn commit_and_flush(
         &mut self,
+        op: CommitOp,
         batch: Vec<(String, Tuple)>,
         arrival: VirtualTime,
     ) -> Result<bool> {
+        let changed = matches!(self.commit(op, batch, arrival)?, Verdict::Changed);
+        if changed {
+            let finish = self.node.available_at;
+            self.flush_updates(finish)?;
+        }
+        Ok(changed)
+    }
+
+    /// The commit sink: the one place a change enters this node's workspace,
+    /// whatever it is (`op`) and wherever it came from (DESIGN.md §9.3).
+    /// Applies `batch` as one ACID transaction or one DRed retraction, charges
+    /// the measured time to the virtual clock and the op's histogram, appends
+    /// the commit's *base* delta — what the journal says entered or left the
+    /// asserted set, not what the batch named — to the WAL as one record
+    /// group when a store is attached, absorbs the net delta into the export
+    /// candidates, records the `TimingStats` sample (a transaction is a Fig. 7
+    /// sample, a retraction is not) and turns a refusal into a [`Verdict`].
+    /// Does NOT flush update streams — the caller decides when (per local
+    /// batch, once per drained envelope for inbound deltas).
+    pub(crate) fn commit(
+        &mut self,
+        op: CommitOp,
+        batch: Vec<(String, Tuple)>,
+        arrival: VirtualTime,
+    ) -> Result<Verdict> {
+        let node = NodeId(self.index as u32);
         let start_virtual = arrival.max(self.node.available_at);
         let started = Instant::now();
-        let log_batch = match &self.node.store {
-            Some(_) if !batch.is_empty() => Some(batch.clone()),
-            _ => None,
+        let outcome = match op {
+            CommitOp::Assert => self.node.workspace.transaction(batch),
+            CommitOp::Retract | CommitOp::LocalRetract => self.node.workspace.retract(batch),
         };
-        let outcome = self.node.workspace.transaction(batch);
         let elapsed = started.elapsed();
-        secureblox_telemetry::histogram!("engine_txn_apply_ns").record_duration(elapsed);
-        let finish = start_virtual + elapsed.as_nanos() as u64;
-        self.node.available_at = finish;
-        match outcome {
-            Ok(report) => {
-                // Log only *committed* batches: rolled-back facts are not
-                // part of the EDB and must not resurface at recovery.
-                if let (Some(store), Some(batch)) = (&mut self.node.store, log_batch) {
-                    store
-                        .log_inserts(batch.iter().map(|(p, t)| (p.as_str(), t)), finish)
-                        .map_err(|e| DatalogError::Eval(format!("durability: {e}")))?;
-                }
-                self.node
-                    .export_pending
-                    .absorb(report.added, FactDelta::new());
-                self.timing
-                    .record_transaction(NodeId(self.index as u32), elapsed, finish);
-                Ok(true)
+        match op {
+            CommitOp::Assert => {
+                secureblox_telemetry::histogram!("engine_txn_apply_ns").record_duration(elapsed)
             }
-            Err(DatalogError::ConstraintViolation(_)) => {
-                // The paper's semantics: the whole batch (including the input
-                // tuples) rolls back; the sender is not notified.
-                self.timing
-                    .record_rejection(NodeId(self.index as u32), finish);
-                Ok(false)
-            }
-            Err(DatalogError::FunctionalDependency { .. }) => {
-                // Same rollback semantics, but counted separately: this is a
-                // data-level duplicate (e.g. a second composition for an
-                // already-known path entity), not a policy refusing the batch.
-                self.timing
-                    .record_conflict(NodeId(self.index as u32), finish);
-                Ok(false)
-            }
-            Err(other) => Err(other),
+            CommitOp::Retract => secureblox_telemetry::histogram!("engine_retraction_apply_ns")
+                .record_duration(elapsed),
+            CommitOp::LocalRetract => {}
         }
+        let finish = self.charge(start_virtual, elapsed);
+        let commit = match outcome {
+            Ok(commit) => commit,
+            Err(error) => {
+                let record = match error {
+                    // A policy refusing the batch.
+                    DatalogError::ConstraintViolation(_) => TimingStats::record_rejection,
+                    // Same rollback, counted apart: a data-level duplicate
+                    // (e.g. a second composition for an already-known path
+                    // entity), not a security decision.
+                    DatalogError::FunctionalDependency { .. } => TimingStats::record_conflict,
+                    _ => return Err(error),
+                };
+                if op != CommitOp::LocalRetract {
+                    record(self.timing, node, finish);
+                }
+                return Ok(Verdict::Refused(error));
+            }
+        };
+        if op != CommitOp::Assert && commit.base_deleted == 0 {
+            return Ok(Verdict::Unchanged);
+        }
+        // Only a *committed* change is logged: rolled-back facts are not part
+        // of the EDB and must not resurface at recovery.
+        if let Some(store) = &mut self.node.store {
+            if !commit.base_removed.is_empty() {
+                store
+                    .log_retracts(fact_refs(&commit.base_removed), finish)
+                    .map_err(durability)?;
+            }
+            if !commit.base_added.is_empty() {
+                store
+                    .log_inserts(fact_refs(&commit.base_added), finish)
+                    .map_err(durability)?;
+            }
+        }
+        match op {
+            CommitOp::Assert => self.timing.record_transaction(node, elapsed, finish),
+            CommitOp::Retract | CommitOp::LocalRetract => {
+                self.timing.record_retraction(node, finish)
+            }
+        }
+        if op == CommitOp::Retract {
+            // A cascade: the retraction removed stored facts and may now
+            // propagate further withdrawals through this node's streams.
+            secureblox_telemetry::counter!("engine_retraction_cascades_total").inc();
+            secureblox_telemetry::histogram!("engine_retraction_deleted_facts")
+                .record((commit.base_deleted + commit.over_deleted) as u64);
+        }
+        self.node
+            .export_pending
+            .absorb(commit.added, commit.removed);
+        Ok(Verdict::Changed)
+    }
+
+    /// The one function that adds measured (`Instant::elapsed`) time to a
+    /// virtual timestamp: work that began at `start_virtual` and took
+    /// `elapsed` of this host's wall clock ends at the returned instant, and
+    /// the node is busy until then.
+    fn charge(&mut self, start_virtual: VirtualTime, elapsed: Duration) -> VirtualTime {
+        let finish = start_virtual + elapsed.as_nanos() as u64;
+        self.node.available_at = self.node.available_at.max(finish);
+        finish
     }
 
     /// Flush this node's update streams from the export candidates its
@@ -212,8 +306,8 @@ impl NodeCtx<'_> {
         if !export_clears.is_empty() || !export_marks.is_empty() {
             if let Some(store) = &mut self.node.store {
                 store
-                    .log_export_clears(export_clears.iter().map(|(p, t)| (p.as_str(), t)), now)
-                    .map_err(|e| DatalogError::Eval(format!("durability: {e}")))?;
+                    .log_export_clears(fact_refs(&export_clears), now)
+                    .map_err(durability)?;
                 store
                     .log_export_marks(
                         export_marks
@@ -221,7 +315,7 @@ impl NodeCtx<'_> {
                             .map(|(p, t, s)| (p.as_str(), t, s.as_slice())),
                         now,
                     )
-                    .map_err(|e| DatalogError::Eval(format!("durability: {e}")))?;
+                    .map_err(durability)?;
             }
         }
 
@@ -231,8 +325,7 @@ impl NodeCtx<'_> {
         //    credit).
         let overhead = started.elapsed();
         secureblox_telemetry::histogram!("engine_export_flush_ns").record_duration(overhead);
-        let send_time = now + overhead.as_nanos() as u64;
-        self.node.available_at = self.node.available_at.max(send_time);
+        let send_time = self.charge(now, overhead);
         let high_water = self.config.streaming.queue_high_water;
         for (dest, deltas) in per_dest {
             let outbox = self
@@ -665,13 +758,12 @@ impl NodeCtx<'_> {
                 .record_rejection(NodeId(self.index as u32), arrival);
             return Ok((false, false));
         }
-        match delta.op {
-            DeltaOp::Assert => {
-                let committed = self.apply_transaction(batch, arrival)?;
-                Ok((committed, committed))
-            }
-            DeltaOp::Retract => Ok((true, self.apply_retraction_inner(batch, arrival)?)),
-        }
+        let changed = matches!(
+            self.commit(delta.op.into(), batch, arrival)?,
+            Verdict::Changed
+        );
+        // An authorized retraction is evidence whatever it found stored.
+        Ok((changed || delta.op == DeltaOp::Retract, changed))
     }
 
     /// The channel-level authorization of a delta the datalog constraints
@@ -765,155 +857,52 @@ impl NodeCtx<'_> {
         Ok(accepted)
     }
 
-    /// Apply a circuit-authenticated retraction batch here and, when it
-    /// deleted stored facts, immediately propagate the cascaded withdrawals
-    /// through this node's own update streams.
-    fn apply_retraction(
-        &mut self,
-        batch: Vec<(String, Tuple)>,
-        arrival: VirtualTime,
-    ) -> Result<()> {
-        if self.apply_retraction_inner(batch, arrival)? {
-            let finish = self.node.available_at;
-            self.flush_updates(finish)?;
-        }
-        Ok(())
-    }
-
-    /// An inbound retraction: the shared body, with a refusal recorded as a
-    /// verdict instead of returned — the sender is not notified, as for a
-    /// refused assert.  Returns whether stored facts were actually deleted —
-    /// only then does the caller need to flush update streams for cascaded
-    /// withdrawals.
-    fn apply_retraction_inner(
-        &mut self,
-        batch: Vec<(String, Tuple)>,
-        arrival: VirtualTime,
-    ) -> Result<bool> {
-        let apply_ns = secureblox_telemetry::histogram!("engine_retraction_apply_ns");
-        let node = NodeId(self.index as u32);
-        match self.commit_retraction(batch, arrival, Some(apply_ns)) {
-            Ok(0) => Ok(false),
-            Ok(deleted) => {
-                // A cascade: the retraction removed stored facts and may now
-                // propagate further withdrawals through this node's streams.
-                secureblox_telemetry::counter!("engine_retraction_cascades_total").inc();
-                secureblox_telemetry::histogram!("engine_retraction_deleted_facts")
-                    .record(deleted as u64);
-                Ok(true)
-            }
-            Err(DatalogError::ConstraintViolation(_)) => {
-                // Deleting the fact would violate a constraint: the whole
-                // retraction rolls back, mirroring assert-batch semantics.
-                self.timing.record_rejection(node, self.node.available_at);
-                Ok(false)
-            }
-            Err(DatalogError::FunctionalDependency { .. }) => {
-                self.timing.record_conflict(node, self.node.available_at);
-                Ok(false)
-            }
-            Err(other) => Err(other),
-        }
-    }
-
-    /// The one retraction body, local ([`Deployment::retract`]) and inbound
-    /// alike: DRed the batch out of the workspace, charge the measured time
-    /// to the node's clock (and to `apply_ns`, the inbound path's histogram),
-    /// then WAL-log it (so recovery replays it in order), record the timing
-    /// sample and absorb the journal's delta into the export candidates.
-    /// Returns how many stored facts the retraction deleted, base and
-    /// derived; on zero nothing was stored here (e.g. the assert had been
-    /// rejected) and at-most-once means there is nothing to log or
-    /// propagate.  A refusal (constraint, FD) has rolled back and is the
-    /// caller's to report.
-    pub(crate) fn commit_retraction(
-        &mut self,
-        batch: Vec<(String, Tuple)>,
-        arrival: VirtualTime,
-        apply_ns: Option<&secureblox_telemetry::Histogram>,
-    ) -> Result<usize> {
-        let start_virtual = arrival.max(self.node.available_at);
-        let started = Instant::now();
-        let outcome = self.node.workspace.retract(batch.clone());
-        let elapsed = started.elapsed();
-        if let Some(histogram) = apply_ns {
-            histogram.record_duration(elapsed);
-        }
-        let finish = start_virtual + elapsed.as_nanos() as u64;
-        self.node.available_at = finish;
-        let stats = outcome?;
-        if stats.base_deleted == 0 {
-            return Ok(0);
-        }
-        if let Some(store) = &mut self.node.store {
-            store
-                .log_retracts(batch.iter().map(|(p, t)| (p.as_str(), t)), finish)
-                .map_err(|e| DatalogError::Eval(format!("durability: {e}")))?;
-        }
-        self.timing
-            .record_retraction(NodeId(self.index as u32), finish);
-        self.node.export_pending.absorb(stats.added, stats.removed);
-        Ok(stats.base_deleted + stats.over_deleted)
-    }
-
     fn deliver_anon_forward(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {
         let here = self.index;
-        let Some((circuit_id, hop, body)) = decode_anon_cell(&message.payload) else {
+        let Some((circuit, hop, body)) = open_anon_cell(self.shared, &message.payload) else {
             self.timing.record_rejection(message.to, arrival);
             return Ok(());
         };
-        let Some(circuit) = self
-            .shared
-            .circuits
-            .iter()
-            .find(|c| c.id == circuit_id)
-            .cloned()
+        // The hop index is the sender's claim.  One that names no key of this
+        // circuit is refused here, so nothing below indexes with it.
+        let hop = hop as usize;
+        let Some(peeled) = circuit
+            .keys
+            .get(hop)
+            .and_then(|key| aes128_ctr_decrypt(key, &body).ok())
         else {
             self.timing.record_rejection(message.to, arrival);
             return Ok(());
         };
-        let key = circuit.keys.get(hop as usize).cloned().unwrap_or_default();
-        let Ok(peeled) = aes128_ctr_decrypt(&key, &body) else {
-            self.timing.record_rejection(message.to, arrival);
-            return Ok(());
-        };
-        let is_endpoint = (hop as usize) == circuit.relays.len();
-        if is_endpoint || circuit.relays.is_empty() && here == circuit.endpoint {
+        // One key per relay, then the endpoint's: the last hop is the endpoint.
+        if hop == circuit.relays.len() {
             // Deliver into the endpoint's workspace keyed by the circuit.
-            let envelope = match UpdateEnvelope::decode(&peeled) {
-                Ok(envelope) => envelope,
-                Err(_) => {
-                    self.timing.record_rejection(message.to, arrival);
-                    return Ok(());
-                }
+            let Ok(envelope) = UpdateEnvelope::decode(&peeled) else {
+                self.timing.record_rejection(message.to, arrival);
+                return Ok(());
             };
             for delta in envelope.deltas {
                 let mut tuple = vec![Value::Int(circuit.id as i64)];
                 tuple.extend(delta.tuple);
                 let batch = vec![(format!("anon_says_id_in${}", delta.pred), tuple)];
-                match delta.op {
-                    DeltaOp::Assert => {
-                        self.process_batch(batch, arrival)?;
-                    }
-                    // The onion layers already authenticate circuit traffic;
-                    // a withdrawal needs no detached signature.
-                    DeltaOp::Retract => self.apply_retraction(batch, arrival)?,
-                }
+                // The onion layers already authenticate circuit traffic; a
+                // withdrawal needs no detached signature.
+                self.commit_and_flush(delta.op.into(), batch, arrival)?;
             }
             return Ok(());
         }
         // Relay: forward the peeled cell to the next hop.
-        let next_hop_index = hop as usize + 1;
-        let next = if next_hop_index == circuit.relays.len() {
-            circuit.endpoint
-        } else {
-            circuit.relays[next_hop_index]
-        };
+        let next_hop_index = hop + 1;
+        let next = circuit
+            .relays
+            .get(next_hop_index)
+            .copied()
+            .unwrap_or(circuit.endpoint);
         let forward = Message::new(
             NodeId(here as u32),
             NodeId(next as u32),
             MessageKind::AnonForward,
-            encode_anon_cell(circuit_id, next_hop_index as u32, &peeled),
+            encode_anon_cell(circuit.id, next_hop_index as u32, &peeled),
         );
         let send_at = arrival.max(self.node.available_at);
         self.node.available_at = send_at;
@@ -923,17 +912,7 @@ impl NodeCtx<'_> {
 
     fn deliver_anon_backward(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {
         let here = self.index;
-        let Some((circuit_id, hop, body)) = decode_anon_cell(&message.payload) else {
-            self.timing.record_rejection(message.to, arrival);
-            return Ok(());
-        };
-        let Some(circuit) = self
-            .shared
-            .circuits
-            .iter()
-            .find(|c| c.id == circuit_id)
-            .cloned()
-        else {
+        let Some((circuit, hop, body)) = open_anon_cell(self.shared, &message.payload) else {
             self.timing.record_rejection(message.to, arrival);
             return Ok(());
         };
@@ -950,43 +929,50 @@ impl NodeCtx<'_> {
                     }
                 }
             }
-            let envelope = match UpdateEnvelope::decode(&plain) {
-                Ok(envelope) => envelope,
-                Err(_) => {
-                    self.timing.record_rejection(message.to, arrival);
-                    return Ok(());
-                }
+            let Ok(envelope) = UpdateEnvelope::decode(&plain) else {
+                self.timing.record_rejection(message.to, arrival);
+                return Ok(());
             };
             for delta in envelope.deltas {
                 let batch = vec![(format!("anon_reply${}", delta.pred), delta.tuple)];
-                match delta.op {
-                    DeltaOp::Assert => {
-                        self.process_batch(batch, arrival)?;
-                    }
-                    DeltaOp::Retract => self.apply_retraction(batch, arrival)?,
-                }
+                self.commit_and_flush(delta.op.into(), batch, arrival)?;
             }
             return Ok(());
         }
-        // Relay: add this hop's layer and forward towards the initiator.
-        let key = circuit.keys.get(hop as usize).cloned().unwrap_or_default();
-        let wrapped = aes128_ctr_encrypt(&key, &body);
-        let (next, next_hop) = if hop == 0 {
-            (circuit.initiator, u32::MAX)
-        } else {
-            (circuit.relays[hop as usize - 1], hop - 1)
+        // Relay: add this hop's layer and forward towards the initiator.  A
+        // hop that names no relay of this circuit (and so no relay key) is
+        // refused, never indexed with.
+        let hop = hop as usize;
+        let (Some(_), Some(key)) = (circuit.relays.get(hop), circuit.keys.get(hop)) else {
+            self.timing.record_rejection(message.to, arrival);
+            return Ok(());
+        };
+        let wrapped = aes128_ctr_encrypt(key, &body);
+        let (next, next_hop) = match hop.checked_sub(1).and_then(|prev| circuit.relays.get(prev)) {
+            Some(&relay) => (relay, hop as u32 - 1),
+            None => (circuit.initiator, u32::MAX),
         };
         let forward = Message::new(
             NodeId(here as u32),
             NodeId(next as u32),
             MessageKind::AnonBackward,
-            encode_anon_cell(circuit_id, next_hop, &wrapped),
+            encode_anon_cell(circuit.id, next_hop, &wrapped),
         );
         let send_at = arrival.max(self.node.available_at);
         self.node.available_at = send_at;
         self.net.send_fifo(forward, send_at);
         Ok(())
     }
+}
+
+/// Facts as the store's `log_*` groups take them.
+fn fact_refs(facts: &[(String, Tuple)]) -> impl Iterator<Item = (&str, &Tuple)> {
+    facts.iter().map(|(pred, tuple)| (pred.as_str(), tuple))
+}
+
+/// A store failure under a commit or a flush, as the engine reports it.
+fn durability(error: StoreError) -> DatalogError {
+    DatalogError::Eval(format!("durability: {error}"))
 }
 
 /// The receiver-side insertion batch for one update-stream delta: the
@@ -1012,6 +998,17 @@ fn encode_anon_cell(circuit_id: u64, hop: u32, body: &[u8]) -> Vec<u8> {
     out
 }
 
+/// An inbound anonymity cell's circuit, claimed hop and body; `None` when it
+/// does not parse or names no circuit of this deployment.
+fn open_anon_cell<'s>(
+    shared: &'s EngineShared,
+    payload: &[u8],
+) -> Option<(&'s Circuit, u32, Vec<u8>)> {
+    let (circuit_id, hop, body) = decode_anon_cell(payload)?;
+    let circuit = shared.circuits.iter().find(|c| c.id == circuit_id)?;
+    Some((circuit, hop, body))
+}
+
 /// Decode an anonymity cell.
 fn decode_anon_cell(payload: &[u8]) -> Option<(u64, u32, Vec<u8>)> {
     if payload.len() < 12 {
@@ -1025,6 +1022,7 @@ fn decode_anon_cell(payload: &[u8]) -> Option<(u64, u32, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::anonjoin::{build_deployment, AnonJoinConfig};
 
     #[test]
     fn anon_cell_roundtrip() {
@@ -1033,5 +1031,38 @@ mod tests {
         assert_eq!((id, hop), (7, 2));
         assert_eq!(body, b"body bytes");
         assert!(decode_anon_cell(&cell[..5]).is_none());
+    }
+
+    /// Regression (remote abort): a cell's hop index is the sender's claim.
+    /// One that names no key or no relay of the circuit used to index
+    /// `circuit.relays` out of bounds (and to "decrypt" under an empty default
+    /// key on the way there).  Every node refuses it as a rejection, in both
+    /// directions, on a relay-less and on a 2-relay circuit.
+    #[test]
+    fn an_out_of_range_hop_is_a_rejection_not_a_panic() {
+        for relays in [0usize, 2] {
+            let mut deployment = build_deployment(&AnonJoinConfig {
+                num_relays: relays,
+                public_rows: 6,
+                interest_rows: 2,
+                ..AnonJoinConfig::default()
+            })
+            .unwrap();
+            deployment.run().unwrap();
+            for hop in [relays as u32 + 1, 9, u32::MAX - 1] {
+                for kind in [MessageKind::AnonForward, MessageKind::AnonBackward] {
+                    for to in 0..deployment.node_count() {
+                        let before = deployment.timing.total_rejections();
+                        let from = NodeId(((to + 1) % deployment.node_count()) as u32);
+                        let cell = encode_anon_cell(0, hop, &[0xAB; 32]);
+                        let message = Message::new(from, NodeId(to as u32), kind, cell);
+                        let outcome = deployment.node_ctx(to).deliver(message, 0);
+                        let what = format!("{relays} relays, hop {hop}, {kind:?} at node {to}");
+                        assert!(outcome.is_ok(), "{what}: {outcome:?}");
+                        assert_eq!(deployment.timing.total_rejections(), before + 1, "{what}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -74,11 +74,6 @@ impl Deployment {
         Ok(())
     }
 
-    /// Names of the registered replicas, in registration order.
-    pub fn replica_names(&self) -> Vec<String> {
-        self.replicas.iter().map(|r| r.name.clone()).collect()
-    }
-
     /// The per-node cursors of one replica (principal → last acked master
     /// WAL sequence).
     pub fn replica_cursors(&self, name: &str) -> Option<&HashMap<String, u64>> {

@@ -103,14 +103,15 @@ pub struct ShardMap {
     group: Vec<String>,
     relations: BTreeMap<String, usize>,
     vnodes: usize,
-    broadcast_max: usize,
 }
+
+/// The always-broadcast cardinality threshold: a sharded relation of at most
+/// this many rows is replicated to every member instead of shuffled.
+const BROADCAST_MAX: usize = 64;
 
 impl ShardMap {
     /// A shard map over `group` (deployment principals), with 16 virtual
-    /// ring points per member ([`ShardMap::with_vnodes`]) and an
-    /// always-broadcast threshold of 64 rows
-    /// ([`ShardMap::with_broadcast_max`]).
+    /// ring points per member.
     pub fn new<I, S>(group: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -120,7 +121,6 @@ impl ShardMap {
             group: group.into_iter().map(Into::into).collect(),
             relations: BTreeMap::new(),
             vnodes: 16,
-            broadcast_max: 64,
         }
     }
 
@@ -131,14 +131,9 @@ impl ShardMap {
     }
 
     /// Override the number of virtual ring points per member.
-    pub fn with_vnodes(mut self, vnodes: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_vnodes(mut self, vnodes: usize) -> Self {
         self.vnodes = vnodes.max(1);
-        self
-    }
-
-    /// Override the always-broadcast cardinality threshold.
-    pub fn with_broadcast_max(mut self, broadcast_max: usize) -> Self {
-        self.broadcast_max = broadcast_max;
         self
     }
 
@@ -152,10 +147,6 @@ impl ShardMap {
 
     pub fn partitions(&self) -> usize {
         self.group.len()
-    }
-
-    pub fn broadcast_max(&self) -> usize {
-        self.broadcast_max
     }
 
     /// The partition column of `relation`, when it is sharded.
@@ -305,7 +296,6 @@ pub(crate) fn fact_owner<'r>(
 pub(crate) struct ShardArtifacts {
     pub(crate) relations: BTreeMap<String, usize>,
     pub(crate) partitions: usize,
-    pub(crate) broadcast_max: usize,
     pub(crate) generated_source: String,
     pub(crate) estimates: BTreeMap<String, usize>,
     pub(crate) shuffles: BTreeSet<(String, usize)>,
@@ -381,7 +371,6 @@ pub(crate) fn analyze(
     Ok(ShardArtifacts {
         relations: map.relations().clone(),
         partitions: map.partitions(),
-        broadcast_max: map.broadcast_max(),
         generated_source,
         estimates,
         shuffles: plan.shuffles,
@@ -411,7 +400,7 @@ fn plan_over(
         &ExchangeInput {
             sharded: map.relations(),
             partitions: map.partitions(),
-            broadcast_max: map.broadcast_max(),
+            broadcast_max: BROADCAST_MAX,
             estimate: &estimate,
         },
     )
@@ -613,7 +602,7 @@ pub(crate) fn rewrite_program(
         &ExchangeInput {
             sharded: &artifacts.relations,
             partitions: artifacts.partitions,
-            broadcast_max: artifacts.broadcast_max,
+            broadcast_max: BROADCAST_MAX,
             estimate: &estimate,
         },
     )?;

@@ -14,36 +14,16 @@
 //! and re-derivation is an ordinary fixpoint run.
 
 use super::runtime_pred_name;
-use super::seminaive::{delta_combos, Derivation, Evaluator, FactDelta};
+use super::seminaive::{delta_combos, Commit, Derivation, Evaluator};
 use crate::ast::Rule;
 use crate::error::Result;
 use crate::value::Tuple;
 use std::collections::{HashMap, HashSet};
 
-/// Outcome of an incremental deletion.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeletionStats {
-    /// Tuples removed from base (EDB) relations.
-    pub base_deleted: usize,
-    /// Derived tuples removed during over-deletion.
-    pub over_deleted: usize,
-    /// Tuples re-derived (re-inserted) because alternative derivations exist.
-    pub rederived: usize,
-    /// The committed retraction's net change per predicate, filled in by
-    /// [`Workspace::retract`](crate::Workspace::retract) from its journal
-    /// ([`EvalJournal::net_delta`](super::EvalJournal::net_delta)): tuples
-    /// stored before and gone now (the base facts and every over-deletion
-    /// that was not re-derived), and tuples the re-derivation fixpoint
-    /// stored for the first time.  Over-deleted tuples that came back are in
-    /// neither.  Both empty when nothing was stored to delete.
-    pub removed: FactDelta,
-    /// See [`removed`](Self::removed).
-    pub added: FactDelta,
-}
-
 impl<'a> Evaluator<'a> {
     /// Delete `base_deletions` and incrementally maintain all derived
-    /// relations.
+    /// relations.  Fills the deletion counters of the returned [`Commit`];
+    /// its deltas are the caller's to read off the journal.
     ///
     /// `edb_facts` is the set of explicitly-asserted facts per predicate;
     /// tuples in it are never over-deleted (they have a non-rule derivation).
@@ -53,8 +33,8 @@ impl<'a> Evaluator<'a> {
         strata: &[Vec<usize>],
         base_deletions: &[(String, Tuple)],
         edb_facts: &HashMap<String, HashSet<Tuple>>,
-    ) -> Result<DeletionStats> {
-        let mut stats = DeletionStats::default();
+    ) -> Result<Commit> {
+        let mut stats = Commit::default();
 
         // Over-deletion joins run against the pre-deletion database, as in
         // the standard formulation of DRed.  The live relations *are* that
@@ -259,7 +239,7 @@ mod tests {
             evaluator.run(&self.rules, &self.strata).unwrap();
         }
 
-        fn delete(&mut self, pred: &str, tuple: Vec<Value>) -> DeletionStats {
+        fn delete(&mut self, pred: &str, tuple: Vec<Value>) -> Commit {
             let config = EvalConfig::default();
             let mut evaluator = Evaluator {
                 relations: &mut self.relations,
@@ -361,7 +341,7 @@ mod tests {
             &[("link", vec![s("a"), s("b")])],
         );
         let stats = fixture.delete("link", vec![s("x"), s("y")]);
-        assert_eq!(stats, DeletionStats::default());
+        assert_eq!(stats, Commit::default());
         assert!(fixture.contains("reachable", &[s("a"), s("b")]));
     }
 

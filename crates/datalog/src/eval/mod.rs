@@ -13,7 +13,7 @@ pub mod shuffle;
 
 pub use bindings::Bindings;
 pub use plan::{PlanCache, PlanKey, PlanStats, PlanStatsSnapshot, RulePlan};
-pub use seminaive::{EvalJournal, Evaluator, FactDelta, FixpointStats};
+pub use seminaive::{Commit, EvalJournal, Evaluator, FactDelta, FixpointStats};
 
 use crate::ast::PredRef;
 use crate::error::{DatalogError, Result};

@@ -40,6 +40,7 @@ use crate::udf::UdfRegistry;
 use crate::value::{Tuple, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Statistics of one fixpoint run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -52,6 +53,48 @@ pub struct FixpointStats {
 
 /// Tuples per predicate: the shape of every delta a run or a commit reports.
 pub type FactDelta = HashMap<String, HashSet<Tuple>>;
+
+/// What one committed change did — the one value
+/// [`Workspace::transaction`](crate::Workspace::transaction) and
+/// [`Workspace::retract`](crate::Workspace::retract) both return.  The
+/// counters say how the evaluator got there (a transaction leaves the
+/// deletion counters at zero, a retraction the insertion ones); the four
+/// deltas are the change itself, read off the commit's [`EvalJournal`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Commit {
+    /// Base facts the transaction's batch named.
+    pub inserted: usize,
+    /// Tuples derived by the fixpoint computation.
+    pub derived: usize,
+    /// Semi-naïve iterations executed.
+    pub iterations: usize,
+    /// Wall-clock duration of the transaction (insert + fixpoint + constraint
+    /// check), which the evaluation harness reports as "transaction duration".
+    pub duration: Duration,
+    /// Stored tuples the retraction's batch named and removed.
+    pub base_deleted: usize,
+    /// Derived tuples removed during over-deletion.
+    pub over_deleted: usize,
+    /// Tuples re-derived (re-inserted) because alternative derivations exist.
+    pub rederived: usize,
+    /// The net change per predicate, base and derived tuples alike
+    /// ([`EvalJournal::net_delta`]): `added` is stored now and was not
+    /// before, `removed` was stored before and is gone now.  A tuple
+    /// inserted then displaced, or over-deleted then re-derived, is in
+    /// neither.  The distributed runtime reads its export candidates from
+    /// here instead of rescanning relations.
+    pub added: FactDelta,
+    /// See [`added`](Self::added).
+    pub removed: FactDelta,
+    /// The *base* change, in commit order: facts that entered the explicitly
+    /// asserted (extensional) set and facts that left it.  A batch fact
+    /// already asserted, or a retracted fact never asserted, is in neither —
+    /// so this is exactly what a write-ahead log has to hold to replay the
+    /// commit.
+    pub base_added: Vec<(String, Tuple)>,
+    /// See [`base_added`](Self::base_added).
+    pub base_removed: Vec<(String, Tuple)>,
+}
 
 /// Result of evaluating one `(rule, delta-literal)` combination in phase A.
 /// Id-space derivations stay interned until insertion; only genuinely new
@@ -139,8 +182,8 @@ impl EvalJournal {
     /// over-deleted and then re-derived, is in neither set.  The pair selects
     /// the constraints a commit re-checks
     /// ([`check_constraints_for_delta`](crate::constraint::check_constraints_for_delta))
-    /// and is what the commit hands downstream (`TransactionReport::added`,
-    /// `DeletionStats`).
+    /// and is what the commit hands downstream ([`Commit::added`],
+    /// [`Commit::removed`]).
     pub fn net_delta(&self, relations: &HashMap<String, Relation>) -> (FactDelta, FactDelta) {
         let mut added = FactDelta::new();
         let mut removed = FactDelta::new();
@@ -175,6 +218,13 @@ impl EvalJournal {
             }
         }
         (added, removed)
+    }
+
+    /// Hand the committed change's base delta to its [`Commit`], each side in
+    /// the order it was made.  Consumes the journal: a commit needs no undo.
+    pub(crate) fn move_base_delta_into(self, commit: &mut Commit) {
+        commit.base_added = self.edb_added;
+        commit.base_removed = self.edb_removed;
     }
 
     /// Roll every journaled mutation back.  Restores the relations, the EDB

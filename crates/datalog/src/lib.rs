@@ -57,11 +57,11 @@ pub mod workspace;
 pub use ast::{Atom, Constraint, Literal, PredRef, Program, Rule, Statement, Term};
 pub use codec::{deserialize_tuple, serialize_tuple};
 pub use error::{DatalogError, Result};
-pub use eval::{EvalConfig, FactDelta, PlanStatsSnapshot};
+pub use eval::{Commit, EvalConfig, FactDelta, PlanStatsSnapshot};
 pub use intern::Interner;
 pub use parser::{parse_program, parse_rule};
 pub use relation::{column_set, ColumnSet, Relation};
 pub use schema::{PredicateDecl, PredicateKind, Schema};
 pub use udf::{UdfRegistry, UdfRows};
 pub use value::{Tuple, Value};
-pub use workspace::{TransactionReport, Workspace};
+pub use workspace::Workspace;

@@ -263,11 +263,6 @@ impl Relation {
         self.groups.iter().find(|group| group.arity == arity)
     }
 
-    /// All column groups (the batch executor's scan entry point).
-    pub fn column_groups(&self) -> &[ColumnGroup] {
-        &self.groups
-    }
-
     fn group_mut(&mut self, arity: usize) -> &mut ColumnGroup {
         if let Some(position) = self.groups.iter().position(|group| group.arity == arity) {
             &mut self.groups[position]

@@ -174,11 +174,6 @@ impl Schema {
             .is_type = true;
     }
 
-    /// Infer (or check) a declaration from an atom occurrence in a rule.
-    pub fn observe_atom(&mut self, atom: &Atom) -> Result<()> {
-        self.observe_atom_at(atom, true)
-    }
-
     /// Infer (or check) a declaration from an atom occurrence, distinguishing
     /// head/fact positions (strict arity checking) from body positions
     /// (conflicts mark the predicate variadic — the convention for

@@ -97,13 +97,6 @@ impl UdfRegistry {
         Err(format!("unknown user-defined function {name}"))
     }
 
-    /// Names of all registered exact UDFs (diagnostics).
-    pub fn exact_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.exact.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Merge another registry into this one (later registrations win).
     pub fn merge(&mut self, other: &UdfRegistry) {
         for (name, f) in &other.exact {

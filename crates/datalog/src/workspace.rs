@@ -13,9 +13,8 @@
 use crate::ast::{Constraint, Literal, Program, Rule, Statement, Term};
 use crate::constraint::{check_constraints_for_delta, check_constraints_planned};
 use crate::error::{DatalogError, Result};
-use crate::eval::dred::DeletionStats;
 use crate::eval::{
-    Bindings, EvalConfig, EvalJournal, Evaluator, FactDelta, PlanCache, PlanStats,
+    Bindings, Commit, EvalConfig, EvalJournal, Evaluator, FactDelta, PlanCache, PlanStats,
     PlanStatsSnapshot,
 };
 use crate::intern::Interner;
@@ -28,26 +27,7 @@ use crate::udf::UdfRegistry;
 use crate::value::{Tuple, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Outcome of a successfully committed transaction.
-#[derive(Debug, Clone, Default)]
-pub struct TransactionReport {
-    /// Base facts newly inserted by this transaction.
-    pub inserted: usize,
-    /// Tuples derived by the fixpoint computation.
-    pub derived: usize,
-    /// Semi-naïve iterations executed.
-    pub iterations: usize,
-    /// Wall-clock duration of the transaction (insert + fixpoint + constraint
-    /// check), which the evaluation harness reports as "transaction duration".
-    pub duration: Duration,
-    /// What the commit added, per predicate — base and derived tuples alike,
-    /// each stored now and not before ([`EvalJournal::net_delta`]).  This is
-    /// the commit's journal handed downstream: the distributed runtime reads
-    /// its export candidates from here instead of rescanning relations.
-    pub added: FactDelta,
-}
+use std::time::Instant;
 
 /// A LogicBlox-style workspace.
 #[derive(Clone)]
@@ -400,7 +380,7 @@ impl Workspace {
     /// An empty transaction: run the installed rules to fixpoint and check
     /// the constraints over whatever that derives.  Rolls back on violation;
     /// on a converged workspace there is nothing to derive.
-    pub fn fixpoint(&mut self) -> Result<TransactionReport> {
+    pub fn fixpoint(&mut self) -> Result<Commit> {
         self.transaction(Vec::new())
     }
 
@@ -414,13 +394,14 @@ impl Workspace {
     /// program the fixpoint's first round is driven by this batch's new base
     /// tuples alone (see [`Evaluator::run_seeded`]); otherwise it is naïve.
     /// Verdicts and the resulting database are the same either way.
-    pub fn transaction(&mut self, batch: Vec<(String, Tuple)>) -> Result<TransactionReport> {
+    pub fn transaction(&mut self, batch: Vec<(String, Tuple)>) -> Result<Commit> {
         let start = Instant::now();
         let counter = self.entity_counter;
         let mut journal = EvalJournal::default();
         match self.transaction_body(batch, &mut journal) {
             Ok(mut report) => {
                 self.converged = true;
+                journal.move_base_delta_into(&mut report);
                 report.duration = start.elapsed();
                 secureblox_telemetry::histogram!("datalog_fixpoint_ns")
                     .record_duration(report.duration);
@@ -439,8 +420,8 @@ impl Workspace {
         &mut self,
         batch: Vec<(String, Tuple)>,
         journal: &mut EvalJournal,
-    ) -> Result<TransactionReport> {
-        let mut report = TransactionReport::default();
+    ) -> Result<Commit> {
+        let mut report = Commit::default();
         let mut seed: HashMap<String, HashSet<Tuple>> = HashMap::new();
         for (pred, tuple) in batch {
             let key_arity = self.key_arity(&pred);
@@ -475,9 +456,8 @@ impl Workspace {
         };
         report.derived = stats.derived;
         report.iterations = stats.iterations;
-        let removed;
-        (report.added, removed) = journal.net_delta(&self.relations);
-        self.check_constraints(&report.added, &removed)?;
+        (report.added, report.removed) = journal.net_delta(&self.relations);
+        self.check_constraints(&report.added, &report.removed)?;
         Ok(report)
     }
 
@@ -570,7 +550,7 @@ impl Workspace {
     /// afterwards, by the same rule as a transaction's; a violation rolls the
     /// whole retraction back through the journal, exactly as a refused
     /// transaction does.
-    pub fn retract(&mut self, batch: Vec<(String, Tuple)>) -> Result<DeletionStats> {
+    pub fn retract(&mut self, batch: Vec<(String, Tuple)>) -> Result<Commit> {
         let timer = secureblox_telemetry::histogram!("datalog_retract_ns").start_timer();
         let counter = self.entity_counter;
         let mut journal = EvalJournal::default();
@@ -598,8 +578,9 @@ impl Workspace {
             Ok(stats)
         });
         match checked {
-            Ok(stats) => {
+            Ok(mut stats) => {
                 self.converged |= stats.base_deleted > 0;
+                journal.move_base_delta_into(&mut stats);
                 Ok(stats)
             }
             Err(error) => {
@@ -786,6 +767,31 @@ mod tests {
         assert_eq!(stats.base_deleted, 1);
         assert!(!ws.contains_fact("reachable", &[s("a"), s("c")]));
         assert!(ws.contains_fact("reachable", &[s("a"), s("b")]));
+    }
+
+    #[test]
+    fn a_commit_reports_its_base_delta_not_its_batch() {
+        let mut ws = Workspace::new();
+        ws.install_source("reachable(X, Y) <- link(X, Y).").unwrap();
+        let link = |x, y| ("link".to_string(), vec![s(x), s(y)]);
+        let first = ws
+            .transaction(vec![link("a", "b"), link("b", "c")])
+            .unwrap();
+        assert_eq!(first.base_added, vec![link("a", "b"), link("b", "c")]);
+        // A held fact is no base change; asserting a tuple that was only
+        // derived is one, though the relation does not grow.
+        let derived = ("reachable".to_string(), vec![s("a"), s("b")]);
+        let second = ws
+            .transaction(vec![link("a", "b"), link("c", "d"), derived.clone()])
+            .unwrap();
+        assert_eq!(second.inserted, 3);
+        assert_eq!(second.base_added, vec![link("c", "d"), derived]);
+        assert!(second.base_removed.is_empty());
+        // Of a stored and a never-stored fact, only the stored one leaves.
+        let third = ws.retract(vec![link("x", "y"), link("b", "c")]).unwrap();
+        assert_eq!(third.base_deleted, 1);
+        assert_eq!(third.base_removed, vec![link("b", "c")]);
+        assert!(third.base_added.is_empty());
     }
 
     #[test]

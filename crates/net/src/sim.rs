@@ -274,11 +274,6 @@ impl SimNetwork {
     pub fn absorb_stats(&mut self, shard: &NetworkStats) {
         self.stats.merge(shard);
     }
-
-    /// The latency model in force.
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
 }
 
 #[cfg(test)]

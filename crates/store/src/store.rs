@@ -244,18 +244,22 @@ impl FactStore {
         self.base.values().map(|r| r.len()).sum()
     }
 
-    /// Log a batch of inserted base facts committed at `watermark`.
-    pub fn log_inserts<'a>(
+    /// Append one record group — the records of one commit or one flush —
+    /// under a single `watermark`, folding each into the in-memory state, then
+    /// flush once and account the group in the telemetry plane.  The one
+    /// append body behind the four `log_*` names.
+    fn append_group<'a>(
         &mut self,
-        facts: impl IntoIterator<Item = (&'a str, &'a Tuple)>,
+        op: WalOp,
+        entries: impl IntoIterator<Item = (&'a str, &'a Tuple, &'a [u8])>,
         watermark: u64,
     ) -> Result<()> {
         let timer = secureblox_telemetry::histogram!("store_wal_append_ns").start_timer();
         let mut appended = 0u64;
-        for (pred, tuple) in facts {
-            let record = self
-                .wal
-                .append(WalOp::Insert, pred, tuple.clone(), watermark)?;
+        for (pred, tuple, signature) in entries {
+            let record =
+                self.wal
+                    .append_signed(op, pred, tuple.clone(), watermark, signature.to_vec())?;
             apply(&mut self.base, &mut self.export_cursor, &record);
             appended += 1;
         }
@@ -263,8 +267,19 @@ impl FactStore {
         if self.flush_each_batch {
             self.wal.flush()?;
         }
-        wal_batch_telemetry(timer, appended);
+        drop(timer);
+        secureblox_telemetry::histogram!("store_wal_batch_size").record(appended);
+        secureblox_telemetry::counter!("store_wal_records_total").add(appended);
         Ok(())
+    }
+
+    /// Log a batch of inserted base facts committed at `watermark`.
+    pub fn log_inserts<'a>(
+        &mut self,
+        facts: impl IntoIterator<Item = (&'a str, &'a Tuple)>,
+        watermark: u64,
+    ) -> Result<()> {
+        self.append_group(WalOp::Insert, unsigned(facts), watermark)
     }
 
     /// Log a batch of retracted base facts committed at `watermark`.
@@ -273,21 +288,7 @@ impl FactStore {
         facts: impl IntoIterator<Item = (&'a str, &'a Tuple)>,
         watermark: u64,
     ) -> Result<()> {
-        let timer = secureblox_telemetry::histogram!("store_wal_append_ns").start_timer();
-        let mut appended = 0u64;
-        for (pred, tuple) in facts {
-            let record = self
-                .wal
-                .append(WalOp::Retract, pred, tuple.clone(), watermark)?;
-            apply(&mut self.base, &mut self.export_cursor, &record);
-            appended += 1;
-        }
-        self.watermark = self.watermark.max(watermark);
-        if self.flush_each_batch {
-            self.wal.flush()?;
-        }
-        wal_batch_telemetry(timer, appended);
-        Ok(())
+        self.append_group(WalOp::Retract, unsigned(facts), watermark)
     }
 
     /// Log export-cursor entries: each tuple was shipped to a peer under the
@@ -299,25 +300,7 @@ impl FactStore {
         entries: impl IntoIterator<Item = (&'a str, &'a Tuple, &'a [u8])>,
         watermark: u64,
     ) -> Result<()> {
-        let timer = secureblox_telemetry::histogram!("store_wal_append_ns").start_timer();
-        let mut appended = 0u64;
-        for (pred, tuple, signature) in entries {
-            let record = self.wal.append_signed(
-                WalOp::ExportMark,
-                pred,
-                tuple.clone(),
-                watermark,
-                signature.to_vec(),
-            )?;
-            apply(&mut self.base, &mut self.export_cursor, &record);
-            appended += 1;
-        }
-        self.watermark = self.watermark.max(watermark);
-        if self.flush_each_batch {
-            self.wal.flush()?;
-        }
-        wal_batch_telemetry(timer, appended);
-        Ok(())
+        self.append_group(WalOp::ExportMark, entries, watermark)
     }
 
     /// Log the withdrawal of export-cursor entries: the retraction for each
@@ -328,21 +311,7 @@ impl FactStore {
         entries: impl IntoIterator<Item = (&'a str, &'a Tuple)>,
         watermark: u64,
     ) -> Result<()> {
-        let timer = secureblox_telemetry::histogram!("store_wal_append_ns").start_timer();
-        let mut appended = 0u64;
-        for (pred, tuple) in entries {
-            let record = self
-                .wal
-                .append(WalOp::ExportClear, pred, tuple.clone(), watermark)?;
-            apply(&mut self.base, &mut self.export_cursor, &record);
-            appended += 1;
-        }
-        self.watermark = self.watermark.max(watermark);
-        if self.flush_each_batch {
-            self.wal.flush()?;
-        }
-        wal_batch_telemetry(timer, appended);
-        Ok(())
+        self.append_group(WalOp::ExportClear, unsigned(entries), watermark)
     }
 
     /// The live export cursor in deterministic (predicate, canonical tuple)
@@ -442,13 +411,14 @@ impl FactStore {
     }
 }
 
-/// Record one WAL append batch into the telemetry plane: the batch's append
-/// latency (the timer started before the first record), its size, and the
-/// running record total.
-fn wal_batch_telemetry(timer: secureblox_telemetry::Timer, records: u64) {
-    drop(timer); // closes store_wal_append_ns
-    secureblox_telemetry::histogram!("store_wal_batch_size").record(records);
-    secureblox_telemetry::counter!("store_wal_records_total").add(records);
+/// Group entries that carry no detached signature (every op but
+/// [`WalOp::ExportMark`]).
+fn unsigned<'a>(
+    facts: impl IntoIterator<Item = (&'a str, &'a Tuple)>,
+) -> impl Iterator<Item = (&'a str, &'a Tuple, &'a [u8])> {
+    facts
+        .into_iter()
+        .map(|(pred, tuple)| (pred, tuple, &[][..]))
 }
 
 fn apply(
