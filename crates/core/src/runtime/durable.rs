@@ -34,7 +34,7 @@ use crate::runtime::node::{CommitOp, Verdict};
 use secureblox_datalog::error::DatalogError;
 use secureblox_datalog::value::Tuple;
 use secureblox_datalog::FactDelta;
-use secureblox_net::stats::TimingStats;
+use secureblox_net::NodeLedger;
 use secureblox_store::{derive_node_key, DurabilityConfig, FactStore, StoreError, WalOp};
 use std::fmt;
 use std::path::PathBuf;
@@ -249,10 +249,10 @@ impl Deployment {
             // resumes where the log says it stopped.
             node.available_at = store.watermark();
             node.store = Some(store);
+            // The replay is not part of the recovered deployment's run: its
+            // ledger samples go.
+            node.ledger = NodeLedger::default();
         }
-        // The replay is not part of the recovered deployment's run: its
-        // timing samples go.
-        deployment.timing = TimingStats::new(deployment.nodes.len());
         Ok(deployment)
     }
 }

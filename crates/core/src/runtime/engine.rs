@@ -29,7 +29,7 @@
 use crate::policy::{compile_secured_program, SecurityConfig};
 use crate::runtime::env;
 use crate::runtime::export::ExportCandidates;
-use crate::runtime::node::{CommitOp, NodeCtx, Verdict};
+use crate::runtime::node::{CommitOp, Link, NodeCtx, Verdict};
 use crate::runtime::reactor::ReactorConfig;
 use crate::runtime::replication::ReplicaState;
 use crate::runtime::shard::{self, ShardMap, ShardReport};
@@ -40,7 +40,7 @@ use secureblox_datalog::error::{DatalogError, Result};
 use secureblox_datalog::eval::shuffle::ExchangeSummary;
 use secureblox_datalog::value::{Tuple, Value};
 use secureblox_datalog::{PlanStatsSnapshot, Workspace};
-use secureblox_net::stats::TimingStats;
+use secureblox_net::stats::{self, NodeLedger};
 use secureblox_net::{
     LatencyModel, Message, MessageKind, NodeId, NodeInfo, SimNetwork, VirtualTime,
 };
@@ -167,8 +167,8 @@ impl Default for DeploymentConfig {
 }
 
 /// Whether a message kind spends the non-convergence budget.  Control
-/// traffic (credit grants, bootstrap markers) is caused by — and bounded by —
-/// data-plane deliveries, so only the latter count.
+/// traffic (credit grants) is caused by — and bounded by — data-plane
+/// deliveries, so only the latter count.
 pub(crate) fn is_data_plane(kind: MessageKind) -> bool {
     matches!(
         kind,
@@ -299,10 +299,10 @@ pub(crate) struct NodeState {
     /// Per-destination update-stream sequence counters (sender side).  Owned
     /// by the sending node so reactor tasks never share counter state.
     pub(crate) stream_seq: HashMap<usize, u64>,
-    /// Bytes of exchange-relation deltas (`shard_xchg_*` / `shard_bcast_*`)
-    /// this node shipped on the update stream — the wire cost of the shard
-    /// plane, separated from ordinary `says` traffic.
-    pub(crate) exchange_bytes: usize,
+    /// What this node measured about itself: commits, verdicts, traffic.
+    /// Written only through this node's [`NodeCtx`]; every figure of the
+    /// [`DeploymentReport`] is a fold over the nodes' ledgers.
+    pub(crate) ledger: NodeLedger,
     /// This node's per-destination sender outboxes (coalescing + credit).
     /// A `BTreeMap` so the quiescence force-flush
     /// walks links in a deterministic order (the reference executor's
@@ -329,7 +329,6 @@ pub(crate) struct EngineShared {
 pub struct Deployment {
     pub(crate) nodes: Vec<NodeState>,
     pub(crate) network: SimNetwork,
-    pub(crate) timing: TimingStats,
     pub(crate) config: DeploymentConfig,
     pub(crate) shared: EngineShared,
     exportable: Vec<String>,
@@ -528,7 +527,7 @@ impl Deployment {
                 store: None,
                 last_update_seq_in: HashMap::new(),
                 stream_seq: HashMap::new(),
-                exchange_bytes: 0,
+                ledger: NodeLedger::default(),
                 outboxes: BTreeMap::new(),
             });
         }
@@ -567,11 +566,9 @@ impl Deployment {
         }
 
         let network = SimNetwork::new(specs.len(), config.latency.clone());
-        let timing = TimingStats::new(specs.len());
         let mut deployment = Deployment {
             nodes,
             network,
-            timing,
             config,
             shared: EngineShared {
                 principals,
@@ -626,14 +623,18 @@ impl Deployment {
         self.shared
             .principal_index
             .get(principal)
-            .map(|&i| {
-                self.timing
-                    .completions(NodeId(i as u32))
-                    .iter()
-                    .map(|&t| Duration::from_nanos(t))
-                    .collect()
-            })
+            .map(|&i| self.nodes[i].ledger.completion_times())
             .unwrap_or_default()
+            .iter()
+            .map(|&t| Duration::from_nanos(t))
+            .collect()
+    }
+
+    /// Every node's ledger, in node order: what each node committed, refused,
+    /// sent and received.  The API of record for per-node measurements; the
+    /// [`DeploymentReport`] is a fold over these.
+    pub fn ledgers(&self) -> Vec<&NodeLedger> {
+        self.nodes.iter().map(|node| &node.ledger).collect()
     }
 
     /// Retract base facts at `principal`'s node: incremental deletion (DRed)
@@ -677,7 +678,6 @@ impl Deployment {
             shared: &self.shared,
             config: &self.config,
             net: &mut self.network,
-            timing: &mut self.timing,
         }
     }
 
@@ -693,16 +693,27 @@ impl Deployment {
     /// on-path adversary gets on a real network.  The receiver's defenses
     /// (sequence watermark, signature constraints) must hold against it; see
     /// the `stale_seq_replay_is_rejected_even_out_of_order` regression test.
+    ///
+    /// The bytes are charged to node `from`'s ledger, as if it had sent them.
+    /// A `from` that names no node has no ledger: its message is delivered
+    /// (and refused) all the same and shows only on the receive side.  A `to`
+    /// that names no node has no receiver, and nothing is sent.
     pub fn inject_message(&mut self, from: usize, to: usize, payload: Vec<u8>) {
-        self.network.send(
-            Message::new(
-                NodeId(from as u32),
-                NodeId(to as u32),
-                MessageKind::Update,
-                payload,
-            ),
-            0,
+        if to >= self.nodes.len() {
+            return;
+        }
+        let message = Message::new(
+            NodeId(from as u32),
+            NodeId(to as u32),
+            MessageKind::Update,
+            payload,
         );
+        if message.from.index() < self.nodes.len() {
+            self.node_ctx(message.from.index())
+                .send(message, 0, Link::Unordered);
+        } else {
+            self.network.send(message, 0);
+        }
     }
 
     /// Run to the distributed fixpoint: no batches pending and no messages in
@@ -759,10 +770,7 @@ impl Deployment {
     /// the busiest links.  Shared by both executors.
     pub(crate) fn budget_exceeded_error(&self) -> DatalogError {
         let message_budget = self.config.message_budget;
-        let busiest: Vec<String> = self
-            .network
-            .stats()
-            .busiest_links(3)
+        let busiest: Vec<String> = stats::busiest_links(&self.ledgers(), 3)
             .into_iter()
             .map(|(from, to, traffic)| {
                 format!(
@@ -782,36 +790,32 @@ impl Deployment {
         ))
     }
 
-    /// Summarize the run.
+    /// Summarize the run: a pure fold over the nodes' ledgers and
+    /// workspaces, plus a snapshot of every histogram the process-wide
+    /// registry holds.  Reads, never writes — reporting twice, or reporting
+    /// two deployments in one process, changes nothing.
     pub fn report(&self) -> DeploymentReport {
-        let stats = self.network.stats();
-        let plan = self.plan_stats();
-        // Publish the summed planner counters and per-node traffic to the
-        // global registry as gauge views, then snapshot every histogram the
-        // run touched into the report's telemetry section.
-        plan.publish_to_registry();
-        stats.publish_to_registry();
+        let ledgers = self.ledgers();
+        let sum = |count: fn(&NodeLedger) -> usize| ledgers.iter().map(|l| count(l)).sum();
         DeploymentReport {
             label: self.config.security.label(),
             num_nodes: self.nodes.len(),
-            fixpoint_latency: Duration::from_nanos(self.timing.fixpoint_time()),
-            average_transaction: self.timing.average_transaction_duration(),
-            per_node_kb: stats.average_per_node_kb(),
-            total_transactions: self.timing.total_transactions(),
-            rejected_batches: self.timing.total_rejections(),
-            conflicting_batches: self.timing.total_conflicts(),
-            retractions_applied: self.timing.total_retractions(),
-            convergence_times: self
-                .timing
-                .convergence_times()
+            fixpoint_latency: Duration::from_nanos(stats::fixpoint_time(&ledgers)),
+            average_transaction: stats::average_transaction_duration(&ledgers),
+            per_node_kb: stats::average_per_node_kb(&ledgers),
+            total_transactions: sum(|l| l.transaction_durations().len()),
+            rejected_batches: sum(NodeLedger::rejected_batches),
+            conflicting_batches: sum(NodeLedger::conflicting_batches),
+            retractions_applied: sum(NodeLedger::retractions_applied),
+            convergence_times: ledgers
                 .iter()
-                .map(|&t| Duration::from_nanos(t))
+                .map(|l| Duration::from_nanos(l.last_activity()))
                 .collect(),
-            per_node_bytes: stats.nodes().iter().map(|n| n.bytes_sent).collect(),
-            total_messages: stats.nodes().iter().map(|n| n.messages_sent).sum(),
-            plan,
-            apply_latency_p50: self.timing.transaction_duration_percentile(0.5),
-            apply_latency_p99: self.timing.transaction_duration_percentile(0.99),
+            per_node_bytes: ledgers.iter().map(|l| l.traffic().bytes_sent).collect(),
+            total_messages: sum(|l| l.traffic().messages_sent),
+            plan: self.plan_stats(),
+            apply_latency_p50: stats::transaction_duration_percentile(&ledgers, 0.5),
+            apply_latency_p99: stats::transaction_duration_percentile(&ledgers, 0.99),
             shard: self.shard_report(),
             telemetry: secureblox_telemetry::histogram_summaries(),
         }
@@ -855,6 +859,15 @@ impl NodeState {
 /// silently dropping deltas.
 pub(crate) fn wedged_at_quiescence() -> DatalogError {
     DatalogError::Eval("outboxes wedged at quiescence: held deltas with no credit".into())
+}
+
+#[cfg(test)]
+impl Deployment {
+    /// Messages of one kind the nodes sent, summed over their ledgers.
+    pub(crate) fn messages_sent(&self, kind: MessageKind) -> usize {
+        let of_kind = |l: &&NodeLedger| l.sent_by_kind().get(&kind).map_or(0, |t| t.messages);
+        self.ledgers().iter().map(of_kind).sum()
+    }
 }
 
 #[cfg(test)]
@@ -1010,6 +1023,68 @@ mod tests {
             .contains(&vec![Value::str("evil"), Value::str("evil2")]));
         // Legitimate traffic still arrived.
         assert_eq!(deployment.query("n0", "remote_link").len(), 1);
+    }
+
+    /// Regression (remote abort): `Message::from` is the sender's claim, and
+    /// the delivery path used to index the principal table — and the reactor's
+    /// seeding the link lanes — with it.  A `from` that names no node is one
+    /// rejection at the receiver, whatever the kind and whichever executor;
+    /// it has no ledger, so its bytes show on the receive side only.  A `to`
+    /// that names no node has no receiver: nothing is sent.
+    #[test]
+    fn a_sender_that_names_no_node_is_a_rejection_not_a_panic() {
+        for reactor in [ReactorConfig::disabled(), ReactorConfig::with_threads(2)] {
+            let config = DeploymentConfig {
+                security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
+                reactor,
+                ..DeploymentConfig::default()
+            };
+            let mut deployment = Deployment::build(GOSSIP_APP, &two_node_specs(), config).unwrap();
+            deployment.run().unwrap();
+            let relations = |d: &Deployment| {
+                let preds = ["link", "remote_link", "says$remote_link", "sig$remote_link"];
+                preds.map(|pred| (d.query("n0", pred), d.query("n1", pred)))
+            };
+            let before = relations(&deployment);
+            let nodes = deployment.node_count();
+            for from in [nodes, 7, u32::MAX as usize] {
+                for kind in [
+                    MessageKind::Update,
+                    MessageKind::Credit,
+                    MessageKind::AnonForward,
+                    MessageKind::AnonBackward,
+                ] {
+                    let what = format!("from {from}, {kind:?}");
+                    let earlier = deployment.report();
+                    let received = deployment.nodes[0].ledger.traffic().messages_received;
+                    match kind {
+                        MessageKind::Update => deployment.inject_message(from, 0, vec![0; 32]),
+                        _ => {
+                            // A well-formed grant, so only its sender is wrong.
+                            let payload = secureblox_net::message::encode_credit(1);
+                            let forged =
+                                Message::new(NodeId(from as u32), NodeId(0), kind, payload);
+                            deployment.network.send(forged, 0);
+                        }
+                    }
+                    let report = deployment.run().expect(&what);
+                    assert_eq!(
+                        report.rejected_batches,
+                        earlier.rejected_batches + 1,
+                        "{what}"
+                    );
+                    assert_eq!(relations(&deployment), before, "{what}");
+                    assert_eq!(report.per_node_bytes, earlier.per_node_bytes, "{what}");
+                    assert_eq!(report.total_messages, earlier.total_messages, "{what}");
+                    let traffic = deployment.nodes[0].ledger.traffic();
+                    assert_eq!(traffic.messages_received, received + 1, "{what}");
+                }
+            }
+            deployment.inject_message(0, nodes, vec![0; 32]);
+            deployment.inject_message(7, u32::MAX as usize, vec![0; 32]);
+            assert!(deployment.network.is_idle());
+            assert_eq!(deployment.messages_sent(MessageKind::Update), 2);
+        }
     }
 
     #[test]
@@ -1220,10 +1295,9 @@ mod tests {
             "a budget equal to the data-plane message count must suffice; \
              credit grants are control traffic",
         );
-        let stats = deployment.network.stats();
-        assert_eq!(stats.messages_for_kind(MessageKind::Update), 2);
+        assert_eq!(deployment.messages_sent(MessageKind::Update), 2);
         assert!(
-            stats.messages_for_kind(MessageKind::Credit) >= 2,
+            deployment.messages_sent(MessageKind::Credit) >= 2,
             "backpressure credits must actually have flowed for this test to bite"
         );
         assert_eq!(deployment.query("n0", "remote_link").len(), 1);
@@ -1270,7 +1344,7 @@ mod tests {
         );
         assert_eq!(
             reference_report.total_messages, reactor_report.total_messages,
-            "the reactor's per-task traffic shards must merge to the same totals"
+            "each node's ledger counts its own sends, whichever executor drives it"
         );
     }
 

@@ -560,18 +560,17 @@ mod tests {
     /// Deliver one coalesced, correctly signed n0 -> n1 envelope and return
     /// how many update envelopes the run put on the wire besides it.
     fn onward_envelopes(deployment: &mut Deployment, ops: [DeltaOp; 2], payload: Tuple) -> usize {
-        let updates = |d: &Deployment| d.network.stats().messages_for_kind(MessageKind::Update);
+        let updates = |d: &Deployment| d.messages_sent(MessageKind::Update);
         let before = updates(deployment);
-        let retractions = deployment.timing.total_retractions();
-        let rejections = deployment.timing.total_rejections();
+        let earlier = deployment.report();
         inject_signed(deployment, (0, 1), &ops, payload);
-        deployment.run().unwrap();
+        let report = deployment.run().unwrap();
         assert_eq!(
-            deployment.timing.total_retractions(),
-            retractions + 1,
+            report.retractions_applied,
+            earlier.retractions_applied + 1,
             "the envelope's retraction must have been applied"
         );
-        assert_eq!(deployment.timing.total_rejections(), rejections);
+        assert_eq!(report.rejected_batches, earlier.rejected_batches);
         assert_cursor_is_the_rescan(deployment, "after the coalesced envelope");
         updates(deployment) - before - 1
     }
@@ -786,7 +785,10 @@ mod tests {
             (wal_seqs(d), samples, relations(d))
         };
         let before = state(&deployment, 0);
-        let verdicts = |d: &Deployment| (d.timing.total_rejections(), d.timing.total_retractions());
+        let verdicts = |d: &Deployment| {
+            let report = d.report();
+            (report.rejected_batches, report.retractions_applied)
+        };
         let (rejections, retractions) = verdicts(&deployment);
 
         // An inbound assert whose signature does not verify.

@@ -15,16 +15,18 @@ use secureblox_datalog::column_set;
 use secureblox_datalog::error::{DatalogError, Result};
 use secureblox_datalog::eval::shuffle::is_exchange_pred;
 use secureblox_datalog::value::{Tuple, Value};
-use secureblox_net::stats::TimingStats;
-use secureblox_net::{Message, MessageKind, NodeId, SimNetwork, VirtualTime};
+use secureblox_net::{
+    record_message_latency, Message, MessageKind, NodeId, NodeLedger, SimNetwork, VirtualTime,
+};
 use secureblox_store::StoreError;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// Where a node context's outbound messages go.  The reference executor
-/// passes the [`SimNetwork`] itself; the reactor substitutes a per-task sink
-/// that computes delivery times locally, records into a per-task statistics
-/// shard, and enqueues into the concurrent [`secureblox_net::LinkLanes`].
+/// Where a node context's outbound messages go once [`NodeCtx::send`] has
+/// recorded them: a sink computes a delivery time and enqueues, nothing else.
+/// The reference executor passes the [`SimNetwork`] itself; the reactor
+/// substitutes a per-task sink that computes delivery times locally and
+/// enqueues into the concurrent [`secureblox_net::LinkLanes`].
 pub(crate) trait NetSink {
     /// Latency-modelled send; returns the delivery time.
     fn send(&mut self, message: Message, now: VirtualTime) -> VirtualTime;
@@ -44,8 +46,8 @@ impl NetSink for SimNetwork {
 }
 
 /// What a commit does to the workspace and where it came from — which
-/// decides the `TimingStats` and telemetry series it feeds and who hears of
-/// a refusal.
+/// decides the ledger and telemetry series it feeds and who hears of a
+/// refusal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CommitOp {
     /// Insert a batch of base facts: bootstrap, a local batch, an inbound
@@ -69,6 +71,16 @@ impl From<DeltaOp> for CommitOp {
     }
 }
 
+/// Which of a [`NetSink`]'s two methods a send takes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Link {
+    /// The link's FIFO stream: update envelopes and onion cells.
+    Fifo,
+    /// A plain latency-modelled message that may overtake the stream: credit
+    /// grants (cumulative counts, order-free) and injected payloads.
+    Unordered,
+}
+
 /// How [`NodeCtx::commit`] ended.
 #[derive(Debug)]
 pub(crate) enum Verdict {
@@ -83,9 +95,9 @@ pub(crate) enum Verdict {
     Refused(DatalogError),
 }
 
-/// One node's engine context: exclusive access to that node's state plus the
-/// shared immutable deployment state, an outbound [`NetSink`], and a timing
-/// recorder.  Every per-node operation — transactions, export flushes,
+/// One node's engine context: exclusive access to that node's state — its
+/// ledger included — plus the shared immutable deployment state and an
+/// outbound [`NetSink`].  Every per-node operation — transactions, export flushes,
 /// delivery handlers — lives here, so the virtual-time reference loop and the
 /// reactor's worker tasks drive *identical* logic and differ only in how they
 /// schedule nodes and route messages.
@@ -95,7 +107,6 @@ pub(crate) struct NodeCtx<'a> {
     pub(crate) shared: &'a EngineShared,
     pub(crate) config: &'a DeploymentConfig,
     pub(crate) net: &'a mut dyn NetSink,
-    pub(crate) timing: &'a mut TimingStats,
 }
 
 impl NodeCtx<'_> {
@@ -137,7 +148,7 @@ impl NodeCtx<'_> {
     /// the commit's *base* delta — what the journal says entered or left the
     /// asserted set, not what the batch named — to the WAL as one record
     /// group when a store is attached, absorbs the net delta into the export
-    /// candidates, records the `TimingStats` sample (a transaction is a Fig. 7
+    /// candidates, records the ledger sample (a transaction is a Fig. 7
     /// sample, a retraction is not) and turns a refusal into a [`Verdict`].
     /// Does NOT flush update streams — the caller decides when (per local
     /// batch, once per drained envelope for inbound deltas).
@@ -147,7 +158,6 @@ impl NodeCtx<'_> {
         batch: Vec<(String, Tuple)>,
         arrival: VirtualTime,
     ) -> Result<Verdict> {
-        let node = NodeId(self.index as u32);
         let start_virtual = arrival.max(self.node.available_at);
         let started = Instant::now();
         let outcome = match op {
@@ -169,15 +179,15 @@ impl NodeCtx<'_> {
             Err(error) => {
                 let record = match error {
                     // A policy refusing the batch.
-                    DatalogError::ConstraintViolation(_) => TimingStats::record_rejection,
+                    DatalogError::ConstraintViolation(_) => NodeLedger::record_rejection,
                     // Same rollback, counted apart: a data-level duplicate
                     // (e.g. a second composition for an already-known path
                     // entity), not a security decision.
-                    DatalogError::FunctionalDependency { .. } => TimingStats::record_conflict,
+                    DatalogError::FunctionalDependency { .. } => NodeLedger::record_conflict,
                     _ => return Err(error),
                 };
                 if op != CommitOp::LocalRetract {
-                    record(self.timing, node, finish);
+                    record(&mut self.node.ledger, finish);
                 }
                 return Ok(Verdict::Refused(error));
             }
@@ -200,9 +210,9 @@ impl NodeCtx<'_> {
             }
         }
         match op {
-            CommitOp::Assert => self.timing.record_transaction(node, elapsed, finish),
+            CommitOp::Assert => self.node.ledger.record_transaction(elapsed, finish),
             CommitOp::Retract | CommitOp::LocalRetract => {
-                self.timing.record_retraction(node, finish)
+                self.node.ledger.record_retraction(finish)
             }
         }
         if op == CommitOp::Retract {
@@ -341,9 +351,26 @@ impl NodeCtx<'_> {
             self.drain_outbox(dest, send_time, false)?;
         }
         for message in anon_outgoing {
-            self.net.send_fifo(message, send_time);
+            self.send(message, send_time, Link::Fifo);
         }
         Ok(())
+    }
+
+    /// The one place a send is recorded: every outbound message of this node
+    /// — update envelopes, onion cells, relay forwards, credit grants, and
+    /// what [`Deployment::inject_message`](crate::runtime::Deployment::inject_message)
+    /// sends in its name — is charged to the node's ledger here, with its
+    /// modelled latency sample, and then handed to the [`NetSink`].
+    pub(crate) fn send(&mut self, message: Message, now: VirtualTime, link: Link) {
+        let kind = message.kind;
+        self.node
+            .ledger
+            .record_send(message.to, message.wire_size(), kind);
+        let deliver_at = match link {
+            Link::Fifo => self.net.send_fifo(message, now),
+            Link::Unordered => self.net.send(message, now),
+        };
+        record_message_latency(kind, deliver_at - now);
     }
 
     /// Put one delta on its channel: the addressee's envelope, or an onion
@@ -467,7 +494,7 @@ impl NodeCtx<'_> {
                 })
                 .sum();
             if bytes > 0 {
-                self.node.exchange_bytes += bytes;
+                self.node.ledger.record_exchange(bytes);
                 secureblox_telemetry::counter!("engine_shard_exchange_bytes_total")
                     .add(bytes as u64);
             }
@@ -483,15 +510,13 @@ impl NodeCtx<'_> {
                 .map_err(|e| DatalogError::Eval(e.to_string()))?;
             payload = aes128_ctr_encrypt(secret, &payload);
         }
-        self.net.send_fifo(
-            Message::new(
-                NodeId(self.index as u32),
-                NodeId(dest as u32),
-                MessageKind::Update,
-                payload,
-            ),
-            send_time,
+        let envelope = Message::new(
+            NodeId(self.index as u32),
+            NodeId(dest as u32),
+            MessageKind::Update,
+            payload,
         );
+        self.send(envelope, send_time, Link::Fifo);
         Ok(())
     }
 
@@ -620,12 +645,20 @@ impl NodeCtx<'_> {
     // Delivery
     // ------------------------------------------------------------------
 
+    /// Take one delivered message: record the receive side in this node's
+    /// ledger and dispatch on the kind.  `message.from` is the sender's claim;
+    /// one that names no node of the deployment is refused here, whatever the
+    /// kind, so nothing below indexes with it.
     pub(crate) fn deliver(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {
+        self.node.ledger.record_receive(message.wire_size());
+        if message.from.index() >= self.shared.principals.len() {
+            self.node.ledger.record_rejection(arrival);
+            return Ok(());
+        }
         match message.kind {
             MessageKind::Update => self.deliver_update(message, arrival),
             MessageKind::AnonForward => self.deliver_anon_forward(message, arrival),
             MessageKind::AnonBackward => self.deliver_anon_backward(message, arrival),
-            MessageKind::Bootstrap => Ok(()),
             MessageKind::Credit => self.deliver_credit(message, arrival),
         }
     }
@@ -636,7 +669,7 @@ impl NodeCtx<'_> {
     fn deliver_credit(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {
         let Some(granted) = secureblox_net::message::decode_credit(&message.payload) else {
             // Malformed grant — drop it rather than trusting the count.
-            self.timing.record_rejection(message.to, arrival);
+            self.node.ledger.record_rejection(arrival);
             return Ok(());
         };
         // The grant is addressed to the sender side of the data stream: this
@@ -671,7 +704,7 @@ impl NodeCtx<'_> {
             match aes128_ctr_decrypt(secret, &payload) {
                 Ok(plain) => payload = plain,
                 Err(_) => {
-                    self.timing.record_rejection(message.to, arrival);
+                    self.node.ledger.record_rejection(arrival);
                     return Ok(());
                 }
             }
@@ -679,7 +712,7 @@ impl NodeCtx<'_> {
         let envelope = match UpdateEnvelope::decode(&payload) {
             Ok(envelope) => envelope,
             Err(_) => {
-                self.timing.record_rejection(message.to, arrival);
+                self.node.ledger.record_rejection(arrival);
                 return Ok(());
             }
         };
@@ -754,8 +787,7 @@ impl NodeCtx<'_> {
             }
         };
         if unchecked_by_constraints && !self.delta_authorized(from_principal, delta)? {
-            self.timing
-                .record_rejection(NodeId(self.index as u32), arrival);
+            self.node.ledger.record_rejection(arrival);
             return Ok((false, false));
         }
         let changed = matches!(
@@ -845,22 +877,20 @@ impl NodeCtx<'_> {
         // (unordered) message: grants are cumulative counts, order-free.
         let send_at = arrival.max(self.node.available_at);
         secureblox_telemetry::counter!("engine_stream_credits_total").inc();
-        self.net.send(
-            Message::new(
-                to_id,
-                from,
-                MessageKind::Credit,
-                secureblox_net::message::encode_credit(deltas.len() as u64),
-            ),
-            send_at,
+        let grant = Message::new(
+            to_id,
+            from,
+            MessageKind::Credit,
+            secureblox_net::message::encode_credit(deltas.len() as u64),
         );
+        self.send(grant, send_at, Link::Unordered);
         Ok(accepted)
     }
 
     fn deliver_anon_forward(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {
         let here = self.index;
         let Some((circuit, hop, body)) = open_anon_cell(self.shared, &message.payload) else {
-            self.timing.record_rejection(message.to, arrival);
+            self.node.ledger.record_rejection(arrival);
             return Ok(());
         };
         // The hop index is the sender's claim.  One that names no key of this
@@ -871,14 +901,14 @@ impl NodeCtx<'_> {
             .get(hop)
             .and_then(|key| aes128_ctr_decrypt(key, &body).ok())
         else {
-            self.timing.record_rejection(message.to, arrival);
+            self.node.ledger.record_rejection(arrival);
             return Ok(());
         };
         // One key per relay, then the endpoint's: the last hop is the endpoint.
         if hop == circuit.relays.len() {
             // Deliver into the endpoint's workspace keyed by the circuit.
             let Ok(envelope) = UpdateEnvelope::decode(&peeled) else {
-                self.timing.record_rejection(message.to, arrival);
+                self.node.ledger.record_rejection(arrival);
                 return Ok(());
             };
             for delta in envelope.deltas {
@@ -906,14 +936,14 @@ impl NodeCtx<'_> {
         );
         let send_at = arrival.max(self.node.available_at);
         self.node.available_at = send_at;
-        self.net.send_fifo(forward, send_at);
+        self.send(forward, send_at, Link::Fifo);
         Ok(())
     }
 
     fn deliver_anon_backward(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {
         let here = self.index;
         let Some((circuit, hop, body)) = open_anon_cell(self.shared, &message.payload) else {
-            self.timing.record_rejection(message.to, arrival);
+            self.node.ledger.record_rejection(arrival);
             return Ok(());
         };
         if hop == u32::MAX || here == circuit.initiator {
@@ -924,13 +954,13 @@ impl NodeCtx<'_> {
                 match aes128_ctr_decrypt(key, &plain) {
                     Ok(next) => plain = next,
                     Err(_) => {
-                        self.timing.record_rejection(message.to, arrival);
+                        self.node.ledger.record_rejection(arrival);
                         return Ok(());
                     }
                 }
             }
             let Ok(envelope) = UpdateEnvelope::decode(&plain) else {
-                self.timing.record_rejection(message.to, arrival);
+                self.node.ledger.record_rejection(arrival);
                 return Ok(());
             };
             for delta in envelope.deltas {
@@ -944,7 +974,7 @@ impl NodeCtx<'_> {
         // refused, never indexed with.
         let hop = hop as usize;
         let (Some(_), Some(key)) = (circuit.relays.get(hop), circuit.keys.get(hop)) else {
-            self.timing.record_rejection(message.to, arrival);
+            self.node.ledger.record_rejection(arrival);
             return Ok(());
         };
         let wrapped = aes128_ctr_encrypt(key, &body);
@@ -960,7 +990,7 @@ impl NodeCtx<'_> {
         );
         let send_at = arrival.max(self.node.available_at);
         self.node.available_at = send_at;
-        self.net.send_fifo(forward, send_at);
+        self.send(forward, send_at, Link::Fifo);
         Ok(())
     }
 }
@@ -1052,14 +1082,15 @@ mod tests {
             for hop in [relays as u32 + 1, 9, u32::MAX - 1] {
                 for kind in [MessageKind::AnonForward, MessageKind::AnonBackward] {
                     for to in 0..deployment.node_count() {
-                        let before = deployment.timing.total_rejections();
+                        let before = deployment.nodes[to].ledger.rejected_batches();
                         let from = NodeId(((to + 1) % deployment.node_count()) as u32);
                         let cell = encode_anon_cell(0, hop, &[0xAB; 32]);
                         let message = Message::new(from, NodeId(to as u32), kind, cell);
                         let outcome = deployment.node_ctx(to).deliver(message, 0);
                         let what = format!("{relays} relays, hop {hop}, {kind:?} at node {to}");
                         assert!(outcome.is_ok(), "{what}: {outcome:?}");
-                        assert_eq!(deployment.timing.total_rejections(), before + 1, "{what}");
+                        let after = deployment.nodes[to].ledger.rejected_batches();
+                        assert_eq!(after, before + 1, "{what}");
                     }
                 }
             }

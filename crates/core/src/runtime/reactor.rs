@@ -40,9 +40,7 @@ use crate::runtime::engine::{
 };
 use crate::runtime::node::{NetSink, NodeCtx};
 use secureblox_datalog::error::{DatalogError, Result};
-use secureblox_net::{
-    record_message_latency, LinkLanes, Message, NetworkStats, TimingStats, VirtualTime,
-};
+use secureblox_net::{LinkLanes, Message, VirtualTime};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -101,17 +99,11 @@ const QUEUED: u8 = 1;
 const RUNNING: u8 = 2;
 const DIRTY: u8 = 3;
 
-/// Everything one node's service pass mutates: the node state itself plus
-/// per-task shards of the statistics the reference executor records through
-/// shared structures.  Shards are merged back into the deployment at
-/// teardown, so reports are identical in shape across executors.
+/// Everything one node's service pass mutates: the node state itself — its
+/// ledger included, so what the node measures moves in and out of the reactor
+/// with it — plus the sender-side floors.
 struct NodeCell {
     node: NodeState,
-    /// Per-task timing shard (indexed by `NodeId` like the shared recorder).
-    timing: TimingStats,
-    /// Per-task traffic shard, absorbed into [`secureblox_net::SimNetwork`]'s
-    /// counters at teardown.
-    stats: NetworkStats,
     /// Sender-side per-destination FIFO floors (the reactor's replacement
     /// for `SimNetwork`'s internal `link_floor` map).  Sender-owned: only
     /// this node sends on its outgoing links, so no cross-task floor exists.
@@ -157,22 +149,17 @@ struct Reactor<'d> {
 }
 
 /// The per-task [`NetSink`]: computes delivery times from the shared latency
-/// model, records traffic into the sending task's statistics shard, enqueues
-/// into the concurrent mailboxes, and wakes the receiver.
+/// model, enqueues into the concurrent mailboxes, and wakes the receiver.
 struct ReactorSink<'r, 'd> {
     reactor: &'r Reactor<'d>,
-    stats: &'r mut NetworkStats,
     floors: &'r mut HashMap<usize, VirtualTime>,
 }
 
 impl ReactorSink<'_, '_> {
     fn dispatch(&mut self, message: Message, now: VirtualTime, floor: VirtualTime) -> VirtualTime {
-        let wire_size = message.wire_size();
-        let delay = self.reactor.config.latency.delay(wire_size).as_nanos() as u64;
+        let latency = &self.reactor.config.latency;
+        let delay = latency.delay(message.wire_size()).as_nanos() as u64;
         let deliver_at = (now + delay).max(floor);
-        self.stats
-            .record_send(message.from, message.to, wire_size, message.kind);
-        record_message_latency(message.kind, deliver_at - now);
         let to = message.to.index();
         // Count the message before it becomes visible: a receiver must never
         // drain work the quiescence counter has not yet accounted for.
@@ -270,34 +257,24 @@ impl<'d> Reactor<'d> {
         self.halt();
     }
 
-    /// Build a [`NodeCtx`] over one locked cell's disjoint shards and run
-    /// `body` against it — the reactor-side twin of
-    /// [`Deployment::node_ctx`].
+    /// Build a [`NodeCtx`] over one locked cell and run `body` against it —
+    /// the reactor-side twin of [`Deployment::node_ctx`].
     fn with_ctx<R>(
         &self,
         index: usize,
         cell: &mut NodeCell,
         body: impl FnOnce(&mut NodeCtx<'_>) -> R,
     ) -> R {
-        let NodeCell {
-            node,
-            timing,
-            stats,
-            floors,
-            ..
-        } = cell;
         let mut sink = ReactorSink {
             reactor: self,
-            stats,
-            floors,
+            floors: &mut cell.floors,
         };
         let mut ctx = NodeCtx {
             index,
-            node,
+            node: &mut cell.node,
             shared: self.shared,
             config: self.config,
             net: &mut sink,
-            timing,
         };
         body(&mut ctx)
     }
@@ -439,9 +416,9 @@ impl<'d> Reactor<'d> {
 impl Deployment {
     /// Run to the distributed fixpoint on the event-driven executor: spawn a
     /// worker pool, seed it with the bootstrap batches and any pre-queued
-    /// network traffic, coordinate quiescence, then fold every per-task
-    /// shard back into the deployment so reports, stats, and subsequent
-    /// ticks are indistinguishable from a reference-mode run.
+    /// network traffic, coordinate quiescence, then move the nodes back into
+    /// the deployment.  Each node's ledger travelled with it, so the report
+    /// and subsequent ticks are those of a reference-mode run by construction.
     pub(crate) fn run_reactor(&mut self) -> Result<DeploymentReport> {
         let node_count = self.nodes.len();
         let lanes = LinkLanes::new(node_count);
@@ -458,8 +435,6 @@ impl Deployment {
             .map(|node| NodeSlot {
                 cell: Mutex::new(NodeCell {
                     node,
-                    timing: TimingStats::new(node_count),
-                    stats: NetworkStats::new(node_count),
                     floors: HashMap::new(),
                     bootstrapped: false,
                 }),
@@ -492,7 +467,7 @@ impl Deployment {
             }
             reactor.coordinate();
         });
-        // Teardown: fold the per-task shards back into the deployment.
+        // Teardown: the nodes come home.
         let Reactor {
             slots,
             budget_exceeded,
@@ -501,8 +476,6 @@ impl Deployment {
         } = reactor;
         for slot in slots {
             let cell = slot.cell.into_inner().expect("node cell poisoned");
-            self.network.absorb_stats(&cell.stats);
-            self.timing.merge(cell.timing);
             self.nodes.push(cell.node);
         }
         if let Some(error) = error.into_inner().expect("error slot poisoned") {

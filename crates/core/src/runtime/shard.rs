@@ -923,12 +923,10 @@ impl Deployment {
         })
     }
 
-    /// The shard section of the deployment report, publishing the
-    /// per-partition gauges as a side effect (mirroring how network stats
-    /// publish their per-node views).
+    /// The shard section of the deployment report, computed from the nodes'
+    /// workspaces and ledgers.
     pub(crate) fn shard_report(&self) -> Option<ShardReport> {
         let map = self.config.sharding.as_ref().filter(|m| m.is_active())?;
-        let registry = secureblox_telemetry::registry();
         let mut per_partition_tuples = Vec::with_capacity(map.partitions());
         for member in map.group() {
             let Some(&index) = self.shared.principal_index.get(member) else {
@@ -939,17 +937,13 @@ impl Deployment {
                 .keys()
                 .map(|relation| self.nodes[index].workspace.count(relation))
                 .sum();
-            registry
-                .gauge(&format!(
-                    "engine_shard_partition_tuples{{node=\"{member}\"}}"
-                ))
-                .set(tuples as i64);
             per_partition_tuples.push((member.clone(), tuples));
         }
-        let exchange_bytes: usize = self.nodes.iter().map(|node| node.exchange_bytes).sum();
-        registry
-            .gauge("engine_shard_exchange_bytes")
-            .set(exchange_bytes as i64);
+        let exchange_bytes: usize = self
+            .nodes
+            .iter()
+            .map(|node| node.ledger.exchange_bytes())
+            .sum();
         let max = per_partition_tuples
             .iter()
             .map(|(_, n)| *n)

@@ -17,8 +17,10 @@
 //!   and re-coalescing, so hot links get **more** batching under load instead
 //!   of unbounded receiver queues.
 //!
-//! The receiver-side queue drain and batch apply live in `engine.rs`; this
-//! module owns the configuration and the outbox data structure.
+//! The receiver-side drain and batch apply, and the sender-side flush that
+//! feeds the outboxes, live in `runtime/node.rs` (`NodeCtx::drain_inbox`,
+//! `NodeCtx::flush_updates`); this module owns the configuration and the
+//! outbox data structure.
 //!
 //! [`UpdateEnvelope`]: crate::runtime::codec::UpdateEnvelope
 //! [`MessageKind::Credit`]: secureblox_net::MessageKind::Credit
@@ -104,8 +106,6 @@ pub struct LinkOutbox {
     /// Virtual time at which this outbox ran out of credit with deltas still
     /// queued, for the stall histogram.  Cleared when credit returns.
     stalled_since: Option<VirtualTime>,
-    /// Deltas annihilated in this outbox over its lifetime.
-    annihilated: u64,
 }
 
 impl LinkOutbox {
@@ -119,7 +119,6 @@ impl LinkOutbox {
             credit: high_water.max(1),
             high_water: high_water.max(1),
             stalled_since: None,
-            annihilated: 0,
         }
     }
 
@@ -143,7 +142,6 @@ impl LinkOutbox {
                     ));
                     self.deltas[slot] = None;
                     self.live -= 1;
-                    self.annihilated += 2;
                     return true;
                 }
             }
@@ -219,11 +217,6 @@ impl LinkOutbox {
             self.stalled_since = Some(now);
         }
     }
-
-    /// Deltas annihilated in this outbox over its lifetime.
-    pub fn annihilated(&self) -> u64 {
-        self.annihilated
-    }
 }
 
 #[cfg(test)]
@@ -265,7 +258,6 @@ mod tests {
         outbox.push(delta(DeltaOp::Assert, "p", "y"));
         assert!(outbox.push(delta(DeltaOp::Retract, "p", "x")));
         assert_eq!(outbox.live(), 1);
-        assert_eq!(outbox.annihilated(), 2);
         let batch = outbox.take_batch(10);
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].tuple[2], Value::str("y"));

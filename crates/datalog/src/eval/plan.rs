@@ -195,25 +195,6 @@ pub struct PlanStatsSnapshot {
     pub serial_batches: u64,
 }
 
-impl PlanStatsSnapshot {
-    /// Publish this snapshot into the global telemetry registry as
-    /// `datalog_plan_stats_*` gauges, so exporters see the same numbers this
-    /// struct reports.  The snapshot (summed across a deployment's
-    /// workspaces) remains the API of record; the gauges are a view.
-    pub fn publish_to_registry(&self) {
-        use secureblox_telemetry::gauge;
-        gauge!("datalog_plan_stats_plans_compiled").set(self.plans_compiled as i64);
-        gauge!("datalog_plan_stats_plan_cache_hits").set(self.plan_cache_hits as i64);
-        gauge!("datalog_plan_stats_plan_recompiles").set(self.plan_recompiles as i64);
-        gauge!("datalog_plan_stats_index_builds").set(self.index_builds as i64);
-        gauge!("datalog_plan_stats_index_probes").set(self.index_probes as i64);
-        gauge!("datalog_plan_stats_full_scans").set(self.full_scans as i64);
-        gauge!("datalog_plan_stats_functional_hits").set(self.functional_hits as i64);
-        gauge!("datalog_plan_stats_rows_examined").set(self.rows_examined as i64);
-        gauge!("datalog_plan_stats_serial_batches").set(self.serial_batches as i64);
-    }
-}
-
 impl std::ops::Add for PlanStatsSnapshot {
     type Output = PlanStatsSnapshot;
     fn add(self, other: PlanStatsSnapshot) -> PlanStatsSnapshot {

@@ -7,9 +7,10 @@
 //! **discrete-event network simulation**: nodes are identified by
 //! [`NodeId`]s, messages carry opaque byte payloads, a [`LatencyModel`]
 //! converts message sizes into propagation + transmission delays, and a
-//! [`SimNetwork`] priority queue delivers messages in virtual-time order
-//! while recording the per-node traffic statistics that the paper's Figures 6
-//! and 12 report.
+//! [`SimNetwork`] priority queue delivers messages in virtual-time order.
+//! The per-node traffic and timing figures the paper's evaluation reports are
+//! kept by the nodes themselves, one [`NodeLedger`] each, and folded over
+//! the nodes by the functions of [`stats`].
 //!
 //! Compute time is *not* simulated: the distributed runtime in the
 //! `secureblox` crate measures the real wall-clock duration of each local
@@ -26,5 +27,5 @@ pub mod topology;
 pub use message::{Message, MessageKind};
 pub use node::{NodeId, NodeInfo};
 pub use sim::{record_message_latency, LatencyModel, LinkLanes, SimNetwork, VirtualTime};
-pub use stats::{NetworkStats, NodeTraffic, TimingStats};
+pub use stats::{LinkTraffic, NodeLedger, NodeTraffic};
 pub use topology::Topology;

@@ -11,6 +11,8 @@ use bytes::Bytes;
 /// statistics and debugging.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
+    /// The sender, as the message claims it.  Nothing at this layer proves
+    /// it, so a receiver checks that it names a node before indexing with it.
     pub from: NodeId,
     pub to: NodeId,
     pub kind: MessageKind,
@@ -28,26 +30,11 @@ pub enum MessageKind {
     AnonForward,
     /// An onion-wrapped anonymity-circuit cell travelling backward.
     AnonBackward,
-    /// Initial base-fact distribution (not counted as protocol overhead).
-    Bootstrap,
     /// A flow-control credit grant travelling from a receiver back to a
     /// sender: the payload is the number of update-stream deltas the receiver
     /// has drained from its per-link queue, returning that much send window
     /// to the sender's outbox (credit-based backpressure).
     Credit,
-}
-
-impl MessageKind {
-    /// Stable lowercase label, used in telemetry metric names.
-    pub fn label(self) -> &'static str {
-        match self {
-            MessageKind::Update => "update",
-            MessageKind::AnonForward => "anon_forward",
-            MessageKind::AnonBackward => "anon_backward",
-            MessageKind::Bootstrap => "bootstrap",
-            MessageKind::Credit => "credit",
-        }
-    }
 }
 
 /// Encode a credit-grant payload: the number of drained deltas, big-endian.
@@ -99,7 +86,7 @@ mod tests {
     fn wire_size_includes_header() {
         let msg = Message::new(NodeId(0), NodeId(1), MessageKind::Update, vec![0u8; 100]);
         assert_eq!(msg.wire_size(), 100 + HEADER_OVERHEAD_BYTES);
-        let empty = Message::new(NodeId(0), NodeId(1), MessageKind::Bootstrap, Vec::new());
+        let empty = Message::new(NodeId(0), NodeId(1), MessageKind::Credit, Vec::new());
         assert_eq!(empty.wire_size(), HEADER_OVERHEAD_BYTES);
     }
 }

@@ -1,7 +1,6 @@
 //! Discrete-event message delivery with a virtual clock.
 
-use crate::message::Message;
-use crate::stats::NetworkStats;
+use crate::message::{Message, MessageKind};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Mutex;
@@ -59,27 +58,27 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// The simulated network: a latency model, a delivery queue ordered by
-/// virtual time, and per-node traffic statistics.
+/// The simulated network: a latency model, per-link FIFO floors and a
+/// delivery queue ordered by virtual time.  It keeps no traffic table — a
+/// node records what it sends and receives in its own
+/// [`NodeLedger`](crate::stats::NodeLedger).
 #[derive(Debug)]
 pub struct SimNetwork {
     latency: LatencyModel,
     queue: BinaryHeap<Reverse<Scheduled>>,
     sequence: u64,
-    stats: NetworkStats,
     /// Per-link delivery-time floors for [`SimNetwork::send_fifo`]: a stream
     /// message never arrives before its predecessor on the same (from, to)
     /// link, modelling a TCP-like ordered channel.
     link_floor: HashMap<(usize, usize), VirtualTime>,
 }
 
-/// The per-kind modelled-latency histogram (virtual nanoseconds from send to
-/// delivery).  One static handle per kind keeps the send path free of name
-/// formatting and registry lookups.
-fn latency_histogram(
-    kind: crate::message::MessageKind,
-) -> &'static secureblox_telemetry::Histogram {
-    use crate::message::MessageKind;
+/// Record one message's modelled send-to-delivery latency (virtual
+/// nanoseconds, any FIFO floor wait included) into the per-kind telemetry
+/// histogram.  The sender does this where it records the send; one static
+/// handle per kind keeps that path free of name formatting and registry
+/// lookups.
+pub fn record_message_latency(kind: MessageKind, latency_ns: VirtualTime) {
     match kind {
         MessageKind::Update => {
             secureblox_telemetry::histogram!("net_message_latency_ns{kind=\"update\"}")
@@ -90,29 +89,21 @@ fn latency_histogram(
         MessageKind::AnonBackward => {
             secureblox_telemetry::histogram!("net_message_latency_ns{kind=\"anon_backward\"}")
         }
-        MessageKind::Bootstrap => {
-            secureblox_telemetry::histogram!("net_message_latency_ns{kind=\"bootstrap\"}")
-        }
         MessageKind::Credit => {
             secureblox_telemetry::histogram!("net_message_latency_ns{kind=\"credit\"}")
         }
     }
-}
-
-/// Record one message's modelled send-to-delivery latency (virtual
-/// nanoseconds) into the per-kind telemetry histogram.  [`SimNetwork`] does
-/// this itself on every send; the reactor executor computes delivery times in
-/// its own per-node sinks and calls this directly.
-pub fn record_message_latency(kind: crate::message::MessageKind, latency_ns: VirtualTime) {
-    latency_histogram(kind).record(latency_ns);
+    .record(latency_ns);
 }
 
 /// Concurrent per-link FIFO mailboxes for the reactor executor.
 ///
 /// Where [`SimNetwork`] holds one global delivery queue ordered by virtual
-/// time, `LinkLanes` holds an N×N grid of independently locked queues — one
-/// per directed link — so sender tasks can enqueue and receiver tasks can
-/// drain concurrently while each link stays FIFO in *push* order.  Push order
+/// time, `LinkLanes` holds a grid of independently locked queues — one per
+/// directed link, plus one per receiver for messages whose `from` names no
+/// node (a sender's identity is its own claim) — so sender tasks can enqueue
+/// and receiver tasks can drain concurrently while each link stays FIFO in
+/// *push* order.  Push order
 /// is the sender's causal send order, which is exactly the guarantee
 /// [`SimNetwork::send_fifo`] provides in the reference executor; the global
 /// cross-link virtual-time interleaving is deliberately *not* reproduced
@@ -132,14 +123,16 @@ impl LinkLanes {
     pub fn new(nodes: usize) -> Self {
         LinkLanes {
             nodes,
-            lanes: (0..nodes * nodes)
+            lanes: (0..nodes * (nodes + 1))
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
         }
     }
 
+    /// The lane of link (from, to); every `from` past the last node shares
+    /// receiver `to`'s stranger lane.
     fn lane(&self, from: usize, to: usize) -> &Mutex<VecDeque<(VirtualTime, Message)>> {
-        &self.lanes[from * self.nodes + to]
+        &self.lanes[to * (self.nodes + 1) + from.min(self.nodes)]
     }
 
     /// Append a message to its (from, to) lane.  Lanes are FIFO, so a lane's
@@ -155,38 +148,29 @@ impl LinkLanes {
     /// scanning sender lanes in index order.  Per-link order is preserved;
     /// the interleaving *between* different senders is arbitrary.
     pub fn drain_to(&self, to: usize, sink: &mut Vec<(VirtualTime, Message)>) {
-        for from in 0..self.nodes {
+        for from in 0..=self.nodes {
             let mut lane = self.lane(from, to).lock().expect("link lane poisoned");
             while let Some(entry) = lane.pop_front() {
                 sink.push(entry);
             }
         }
     }
-
-    /// True when every lane is empty.  Only meaningful at quiescence (no
-    /// concurrent pushes); the reactor's epoch counter, not this scan, is the
-    /// authoritative idle test.
-    pub fn is_empty(&self) -> bool {
-        self.lanes
-            .iter()
-            .all(|lane| lane.lock().expect("link lane poisoned").is_empty())
-    }
 }
 
 impl SimNetwork {
-    /// Create a network with the given latency model for `nodes` nodes.
-    pub fn new(nodes: usize, latency: LatencyModel) -> Self {
+    /// Create a network with the given latency model.  Nothing here is sized
+    /// by the node count; the parameter stays for the callers that pass it.
+    pub fn new(_nodes: usize, latency: LatencyModel) -> Self {
         SimNetwork {
             latency,
             queue: BinaryHeap::new(),
             sequence: 0,
-            stats: NetworkStats::new(nodes),
             link_floor: HashMap::new(),
         }
     }
 
     /// Send a message at virtual time `now`; it will be delivered after the
-    /// modelled latency.  Traffic is recorded against both endpoints.
+    /// modelled latency.
     pub fn send(&mut self, message: Message, now: VirtualTime) -> VirtualTime {
         self.send_ordered(message, now, 0)
     }
@@ -203,13 +187,8 @@ impl SimNetwork {
         now: VirtualTime,
         floor: VirtualTime,
     ) -> VirtualTime {
-        let wire_size = message.wire_size();
-        let deliver_at = (now + self.latency.delay(wire_size).as_nanos() as u64).max(floor);
-        self.stats
-            .record_send(message.from, message.to, wire_size, message.kind);
-        // Modelled send-to-delivery latency (virtual ns), including any FIFO
-        // floor wait, bucketed by message kind.
-        latency_histogram(message.kind).record(deliver_at - now);
+        let delay = self.latency.delay(message.wire_size()).as_nanos() as u64;
+        let deliver_at = (now + delay).max(floor);
         self.sequence += 1;
         self.queue.push(Reverse(Scheduled {
             deliver_at,
@@ -232,17 +211,6 @@ impl SimNetwork {
         delivered
     }
 
-    /// Schedule a message for delivery at an exact virtual time without
-    /// recording traffic (used for bootstrap fact distribution).
-    pub fn schedule_untracked(&mut self, message: Message, deliver_at: VirtualTime) {
-        self.sequence += 1;
-        self.queue.push(Reverse(Scheduled {
-            deliver_at,
-            sequence: self.sequence,
-            message,
-        }));
-    }
-
     /// Pop the next message in virtual-time order.
     pub fn next_delivery(&mut self) -> Option<(VirtualTime, Message)> {
         let delivery = self.queue.pop().map(|Reverse(s)| (s.deliver_at, s.message));
@@ -262,24 +230,11 @@ impl SimNetwork {
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty()
     }
-
-    /// Traffic statistics collected so far.
-    pub fn stats(&self) -> &NetworkStats {
-        &self.stats
-    }
-
-    /// Fold a per-task statistics shard (recorded outside this network by a
-    /// reactor sender) into this network's counters, so `stats()` reports the
-    /// whole deployment regardless of executor mode.
-    pub fn absorb_stats(&mut self, shard: &NetworkStats) {
-        self.stats.merge(shard);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::MessageKind;
     use crate::node::NodeId;
 
     #[test]
@@ -371,19 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_bytes() {
-        let mut network = SimNetwork::new(2, LatencyModel::default());
-        network.send(
-            Message::new(NodeId(0), NodeId(1), MessageKind::Update, vec![0u8; 52]),
-            0,
-        );
-        let stats = network.stats();
-        assert_eq!(stats.node(NodeId(0)).bytes_sent, 100);
-        assert_eq!(stats.node(NodeId(1)).bytes_received, 100);
-        assert_eq!(stats.node(NodeId(0)).messages_sent, 1);
-    }
-
-    #[test]
     fn link_lanes_preserve_per_link_fifo_and_drain_concurrently() {
         let lanes = LinkLanes::new(3);
         for i in 0..4u8 {
@@ -410,51 +352,31 @@ mod tests {
             .collect();
         assert_eq!(from0, vec![0, 1, 2, 3], "per-link FIFO is push order");
         assert_eq!(inbox.len(), 5);
-        assert!(!lanes.is_empty(), "node 1's inbox is still queued");
-        let mut other = Vec::new();
-        lanes.drain_to(1, &mut other);
-        assert_eq!(other.len(), 1);
-        assert!(lanes.is_empty());
+        // Node 1's inbox is still queued, and a drain empties a lane.
+        for (to, queued) in [(1, 1), (1, 0), (2, 0)] {
+            let mut other = Vec::new();
+            lanes.drain_to(to, &mut other);
+            assert_eq!(other.len(), queued);
+        }
     }
 
+    /// A `from` that names no node is the sender's claim, not an index: the
+    /// message queues in the receiver's stranger lane and is drained with the
+    /// rest (the receiving node refuses it; see `NodeCtx::deliver`).
     #[test]
-    fn absorbed_shards_match_a_shared_recorder() {
-        // Record the same sends once through a shared recorder, once through
-        // two per-task shards merged afterwards: identical statistics.
-        let mut shared = NetworkStats::new(2);
-        shared.record_send(NodeId(0), NodeId(1), 100, MessageKind::Update);
-        shared.record_send(NodeId(1), NodeId(0), 40, MessageKind::Credit);
-
-        let mut network = SimNetwork::new(2, LatencyModel::default());
-        let mut shard_a = NetworkStats::new(2);
-        shard_a.record_send(NodeId(0), NodeId(1), 100, MessageKind::Update);
-        let mut shard_b = NetworkStats::new(2);
-        shard_b.record_send(NodeId(1), NodeId(0), 40, MessageKind::Credit);
-        network.absorb_stats(&shard_a);
-        network.absorb_stats(&shard_b);
-
-        let merged = network.stats();
-        assert_eq!(merged.node(NodeId(0)), shared.node(NodeId(0)));
-        assert_eq!(merged.node(NodeId(1)), shared.node(NodeId(1)));
-        assert_eq!(
-            merged.messages_for_kind(MessageKind::Credit),
-            shared.messages_for_kind(MessageKind::Credit)
-        );
-        assert_eq!(
-            merged.link(NodeId(0), NodeId(1)),
-            shared.link(NodeId(0), NodeId(1))
-        );
-    }
-
-    #[test]
-    fn untracked_schedule_skips_stats() {
-        let mut network = SimNetwork::new(2, LatencyModel::default());
-        network.schedule_untracked(
-            Message::new(NodeId(0), NodeId(1), MessageKind::Bootstrap, vec![0u8; 100]),
-            5,
-        );
-        assert_eq!(network.stats().total_bytes(), 0);
-        let (t, _) = network.next_delivery().unwrap();
-        assert_eq!(t, 5);
+    fn link_lanes_take_a_sender_that_names_no_node() {
+        let lanes = LinkLanes::new(2);
+        for from in [2, 7, u32::MAX] {
+            lanes.push(
+                u64::from(from),
+                Message::new(NodeId(from), NodeId(1), MessageKind::Update, vec![0]),
+            );
+        }
+        let mut inbox = Vec::new();
+        lanes.drain_to(0, &mut inbox);
+        assert!(inbox.is_empty());
+        lanes.drain_to(1, &mut inbox);
+        let senders: Vec<u32> = inbox.iter().map(|(_, m)| m.from.0).collect();
+        assert_eq!(senders, [2, 7, u32::MAX], "strangers stay in push order");
     }
 }

@@ -1,9 +1,14 @@
-//! Per-node traffic and timing statistics.
+//! One node's own measurements, and the deployment-wide figures folded over
+//! them.
 //!
 //! These are the raw measurements behind the paper's evaluation metrics
 //! (§8.1): per-node communication overhead in KB, average transaction
 //! duration, fixpoint latency, and the cumulative fraction of converged
-//! nodes over time.
+//! nodes over time.  Every one of them is a *per-node* measurement, so each
+//! node owns a [`NodeLedger`] and records into it only what it did itself;
+//! a deployment-wide number is a fold over the nodes' ledgers (the functions
+//! at the end of this module), never a table some node task is handed a
+//! share of.
 
 use crate::message::MessageKind;
 use crate::node::NodeId;
@@ -26,11 +31,10 @@ impl NodeTraffic {
     /// **Sent bytes only — received bytes are intentionally excluded.**  The
     /// paper reports per-node overhead as the bandwidth a node *originates*;
     /// every received byte is some other node's sent byte, so summing both
-    /// directions would double-count each message at the deployment level
-    /// (`NetworkStats::total_bytes` sums this per-node value).  Callers that
-    /// want the receive direction read [`NodeTraffic::bytes_received`]
-    /// directly, or the `net_node_bytes_received{node="..."}` gauge published
-    /// by [`NetworkStats::publish_to_registry`].
+    /// directions would double-count each message at the deployment level.
+    /// Callers that want the receive direction read
+    /// [`NodeTraffic::bytes_received`]; sent minus received over a deployment
+    /// is what was still in flight (or dropped) when the run stopped.
     pub fn total_bytes(&self) -> usize {
         self.bytes_sent
     }
@@ -41,423 +45,304 @@ impl NodeTraffic {
     }
 }
 
-/// Traffic counters for one directed link.
+/// Traffic counters for one directed link, or for one message kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkTraffic {
     pub messages: usize,
     pub bytes: usize,
 }
 
-/// Traffic statistics for a whole deployment.
+impl LinkTraffic {
+    fn add(&mut self, wire_size: usize) {
+        self.messages += 1;
+        self.bytes += wire_size;
+    }
+}
+
+/// Everything one node measures about itself: what it committed and when,
+/// what it refused, what it sent (in total, per destination, per message
+/// kind) and what it received.  The node's task is the only writer, under
+/// either executor, so nothing here is shared, sharded or merged.
 #[derive(Debug, Clone, Default)]
-pub struct NetworkStats {
-    per_node: Vec<NodeTraffic>,
-    per_kind: HashMap<MessageKind, LinkTraffic>,
-    per_link: HashMap<(NodeId, NodeId), LinkTraffic>,
+pub struct NodeLedger {
+    /// Wall-clock duration of every committed transaction, in commit order.
+    transaction_durations: Vec<Duration>,
+    /// Virtual times at which those transactions completed (the hash-join
+    /// completion CDFs read the initiator's).
+    completion_times: Vec<VirtualTime>,
+    /// Virtual time at which this node last finished processing a batch,
+    /// whatever the verdict.
+    last_activity: VirtualTime,
+    rejected_batches: usize,
+    conflicting_batches: usize,
+    retractions_applied: usize,
+    traffic: NodeTraffic,
+    /// Sent traffic per destination; the rows sum to the sent totals.
+    sent_to: HashMap<NodeId, LinkTraffic>,
+    /// Sent traffic per message kind; the rows sum to the sent totals.
+    sent_by_kind: HashMap<MessageKind, LinkTraffic>,
+    /// Bytes of exchange-relation deltas (`shard_xchg_*` / `shard_bcast_*`)
+    /// shipped on the update stream — the wire cost of the shard plane,
+    /// separated from ordinary `says` traffic.
+    exchange_bytes: usize,
 }
 
-impl NetworkStats {
-    /// Statistics for `nodes` nodes.
-    pub fn new(nodes: usize) -> Self {
-        NetworkStats {
-            per_node: vec![NodeTraffic::default(); nodes],
-            per_kind: HashMap::new(),
-            per_link: HashMap::new(),
-        }
+impl NodeLedger {
+    /// Record one message this node sent.
+    pub fn record_send(&mut self, to: NodeId, wire_size: usize, kind: MessageKind) {
+        self.traffic.bytes_sent += wire_size;
+        self.traffic.messages_sent += 1;
+        self.sent_to.entry(to).or_default().add(wire_size);
+        self.sent_by_kind.entry(kind).or_default().add(wire_size);
     }
 
-    /// Record one message send.
-    pub fn record_send(&mut self, from: NodeId, to: NodeId, wire_size: usize, kind: MessageKind) {
-        if let Some(sender) = self.per_node.get_mut(from.index()) {
-            sender.bytes_sent += wire_size;
-            sender.messages_sent += 1;
-        }
-        if let Some(receiver) = self.per_node.get_mut(to.index()) {
-            receiver.bytes_received += wire_size;
-            receiver.messages_received += 1;
-        }
-        let kind_traffic = self.per_kind.entry(kind).or_default();
-        kind_traffic.messages += 1;
-        kind_traffic.bytes += wire_size;
-        let link = self.per_link.entry((from, to)).or_default();
-        link.messages += 1;
-        link.bytes += wire_size;
+    /// Record one message delivered to this node, whoever it claims to be
+    /// from.
+    pub fn record_receive(&mut self, wire_size: usize) {
+        self.traffic.bytes_received += wire_size;
+        self.traffic.messages_received += 1;
     }
 
-    /// Fold another statistics shard into this one.  The reactor executor
-    /// gives every node task its own [`NetworkStats`] shard (recorded on the
-    /// sender side, lock-free) and merges them at the end of the run; the
-    /// merged result is indistinguishable from one shared recorder.
-    pub fn merge(&mut self, other: &NetworkStats) {
-        if self.per_node.len() < other.per_node.len() {
-            self.per_node
-                .resize(other.per_node.len(), NodeTraffic::default());
-        }
-        for (mine, theirs) in self.per_node.iter_mut().zip(&other.per_node) {
-            mine.bytes_sent += theirs.bytes_sent;
-            mine.bytes_received += theirs.bytes_received;
-            mine.messages_sent += theirs.messages_sent;
-            mine.messages_received += theirs.messages_received;
-        }
-        for (&kind, traffic) in &other.per_kind {
-            let mine = self.per_kind.entry(kind).or_default();
-            mine.messages += traffic.messages;
-            mine.bytes += traffic.bytes;
-        }
-        for (&link, traffic) in &other.per_link {
-            let mine = self.per_link.entry(link).or_default();
-            mine.messages += traffic.messages;
-            mine.bytes += traffic.bytes;
-        }
+    /// Record `bytes` of exchange-relation deltas shipped by this node.
+    pub fn record_exchange(&mut self, bytes: usize) {
+        self.exchange_bytes += bytes;
     }
 
-    /// Traffic counters for one directed link.
-    pub fn link(&self, from: NodeId, to: NodeId) -> LinkTraffic {
-        self.per_link.get(&(from, to)).copied().unwrap_or_default()
-    }
-
-    /// The `k` links that carried the most messages, busiest first (ties
-    /// broken by bytes, then by link id for determinism).  Used to name the
-    /// hot spots when a run exceeds its message budget without converging.
-    pub fn busiest_links(&self, k: usize) -> Vec<(NodeId, NodeId, LinkTraffic)> {
-        let mut links: Vec<(NodeId, NodeId, LinkTraffic)> = self
-            .per_link
-            .iter()
-            .map(|(&(from, to), &traffic)| (from, to, traffic))
-            .collect();
-        links.sort_by(|a, b| {
-            (b.2.messages, b.2.bytes)
-                .cmp(&(a.2.messages, a.2.bytes))
-                .then_with(|| (a.0 .0, a.1 .0).cmp(&(b.0 .0, b.1 .0)))
-        });
-        links.truncate(k);
-        links
-    }
-
-    /// Counters for one node.
-    pub fn node(&self, id: NodeId) -> &NodeTraffic {
-        &self.per_node[id.index()]
-    }
-
-    /// Counters for every node.
-    pub fn nodes(&self) -> &[NodeTraffic] {
-        &self.per_node
-    }
-
-    /// Total bytes sent across the deployment.
-    pub fn total_bytes(&self) -> usize {
-        self.per_node.iter().map(|n| n.bytes_sent).sum()
-    }
-
-    /// Average per-node overhead in kilobytes — the metric of Figures 6 & 12.
-    pub fn average_per_node_kb(&self) -> f64 {
-        if self.per_node.is_empty() {
-            return 0.0;
-        }
-        self.per_node
-            .iter()
-            .map(|n| n.kilobytes_sent())
-            .sum::<f64>()
-            / self.per_node.len() as f64
-    }
-
-    /// Bytes attributed to a message kind.
-    pub fn bytes_for_kind(&self, kind: MessageKind) -> usize {
-        self.per_kind.get(&kind).map_or(0, |t| t.bytes)
-    }
-
-    /// Messages of a given kind.  Backs the data-plane / control-plane split
-    /// of the message-budget guard and its regression test: credit grants are
-    /// control traffic and must not count against a convergence budget.
-    pub fn messages_for_kind(&self, kind: MessageKind) -> usize {
-        self.per_kind.get(&kind).map_or(0, |t| t.messages)
-    }
-
-    /// Publish these statistics into the global telemetry registry as
-    /// labelled gauges — `net_node_bytes_sent{node="i"}`,
-    /// `net_node_bytes_received{node="i"}` (the receive direction
-    /// [`NodeTraffic::total_bytes`] deliberately excludes),
-    /// `net_node_messages_{sent,received}{node="i"}`, and
-    /// `net_bytes_by_kind{kind="..."}`.  This struct stays the API of
-    /// record; the gauges are a view for exporters, refreshed on each call
-    /// (per-node label names are interned once per node, so this is not for
-    /// per-send hot paths — `Deployment::report` calls it once per run).
-    pub fn publish_to_registry(&self) {
-        let registry = secureblox_telemetry::registry();
-        for (index, traffic) in self.per_node.iter().enumerate() {
-            registry
-                .gauge(&format!("net_node_bytes_sent{{node=\"{index}\"}}"))
-                .set(traffic.bytes_sent as i64);
-            registry
-                .gauge(&format!("net_node_bytes_received{{node=\"{index}\"}}"))
-                .set(traffic.bytes_received as i64);
-            registry
-                .gauge(&format!("net_node_messages_sent{{node=\"{index}\"}}"))
-                .set(traffic.messages_sent as i64);
-            registry
-                .gauge(&format!("net_node_messages_received{{node=\"{index}\"}}"))
-                .set(traffic.messages_received as i64);
-        }
-        for (kind, traffic) in &self.per_kind {
-            registry
-                .gauge(&format!("net_bytes_by_kind{{kind=\"{}\"}}", kind.label()))
-                .set(traffic.bytes as i64);
-        }
-    }
-}
-
-/// Timing statistics for a whole deployment run.
-#[derive(Debug, Clone, Default)]
-pub struct TimingStats {
-    /// Wall-clock duration of every committed transaction, per node.
-    transaction_durations: Vec<Vec<Duration>>,
-    /// Virtual time at which each node last finished processing a batch.
-    last_activity: Vec<VirtualTime>,
-    /// Virtual times at which transactions completed (used for the hash-join
-    /// completion CDFs at the initiator).
-    completion_times: Vec<Vec<VirtualTime>>,
-    /// Batches rejected by constraint violations, per node.
-    rejected_batches: Vec<usize>,
-    /// Batches rolled back by functional-dependency conflicts (e.g. duplicate
-    /// advertisements of the same path entity), per node.
-    conflicting_batches: Vec<usize>,
-    /// Retraction deltas applied (verified and DRed-maintained), per node.
-    retractions_applied: Vec<usize>,
-}
-
-impl TimingStats {
-    /// Timing statistics for `nodes` nodes.
-    pub fn new(nodes: usize) -> Self {
-        TimingStats {
-            transaction_durations: vec![Vec::new(); nodes],
-            last_activity: vec![0; nodes],
-            completion_times: vec![Vec::new(); nodes],
-            rejected_batches: vec![0; nodes],
-            conflicting_batches: vec![0; nodes],
-            retractions_applied: vec![0; nodes],
-        }
-    }
-
-    /// Fold another timing shard into this one.  Per-node series concatenate
-    /// (each reactor task only ever records rows for its own node, so the
-    /// within-node order is preserved); counters add; activity watermarks
-    /// take the maximum.
-    pub fn merge(&mut self, other: TimingStats) {
-        let nodes = self
-            .transaction_durations
-            .len()
-            .max(other.last_activity.len());
-        if self.transaction_durations.len() < nodes {
-            *self = {
-                let mut grown = TimingStats::new(nodes);
-                grown.merge(std::mem::take(self));
-                grown
-            };
-        }
-        for (index, durations) in other.transaction_durations.into_iter().enumerate() {
-            self.transaction_durations[index].extend(durations);
-        }
-        for (index, completions) in other.completion_times.into_iter().enumerate() {
-            self.completion_times[index].extend(completions);
-        }
-        for (index, &activity) in other.last_activity.iter().enumerate() {
-            self.last_activity[index] = self.last_activity[index].max(activity);
-        }
-        for (index, &count) in other.rejected_batches.iter().enumerate() {
-            self.rejected_batches[index] += count;
-        }
-        for (index, &count) in other.conflicting_batches.iter().enumerate() {
-            self.conflicting_batches[index] += count;
-        }
-        for (index, &count) in other.retractions_applied.iter().enumerate() {
-            self.retractions_applied[index] += count;
-        }
-    }
-
-    /// Record a committed transaction on `node` finishing at virtual time
+    /// Record a committed transaction finishing at virtual time
     /// `finished_at` after running for `duration` of real compute time.
-    pub fn record_transaction(
-        &mut self,
-        node: NodeId,
-        duration: Duration,
-        finished_at: VirtualTime,
-    ) {
-        self.transaction_durations[node.index()].push(duration);
-        self.completion_times[node.index()].push(finished_at);
-        self.last_activity[node.index()] = self.last_activity[node.index()].max(finished_at);
+    pub fn record_transaction(&mut self, duration: Duration, finished_at: VirtualTime) {
+        self.transaction_durations.push(duration);
+        self.completion_times.push(finished_at);
+        self.last_activity = self.last_activity.max(finished_at);
     }
 
     /// Record a batch rejected by a constraint violation (a security policy
     /// refusing the batch: unknown principal, bad signature, missing write
     /// access, forbidden delegation, undecryptable payload).
-    pub fn record_rejection(&mut self, node: NodeId, finished_at: VirtualTime) {
-        self.rejected_batches[node.index()] += 1;
-        self.last_activity[node.index()] = self.last_activity[node.index()].max(finished_at);
+    pub fn record_rejection(&mut self, finished_at: VirtualTime) {
+        self.rejected_batches += 1;
+        self.last_activity = self.last_activity.max(finished_at);
     }
 
     /// Record a batch rolled back by a functional-dependency conflict — a
     /// data-level duplicate (e.g. the same path entity advertised along two
     /// different branches), not a security decision.
-    pub fn record_conflict(&mut self, node: NodeId, finished_at: VirtualTime) {
-        self.conflicting_batches[node.index()] += 1;
-        self.last_activity[node.index()] = self.last_activity[node.index()].max(finished_at);
+    pub fn record_conflict(&mut self, finished_at: VirtualTime) {
+        self.conflicting_batches += 1;
+        self.last_activity = self.last_activity.max(finished_at);
     }
 
-    /// Record a retraction delta applied on `node`: the signature verified,
-    /// the facts were deleted, and derived state was DRed-maintained.
-    pub fn record_retraction(&mut self, node: NodeId, finished_at: VirtualTime) {
-        self.retractions_applied[node.index()] += 1;
-        self.last_activity[node.index()] = self.last_activity[node.index()].max(finished_at);
+    /// Record a retraction delta applied: the signature verified, the facts
+    /// were deleted, and derived state was DRed-maintained.
+    pub fn record_retraction(&mut self, finished_at: VirtualTime) {
+        self.retractions_applied += 1;
+        self.last_activity = self.last_activity.max(finished_at);
     }
 
-    /// Average transaction duration across all nodes (Figure 7).
-    pub fn average_transaction_duration(&self) -> Duration {
-        let all: Vec<Duration> = self
-            .transaction_durations
-            .iter()
-            .flatten()
-            .copied()
-            .collect();
-        if all.is_empty() {
-            return Duration::ZERO;
-        }
-        all.iter().sum::<Duration>() / all.len() as u32
+    /// Durations of this node's committed transactions (Figure 7 samples).
+    pub fn transaction_durations(&self) -> &[Duration] {
+        &self.transaction_durations
     }
 
-    /// The `q`-th percentile (0.0..=1.0) of committed-transaction durations
-    /// across all nodes, by the nearest-rank method.  `Duration::ZERO` when
-    /// nothing committed.  Backs the p50/p99 apply-latency figures of the
-    /// streaming-throughput benchmark.
-    pub fn transaction_duration_percentile(&self, q: f64) -> Duration {
-        let mut all: Vec<Duration> = self
-            .transaction_durations
-            .iter()
-            .flatten()
-            .copied()
-            .collect();
-        if all.is_empty() {
-            return Duration::ZERO;
-        }
-        all.sort_unstable();
-        let rank = ((q.clamp(0.0, 1.0) * all.len() as f64).ceil() as usize).max(1) - 1;
-        all[rank.min(all.len() - 1)]
+    /// Completion times of this node's committed transactions (Figures 10
+    /// and 11 use the join initiator's).
+    pub fn completion_times(&self) -> &[VirtualTime] {
+        &self.completion_times
     }
 
-    /// Number of committed transactions across all nodes.
-    pub fn total_transactions(&self) -> usize {
-        self.transaction_durations.iter().map(|v| v.len()).sum()
+    /// The virtual time this node last processed a batch (Figures 8 and 9).
+    pub fn last_activity(&self) -> VirtualTime {
+        self.last_activity
     }
 
-    /// Number of rejected batches across all nodes.
-    pub fn total_rejections(&self) -> usize {
-        self.rejected_batches.iter().sum()
+    /// Batches a constraint refused at this node.
+    pub fn rejected_batches(&self) -> usize {
+        self.rejected_batches
     }
 
-    /// Number of functional-dependency-conflicting batches across all nodes.
-    pub fn total_conflicts(&self) -> usize {
-        self.conflicting_batches.iter().sum()
+    /// Batches a functional dependency rolled back at this node.
+    pub fn conflicting_batches(&self) -> usize {
+        self.conflicting_batches
     }
 
-    /// Number of retraction deltas applied across all nodes.
-    pub fn total_retractions(&self) -> usize {
-        self.retractions_applied.iter().sum()
+    /// Retraction deltas applied at this node.
+    pub fn retractions_applied(&self) -> usize {
+        self.retractions_applied
     }
 
-    /// The virtual time at which the distributed fixpoint was reached
-    /// (Figures 4 and 5): the last activity of any node.
-    pub fn fixpoint_time(&self) -> VirtualTime {
-        self.last_activity.iter().copied().max().unwrap_or(0)
+    /// Bytes and messages this node sent and received.
+    pub fn traffic(&self) -> &NodeTraffic {
+        &self.traffic
     }
 
-    /// Per-node convergence times: the virtual time each node last processed
-    /// or received a batch (Figures 8 and 9).
-    pub fn convergence_times(&self) -> &[VirtualTime] {
-        &self.last_activity
+    /// What this node sent, per destination.
+    pub fn sent_to(&self) -> &HashMap<NodeId, LinkTraffic> {
+        &self.sent_to
     }
 
-    /// The cumulative fraction of nodes converged by each point of `samples`
-    /// evenly spaced virtual-time steps — the series plotted in Figures 8/9.
-    pub fn convergence_cdf(&self, samples: usize) -> Vec<(VirtualTime, f64)> {
-        let end = self.fixpoint_time().max(1);
-        let n = self.last_activity.len().max(1);
-        (0..=samples)
-            .map(|i| {
-                let t = end * i as u64 / samples.max(1) as u64;
-                let converged = self.last_activity.iter().filter(|&&a| a <= t).count();
-                (t, converged as f64 / n as f64)
-            })
-            .collect()
+    /// What this node sent, per message kind.  Backs the data-plane /
+    /// control-plane split of the message-budget guard's regression test:
+    /// credit grants are control traffic and must not spend the budget.
+    pub fn sent_by_kind(&self) -> &HashMap<MessageKind, LinkTraffic> {
+        &self.sent_by_kind
     }
 
-    /// Completion times of transactions at one node (Figures 10 and 11 use
-    /// the join initiator's completions).
-    pub fn completions(&self, node: NodeId) -> &[VirtualTime] {
-        &self.completion_times[node.index()]
+    /// Bytes of exchange-relation deltas this node shipped.
+    pub fn exchange_bytes(&self) -> usize {
+        self.exchange_bytes
     }
+}
+
+// ---------------------------------------------------------------------
+// Deployment-wide figures: folds over the nodes' ledgers, in node order.
+// ---------------------------------------------------------------------
+
+/// Average per-node overhead in kilobytes — the metric of Figures 6 & 12.
+pub fn average_per_node_kb(ledgers: &[&NodeLedger]) -> f64 {
+    if ledgers.is_empty() {
+        return 0.0;
+    }
+    ledgers
+        .iter()
+        .map(|ledger| ledger.traffic.kilobytes_sent())
+        .sum::<f64>()
+        / ledgers.len() as f64
+}
+
+/// The `k` links that carried the most messages, busiest first (ties
+/// broken by bytes, then by link id for determinism); `ledgers[i]` is node
+/// `i`'s.  Used to name the hot spots when a run exceeds its message budget
+/// without converging.
+pub fn busiest_links(ledgers: &[&NodeLedger], k: usize) -> Vec<(NodeId, NodeId, LinkTraffic)> {
+    let mut links: Vec<(NodeId, NodeId, LinkTraffic)> = ledgers
+        .iter()
+        .enumerate()
+        .flat_map(|(from, ledger)| {
+            let from = NodeId(from as u32);
+            ledger
+                .sent_to
+                .iter()
+                .map(move |(&to, &sent)| (from, to, sent))
+        })
+        .collect();
+    links.sort_by(|a, b| {
+        (b.2.messages, b.2.bytes)
+            .cmp(&(a.2.messages, a.2.bytes))
+            .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
+    });
+    links.truncate(k);
+    links
+}
+
+/// Average transaction duration across all nodes (Figure 7).
+pub fn average_transaction_duration(ledgers: &[&NodeLedger]) -> Duration {
+    let count: usize = ledgers.iter().map(|l| l.transaction_durations.len()).sum();
+    if count == 0 {
+        return Duration::ZERO;
+    }
+    let total: Duration = ledgers.iter().flat_map(|l| &l.transaction_durations).sum();
+    total / count as u32
+}
+
+/// The `q`-th percentile (0.0..=1.0) of committed-transaction durations
+/// across all nodes, by the nearest-rank method.  `Duration::ZERO` when
+/// nothing committed.  Backs the p50/p99 apply-latency figures of the
+/// streaming-throughput benchmark.
+pub fn transaction_duration_percentile(ledgers: &[&NodeLedger], q: f64) -> Duration {
+    let mut all: Vec<Duration> = ledgers
+        .iter()
+        .flat_map(|l| &l.transaction_durations)
+        .copied()
+        .collect();
+    if all.is_empty() {
+        return Duration::ZERO;
+    }
+    all.sort_unstable();
+    let rank = ((q.clamp(0.0, 1.0) * all.len() as f64).ceil() as usize).max(1) - 1;
+    all[rank.min(all.len() - 1)]
+}
+
+/// The virtual time at which the distributed fixpoint was reached (Figures
+/// 4 and 5): the last activity of any node, rejections and retractions
+/// included.
+pub fn fixpoint_time(ledgers: &[&NodeLedger]) -> VirtualTime {
+    ledgers
+        .iter()
+        .map(|ledger| ledger.last_activity)
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn refs(ledgers: &[NodeLedger]) -> Vec<&NodeLedger> {
+        ledgers.iter().collect()
+    }
+
+    /// Node 0 sends 1024 B to node 1, node 1 sends 2048 B back; each side
+    /// records its own half, as `NodeCtx` does.
+    fn exchange(first: usize, second: usize) -> Vec<NodeLedger> {
+        let mut ledgers = vec![NodeLedger::default(); 2];
+        ledgers[0].record_send(NodeId(1), first, MessageKind::Update);
+        ledgers[1].record_receive(first);
+        ledgers[1].record_send(NodeId(0), second, MessageKind::Update);
+        ledgers[0].record_receive(second);
+        ledgers
+    }
+
     #[test]
     fn traffic_accounting() {
-        let mut stats = NetworkStats::new(2);
-        stats.record_send(NodeId(0), NodeId(1), 1024, MessageKind::Update);
-        stats.record_send(NodeId(1), NodeId(0), 2048, MessageKind::Update);
-        assert_eq!(stats.node(NodeId(0)).bytes_sent, 1024);
-        assert_eq!(stats.node(NodeId(0)).bytes_received, 2048);
-        assert_eq!(stats.total_bytes(), 3072);
-        assert!((stats.average_per_node_kb() - 1.5).abs() < 1e-9);
-        assert_eq!(stats.bytes_for_kind(MessageKind::Update), 3072);
-        assert_eq!(stats.bytes_for_kind(MessageKind::AnonForward), 0);
+        let ledgers = exchange(1024, 2048);
+        assert_eq!(ledgers[0].traffic().bytes_sent, 1024);
+        assert_eq!(ledgers[0].traffic().bytes_received, 2048);
+        assert_eq!(ledgers[0].traffic().messages_sent, 1);
+        assert!((average_per_node_kb(&refs(&ledgers)) - 1.5).abs() < 1e-9);
+        assert_eq!(ledgers[1].sent_by_kind()[&MessageKind::Update].bytes, 2048);
+        assert!(!ledgers[1]
+            .sent_by_kind()
+            .contains_key(&MessageKind::AnonForward));
     }
 
     #[test]
     fn per_link_counters_and_busiest_links() {
-        let mut stats = NetworkStats::new(3);
-        stats.record_send(NodeId(0), NodeId(1), 100, MessageKind::Update);
-        stats.record_send(NodeId(0), NodeId(1), 200, MessageKind::Update);
-        stats.record_send(NodeId(1), NodeId(2), 50, MessageKind::Update);
+        let mut ledgers = vec![NodeLedger::default(); 3];
+        ledgers[0].record_send(NodeId(1), 100, MessageKind::Update);
+        ledgers[0].record_send(NodeId(1), 200, MessageKind::Update);
+        ledgers[1].record_send(NodeId(2), 50, MessageKind::Update);
         assert_eq!(
-            stats.link(NodeId(0), NodeId(1)),
+            ledgers[0].sent_to()[&NodeId(1)],
             LinkTraffic {
                 messages: 2,
                 bytes: 300
             }
         );
         // Directed: the reverse link is untouched.
-        assert_eq!(stats.link(NodeId(1), NodeId(0)), LinkTraffic::default());
-        let busiest = stats.busiest_links(1);
+        assert!(!ledgers[1].sent_to().contains_key(&NodeId(0)));
+        let busiest = busiest_links(&refs(&ledgers), 1);
         assert_eq!(busiest.len(), 1);
         assert_eq!((busiest[0].0, busiest[0].1), (NodeId(0), NodeId(1)));
         assert_eq!(busiest[0].2.messages, 2);
         // Asking for more links than exist returns them all, busiest first.
-        let all = stats.busiest_links(10);
+        let all = busiest_links(&refs(&ledgers), 10);
         assert_eq!(all.len(), 2);
         assert!(all[0].2.messages >= all[1].2.messages);
     }
 
     #[test]
     fn transaction_duration_percentiles() {
-        let mut timing = TimingStats::new(2);
+        let mut ledgers = vec![NodeLedger::default(); 2];
         for ms in 1..=100u64 {
-            timing.record_transaction(NodeId((ms % 2) as u32), Duration::from_millis(ms), ms);
+            ledgers[(ms % 2) as usize].record_transaction(Duration::from_millis(ms), ms);
         }
+        let ledgers = refs(&ledgers);
+        let percentile = |q| transaction_duration_percentile(&ledgers, q);
+        assert_eq!(percentile(0.5), Duration::from_millis(50));
+        assert_eq!(percentile(0.99), Duration::from_millis(99));
+        assert_eq!(percentile(1.0), Duration::from_millis(100));
         assert_eq!(
-            timing.transaction_duration_percentile(0.5),
-            Duration::from_millis(50)
-        );
-        assert_eq!(
-            timing.transaction_duration_percentile(0.99),
-            Duration::from_millis(99)
-        );
-        assert_eq!(
-            timing.transaction_duration_percentile(1.0),
-            Duration::from_millis(100)
-        );
-        assert_eq!(
-            TimingStats::new(1).transaction_duration_percentile(0.5),
+            transaction_duration_percentile(&[&NodeLedger::default()], 0.5),
             Duration::ZERO
         );
     }
@@ -468,84 +353,45 @@ mod tests {
         // bandwidth.  Received bytes are some other node's sends — counting
         // them here would double-count every message when the per-node
         // values are summed (the deployment-level figure of the paper's §8).
-        let mut stats = NetworkStats::new(2);
-        stats.record_send(NodeId(0), NodeId(1), 1000, MessageKind::Update);
-        stats.record_send(NodeId(1), NodeId(0), 500, MessageKind::Update);
-        let node0 = stats.node(NodeId(0));
+        let ledgers = exchange(1000, 500);
+        let node0 = ledgers[0].traffic();
         assert_eq!(node0.bytes_sent, 1000);
         assert_eq!(node0.bytes_received, 500);
         assert_eq!(node0.total_bytes(), node0.bytes_sent);
         assert_ne!(node0.total_bytes(), node0.bytes_sent + node0.bytes_received);
         // Summing per-node totals equals each message counted exactly once.
-        let summed: usize = stats.nodes().iter().map(NodeTraffic::total_bytes).sum();
-        assert_eq!(summed, stats.total_bytes());
+        let summed: usize = ledgers.iter().map(|l| l.traffic().total_bytes()).sum();
         assert_eq!(summed, 1500);
     }
 
     #[test]
-    fn publish_exposes_both_directions_as_gauges() {
-        let mut stats = NetworkStats::new(2);
-        stats.record_send(NodeId(0), NodeId(1), 1000, MessageKind::Update);
-        stats.publish_to_registry();
-        let registry = secureblox_telemetry::registry();
-        assert_eq!(
-            registry.gauge("net_node_bytes_sent{node=\"0\"}").get(),
-            1000
-        );
-        // The receive direction `total_bytes` excludes is observable here.
-        assert_eq!(
-            registry.gauge("net_node_bytes_received{node=\"1\"}").get(),
-            1000
-        );
-        assert_eq!(
-            registry.gauge("net_bytes_by_kind{kind=\"update\"}").get(),
-            1000
-        );
-        let text = registry.prometheus_text();
-        assert!(text.contains("net_node_bytes_received{node=\"1\"} 1000"));
-    }
-
-    #[test]
     fn timing_summaries() {
-        let mut timing = TimingStats::new(3);
-        timing.record_transaction(NodeId(0), Duration::from_millis(10), 1_000);
-        timing.record_transaction(NodeId(1), Duration::from_millis(30), 5_000);
-        timing.record_transaction(NodeId(1), Duration::from_millis(20), 9_000);
-        timing.record_rejection(NodeId(2), 2_000);
-        timing.record_conflict(NodeId(0), 500);
-        timing.record_retraction(NodeId(1), 9_500);
-        assert_eq!(timing.total_transactions(), 3);
-        assert_eq!(timing.total_rejections(), 1);
-        assert_eq!(timing.total_conflicts(), 1);
-        assert_eq!(timing.total_retractions(), 1);
+        let mut ledgers = vec![NodeLedger::default(); 3];
+        ledgers[0].record_transaction(Duration::from_millis(10), 1_000);
+        ledgers[1].record_transaction(Duration::from_millis(30), 5_000);
+        ledgers[1].record_transaction(Duration::from_millis(20), 9_000);
+        ledgers[2].record_rejection(2_000);
+        ledgers[0].record_conflict(500);
+        ledgers[1].record_retraction(9_500);
+        assert_eq!(ledgers[1].completion_times(), &[5_000, 9_000]);
+        assert_eq!(ledgers[2].rejected_batches(), 1);
+        assert_eq!(ledgers[0].conflicting_batches(), 1);
+        assert_eq!(ledgers[1].retractions_applied(), 1);
         assert_eq!(
-            timing.average_transaction_duration(),
+            average_transaction_duration(&refs(&ledgers)),
             Duration::from_millis(20)
         );
-        assert_eq!(timing.fixpoint_time(), 9_500);
-        assert_eq!(timing.convergence_times(), &[1_000, 9_500, 2_000]);
-    }
-
-    #[test]
-    fn convergence_cdf_is_monotone_and_ends_at_one() {
-        let mut timing = TimingStats::new(4);
-        for (i, t) in [1_000u64, 2_000, 3_000, 10_000].iter().enumerate() {
-            timing.record_transaction(NodeId(i as u32), Duration::from_millis(1), *t);
-        }
-        let cdf = timing.convergence_cdf(10);
-        assert_eq!(cdf.first().unwrap().1, 0.0);
-        assert_eq!(cdf.last().unwrap().1, 1.0);
-        for window in cdf.windows(2) {
-            assert!(window[1].1 >= window[0].1);
-        }
+        // A retraction is activity: it moves the fixpoint, not the average.
+        assert_eq!(fixpoint_time(&refs(&ledgers)), 9_500);
+        let activity: Vec<VirtualTime> = ledgers.iter().map(NodeLedger::last_activity).collect();
+        assert_eq!(activity, [1_000, 9_500, 2_000]);
     }
 
     #[test]
     fn empty_stats_are_safe() {
-        let timing = TimingStats::new(0);
-        assert_eq!(timing.average_transaction_duration(), Duration::ZERO);
-        assert_eq!(timing.fixpoint_time(), 0);
-        let stats = NetworkStats::new(0);
-        assert_eq!(stats.average_per_node_kb(), 0.0);
+        assert_eq!(average_transaction_duration(&[]), Duration::ZERO);
+        assert_eq!(fixpoint_time(&[]), 0);
+        assert_eq!(average_per_node_kb(&[]), 0.0);
+        assert!(busiest_links(&[], 3).is_empty());
     }
 }

@@ -1,11 +1,12 @@
 //! The SecureBlox telemetry plane.
 //!
 //! The paper's whole evaluation (§8.1) is measurement — per-node bandwidth,
-//! transaction duration, fixpoint latency — and until this crate the repo's
-//! instrumentation was a scatter of ad-hoc counters (`PlanStats` in the
-//! engine, `NetworkStats` in the simulator) with no timing distributions and
-//! no event stream.  This crate gives every runtime crate one shared,
-//! zero-dependency observability substrate:
+//! transaction duration, fixpoint latency.  The per-run, per-node figures
+//! live with the node that measures them (`PlanStats` in its workspace, a
+//! `NodeLedger` in its runtime state; a report folds them).  This crate is
+//! the other half: the process-wide timing distributions, monotone counters
+//! and event stream, one shared, zero-dependency observability substrate
+//! for every runtime crate:
 //!
 //! * **Metrics** ([`metrics`]): a process-wide registry of named monotonic
 //!   [`Counter`]s, [`Gauge`]s, and fixed-bucket log₂-scale [`Histogram`]s
