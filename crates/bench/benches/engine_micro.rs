@@ -1,5 +1,6 @@
 //! Ablation B: DatalogLB engine micro-benchmarks — fixpoint evaluation,
-//! transactional batches with constraint checking, incremental deletion
+//! transactional batches with constraint checking (a held fact re-asserted,
+//! and a new one derived through a rule and checked), incremental deletion
 //! (build, first fixpoint and steady-state retraction timed apart), the
 //! signature-shaped constraint check against a growing inbox, and the
 //! planner-vs-naive join comparison (a 3-literal rule over 10k-tuple
@@ -125,6 +126,34 @@ fn bench(c: &mut Criterion) {
             )])
             .unwrap()
         })
+    });
+    group.bench_function("commit_new_fact", |b| {
+        // The transaction above re-asserts a fact already held, so it
+        // derives and checks nothing.  Here the fact is new on every
+        // iteration: one rule derives `link` from it and one constraint
+        // checks both its ends.  It is withdrawn again off the clock.
+        let ws = RefCell::new(Workspace::new());
+        ws.borrow_mut()
+            .install_source(
+                "says_link(P, Q) -> principal(P), principal(Q).\n\
+                 link(X, Y) <- says_link(X, Y).\n\
+                 principal(alice). principal(bob).",
+            )
+            .unwrap();
+        ws.borrow_mut().fixpoint().unwrap();
+        let fact = || {
+            vec![(
+                "says_link".to_string(),
+                vec![Value::str("alice"), Value::str("bob")],
+            )]
+        };
+        b.iter_batched(
+            || {
+                ws.borrow_mut().retract(fact()).unwrap();
+            },
+            |()| ws.borrow_mut().transaction(fact()).unwrap(),
+            BatchSize::PerIteration,
+        )
     });
     // One link of a 20-link chain withdrawn: building the workspace, its
     // first fixpoint, and the retraction each on their own clock.

@@ -237,14 +237,14 @@ impl Deployment {
             // removed candidates makes the first flush re-send exactly those
             // Retract deltas.
             let node = ctx.node;
-            let mut vanished = FactDelta::new();
+            let mut vanished = FactDelta::default();
             for (pred, tuple, signature) in store.export_cursor() {
                 if !node.workspace.contains_fact(&pred, &tuple) {
                     node.sent.insert((pred.clone(), tuple.clone()), signature);
                     vanished.entry(pred).or_default().insert(tuple);
                 }
             }
-            node.export_pending.absorb(FactDelta::new(), vanished);
+            node.export_pending.absorb(FactDelta::default(), vanished);
             // The replay charged this host's time to the clock; the node
             // resumes where the log says it stopped.
             node.available_at = store.watermark();

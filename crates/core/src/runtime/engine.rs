@@ -39,7 +39,7 @@ use secureblox_crypto::KeyStore;
 use secureblox_datalog::error::{DatalogError, Result};
 use secureblox_datalog::eval::shuffle::ExchangeSummary;
 use secureblox_datalog::value::{Tuple, Value};
-use secureblox_datalog::{PlanStatsSnapshot, Workspace};
+use secureblox_datalog::{FnvMap, PlanStatsSnapshot, Workspace};
 use secureblox_net::stats::{self, NodeLedger};
 use secureblox_net::{
     LatencyModel, Message, MessageKind, NodeId, NodeInfo, SimNetwork, VirtualTime,
@@ -283,7 +283,7 @@ pub(crate) struct NodeState {
     /// here is withdrawn through the same channel as a `Retract` delta
     /// carrying the recorded signature — its entry goes, so a re-derivation
     /// re-asserts it.
-    pub(crate) sent: HashMap<(String, Tuple), Vec<u8>>,
+    pub(crate) sent: FnvMap<(String, Tuple), Vec<u8>>,
     /// Exportable tuples this node's commits added or removed since its last
     /// flush — the only thing [`NodeCtx::flush_updates`] reads.  Every
     /// runtime commit (transaction, retraction, recovery replay) feeds its
@@ -295,10 +295,10 @@ pub(crate) struct NodeState {
     pub(crate) store: Option<FactStore>,
     /// Highest update-stream sequence number seen per sending node, used to
     /// drop stale duplicates (at-most-once application per delta).
-    pub(crate) last_update_seq_in: HashMap<u32, u64>,
+    pub(crate) last_update_seq_in: FnvMap<u32, u64>,
     /// Per-destination update-stream sequence counters (sender side).  Owned
     /// by the sending node so reactor tasks never share counter state.
-    pub(crate) stream_seq: HashMap<usize, u64>,
+    pub(crate) stream_seq: FnvMap<usize, u64>,
     /// What this node measured about itself: commits, verdicts, traffic.
     /// Written only through this node's [`NodeCtx`]; every figure of the
     /// [`DeploymentReport`] is a fold over the nodes' ledgers.
@@ -320,7 +320,7 @@ pub(crate) struct EngineShared {
     /// Principal name per node index — lets delivery paths name a *peer*
     /// without touching that peer's (possibly locked) node state.
     pub(crate) principals: Vec<String>,
-    pub(crate) principal_index: HashMap<String, usize>,
+    pub(crate) principal_index: FnvMap<String, usize>,
     pub(crate) keystore: KeyStore,
     pub(crate) circuits: Vec<Circuit>,
 }
@@ -437,7 +437,7 @@ impl Deployment {
             .map(|((_, param), _)| param.clone())
             .collect();
 
-        let principal_index: HashMap<String, usize> = principals
+        let principal_index: FnvMap<String, usize> = principals
             .iter()
             .enumerate()
             .map(|(i, p)| (p.clone(), i))
@@ -520,13 +520,13 @@ impl Deployment {
             nodes.push(NodeState {
                 info: NodeInfo::new(index as u32, spec.principal.clone()),
                 workspace,
-                sent: HashMap::new(),
+                sent: FnvMap::default(),
                 export_pending: ExportCandidates::default(),
                 available_at: 0,
                 pending_bootstrap: spec.base_facts.clone(),
                 store: None,
-                last_update_seq_in: HashMap::new(),
-                stream_seq: HashMap::new(),
+                last_update_seq_in: FnvMap::default(),
+                stream_seq: FnvMap::default(),
                 ledger: NodeLedger::default(),
                 outboxes: BTreeMap::new(),
             });

@@ -40,8 +40,9 @@ use crate::runtime::engine::{
 };
 use crate::runtime::node::{NetSink, NodeCtx};
 use secureblox_datalog::error::{DatalogError, Result};
+use secureblox_datalog::FnvMap;
 use secureblox_net::{LinkLanes, Message, VirtualTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -109,7 +110,7 @@ struct NodeCell {
     /// this node sends on its outgoing links, so no cross-task floor exists.
     /// Dropped at teardown — at quiescence no stream has in-flight messages,
     /// so the floors carry no obligation forward.
-    floors: HashMap<usize, VirtualTime>,
+    floors: FnvMap<usize, VirtualTime>,
     /// The virtual-time-zero bootstrap batch has been processed.
     bootstrapped: bool,
 }
@@ -152,7 +153,7 @@ struct Reactor<'d> {
 /// model, enqueues into the concurrent mailboxes, and wakes the receiver.
 struct ReactorSink<'r, 'd> {
     reactor: &'r Reactor<'d>,
-    floors: &'r mut HashMap<usize, VirtualTime>,
+    floors: &'r mut FnvMap<usize, VirtualTime>,
 }
 
 impl ReactorSink<'_, '_> {
@@ -435,7 +436,7 @@ impl Deployment {
             .map(|node| NodeSlot {
                 cell: Mutex::new(NodeCell {
                     node,
-                    floors: HashMap::new(),
+                    floors: FnvMap::default(),
                     bootstrapped: false,
                 }),
                 sched: AtomicU8::new(QUEUED),

@@ -27,8 +27,9 @@
 
 use crate::runtime::codec::{DeltaOp, UpdateDelta};
 use secureblox_datalog::value::Tuple;
+use secureblox_datalog::FnvMap;
 use secureblox_net::VirtualTime;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Default deltas per shipped envelope.
 pub const DEFAULT_BATCH_MAX: usize = 64;
@@ -95,7 +96,7 @@ pub struct LinkOutbox {
     base: u64,
     /// Absolute slot index of the queued (unshipped) `Assert` per fact, for
     /// O(1) annihilation when the matching `Retract` arrives.
-    pending_asserts: HashMap<(String, Tuple), u64>,
+    pending_asserts: FnvMap<(String, Tuple), u64>,
     /// Queued deltas that are not tombstones.
     live: usize,
     /// Remaining send window in deltas.
@@ -114,7 +115,7 @@ impl LinkOutbox {
         LinkOutbox {
             deltas: VecDeque::new(),
             base: 0,
-            pending_asserts: HashMap::new(),
+            pending_asserts: FnvMap::default(),
             live: 0,
             credit: high_water.max(1),
             high_water: high_water.max(1),

@@ -24,15 +24,16 @@ use crate::eval::bindings::Bindings;
 use crate::eval::join::{DeltaRestriction, JoinContext};
 use crate::eval::plan::{bound_after, PlanCache, PlanKey, PlanStats, RulePlan};
 use crate::eval::{runtime_pred_name, FactDelta};
-use crate::relation::Relation;
+use crate::intern::FnvSet;
+use crate::relation::Relations;
 use crate::udf::UdfRegistry;
-use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Check a single constraint against the current relations, optionally with
 /// compiled plans for the two sides and a delta restriction on the lhs.
 fn check_constraint_with(
     constraint: &Constraint,
-    relations: &HashMap<String, Relation>,
+    relations: &Relations,
     udfs: &UdfRegistry,
     plans: Option<(&RulePlan, &RulePlan)>,
     restriction: Option<DeltaRestriction<'_>>,
@@ -48,13 +49,14 @@ fn check_constraint_with(
     };
     let mut violation: Option<ConstraintViolation> = None;
     let mut bindings = Bindings::new();
+    let mut rhs_bindings = Bindings::new();
     let mut on_lhs = |lhs_binding: &Bindings| {
         if violation.is_some() {
             return Ok(());
         }
         // Try to extend the binding to satisfy the right-hand side.
         let mut satisfied = false;
-        let mut rhs_bindings = lhs_binding.clone();
+        rhs_bindings.clone_from(lhs_binding);
         let mut on_rhs = |_: &Bindings| {
             satisfied = true;
             Ok(())
@@ -101,7 +103,7 @@ fn check_constraint_with(
 /// left-hand-side binding.
 pub fn check_constraint(
     constraint: &Constraint,
-    relations: &HashMap<String, Relation>,
+    relations: &Relations,
     udfs: &UdfRegistry,
 ) -> Result<()> {
     check_constraint_with(constraint, relations, udfs, None, None, None)
@@ -114,18 +116,18 @@ fn prepare_constraint_plans(
     index: usize,
     constraint: &Constraint,
     delta_literal: Option<usize>,
-    relations: &mut HashMap<String, Relation>,
+    relations: &mut Relations,
     udfs: &UdfRegistry,
     cache: &mut PlanCache,
     stats: &PlanStats,
-) -> (RulePlan, RulePlan) {
+) -> (Arc<RulePlan>, Arc<RulePlan>) {
     let lhs = cache.plan_for(
         PlanKey::ConstraintLhs {
             constraint: index,
             delta: delta_literal,
         },
         &constraint.lhs,
-        HashSet::new,
+        FnvSet::default,
         relations,
         udfs,
         stats,
@@ -153,7 +155,7 @@ fn prepare_constraint_plans(
 fn check_constraint_in_full(
     index: usize,
     constraint: &Constraint,
-    relations: &mut HashMap<String, Relation>,
+    relations: &mut Relations,
     udfs: &UdfRegistry,
     cache: &mut PlanCache,
     stats: &PlanStats,
@@ -164,7 +166,7 @@ fn check_constraint_in_full(
         constraint,
         relations,
         udfs,
-        Some((&lhs_plan, &rhs_plan)),
+        Some((&*lhs_plan, &*rhs_plan)),
         None,
         Some(stats),
     )
@@ -177,7 +179,7 @@ fn check_constraint_in_full(
 /// delta-driven check is tested against.
 pub fn check_constraints_planned(
     constraints: &[Constraint],
-    relations: &mut HashMap<String, Relation>,
+    relations: &mut Relations,
     udfs: &UdfRegistry,
     cache: &mut PlanCache,
     stats: &PlanStats,
@@ -200,7 +202,7 @@ fn reads_changed(literals: &[Literal], negated: bool, delta: &FactDelta) -> bool
             _ => return false,
         };
         runtime_pred_name(&atom.pred)
-            .is_ok_and(|pred| delta.get(&pred).is_some_and(|set| !set.is_empty()))
+            .is_ok_and(|pred| delta.get(&*pred).is_some_and(|set| !set.is_empty()))
     })
 }
 
@@ -221,7 +223,7 @@ fn reads_changed(literals: &[Literal], negated: bool, delta: &FactDelta) -> bool
 /// A constraint none of this touches is skipped.
 pub fn check_constraints_for_delta(
     constraints: &[Constraint],
-    relations: &mut HashMap<String, Relation>,
+    relations: &mut Relations,
     udfs: &UdfRegistry,
     cache: &mut PlanCache,
     stats: &PlanStats,
@@ -246,7 +248,7 @@ pub fn check_constraints_for_delta(
             let Ok(pred) = runtime_pred_name(&atom.pred) else {
                 continue;
             };
-            let Some(pred_delta) = added.get(&pred).filter(|set| !set.is_empty()) else {
+            let Some(pred_delta) = added.get(&*pred).filter(|set| !set.is_empty()) else {
                 continue;
             };
             let (lhs_plan, rhs_plan) = prepare_constraint_plans(
@@ -262,7 +264,7 @@ pub fn check_constraints_for_delta(
                 constraint,
                 relations,
                 udfs,
-                Some((&lhs_plan, &rhs_plan)),
+                Some((&*lhs_plan, &*rhs_plan)),
                 Some(DeltaRestriction {
                     literal_index,
                     delta: pred_delta,
@@ -277,7 +279,7 @@ pub fn check_constraints_for_delta(
 /// Check all constraints; the first violation wins.
 pub fn check_constraints(
     constraints: &[Constraint],
-    relations: &HashMap<String, Relation>,
+    relations: &Relations,
     udfs: &UdfRegistry,
 ) -> Result<()> {
     for constraint in constraints {
@@ -290,10 +292,11 @@ pub fn check_constraints(
 mod tests {
     use super::*;
     use crate::parser::parse_program;
+    use crate::relation::Relation;
     use crate::value::Value;
 
-    fn relations_with(facts: &[(&str, Vec<Value>)]) -> HashMap<String, Relation> {
-        let mut relations: HashMap<String, Relation> = HashMap::new();
+    fn relations_with(facts: &[(&str, Vec<Value>)]) -> Relations {
+        let mut relations = Relations::default();
         for (pred, tuple) in facts {
             relations
                 .entry(pred.to_string())

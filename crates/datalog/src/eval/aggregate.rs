@@ -10,17 +10,17 @@ use super::plan::{PlanStats, RulePlan};
 use super::runtime_pred_name;
 use crate::ast::{AggFunc, AggSpec, Rule, Term};
 use crate::error::{DatalogError, Result};
-use crate::relation::Relation;
+use crate::intern::FnvMap;
+use crate::relation::Relations;
 use crate::udf::UdfRegistry;
 use crate::value::{Tuple, Value};
-use std::collections::HashMap;
 
 /// Evaluate an aggregation rule against the full relations, returning the
 /// derived `(predicate, tuple)` pairs.  The caller inserts them with
 /// replace-on-key semantics so that improved aggregates supersede stale ones.
 pub fn evaluate_agg_rule(
     rule: &Rule,
-    relations: &HashMap<String, Relation>,
+    relations: &Relations,
     udfs: &UdfRegistry,
 ) -> Result<Vec<(String, Tuple)>> {
     evaluate_agg_rule_exec(rule, relations, udfs, None, None)
@@ -30,7 +30,7 @@ pub fn evaluate_agg_rule(
 /// (and recording probe statistics) when one is supplied.
 pub(crate) fn evaluate_agg_rule_exec(
     rule: &Rule,
-    relations: &HashMap<String, Relation>,
+    relations: &Relations,
     udfs: &UdfRegistry,
     plan: Option<&RulePlan>,
     stats: Option<&PlanStats>,
@@ -80,7 +80,7 @@ pub(crate) fn evaluate_agg_rule_exec(
                     }
                 }
             }
-            derived.push((pred, tuple));
+            derived.push((pred.into_owned(), tuple));
         }
     }
     Ok(derived)
@@ -91,16 +91,16 @@ fn fold_groups(
     rule: &Rule,
     agg: &AggSpec,
     plan: Option<&RulePlan>,
-    relations: &HashMap<String, Relation>,
+    relations: &Relations,
     udfs: &UdfRegistry,
     stats: Option<&PlanStats>,
     group_vars: &[String],
-) -> Result<HashMap<Vec<Value>, AggAccumulator>> {
+) -> Result<FnvMap<Vec<Value>, AggAccumulator>> {
     let ctx = match stats {
         Some(stats) => JoinContext::with_stats(relations, udfs, stats),
         None => JoinContext::new(relations, udfs),
     };
-    let mut groups: HashMap<Vec<Value>, AggAccumulator> = HashMap::new();
+    let mut groups: FnvMap<Vec<Value>, AggAccumulator> = FnvMap::default();
     let mut bindings = Bindings::new();
     let mut fold = |b: &Bindings| {
         let mut key: Vec<Value> = Vec::with_capacity(group_vars.len());
@@ -194,9 +194,10 @@ impl AggAccumulator {
 mod tests {
     use super::*;
     use crate::parser::parse_rule;
+    use crate::relation::Relation;
 
-    fn relations_with(facts: &[(&str, Vec<Value>)]) -> HashMap<String, Relation> {
-        let mut relations: HashMap<String, Relation> = HashMap::new();
+    fn relations_with(facts: &[(&str, Vec<Value>)]) -> Relations {
+        let mut relations = Relations::default();
         for (pred, tuple) in facts {
             relations
                 .entry(pred.to_string())

@@ -29,11 +29,10 @@ use super::plan::{is_membership, PlanStats, RulePlan};
 use super::runtime_pred_name;
 use crate::ast::{Literal, Rule, Term};
 use crate::error::Result;
-use crate::intern::{fnv_ids, Interner, PassBuild};
-use crate::relation::Relation;
+use crate::intern::{fnv_ids, FnvMap, Interner, PassMap};
+use crate::relation::Relations;
 use crate::schema::BUILTIN_TYPES;
 use crate::udf::UdfRegistry;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One tuple as dictionary ids (scratch rows only; bulk data travels as
@@ -58,10 +57,6 @@ impl IdBatch {
             rows: 0,
             data: Vec::new(),
         }
-    }
-
-    pub(crate) fn rows(&self) -> usize {
-        self.rows
     }
 
     pub(crate) fn push_row(&mut self, row: &[u32]) {
@@ -209,7 +204,7 @@ pub(crate) fn compile_batch(
     rule: &Rule,
     plan: &RulePlan,
     delta: Option<DeltaRestriction<'_>>,
-    relations: &HashMap<String, Relation>,
+    relations: &Relations,
     udfs: &UdfRegistry,
     interner: &Arc<Interner>,
 ) -> Option<BatchJob> {
@@ -219,8 +214,18 @@ pub(crate) fn compile_batch(
     if delta.is_some_and(|pinned| plan.order[0].literal != pinned.literal_index) {
         return None;
     }
+    // Most rules this path declines say so in their syntax (a comparison, a
+    // negation, an expression term): test that before allocating anything.
+    let plain = |term: &Term| matches!(term, Term::Var(_) | Term::Const(_));
+    let body_plain = rule.body.iter().all(|literal| {
+        matches!(literal, Literal::Pos(atom)
+            if atom.terms.iter().all(|term| plain(term) || matches!(term, Term::Wildcard)))
+    });
+    if !body_plain || !rule.head.iter().all(|atom| atom.terms.iter().all(plain)) {
+        return None;
+    }
 
-    let mut vars: HashMap<String, usize> = HashMap::new();
+    let mut vars: FnvMap<&str, usize> = FnvMap::default();
     let mut impossible = false;
     let mut steps = Vec::with_capacity(plan.order.len());
     for step in &plan.order {
@@ -228,17 +233,17 @@ pub(crate) fn compile_batch(
             return None;
         };
         let pred = runtime_pred_name(&atom.pred).ok()?;
-        if udfs.is_udf(&pred) || (BUILTIN_TYPES.contains(&pred.as_str()) && atom.terms.len() == 1) {
+        if udfs.is_udf(&pred) || (BUILTIN_TYPES.contains(&&*pred) && atom.terms.len() == 1) {
             return None;
         }
-        if let Some(relation) = relations.get(&pred) {
+        if let Some(relation) = relations.get(&*pred) {
             if !Arc::ptr_eq(relation.interner(), interner) {
                 return None;
             }
         }
         let mut positions = Vec::with_capacity(atom.terms.len());
         let mut fresh: Vec<usize> = Vec::new();
-        let mut local: HashMap<&str, usize> = HashMap::new();
+        let mut local: FnvMap<&str, usize> = FnvMap::default();
         for (pos, term) in atom.terms.iter().enumerate() {
             let spec = match term {
                 Term::Wildcard => PosSpec::Free,
@@ -267,7 +272,7 @@ pub(crate) fn compile_batch(
         let base = vars.len();
         for (offset, &pos) in fresh.iter().enumerate() {
             if let Term::Var(name) = &atom.terms[pos] {
-                vars.insert(name.clone(), base + offset);
+                vars.insert(name, base + offset);
             }
         }
 
@@ -312,7 +317,7 @@ pub(crate) fn compile_batch(
             _ => None,
         };
         steps.push(StepExec {
-            pred,
+            pred: pred.into_owned(),
             arity: atom.terms.len(),
             positions,
             fresh,
@@ -331,7 +336,10 @@ pub(crate) fn compile_batch(
                 _ => return None,
             }
         }
-        heads.push(HeadExec { pred, srcs });
+        heads.push(HeadExec {
+            pred: pred.into_owned(),
+            srcs,
+        });
     }
 
     // Encode the delta rows up front.  Delta tuples were inserted into
@@ -384,7 +392,7 @@ impl Frame {
 /// head predicate.  Read-only over `relations`.
 pub(crate) fn execute_batch(
     job: &BatchJob,
-    relations: &HashMap<String, Relation>,
+    relations: &Relations,
     stats: &PlanStats,
 ) -> Result<Vec<(String, IdBatch)>> {
     if job.impossible {
@@ -424,7 +432,7 @@ fn extend_frame(
     frame: &Frame,
     step: &StepExec,
     driving: Option<&IdBatch>,
-    relations: &HashMap<String, Relation>,
+    relations: &Relations,
     stats: &PlanStats,
 ) -> Result<Frame> {
     let base = frame.cols.len();
@@ -460,7 +468,7 @@ fn extend_frame(
         let mut key_arena: Vec<u32> = Vec::new();
         let mut match_arena: Vec<u32> = Vec::new();
         // hash -> (key arena offset, match arena offset, match row count)
-        let mut cache: HashMap<u64, (u32, u32, u32), PassBuild> = HashMap::default();
+        let mut cache: PassMap<(u32, u32, u32)> = PassMap::default();
         // A cache over all-distinct keys pays an insert per frame row and
         // never hits; after a warm-up window with almost no hits, stop
         // maintaining it.  Purely a speed knob: the emitted matches are
@@ -641,13 +649,14 @@ fn canonicalize(buffers: Vec<(String, IdBatch)>) -> Vec<(String, IdBatch)> {
 mod tests {
     use super::*;
     use crate::eval::plan::{compile_body_plan, PlanStats};
+    use crate::intern::FnvSet;
     use crate::parser::parse_rule;
+    use crate::relation::Relation;
     use crate::value::Value;
-    use std::collections::HashSet;
 
-    fn setup(facts: &[(&str, Vec<Value>)]) -> (HashMap<String, Relation>, Arc<Interner>) {
+    fn setup(facts: &[(&str, Vec<Value>)]) -> (Relations, Arc<Interner>) {
         let interner = Arc::new(Interner::new());
-        let mut relations: HashMap<String, Relation> = HashMap::new();
+        let mut relations = Relations::default();
         for (pred, tuple) in facts {
             relations
                 .entry(pred.to_string())
@@ -679,7 +688,7 @@ mod tests {
         let (mut relations, interner) = setup(facts);
         let rule = parse_rule(source).unwrap();
         let udfs = UdfRegistry::new();
-        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &FnvSet::default(), &relations, &udfs);
         if build_indexes {
             for spec in &plan.ensure {
                 if let Some(relation) = relations.get_mut(&spec.pred) {

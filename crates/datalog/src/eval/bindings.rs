@@ -2,77 +2,129 @@
 
 use crate::ast::{ArithOp, Term};
 use crate::error::{DatalogError, Result};
-use crate::relation::Relation;
+use crate::relation::Relations;
 use crate::value::Value;
-use std::collections::HashMap;
 
-/// A substitution from variable names to values.
+/// A substitution from variable names to values, kept as a stack.
 ///
-/// The join machinery binds and unbinds variables as it explores the search
-/// space; [`Bindings::bind`] records nothing — callers track which variables
-/// they introduced and remove them on backtrack.
+/// The join machinery binds variables as it descends and backtracks by
+/// restoring a [`mark`](Bindings::mark): everything bound since is dropped at
+/// once.  A rule has a handful of variables, so a lookup is a short scan of
+/// the stack, and a slot given up by [`restore`](Bindings::restore) keeps its
+/// name buffer for the next bind — a join that reuses one `Bindings`
+/// allocates nothing per solution once its variables have been seen.
 ///
 /// `Bindings` is `Send + Sync` (values are `Arc`-shared), like everything
 /// else a workspace owns: the reactor executor moves workspaces between its
 /// threads.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Bindings {
-    map: HashMap<String, Value>,
+    /// `slots[..len]` is the substitution, oldest binding first; the slots
+    /// past `len` are retired and only lend their name buffers.
+    slots: Vec<(String, Value)>,
+    len: usize,
+}
+
+/// Copies the substitution, not the retired slots; `clone_from` reuses the
+/// target's slots.
+impl Clone for Bindings {
+    fn clone(&self) -> Self {
+        Bindings {
+            slots: self.live().to_vec(),
+            len: self.len,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.len = 0;
+        for (name, value) in source.live() {
+            self.push(name, value.clone());
+        }
+    }
 }
 
 impl Bindings {
     /// An empty substitution.
     pub fn new() -> Self {
-        Bindings {
-            map: HashMap::new(),
-        }
+        Bindings::default()
+    }
+
+    fn live(&self) -> &[(String, Value)] {
+        &self.slots[..self.len]
     }
 
     /// Look up a variable.
     pub fn get(&self, var: &str) -> Option<&Value> {
-        self.map.get(var)
+        self.live()
+            .iter()
+            .find(|(name, _)| name == var)
+            .map(|(_, value)| value)
     }
 
     /// True if `var` is bound.
     pub fn is_bound(&self, var: &str) -> bool {
-        self.map.contains_key(var)
+        self.get(var).is_some()
     }
 
     /// Bind `var` to `value`.  Returns `false` (and leaves the binding
     /// unchanged) if `var` is already bound to a *different* value.
     pub fn bind(&mut self, var: &str, value: Value) -> bool {
-        match self.map.get(var) {
+        match self.get(var) {
             Some(existing) => *existing == value,
             None => {
-                self.map.insert(var.to_string(), value);
+                self.push(var, value);
                 true
             }
         }
     }
 
-    /// Remove a binding (used for backtracking).
+    /// Push a binding for a variable the caller knows to be unbound.
+    fn push(&mut self, var: &str, value: Value) {
+        match self.slots.get_mut(self.len) {
+            Some((name, slot)) => {
+                name.clear();
+                name.push_str(var);
+                *slot = value;
+            }
+            None => self.slots.push((var.to_string(), value)),
+        }
+        self.len += 1;
+    }
+
+    /// Remove one binding.  Bindings made before an outstanding
+    /// [`mark`](Bindings::mark) must stay until it is restored.
     pub fn unbind(&mut self, var: &str) {
-        self.map.remove(var);
+        if let Some(position) = self.live().iter().position(|(name, _)| name == var) {
+            self.slots[position..self.len].rotate_left(1);
+            self.len -= 1;
+        }
+    }
+
+    /// The current depth of the stack, to [`restore`](Bindings::restore)
+    /// when backtracking.
+    pub fn mark(&self) -> usize {
+        self.len
+    }
+
+    /// Drop every binding made since `mark` was taken.
+    pub fn restore(&mut self, mark: usize) {
+        self.len = self.len.min(mark);
     }
 
     /// Number of bound variables.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// True if no variable is bound.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
-    /// Iterate over the bound variables in sorted order (for deterministic
-    /// diagnostics and existential-entity memo keys).
+    /// The bound variables in sorted order (for deterministic diagnostics
+    /// and existential-entity memo keys).
     pub fn sorted_items(&self) -> Vec<(String, Value)> {
-        let mut items: Vec<(String, Value)> = self
-            .map
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
+        let mut items = self.live().to_vec();
         items.sort_by(|a, b| a.0.cmp(&b.0));
         items
     }
@@ -97,11 +149,7 @@ impl Bindings {
 /// Returns `Ok(None)` when the term cannot be evaluated to a ground value
 /// (an unbound variable, a wildcard, an unset singleton, or arithmetic over
 /// such) — callers treat that as a failed match rather than an error.
-pub fn eval_term(
-    term: &Term,
-    bindings: &Bindings,
-    relations: &HashMap<String, Relation>,
-) -> Result<Option<Value>> {
+pub fn eval_term(term: &Term, bindings: &Bindings, relations: &Relations) -> Result<Option<Value>> {
     match term {
         Term::Var(v) => Ok(bindings.get(v).cloned()),
         Term::Wildcard => Ok(None),
@@ -157,53 +205,48 @@ pub fn eval_term(
 /// Match the argument terms of an atom against a stored tuple, extending
 /// `bindings` in place.
 ///
-/// On success returns the list of variables newly bound by this match (so the
-/// caller can undo them when backtracking); on mismatch returns `None` with
-/// `bindings` restored.
+/// Returns whether the tuple matched.  On a match the new bindings sit above
+/// the caller's [`Bindings::mark`], for it to restore when it backtracks; on
+/// a mismatch — or an error — `bindings` is exactly as it was.
 pub fn match_tuple(
     terms: &[Term],
     tuple: &[Value],
     bindings: &mut Bindings,
-    relations: &HashMap<String, Relation>,
-) -> Result<Option<Vec<String>>> {
+    relations: &Relations,
+) -> Result<bool> {
     if terms.len() != tuple.len() {
-        return Ok(None);
+        return Ok(false);
     }
-    let mut newly_bound: Vec<String> = Vec::new();
+    let mark = bindings.mark();
     for (term, value) in terms.iter().zip(tuple.iter()) {
         let ok = match term {
-            Term::Wildcard => true,
-            Term::Var(v) => {
-                if bindings.is_bound(v) {
-                    bindings.get(v) == Some(value)
-                } else {
-                    bindings.bind(v, value.clone());
-                    newly_bound.push(v.clone());
-                    true
+            Term::Wildcard => Ok(true),
+            Term::Var(v) => match bindings.get(v) {
+                Some(bound) => Ok(bound == value),
+                None => {
+                    bindings.push(v, value.clone());
+                    Ok(true)
                 }
-            }
-            other => match eval_term(other, bindings, relations)? {
-                Some(evaluated) => evaluated == *value,
-                None => false,
             },
+            other => eval_term(other, bindings, relations)
+                .map(|evaluated| evaluated.as_ref() == Some(value)),
         };
-        if !ok {
-            for var in &newly_bound {
-                bindings.unbind(var);
-            }
-            return Ok(None);
+        if !matches!(ok, Ok(true)) {
+            bindings.restore(mark);
+            return ok;
         }
     }
-    Ok(Some(newly_bound))
+    Ok(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::Term;
+    use crate::relation::Relation;
 
-    fn no_relations() -> HashMap<String, Relation> {
-        HashMap::new()
+    fn no_relations() -> Relations {
+        Relations::default()
     }
 
     #[test]
@@ -264,7 +307,7 @@ mod tests {
 
     #[test]
     fn eval_singleton_ref() {
-        let mut relations = HashMap::new();
+        let mut relations = Relations::default();
         let mut rel = Relation::new("self", Some(0));
         rel.insert(vec![Value::str("n1")]).unwrap();
         relations.insert("self".to_string(), rel);
@@ -296,28 +339,26 @@ mod tests {
         let mut b = Bindings::new();
         let terms = vec![Term::var("X"), Term::var("Y"), Term::var("X")];
         // Matching tuple: X=1, Y=2, X=1 again.
-        let bound = match_tuple(
+        let mark = b.mark();
+        assert!(match_tuple(
             &terms,
             &[Value::Int(1), Value::Int(2), Value::Int(1)],
             &mut b,
             &relations,
         )
-        .unwrap()
-        .unwrap();
-        assert_eq!(bound.len(), 2);
+        .unwrap());
+        assert_eq!(b.len(), 2);
         assert_eq!(b.get("Y"), Some(&Value::Int(2)));
-        for var in &bound {
-            b.unbind(var);
-        }
+        b.restore(mark);
         // Mismatching tuple: X cannot be both 1 and 3; bindings must be restored.
-        let result = match_tuple(
+        let matched = match_tuple(
             &terms,
             &[Value::Int(1), Value::Int(2), Value::Int(3)],
             &mut b,
             &relations,
         )
         .unwrap();
-        assert!(result.is_none());
+        assert!(!matched);
         assert!(b.is_empty());
     }
 
@@ -332,20 +373,77 @@ mod tests {
             &mut b,
             &relations
         )
-        .unwrap()
-        .is_some());
-        assert!(match_tuple(
+        .unwrap());
+        assert!(!match_tuple(
             &terms,
             &[Value::str("n2"), Value::Int(9)],
             &mut b,
             &relations
         )
-        .unwrap()
-        .is_none());
+        .unwrap());
         // Arity mismatch never matches.
-        assert!(match_tuple(&terms, &[Value::str("n1")], &mut b, &relations)
-            .unwrap()
-            .is_none());
+        assert!(!match_tuple(&terms, &[Value::str("n1")], &mut b, &relations).unwrap());
+    }
+
+    #[test]
+    fn a_failed_match_leaves_the_bindings_as_it_found_them() {
+        let relations = no_relations();
+        // X is bound before the match, Y and Z are bound by it; Y repeats,
+        // and the last term reads Z.
+        let terms = vec![
+            Term::var("Y"),
+            Term::var("X"),
+            Term::Const(Value::Int(7)),
+            Term::var("Z"),
+            Term::var("Y"),
+            Term::BinOp(
+                Box::new(Term::var("Z")),
+                ArithOp::Add,
+                Box::new(Term::Const(Value::Int(1))),
+            ),
+        ];
+        let good = [1, 0, 7, 2, 1, 3].map(Value::Int);
+        let mut b = Bindings::new();
+        b.bind("X", Value::Int(0));
+        b.bind("W", Value::str("w"));
+        let before = b.clone();
+        // Spoil one position at a time: the match fails there, or where a
+        // later term reads what it bound (at the last term, an arithmetic
+        // error) — after binding Y, Z, or both.
+        for position in 0..terms.len() {
+            let mut tuple = good.to_vec();
+            tuple[position] = Value::str("spoilt");
+            let result = match_tuple(&terms, &tuple, &mut b, &relations);
+            assert!(!matches!(result, Ok(true)), "position {position}");
+            assert_eq!(b.live(), before.live(), "position {position}");
+        }
+        assert!(!match_tuple(&terms, &good[1..], &mut b, &relations).unwrap());
+        assert_eq!(b.live(), before.live());
+        // A match binds above the caller's mark, and restoring it undoes
+        // exactly that.
+        let mark = b.mark();
+        assert!(match_tuple(&terms, &good, &mut b, &relations).unwrap());
+        assert_eq!(b.len(), 4);
+        assert_eq!(b.get("Z"), Some(&Value::Int(2)));
+        b.restore(mark);
+        assert_eq!(b.live(), before.live());
+    }
+
+    #[test]
+    fn restored_slots_are_reused_and_never_read() {
+        let mut b = Bindings::new();
+        b.bind("A", Value::Int(1));
+        let mark = b.mark();
+        b.bind("B", Value::Int(2));
+        b.bind("C", Value::Int(3));
+        b.restore(mark);
+        assert_eq!(b.len(), 1);
+        assert!(!b.is_bound("B") && !b.is_bound("C"));
+        assert_eq!(b.clone().slots.len(), 1, "a clone copies only live slots");
+        b.bind("D", Value::Int(4));
+        assert_eq!(b.get("D"), Some(&Value::Int(4)));
+        assert!(!b.is_bound("B"));
+        assert_eq!(b.render(), "A = 1, D = 4");
     }
 
     #[test]

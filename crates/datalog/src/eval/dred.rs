@@ -14,11 +14,10 @@
 //! and re-derivation is an ordinary fixpoint run.
 
 use super::runtime_pred_name;
-use super::seminaive::{delta_combos, Commit, Derivation, Evaluator};
-use crate::ast::Rule;
+use super::seminaive::{delta_combos, Commit, Derivation, Evaluator, FactDelta};
 use crate::error::Result;
+use crate::strata::RuleSet;
 use crate::value::Tuple;
-use std::collections::{HashMap, HashSet};
 
 impl<'a> Evaluator<'a> {
     /// Delete `base_deletions` and incrementally maintain all derived
@@ -29,11 +28,11 @@ impl<'a> Evaluator<'a> {
     /// tuples in it are never over-deleted (they have a non-rule derivation).
     pub fn delete_with_dred(
         &mut self,
-        rules: &[Rule],
-        strata: &[Vec<usize>],
+        program: &RuleSet,
         base_deletions: &[(String, Tuple)],
-        edb_facts: &HashMap<String, HashSet<Tuple>>,
+        edb_facts: &FactDelta,
     ) -> Result<Commit> {
+        let rules = program.rules();
         let mut stats = Commit::default();
 
         // Over-deletion joins run against the pre-deletion database, as in
@@ -42,7 +41,7 @@ impl<'a> Evaluator<'a> {
         // whole deletion closure is computed first and removed afterwards.
         // `removal_order` keeps discovery order so the removals — and with
         // them the relations' row order — are deterministic.
-        let mut deleted: HashMap<String, HashSet<Tuple>> = HashMap::new();
+        let mut deleted = FactDelta::default();
         let mut removal_order: Vec<(String, Tuple)> = Vec::new();
 
         // 1. The base facts actually stored.
@@ -64,11 +63,9 @@ impl<'a> Evaluator<'a> {
         // 2. Over-delete: propagate deletions through every rule until no new
         //    candidate deletions appear.  A candidate is any head tuple with a
         //    derivation that uses a deleted tuple.
-        let (agg_rules, normal_rules): (Vec<usize>, Vec<usize>) =
-            (0..rules.len()).partition(|&index| rules[index].agg.is_some());
         let mut frontier = deleted.clone();
         while frontier.values().any(|set| !set.is_empty()) {
-            let mut next_frontier: HashMap<String, HashSet<Tuple>> = HashMap::new();
+            let mut next_frontier = FactDelta::default();
             // Stored tuples of `head_pred` with a derivation through the
             // frontier join the closure, unless explicitly asserted (a
             // non-rule derivation) or in it already.  A tuple typically has
@@ -91,8 +88,8 @@ impl<'a> Evaluator<'a> {
             // literal pinned to the deleted tuples: its heads are the
             // candidates.  Existential heads recall their memoized entities,
             // exactly as in derivation.
-            for combo in delta_combos(rules, &normal_rules, &frontier)? {
-                let derivation = self.evaluate_round(rules, &[combo], &frontier)?.pop();
+            for combo in delta_combos(rules, &program.all().normal, &frontier)? {
+                let derivation = self.evaluate_round(program, &[combo], &frontier)?.pop();
                 let relations = &*self.relations;
                 match derivation.expect("one derivation per combination") {
                     Derivation::Values(derived) => {
@@ -124,13 +121,13 @@ impl<'a> Evaluator<'a> {
             // iteration, DRed may over-approximate instead: a deletion
             // reaching the body invalidates every stored tuple of the head
             // predicate, and re-derivation recomputes the surviving groups.
-            for &rule_index in &agg_rules {
+            for &rule_index in &program.all().aggregates {
                 if delta_combos(rules, &[rule_index], &frontier)?.is_empty() {
                     continue;
                 }
                 for atom in &rules[rule_index].head {
                     let head_pred = runtime_pred_name(&atom.pred)?;
-                    if let Some(relation) = self.relations.get(&head_pred) {
+                    if let Some(relation) = self.relations.get(&*head_pred) {
                         over_delete(&head_pred, &mut relation.iter());
                     }
                 }
@@ -149,7 +146,7 @@ impl<'a> Evaluator<'a> {
         // 4. Re-derive: running the ordinary fixpoint over the remaining facts
         //    re-inserts every over-deleted tuple that still has a derivation.
         let before: usize = self.relations.values().map(|r| r.len()).sum();
-        self.run(rules, strata)?;
+        self.run(program)?;
         let after: usize = self.relations.values().map(|r| r.len()).sum();
         stats.rederived = after.saturating_sub(before);
         Ok(stats)
@@ -159,11 +156,13 @@ impl<'a> Evaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Rule;
     use crate::eval::plan::{PlanCache, PlanStats};
+    use crate::eval::seminaive::ExistentialMemo;
     use crate::eval::{EvalConfig, EvalJournal};
     use crate::intern::Interner;
     use crate::parser::parse_program;
-    use crate::relation::Relation;
+    use crate::relation::{Relation, Relations};
     use crate::schema::Schema;
     use crate::strata::stratify;
     use crate::udf::UdfRegistry;
@@ -171,15 +170,14 @@ mod tests {
     use std::sync::Arc;
 
     struct Fixture {
-        rules: Vec<Rule>,
-        strata: Vec<Vec<usize>>,
+        program: RuleSet,
         schema: Schema,
         udfs: UdfRegistry,
-        relations: HashMap<String, Relation>,
+        relations: Relations,
         interner: Arc<Interner>,
-        edb: HashMap<String, HashSet<Tuple>>,
+        edb: FactDelta,
         entity_counter: u64,
-        memo: HashMap<(usize, Vec<Value>), u64>,
+        memo: ExistentialMemo,
         plan_cache: PlanCache,
         plan_stats: PlanStats,
     }
@@ -193,8 +191,8 @@ mod tests {
             let udfs = UdfRegistry::new();
             let strata = stratify(&rules, &udfs).unwrap();
             let interner = Arc::new(Interner::new());
-            let mut relations: HashMap<String, Relation> = HashMap::new();
-            let mut edb: HashMap<String, HashSet<Tuple>> = HashMap::new();
+            let mut relations = Relations::default();
+            let mut edb = FactDelta::default();
             for (pred, tuple) in facts {
                 relations
                     .entry(pred.to_string())
@@ -206,15 +204,14 @@ mod tests {
                     .insert(tuple.clone());
             }
             let mut fixture = Fixture {
-                rules,
-                strata,
+                program: RuleSet::new(rules, strata),
                 schema,
                 udfs,
                 relations,
                 interner,
                 edb,
                 entity_counter: 0,
-                memo: HashMap::new(),
+                memo: ExistentialMemo::default(),
                 plan_cache: PlanCache::new(),
                 plan_stats: PlanStats::default(),
             };
@@ -236,7 +233,7 @@ mod tests {
                 interner: &self.interner,
                 journal: &mut EvalJournal::default(),
             };
-            evaluator.run(&self.rules, &self.strata).unwrap();
+            evaluator.run(&self.program).unwrap();
         }
 
         fn delete(&mut self, pred: &str, tuple: Vec<Value>) -> Commit {
@@ -256,12 +253,7 @@ mod tests {
             // Keep the EDB bookkeeping in sync.
             self.edb.get_mut(pred).map(|set| set.remove(&tuple));
             evaluator
-                .delete_with_dred(
-                    &self.rules,
-                    &self.strata,
-                    &[(pred.to_string(), tuple)],
-                    &self.edb,
-                )
+                .delete_with_dred(&self.program, &[(pred.to_string(), tuple)], &self.edb)
                 .unwrap()
         }
 

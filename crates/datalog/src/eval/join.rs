@@ -30,11 +30,11 @@ use super::plan::{is_membership, PlanStats, PlanStep, RulePlan};
 use super::runtime_pred_name;
 use crate::ast::{Atom, CmpOp, Literal, Term};
 use crate::error::{DatalogError, Result};
-use crate::relation::{ColumnSet, Relation};
+use crate::intern::FnvSet;
+use crate::relation::{ColumnSet, Relations};
 use crate::schema::BUILTIN_TYPES;
 use crate::udf::UdfRegistry;
 use crate::value::{Tuple, Value};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicU64;
 
 /// A restriction of one body literal to a delta set (semi-naïve evaluation).
@@ -44,19 +44,19 @@ pub struct DeltaRestriction<'a> {
     pub literal_index: usize,
     /// The delta tuples of that literal's predicate (a semi-naïve delta, a
     /// DRed frontier, or a commit's additions under a constraint check).
-    pub delta: &'a HashSet<Tuple>,
+    pub delta: &'a FnvSet<Tuple>,
 }
 
 /// Join context: the relations and UDFs visible to the evaluation.
 pub struct JoinContext<'a> {
-    pub relations: &'a HashMap<String, Relation>,
+    pub relations: &'a Relations,
     pub udfs: &'a UdfRegistry,
     stats: Option<&'a PlanStats>,
 }
 
 impl<'a> JoinContext<'a> {
     /// Create a join context.
-    pub fn new(relations: &'a HashMap<String, Relation>, udfs: &'a UdfRegistry) -> Self {
+    pub fn new(relations: &'a Relations, udfs: &'a UdfRegistry) -> Self {
         JoinContext {
             relations,
             udfs,
@@ -66,7 +66,7 @@ impl<'a> JoinContext<'a> {
 
     /// Create a join context that records probe/scan statistics.
     pub fn with_stats(
-        relations: &'a HashMap<String, Relation>,
+        relations: &'a Relations,
         udfs: &'a UdfRegistry,
         stats: &'a PlanStats,
     ) -> Self {
@@ -170,9 +170,12 @@ impl<'a> JoinContext<'a> {
         F: FnMut(&Bindings) -> Result<()>,
     {
         let name = runtime_pred_name(&atom.pred)?;
+        let name: &str = &name;
+        // Every branch below backtracks to here.
+        let mark = bindings.mark();
 
         // Built-in primitive type check, e.g. `int(C)` from a type declaration.
-        if BUILTIN_TYPES.contains(&name.as_str()) && atom.terms.len() == 1 {
+        if BUILTIN_TYPES.contains(&name) && atom.terms.len() == 1 {
             let value = eval_term(&atom.terms[0], bindings, self.relations)?;
             return match value {
                 Some(v) if v.primitive_type() == name => {
@@ -185,7 +188,7 @@ impl<'a> JoinContext<'a> {
         }
 
         // User-defined function.
-        if self.udfs.is_udf(&name) {
+        if self.udfs.is_udf(name) {
             let mut pattern: Vec<Option<Value>> = Vec::with_capacity(atom.terms.len());
             for term in &atom.terms {
                 pattern.push(match term {
@@ -196,19 +199,16 @@ impl<'a> JoinContext<'a> {
             }
             let rows = self
                 .udfs
-                .call(&name, &pattern)
+                .call(name, &pattern)
                 .map_err(|message| DatalogError::Udf {
-                    function: name.clone(),
+                    function: name.to_string(),
                     message,
                 })?;
             for row in rows {
-                if let Some(newly_bound) = match_tuple(&atom.terms, &row, bindings, self.relations)?
-                {
+                if match_tuple(&atom.terms, &row, bindings, self.relations)? {
                     let result =
                         self.join_steps(literals, steps, position + 1, delta, bindings, callback);
-                    for var in &newly_bound {
-                        bindings.unbind(var);
-                    }
+                    bindings.restore(mark);
                     result?;
                 }
             }
@@ -218,21 +218,17 @@ impl<'a> JoinContext<'a> {
         // Stored relation (possibly restricted to the delta set).
         if let Some(pinned) = delta.filter(|d| d.literal_index == steps[position].literal) {
             for tuple in pinned.delta {
-                if let Some(newly_bound) =
-                    match_tuple(&atom.terms, tuple, bindings, self.relations)?
-                {
+                if match_tuple(&atom.terms, tuple, bindings, self.relations)? {
                     let result =
                         self.join_steps(literals, steps, position + 1, delta, bindings, callback);
-                    for var in &newly_bound {
-                        bindings.unbind(var);
-                    }
+                    bindings.restore(mark);
                     result?;
                 }
             }
             return Ok(());
         }
 
-        let Some(relation) = self.relations.get(&name) else {
+        let Some(relation) = self.relations.get(name) else {
             // Unknown / empty relation: no matches.
             return Ok(());
         };
@@ -269,9 +265,7 @@ impl<'a> JoinContext<'a> {
                         self.bump(|s| &s.functional_hits);
                         let mut tuple = key;
                         tuple.push(value.clone());
-                        if let Some(newly_bound) =
-                            match_tuple(&atom.terms, &tuple, bindings, self.relations)?
-                        {
+                        if match_tuple(&atom.terms, &tuple, bindings, self.relations)? {
                             let result = self.join_steps(
                                 literals,
                                 steps,
@@ -280,9 +274,7 @@ impl<'a> JoinContext<'a> {
                                 bindings,
                                 callback,
                             );
-                            for var in &newly_bound {
-                                bindings.unbind(var);
-                            }
+                            bindings.restore(mark);
                             result?;
                         }
                     }
@@ -311,9 +303,7 @@ impl<'a> JoinContext<'a> {
                     self.examined(ids.len());
                     for id in ids {
                         let tuple = relation.tuple_by_id(id);
-                        if let Some(newly_bound) =
-                            match_tuple(&atom.terms, tuple, bindings, self.relations)?
-                        {
+                        if match_tuple(&atom.terms, tuple, bindings, self.relations)? {
                             let result = self.join_steps(
                                 literals,
                                 steps,
@@ -322,9 +312,7 @@ impl<'a> JoinContext<'a> {
                                 bindings,
                                 callback,
                             );
-                            for var in &newly_bound {
-                                bindings.unbind(var);
-                            }
+                            bindings.restore(mark);
                             result?;
                         }
                     }
@@ -338,12 +326,10 @@ impl<'a> JoinContext<'a> {
         self.bump(|s| &s.full_scans);
         self.examined(relation.len());
         for tuple in relation.iter() {
-            if let Some(newly_bound) = match_tuple(&atom.terms, tuple, bindings, self.relations)? {
+            if match_tuple(&atom.terms, tuple, bindings, self.relations)? {
                 let result =
                     self.join_steps(literals, steps, position + 1, delta, bindings, callback);
-                for var in &newly_bound {
-                    bindings.unbind(var);
-                }
+                bindings.restore(mark);
                 result?;
             }
         }
@@ -377,12 +363,13 @@ impl<'a> JoinContext<'a> {
     /// Uses a secondary index when one exists for the pattern's signature.
     fn negation_holds(&self, atom: &Atom, bindings: &Bindings) -> Result<bool> {
         let name = runtime_pred_name(&atom.pred)?;
-        if self.udfs.is_udf(&name) {
+        let name: &str = &name;
+        if self.udfs.is_udf(name) {
             return Err(DatalogError::Eval(format!(
                 "negation over user-defined function {name} is not supported"
             )));
         }
-        let Some(relation) = self.relations.get(&name) else {
+        let Some(relation) = self.relations.get(name) else {
             return Ok(true);
         };
         let mut pattern: Vec<Option<Value>> = Vec::with_capacity(atom.terms.len());
@@ -417,23 +404,19 @@ impl<'a> JoinContext<'a> {
 
         // Assignment form: `X = ground` or `ground = X` with X unbound.
         if op == CmpOp::Eq {
-            if let (Term::Var(v), None, Some(value)) = (lhs, &lhs_value, &rhs_value) {
-                if !bindings.is_bound(v) {
-                    bindings.bind(v, value.clone());
-                    let result =
-                        self.join_steps(literals, steps, position + 1, delta, bindings, callback);
-                    bindings.unbind(v);
-                    return result;
+            let assignment = match (lhs, &lhs_value, rhs, &rhs_value) {
+                (Term::Var(var), None, _, Some(value)) | (_, Some(value), Term::Var(var), None) => {
+                    Some((var, value))
                 }
-            }
-            if let (Term::Var(v), None, Some(value)) = (rhs, &rhs_value, &lhs_value) {
-                if !bindings.is_bound(v) {
-                    bindings.bind(v, value.clone());
-                    let result =
-                        self.join_steps(literals, steps, position + 1, delta, bindings, callback);
-                    bindings.unbind(v);
-                    return result;
-                }
+                _ => None,
+            };
+            if let Some((var, value)) = assignment {
+                let mark = bindings.mark();
+                bindings.bind(var, value.clone());
+                let result =
+                    self.join_steps(literals, steps, position + 1, delta, bindings, callback);
+                bindings.restore(mark);
+                return result;
             }
         }
 
@@ -464,10 +447,11 @@ mod tests {
     use super::*;
     use crate::eval::plan::compile_body_plan;
     use crate::parser::parse_rule;
+    use crate::relation::Relation;
     use crate::udf::standard_udfs;
 
-    fn relations_with_edges(edges: &[(&str, &str)]) -> HashMap<String, Relation> {
-        let mut relations = HashMap::new();
+    fn relations_with_edges(edges: &[(&str, &str)]) -> Relations {
+        let mut relations = Relations::default();
         let mut rel = Relation::new("link", None);
         for (a, b) in edges {
             rel.insert(vec![Value::str(*a), Value::str(*b)]).unwrap();
@@ -477,7 +461,7 @@ mod tests {
     }
 
     fn collect_solutions(
-        relations: &HashMap<String, Relation>,
+        relations: &Relations,
         udfs: &UdfRegistry,
         body_source: &str,
         vars: &[&str],
@@ -514,7 +498,7 @@ mod tests {
         let mut relations = relations_with_edges(&[("n1", "n2"), ("n2", "n3"), ("n2", "n4")]);
         let udfs = UdfRegistry::new();
         let rule = parse_rule("out(X, Y) <- link(X, Z), link(Z, Y).").unwrap();
-        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &FnvSet::default(), &relations, &udfs);
         for spec in &plan.ensure {
             relations
                 .get_mut(&spec.pred)
@@ -588,7 +572,7 @@ mod tests {
 
     #[test]
     fn functional_lookup_fast_path() {
-        let mut relations = HashMap::new();
+        let mut relations = Relations::default();
         let mut rel = Relation::new("bestcost", Some(2));
         rel.insert(vec![Value::str("a"), Value::str("b"), Value::Int(4)])
             .unwrap();
@@ -617,7 +601,7 @@ mod tests {
         assert_eq!(results, vec![Value::Int(4)]);
         // The planner hoists the assignments, so the planned execution takes
         // the functional fast path instead of scanning.
-        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &FnvSet::default(), &relations, &udfs);
         let stats = PlanStats::default();
         let ctx = JoinContext::with_stats(&relations, &udfs, &stats);
         let mut results = Vec::new();
@@ -639,7 +623,7 @@ mod tests {
         let udfs = UdfRegistry::new();
         let rule = parse_rule("out(X, Y) <- link(X, Y).").unwrap();
         let ctx = JoinContext::new(&relations, &udfs);
-        let delta: HashSet<Tuple> = [vec![Value::str("n2"), Value::str("n3")]]
+        let delta: FnvSet<Tuple> = [vec![Value::str("n2"), Value::str("n3")]]
             .into_iter()
             .collect();
         let mut results = Vec::new();
@@ -671,7 +655,7 @@ mod tests {
         assert!(result.is_err());
         // The planner cannot make `Undefined` bindable either: the planned
         // execution reports the same error instead of silently dropping it.
-        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &FnvSet::default(), &relations, &udfs);
         let mut bindings = Bindings::new();
         let result = ctx.join_planned(&rule.body, &plan, None, &mut bindings, &mut |_| Ok(()));
         assert!(result.is_err());

@@ -17,6 +17,7 @@ pub use seminaive::{Commit, EvalJournal, Evaluator, FactDelta, FixpointStats};
 
 use crate::ast::PredRef;
 use crate::error::{DatalogError, Result};
+use std::borrow::Cow;
 
 /// Evaluation limits and knobs.
 #[derive(Debug, Clone)]
@@ -45,11 +46,13 @@ impl Default for EvalConfig {
 ///
 /// Parameterized references are mangled as `generic$param`, which is the
 /// naming convention used throughout the BloxGenerics compiler and the
-/// policy generators.
-pub fn runtime_pred_name(pred: &PredRef) -> Result<String> {
+/// policy generators.  The compiler hands the evaluator named references
+/// only, so the name the evaluator asks for on every literal visit is
+/// borrowed from the AST; only a parameterized reference allocates.
+pub fn runtime_pred_name(pred: &PredRef) -> Result<Cow<'_, str>> {
     match pred {
-        PredRef::Named(n) => Ok(n.clone()),
-        PredRef::Parameterized { generic, param } => Ok(format!("{generic}${param}")),
+        PredRef::Named(n) => Ok(Cow::Borrowed(n)),
+        PredRef::Parameterized { generic, param } => Ok(Cow::Owned(format!("{generic}${param}"))),
         PredRef::ParameterizedVar { generic, var } => Err(DatalogError::Eval(format!(
             "meta-level predicate {generic}[{var}] reached the evaluator; run the BloxGenerics \
              compiler first"

@@ -36,11 +36,12 @@
 
 use super::runtime_pred_name;
 use crate::ast::{Atom, CmpOp, Literal, Term};
-use crate::relation::{column_set, ColumnSet, Relation};
+use crate::intern::{FnvMap, FnvSet};
+use crate::relation::{column_set, ColumnSet, Relation, Relations};
 use crate::schema::BUILTIN_TYPES;
 use crate::udf::UdfRegistry;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Selectivity credited to each statically bound column when estimating the
 /// cost of scheduling a stored-relation literal next.
@@ -248,10 +249,11 @@ impl PlanKey {
     }
 }
 
-/// Memoized plans per [`PlanKey`] with recompile-on-drift.
+/// Memoized plans per [`PlanKey`] with recompile-on-drift.  A plan is
+/// immutable once compiled, so the cache and every caller share it.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
-    plans: HashMap<PlanKey, RulePlan>,
+    plans: FnvMap<PlanKey, Arc<RulePlan>>,
 }
 
 impl PlanCache {
@@ -276,22 +278,23 @@ impl PlanCache {
 
     /// Fetch (or compile) the plan for `body` under `key`.  `bound` yields
     /// the variables bound before the body runs; it must be a function of
-    /// `key`, and is only asked on a compile.  Returns a clone so the caller
-    /// can mutate relations (index ensures) while holding it.
+    /// `key`, and is only asked on a compile.  Returns a shared handle so
+    /// the caller can mutate relations (index ensures) while holding it; a
+    /// cache hit copies nothing.
     pub fn plan_for(
         &mut self,
         key: PlanKey,
         body: &[Literal],
-        bound: impl FnOnce() -> HashSet<String>,
-        relations: &HashMap<String, Relation>,
+        bound: impl FnOnce() -> FnvSet<String>,
+        relations: &Relations,
         udfs: &UdfRegistry,
         stats: &PlanStats,
-    ) -> RulePlan {
+    ) -> Arc<RulePlan> {
         if let Some(plan) = self.plans.get(&key) {
             if !cardinalities_drifted(&plan.cardinalities, relations) {
                 PlanStats::bump(&stats.plan_cache_hits);
                 secureblox_telemetry::counter!("datalog_plan_cache_hits_total").inc();
-                return plan.clone();
+                return Arc::clone(plan);
             }
             PlanStats::bump(&stats.plan_recompiles);
             secureblox_telemetry::counter!("datalog_plan_recompiles_total").inc();
@@ -300,17 +303,20 @@ impl PlanCache {
             secureblox_telemetry::counter!("datalog_plans_compiled_total").inc();
         }
         let timer = secureblox_telemetry::histogram!("datalog_plan_compile_ns").start_timer();
-        let plan = compile_body_plan(body, key.delta_literal(), &bound(), relations, udfs);
+        let plan = Arc::new(compile_body_plan(
+            body,
+            key.delta_literal(),
+            &bound(),
+            relations,
+            udfs,
+        ));
         drop(timer);
-        self.plans.insert(key, plan.clone());
+        self.plans.insert(key, Arc::clone(&plan));
         plan
     }
 }
 
-fn cardinalities_drifted(
-    snapshot: &[(String, usize)],
-    relations: &HashMap<String, Relation>,
-) -> bool {
+fn cardinalities_drifted(snapshot: &[(String, usize)], relations: &Relations) -> bool {
     snapshot.iter().any(|(pred, then)| {
         let now = relations.get(pred).map_or(0, Relation::len);
         let (small, large) = if now < *then {
@@ -347,12 +353,14 @@ fn classify(body: &[Literal], udfs: &UdfRegistry) -> Option<Vec<LitKind>> {
             Literal::Pos(atom) => {
                 let pred = runtime_pred_name(&atom.pred).ok()?;
                 Some(
-                    if BUILTIN_TYPES.contains(&pred.as_str()) && atom.terms.len() == 1 {
+                    if BUILTIN_TYPES.contains(&&*pred) && atom.terms.len() == 1 {
                         LitKind::TypeCheck
                     } else if udfs.is_udf(&pred) {
                         LitKind::Udf
                     } else {
-                        LitKind::Stored { pred }
+                        LitKind::Stored {
+                            pred: pred.into_owned(),
+                        }
                     },
                 )
             }
@@ -366,8 +374,8 @@ fn classify(body: &[Literal], udfs: &UdfRegistry) -> Option<Vec<LitKind>> {
 /// a literal that follows it textually).  Empty for a body the planner cannot
 /// analyze.  This is the set a constraint's right-hand side is planned
 /// under.
-pub fn bound_after(body: &[Literal], udfs: &UdfRegistry) -> HashSet<String> {
-    let mut bound = HashSet::new();
+pub fn bound_after(body: &[Literal], udfs: &UdfRegistry) -> FnvSet<String> {
+    let mut bound = FnvSet::default();
     let Some(kinds) = classify(body, udfs) else {
         return bound;
     };
@@ -383,7 +391,7 @@ pub fn bound_after(body: &[Literal], udfs: &UdfRegistry) -> HashSet<String> {
 }
 
 /// Is `term` statically ground given the currently bound variables?
-fn term_ground(term: &Term, bound: &HashSet<String>) -> bool {
+fn term_ground(term: &Term, bound: &FnvSet<String>) -> bool {
     match term {
         Term::Var(v) => bound.contains(v),
         Term::Const(_) | Term::SingletonRef(_) => true,
@@ -400,7 +408,7 @@ fn literal_vars(literal: &Literal) -> Vec<String> {
 
 /// The variables a literal makes bound once executed under textual
 /// evaluation (approximation used for the readiness analysis).
-fn binds(literal: &Literal, kind: &LitKind, bound: &HashSet<String>) -> Vec<String> {
+fn binds(literal: &Literal, kind: &LitKind, bound: &FnvSet<String>) -> Vec<String> {
     match kind {
         LitKind::Stored { .. } | LitKind::Udf => literal_vars(literal),
         LitKind::TypeCheck | LitKind::Neg => Vec::new(),
@@ -426,7 +434,7 @@ fn binds(literal: &Literal, kind: &LitKind, bound: &HashSet<String>) -> Vec<Stri
 
 /// Is the comparison evaluable right now (fully ground filter, or an
 /// assignment whose ground side is evaluable)?
-fn cmp_ready(lhs: &Term, op: CmpOp, rhs: &Term, bound: &HashSet<String>) -> bool {
+fn cmp_ready(lhs: &Term, op: CmpOp, rhs: &Term, bound: &FnvSet<String>) -> bool {
     if term_ground(lhs, bound) && term_ground(rhs, bound) {
         return true;
     }
@@ -441,7 +449,7 @@ fn cmp_ready(lhs: &Term, op: CmpOp, rhs: &Term, bound: &HashSet<String>) -> bool
 
 /// The bound-column signature of `atom` given the bound variable set: bit `i`
 /// is set when argument `i` is statically evaluable to a ground value.
-fn probe_signature(atom: &Atom, bound: &HashSet<String>) -> ColumnSet {
+fn probe_signature(atom: &Atom, bound: &FnvSet<String>) -> ColumnSet {
     if atom.terms.len() > 64 {
         return 0;
     }
@@ -463,12 +471,7 @@ pub(super) fn is_membership(arity: usize, cols: ColumnSet) -> bool {
 }
 
 /// Estimated cost of scheduling a stored-relation literal next.
-fn literal_cost(
-    atom: &Atom,
-    pred: &str,
-    bound: &HashSet<String>,
-    relations: &HashMap<String, Relation>,
-) -> f64 {
+fn literal_cost(atom: &Atom, pred: &str, bound: &FnvSet<String>, relations: &Relations) -> f64 {
     let relation = relations.get(pred);
     let cardinality = relation.map_or(0, Relation::len);
     // Functional fast path: all key columns ground → at most one tuple.
@@ -511,8 +514,8 @@ pub fn scan_cost(cardinality: usize, bound_cols: usize) -> f64 {
 pub fn compile_body_plan(
     body: &[Literal],
     delta_literal: Option<usize>,
-    initially_bound: &HashSet<String>,
-    relations: &HashMap<String, Relation>,
+    initially_bound: &FnvSet<String>,
+    relations: &Relations,
     udfs: &UdfRegistry,
 ) -> RulePlan {
     let n = body.len();
@@ -526,9 +529,9 @@ pub fn compile_body_plan(
     // type check, UDF), which of its variables textual evaluation would see
     // bound.  The planner schedules those literals at exactly that degree of
     // boundness to preserve semantics.
-    let mut req: Vec<HashSet<String>> = Vec::with_capacity(n);
+    let mut req: Vec<FnvSet<String>> = Vec::with_capacity(n);
     {
-        let mut bound: HashSet<String> = initially_bound.clone();
+        let mut bound: FnvSet<String> = initially_bound.clone();
         for (literal, kind) in body.iter().zip(&kinds) {
             let vars = literal_vars(literal);
             req.push(
@@ -545,7 +548,7 @@ pub fn compile_body_plan(
     // Frozen variables of a pending pinned literal: variables it textually
     // saw *unbound*.  Binding them before the literal runs would change its
     // meaning (e.g. `!p(X, Z)` with Z textually unbound means "no p(X, _)").
-    let frozen: Vec<HashSet<String>> = body
+    let frozen: Vec<FnvSet<String>> = body
         .iter()
         .zip(&req)
         .map(|(literal, req)| {
@@ -556,13 +559,13 @@ pub fn compile_body_plan(
         })
         .collect();
 
-    let mut bound: HashSet<String> = initially_bound.clone();
+    let mut bound: FnvSet<String> = initially_bound.clone();
     let mut scheduled = vec![false; n];
     let mut order: Vec<PlanStep> = Vec::with_capacity(n);
     let mut ensure: Vec<IndexSpec> = Vec::new();
 
     let schedule = |index: usize,
-                    bound: &mut HashSet<String>,
+                    bound: &mut FnvSet<String>,
                     scheduled: &mut Vec<bool>,
                     order: &mut Vec<PlanStep>,
                     ensure: &mut Vec<IndexSpec>| {
@@ -600,7 +603,10 @@ pub fn compile_body_plan(
             if let Literal::Neg(atom) = &body[index] {
                 if let Ok(pred) = runtime_pred_name(&atom.pred) {
                     let cols = probe_signature(atom, bound);
-                    let spec = IndexSpec { pred, cols };
+                    let spec = IndexSpec {
+                        pred: pred.into_owned(),
+                        cols,
+                    };
                     if cols != 0
                         && !is_membership(atom.terms.len(), cols)
                         && !ensure.contains(&spec)
@@ -626,7 +632,7 @@ pub fn compile_body_plan(
     // unbound — doing so would collapse ∄-over-unbound negation or turn an
     // enumerating UDF call into a membership check.
     let binds_frozen_of_pending =
-        |index: usize, bound: &HashSet<String>, scheduled: &[bool]| -> bool {
+        |index: usize, bound: &FnvSet<String>, scheduled: &[bool]| -> bool {
             binds(&body[index], &kinds[index], bound)
                 .iter()
                 .filter(|v| !bound.contains(*v))
@@ -765,8 +771,8 @@ mod tests {
     use crate::parser::parse_rule;
     use crate::value::Value;
 
-    fn relations_with(cards: &[(&str, usize)]) -> HashMap<String, Relation> {
-        let mut relations = HashMap::new();
+    fn relations_with(cards: &[(&str, usize)]) -> Relations {
+        let mut relations = Relations::default();
         for (pred, n) in cards {
             let mut rel = Relation::new(*pred, None);
             for i in 0..*n {
@@ -787,7 +793,7 @@ mod tests {
         let relations = relations_with(&[("big", 1000), ("small", 3)]);
         let udfs = UdfRegistry::new();
         let rule = parse_rule("out(X, Z) <- big(X, Y), small(Y, Z).").unwrap();
-        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &FnvSet::default(), &relations, &udfs);
         assert_eq!(order_of(&plan), vec![1, 0]);
         // The second literal probes on its bound column (Y = column 1 of big).
         assert_eq!(plan.order[1].probe, Some(column_set([1])));
@@ -802,7 +808,7 @@ mod tests {
         let relations = relations_with(&[("big", 1000), ("small", 3)]);
         let udfs = UdfRegistry::new();
         let rule = parse_rule("out(X, Z) <- big(X, Y), small(Y, Z).").unwrap();
-        let plan = compile_body_plan(&rule.body, Some(0), &HashSet::new(), &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, Some(0), &FnvSet::default(), &relations, &udfs);
         assert_eq!(order_of(&plan), vec![0, 1]);
         assert_eq!(plan.order[0].probe, None, "delta literal scans the delta");
         assert_eq!(plan.order[1].probe, Some(column_set([0])));
@@ -815,7 +821,7 @@ mod tests {
         // Textual order would scan edge first; the plan assigns X = 7 first
         // and probes edge on column 0.
         let rule = parse_rule("out(Y) <- edge(X, Y), X = 7.").unwrap();
-        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &FnvSet::default(), &relations, &udfs);
         assert_eq!(order_of(&plan), vec![1, 0]);
         assert_eq!(plan.order[1].probe, Some(column_set([0])));
     }
@@ -826,7 +832,7 @@ mod tests {
         let udfs = UdfRegistry::new();
         // C = Y + 1 precedes its producer textually; the plan defers it.
         let rule = parse_rule("out(C) <- C = Y + 1, edge(X, Y).").unwrap();
-        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &FnvSet::default(), &relations, &udfs);
         assert_eq!(order_of(&plan), vec![1, 0]);
     }
 
@@ -837,7 +843,7 @@ mod tests {
         // !b(X, Z) textually sees X bound and Z unbound; c(Z, W) must not be
         // scheduled before the negation even if it were cheaper.
         let rule = parse_rule("out(X, W) <- a(X, Y), !b(X, Z), c(Z, W).").unwrap();
-        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &FnvSet::default(), &relations, &udfs);
         let order = order_of(&plan);
         let pos = |i: usize| order.iter().position(|&x| x == i).unwrap();
         assert!(pos(0) < pos(1), "a before !b");
@@ -851,13 +857,13 @@ mod tests {
         // !b(X, Z) textually sees Z unbound (∄ b(X, _)); hoisting Z = 5 ahead
         // of it would collapse that into the membership check !b(X, 5).
         let rule = parse_rule("out(X) <- a(X), !b(X, Z), Z = 5.").unwrap();
-        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &FnvSet::default(), &relations, &udfs);
         let order = order_of(&plan);
         let pos = |i: usize| order.iter().position(|&x| x == i).unwrap();
         assert!(pos(1) < pos(2), "!b must run before Z = 5 is assigned");
     }
 
-    fn bound(vars: &[&str]) -> HashSet<String> {
+    fn bound(vars: &[&str]) -> FnvSet<String> {
         vars.iter().map(|v| v.to_string()).collect()
     }
 
@@ -868,7 +874,8 @@ mod tests {
         // The generated signature constraint's right-hand side: P, V bound
         // by the left-hand side, `me[]` shared by every row of `sig`.
         let rule = parse_rule("out(S) <- sig(P, me[], V, S), secret(P, K).").unwrap();
-        let from_nothing = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
+        let from_nothing =
+            compile_body_plan(&rule.body, None, &FnvSet::default(), &relations, &udfs);
         let sig_step = |plan: &RulePlan| plan.order.iter().find(|s| s.literal == 0).unwrap().probe;
         assert_ne!(sig_step(&from_nothing), Some(column_set([0, 1, 2])));
         let plan = compile_body_plan(&rule.body, None, &bound(&["P", "V"]), &relations, &udfs);
@@ -926,7 +933,7 @@ mod tests {
         let relations = relations_with(&[]);
         let udfs = UdfRegistry::new();
         let rule = parse_rule("out(X) <- says[T](P, X), other(X).").unwrap();
-        let plan = compile_body_plan(&rule.body, None, &HashSet::new(), &relations, &udfs);
+        let plan = compile_body_plan(&rule.body, None, &FnvSet::default(), &relations, &udfs);
         assert_eq!(order_of(&plan), vec![0, 1]);
         assert!(plan.ensure.is_empty());
     }
@@ -944,7 +951,7 @@ mod tests {
                 delta: None,
             },
             &rule.body,
-            HashSet::new,
+            FnvSet::default,
             &relations,
             &udfs,
             &stats,
@@ -955,7 +962,7 @@ mod tests {
                 delta: None,
             },
             &rule.body,
-            HashSet::new,
+            FnvSet::default,
             &relations,
             &udfs,
             &stats,
@@ -976,7 +983,7 @@ mod tests {
                 delta: None,
             },
             &rule.body,
-            HashSet::new,
+            FnvSet::default,
             &relations,
             &udfs,
             &stats,

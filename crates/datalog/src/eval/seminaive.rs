@@ -33,12 +33,13 @@ use super::runtime_pred_name;
 use super::EvalConfig;
 use crate::ast::{Literal, Rule, Term};
 use crate::error::{DatalogError, Result};
-use crate::intern::Interner;
-use crate::relation::Relation;
+use crate::intern::{FnvMap, FnvSet, Interner};
+use crate::relation::{Relation, Relations};
 use crate::schema::{PredicateKind, Schema};
+use crate::strata::{Existentials, RuleSet, Stratum};
 use crate::udf::UdfRegistry;
 use crate::value::{Tuple, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -52,7 +53,11 @@ pub struct FixpointStats {
 }
 
 /// Tuples per predicate: the shape of every delta a run or a commit reports.
-pub type FactDelta = HashMap<String, HashSet<Tuple>>;
+pub type FactDelta = FnvMap<String, FnvSet<Tuple>>;
+
+/// The existential memo: the entity minted per `(rule, memo-key binding +
+/// existential offset)`.
+pub type ExistentialMemo = FnvMap<(usize, Vec<Value>), u64>;
 
 /// What one committed change did — the one value
 /// [`Workspace::transaction`](crate::Workspace::transaction) and
@@ -121,7 +126,7 @@ pub struct EvalJournal {
     /// Relation mutations, per predicate, in execution order.  Mutations of
     /// different relations commute, so undo needs only each relation's own
     /// order — and recording pays one map probe, not a name allocation.
-    ops: HashMap<String, Vec<JournalOp>>,
+    ops: FnvMap<String, Vec<JournalOp>>,
     /// Relations created during the run, removed again on undo.
     created: Vec<String>,
     /// Existential-memo keys minted during the run.
@@ -184,17 +189,17 @@ impl EvalJournal {
     /// ([`check_constraints_for_delta`](crate::constraint::check_constraints_for_delta))
     /// and is what the commit hands downstream ([`Commit::added`],
     /// [`Commit::removed`]).
-    pub fn net_delta(&self, relations: &HashMap<String, Relation>) -> (FactDelta, FactDelta) {
-        let mut added = FactDelta::new();
-        let mut removed = FactDelta::new();
+    pub fn net_delta(&self, relations: &Relations) -> (FactDelta, FactDelta) {
+        let mut added = FactDelta::default();
+        let mut removed = FactDelta::default();
         for (pred, ops) in &self.ops {
             let relation = relations.get(pred);
             // A tuple repeats only across a removal, so an insert-only
             // history (every plain transaction's) needs no first-op set.
             let repeats = ops.iter().any(|op| !matches!(op, JournalOp::Added(_)));
-            let mut seen: HashSet<&Tuple> = HashSet::new();
-            let mut now_stored: HashSet<Tuple> = HashSet::new();
-            let mut now_gone: HashSet<Tuple> = HashSet::new();
+            let mut seen: FnvSet<&Tuple> = FnvSet::default();
+            let mut now_stored: FnvSet<Tuple> = FnvSet::default();
+            let mut now_gone: FnvSet<Tuple> = FnvSet::default();
             for op in ops {
                 let (tuple, stored_before): (&Tuple, bool) = match op {
                     JournalOp::Added(tuple) => (tuple, false),
@@ -232,9 +237,9 @@ impl EvalJournal {
     /// the caller restores the (plain-copy) entity counter itself.
     pub fn undo(
         self,
-        relations: &mut HashMap<String, Relation>,
-        edb_facts: &mut HashMap<String, HashSet<Tuple>>,
-        existential_memo: &mut HashMap<(usize, Vec<Value>), u64>,
+        relations: &mut Relations,
+        edb_facts: &mut FactDelta,
+        existential_memo: &mut ExistentialMemo,
     ) {
         for (pred, ops) in self.ops {
             let Some(relation) = relations.get_mut(&pred) else {
@@ -283,7 +288,7 @@ impl EvalJournal {
 
 /// Mutable evaluation state borrowed from a workspace.
 pub struct Evaluator<'a> {
-    pub relations: &'a mut HashMap<String, Relation>,
+    pub relations: &'a mut Relations,
     pub schema: &'a Schema,
     pub udfs: &'a UdfRegistry,
     pub config: &'a EvalConfig,
@@ -291,7 +296,7 @@ pub struct Evaluator<'a> {
     pub entity_counter: &'a mut u64,
     /// Memo of already-minted existential entities, keyed by rule index and
     /// the binding of the rule's body variables.
-    pub existential_memo: &'a mut HashMap<(usize, Vec<Value>), u64>,
+    pub existential_memo: &'a mut ExistentialMemo,
     /// Compiled rule plans, reused across iterations (and across ticks when
     /// the owning workspace lives that long).
     pub plan_cache: &'a mut PlanCache,
@@ -314,14 +319,13 @@ enum FirstRound<'s> {
     /// Only `(rule, literal)` combinations reading a predicate with new
     /// tuples since the last fixpoint; the map accumulates this run's
     /// deltas so later strata see earlier strata's additions as drivers.
-    Seeded(&'s mut HashMap<String, HashSet<Tuple>>),
+    Seeded(&'s mut FactDelta),
 }
 
 impl<'a> Evaluator<'a> {
-    /// Run all strata to fixpoint.  `strata` holds rule indices (into `rules`)
-    /// grouped by stratum in evaluation order.
-    pub fn run(&mut self, rules: &[Rule], strata: &[Vec<usize>]) -> Result<FixpointStats> {
-        self.run_strata(rules, strata, None)
+    /// Run all strata of `program` to fixpoint.
+    pub fn run(&mut self, program: &RuleSet) -> Result<FixpointStats> {
+        self.run_strata(program, None)
     }
 
     /// Run all strata to fixpoint from a **converged** database, driving the
@@ -340,30 +344,24 @@ impl<'a> Evaluator<'a> {
     /// *shrink* between fixpoints — aggregate heads are the only such
     /// predicates (displacement is the one non-monotone mutation a committed
     /// transaction performs).
-    pub fn run_seeded(
-        &mut self,
-        rules: &[Rule],
-        strata: &[Vec<usize>],
-        seed: HashMap<String, HashSet<Tuple>>,
-    ) -> Result<FixpointStats> {
-        self.run_strata(rules, strata, Some(seed))
+    pub fn run_seeded(&mut self, program: &RuleSet, seed: FactDelta) -> Result<FixpointStats> {
+        self.run_strata(program, Some(seed))
     }
 
     /// The strata in order; `accumulated` (a seeded run's drivers: the seed
     /// plus every delta derived so far) selects each stratum's first round.
     fn run_strata(
         &mut self,
-        rules: &[Rule],
-        strata: &[Vec<usize>],
-        mut accumulated: Option<HashMap<String, HashSet<Tuple>>>,
+        program: &RuleSet,
+        mut accumulated: Option<FactDelta>,
     ) -> Result<FixpointStats> {
         let mut stats = FixpointStats::default();
-        for stratum in strata {
+        for stratum in program.strata() {
             let first = match &mut accumulated {
                 Some(accumulated) => FirstRound::Seeded(accumulated),
                 None => FirstRound::Naive,
             };
-            let stratum_stats = self.run_stratum(rules, stratum, first)?;
+            let stratum_stats = self.run_stratum(program, stratum, first)?;
             stats.derived += stratum_stats.derived;
             stats.iterations += stratum_stats.iterations;
         }
@@ -375,32 +373,28 @@ impl<'a> Evaluator<'a> {
     /// previous round's delta until it is empty.
     fn run_stratum(
         &mut self,
-        rules: &[Rule],
-        stratum: &[usize],
+        program: &RuleSet,
+        stratum: &Stratum,
         mut first: FirstRound<'_>,
     ) -> Result<FixpointStats> {
+        let rules = program.rules();
         let mut stats = FixpointStats::default();
-        let (agg_rules, normal_rules): (Vec<usize>, Vec<usize>) = stratum
-            .iter()
-            .copied()
-            .partition(|&i| rules[i].agg.is_some());
-
-        let mut delta: HashMap<String, HashSet<Tuple>> = HashMap::new();
+        let mut delta = FactDelta::default();
         let derivations = match &first {
             FirstRound::Naive => {
                 let combos: Vec<(usize, Option<usize>)> =
-                    normal_rules.iter().map(|&index| (index, None)).collect();
-                self.evaluate_round(rules, &combos, &HashMap::new())?
+                    stratum.normal.iter().map(|&index| (index, None)).collect();
+                self.evaluate_round(program, &combos, &FactDelta::default())?
             }
             FirstRound::Seeded(accumulated) => {
-                let combos = delta_combos(rules, &normal_rules, accumulated)?;
-                self.evaluate_round(rules, &combos, accumulated)?
+                let combos = delta_combos(rules, &stratum.normal, accumulated)?;
+                self.evaluate_round(program, &combos, accumulated)?
             }
         };
         for derivation in derivations {
             stats.derived += self.insert_derivation(derivation, &mut delta)?;
         }
-        for &rule_index in &agg_rules {
+        for &rule_index in &stratum.aggregates {
             // A seeded round skips aggregation rules whose bodies are
             // untouched: recomputation would reproduce the stored values
             // exactly (the previous fixpoint's final round recomputed them
@@ -429,13 +423,13 @@ impl<'a> Evaluator<'a> {
             }
             // `delta` only ever holds head predicates of this stratum, so
             // every combination it selects is a recursive one.
-            let combos = delta_combos(rules, &normal_rules, &delta)?;
-            let mut next_delta: HashMap<String, HashSet<Tuple>> = HashMap::new();
-            for derivation in self.evaluate_round(rules, &combos, &delta)? {
+            let combos = delta_combos(rules, &stratum.normal, &delta)?;
+            let mut next_delta = FactDelta::default();
+            for derivation in self.evaluate_round(program, &combos, &delta)? {
                 stats.derived += self.insert_derivation(derivation, &mut next_delta)?;
             }
             // Aggregates recompute every round once the stratum is in motion.
-            for &rule_index in &agg_rules {
+            for &rule_index in &stratum.aggregates {
                 let derived = self.recompute_aggregate(rules, rule_index)?;
                 stats.derived += self.insert_replacing(derived, &mut next_delta)?;
             }
@@ -460,13 +454,17 @@ impl<'a> Evaluator<'a> {
     /// as one pinned to a semi-naïve delta.
     pub(super) fn evaluate_round(
         &mut self,
-        rules: &[Rule],
+        program: &RuleSet,
         combos: &[(usize, Option<usize>)],
-        delta_sets: &HashMap<String, HashSet<Tuple>>,
+        delta_sets: &FactDelta,
     ) -> Result<Vec<Derivation>> {
         let mut derivations = Vec::with_capacity(combos.len());
+        // One substitution stack for the whole round: every join leaves it
+        // as it found it, so its slots are reused from combination to
+        // combination.
+        let mut bindings = Bindings::new();
         for &(rule_index, literal) in combos {
-            let rule = &rules[rule_index];
+            let rule = &program.rules()[rule_index];
             let delta = match literal {
                 Some(literal_index) => {
                     let Literal::Pos(atom) = &rule.body[literal_index] else {
@@ -475,7 +473,7 @@ impl<'a> Evaluator<'a> {
                         ));
                     };
                     let pred = runtime_pred_name(&atom.pred)?;
-                    let delta = delta_sets.get(&pred).ok_or_else(|| {
+                    let delta = delta_sets.get(&*pred).ok_or_else(|| {
                         DatalogError::Eval("delta combination without a delta set".into())
                     })?;
                     Some(DeltaRestriction {
@@ -485,7 +483,8 @@ impl<'a> Evaluator<'a> {
                 }
                 None => None,
             };
-            let plan = self.prepare_plan(rules, rule_index, literal);
+            let plan = self.prepare_plan(program.rules(), rule_index, literal);
+            let plan = plan.as_deref();
 
             // One observation and one count per combination, whichever way
             // it runs — coarse enough to stay inside the telemetry overhead
@@ -495,17 +494,18 @@ impl<'a> Evaluator<'a> {
             let _join_timer =
                 secureblox_telemetry::histogram!("datalog_rule_batch_join_ns").start_timer();
             PlanStats::bump(&self.plan_stats.serial_batches);
-            let existentials = rule.head_existentials();
-            let derivation = if !existentials.is_empty() {
+            let existentials = program.existentials(rule_index);
+            let derivation = if !existentials.head.is_empty() {
                 secureblox_telemetry::counter!("datalog_rule_exec_existential_total").inc();
                 Derivation::Values(self.evaluate_existential(
                     rule_index,
                     rule,
-                    &existentials,
-                    plan.as_ref(),
+                    existentials,
+                    plan,
                     delta,
+                    &mut bindings,
                 )?)
-            } else if let Some(job) = plan.as_ref().and_then(|plan| {
+            } else if let Some(job) = plan.and_then(|plan| {
                 batch::compile_batch(rule, plan, delta, self.relations, self.udfs, self.interner)
             }) {
                 secureblox_telemetry::counter!("datalog_rule_exec_batch_total").inc();
@@ -513,7 +513,7 @@ impl<'a> Evaluator<'a> {
                 #[cfg(debug_assertions)]
                 debug_verify_batch(
                     rule,
-                    plan.as_ref(),
+                    plan,
                     delta,
                     self.relations,
                     self.udfs,
@@ -525,11 +525,12 @@ impl<'a> Evaluator<'a> {
                 secureblox_telemetry::counter!("datalog_rule_exec_tuple_total").inc();
                 Derivation::Values(evaluate_tuple_combo(
                     rule,
-                    plan.as_ref(),
+                    plan,
                     delta,
                     self.relations,
                     self.udfs,
                     self.plan_stats,
+                    &mut bindings,
                 )?)
             };
             derivations.push(derivation);
@@ -545,46 +546,38 @@ impl<'a> Evaluator<'a> {
         &mut self,
         rule_index: usize,
         rule: &Rule,
-        existentials: &[String],
+        existentials: &Existentials,
         plan: Option<&RulePlan>,
         restriction: Option<DeltaRestriction<'_>>,
+        bindings: &mut Bindings,
     ) -> Result<Vec<(String, Tuple)>> {
-        let mut body_vars: Vec<String> = Vec::new();
-        for literal in &rule.body {
-            literal.collect_vars(&mut body_vars);
-        }
-        body_vars.sort();
-        body_vars.dedup();
-
-        let mut derived: Vec<(String, Tuple)> = Vec::new();
         let ctx = JoinContext::with_stats(self.relations, self.udfs, self.plan_stats);
         let mut solutions: Vec<Bindings> = Vec::new();
-        let mut bindings = Bindings::new();
+        let mut collect = |b: &Bindings| {
+            solutions.push(b.clone());
+            Ok(())
+        };
         match plan {
             Some(plan) => {
-                ctx.join_planned(&rule.body, plan, restriction, &mut bindings, &mut |b| {
-                    solutions.push(b.clone());
-                    Ok(())
-                })?
+                ctx.join_planned(&rule.body, plan, restriction, bindings, &mut collect)?
             }
-            None => ctx.join(&rule.body, restriction, &mut bindings, &mut |b| {
-                solutions.push(b.clone());
-                Ok(())
-            })?,
+            None => ctx.join(&rule.body, restriction, bindings, &mut collect)?,
         }
 
+        let mut derived: Vec<(String, Tuple)> = Vec::new();
         for mut solution in solutions {
             // Mint (or recall) entities for head-existential variables.
-            let memo_key: Vec<Value> = body_vars
+            let memo_key: Vec<Value> = existentials
+                .memo_key
                 .iter()
                 .filter_map(|v| solution.get(v).cloned())
                 .collect();
-            for (offset, var) in existentials.iter().enumerate() {
+            for (offset, var) in existentials.head.iter().enumerate() {
                 let mut key = memo_key.clone();
                 key.push(Value::Int(offset as i64));
                 let entity_id = match self.existential_memo.entry((rule_index, key)) {
-                    std::collections::hash_map::Entry::Occupied(entry) => *entry.get(),
-                    std::collections::hash_map::Entry::Vacant(entry) => {
+                    Entry::Occupied(entry) => *entry.get(),
+                    Entry::Vacant(entry) => {
                         *self.entity_counter += 1;
                         self.journal.minted.push(entry.key().clone());
                         *entry.insert(*self.entity_counter)
@@ -594,7 +587,7 @@ impl<'a> Evaluator<'a> {
             }
             // Same head projection the combination paths use — one
             // implementation, so the paths cannot drift.
-            derived.append(&mut project_heads(rule, &solution, self.relations)?);
+            project_heads(rule, &solution, self.relations, &mut derived)?;
         }
         Ok(derived)
     }
@@ -606,7 +599,7 @@ impl<'a> Evaluator<'a> {
         rules: &[Rule],
         rule_index: usize,
         delta_literal: Option<usize>,
-    ) -> Option<RulePlan> {
+    ) -> Option<Arc<RulePlan>> {
         if !self.config.use_planner {
             return None;
         }
@@ -616,7 +609,7 @@ impl<'a> Evaluator<'a> {
                 delta: delta_literal,
             },
             &rules[rule_index].body,
-            HashSet::new,
+            FnvSet::default,
             self.relations,
             self.udfs,
             self.plan_stats,
@@ -643,7 +636,7 @@ impl<'a> Evaluator<'a> {
             &rules[rule_index],
             self.relations,
             self.udfs,
-            plan.as_ref(),
+            plan.as_deref(),
             Some(self.plan_stats),
         )
     }
@@ -655,7 +648,7 @@ impl<'a> Evaluator<'a> {
     fn insert_derivation(
         &mut self,
         derivation: Derivation,
-        delta: &mut HashMap<String, HashSet<Tuple>>,
+        delta: &mut FactDelta,
     ) -> Result<usize> {
         match derivation {
             Derivation::Values(derived) => self.insert_derived(derived, delta),
@@ -663,20 +656,20 @@ impl<'a> Evaluator<'a> {
                 let mut inserted = 0usize;
                 for (pred, batch) in derived {
                     self.relation_entry(&pred);
-                    for index in 0..batch.rows() {
-                        let row = batch.row(index);
-                        let relation = self
-                            .relations
-                            .get_mut(&pred)
-                            .expect("relation just ensured");
+                    let relation = self
+                        .relations
+                        .get_mut(&pred)
+                        .expect("relation just ensured");
+                    let mut new_rows = Vec::new();
+                    for row in batch.iter() {
                         if let Some(stored) = relation.insert_ids(row)? {
-                            inserted += 1;
-                            delta
-                                .entry(pred.clone())
-                                .or_default()
-                                .insert(Tuple::clone(&stored));
+                            new_rows.push(Tuple::clone(&stored));
                             self.journal.record_added(&pred, stored);
                         }
+                    }
+                    inserted += new_rows.len();
+                    if !new_rows.is_empty() {
+                        delta.entry(pred).or_default().extend(new_rows);
                     }
                 }
                 Ok(inserted)
@@ -689,7 +682,7 @@ impl<'a> Evaluator<'a> {
     fn insert_derived(
         &mut self,
         derived: Vec<(String, Tuple)>,
-        delta: &mut HashMap<String, HashSet<Tuple>>,
+        delta: &mut FactDelta,
     ) -> Result<usize> {
         let mut inserted = 0usize;
         for (pred, tuple) in derived {
@@ -707,7 +700,7 @@ impl<'a> Evaluator<'a> {
     fn insert_replacing(
         &mut self,
         derived: Vec<(String, Tuple)>,
-        delta: &mut HashMap<String, HashSet<Tuple>>,
+        delta: &mut FactDelta,
     ) -> Result<usize> {
         let mut inserted = 0usize;
         for (pred, tuple) in derived {
@@ -753,7 +746,7 @@ impl<'a> Evaluator<'a> {
 pub(super) fn delta_combos(
     rules: &[Rule],
     normal_rules: &[usize],
-    drivers: &HashMap<String, HashSet<Tuple>>,
+    drivers: &FactDelta,
 ) -> Result<Vec<(usize, Option<usize>)>> {
     let mut combos = Vec::new();
     for &rule_index in normal_rules {
@@ -762,7 +755,7 @@ pub(super) fn delta_combos(
                 continue;
             };
             let pred = runtime_pred_name(&atom.pred)?;
-            if drivers.get(&pred).is_some_and(|set| !set.is_empty()) {
+            if drivers.get(&*pred).is_some_and(|set| !set.is_empty()) {
                 combos.push((rule_index, Some(literal_index)));
             }
         }
@@ -773,10 +766,7 @@ pub(super) fn delta_combos(
 /// Fold one round's delta into the accumulated new-tuple map of a seeded
 /// run (so later strata — and rules positioned after the producing round —
 /// see it as a first-round driver).
-fn merge_delta(
-    accumulated: &mut HashMap<String, HashSet<Tuple>>,
-    delta: &HashMap<String, HashSet<Tuple>>,
-) {
+fn merge_delta(accumulated: &mut FactDelta, delta: &FactDelta) {
     for (pred, set) in delta {
         if set.is_empty() {
             continue;
@@ -792,52 +782,49 @@ fn merge_delta(
 /// predicate with accumulated new tuples?  Untouched aggregation rules skip
 /// recomputation in a seeded first round: their stored values are exactly
 /// what recomputation would produce.
-fn rule_touched(rule: &Rule, accumulated: &HashMap<String, HashSet<Tuple>>) -> bool {
+fn rule_touched(rule: &Rule, accumulated: &FactDelta) -> bool {
     rule.body.iter().any(|literal| {
         let atom = match literal {
             Literal::Pos(atom) | Literal::Neg(atom) => atom,
             Literal::Cmp(..) => return false,
         };
         runtime_pred_name(&atom.pred)
-            .is_ok_and(|pred| accumulated.get(&pred).is_some_and(|set| !set.is_empty()))
+            .is_ok_and(|pred| accumulated.get(&*pred).is_some_and(|set| !set.is_empty()))
     })
 }
 
 /// Evaluate one non-existential `(rule, delta)` combination read-only,
-/// tuple at a time.  Heads are projected inside the enumeration callback —
-/// no per-solution `Bindings` clone.
+/// tuple at a time, on the caller's (empty) substitution stack.  Heads are
+/// projected inside the enumeration callback — no per-solution `Bindings`
+/// clone.
 fn evaluate_tuple_combo(
     rule: &Rule,
     plan: Option<&RulePlan>,
     restriction: Option<DeltaRestriction<'_>>,
-    relations: &HashMap<String, Relation>,
+    relations: &Relations,
     udfs: &UdfRegistry,
     stats: &PlanStats,
+    bindings: &mut Bindings,
 ) -> Result<Vec<(String, Tuple)>> {
     let ctx = JoinContext::with_stats(relations, udfs, stats);
     let mut derived: Vec<(String, Tuple)> = Vec::new();
-    let mut bindings = Bindings::new();
-    let mut collect = |b: &Bindings| {
-        derived.append(&mut project_heads(rule, b, relations)?);
-        Ok(())
-    };
+    let mut collect = |b: &Bindings| project_heads(rule, b, relations, &mut derived);
     match plan {
-        Some(plan) => {
-            ctx.join_planned(&rule.body, plan, restriction, &mut bindings, &mut collect)?
-        }
-        None => ctx.join(&rule.body, restriction, &mut bindings, &mut collect)?,
+        Some(plan) => ctx.join_planned(&rule.body, plan, restriction, bindings, &mut collect)?,
+        None => ctx.join(&rule.body, restriction, bindings, &mut collect)?,
     }
     Ok(derived)
 }
 
 /// Instantiate the head atoms of a rule under one body solution (with any
-/// head-existential variable already bound to its entity).
+/// head-existential variable already bound to its entity), appending them to
+/// `derived`.
 fn project_heads(
     rule: &Rule,
     solution: &Bindings,
-    relations: &HashMap<String, Relation>,
-) -> Result<Vec<(String, Tuple)>> {
-    let mut derived = Vec::with_capacity(rule.head.len());
+    relations: &Relations,
+    derived: &mut Vec<(String, Tuple)>,
+) -> Result<()> {
     for atom in &rule.head {
         let pred = runtime_pred_name(&atom.pred)?;
         let mut tuple: Tuple = Vec::with_capacity(atom.terms.len());
@@ -856,9 +843,9 @@ fn project_heads(
                 }
             }
         }
-        derived.push((pred, tuple));
+        derived.push((pred.into_owned(), tuple));
     }
-    Ok(derived)
+    Ok(())
 }
 
 /// Debug-build check of the batch executor: its rehydrated output must equal
@@ -870,7 +857,7 @@ fn debug_verify_batch(
     rule: &Rule,
     plan: Option<&RulePlan>,
     delta: Option<DeltaRestriction<'_>>,
-    relations: &HashMap<String, Relation>,
+    relations: &Relations,
     udfs: &UdfRegistry,
     interner: &Arc<Interner>,
     rows: &[(String, IdBatch)],
@@ -883,7 +870,15 @@ fn debug_verify_batch(
         derived.dedup();
         derived
     }
-    let serial = evaluate_tuple_combo(rule, plan, delta, relations, udfs, &PlanStats::default())?;
+    let serial = evaluate_tuple_combo(
+        rule,
+        plan,
+        delta,
+        relations,
+        udfs,
+        &PlanStats::default(),
+        &mut Bindings::new(),
+    )?;
     let rehydrated: Vec<(String, Tuple)> = rows
         .iter()
         .flat_map(|(pred, batch)| {
@@ -910,14 +905,13 @@ mod tests {
     /// Build the pieces an Evaluator needs from a program plus EDB facts.
     /// Relations share one dictionary so the batch path is exercised.
     struct Fixture {
-        rules: Vec<Rule>,
-        strata: Vec<Vec<usize>>,
+        program: RuleSet,
         schema: Schema,
         udfs: UdfRegistry,
-        relations: HashMap<String, Relation>,
+        relations: Relations,
         interner: Arc<Interner>,
         entity_counter: u64,
-        memo: HashMap<(usize, Vec<Value>), u64>,
+        memo: ExistentialMemo,
         plan_cache: PlanCache,
         plan_stats: PlanStats,
     }
@@ -931,7 +925,7 @@ mod tests {
             let udfs = UdfRegistry::new();
             let strata = stratify(&rules, &udfs).unwrap();
             let interner = Arc::new(Interner::new());
-            let mut relations = HashMap::new();
+            let mut relations = Relations::default();
             for (pred, tuple) in facts {
                 let key_arity = schema.get(pred).and_then(|d| match d.kind {
                     PredicateKind::Functional { key_arity } => Some(key_arity),
@@ -946,14 +940,13 @@ mod tests {
                     .unwrap();
             }
             Fixture {
-                rules,
-                strata,
+                program: RuleSet::new(rules, strata),
                 schema,
                 udfs,
                 relations,
                 interner,
                 entity_counter: 0,
-                memo: HashMap::new(),
+                memo: ExistentialMemo::default(),
                 plan_cache: PlanCache::new(),
                 plan_stats: PlanStats::default(),
             }
@@ -973,7 +966,7 @@ mod tests {
                 interner: &self.interner,
                 journal: &mut EvalJournal::default(),
             };
-            evaluator.run(&self.rules, &self.strata).unwrap()
+            evaluator.run(&self.program).unwrap()
         }
 
         fn tuples(&self, pred: &str) -> Vec<Tuple> {
@@ -1134,7 +1127,8 @@ mod tests {
         // unset.
         let program = parse_program("out(K) <- link(X, _), K = missing[] + 1.").unwrap();
         let rules: Vec<Rule> = program.rules().cloned().collect();
-        let result = evaluator.evaluate_round(&rules, &[(0, None)], &HashMap::new());
+        let program = RuleSet::new(rules, vec![vec![0]]);
+        let result = evaluator.evaluate_round(&program, &[(0, None)], &FactDelta::default());
         assert!(result.is_err_and(|error| matches!(error, DatalogError::Eval(_))));
     }
 
@@ -1160,7 +1154,7 @@ mod tests {
             interner: &fixture.interner,
             journal: &mut EvalJournal::default(),
         };
-        let err = evaluator.run(&fixture.rules, &fixture.strata).unwrap_err();
+        let err = evaluator.run(&fixture.program).unwrap_err();
         assert!(matches!(err, DatalogError::FixpointBudget { .. }));
     }
 }

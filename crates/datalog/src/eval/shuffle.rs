@@ -176,7 +176,7 @@ pub fn plan_rules(rules: &[(usize, &Rule)], input: &ExchangeInput) -> Result<Pro
         for (_, rule) in rules {
             if rule_head_partial(rule, input, &partial)? {
                 for atom in &rule.head {
-                    if partial.insert(runtime_pred_name(&atom.pred)?) {
+                    if partial.insert(runtime_pred_name(&atom.pred)?.into_owned()) {
                         changed = true;
                     }
                 }
@@ -233,7 +233,7 @@ fn sharded_literals<'r>(
             Literal::Neg(atom) => (atom, true),
             Literal::Cmp(..) => continue,
         };
-        if atom.pred.is_concrete() && input.sharded.contains_key(&runtime_pred_name(&atom.pred)?) {
+        if atom.pred.is_concrete() && input.sharded.contains_key(&*runtime_pred_name(&atom.pred)?) {
             out.push((index, atom, negated));
         }
     }
@@ -247,8 +247,8 @@ fn body_partial_preds(rule: &Rule, partial: &BTreeSet<String>) -> Result<BTreeSe
         if let Literal::Pos(atom) | Literal::Neg(atom) = literal {
             if atom.pred.is_concrete() {
                 let name = runtime_pred_name(&atom.pred)?;
-                if partial.contains(&name) {
-                    out.insert(name);
+                if partial.contains(&*name) {
+                    out.insert(name.into_owned());
                 }
             }
         }
@@ -307,7 +307,7 @@ fn classify_rule(
     if sharded.is_empty() {
         return Ok(None);
     }
-    let name_of = |atom: &Atom| runtime_pred_name(&atom.pred);
+    let name_of = |atom: &Atom| runtime_pred_name(&atom.pred).map(|name| name.into_owned());
     let forced_broadcast = rule.agg.is_some() || !body_partial_preds(rule, partial)?.is_empty();
 
     let mut strategies: BTreeMap<usize, ExchangeStrategy> = BTreeMap::new();
@@ -468,7 +468,7 @@ fn validate_rule(rule: &Rule, input: &ExchangeInput, partial: &BTreeSet<String>)
             continue;
         }
         let name = runtime_pred_name(&atom.pred)?;
-        if input.sharded.contains_key(&name) {
+        if input.sharded.contains_key(&*name) {
             return Err(DatalogError::Eval(format!(
                 "sharded relation {name} must stay EDB-only (fact routing owns its placement), \
                  but it is derived by a rule; remove it from the shard map, drop the rule, or \
@@ -484,7 +484,7 @@ fn validate_rule(rule: &Rule, input: &ExchangeInput, partial: &BTreeSet<String>)
     let sharded = sharded_literals(rule, input)?;
     for &(_, atom, _) in &sharded {
         let relation = runtime_pred_name(&atom.pred)?;
-        let column = input.sharded[&relation];
+        let column = input.sharded[&*relation];
         if column >= atom.terms.len() {
             return Err(DatalogError::Eval(format!(
                 "shard map partitions {relation} on column {column}, but it is used with \
@@ -507,7 +507,7 @@ fn validate_rule(rule: &Rule, input: &ExchangeInput, partial: &BTreeSet<String>)
     }
     for literal in &rule.body {
         if let Literal::Neg(atom) = literal {
-            if atom.pred.is_concrete() && partial.contains(&runtime_pred_name(&atom.pred)?) {
+            if atom.pred.is_concrete() && partial.contains(&*runtime_pred_name(&atom.pred)?) {
                 return Err(DatalogError::Eval(format!(
                     "negation over the distributed partial relation {} would read an \
                      incomplete extension",

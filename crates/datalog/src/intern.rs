@@ -25,7 +25,6 @@
 //! never changes meaning.
 
 use crate::value::{Tuple, Value};
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -80,6 +79,26 @@ impl Hasher for PassHasher {
 pub type FnvBuild = BuildHasherDefault<Fnv64Hasher>;
 pub type PassBuild = BuildHasherDefault<PassHasher>;
 
+// The crate's only map and set types (DESIGN.md §10.1).  Every map of the
+// engine — relations by name, deltas, the EDB bookkeeping, the journal, the
+// plan cache, the UDF registry — hashes with FNV-1a: no per-map random state,
+// so iteration order is a function of the input, and no SipHash on the
+// per-commit path.  `clippy.toml` disallows the `RandomState` defaults, so
+// these aliases carry the crate's only `#[allow]`.
+
+/// A map hashed with [`FnvBuild`].
+#[allow(clippy::disallowed_types)]
+pub type FnvMap<K, V> = std::collections::HashMap<K, V, FnvBuild>;
+
+/// A set hashed with [`FnvBuild`].
+#[allow(clippy::disallowed_types)]
+pub type FnvSet<T> = std::collections::HashSet<T, FnvBuild>;
+
+/// A map whose `u64` keys are already hashes ([`fnv_ids`] projections):
+/// [`PassBuild`] hands the key through.
+#[allow(clippy::disallowed_types)]
+pub type PassMap<V> = std::collections::HashMap<u64, V, PassBuild>;
+
 /// FNV-1a over a seed and a sequence of interned ids.  All row, key, and
 /// projection hashes in [`crate::relation`] go through this one function so
 /// a probe hashes exactly like the insert that built the bucket.
@@ -101,7 +120,7 @@ struct InternerState {
     /// id -> value (dense, append-only).
     values: Vec<Value>,
     /// value -> id.
-    ids: HashMap<Value, u32, FnvBuild>,
+    ids: FnvMap<Value, u32>,
 }
 
 /// The append-only value dictionary shared by every relation of a workspace.

@@ -58,9 +58,9 @@ pub use ast::{Atom, Constraint, Literal, PredRef, Program, Rule, Statement, Term
 pub use codec::{deserialize_tuple, serialize_tuple};
 pub use error::{DatalogError, Result};
 pub use eval::{Commit, EvalConfig, FactDelta, PlanStatsSnapshot};
-pub use intern::Interner;
+pub use intern::{FnvMap, FnvSet, Interner};
 pub use parser::{parse_program, parse_rule};
-pub use relation::{column_set, ColumnSet, Relation};
+pub use relation::{column_set, ColumnSet, Relation, Relations};
 pub use schema::{PredicateDecl, PredicateKind, Schema};
 pub use udf::{UdfRegistry, UdfRows};
 pub use value::{Tuple, Value};

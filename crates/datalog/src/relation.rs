@@ -35,13 +35,15 @@
 //! [`Relation::ensure_index`] builds — takes `&mut self`.
 
 use crate::error::{DatalogError, Result};
-use crate::intern::{fnv_ids, Interner, PassBuild};
+use crate::intern::{fnv_ids, FnvMap, Interner, PassMap};
 use crate::value::{Tuple, Value};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Stable identifier of a tuple inside one relation.
 pub type TupleId = u32;
+
+/// A workspace's relations by predicate name.
+pub type Relations = FnvMap<String, Relation>;
 
 /// A bound-column signature: bit `i` set means column `i` is part of the
 /// index key.  Relations wider than 64 columns are never indexed — the
@@ -165,11 +167,11 @@ pub struct Relation {
     /// relation in practice holds one or two arities).
     groups: Vec<ColumnGroup>,
     /// Membership: hash of (arity, id row) → candidate ids.
-    live: HashMap<u64, Vec<TupleId>, PassBuild>,
+    live: PassMap<Vec<TupleId>>,
     /// Functional predicates: hash of the key-id prefix → candidate ids.
-    fd_index: HashMap<u64, Vec<TupleId>, PassBuild>,
+    fd_index: PassMap<Vec<TupleId>>,
     /// Secondary indexes: signature → (hash of id projection → ids).
-    indexes: HashMap<ColumnSet, HashMap<u64, Vec<TupleId>, PassBuild>>,
+    indexes: FnvMap<ColumnSet, PassMap<Vec<TupleId>>>,
 }
 
 impl Default for Relation {
@@ -197,7 +199,7 @@ impl Clone for Relation {
             groups: self.groups.clone(),
             live: self.live.clone(),
             fd_index: self.fd_index.clone(),
-            indexes: HashMap::new(),
+            indexes: FnvMap::default(),
         }
     }
 }
@@ -225,9 +227,9 @@ impl Relation {
             free: Vec::new(),
             len: 0,
             groups: Vec::new(),
-            live: HashMap::default(),
-            fd_index: HashMap::default(),
-            indexes: HashMap::new(),
+            live: PassMap::default(),
+            fd_index: PassMap::default(),
+            indexes: FnvMap::default(),
         }
     }
 
@@ -665,7 +667,7 @@ impl Relation {
         if cols == 0 || self.indexes.contains_key(&cols) {
             return false;
         }
-        let mut index: HashMap<u64, Vec<TupleId>, PassBuild> = HashMap::default();
+        let mut index: PassMap<Vec<TupleId>> = PassMap::default();
         let mut ids = Vec::new();
         for group in &self.groups {
             for row in 0..group.rows() {
@@ -730,7 +732,7 @@ impl Relation {
     /// probe loops that resolve the index once per batch step and look up
     /// many precomputed [`fnv_ids`] hashes against it.  Buckets are
     /// collision-unfiltered — callers must re-verify candidates.
-    pub fn index_map(&self, cols: ColumnSet) -> Option<&HashMap<u64, Vec<TupleId>, PassBuild>> {
+    pub fn index_map(&self, cols: ColumnSet) -> Option<&PassMap<Vec<TupleId>>> {
         self.indexes.get(&cols)
     }
 

@@ -13,8 +13,110 @@
 use crate::ast::{Literal, Rule};
 use crate::error::{DatalogError, Result};
 use crate::eval::runtime_pred_name;
+use crate::intern::{FnvMap, FnvSet};
 use crate::udf::UdfRegistry;
-use std::collections::{HashMap, HashSet};
+
+/// An installed program's rules beside what evaluation asks of them on every
+/// round, worked out once when the program is installed: the strata, each
+/// split into its aggregate and non-aggregate rules, and each rule's head
+/// existentials.
+#[derive(Debug, Clone, Default)]
+pub struct RuleSet {
+    rules: Vec<Rule>,
+    strata: Vec<Stratum>,
+    /// Every rule, split the same way (DRed's over-deletion walks them all).
+    all: Stratum,
+    existentials: Vec<Existentials>,
+}
+
+/// The rules of one stratum, by how a round evaluates them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Stratum {
+    /// Rules without aggregation: driven by deltas, in index order.
+    pub(crate) normal: Vec<usize>,
+    /// Aggregation rules: recomputed from their full bodies.
+    pub(crate) aggregates: Vec<usize>,
+}
+
+impl Stratum {
+    fn split(rules: &[Rule], indices: impl IntoIterator<Item = usize>) -> Stratum {
+        let (aggregates, normal) = indices
+            .into_iter()
+            .partition(|&index| rules[index].agg.is_some());
+        Stratum { normal, aggregates }
+    }
+}
+
+/// A rule's head-existential variables ([`Rule::head_existentials`]) and the
+/// sorted body variables whose binding keys the entities it mints.  Both
+/// empty for a rule without head existentials.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Existentials {
+    pub(crate) head: Vec<String>,
+    pub(crate) memo_key: Vec<String>,
+}
+
+impl Existentials {
+    fn of(rule: &Rule) -> Existentials {
+        let head = rule.head_existentials();
+        if head.is_empty() {
+            return Existentials::default();
+        }
+        let mut memo_key = Vec::new();
+        for literal in &rule.body {
+            literal.collect_vars(&mut memo_key);
+        }
+        memo_key.sort();
+        Existentials { head, memo_key }
+    }
+}
+
+impl RuleSet {
+    /// `rules` grouped by `strata`, which [`stratify_with`] computed for
+    /// them.
+    pub fn new(rules: Vec<Rule>, strata: Vec<Vec<usize>>) -> RuleSet {
+        let strata = strata
+            .into_iter()
+            .map(|stratum| Stratum::split(&rules, stratum))
+            .collect();
+        RuleSet {
+            all: Stratum::split(&rules, 0..rules.len()),
+            existentials: rules.iter().map(Existentials::of).collect(),
+            strata,
+            rules,
+        }
+    }
+
+    /// Stratify `rules` ([`stratify_with`]) and keep the result.
+    pub fn stratified(
+        rules: Vec<Rule>,
+        udfs: &UdfRegistry,
+        allow_recursive_negation: bool,
+    ) -> Result<RuleSet> {
+        let strata = stratify_with(&rules, udfs, allow_recursive_negation)?;
+        Ok(RuleSet::new(rules, strata))
+    }
+
+    /// The rules, in install order; every rule index refers to this slice.
+    pub fn rules(&self) -> &[Rule] {
+        &self.rules
+    }
+
+    /// The strata in evaluation order.
+    pub(crate) fn strata(&self) -> &[Stratum] {
+        &self.strata
+    }
+
+    /// Every rule, split like a stratum.
+    pub(crate) fn all(&self) -> &Stratum {
+        &self.all
+    }
+
+    /// What rule `index` mints entities for.
+    pub(crate) fn existentials(&self, index: usize) -> &Existentials {
+        &self.existentials[index]
+    }
+}
 
 /// Compute evaluation strata for `rules`.
 ///
@@ -42,10 +144,10 @@ pub fn stratify_with(
     allow_recursive_negation: bool,
 ) -> Result<Vec<Vec<usize>>> {
     // 1. Collect the dependency graph over predicates derived by some rule.
-    let mut head_preds: HashSet<String> = HashSet::new();
+    let mut head_preds: FnvSet<String> = FnvSet::default();
     for rule in rules {
         for atom in &rule.head {
-            head_preds.insert(runtime_pred_name(&atom.pred)?);
+            head_preds.insert(runtime_pred_name(&atom.pred)?.into_owned());
         }
     }
 
@@ -60,7 +162,7 @@ pub fn stratify_with(
                 let a = runtime_pred_name(&first.pred)?;
                 let b = runtime_pred_name(&second.pred)?;
                 if a != b {
-                    edges.push((a, b, false));
+                    edges.push((a.into_owned(), b.into_owned(), false));
                 }
             }
         }
@@ -76,12 +178,12 @@ pub fn stratify_with(
                 if udfs.is_udf(&body_pred) {
                     continue;
                 }
-                if !head_preds.contains(&body_pred) {
+                if !head_preds.contains(&*body_pred) {
                     // EDB-only predicate: no ordering needed, but a negated
                     // EDB predicate is always safe.
                     continue;
                 }
-                edges.push((body_pred, head_pred.clone(), negative));
+                edges.push((body_pred.into_owned(), head_pred.to_string(), negative));
             }
         }
     }
@@ -89,7 +191,7 @@ pub fn stratify_with(
     // 2. Strongly connected components via iterative Tarjan.
     let mut nodes: Vec<String> = head_preds.iter().cloned().collect();
     nodes.sort();
-    let index_of: HashMap<String, usize> = nodes
+    let index_of: FnvMap<String, usize> = nodes
         .iter()
         .enumerate()
         .map(|(i, n)| (n.clone(), i))
@@ -164,7 +266,7 @@ pub fn stratify_with(
         let mut key = (0usize, 0usize);
         for head in &rule.head {
             let pred = runtime_pred_name(&head.pred)?;
-            let scc = scc_of[index_of[&pred]];
+            let scc = scc_of[index_of[&*pred]];
             key = key.max((level[scc], topo_level[scc]));
         }
         rule_keys.push((key.0, key.1, rule_index));

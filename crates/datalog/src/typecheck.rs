@@ -17,10 +17,10 @@
 use crate::ast::{Atom, Literal, Program, Rule, Term};
 use crate::error::{DatalogError, Result};
 use crate::eval::runtime_pred_name;
+use crate::intern::{FnvMap, FnvSet};
 use crate::schema::{Schema, BUILTIN_TYPES};
 use crate::udf::UdfRegistry;
 use crate::value::Value;
-use std::collections::{HashMap, HashSet};
 
 /// Type-check every rule of `program` against `schema`.
 pub fn typecheck_program(program: &Program, schema: &Schema, udfs: &UdfRegistry) -> Result<()> {
@@ -33,7 +33,7 @@ pub fn typecheck_program(program: &Program, schema: &Schema, udfs: &UdfRegistry)
 /// Type-check a single rule.
 pub fn typecheck_rule(rule: &Rule, schema: &Schema, udfs: &UdfRegistry) -> Result<()> {
     // 1. Infer the set of types guaranteed for each body variable.
-    let mut var_types: HashMap<String, HashSet<String>> = HashMap::new();
+    let mut var_types: FnvMap<String, FnvSet<String>> = FnvMap::default();
     for literal in &rule.body {
         let Literal::Pos(atom) = literal else {
             continue;
@@ -47,7 +47,10 @@ pub fn typecheck_rule(rule: &Rule, schema: &Schema, udfs: &UdfRegistry) -> Resul
         // Membership in a declared type predicate (or builtin check).
         if schema.is_type(&pred) && atom.terms.len() == 1 {
             if let Term::Var(v) = &atom.terms[0] {
-                var_types.entry(v.clone()).or_default().insert(pred.clone());
+                var_types
+                    .entry(v.clone())
+                    .or_default()
+                    .insert(pred.to_string());
             }
             continue;
         }
@@ -64,7 +67,7 @@ pub fn typecheck_rule(rule: &Rule, schema: &Schema, udfs: &UdfRegistry) -> Resul
         }
     }
 
-    let existentials: HashSet<String> = rule.head_existentials().into_iter().collect();
+    let existentials: FnvSet<String> = rule.head_existentials().into_iter().collect();
 
     // 2. Check each head argument against the head predicate's declaration.
     for atom in &rule.head {
@@ -77,8 +80,8 @@ fn check_atom_against_schema(
     rule: &Rule,
     atom: &Atom,
     schema: &Schema,
-    var_types: &HashMap<String, HashSet<String>>,
-    existentials: &HashSet<String>,
+    var_types: &FnvMap<String, FnvSet<String>>,
+    existentials: &FnvSet<String>,
 ) -> Result<()> {
     let Ok(pred) = runtime_pred_name(&atom.pred) else {
         return Ok(());

@@ -17,8 +17,8 @@
 //! mangled form of the paper's `serialize[P]` — resolves to the family
 //! implementation and receives `param` as an extra argument.
 
+use crate::intern::FnvMap;
 use crate::value::Value;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -35,8 +35,8 @@ pub type UdfFamilyFn = dyn Fn(&str, &[Option<Value>]) -> Result<UdfRows, String>
 /// Registry of user-defined functions available to a workspace.
 #[derive(Clone, Default)]
 pub struct UdfRegistry {
-    exact: HashMap<String, Arc<UdfFn>>,
-    families: HashMap<String, Arc<UdfFamilyFn>>,
+    exact: FnvMap<String, Arc<UdfFn>>,
+    families: FnvMap<String, Arc<UdfFamilyFn>>,
 }
 
 impl fmt::Debug for UdfRegistry {

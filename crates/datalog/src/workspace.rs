@@ -13,19 +13,19 @@
 use crate::ast::{Constraint, Literal, Program, Rule, Statement, Term};
 use crate::constraint::{check_constraints_for_delta, check_constraints_planned};
 use crate::error::{DatalogError, Result};
+use crate::eval::seminaive::ExistentialMemo;
 use crate::eval::{
     Bindings, Commit, EvalConfig, EvalJournal, Evaluator, FactDelta, PlanCache, PlanStats,
     PlanStatsSnapshot,
 };
-use crate::intern::Interner;
+use crate::intern::{FnvSet, Interner};
 use crate::parser::parse_program;
-use crate::relation::Relation;
+use crate::relation::{Relation, Relations};
 use crate::schema::{PredicateKind, Schema};
-use crate::strata::stratify_with;
+use crate::strata::RuleSet;
 use crate::typecheck::typecheck_program;
 use crate::udf::UdfRegistry;
 use crate::value::{Tuple, Value};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,17 +33,17 @@ use std::time::Instant;
 #[derive(Clone)]
 pub struct Workspace {
     schema: Schema,
-    relations: HashMap<String, Relation>,
-    rules: Vec<Rule>,
+    relations: Relations,
+    /// The installed rules, stratified.
+    program: RuleSet,
     constraints: Vec<Constraint>,
     udfs: UdfRegistry,
-    strata: Vec<Vec<usize>>,
     config: EvalConfig,
     entity_counter: u64,
-    existential_memo: HashMap<(usize, Vec<Value>), u64>,
+    existential_memo: ExistentialMemo,
     /// Explicitly asserted (extensional) facts, tracked so incremental
     /// deletion never removes a fact that has a non-rule justification.
-    edb_facts: HashMap<String, HashSet<Tuple>>,
+    edb_facts: FactDelta,
     /// When true, static type checking failures abort installation.
     strict_typing: bool,
     /// When true, negation is permitted inside recursive components
@@ -77,7 +77,7 @@ impl std::fmt::Debug for Workspace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Workspace")
             .field("predicates", &self.relations.len())
-            .field("rules", &self.rules.len())
+            .field("rules", &self.program.rules().len())
             .field("constraints", &self.constraints.len())
             .field(
                 "facts",
@@ -98,15 +98,14 @@ impl Workspace {
     pub fn new() -> Self {
         Workspace {
             schema: Schema::new(),
-            relations: HashMap::new(),
-            rules: Vec::new(),
+            relations: Relations::default(),
+            program: RuleSet::default(),
             constraints: Vec::new(),
             udfs: UdfRegistry::new(),
-            strata: Vec::new(),
             config: EvalConfig::default(),
             entity_counter: 0,
-            existential_memo: HashMap::new(),
-            edb_facts: HashMap::new(),
+            existential_memo: ExistentialMemo::default(),
+            edb_facts: FactDelta::default(),
             strict_typing: true,
             allow_recursive_negation: false,
             plan_cache: PlanCache::new(),
@@ -151,7 +150,7 @@ impl Workspace {
 
     /// Installed rules.
     pub fn rules(&self) -> &[Rule] {
-        &self.rules
+        self.program.rules()
     }
 
     /// Installed constraints.
@@ -194,7 +193,9 @@ impl Workspace {
     }
 
     /// Install a parsed program: absorb its schema, type-check it, add its
-    /// rules, constraints and facts, and recompute evaluation strata.
+    /// rules, constraints and facts, and re-stratify the rules — the one
+    /// place the per-rule facts evaluation reads every round are computed
+    /// ([`RuleSet`]).
     ///
     /// Programs containing BloxGenerics statements must be compiled with the
     /// meta-compiler first; installing them directly is an error.
@@ -211,9 +212,10 @@ impl Workspace {
         if self.strict_typing {
             typecheck_program(program, &self.schema, &self.udfs)?;
         }
+        let mut rules = self.program.rules().to_vec();
         for statement in &program.statements {
             match statement {
-                Statement::Rule(rule) => self.rules.push(rule.clone()),
+                Statement::Rule(rule) => rules.push(rule.clone()),
                 Statement::Constraint(constraint) => self.constraints.push(constraint.clone()),
                 Statement::Fact(fact) => {
                     let pred = crate::eval::runtime_pred_name(&fact.atom.pred)?;
@@ -223,8 +225,8 @@ impl Workspace {
                 Statement::GenericRule(_) | Statement::GenericConstraint(_) => unreachable!(),
             }
         }
-        self.strata = stratify_with(&self.rules, &self.udfs, self.allow_recursive_negation)?;
-        self.seedable = Self::compute_seedable(&self.rules);
+        self.program = RuleSet::stratified(rules, &self.udfs, self.allow_recursive_negation)?;
+        self.seedable = Self::compute_seedable(self.program.rules());
         // The rule set changed: previously compiled plans are stale.
         self.plan_cache.clear();
         Ok(())
@@ -233,12 +235,12 @@ impl Workspace {
     /// A program is seedable iff no negated body literal reads a predicate
     /// that an aggregate rule writes (see the `seedable` field).
     fn compute_seedable(rules: &[Rule]) -> bool {
-        let mut agg_heads: HashSet<String> = HashSet::new();
+        let mut agg_heads: FnvSet<String> = FnvSet::default();
         for rule in rules {
             if rule.agg.is_some() {
                 for atom in &rule.head {
                     if let Ok(name) = crate::eval::runtime_pred_name(&atom.pred) {
-                        agg_heads.insert(name);
+                        agg_heads.insert(name.into_owned());
                     }
                 }
             }
@@ -250,7 +252,7 @@ impl Workspace {
             for literal in &rule.body {
                 if let Literal::Neg(atom) = literal {
                     if let Ok(name) = crate::eval::runtime_pred_name(&atom.pred) {
-                        if agg_heads.contains(&name) {
+                        if agg_heads.contains(&*name) {
                             return false;
                         }
                     }
@@ -422,36 +424,41 @@ impl Workspace {
         journal: &mut EvalJournal,
     ) -> Result<Commit> {
         let mut report = Commit::default();
-        let mut seed: HashMap<String, HashSet<Tuple>> = HashMap::new();
+        let mut seed = FactDelta::default();
         for (pred, tuple) in batch {
-            let key_arity = self.key_arity(&pred);
             if !self.relations.contains_key(&pred) {
                 journal.record_created(&pred);
+                let relation = Relation::with_interner(
+                    &pred,
+                    self.key_arity(&pred),
+                    Arc::clone(&self.interner),
+                );
+                self.relations.insert(pred.clone(), relation);
             }
-            let relation = self.relations.entry(pred.clone()).or_insert_with(|| {
-                Relation::with_interner(&pred, key_arity, Arc::clone(&self.interner))
-            });
+            let relation = self
+                .relations
+                .get_mut(&pred)
+                .expect("relation just ensured");
             if let Some(stored) = relation.insert_new(&tuple)? {
                 journal.record_added(&pred, stored);
                 seed.entry(pred.clone()).or_default().insert(tuple.clone());
             }
-            if self
-                .edb_facts
-                .entry(pred.clone())
-                .or_default()
-                .insert(tuple.clone())
-            {
+            let asserted = match self.edb_facts.get_mut(&pred) {
+                Some(asserted) => asserted,
+                None => self.edb_facts.entry(pred.clone()).or_default(),
+            };
+            if asserted.insert(tuple.clone()) {
                 journal.record_edb_added(&pred, tuple);
             }
             report.inserted += 1;
         }
         let seeded = self.seedable && self.converged;
         let stats = {
-            let (mut evaluator, rules, strata, _) = self.evaluator(journal);
+            let (mut evaluator, program, _) = self.evaluator(journal);
             if seeded {
-                evaluator.run_seeded(rules, strata, seed)?
+                evaluator.run_seeded(program, seed)?
             } else {
-                evaluator.run(rules, strata)?
+                evaluator.run(program)?
             }
         };
         report.derived = stats.derived;
@@ -509,17 +516,11 @@ impl Workspace {
 
     /// The evaluator over this workspace's mutable state, journaling into
     /// `journal`, beside the parts of the workspace it reads but does not
-    /// own: the rules, their strata, and the EDB bookkeeping.
-    #[allow(clippy::type_complexity)]
+    /// own: the stratified rules and the EDB bookkeeping.
     fn evaluator<'a>(
         &'a mut self,
         journal: &'a mut EvalJournal,
-    ) -> (
-        Evaluator<'a>,
-        &'a [Rule],
-        &'a [Vec<usize>],
-        &'a HashMap<String, HashSet<Tuple>>,
-    ) {
+    ) -> (Evaluator<'a>, &'a RuleSet, &'a FactDelta) {
         let evaluator = Evaluator {
             relations: &mut self.relations,
             schema: &self.schema,
@@ -532,7 +533,7 @@ impl Workspace {
             interner: &self.interner,
             journal,
         };
-        (evaluator, &self.rules, &self.strata, &self.edb_facts)
+        (evaluator, &self.program, &self.edb_facts)
     }
 
     /// Planner and index counters accumulated by this workspace.
@@ -565,8 +566,8 @@ impl Workspace {
             }
         }
         let deleted = {
-            let (mut evaluator, rules, strata, edb) = self.evaluator(&mut journal);
-            evaluator.delete_with_dred(rules, strata, &batch, edb)
+            let (mut evaluator, program, edb) = self.evaluator(&mut journal);
+            evaluator.delete_with_dred(program, &batch, edb)
         };
         // A retraction that found nothing stored ran no fixpoint and changed
         // nothing: there is no delta to check or report.
@@ -1163,6 +1164,50 @@ mod tests {
         ws.retract(vec![("other".into(), vec![s("z")])]).unwrap();
         assert_eq!(ws.plan_stats().rows_examined, examined);
         assert_eq!(ws.plan_stats().index_probes, probes);
+    }
+
+    #[test]
+    fn commits_report_their_deltas_in_an_order_the_input_fixes() {
+        // Two workspaces, one program, one sequence of batches: every map
+        // behind a `Commit` hashes with the one fixed hasher, so the deltas
+        // iterate alike — per predicate and within each predicate.
+        fn in_order(delta: &FactDelta) -> Vec<(String, Vec<Tuple>)> {
+            delta
+                .iter()
+                .map(|(pred, tuples)| (pred.clone(), tuples.iter().cloned().collect()))
+                .collect()
+        }
+        let run = || {
+            let mut ws = Workspace::new();
+            ws.install_source(
+                "reachable(X, Y) <- link(X, Y).\n\
+                 reachable(X, Y) <- link(X, Z), reachable(Z, Y).\n\
+                 hub(X) <- link(X, Y), link(X, Z), Y != Z.\n\
+                 twin(X, Y) <- reachable(X, Y), reachable(Y, X).",
+            )
+            .unwrap();
+            let link = |x: usize, y: usize| {
+                (
+                    "link".to_string(),
+                    vec![s(&format!("n{x}")), s(&format!("n{y}"))],
+                )
+            };
+            let mut seen = Vec::new();
+            for chunk in (0..24).collect::<Vec<_>>().chunks(6) {
+                let batch = chunk
+                    .iter()
+                    .flat_map(|&i| [link(i, i + 1), link(i + 1, i)])
+                    .collect();
+                let commit = ws.transaction(batch).unwrap();
+                seen.push((in_order(&commit.added), in_order(&commit.removed)));
+            }
+            let commit = ws.retract(vec![link(12, 13), link(5, 6)]).unwrap();
+            seen.push((in_order(&commit.added), in_order(&commit.removed)));
+            seen
+        };
+        let (first, second) = (run(), run());
+        assert!(first.iter().map(|(added, _)| added.len()).sum::<usize>() > 4);
+        assert_eq!(first, second);
     }
 
     #[test]

@@ -15,11 +15,11 @@ use secureblox_datalog::eval::join::JoinContext;
 use secureblox_datalog::eval::plan::{bound_after, compile_body_plan, full_signature};
 use secureblox_datalog::eval::{Bindings, PlanCache, PlanStats};
 use secureblox_datalog::{
-    parse_program, parse_rule, Constraint, FactDelta, Literal, Relation, UdfRegistry, Value,
-    Workspace,
+    parse_program, parse_rule, Constraint, FactDelta, FnvMap, Literal, Relation, Relations,
+    UdfRegistry, Value, Workspace,
 };
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------------
 // Value: total order
@@ -441,8 +441,8 @@ fn arb_constraint_rows() -> impl Strategy<Value = Rows> {
     (pair("a", 4), pair("b", 9), unary).prop_map(|(a, b, c)| [a, b, c].concat())
 }
 
-fn constraint_relations(rows: &Rows, me: Option<i64>) -> HashMap<String, Relation> {
-    let mut relations: HashMap<String, Relation> = ["a", "b", "c"]
+fn constraint_relations(rows: &Rows, me: Option<i64>) -> Relations {
+    let mut relations: Relations = ["a", "b", "c"]
         .into_iter()
         .map(|pred| (pred.to_string(), Relation::new(pred, None)))
         .collect();
@@ -506,7 +506,7 @@ proptest! {
         let constraint = Constraint { lhs: side(LHS[lhs]), rhs: side(&rhs.join(", ")) };
         let constraints = [constraint.clone()];
         let udfs = constraint_udfs();
-        let oracle = |relations: &HashMap<String, Relation>| {
+        let oracle = |relations: &Relations| {
             verdict(&check_constraints(&constraints, relations, &udfs))
         };
         let mut relations = constraint_relations(&rows, me);
@@ -541,7 +541,7 @@ proptest! {
         let mut changed = relations.clone();
         for after in changes.iter().filter(|_| held.is_none()) {
             changed = constraint_relations(after, me);
-            let (mut added, mut removed) = (FactDelta::new(), FactDelta::new());
+            let (mut added, mut removed) = (FactDelta::default(), FactDelta::default());
             for (from, to, delta) in [
                 (&changed, &relations, &mut added),
                 (&relations, &changed, &mut removed),
@@ -847,6 +847,85 @@ fn refused_retraction_unwinds_minted_entities() {
     }
     assert_eq!(ws.count("orphan"), 2);
     assert_eq!(dump(&ws), dump(&untouched));
+}
+
+// ---------------------------------------------------------------------------
+// Bindings: the substitution stack ≡ a map with snapshots
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum BindingOp {
+    Bind(usize, i64),
+    Unbind(usize),
+    Mark,
+    Restore,
+}
+
+const BINDING_VARS: [&str; 5] = ["A", "B", "C", "Src", "Dst"];
+
+fn arb_binding_op() -> impl Strategy<Value = BindingOp> {
+    let bind =
+        || (0..BINDING_VARS.len(), 0i64..3).prop_map(|(var, value)| BindingOp::Bind(var, value));
+    // Binds twice as likely as each other operation, so stacks grow.
+    prop_oneof![
+        bind(),
+        bind(),
+        (0..BINDING_VARS.len()).prop_map(BindingOp::Unbind),
+        Just(BindingOp::Mark),
+        Just(BindingOp::Restore),
+    ]
+}
+
+proptest! {
+    /// Random bind / unbind / mark / restore sequences on `Bindings` agree
+    /// with a map in which a mark is a snapshot and a restore returns to the
+    /// latest one.  `unbind` keeps to its contract: it only removes a
+    /// variable bound since the innermost outstanding mark.
+    #[test]
+    fn bindings_stack_matches_a_map_model(
+        ops in proptest::collection::vec(arb_binding_op(), 0..64),
+    ) {
+        let mut bindings = Bindings::new();
+        let mut model: FnvMap<String, Value> = FnvMap::default();
+        let mut marks: Vec<(usize, FnvMap<String, Value>)> = Vec::new();
+        for op in ops {
+            match op {
+                BindingOp::Bind(var, value) => {
+                    let (var, value) = (BINDING_VARS[var], Value::Int(value));
+                    let consistent = model.get(var).is_none_or(|held| *held == value);
+                    prop_assert_eq!(bindings.bind(var, value.clone()), consistent);
+                    model.entry(var.to_string()).or_insert(value);
+                }
+                BindingOp::Unbind(var) => {
+                    let var = BINDING_VARS[var];
+                    if marks.last().is_none_or(|(_, snapshot)| !snapshot.contains_key(var)) {
+                        bindings.unbind(var);
+                        model.remove(var);
+                    }
+                }
+                BindingOp::Mark => marks.push((bindings.mark(), model.clone())),
+                BindingOp::Restore => {
+                    if let Some((mark, snapshot)) = marks.pop() {
+                        bindings.restore(mark);
+                        model = snapshot;
+                    }
+                }
+            }
+            prop_assert_eq!(bindings.len(), model.len());
+            prop_assert_eq!(bindings.is_empty(), model.is_empty());
+            for var in BINDING_VARS {
+                prop_assert_eq!(bindings.get(var), model.get(var));
+            }
+            let mut items: Vec<(String, Value)> =
+                model.iter().map(|(var, value)| (var.clone(), value.clone())).collect();
+            items.sort_by(|a, b| a.0.cmp(&b.0));
+            let rendered: Vec<String> =
+                items.iter().map(|(var, value)| format!("{var} = {value}")).collect();
+            prop_assert_eq!(bindings.sorted_items(), items);
+            let rendered = if rendered.is_empty() { "{}".to_string() } else { rendered.join(", ") };
+            prop_assert_eq!(bindings.render(), rendered);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -17,23 +17,22 @@
 
 use secureblox_datalog::ast::{Literal, Program, Statement, Term};
 use secureblox_datalog::error::Result;
-use secureblox_datalog::relation::Relation;
+use secureblox_datalog::relation::{Relation, Relations};
 use secureblox_datalog::schema::{PredicateKind, Schema};
 use secureblox_datalog::value::{Tuple, Value};
-use std::collections::HashMap;
 
 /// The meta-level database over which generic rules and constraints are
 /// evaluated.
 #[derive(Debug, Clone, Default)]
 pub struct MetaDatabase {
-    relations: HashMap<String, Relation>,
+    relations: Relations,
 }
 
 impl MetaDatabase {
     /// Build the meta-database for a program and its absorbed schema.
     pub fn from_program(program: &Program, schema: &Schema) -> Result<Self> {
         let mut db = MetaDatabase {
-            relations: HashMap::new(),
+            relations: Relations::default(),
         };
 
         // Built-in generic predicates derived from the schema.
@@ -135,7 +134,7 @@ impl MetaDatabase {
     }
 
     /// Borrow the underlying relations (for joins and constraint checks).
-    pub fn relations(&self) -> &HashMap<String, Relation> {
+    pub fn relations(&self) -> &Relations {
         &self.relations
     }
 
@@ -153,8 +152,8 @@ pub fn referenced_meta_predicates(program: &Program) -> Vec<String> {
         for literal in literals {
             if let Literal::Pos(atom) | Literal::Neg(atom) = literal {
                 if let Ok(name) = secureblox_datalog::eval::runtime_pred_name(&atom.pred) {
-                    if !names.contains(&name) {
-                        names.push(name);
+                    if !names.iter().any(|known| *known == name) {
+                        names.push(name.into_owned());
                     }
                 }
             }
