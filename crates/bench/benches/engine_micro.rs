@@ -1,7 +1,9 @@
 //! Ablation B: DatalogLB engine micro-benchmarks — fixpoint evaluation,
 //! transactional batches with constraint checking (a held fact re-asserted,
 //! and a new one derived through a rule and checked), incremental deletion
-//! (build, first fixpoint and steady-state retraction timed apart), the
+//! (build, first fixpoint and steady-state retraction timed apart on a chain
+//! where everything reached goes; a chord withdrawn from a ring where almost
+//! nothing does), the
 //! signature-shaped constraint check against a growing inbox, and the
 //! planner-vs-naive join comparison (a 3-literal rule over 10k-tuple
 //! relations, nested-loop scans vs selectivity-ordered index probes).
@@ -64,6 +66,36 @@ fn chain_workspace(n: usize) -> Workspace {
         .unwrap();
     }
     ws
+}
+
+/// A non-linear closure over an `n`-node ring (both directions) with a chord
+/// from every even node across the ring: the shape of the end-to-end
+/// benchmark's churned reachability, where almost every tuple a withdrawn
+/// chord touches keeps another derivation.
+fn chord_workspace(n: usize) -> Workspace {
+    let mut ws = Workspace::new();
+    ws.install_source(
+        "reach(X, Y) <- link(X, Y).\n\
+         reach(X, Z) <- reach(X, Y), reach(Y, Z).",
+    )
+    .unwrap();
+    let mut add = |a: usize, b: usize| {
+        for (x, y) in [(a, b), (b, a)] {
+            ws.assert_fact("link", chord_link(x, y)).unwrap();
+        }
+    };
+    for i in 0..n {
+        add(i, (i + 1) % n);
+    }
+    for i in (0..n / 2).step_by(2) {
+        add(i, i + n / 2);
+    }
+    ws.fixpoint().unwrap();
+    ws
+}
+
+fn chord_link(a: usize, b: usize) -> Tuple {
+    vec![Value::str(format!("n{a}")), Value::str(format!("n{b}"))]
 }
 
 /// A receiver holding `inbox` signed facts from four principals under the
@@ -181,6 +213,24 @@ fn bench(c: &mut Criterion) {
                 ws.borrow_mut().transaction(link()).unwrap();
             },
             |()| ws.borrow_mut().retract(link()).unwrap(),
+            BatchSize::PerIteration,
+        )
+    });
+    group.bench_function("retract_chord", |b| {
+        // One chord of a 14-node ring withdrawn, both directions in one
+        // retraction; it goes back off the clock.  The chain above is the
+        // opposite case: there every tuple the link reaches really goes.
+        let chord = || {
+            [(0, 7), (7, 0)]
+                .map(|(a, b)| ("link".to_string(), chord_link(a, b)))
+                .to_vec()
+        };
+        let ws = RefCell::new(chord_workspace(14));
+        b.iter_batched(
+            || {
+                ws.borrow_mut().transaction(chord()).unwrap();
+            },
+            |()| ws.borrow_mut().retract(chord()).unwrap(),
             BatchSize::PerIteration,
         )
     });

@@ -15,7 +15,8 @@
 //! **There is no shrinking.**  Cases are generated from a deterministic
 //! per-test seed (overridable with `PROPTEST_SEED`), so a failure report
 //! identifies the exact case and replays exactly.  The case count comes from
-//! `ProptestConfig::with_cases` / `PROPTEST_CASES` (default 256).
+//! `ProptestConfig::with_cases` (default 256); `PROPTEST_CASES`, when set,
+//! overrides both.
 
 pub mod arbitrary;
 pub mod collection;

@@ -64,19 +64,23 @@ pub struct ProptestConfig {
 }
 
 impl ProptestConfig {
+    /// `cases` cases, unless `PROPTEST_CASES` names another count: a run
+    /// that sets it (a long CI leg) gets that many for every property.
     pub fn with_cases(cases: u32) -> Self {
-        ProptestConfig { cases }
+        ProptestConfig {
+            cases: cases_from_env().unwrap_or(cases),
+        }
     }
 }
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        let cases = std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(256);
-        ProptestConfig { cases }
+        ProptestConfig::with_cases(256)
     }
+}
+
+fn cases_from_env() -> Option<u32> {
+    std::env::var("PROPTEST_CASES").ok()?.parse().ok()
 }
 
 /// A failed test case (what `prop_assert!` returns).

@@ -200,8 +200,8 @@ pub fn build_deployment(config: &PathVectorConfig) -> Result<Deployment> {
 }
 
 /// Withdraw the link between nodes `a` and `b` (both directions, as a real
-/// link failure would): each endpoint retracts its `link` base fact, DRed
-/// removes every path that used the link, and the withdrawals propagate to
+/// link failure would): each endpoint retracts its `link` base fact, the
+/// retraction removes every path that used the link, and the withdrawals propagate to
 /// the rest of the network as signed `Retract` deltas through the same
 /// `says` channels the advertisements used.  Run the deployment afterwards
 /// (`Deployment::run`) to re-converge on the surviving topology.
@@ -319,7 +319,7 @@ mod tests {
         // the withdrawals propagate, no node may still hold a route to n1,
         // and n1 must have lost its routes — while every other leaf keeps its
         // hub route.  This is distributed retraction end to end: the hub's
-        // DRed un-derives its advertisements, the leaves receive signed
+        // retraction un-derives its advertisements, the leaves receive signed
         // Retract deltas, and their own cascaded withdrawals fan back out.
         let num_nodes = 5;
         let edges: Vec<(usize, usize)> = (1..num_nodes).map(|i| (0, i)).collect();

@@ -21,7 +21,7 @@ pub enum DeltaOp {
     Assert,
     /// A previously asserted tuple the origin has withdrawn; the receiver
     /// verifies the same detached signature that authenticated the assert and
-    /// DRed-maintains everything derived from the fact.
+    /// maintains everything derived from the fact.
     Retract,
 }
 

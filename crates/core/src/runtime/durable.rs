@@ -182,9 +182,10 @@ impl Deployment {
             }
 
             // Replay the snapshot as one transaction, then the WAL suffix
-            // with the original commit boundaries (records sharing a
-            // watermark committed together), through the same sink as a live
-            // commit.  The store is not attached yet, so nothing is logged;
+            // with the original commit boundaries (consecutive records of one
+            // kind sharing a watermark committed together — an insert group
+            // as one transaction, a retract group as one retraction),
+            // through the same sink as a live commit.  The store is not attached yet, so nothing is logged;
             // every replayed commit feeds the node's export candidates like a
             // live one, and the first is evaluated naively from the freshly
             // built workspace, so together they cover the whole exportable
@@ -200,29 +201,27 @@ impl Deployment {
                 replay(CommitOp::Assert, snapshot_facts)?;
             }
             let mut pending: Vec<(String, Tuple)> = Vec::new();
-            let mut pending_mark = 0u64;
+            let mut group = (CommitOp::Assert, 0u64);
             for record in store.recovered_suffix().to_vec() {
-                match record.op {
-                    WalOp::Insert => {
-                        if !pending.is_empty() && record.watermark != pending_mark {
-                            replay(CommitOp::Assert, std::mem::take(&mut pending))?;
-                        }
-                        pending_mark = record.watermark;
-                        pending.push((record.pred, record.tuple));
-                    }
-                    WalOp::Retract => {
-                        if !pending.is_empty() {
-                            replay(CommitOp::Assert, std::mem::take(&mut pending))?;
-                        }
-                        replay(CommitOp::LocalRetract, vec![(record.pred, record.tuple)])?;
-                    }
+                let op = match record.op {
+                    WalOp::Insert => CommitOp::Assert,
+                    WalOp::Retract => CommitOp::LocalRetract,
                     // Export-cursor records carry no base facts; the store
                     // already folded them into its cursor state at open.
-                    WalOp::ExportMark | WalOp::ExportClear => {}
+                    WalOp::ExportMark | WalOp::ExportClear => continue,
+                };
+                if !pending.is_empty() && (op, record.watermark) != group {
+                    replay(group.0, std::mem::take(&mut pending))?;
                 }
+                group = (op, record.watermark);
+                pending.push((record.pred, record.tuple));
             }
             // Derive IDB state even when the store was empty (the provisioned
-            // facts alone may drive rules): the last batch, or an empty one.
+            // facts alone may drive rules): the last group, or an empty
+            // transaction.
+            if group.0 == CommitOp::LocalRetract {
+                replay(group.0, std::mem::take(&mut pending))?;
+            }
             replay(CommitOp::Assert, pending)?;
 
             // Rebuild the export cursor from the WAL's.  Entries whose tuple

@@ -15,7 +15,7 @@
 //!   generated `sig$T` rules, optionally AES-encrypted); the receiver inserts
 //!   the `says$T` and `sig$T` facts and its own constraints decide whether to
 //!   accept them.  `Retract` deltas withdraw previously shipped tuples under
-//!   the same detached signature; the receiver verifies it, DRed-maintains
+//!   the same detached signature; the receiver verifies it, maintains
 //!   everything derived from the fact, logs the retraction to its WAL, and
 //!   propagates any cascaded withdrawals onward through its own streams,
 //! * anonymity-circuit traffic (`anon_says$T`) wraps the same delta envelope
@@ -637,7 +637,7 @@ impl Deployment {
         self.nodes.iter().map(|node| &node.ledger).collect()
     }
 
-    /// Retract base facts at `principal`'s node: incremental deletion (DRed)
+    /// Retract base facts at `principal`'s node: incremental deletion
     /// in the workspace, logged to the node's durable store when durability
     /// is enabled so recovery replays the retraction in order.  Facts that
     /// are not stored there are a no-op: nothing is logged, timed or shipped.

@@ -575,7 +575,7 @@ mod tests {
         updates(deployment) - before - 1
     }
 
-    /// `Retract(x), Assert(x)` in one drained envelope: n1 over-deletes and
+    /// `Retract(x), Assert(x)` in one drained envelope: n1 deletes and
     /// re-derives its onward export between two flushes, and ships nothing.
     #[test]
     fn coalesced_retract_then_assert_causes_no_onward_delta() {
@@ -704,6 +704,35 @@ mod tests {
             landing
         );
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A fact both asserted and derived: retracting it takes it out of the
+    /// EDB — a `Retract` record, a counted retraction, another root — and
+    /// leaves it stored, because a rule still derives it.  Recovery lands on
+    /// the same relations and roots.
+    #[test]
+    fn retracting_an_asserted_fact_a_rule_derives_logs_it_and_keeps_it() {
+        let dir = fresh_dir("asserted-derived");
+        let (mut deployment, specs) = two_durable_nodes(REACH_APP, &dir);
+        let reach = ("reach".to_string(), link(0, 1).1);
+        let now = deployment.nodes[0].available_at;
+        assert!(deployment
+            .node_ctx(0)
+            .process_batch(vec![reach.clone()], now)
+            .unwrap());
+        deployment.run().unwrap();
+        let seqs = wal_seqs(&deployment);
+        let roots = deployment.edb_roots().unwrap();
+        let applied = deployment.report().retractions_applied;
+        deployment.retract("n0", vec![reach.clone()]).unwrap();
+        assert!(wal_seqs(&deployment)[0] > seqs[0], "the Retract is logged");
+        assert_eq!(deployment.report().retractions_applied, applied + 1);
+        assert_ne!(deployment.edb_roots().unwrap()[0], roots[0]);
+        assert!(deployment.nodes[0]
+            .workspace
+            .contains_fact("reach", &reach.1));
+        let landing = crash(deployment);
+        assert_recovery_lands(&dir, &specs, landing);
     }
 
     /// The WAL group is the commit's base delta, not the caller's batch: a

@@ -143,7 +143,7 @@ impl NodeCtx<'_> {
 
     /// The commit sink: the one place a change enters this node's workspace,
     /// whatever it is (`op`) and wherever it came from (DESIGN.md §9.3).
-    /// Applies `batch` as one ACID transaction or one DRed retraction, charges
+    /// Applies `batch` as one ACID transaction or one retraction, charges
     /// the measured time to the virtual clock and the op's histogram, appends
     /// the commit's *base* delta — what the journal says entered or left the
     /// asserted set, not what the batch named — to the WAL as one record
@@ -765,7 +765,7 @@ impl NodeCtx<'_> {
     /// — accept it or roll it back.  A `Retract` gets the channel-level
     /// mirror of those constraints (only the principal that said a fact, and
     /// whose signature still verifies over it, may retract it, and only at
-    /// the addressee), then DRed.  So does a re-`Assert` of a `says$T` tuple
+    /// the addressee), then deletion.  So does a re-`Assert` of a `says$T` tuple
     /// already held whose `sig$T` row is not: no new `says$T` tuple means no
     /// constraint would look at the signature, and an unverified row must
     /// not reach the EDB, the WAL or the link's sequence watermark.

@@ -797,7 +797,7 @@ impl Deployment {
     ///
     /// The movement itself is driven by the signed delta plane: the updated
     /// `shard_slot`/`shard_member` facts are asserted/retracted on every
-    /// node (DRed then withdraws every exchange tuple whose routing no
+    /// node (deletion then withdraws every exchange tuple whose routing no
     /// longer holds, and derives the new routing), moved base tuples are
     /// retracted at the old owner and re-asserted at the new one (both
     /// WAL-logged), and one [`Deployment::run`] re-converges the group.
@@ -837,7 +837,7 @@ impl Deployment {
         let new_ring = new_map.ring();
         let segments_after = new_ring.segments().len();
 
-        // 1. Update the ring's Datalog mirror on every node.  DRed retracts
+        // 1. Update the ring's Datalog mirror on every node.  Deletion drops
         //    every exchange derivation the old slot table supported; the
         //    new facts derive the new routing.  Only the diff moves.
         let old_facts = old_map.exchange_facts();

@@ -496,7 +496,7 @@ fn extend_frame(
             if probe.member {
                 // The key is the whole row: nothing to bind, no candidates.
                 PlanStats::bump(&stats.index_probes);
-                if relation.find_ids(&key).is_some() {
+                if relation.find_row(&key).is_some() {
                     emit(i, &[]);
                 }
                 continue;

@@ -31,10 +31,11 @@ use super::runtime_pred_name;
 use crate::ast::{Atom, CmpOp, Literal, Term};
 use crate::error::{DatalogError, Result};
 use crate::intern::FnvSet;
-use crate::relation::{ColumnSet, Relations};
+use crate::relation::{ColumnSet, Relations, TupleId};
 use crate::schema::BUILTIN_TYPES;
 use crate::udf::UdfRegistry;
 use crate::value::{Tuple, Value};
+use std::cell::RefCell;
 use std::sync::atomic::AtomicU64;
 
 /// A restriction of one body literal to a delta set (semi-naïve evaluation).
@@ -43,15 +44,20 @@ pub struct DeltaRestriction<'a> {
     /// Index of the body literal that must match a delta tuple.
     pub literal_index: usize,
     /// The delta tuples of that literal's predicate (a semi-naïve delta, a
-    /// DRed frontier, or a commit's additions under a constraint check).
+    /// deletion frontier, or a commit's additions under a constraint check).
     pub delta: &'a FnvSet<Tuple>,
 }
+
+/// The stored tuples a solution was built from: `(body literal, TupleId)`
+/// per positive stored-relation literal, in plan order.
+pub type Trail = RefCell<Vec<(usize, TupleId)>>;
 
 /// Join context: the relations and UDFs visible to the evaluation.
 pub struct JoinContext<'a> {
     pub relations: &'a Relations,
     pub udfs: &'a UdfRegistry,
     stats: Option<&'a PlanStats>,
+    trail: Option<&'a Trail>,
 }
 
 impl<'a> JoinContext<'a> {
@@ -61,6 +67,7 @@ impl<'a> JoinContext<'a> {
             relations,
             udfs,
             stats: None,
+            trail: None,
         }
     }
 
@@ -74,7 +81,17 @@ impl<'a> JoinContext<'a> {
             relations,
             udfs,
             stats: Some(stats),
+            trail: None,
         }
+    }
+
+    /// Keep `trail` holding the stored tuples the current partial solution
+    /// matched, so a callback can read which facts a solution used (a
+    /// retraction's proof search does; a pinned delta tuple is not stored
+    /// and is not on the trail).
+    pub fn with_trail(mut self, trail: &'a Trail) -> Self {
+        self.trail = Some(trail);
+        self
     }
 
     fn bump(&self, pick: impl Fn(&PlanStats) -> &AtomicU64) {
@@ -261,19 +278,12 @@ impl<'a> JoinContext<'a> {
                     }
                 }
                 if all_ground {
-                    if let Some(value) = relation.functional_lookup(&key) {
+                    if let Some(id) = relation.functional_find(&key) {
                         self.bump(|s| &s.functional_hits);
-                        let mut tuple = key;
-                        tuple.push(value.clone());
-                        if match_tuple(&atom.terms, &tuple, bindings, self.relations)? {
-                            let result = self.join_steps(
-                                literals,
-                                steps,
-                                position + 1,
-                                delta,
-                                bindings,
-                                callback,
-                            );
+                        let tuple = relation.tuple_by_id(id);
+                        if match_tuple(&atom.terms, tuple, bindings, self.relations)? {
+                            let result = self
+                                .descend(literals, steps, position, id, delta, bindings, callback);
                             bindings.restore(mark);
                             result?;
                         }
@@ -293,8 +303,8 @@ impl<'a> JoinContext<'a> {
             if let Some(key) = self.probe_key(atom, cols, bindings)? {
                 if is_membership(atom.terms.len(), cols) {
                     self.bump(|s| &s.index_probes);
-                    if relation.contains(&key) {
-                        self.join_steps(literals, steps, position + 1, delta, bindings, callback)?;
+                    if let Some(id) = relation.find(&key) {
+                        self.descend(literals, steps, position, id, delta, bindings, callback)?;
                     }
                     return Ok(());
                 }
@@ -304,14 +314,8 @@ impl<'a> JoinContext<'a> {
                     for id in ids {
                         let tuple = relation.tuple_by_id(id);
                         if match_tuple(&atom.terms, tuple, bindings, self.relations)? {
-                            let result = self.join_steps(
-                                literals,
-                                steps,
-                                position + 1,
-                                delta,
-                                bindings,
-                                callback,
-                            );
+                            let result = self
+                                .descend(literals, steps, position, id, delta, bindings, callback);
                             bindings.restore(mark);
                             result?;
                         }
@@ -325,15 +329,39 @@ impl<'a> JoinContext<'a> {
         // under the live iterator — no snapshot of the relation is taken.
         self.bump(|s| &s.full_scans);
         self.examined(relation.len());
-        for tuple in relation.iter() {
+        for (id, tuple) in relation.iter_ids() {
             if match_tuple(&atom.terms, tuple, bindings, self.relations)? {
-                let result =
-                    self.join_steps(literals, steps, position + 1, delta, bindings, callback);
+                let result = self.descend(literals, steps, position, id, delta, bindings, callback);
                 bindings.restore(mark);
                 result?;
             }
         }
         Ok(())
+    }
+
+    /// Continue past the stored tuple `id` that the literal at `position`
+    /// matched, keeping it on the trail while the rest of the plan runs.
+    #[allow(clippy::too_many_arguments)]
+    fn descend<F>(
+        &self,
+        literals: &[Literal],
+        steps: &[PlanStep],
+        position: usize,
+        id: TupleId,
+        delta: Option<DeltaRestriction<'_>>,
+        bindings: &mut Bindings,
+        callback: &mut F,
+    ) -> Result<()>
+    where
+        F: FnMut(&Bindings) -> Result<()>,
+    {
+        let Some(trail) = self.trail else {
+            return self.join_steps(literals, steps, position + 1, delta, bindings, callback);
+        };
+        trail.borrow_mut().push((steps[position].literal, id));
+        let result = self.join_steps(literals, steps, position + 1, delta, bindings, callback);
+        trail.borrow_mut().pop();
+        result
     }
 
     /// Evaluate the probe key for `atom` on the columns of `cols`.  Returns

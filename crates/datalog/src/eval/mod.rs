@@ -1,6 +1,6 @@
 //! Rule evaluation: bindings, joins, per-rule planning, semi-naïve fixpoint,
-//! aggregation, and incremental deletion (DRed).  One workspace evaluates on
-//! one thread (DESIGN.md §8).
+//! aggregation, and incremental deletion (backward/forward).  One workspace
+//! evaluates on one thread (DESIGN.md §8).
 
 pub mod aggregate;
 pub mod batch;

@@ -25,7 +25,8 @@
 //!   relation's primary map and needs no index.
 //! * A body is planned under the variables already bound when it starts
 //!   ([`bound_after`] of a constraint's left-hand side, for its right-hand
-//!   side; nothing, for rule bodies), so probes use what the caller knows.
+//!   side; a head atom's variables, for a retraction's proof search;
+//!   nothing, for rule bodies), so probes use what the caller knows.
 //! * [`PlanCache`] memoizes compiled plans per [`PlanKey`] — rule bodies and
 //!   constraint sides share the cache — and
 //!   recompiles only when the body relations' cardinalities drift past a
@@ -129,7 +130,7 @@ pub struct PlanStats {
     /// `index_probes` and the whole relation here.
     pub rows_examined: AtomicU64,
     /// Rule executions (one per `(rule, delta-literal)` combination of a
-    /// round, DRed's over-deletion combinations included) plus aggregate
+    /// round, a deletion's forward combinations included) plus aggregate
     /// recomputations.
     pub serial_batches: AtomicU64,
 }
@@ -238,13 +239,17 @@ pub enum PlanKey {
     /// function of the constraint, so it needs no place in the key; never
     /// delta-restricted).
     ConstraintRhs { constraint: usize },
+    /// An installed rule's body run backwards from one fact of its `head`-th
+    /// head atom, as a retraction's proof search does: planned under that
+    /// atom's variables (a function of the key), never delta-restricted.
+    Proof { rule: usize, head: usize },
 }
 
 impl PlanKey {
     fn delta_literal(self) -> Option<usize> {
         match self {
             PlanKey::Rule { delta, .. } | PlanKey::ConstraintLhs { delta, .. } => delta,
-            PlanKey::ConstraintRhs { .. } => None,
+            PlanKey::ConstraintRhs { .. } | PlanKey::Proof { .. } => None,
         }
     }
 }

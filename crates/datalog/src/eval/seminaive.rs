@@ -76,16 +76,20 @@ pub struct Commit {
     /// Wall-clock duration of the transaction (insert + fixpoint + constraint
     /// check), which the evaluation harness reports as "transaction duration".
     pub duration: Duration,
-    /// Stored tuples the retraction's batch named and removed.
+    /// Stored tuples the retraction's batch named.  A named tuple a rule
+    /// still derives stays stored; this counts it all the same.
     pub base_deleted: usize,
-    /// Derived tuples removed during over-deletion.
+    /// Tuples the batch did not name that the retraction removed.
     pub over_deleted: usize,
-    /// Tuples re-derived (re-inserted) because alternative derivations exist.
+    /// Facts a retraction's proof search asked a derivation of.
+    pub checked: usize,
+    /// Tuples the fixpoint re-run after a retraction inserted; 0 when the
+    /// retraction needed no re-run ([`super::dred`]).
     pub rederived: usize,
     /// The net change per predicate, base and derived tuples alike
     /// ([`EvalJournal::net_delta`]): `added` is stored now and was not
     /// before, `removed` was stored before and is gone now.  A tuple
-    /// inserted then displaced, or over-deleted then re-derived, is in
+    /// inserted then displaced, or removed then put back by a re-run, is in
     /// neither.  The distributed runtime reads its export candidates from
     /// here instead of rescanning relations.
     pub added: FactDelta,
@@ -117,10 +121,10 @@ pub(super) enum Derivation {
 ///
 /// Undoing replays each relation's ops in reverse — an `Added` op removes the
 /// tuple again, a `Displaced` op re-inserts the value an aggregate
-/// recomputation displaced, a `Removed` op re-inserts a tuple DRed deleted.
-/// Interleaving matters: one run can insert a tuple and later displace it
-/// (or delete, then re-derive), and only strict reverse-order replay
-/// restores the exact prior contents.
+/// recomputation displaced, a `Removed` op re-inserts a tuple a retraction
+/// deleted.  Interleaving matters: one run can insert a tuple and later
+/// displace it (or delete it, then put it back in a re-run), and only strict
+/// reverse-order replay restores the exact prior contents.
 #[derive(Debug, Default)]
 pub struct EvalJournal {
     /// Relation mutations, per predicate, in execution order.  Mutations of
@@ -167,6 +171,17 @@ impl EvalJournal {
         self.record(pred, JournalOp::Removed(tuple));
     }
 
+    /// [`Self::record_removed`] for several tuples of one predicate.
+    pub(crate) fn record_removals(&mut self, pred: &str, tuples: impl Iterator<Item = Tuple>) {
+        let removals = tuples.map(JournalOp::Removed);
+        match self.ops.get_mut(pred) {
+            Some(ops) => ops.extend(removals),
+            None => {
+                self.ops.insert(pred.to_string(), removals.collect());
+            }
+        }
+    }
+
     pub(crate) fn record_created(&mut self, pred: &str) {
         self.created.push(pred.to_string());
     }
@@ -183,8 +198,8 @@ impl EvalJournal {
     /// against the relations at commit.  A tuple's first op says whether it
     /// was stored before the run (`Added` journals only genuinely new rows,
     /// `Displaced`/`Removed` only stored ones) and the relation says whether
-    /// it is stored now, so a tuple inserted and then displaced, or DRed
-    /// over-deleted and then re-derived, is in neither set.  The pair selects
+    /// it is stored now, so a tuple inserted and then displaced, or deleted
+    /// and then put back by a re-run, is in neither set.  The pair selects
     /// the constraints a commit re-checks
     /// ([`check_constraints_for_delta`](crate::constraint::check_constraints_for_delta))
     /// and is what the commit hands downstream ([`Commit::added`],
@@ -449,7 +464,7 @@ impl<'a> Evaluator<'a> {
     /// step.  All on the calling thread, so the first error in combination
     /// order wins.
     ///
-    /// DRed's over-deletion ([`super::dred`]) is the other caller: a
+    /// A deletion's forward step ([`super::dred`]) is the other caller: a
     /// combination pinned to the deleted-tuple frontier is evaluated exactly
     /// as one pinned to a semi-naïve delta.
     pub(super) fn evaluate_round(
@@ -600,20 +615,27 @@ impl<'a> Evaluator<'a> {
         rule_index: usize,
         delta_literal: Option<usize>,
     ) -> Option<Arc<RulePlan>> {
+        let key = PlanKey::Rule {
+            rule: rule_index,
+            delta: delta_literal,
+        };
+        self.prepare_plan_for(key, &rules[rule_index].body, FnvSet::default)
+    }
+
+    /// [`Self::prepare_plan`] for any body under any [`PlanKey`]; `bound`
+    /// is what the body starts from ([`PlanCache::plan_for`]).
+    pub(super) fn prepare_plan_for(
+        &mut self,
+        key: PlanKey,
+        body: &[Literal],
+        bound: impl FnOnce() -> FnvSet<String>,
+    ) -> Option<Arc<RulePlan>> {
         if !self.config.use_planner {
             return None;
         }
-        let plan = self.plan_cache.plan_for(
-            PlanKey::Rule {
-                rule: rule_index,
-                delta: delta_literal,
-            },
-            &rules[rule_index].body,
-            FnvSet::default,
-            self.relations,
-            self.udfs,
-            self.plan_stats,
-        );
+        let plan =
+            self.plan_cache
+                .plan_for(key, body, bound, self.relations, self.udfs, self.plan_stats);
         for spec in &plan.ensure {
             if let Some(relation) = self.relations.get_mut(&spec.pred) {
                 if relation.ensure_index(spec.cols) {

@@ -14,7 +14,10 @@
 //! * **User-defined functions** callable from rule and constraint bodies —
 //!   the hook SecureBlox uses for cryptographic operators.
 //! * **Incremental maintenance**: installed rules are maintained under fact
-//!   retraction with a DRed-style over-delete / re-derive pass.
+//!   retraction by the backward/forward algorithm — a derived fact a
+//!   retraction reaches goes only when a proof search finds no derivation
+//!   left — with a fixpoint re-run for aggregates, negation and head
+//!   existentials.
 //! * A **transactional workspace** ([`Workspace`]) with commit/rollback
 //!   semantics matching the paper's §5.2 description.
 //!

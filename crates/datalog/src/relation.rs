@@ -21,7 +21,7 @@
 //! A tuple's [`TupleId`] is stable for its lifetime; removed slots are
 //! recycled.  Secondary indexes are built on demand (the planner requests
 //! the signatures its probes need via [`Relation::ensure_index`]) and
-//! maintained incrementally, so delta application and DRed see a consistent
+//! maintained incrementally, so delta application and deletion see a consistent
 //! view at all times.
 //!
 //! Concurrency contract: a workspace — and with it every one of its
@@ -386,26 +386,38 @@ impl Relation {
 
     /// Membership test.
     pub fn contains(&self, tuple: &[Value]) -> bool {
-        let mut ids = Vec::with_capacity(tuple.len());
-        self.interner.try_row(tuple, &mut ids) && self.find_live(&ids).is_some()
+        self.find(tuple).is_some()
     }
 
-    /// The stored row whose dictionary ids are `ids` (which must come from
-    /// this relation's own interner), if there is one: membership in id
-    /// space, for callers that hold an interned row.
-    pub fn find_ids(&self, ids: &[u32]) -> Option<&Tuple> {
+    /// The [`TupleId`] of `tuple`, if it is stored.
+    pub fn find(&self, tuple: &[Value]) -> Option<TupleId> {
+        let mut ids = Vec::with_capacity(tuple.len());
+        if !self.interner.try_row(tuple, &mut ids) {
+            return None;
+        }
+        self.find_live(&ids)
+    }
+
+    /// The [`TupleId`] of the stored row whose dictionary ids are `ids`
+    /// (which must come from this relation's own interner), if there is
+    /// one: membership in id space, for callers that hold an interned row.
+    pub fn find_row(&self, ids: &[u32]) -> Option<TupleId> {
         self.find_live(ids)
-            .map(|id| self.rows[id as usize].as_ref())
     }
 
     /// Iterate over all tuples in [`TupleId`]-stable group order — a
     /// deterministic function of the operation sequence applied to the
     /// relation (unlike the value-hash order of the previous row store).
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
+        self.iter_ids().map(|(_, tuple)| tuple)
+    }
+
+    /// [`Relation::iter`] with each tuple's [`TupleId`].
+    pub fn iter_ids(&self) -> impl Iterator<Item = (TupleId, &Tuple)> {
         self.groups
             .iter()
             .flat_map(|group| group.ids.iter())
-            .map(|&id| self.rows[id as usize].as_ref())
+            .map(|&id| (id, self.rows[id as usize].as_ref()))
     }
 
     /// All tuples in a deterministic order (sorted by the total value order),
@@ -577,6 +589,14 @@ impl Relation {
         self.remove_found(id, &ids);
     }
 
+    /// Remove the live tuple `id` and hand its row back.  The ids of the
+    /// other live tuples do not change; `id` is recycled by a later insert.
+    pub fn remove_id(&mut self, id: TupleId) -> Tuple {
+        let row = Arc::clone(&self.rows[id as usize]);
+        self.remove_by_id(id);
+        Arc::unwrap_or_clone(row)
+    }
+
     fn remove_found(&mut self, id: TupleId, ids: &[u32]) {
         let retain = |bucket: &mut Vec<TupleId>| bucket.retain(|&candidate| candidate != id);
         if let Some(bucket) = self.live.get_mut(&Self::row_hash(ids)) {
@@ -640,6 +660,12 @@ impl Relation {
 
     /// Look up the dependent value for `key` in a functional predicate.
     pub fn functional_lookup(&self, key: &[Value]) -> Option<&Value> {
+        let id = self.functional_find(key)?;
+        self.rows[id as usize].last()
+    }
+
+    /// The [`TupleId`] of the functional row keyed by `key`, if any.
+    pub fn functional_find(&self, key: &[Value]) -> Option<TupleId> {
         let key_arity = self.key_arity?;
         if key.len() != key_arity {
             return None;
@@ -648,8 +674,7 @@ impl Relation {
         if !self.interner.try_row(key, &mut key_ids) {
             return None;
         }
-        let id = self.find_fd(&key_ids)?;
-        Some(&self.rows[id as usize][key_arity])
+        self.find_fd(&key_ids)
     }
 
     /// The value of a zero-key functional predicate (`p[] = v`), if set.

@@ -18,15 +18,176 @@ use crate::udf::UdfRegistry;
 
 /// An installed program's rules beside what evaluation asks of them on every
 /// round, worked out once when the program is installed: the strata, each
-/// split into its aggregate and non-aggregate rules, and each rule's head
-/// existentials.
+/// split into its aggregate and non-aggregate rules, each rule's head
+/// existentials, and how a retraction maintains each predicate.
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
     rules: Vec<Rule>,
     strata: Vec<Stratum>,
-    /// Every rule, split the same way (DRed's over-deletion walks them all).
+    /// Every rule, split the same way (a deletion's forward step walks them
+    /// all).
     all: Stratum,
     existentials: Vec<Existentials>,
+    deletion: Deletion,
+}
+
+/// How a retraction treats the facts of one predicate (`eval::dred`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Upkeep {
+    /// No rule derives it: a fact stays exactly while it is asserted.
+    Base,
+    /// Every rule deriving it runs backwards from a fact: the provers
+    /// ([`Deletion::prover`]) whose instances can re-prove one.
+    Proved(Vec<u32>),
+    /// Some rule deriving it aggregates, mints entities, negates, or reads a
+    /// predicate of this kind: a proof search cannot decide its facts, so one
+    /// a deletion reaches goes without a check and the fixpoint re-run puts
+    /// back what still holds.
+    Rerun,
+}
+
+/// The predicates the rules mention, numbered, with what a retraction needs
+/// to know of each.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Deletion {
+    preds: Vec<String>,
+    ids: FnvMap<String, u32>,
+    /// Per rule, per body literal: the predicate of a positive atom.
+    body: Vec<Vec<Option<u32>>>,
+    upkeep: Vec<Upkeep>,
+    /// Whether some rule negates the predicate.
+    negated: Vec<bool>,
+    /// Every `(rule, head atom)` an [`Upkeep::Proved`] names.
+    provers: Vec<(usize, usize)>,
+}
+
+impl Deletion {
+    fn of(rules: &[Rule], existentials: &[Existentials]) -> Deletion {
+        let mut deletion = Deletion::default();
+        let number = |pred: &crate::ast::PredRef, deletion: &mut Deletion| {
+            let name = runtime_pred_name(pred).ok()?;
+            if let Some(&id) = deletion.ids.get(&*name) {
+                return Some(id);
+            }
+            let id = deletion.preds.len() as u32;
+            deletion.ids.insert(name.to_string(), id);
+            deletion.preds.push(name.into_owned());
+            deletion.negated.push(false);
+            Some(id)
+        };
+        let mut heads: Vec<Vec<Option<u32>>> = Vec::with_capacity(rules.len());
+        for rule in rules {
+            heads.push(
+                rule.head
+                    .iter()
+                    .map(|atom| number(&atom.pred, &mut deletion))
+                    .collect(),
+            );
+            let mut body = Vec::with_capacity(rule.body.len());
+            for literal in &rule.body {
+                body.push(match literal {
+                    Literal::Pos(atom) => number(&atom.pred, &mut deletion),
+                    Literal::Neg(atom) => {
+                        if let Some(id) = number(&atom.pred, &mut deletion) {
+                            deletion.negated[id as usize] = true;
+                        }
+                        None
+                    }
+                    Literal::Cmp(..) => None,
+                });
+            }
+            deletion.body.push(body);
+        }
+        // A rule runs backwards when it only joins, compares and calls
+        // functions, and every predicate it reads is decided the same way:
+        // the greatest such set, so a recursive component of proof-searched
+        // rules stays proof-searched.
+        let joins_only: Vec<bool> = rules
+            .iter()
+            .zip(existentials)
+            .enumerate()
+            .map(|(index, (rule, existentials))| {
+                rule.agg.is_none()
+                    && existentials.head.is_empty()
+                    && heads[index].iter().all(Option::is_some)
+                    && rule.body.iter().zip(&deletion.body[index]).all(|pair| {
+                        matches!(pair, (Literal::Pos(_), Some(_)) | (Literal::Cmp(..), _))
+                    })
+            })
+            .collect();
+        let n = deletion.preds.len();
+        let mut rerun = vec![false; n];
+        loop {
+            let mut changed = false;
+            for (index, rule_heads) in heads.iter().enumerate() {
+                let mut reads = deletion.body[index].iter().flatten();
+                if joins_only[index] && reads.all(|&id| !rerun[id as usize]) {
+                    continue;
+                }
+                for &id in rule_heads.iter().flatten() {
+                    changed |= !std::mem::replace(&mut rerun[id as usize], true);
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        deletion.upkeep = vec![Upkeep::Base; n];
+        for (index, rule_heads) in heads.iter().enumerate() {
+            for (head, &id) in rule_heads.iter().enumerate() {
+                let Some(id) = id else { continue };
+                if rerun[id as usize] {
+                    deletion.upkeep[id as usize] = Upkeep::Rerun;
+                    continue;
+                }
+                let prover = deletion.provers.len() as u32;
+                deletion.provers.push((index, head));
+                match &mut deletion.upkeep[id as usize] {
+                    Upkeep::Proved(provers) => provers.push(prover),
+                    upkeep => *upkeep = Upkeep::Proved(vec![prover]),
+                }
+            }
+        }
+        deletion
+    }
+
+    /// The number of `pred`, if a rule mentions it.
+    pub(crate) fn id(&self, pred: &str) -> Option<u32> {
+        self.ids.get(pred).copied()
+    }
+
+    /// How many predicates are numbered.
+    pub(crate) fn len(&self) -> usize {
+        self.preds.len()
+    }
+
+    pub(crate) fn name(&self, id: u32) -> &str {
+        &self.preds[id as usize]
+    }
+
+    /// The predicate of body literal `literal` of `rule`, if it is a
+    /// positive atom.
+    pub(crate) fn body_pred(&self, rule: usize, literal: usize) -> Option<u32> {
+        self.body[rule][literal]
+    }
+
+    pub(crate) fn upkeep(&self, id: u32) -> &Upkeep {
+        &self.upkeep[id as usize]
+    }
+
+    pub(crate) fn negated(&self, id: u32) -> bool {
+        self.negated[id as usize]
+    }
+
+    /// The `(rule, head atom)` of prover `prover`.
+    pub(crate) fn prover(&self, prover: u32) -> (usize, usize) {
+        self.provers[prover as usize]
+    }
+
+    /// How many provers there are.
+    pub(crate) fn prover_count(&self) -> usize {
+        self.provers.len()
+    }
 }
 
 /// The rules of one stratum, by how a round evaluates them.
@@ -79,9 +240,11 @@ impl RuleSet {
             .into_iter()
             .map(|stratum| Stratum::split(&rules, stratum))
             .collect();
+        let existentials: Vec<Existentials> = rules.iter().map(Existentials::of).collect();
         RuleSet {
             all: Stratum::split(&rules, 0..rules.len()),
-            existentials: rules.iter().map(Existentials::of).collect(),
+            deletion: Deletion::of(&rules, &existentials),
+            existentials,
             strata,
             rules,
         }
@@ -115,6 +278,11 @@ impl RuleSet {
     /// What rule `index` mints entities for.
     pub(crate) fn existentials(&self, index: usize) -> &Existentials {
         &self.existentials[index]
+    }
+
+    /// The predicates the rules mention and how a retraction maintains each.
+    pub(crate) fn deletion(&self) -> &Deletion {
+        &self.deletion
     }
 }
 

@@ -546,12 +546,39 @@ impl Workspace {
         self.plan_cache.len()
     }
 
-    /// Retract base facts and incrementally maintain derived relations with
-    /// DRed.  The constraints its net change can violate are re-checked
-    /// afterwards, by the same rule as a transaction's; a violation rolls the
-    /// whole retraction back through the journal, exactly as a refused
-    /// transaction does.
+    /// Retract base facts and incrementally maintain derived relations: a
+    /// derived fact the retraction reaches goes only when no derivation of it
+    /// is left ([`Evaluator::delete`]).  A named fact a rule still derives
+    /// leaves the asserted set and stays stored.  The constraints its net
+    /// change can violate are re-checked afterwards, by the same rule as a
+    /// transaction's; a violation rolls the whole retraction back through the
+    /// journal, exactly as a refused transaction does.
     pub fn retract(&mut self, batch: Vec<(String, Tuple)>) -> Result<Commit> {
+        self.retract_with(batch, |evaluator, program, batch, edb| {
+            evaluator.delete(program, batch, edb)
+        })
+    }
+
+    /// [`Self::retract`] through the over-delete / re-derive pass this engine
+    /// used before ([`Evaluator::delete_by_rederivation`]): the property
+    /// tests' oracle, not part of the engine.
+    #[doc(hidden)]
+    pub fn retract_rederiving(&mut self, batch: Vec<(String, Tuple)>) -> Result<Commit> {
+        self.retract_with(batch, |evaluator, program, batch, edb| {
+            evaluator.delete_by_rederivation(program, batch, edb)
+        })
+    }
+
+    fn retract_with(
+        &mut self,
+        batch: Vec<(String, Tuple)>,
+        delete: impl FnOnce(
+            &mut Evaluator<'_>,
+            &RuleSet,
+            &[(String, Tuple)],
+            &FactDelta,
+        ) -> Result<Commit>,
+    ) -> Result<Commit> {
         let timer = secureblox_telemetry::histogram!("datalog_retract_ns").start_timer();
         let counter = self.entity_counter;
         let mut journal = EvalJournal::default();
@@ -567,7 +594,7 @@ impl Workspace {
         }
         let deleted = {
             let (mut evaluator, program, edb) = self.evaluator(&mut journal);
-            evaluator.delete_with_dred(program, &batch, edb)
+            delete(&mut evaluator, program, &batch, edb)
         };
         // A retraction that found nothing stored ran no fixpoint and changed
         // nothing: there is no delta to check or report.
@@ -919,9 +946,9 @@ mod tests {
 
     #[test]
     fn retract_works_with_hoisted_comparison_rules() {
-        // DRed's over-deletion probes must run the same planned order as
-        // fixpoint evaluation: this rule is only evaluable with the
-        // comparison hoisted, and retraction must not error on it.
+        // A deletion's joins must run the same planned order as fixpoint
+        // evaluation: this rule is only evaluable with the comparison
+        // hoisted, and retraction must not error on it.
         let source = "cost[X, Y] = C -> string(X), string(Y), int(C).\n\
                       cost[a, b] = 4. cost[a, c] = 9.\n\
                       out(C) <- C = K + 1, cost[a, b] = K.";
@@ -1208,6 +1235,50 @@ mod tests {
         let (first, second) = (run(), run());
         assert!(first.iter().map(|(added, _)| added.len()).sum::<usize>() > 4);
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn a_retraction_removes_in_an_order_the_input_fixes() {
+        // Two workspaces, one retraction: the facts it removes come back in
+        // the same order, and the rows left behind sit in the same order.
+        let run = || {
+            let mut ws = Workspace::new();
+            ws.install_source(
+                "reach(X, Y) <- link(X, Y).\n\
+                 reach(X, Z) <- reach(X, Y), reach(Y, Z).\n\
+                 hub(X) <- link(X, Y), link(X, Z), Y != Z.",
+            )
+            .unwrap();
+            let link = |x: usize, y: usize| {
+                (
+                    "link".to_string(),
+                    vec![s(&format!("n{x}")), s(&format!("n{y}"))],
+                )
+            };
+            let ring = (0..8).flat_map(|i| [link(i, (i + 1) % 8), link((i + 1) % 8, i)]);
+            let chords = [link(0, 4), link(4, 0), link(2, 6), link(6, 2)];
+            ws.transaction(ring.chain(chords).collect()).unwrap();
+            let commit = ws
+                .retract(vec![link(0, 4), link(4, 0), link(3, 4), link(4, 3)])
+                .unwrap();
+            assert!(commit.over_deleted > 0 && commit.checked > 0);
+            let removed: Vec<(String, Vec<Tuple>)> = commit
+                .removed
+                .iter()
+                .map(|(pred, tuples)| (pred.clone(), tuples.iter().cloned().collect()))
+                .collect();
+            let rows: Vec<(String, Vec<Tuple>)> = ["link", "reach", "hub"]
+                .into_iter()
+                .map(|pred| {
+                    (
+                        pred.into(),
+                        ws.relation(pred).unwrap().iter().cloned().collect(),
+                    )
+                })
+                .collect();
+            (removed, rows)
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -182,8 +182,8 @@ fn section7_negation_guard_is_stratified() {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental maintenance across transactions (the DRed behaviour §2 relies
-// on: "installed rules are incrementally maintained")
+// Incremental maintenance across transactions (what §2 relies on:
+// "installed rules are incrementally maintained")
 // ---------------------------------------------------------------------------
 
 #[test]

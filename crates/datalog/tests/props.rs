@@ -4,8 +4,9 @@
 //! on: the value model has a total order, relations behave like sets with
 //! functional-dependency enforcement, the semi-naïve evaluator computes the
 //! same closure as an independent reference implementation, incremental
-//! deletion (DRed) is equivalent to recomputation from scratch, and the
-//! parser/pretty-printer pair reaches a fixpoint.
+//! deletion is equivalent to recomputation from scratch (and, where it falls
+//! back to a fixpoint re-run, to the over-delete / re-derive pass it
+//! replaced), and the parser/pretty-printer pair reaches a fixpoint.
 
 use proptest::prelude::*;
 use secureblox_datalog::constraint::{
@@ -277,7 +278,7 @@ proptest! {
         prop_assert_eq!(reachable_pairs(&inc_ws, 6), reachable_pairs(&batch_ws, 6));
     }
 
-    /// DRed incremental deletion leaves exactly the closure of the remaining
+    /// Incremental deletion leaves exactly the closure of the remaining
     /// edges — equivalent to recomputing from scratch.
     #[test]
     fn dred_deletion_matches_recomputation(edges in arb_edges(6, 18),
@@ -772,7 +773,7 @@ proptest! {
                 }
                 if negated {
                     // A larger minimum would strand `offbest` tuples that
-                    // DRed does not chase through negation.
+                    // deletion does not chase through negation.
                     batch.retain(|(pred, _)| pred != "cost");
                 }
                 ws.retract(batch.clone()).map(|stats| stats.base_deleted > 0)
@@ -847,6 +848,274 @@ fn refused_retraction_unwinds_minted_entities() {
     }
     assert_eq!(ws.count("orphan"), 2);
     assert_eq!(dump(&ws), dump(&untouched));
+}
+
+// ---------------------------------------------------------------------------
+// Deletion: the proof search against a from-scratch evaluation, and the
+// re-run fallback against the over-delete / re-derive it replaced
+// ---------------------------------------------------------------------------
+
+/// Rule groups the positive programs are drawn from: linear and non-linear
+/// transitive closure, two mutually recursive predicates, and a
+/// non-recursive fan-out with a comparison and a UDF shaped like the
+/// generated `says$T` / `sig$T` rules (`me[]` in the head, `mac` computing
+/// the signature).
+const POSITIVE_GROUPS: [&str; 4] = [
+    "lin(X, Y) <- e(X, Y).\n\
+     lin(X, Y) <- e(X, Z), lin(Z, Y).\n",
+    "tc(X, Y) <- e(X, Y).\n\
+     tc(X, Y) <- f(X, Y).\n\
+     tc(X, Z) <- tc(X, Y), tc(Y, Z).\n",
+    "odd(X, Y) <- e(X, Y).\n\
+     even(X, Z) <- odd(X, Y), f(Y, Z).\n\
+     odd(X, Z) <- even(X, Y), e(Y, Z).\n",
+    "says(me[], U, X, Y) <- e(X, Y), peer(U), U != me[].\n\
+     sig(me[], U, X, Y, S) <- says(me[], U, X, Y), secret(U, K), mac(K, X, Y, S).\n",
+];
+
+/// Rule groups whose predicates a proof search cannot decide: an aggregate
+/// over a recursive closure and a positive rule reading it, negation over a
+/// closure and over a base predicate, and head existentials with a rule
+/// reading what they mint.
+const RERUN_GROUPS: [&str; 3] = [
+    "r(X, Y) <- e(X, Y).\n\
+     r(X, Z) <- r(X, Y), e(Y, Z).\n\
+     fan[X] = N <- agg<< N = count(Y) >> r(X, Y).\n\
+     wide(X) <- fan[X] = N, N > 2.\n",
+    "s(X, Y) <- f(X, Y).\n\
+     s(X, Z) <- s(X, Y), f(Y, Z).\n\
+     oneway(X, Y) <- s(X, Y), !s(Y, X).\n\
+     open(X) <- peer(X), !blocked(X).\n",
+    "pathvar(P) -> .\n\
+     pathvar(P), hop(P, X, Y) <- e(X, Y), f(Y, X).\n\
+     via(X) <- hop(_, X, _).\n",
+];
+
+const DELETION_NODES: usize = 5;
+
+/// Every base fact a deletion test can assert: `e` and `f` edges, peers,
+/// their secrets, and blocks.
+fn deletion_pool() -> Vec<Fact> {
+    let node = |i: usize| node_value(i);
+    let mut pool = Vec::new();
+    for x in 0..DELETION_NODES {
+        for y in 0..DELETION_NODES {
+            pool.push(("e".to_string(), vec![node(x), node(y)]));
+            pool.push(("f".to_string(), vec![node(x), node(y)]));
+        }
+    }
+    for p in 0..3 {
+        pool.push(("peer".to_string(), vec![node(p)]));
+        pool.push((
+            "secret".to_string(),
+            vec![node(p), Value::Int(p as i64 + 7)],
+        ));
+        pool.push(("blocked".to_string(), vec![node(p)]));
+    }
+    pool
+}
+
+/// `mac(K, X, Y, S)`: a keyed digest of the pair.
+fn mac(args: &[Option<Value>]) -> Result<Vec<Vec<Value>>, String> {
+    let bound = |i: usize| secureblox_datalog::udf::require_bound(args, i, "mac");
+    let (key, x, y) = (bound(0)?, bound(1)?, bound(2)?);
+    let text = format!("{key}/{x}/{y}");
+    let digest = text
+        .bytes()
+        .fold(17i64, |h, b| h.wrapping_mul(31).wrapping_add(i64::from(b)));
+    Ok(vec![vec![key, x, y, Value::Int(digest)]])
+}
+
+fn deletion_workspace(source: &str, facts: &BTreeSet<usize>, pool: &[Fact]) -> Workspace {
+    let mut ws = Workspace::new();
+    ws.set_strict_typing(false);
+    ws.register_udf("mac", mac);
+    ws.install_source(source).unwrap();
+    ws.set_singleton("me", node_value(0)).unwrap();
+    for &i in facts {
+        ws.assert_fact(&pool[i].0, pool[i].1.clone()).unwrap();
+    }
+    ws.fixpoint().unwrap();
+    ws
+}
+
+/// The program of the groups `mask` picks (at least one).
+fn program_of(groups: &[&str], mask: usize) -> String {
+    let picked: Vec<&str> = groups
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| mask & (1 << i) != 0)
+        .map(|(_, group)| *group)
+        .collect();
+    if picked.is_empty() {
+        groups[0].to_string()
+    } else {
+        picked.concat()
+    }
+}
+
+/// A delta per predicate, tuples sorted, entity ids masked when `mask`.
+fn delta_dump(delta: &FactDelta, mask: bool) -> Dump {
+    let mut out: Dump = delta
+        .iter()
+        .filter(|(_, tuples)| !tuples.is_empty())
+        .map(|(pred, tuples)| {
+            let mut tuples: Vec<Vec<Value>> = tuples
+                .iter()
+                .map(|tuple| {
+                    tuple
+                        .iter()
+                        .map(|v| match v {
+                            Value::Entity(_) if mask => Value::Entity(0),
+                            other => other.clone(),
+                        })
+                        .collect()
+                })
+                .collect();
+            tuples.sort_by(|a, b| secureblox_datalog::value::tuple_total_cmp(a, b));
+            (pred.clone(), tuples)
+        })
+        .collect();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
+}
+
+/// `after` minus `before`, per predicate, as a dump.
+fn dump_minus(after: &Dump, before: &Dump) -> Dump {
+    let mut out = Dump::new();
+    for (pred, tuples) in after {
+        let held = before.iter().find(|(p, _)| p == pred).map(|(_, t)| t);
+        let fresh: Vec<Vec<Value>> = tuples
+            .iter()
+            .filter(|t| !held.is_some_and(|held| held.contains(t)))
+            .cloned()
+            .collect();
+        if !fresh.is_empty() {
+            out.push((pred.clone(), fresh));
+        }
+    }
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
+}
+
+/// One step of a deletion run: withdraw some base facts (mostly held ones)
+/// or re-assert some, by pool index.
+fn arb_deletion_ops() -> impl Strategy<Value = Vec<(bool, Vec<usize>)>> {
+    proptest::collection::vec(
+        (any::<bool>(), proptest::collection::vec(0usize..64, 1..4)),
+        1..8,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Positive programs under random retract / re-assert sequences: after
+    /// every commit the relations equal a from-scratch evaluation of the
+    /// base facts left, and the commit's `added` / `removed` are exactly the
+    /// difference it made.
+    #[test]
+    fn deletion_of_positive_programs_matches_a_from_scratch_evaluation(
+        mask in 1usize..16,
+        initial in proptest::collection::vec(any::<bool>(), 64),
+        ops in arb_deletion_ops(),
+    ) {
+        let pool = deletion_pool();
+        let source = program_of(&POSITIVE_GROUPS, mask);
+        let mut held: BTreeSet<usize> =
+            (0..pool.len()).filter(|&i| initial[i % initial.len()]).collect();
+        let mut ws = deletion_workspace(&source, &held, &pool);
+        for (retract, picks) in ops {
+            let before = dump_modulo_entities(&ws);
+            // Withdrawals mostly name held facts; a re-assert anything.
+            let heldv: Vec<usize> = held.iter().copied().collect();
+            let picks: Vec<usize> = picks
+                .iter()
+                .map(|&p| if retract && !heldv.is_empty() && p % 4 != 0 {
+                    heldv[p % heldv.len()]
+                } else {
+                    p % pool.len()
+                })
+                .collect();
+            let batch: Vec<Fact> = picks.iter().map(|&i| pool[i].clone()).collect();
+            let commit = if retract {
+                held.retain(|i| !picks.contains(i));
+                ws.retract(batch).unwrap()
+            } else {
+                held.extend(picks.iter().copied());
+                ws.transaction(batch).unwrap()
+            };
+            let after = dump_modulo_entities(&ws);
+            let scratch = deletion_workspace(&source, &held, &pool);
+            let expected = dump_modulo_entities(&scratch);
+            prop_assert!(after == expected, "{source} after {picks:?}:\n{after:?}\n!=\n{expected:?}");
+            prop_assert_eq!(delta_dump(&commit.added, false), dump_minus(&after, &before));
+            prop_assert_eq!(delta_dump(&commit.removed, false), dump_minus(&before, &after));
+            if retract {
+                // A positive program never needs the re-run.
+                prop_assert_eq!(commit.rederived, 0);
+            }
+        }
+    }
+
+    /// Programs with aggregates, negation and head existentials, from the
+    /// same states: a retraction reaches the verdict, relations and deltas
+    /// of the over-delete / re-derive pass it replaced (entity ids masked:
+    /// the two re-runs may mint in different orders).
+    #[test]
+    fn deletion_with_a_rerun_matches_rederivation(
+        mask in 1usize..8,
+        positive in 0usize..16,
+        initial in proptest::collection::vec(any::<bool>(), 64),
+        ops in arb_deletion_ops(),
+    ) {
+        let pool = deletion_pool();
+        let mut source = program_of(&RERUN_GROUPS, mask);
+        if positive != 0 {
+            source.push_str(&program_of(&POSITIVE_GROUPS, positive));
+        }
+        let mut held: BTreeSet<usize> =
+            (0..pool.len()).filter(|&i| initial[i % initial.len()]).collect();
+        let mut ws = deletion_workspace(&source, &held, &pool);
+        for (retract, picks) in ops {
+            let heldv: Vec<usize> = held.iter().copied().collect();
+            let picks: Vec<usize> = picks
+                .iter()
+                .map(|&p| if retract && !heldv.is_empty() && p % 4 != 0 {
+                    heldv[p % heldv.len()]
+                } else {
+                    p % pool.len()
+                })
+                .collect();
+            let batch: Vec<Fact> = picks.iter().map(|&i| pool[i].clone()).collect();
+            if !retract {
+                held.extend(picks.iter().copied());
+                ws.transaction(batch).unwrap();
+                // A transaction adding a tuple some rule negates leaves what
+                // that negation derived in place (maintenance under negation
+                // is inflationary).  From such a state the passes differ by
+                // design — the proof search drops a stale tuple the
+                // over-delete pass never reaches — so both start from the
+                // from-scratch state instead.
+                let scratch = deletion_workspace(&source, &held, &pool);
+                if dump_modulo_entities(&ws) != dump_modulo_entities(&scratch) {
+                    ws = scratch;
+                }
+                continue;
+            }
+            held.retain(|i| !picks.contains(i));
+            let mut oracle = ws.clone();
+            let expected = oracle.retract_rederiving(batch.clone());
+            let got = ws.retract(batch);
+            prop_assert_eq!(verdict(&got), verdict(&expected));
+            let (now, then) = (dump_modulo_entities(&ws), dump_modulo_entities(&oracle));
+            prop_assert!(now == then, "{source} after withdrawing {picks:?}:\n{now:?}\n!=\n{then:?}");
+            if let (Ok(got), Ok(expected)) = (got, expected) {
+                prop_assert_eq!(delta_dump(&got.added, true), delta_dump(&expected.added, true));
+                prop_assert_eq!(delta_dump(&got.removed, true), delta_dump(&expected.removed, true));
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

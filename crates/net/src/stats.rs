@@ -133,7 +133,7 @@ impl NodeLedger {
     }
 
     /// Record a retraction delta applied: the signature verified, the facts
-    /// were deleted, and derived state was DRed-maintained.
+    /// were deleted, and derived state was maintained.
     pub fn record_retraction(&mut self, finished_at: VirtualTime) {
         self.retractions_applied += 1;
         self.last_activity = self.last_activity.max(finished_at);

@@ -62,7 +62,7 @@ fn main() {
     );
 
     // Route withdrawal: fail the ring link n0–n1.  Both endpoints retract
-    // the link; DRed removes every path composed over it; the withdrawals
+    // the link; the retraction removes every path composed over it; the withdrawals
     // ship as signed Retract deltas and the network re-converges (the ring
     // guarantees an alternative route the long way around).
     println!("\nlink n0-n1 fails: withdrawing the advertisement on both endpoints");

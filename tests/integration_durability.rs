@@ -216,7 +216,7 @@ fn retraction_is_durable() {
     let dir = fresh_dir("retract");
     let mut deployment = Deployment::build(REACH_APP, &line_specs(), durable_config(&dir)).unwrap();
     deployment.run().unwrap();
-    // n1 withdraws its link to n2 locally; DRed removes the derived reach.
+    // n1 withdraws its link to n2 locally; the derived reach goes with it.
     deployment
         .retract(
             "n1",
@@ -249,6 +249,39 @@ fn retraction_is_durable() {
     let again = Deployment::recover(&dir, REACH_APP, &line_specs(), durable_config(&dir)).unwrap();
     assert_eq!(all_queries(&again), queries);
     assert!(again.query("n0", "link").is_empty());
+}
+
+/// A retraction that withdraws two facts logs them as one group under one
+/// watermark, and recovery replays the group as one retraction.  Replayed a
+/// record at a time, the log would pass through `a(n0)` without `b(n0)`, a
+/// state the constraint refuses, and the deployment it wrote would not
+/// recover.
+#[test]
+fn a_retraction_group_replays_as_one_retraction() {
+    let app = "a(X) -> node(X).\n\
+               b(X) -> node(X).\n\
+               a(X) -> b(X).";
+    let fact = |pred: &str| (pred.to_string(), vec![Value::str("n0")]);
+    let specs = vec![NodeSpec {
+        principal: "n0".into(),
+        base_facts: vec![fact("a"), fact("b")],
+    }];
+    let dir = fresh_dir("retract-group");
+    let mut deployment = Deployment::build(app, &specs, durable_config(&dir)).unwrap();
+    deployment.run().unwrap();
+    deployment
+        .retract("n0", vec![fact("b"), fact("a")])
+        .unwrap();
+    assert!(deployment.query("n0", "a").is_empty());
+    assert!(deployment.query("n0", "b").is_empty());
+    let roots = deployment.edb_roots().unwrap();
+    drop(deployment);
+
+    let recovered = Deployment::recover(&dir, app, &specs, durable_config(&dir)).unwrap();
+    assert!(recovered.query("n0", "a").is_empty());
+    assert!(recovered.query("n0", "b").is_empty());
+    assert_eq!(recovered.edb_roots().unwrap(), roots);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

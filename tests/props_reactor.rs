@@ -113,7 +113,8 @@ fn snapshot(deployment: &Deployment, verdicts: (usize, usize, usize)) -> Snapsho
 }
 
 /// One full durable scenario: build, run to fixpoint, retract a link (so the
-/// DRed/WAL retract path executes under the reactor), run to re-convergence.
+/// deletion/WAL retract path executes under the reactor), run to
+/// re-convergence.
 fn run_durable_scenario(
     dir: &Path,
     reactor: ReactorConfig,

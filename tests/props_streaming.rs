@@ -112,7 +112,8 @@ fn snapshot(deployment: &Deployment, verdicts: (usize, usize, usize)) -> Snapsho
 }
 
 /// One full durable scenario: build, run to fixpoint, retract a link (so the
-/// DRed/WAL retract path executes under batching), run to re-convergence.
+/// deletion/WAL retract path executes under batching), run to
+/// re-convergence.
 fn run_durable_scenario(dir: &Path, streaming: StreamingConfig) -> (Snapshot, Deployment) {
     let mut deployment =
         Deployment::build(REACH_APP, &line_specs(), durable_config(dir, streaming)).unwrap();

@@ -134,7 +134,7 @@ fn all_queries(deployment: &Deployment) -> Vec<(String, String, Vec<Tuple>)> {
 }
 
 /// One full durable scenario: build, run to fixpoint, retract a link (so the
-/// DRed/WAL path executes), return queries + verdicts + Merkle roots.
+/// deletion/WAL path executes), return queries + verdicts + Merkle roots.
 #[allow(clippy::type_complexity)]
 fn run_durable_scenario(
     dir: &Path,
@@ -240,7 +240,7 @@ fn rule_executions_are_counted_by_path_and_observed_once() {
         let (before, observed_before) = read();
         // A batch-eligible recursion, a comparison (tuple path), a head
         // existential and an aggregate, through a naive fixpoint, a seeded
-        // transaction and a DRed retraction.
+        // transaction and a retraction.
         let mut ws = secureblox_datalog::Workspace::new();
         ws.install_source(
             "reach(X, Y) <- link(X, Y).\n\
