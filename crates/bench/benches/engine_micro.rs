@@ -4,7 +4,8 @@
 //! (build, first fixpoint and steady-state retraction timed apart on a chain
 //! where everything reached goes; a chord withdrawn from a ring where almost
 //! nothing does), the
-//! signature-shaped constraint check against a growing inbox, and the
+//! signature-shaped constraint check against a growing inbox — of a new
+//! signed fact, and of a withdrawn one — and the
 //! planner-vs-naive join comparison (a 3-literal rule over 10k-tuple
 //! relations, nested-loop scans vs selectivity-ordered index probes).
 
@@ -246,6 +247,29 @@ fn bench(c: &mut Criterion) {
                     ws.borrow_mut().retract(says()).unwrap();
                 },
                 |()| ws.borrow_mut().transaction(says()).unwrap(),
+                BatchSize::PerIteration,
+            )
+        });
+    }
+    // One signed fact and its signature withdrawn from the same inboxes: the
+    // removed signature is a right-hand-side witness, and the check runs the
+    // left-hand side from the columns it shares with it, so the two cost
+    // the same.  The pair goes back off the clock.
+    for (label, inbox) in [("1k", 1_000usize), ("10k", 10_000)] {
+        group.bench_function(format!("retract_signed_{label}"), |b| {
+            let ws = RefCell::new(fanin_workspace(inbox));
+            let pair = || {
+                let (says, sig) = fanin_fact(0);
+                vec![
+                    ("says_item".to_string(), says),
+                    ("sig_item".to_string(), sig),
+                ]
+            };
+            b.iter_batched(
+                || {
+                    ws.borrow_mut().transaction(pair()).unwrap();
+                },
+                |()| ws.borrow_mut().retract(pair()).unwrap(),
                 BatchSize::PerIteration,
             )
         });

@@ -17,20 +17,33 @@
 //! textual nested-loop order.  The plain textual functions remain for
 //! callers without a cache (the BloxGenerics compile-time checker) and as
 //! the equivalence baseline.
+//!
+//! A commit from a converged workspace pays for what it changed
+//! ([`check_constraints_for_delta`]): an added tuple drives the left-hand
+//! side from the literal it matches, and a tuple that took a witness away —
+//! removed under a positive right-hand literal, added under a negated one —
+//! or removed what a negated left-hand literal excluded drives it from the
+//! variables that literal shares with the left-hand side.  Only a commit
+//! from an unconverged workspace checks every constraint in full
+//! ([`check_constraints_planned`], counted in
+//! `PlanStats::constraint_full_checks`).
 
-use crate::ast::{Constraint, Literal};
+use crate::ast::{Atom, Constraint, Literal, Term};
 use crate::error::{ConstraintViolation, DatalogError, Result};
 use crate::eval::bindings::Bindings;
 use crate::eval::join::{DeltaRestriction, JoinContext};
-use crate::eval::plan::{bound_after, PlanCache, PlanKey, PlanStats, RulePlan};
+use crate::eval::plan::{bound_after, frozen_vars, PlanCache, PlanKey, PlanStats, RulePlan};
 use crate::eval::{runtime_pred_name, FactDelta};
 use crate::intern::FnvSet;
 use crate::relation::Relations;
 use crate::udf::UdfRegistry;
+use crate::value::{Tuple, Value};
 use std::sync::Arc;
 
 /// Check a single constraint against the current relations, optionally with
-/// compiled plans for the two sides and a delta restriction on the lhs.
+/// compiled plans for the two sides and a delta restriction on the lhs.  The
+/// lhs starts from `bindings` (empty, or the variables a changed witness
+/// binds) and leaves them as it found them.
 fn check_constraint_with(
     constraint: &Constraint,
     relations: &Relations,
@@ -38,6 +51,7 @@ fn check_constraint_with(
     plans: Option<(&RulePlan, &RulePlan)>,
     restriction: Option<DeltaRestriction<'_>>,
     stats: Option<&PlanStats>,
+    bindings: &mut Bindings,
 ) -> Result<()> {
     // An empty right-hand side (`p(X) -> .`) is a pure declaration.
     if constraint.rhs.is_empty() {
@@ -48,7 +62,6 @@ fn check_constraint_with(
         None => JoinContext::new(relations, udfs),
     };
     let mut violation: Option<ConstraintViolation> = None;
-    let mut bindings = Bindings::new();
     let mut rhs_bindings = Bindings::new();
     let mut on_lhs = |lhs_binding: &Bindings| {
         if violation.is_some() {
@@ -84,10 +97,10 @@ fn check_constraint_with(
             &constraint.lhs,
             lhs_plan,
             restriction,
-            &mut bindings,
+            bindings,
             &mut on_lhs,
         )?,
-        None => ctx.join(&constraint.lhs, restriction, &mut bindings, &mut on_lhs)?,
+        None => ctx.join(&constraint.lhs, restriction, bindings, &mut on_lhs)?,
     }
     match violation {
         Some(v) => Err(DatalogError::ConstraintViolation(v)),
@@ -106,33 +119,32 @@ pub fn check_constraint(
     relations: &Relations,
     udfs: &UdfRegistry,
 ) -> Result<()> {
-    check_constraint_with(constraint, relations, udfs, None, None, None)
+    check_constraint_with(
+        constraint,
+        relations,
+        udfs,
+        None,
+        None,
+        None,
+        &mut Bindings::new(),
+    )
 }
 
-/// Compile (or fetch) the plans for both sides of a constraint and build
-/// every secondary index they probe.  Index building happens here, before
-/// execution, so the checks themselves run against immutable relations.
+/// Compile (or fetch) the plan for each side of a constraint — the lhs
+/// under `lhs_key` and what `lhs_bound` yields, the rhs under the variables
+/// the lhs leaves bound — and build every secondary index they probe.  Index
+/// building happens here, before execution, so the checks themselves run
+/// against immutable relations.
 fn prepare_constraint_plans(
     index: usize,
     constraint: &Constraint,
-    delta_literal: Option<usize>,
+    (lhs_key, lhs_bound): (PlanKey, impl FnOnce() -> FnvSet<String>),
     relations: &mut Relations,
     udfs: &UdfRegistry,
     cache: &mut PlanCache,
     stats: &PlanStats,
 ) -> (Arc<RulePlan>, Arc<RulePlan>) {
-    let lhs = cache.plan_for(
-        PlanKey::ConstraintLhs {
-            constraint: index,
-            delta: delta_literal,
-        },
-        &constraint.lhs,
-        FnvSet::default,
-        relations,
-        udfs,
-        stats,
-    );
-    // `check_constraint_with` starts the rhs from each lhs binding.
+    let lhs = cache.plan_for(lhs_key, &constraint.lhs, lhs_bound, relations, udfs, stats);
     let rhs = cache.plan_for(
         PlanKey::ConstraintRhs { constraint: index },
         &constraint.rhs,
@@ -160,8 +172,20 @@ fn check_constraint_in_full(
     cache: &mut PlanCache,
     stats: &PlanStats,
 ) -> Result<()> {
-    let (lhs_plan, rhs_plan) =
-        prepare_constraint_plans(index, constraint, None, relations, udfs, cache, stats);
+    PlanStats::bump(&stats.constraint_full_checks);
+    let lhs_key = PlanKey::ConstraintLhs {
+        constraint: index,
+        delta: None,
+    };
+    let (lhs_plan, rhs_plan) = prepare_constraint_plans(
+        index,
+        constraint,
+        (lhs_key, FnvSet::default),
+        relations,
+        udfs,
+        cache,
+        stats,
+    );
     check_constraint_with(
         constraint,
         relations,
@@ -169,6 +193,7 @@ fn check_constraint_in_full(
         Some((&*lhs_plan, &*rhs_plan)),
         None,
         Some(stats),
+        &mut Bindings::new(),
     )
 }
 
@@ -192,35 +217,30 @@ pub fn check_constraints_planned(
     Ok(())
 }
 
-/// Does `literals` hold an atom of the given polarity over a predicate with
-/// tuples in `delta`?
-fn reads_changed(literals: &[Literal], negated: bool, delta: &FactDelta) -> bool {
-    literals.iter().any(|literal| {
-        let atom = match literal {
-            Literal::Pos(atom) if !negated => atom,
-            Literal::Neg(atom) if negated => atom,
-            _ => return false,
-        };
-        runtime_pred_name(&atom.pred)
-            .is_ok_and(|pred| delta.get(&*pred).is_some_and(|set| !set.is_empty()))
-    })
+/// The tuples of `delta` over `atom`'s predicate, if it has any.
+fn changed<'d>(atom: &Atom, delta: &'d FactDelta) -> Option<&'d FnvSet<Tuple>> {
+    let pred = runtime_pred_name(&atom.pred).ok()?;
+    delta.get(&*pred).filter(|set| !set.is_empty())
 }
 
 /// Check the constraints a commit's net delta (`added`, `removed` — see
 /// `EvalJournal::net_delta`) can newly violate, given that all of them held
-/// before it.  `lhs -> rhs` is violated by an lhs binding
-/// with no rhs witness, so a commit can only break it by
+/// before it.  `lhs -> rhs` is violated by an lhs binding with no rhs
+/// witness, so a commit can only break it by
 ///
 /// * creating an lhs binding through an added tuple: each positive lhs
 ///   literal over a predicate with additions is checked with that literal
-///   pinned to them (paper §2: "for every new fact that is derived"), cost
-///   proportional to the additions;
-/// * creating an lhs binding by removing what a negated lhs literal
-///   excluded, or taking a witness away — removing a tuple a positive rhs
-///   literal matched, adding one a negated rhs literal excludes: no added
-///   tuple drives those bindings, so the constraint is checked in full.
+///   pinned to them (paper §2: "for every new fact that is derived");
+/// * taking a binding's witness away — removing a tuple a positive rhs
+///   literal matched, adding one a negated rhs literal excludes — or
+///   creating an lhs binding by removing what a negated lhs literal
+///   excluded.  Either way the changed tuple matched that literal under the
+///   binding, so the binding agrees with the tuple on the lhs variables the
+///   literal shares with it: [`check_from_witnesses`] runs the lhs from
+///   those values alone.
 ///
-/// A constraint none of this touches is skipped.
+/// Each check costs in proportion to the tuples that drive it.  A
+/// constraint none of this touches is skipped.
 pub fn check_constraints_for_delta(
     constraints: &[Constraint],
     relations: &mut Relations,
@@ -234,27 +254,18 @@ pub fn check_constraints_for_delta(
         if constraint.rhs.is_empty() {
             continue;
         }
-        if reads_changed(&constraint.lhs, true, removed)
-            || reads_changed(&constraint.rhs, false, removed)
-            || reads_changed(&constraint.rhs, true, added)
-        {
-            check_constraint_in_full(index, constraint, relations, udfs, cache, stats)?;
-            continue;
-        }
         for (literal_index, literal) in constraint.lhs.iter().enumerate() {
-            let Some(atom) = literal.as_pos() else {
+            let Some(pred_delta) = literal.as_pos().and_then(|atom| changed(atom, added)) else {
                 continue;
             };
-            let Ok(pred) = runtime_pred_name(&atom.pred) else {
-                continue;
-            };
-            let Some(pred_delta) = added.get(&*pred).filter(|set| !set.is_empty()) else {
-                continue;
+            let lhs_key = PlanKey::ConstraintLhs {
+                constraint: index,
+                delta: Some(literal_index),
             };
             let (lhs_plan, rhs_plan) = prepare_constraint_plans(
                 index,
                 constraint,
-                Some(literal_index),
+                (lhs_key, FnvSet::default),
                 relations,
                 udfs,
                 cache,
@@ -270,10 +281,130 @@ pub fn check_constraints_for_delta(
                     delta: pred_delta,
                 }),
                 Some(stats),
+                &mut Bindings::new(),
             )?;
+        }
+        let lhs_len = constraint.lhs.len();
+        for (literal, side) in constraint.lhs.iter().chain(&constraint.rhs).enumerate() {
+            let (atom, delta) = match side {
+                Literal::Neg(atom) if literal < lhs_len => (atom, removed),
+                Literal::Neg(atom) => (atom, added),
+                Literal::Pos(atom) if literal >= lhs_len => (atom, removed),
+                _ => continue,
+            };
+            if let Some(tuples) = changed(atom, delta) {
+                check_from_witnesses(
+                    (index, constraint),
+                    (literal, atom),
+                    tuples,
+                    relations,
+                    udfs,
+                    cache,
+                    stats,
+                )?;
+            }
         }
     }
     Ok(())
+}
+
+/// Re-check the lhs bindings the changed `tuples` of `atom`, literal
+/// `literal` of `lhs` then `rhs`, can have supported.  Each tuple binds the
+/// variables the literal shares with the lhs — those every lhs solution
+/// binds, less any a negation, type check or UDF of the lhs textually sees
+/// unbound, which a binding made in advance would change the meaning of —
+/// and the lhs runs from each distinct such binding, planned under those
+/// variables ([`PlanKey::ConstraintLhsFrom`]).  A tuple that disagrees with
+/// a constant or a repeated variable of the literal matched it under no
+/// binding and is skipped.  With no shared variable this is the check in
+/// full, once.
+fn check_from_witnesses(
+    (index, constraint): (usize, &Constraint),
+    (literal, atom): (usize, &Atom),
+    tuples: &FnvSet<Tuple>,
+    relations: &mut Relations,
+    udfs: &UdfRegistry,
+    cache: &mut PlanCache,
+    stats: &PlanStats,
+) -> Result<()> {
+    let bound = bound_after(&constraint.lhs, udfs);
+    let frozen = frozen_vars(&constraint.lhs, udfs);
+    // The shared variables, in the order the literal first names them.
+    let mut shared: Vec<&str> = Vec::new();
+    for term in &atom.terms {
+        if let Term::Var(var) = term {
+            if bound.contains(var) && !frozen.contains(var) && !shared.contains(&var.as_str()) {
+                shared.push(var);
+            }
+        }
+    }
+    let lhs_key = PlanKey::ConstraintLhsFrom {
+        constraint: index,
+        literal,
+    };
+    let seeds = || shared.iter().map(|var| var.to_string()).collect();
+    let (lhs_plan, rhs_plan) = prepare_constraint_plans(
+        index,
+        constraint,
+        (lhs_key, seeds),
+        relations,
+        udfs,
+        cache,
+        stats,
+    );
+    let mut seen: FnvSet<Vec<Value>> = FnvSet::default();
+    let mut bindings = Bindings::new();
+    for tuple in tuples {
+        let Some(values) = shared_values(atom, tuple, &shared) else {
+            continue;
+        };
+        if seen.contains(&values) {
+            continue;
+        }
+        for (var, value) in shared.iter().zip(&values) {
+            bindings.bind(var, value.clone());
+        }
+        check_constraint_with(
+            constraint,
+            relations,
+            udfs,
+            Some((&*lhs_plan, &*rhs_plan)),
+            None,
+            Some(stats),
+            &mut bindings,
+        )?;
+        bindings.restore(0);
+        seen.insert(values);
+    }
+    Ok(())
+}
+
+/// The values `tuple` gives the `shared` variables when it matches `atom`,
+/// or `None` when it matches under no binding (an arity, a constant or a
+/// repeated variable disagrees).  Other terms are not followed.
+fn shared_values(atom: &Atom, tuple: &[Value], shared: &[&str]) -> Option<Vec<Value>> {
+    if atom.terms.len() != tuple.len() {
+        return None;
+    }
+    let mut first: Vec<(&str, &Value)> = Vec::new();
+    for (term, value) in atom.terms.iter().zip(tuple) {
+        match term {
+            Term::Const(constant) if constant != value => return None,
+            Term::Var(var) => match first.iter().find(|(name, _)| name == var) {
+                Some((_, earlier)) if *earlier != value => return None,
+                Some(_) => {}
+                None => first.push((var, value)),
+            },
+            _ => {}
+        }
+    }
+    let value = |var: &&str| {
+        let first = first.iter().find(|(name, _)| name == var);
+        first
+            .expect("a shared variable is a variable of the atom")
+            .1
+    };
+    Some(shared.iter().map(|var| value(var).clone()).collect())
 }
 
 /// Check all constraints; the first violation wins.

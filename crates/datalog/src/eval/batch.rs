@@ -16,13 +16,26 @@
 //! dictionary id assignment a pure function of the operation sequence
 //! ([`crate::intern`] module docs).  [`execute_batch`] is read-only.
 //!
+//! ## Frames
+//!
+//! A step pipeline runs over one frame: a row of ids per partial solution,
+//! packed row-major, each step appending the columns of the variables it
+//! binds.  A forward job starts from one empty row and projects its heads
+//! at the end.  A proof job ([`compile_proof`]) runs a rule backwards from
+//! one stored fact, as a retraction's proof search does: the fact's ids
+//! seed a one-row frame, each step also appends the `TupleId` it matched,
+//! and the solutions' trails are the job's output.  A step's output rows go
+//! into a buffer the pipeline keeps, and a proof job keeps its buffers from
+//! fact to fact.
+//!
 //! ## Determinism
 //!
 //! The executor's output is canonicalized — per head predicate, id rows are
 //! sorted and deduplicated — so the result is independent of frame order
 //! and cache hits, and so is the id-sorted insertion order downstream.
 //! Debug builds additionally assert the rehydrated output equals the
-//! tuple-at-a-time enumeration (`Evaluator::evaluate_round`).
+//! tuple-at-a-time enumeration (`Evaluator::evaluate_round`), and a proof
+//! job's trails the tuple path's (`eval::dred`).
 
 use super::join::DeltaRestriction;
 use super::plan::{is_membership, PlanStats, RulePlan};
@@ -30,7 +43,7 @@ use super::runtime_pred_name;
 use crate::ast::{Literal, Rule, Term};
 use crate::error::Result;
 use crate::intern::{fnv_ids, FnvMap, Interner, PassMap};
-use crate::relation::Relations;
+use crate::relation::{Relations, TupleId};
 use crate::schema::BUILTIN_TYPES;
 use crate::udf::UdfRegistry;
 use std::sync::Arc;
@@ -173,8 +186,11 @@ struct StepExec {
     arity: usize,
     positions: Vec<PosSpec>,
     /// Literal positions that bind fresh frame columns, in order; position
-    /// `fresh[i]` binds frame column `base + i`.
+    /// `fresh[i]` binds the `i`-th column the step appends to its input row.
     fresh: Vec<usize>,
+    /// Append the matched tuple's [`TupleId`] after the fresh columns: a
+    /// proof job's trail.
+    trail: bool,
     probe: Option<ProbeExec>,
 }
 
@@ -193,6 +209,153 @@ pub(crate) struct BatchJob {
     /// A body constant is absent from the dictionary: no stored tuple can
     /// match, so the derivation is provably empty.
     impossible: bool,
+}
+
+/// A variable or a constant: what the batch shape admits in a head.
+fn plain(term: &Term) -> bool {
+    matches!(term, Term::Var(_) | Term::Const(_))
+}
+
+/// Every body literal a positive atom over plain terms and wildcards.  Most
+/// rules the batch path declines say so in their syntax (a comparison, a
+/// negation, an expression term): this is tested before anything is
+/// allocated.
+fn plain_body(rule: &Rule) -> bool {
+    rule.body.iter().all(|literal| {
+        matches!(literal, Literal::Pos(atom)
+            if atom.terms.iter().all(|term| plain(term) || matches!(term, Term::Wildcard)))
+    })
+}
+
+/// Compiles plan steps against the frame columns bound so far.
+struct StepCompiler<'r, 'a> {
+    relations: &'a Relations,
+    udfs: &'a UdfRegistry,
+    interner: &'a Arc<Interner>,
+    /// The frame column of every variable bound so far.
+    vars: FnvMap<&'r str, usize>,
+    /// The frame's width so far.
+    width: usize,
+    /// A body constant is absent from the dictionary.
+    impossible: bool,
+}
+
+impl<'r, 'a> StepCompiler<'r, 'a> {
+    fn new(relations: &'a Relations, udfs: &'a UdfRegistry, interner: &'a Arc<Interner>) -> Self {
+        StepCompiler {
+            relations,
+            udfs,
+            interner,
+            vars: FnvMap::default(),
+            width: 0,
+            impossible: false,
+        }
+    }
+
+    /// One step per plan step of `body`, each appending a column per
+    /// variable it binds first and, with `trail`, one for the matched
+    /// `TupleId`.  `None` when a literal falls outside the batch shape.
+    fn steps(
+        &mut self,
+        body: &'r [Literal],
+        plan: &RulePlan,
+        delta: Option<DeltaRestriction<'_>>,
+        trail: bool,
+    ) -> Option<Vec<StepExec>> {
+        let mut steps = Vec::with_capacity(plan.order.len());
+        for step in &plan.order {
+            let Literal::Pos(atom) = &body[step.literal] else {
+                return None;
+            };
+            let pred = runtime_pred_name(&atom.pred).ok()?;
+            if self.udfs.is_udf(&pred) || (BUILTIN_TYPES.contains(&&*pred) && atom.terms.len() == 1)
+            {
+                return None;
+            }
+            if let Some(relation) = self.relations.get(&*pred) {
+                if !Arc::ptr_eq(relation.interner(), self.interner) {
+                    return None;
+                }
+            }
+            let mut positions = Vec::with_capacity(atom.terms.len());
+            let mut fresh: Vec<usize> = Vec::new();
+            let mut local: FnvMap<&str, usize> = FnvMap::default();
+            for (pos, term) in atom.terms.iter().enumerate() {
+                let spec = match term {
+                    Term::Wildcard => PosSpec::Free,
+                    Term::Const(value) => match self.interner.try_id(value) {
+                        Some(id) => PosSpec::Const(id),
+                        None => {
+                            self.impossible = true;
+                            PosSpec::Free
+                        }
+                    },
+                    Term::Var(name) => {
+                        if let Some(&col) = self.vars.get(name.as_str()) {
+                            PosSpec::Bound(col)
+                        } else if let Some(&first) = local.get(name.as_str()) {
+                            PosSpec::Dup(first)
+                        } else {
+                            local.insert(name, pos);
+                            fresh.push(pos);
+                            PosSpec::Fresh
+                        }
+                    }
+                    _ => return None,
+                };
+                positions.push(spec);
+            }
+            for (offset, &pos) in fresh.iter().enumerate() {
+                if let Term::Var(name) = &atom.terms[pos] {
+                    self.vars.insert(name, self.width + offset);
+                }
+            }
+            self.width += fresh.len() + usize::from(trail);
+
+            let is_delta = delta.is_some_and(|pinned| pinned.literal_index == step.literal);
+            let probe = match step.probe {
+                Some(cols) if cols != 0 && !is_delta => probe_exec(&positions, cols),
+                _ => None,
+            };
+            steps.push(StepExec {
+                pred: pred.into_owned(),
+                arity: atom.terms.len(),
+                positions,
+                fresh,
+                trail,
+                probe,
+            });
+        }
+        Some(steps)
+    }
+}
+
+/// The probe of a step whose plan binds `cols`, or `None` when a probe bit
+/// lands on a position the key cannot cover — an intra-literal duplicate,
+/// or a constant missing from the dictionary — and the step scans instead.
+fn probe_exec(positions: &[PosSpec], cols: u64) -> Option<ProbeExec> {
+    let in_key = |pos: usize| pos < 64 && cols & (1u64 << pos) != 0;
+    let mut key = Vec::new();
+    for (pos, spec) in positions.iter().enumerate() {
+        if !in_key(pos) {
+            continue;
+        }
+        match spec {
+            PosSpec::Const(id) => key.push(IdSrc::Const(*id)),
+            PosSpec::Bound(col) => key.push(IdSrc::Frame(*col)),
+            _ => return None,
+        }
+    }
+    let cacheable = positions.iter().enumerate().all(|(pos, spec)| match spec {
+        PosSpec::Const(_) | PosSpec::Bound(_) => in_key(pos),
+        _ => true,
+    });
+    Some(ProbeExec {
+        cols,
+        key,
+        cacheable,
+        member: is_membership(positions.len(), cols),
+    })
 }
 
 /// Compile `rule` for batch execution, or `None` when the body falls outside
@@ -214,116 +377,11 @@ pub(crate) fn compile_batch(
     if delta.is_some_and(|pinned| plan.order[0].literal != pinned.literal_index) {
         return None;
     }
-    // Most rules this path declines say so in their syntax (a comparison, a
-    // negation, an expression term): test that before allocating anything.
-    let plain = |term: &Term| matches!(term, Term::Var(_) | Term::Const(_));
-    let body_plain = rule.body.iter().all(|literal| {
-        matches!(literal, Literal::Pos(atom)
-            if atom.terms.iter().all(|term| plain(term) || matches!(term, Term::Wildcard)))
-    });
-    if !body_plain || !rule.head.iter().all(|atom| atom.terms.iter().all(plain)) {
+    if !plain_body(rule) || !rule.head.iter().all(|atom| atom.terms.iter().all(plain)) {
         return None;
     }
-
-    let mut vars: FnvMap<&str, usize> = FnvMap::default();
-    let mut impossible = false;
-    let mut steps = Vec::with_capacity(plan.order.len());
-    for step in &plan.order {
-        let Literal::Pos(atom) = &rule.body[step.literal] else {
-            return None;
-        };
-        let pred = runtime_pred_name(&atom.pred).ok()?;
-        if udfs.is_udf(&pred) || (BUILTIN_TYPES.contains(&&*pred) && atom.terms.len() == 1) {
-            return None;
-        }
-        if let Some(relation) = relations.get(&*pred) {
-            if !Arc::ptr_eq(relation.interner(), interner) {
-                return None;
-            }
-        }
-        let mut positions = Vec::with_capacity(atom.terms.len());
-        let mut fresh: Vec<usize> = Vec::new();
-        let mut local: FnvMap<&str, usize> = FnvMap::default();
-        for (pos, term) in atom.terms.iter().enumerate() {
-            let spec = match term {
-                Term::Wildcard => PosSpec::Free,
-                Term::Const(value) => match interner.try_id(value) {
-                    Some(id) => PosSpec::Const(id),
-                    None => {
-                        impossible = true;
-                        PosSpec::Free
-                    }
-                },
-                Term::Var(name) => {
-                    if let Some(&col) = vars.get(name.as_str()) {
-                        PosSpec::Bound(col)
-                    } else if let Some(&first) = local.get(name.as_str()) {
-                        PosSpec::Dup(first)
-                    } else {
-                        local.insert(name, pos);
-                        fresh.push(pos);
-                        PosSpec::Fresh
-                    }
-                }
-                _ => return None,
-            };
-            positions.push(spec);
-        }
-        let base = vars.len();
-        for (offset, &pos) in fresh.iter().enumerate() {
-            if let Term::Var(name) = &atom.terms[pos] {
-                vars.insert(name, base + offset);
-            }
-        }
-
-        let is_delta = delta.is_some_and(|pinned| pinned.literal_index == step.literal);
-        let probe = match step.probe {
-            Some(cols) if cols != 0 && !is_delta => {
-                let mut key = Vec::new();
-                let mut coverable = true;
-                for (pos, spec) in positions.iter().enumerate() {
-                    if pos >= 64 || cols & (1u64 << pos) == 0 {
-                        continue;
-                    }
-                    match spec {
-                        PosSpec::Const(id) => key.push(IdSrc::Const(*id)),
-                        PosSpec::Bound(col) => key.push(IdSrc::Frame(*col)),
-                        // A probe bit can land on a position the key cannot
-                        // cover: an intra-literal duplicate, or a constant
-                        // missing from the dictionary.  Scan instead.
-                        _ => {
-                            coverable = false;
-                            break;
-                        }
-                    }
-                }
-                if coverable {
-                    let cacheable = positions.iter().enumerate().all(|(pos, spec)| match spec {
-                        PosSpec::Const(_) | PosSpec::Bound(_) => {
-                            pos < 64 && cols & (1u64 << pos) != 0
-                        }
-                        _ => true,
-                    });
-                    Some(ProbeExec {
-                        cols,
-                        key,
-                        cacheable,
-                        member: is_membership(positions.len(), cols),
-                    })
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        };
-        steps.push(StepExec {
-            pred: pred.into_owned(),
-            arity: atom.terms.len(),
-            positions,
-            fresh,
-            probe,
-        });
-    }
+    let mut compiler = StepCompiler::new(relations, udfs, interner);
+    let steps = compiler.steps(&rule.body, plan, delta, false)?;
 
     let mut heads = Vec::with_capacity(rule.head.len());
     for atom in &rule.head {
@@ -331,7 +389,7 @@ pub(crate) fn compile_batch(
         let mut srcs = Vec::with_capacity(atom.terms.len());
         for term in &atom.terms {
             match term {
-                Term::Var(name) => srcs.push(IdSrc::Frame(*vars.get(name.as_str())?)),
+                Term::Var(name) => srcs.push(IdSrc::Frame(*compiler.vars.get(name.as_str())?)),
                 Term::Const(value) => srcs.push(IdSrc::Const(interner.intern(value))),
                 _ => return None,
             }
@@ -368,23 +426,69 @@ pub(crate) fn compile_batch(
         steps,
         heads,
         delta_rows,
-        impossible,
+        impossible: compiler.impossible,
     })
 }
 
-/// A columnar binding frame: one `u32` column per bound variable.
+/// A binding frame: one row of `u32` ids per partial solution, `width` ids
+/// per row (a column per bound variable, and in a proof job one per matched
+/// tuple), packed row-major in one buffer so a step appends its output rows
+/// without a per-column allocation.
+#[derive(Default)]
 struct Frame {
-    cols: Vec<Vec<u32>>,
+    width: usize,
     len: usize,
+    data: Vec<u32>,
 }
 
 impl Frame {
-    fn unit() -> Frame {
-        Frame {
-            cols: Vec::new(),
-            len: 1,
+    fn row(&self, index: usize) -> &[u32] {
+        &self.data[index * self.width..][..self.width]
+    }
+
+    /// Empty the frame for rows of `width` ids, keeping its buffer.
+    fn reset(&mut self, width: usize) {
+        self.width = width;
+        self.len = 0;
+        self.data.clear();
+    }
+}
+
+/// The buffers a step pipeline reuses from step to step — the frame, the one
+/// the next step fills, and a step's row-sized scratch — and a proof job
+/// from fact to fact.
+#[derive(Default)]
+struct Scratch {
+    frame: Frame,
+    spare: Frame,
+    row: IdRow,
+    fresh: IdRow,
+    key: IdRow,
+}
+
+/// Run `steps` on `scratch.frame`, leaving the result there.  The delta
+/// rows, when given, override step 0's scan.
+fn run_steps(
+    steps: &[StepExec],
+    driving: Option<&IdBatch>,
+    relations: &Relations,
+    stats: &PlanStats,
+    scratch: &mut Scratch,
+) -> Result<()> {
+    for (index, step) in steps.iter().enumerate() {
+        extend_frame(
+            step,
+            driving.filter(|_| index == 0),
+            relations,
+            stats,
+            scratch,
+        )?;
+        std::mem::swap(&mut scratch.frame, &mut scratch.spare);
+        if scratch.frame.len == 0 {
+            break;
         }
     }
+    Ok(())
 }
 
 /// Execute a compiled batch job — the step pipeline, then the head
@@ -398,15 +502,18 @@ pub(crate) fn execute_batch(
     if job.impossible {
         return Ok(Vec::new());
     }
-    let mut frame = Frame::unit();
-    for (index, step) in job.steps.iter().enumerate() {
-        // The delta rows override step 0's scan; without them it streams
-        // the full column group.
-        let driving = job.delta_rows.as_ref().filter(|_| index == 0);
-        frame = extend_frame(&frame, step, driving, relations, stats)?;
-        if frame.len == 0 {
-            return Ok(Vec::new());
-        }
+    let mut scratch = Scratch::default();
+    scratch.frame.len = 1;
+    run_steps(
+        &job.steps,
+        job.delta_rows.as_ref(),
+        relations,
+        stats,
+        &mut scratch,
+    )?;
+    let frame = &scratch.frame;
+    if frame.len == 0 {
+        return Ok(Vec::new());
     }
 
     let mut out: Vec<(String, IdBatch)> = Vec::with_capacity(job.heads.len());
@@ -414,9 +521,10 @@ pub(crate) fn execute_batch(
         let mut batch = IdBatch::new(head.srcs.len());
         batch.data.reserve(frame.len * head.srcs.len());
         for i in 0..frame.len {
+            let row = frame.row(i);
             for src in &head.srcs {
                 batch.data.push(match src {
-                    IdSrc::Frame(col) => frame.cols[*col][i],
+                    IdSrc::Frame(col) => row[*col],
                     IdSrc::Const(id) => *id,
                 });
             }
@@ -427,53 +535,192 @@ pub(crate) fn execute_batch(
     Ok(canonicalize(out))
 }
 
-/// Join one step against the frame, producing the extended frame.
+/// A rule body compiled to run backwards from one stored fact of one of its
+/// head atoms, as a retraction's proof search does (`eval::dred`): the
+/// fact's ids seed a one-row frame, every step appends the [`TupleId`] it
+/// matched, and each solution's trail says which stored facts that instance
+/// of the rule used.  It keeps its buffers from fact to fact.
+pub(crate) struct ProofJob {
+    /// Per head position: a fresh frame column, a repeat of an earlier
+    /// column, or a constant the fact must hold there.
+    head: Vec<PosSpec>,
+    steps: Vec<StepExec>,
+    /// Per step, in plan order: the body literal it runs and the frame
+    /// column its trail lands in.
+    trail: Vec<(usize, usize)>,
+    impossible: bool,
+    scratch: Scratch,
+    /// One row per instance of the last run: the trail's `TupleId`s.
+    instances: IdBatch,
+}
+
+/// Compile head atom `head` of `rule` and its body, planned under that
+/// atom's variables, into a [`ProofJob`]; `None` outside the batch shape
+/// (what [`compile_batch`] declines, and an expression in the head).  Reads
+/// the dictionary without adding to it.
+pub(crate) fn compile_proof(
+    rule: &Rule,
+    head: usize,
+    plan: &RulePlan,
+    relations: &Relations,
+    udfs: &UdfRegistry,
+    interner: &Arc<Interner>,
+) -> Option<ProofJob> {
+    let atom = &rule.head[head];
+    if rule.agg.is_some()
+        || plan.order.is_empty()
+        || !plain_body(rule)
+        || !atom.terms.iter().all(plain)
+    {
+        return None;
+    }
+    let mut compiler = StepCompiler::new(relations, udfs, interner);
+    let mut seed = Vec::with_capacity(atom.terms.len());
+    for term in &atom.terms {
+        seed.push(match term {
+            Term::Var(name) => match compiler.vars.get(name.as_str()) {
+                Some(&col) => PosSpec::Bound(col),
+                None => {
+                    compiler.vars.insert(name, compiler.width);
+                    compiler.width += 1;
+                    PosSpec::Fresh
+                }
+            },
+            Term::Const(value) => match interner.try_id(value) {
+                Some(id) => PosSpec::Const(id),
+                None => {
+                    compiler.impossible = true;
+                    PosSpec::Free
+                }
+            },
+            _ => return None,
+        });
+    }
+    let mut width = compiler.width;
+    let steps = compiler.steps(&rule.body, plan, None, true)?;
+    let trail = plan
+        .order
+        .iter()
+        .zip(&steps)
+        .map(|(step, exec)| {
+            width += exec.fresh.len() + 1;
+            (step.literal, width - 1)
+        })
+        .collect();
+    Some(ProofJob {
+        head: seed,
+        instances: IdBatch::new(steps.len()),
+        steps,
+        trail,
+        impossible: compiler.impossible,
+        scratch: Scratch::default(),
+    })
+}
+
+impl ProofJob {
+    /// The body literal behind each column of [`Self::run`]'s rows.
+    pub(crate) fn literals(&self) -> impl Iterator<Item = usize> + '_ {
+        self.trail.iter().map(|&(literal, _)| literal)
+    }
+
+    /// Every instance of the rule whose head is the stored fact with id row
+    /// `row`: one row per instance, the `TupleId` each body literal matched,
+    /// in [`Self::literals`] order.  Read-only over `relations`.
+    pub(crate) fn run(
+        &mut self,
+        row: &[u32],
+        relations: &Relations,
+        stats: &PlanStats,
+    ) -> Result<&IdBatch> {
+        self.instances.data.clear();
+        self.instances.rows = 0;
+        if self.impossible || row.len() != self.head.len() {
+            return Ok(&self.instances);
+        }
+        let frame = &mut self.scratch.frame;
+        frame.reset(0);
+        for (&id, spec) in row.iter().zip(&self.head) {
+            let holds = match spec {
+                PosSpec::Fresh => {
+                    frame.data.push(id);
+                    true
+                }
+                PosSpec::Bound(col) => frame.data[*col] == id,
+                PosSpec::Const(constant) => *constant == id,
+                PosSpec::Dup(_) | PosSpec::Free => false,
+            };
+            if !holds {
+                return Ok(&self.instances);
+            }
+        }
+        frame.width = frame.data.len();
+        frame.len = 1;
+        run_steps(&self.steps, None, relations, stats, &mut self.scratch)?;
+        let frame = &self.scratch.frame;
+        for i in 0..frame.len {
+            let row = frame.row(i);
+            self.instances
+                .data
+                .extend(self.trail.iter().map(|&(_, col)| row[col]));
+        }
+        self.instances.rows = frame.len;
+        Ok(&self.instances)
+    }
+}
+
+/// Join one step against `scratch.frame`, filling `scratch.spare` with the
+/// extended frame.
 fn extend_frame(
-    frame: &Frame,
     step: &StepExec,
     driving: Option<&IdBatch>,
     relations: &Relations,
     stats: &PlanStats,
-) -> Result<Frame> {
-    let base = frame.cols.len();
-    let mut out = Frame {
-        cols: vec![Vec::with_capacity(frame.len); base + step.fresh.len()],
-        len: 0,
-    };
+    scratch: &mut Scratch,
+) -> Result<()> {
+    let Scratch {
+        frame,
+        spare: out,
+        row: scratch,
+        fresh: fresh_vals,
+        key,
+    } = scratch;
+    let frame: &Frame = frame;
+    out.reset(frame.width + step.fresh.len() + usize::from(step.trail));
     let mut emit = |frame_row: usize, fresh_vals: &[u32]| {
-        for (col, out_col) in out.cols.iter_mut().enumerate().take(base) {
-            out_col.push(frame.cols[col][frame_row]);
-        }
-        for (offset, &val) in fresh_vals.iter().enumerate() {
-            out.cols[base + offset].push(val);
-        }
+        out.data.extend_from_slice(frame.row(frame_row));
+        out.data.extend_from_slice(fresh_vals);
         out.len += 1;
+    };
+    // The fresh columns of a match, then its `TupleId` when the step keeps a
+    // trail.
+    let matched = |fresh_vals: &mut IdRow, row: &[u32], id: Option<TupleId>| {
+        fresh_vals.clear();
+        fresh_vals.extend(step.fresh.iter().map(|&pos| row[pos]));
+        fresh_vals.extend(id.filter(|_| step.trail));
     };
 
     let relation = relations.get(&step.pred);
-    let mut scratch: IdRow = Vec::with_capacity(step.arity);
-    let mut fresh_vals: IdRow = Vec::with_capacity(step.fresh.len());
 
     if let Some(probe) = &step.probe {
         let Some(relation) = relation else {
-            return Ok(out);
+            return Ok(());
         };
-        // Per-distinct-key cache of verified matches (each match = the fresh
-        // column values).  Keyed by the key's content hash; the stored key
-        // guards against collisions (a mismatch bypasses the cache).  Keys
-        // and matches live in two flat arenas so cache entries are three
-        // integers — no per-entry allocation.
-        let fresh_len = step.fresh.len();
+        // Per-distinct-key cache of verified matches (each match = the
+        // values the step appends).  Keyed by the key's content hash; the
+        // stored key guards against collisions (a mismatch bypasses the
+        // cache).  Keys and matches live in two flat arenas so cache entries
+        // are three integers — no per-entry allocation.
+        let match_len = step.fresh.len() + usize::from(step.trail);
         let key_len = probe.key.len();
         let mut key_arena: Vec<u32> = Vec::new();
         let mut match_arena: Vec<u32> = Vec::new();
         // hash -> (key arena offset, match arena offset, match row count)
         let mut cache: PassMap<(u32, u32, u32)> = PassMap::default();
         // A cache over all-distinct keys pays an insert per frame row and
-        // never hits; after a warm-up window with almost no hits, stop
-        // maintaining it.  Purely a speed knob: the emitted matches are
-        // identical either way.
-        let mut caching = probe.cacheable;
+        // never hits — always so for a one-row frame; after a warm-up window
+        // with almost no hits, stop maintaining it.  Purely a speed knob:
+        // the emitted matches are identical either way.
+        let mut caching = probe.cacheable && frame.len > 1;
         let mut lookups = 0usize;
         let mut hits = 0usize;
         // Resolve the index once per step; the plan ensured it, so a miss
@@ -484,20 +731,21 @@ fn extend_frame(
             .group(step.arity)
             .map(|g| g.tuple_ids())
             .unwrap_or(&[]);
-        let mut key: Vec<u32> = Vec::with_capacity(key_len);
         for i in 0..frame.len {
+            let frame_row = frame.row(i);
             key.clear();
             for src in &probe.key {
                 key.push(match src {
-                    IdSrc::Frame(col) => frame.cols[*col][i],
+                    IdSrc::Frame(col) => frame_row[*col],
                     IdSrc::Const(id) => *id,
                 });
             }
             if probe.member {
                 // The key is the whole row: nothing to bind, no candidates.
                 PlanStats::bump(&stats.index_probes);
-                if relation.find_row(&key).is_some() {
-                    emit(i, &[]);
+                if let Some(id) = relation.find_row(key) {
+                    matched(fresh_vals, key, Some(id));
+                    emit(i, fresh_vals);
                 }
                 continue;
             }
@@ -509,7 +757,7 @@ fn extend_frame(
                         hits += 1;
                         for m in 0..match_rows as usize {
                             let vals =
-                                &match_arena[match_at as usize + m * fresh_len..][..fresh_len];
+                                &match_arena[match_at as usize + m * match_len..][..match_len];
                             emit(i, vals);
                         }
                         continue;
@@ -528,36 +776,37 @@ fn extend_frame(
             let match_at = match_arena.len();
             let mut match_rows = 0u32;
             for &id in candidates {
-                relation.row_ids(id, &mut scratch);
+                relation.row_ids(id, scratch);
                 if scratch.len() != step.arity {
                     continue;
                 }
-                if !verify(&step.positions, &scratch, |col| frame.cols[col][i]) {
+                if !verify(&step.positions, scratch, |col| frame_row[col]) {
                     continue;
                 }
-                fresh_vals.clear();
-                fresh_vals.extend(step.fresh.iter().map(|&pos| scratch[pos]));
-                emit(i, &fresh_vals);
+                matched(fresh_vals, scratch, Some(id));
+                emit(i, fresh_vals);
                 if caching {
-                    match_arena.extend_from_slice(&fresh_vals);
+                    match_arena.extend_from_slice(fresh_vals);
                     match_rows += 1;
                 }
             }
             if caching {
                 let key_at = key_arena.len() as u32;
-                key_arena.extend_from_slice(&key);
+                key_arena.extend_from_slice(key);
                 cache.insert(hash, (key_at, match_at as u32, match_rows));
             }
         }
-        return Ok(out);
+        return Ok(());
     }
 
     // Scan step: pre-filter candidates on frame-independent constraints
     // (constants, intra-literal duplicates), then check the frame-dependent
-    // `Bound` positions per frame row.
-    let mut candidates = IdBatch::new(step.arity);
+    // `Bound` positions per frame row.  A trailing step keeps each
+    // candidate's `TupleId` after its ids.
+    let mut candidates = IdBatch::new(step.arity + usize::from(step.trail));
     match driving {
         Some(batch) => {
+            debug_assert!(!step.trail, "a proof job has no delta");
             debug_assert_eq!(batch.stride, step.arity);
             for row in batch.iter() {
                 if verify_static(&step.positions, row) {
@@ -569,14 +818,14 @@ fn extend_frame(
             PlanStats::bump(&stats.full_scans);
             if let Some(group) = relation.and_then(|r| r.group(step.arity)) {
                 PlanStats::add(&stats.rows_examined, group.rows());
-                let mut row = Vec::with_capacity(step.arity);
-                for index in 0..group.rows() {
-                    row.clear();
-                    for col in 0..group.arity() {
-                        row.push(group.col(col)[index]);
-                    }
-                    if verify_static(&step.positions, &row) {
-                        candidates.push_row(&row);
+                for (index, &id) in group.tuple_ids().iter().enumerate() {
+                    scratch.clear();
+                    scratch.extend((0..group.arity()).map(|col| group.col(col)[index]));
+                    if verify_static(&step.positions, scratch) {
+                        if step.trail {
+                            scratch.push(id);
+                        }
+                        candidates.push_row(scratch);
                     }
                 }
             }
@@ -592,19 +841,19 @@ fn extend_frame(
         })
         .collect();
     for i in 0..frame.len {
+        let frame_row = frame.row(i);
         for candidate in candidates.iter() {
             if bound
                 .iter()
-                .any(|&(pos, col)| candidate[pos] != frame.cols[col][i])
+                .any(|&(pos, col)| candidate[pos] != frame_row[col])
             {
                 continue;
             }
-            fresh_vals.clear();
-            fresh_vals.extend(step.fresh.iter().map(|&pos| candidate[pos]));
-            emit(i, &fresh_vals);
+            matched(fresh_vals, candidate, candidate.get(step.arity).copied());
+            emit(i, fresh_vals);
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Check every constrained position of a candidate row (which subsumes

@@ -18,9 +18,13 @@
 //!   frontier is removed, so a deleted fact never drives a later probe, join
 //!   or UDF call.
 //! * **Backward.**  A candidate is searched from its rules' heads down: each
-//!   rule runs from the candidate's values ([`PlanKey::Proof`] plans the body
-//!   under the head's variables), and the stored facts each solution used
-//!   are searched in turn, depth first.  A fact is *proved* when it is
+//!   rule runs from the candidate ([`PlanKey::Proof`] plans the body under
+//!   the head's variables), and the stored facts each solution used are
+//!   searched in turn, depth first.  A proof join runs in the batch executor
+//!   from the fact's ids ([`ProofJob`]: a one-row frame, a `TupleId` trail),
+//!   or tuple at a time from its values for a rule with a UDF, a comparison
+//!   or a singleton; ahead of either, the plan's first probe in id space
+//!   ([`FirstProbe`]) skips a rule with no instance.  A fact is *proved* when it is
 //!   asserted, or when every body fact of one of its rule instances is
 //!   proved; instances wait with a count of unproved body facts, so a fact
 //!   proved late proves what waited on it (B/F's saturation), recursion
@@ -39,9 +43,10 @@
 //! [`Evaluator::delete_by_rederivation`], the property tests' oracle for the
 //! programs that need the re-run.
 
+use super::batch::{compile_proof, ProofJob};
 use super::bindings::{eval_term, Bindings};
 use super::join::{JoinContext, Trail};
-use super::plan::{is_membership, PlanKey, RulePlan};
+use super::plan::{is_membership, PlanKey, PlanStats, RulePlan};
 use super::runtime_pred_name;
 use super::seminaive::{delta_combos, Commit, Derivation, Evaluator, FactDelta};
 use crate::ast::{Atom, Literal, Rule, Term};
@@ -115,6 +120,10 @@ struct Prover {
     /// constants: an empty bucket means no instance, and the join is
     /// skipped.  Most facts a deletion reaches on a chain fail there.
     first: Option<FirstProbe>,
+    /// The body in id space, when the batch executor can run it, beside the
+    /// predicate of each literal on its trail.  `None` for a rule with a
+    /// UDF, a comparison or a singleton: the tuple path runs it.
+    job: Option<(ProofJob, Vec<u32>)>,
 }
 
 /// The first step of a proof plan as an id-space lookup keyed by the
@@ -313,63 +322,134 @@ impl<'p> Search<'p> {
         }
     }
 
-    /// Record every instance of prover `prover` whose head is `fact`, stored
-    /// as `tuple`: the body runs from the head's values on `join`, and the
-    /// trail hands back the stored facts each solution used.
+    /// Record every instance of prover `prover` (run as `proof`) whose head
+    /// is `fact`, stored as `tuple` with id row `self.row`: the batch
+    /// executor runs the body from the fact's ids where the rule allows it,
+    /// the tuple path from its values otherwise, and either hands back the
+    /// stored facts each instance used.
     fn instances(
         &mut self,
         program: &RuleSet,
-        prover: u32,
-        plan: Option<&RulePlan>,
+        (prover, proof): (u32, &mut Prover),
         (fact, tuple): (u32, &Tuple),
         join: JoinContext<'_>,
+        stats: &PlanStats,
         open: &mut Vec<u32>,
     ) -> Result<()> {
         let deletion = self.deletion;
         let (rule_index, head) = deletion.prover(prover);
         let rule = &program.rules()[rule_index];
-        let atom = &rule.head[head];
         let relations = join.relations;
-        let mut bindings = std::mem::take(&mut self.bindings);
         let (mut used, mut ends) = (
             std::mem::take(&mut self.used),
             std::mem::take(&mut self.ends),
         );
-        bindings.restore(0);
         used.clear();
         ends.clear();
-        let joined = match bind_head(atom, tuple, &mut bindings) {
-            None => Ok(()),
-            Some(check_after) => {
-                let trail = &self.trail;
-                let mut collect = |solution: &Bindings| {
-                    if check_after && !head_matches(atom, solution, tuple, relations)? {
-                        return Ok(());
-                    }
-                    used.extend(trail.borrow().iter().map(|&(literal, id)| {
-                        let pred = deletion.body_pred(rule_index, literal);
-                        (pred.expect("a stored literal is a positive atom"), id)
-                    }));
+        match &mut proof.job {
+            Some((job, preds)) => {
+                PlanStats::bump(&stats.proof_joins_batch);
+                let instances = job.run(&self.row, relations, stats)?;
+                for trail in instances.iter() {
+                    used.extend(preds.iter().copied().zip(trail.iter().copied()));
                     ends.push(used.len());
-                    Ok(())
-                };
-                let join = join.with_trail(trail);
-                match plan {
-                    Some(plan) => {
-                        join.join_planned(&rule.body, plan, None, &mut bindings, &mut collect)
-                    }
-                    None => join.join(&rule.body, None, &mut bindings, &mut collect),
                 }
+                #[cfg(debug_assertions)]
+                self.debug_verify_proof(rule, head, proof, tuple, join)?;
             }
-        };
-        self.bindings = bindings;
-        joined?;
+            None => {
+                PlanStats::bump(&stats.proof_joins_tuple);
+                let body_pred = |literal| {
+                    let pred = deletion.body_pred(rule_index, literal);
+                    pred.expect("a stored literal is a positive atom")
+                };
+                self.tuple_instances(rule, head, proof.plan.as_deref(), tuple, join, |trail| {
+                    used.extend(trail.iter().map(|&(literal, id)| (body_pred(literal), id)));
+                    ends.push(used.len());
+                })?;
+            }
+        }
         let mut start = 0;
         for &end in &ends {
             self.record(fact, &used[start..end], relations, open);
             start = end;
         }
         (self.used, self.ends) = (used, ends);
+        Ok(())
+    }
+
+    /// The instances of head atom `head` of `rule` whose head is `tuple`,
+    /// tuple at a time: the body runs from the head's values on `join`, and
+    /// `each` gets the trail of every solution — `(body literal, TupleId)`
+    /// per stored literal, in plan order.
+    fn tuple_instances(
+        &mut self,
+        rule: &Rule,
+        head: usize,
+        plan: Option<&RulePlan>,
+        tuple: &Tuple,
+        join: JoinContext<'_>,
+        mut each: impl FnMut(&[(usize, TupleId)]),
+    ) -> Result<()> {
+        let atom = &rule.head[head];
+        let relations = join.relations;
+        let bindings = &mut self.bindings;
+        bindings.restore(0);
+        let Some(check_after) = bind_head(atom, tuple, bindings) else {
+            return Ok(());
+        };
+        let trail = &self.trail;
+        let mut collect = |solution: &Bindings| {
+            if !check_after || head_matches(atom, solution, tuple, relations)? {
+                each(&trail.borrow());
+            }
+            Ok(())
+        };
+        let join = join.with_trail(trail);
+        match plan {
+            Some(plan) => join.join_planned(&rule.body, plan, None, bindings, &mut collect),
+            None => join.join(&rule.body, None, bindings, &mut collect),
+        }
+    }
+
+    /// Debug-build check of a batch proof join: its instances, as
+    /// `(literal, TupleId)` lists, are the tuple path's (both as sets).
+    #[cfg(debug_assertions)]
+    fn debug_verify_proof(
+        &mut self,
+        rule: &Rule,
+        head: usize,
+        proof: &mut Prover,
+        tuple: &Tuple,
+        join: JoinContext<'_>,
+    ) -> Result<()> {
+        let Some((job, _)) = &mut proof.job else {
+            return Ok(());
+        };
+        let literals: Vec<usize> = job.literals().collect();
+        let scratch = PlanStats::default();
+        let mut batch: Vec<Vec<(usize, TupleId)>> = job
+            .run(&self.row, join.relations, &scratch)?
+            .iter()
+            .map(|trail| {
+                literals
+                    .iter()
+                    .copied()
+                    .zip(trail.iter().copied())
+                    .collect()
+            })
+            .collect();
+        let mut tuple_path = Vec::new();
+        let join = JoinContext::with_stats(join.relations, join.udfs, &scratch);
+        self.tuple_instances(rule, head, proof.plan.as_deref(), tuple, join, |trail| {
+            tuple_path.push(trail.to_vec())
+        })?;
+        batch.sort_unstable();
+        tuple_path.sort_unstable();
+        debug_assert_eq!(
+            batch, tuple_path,
+            "batch proof join diverged from tuple-at-a-time for rule `{rule}`"
+        );
         Ok(())
     }
 
@@ -570,25 +650,31 @@ impl<'a> Evaluator<'a> {
         relation.row_ids(id, &mut search.row);
         let mut open = Vec::new();
         for &prover in provers {
-            let Prover { plan, first } = search.provers[prover as usize]
-                .as_ref()
+            // The first probe runs ahead of either executor: most facts a
+            // deletion reaches on a chain have no instance, and an empty
+            // bucket says so for one lookup.
+            let mut proof = search.provers[prover as usize]
+                .take()
                 .expect("prepared above");
-            if first
+            let joined = if proof
+                .first
                 .as_ref()
                 .is_some_and(|first| !first.may_match(&search.row, relations))
             {
-                continue;
-            }
-            let plan = plan.clone();
-            let join = JoinContext::with_stats(relations, self.udfs, self.plan_stats);
-            search.instances(
-                program,
-                prover,
-                plan.as_deref(),
-                (fact, tuple),
-                join,
-                &mut open,
-            )?;
+                Ok(())
+            } else {
+                let join = JoinContext::with_stats(relations, self.udfs, self.plan_stats);
+                search.instances(
+                    program,
+                    (prover, &mut proof),
+                    (fact, tuple),
+                    join,
+                    self.plan_stats,
+                    &mut open,
+                )
+            };
+            search.provers[prover as usize] = Some(proof);
+            joined?;
             if search.status(fact) == Status::Proved {
                 return Ok(None);
             }
@@ -597,9 +683,11 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Prover `prover` ([`Deletion::prover`]) as a search runs it: its plan,
-    /// indexes built, and the first step's probe in id space.
+    /// indexes built, the first step's probe in id space, and the batch job
+    /// when the rule has the batch shape.
     fn prover(&mut self, program: &RuleSet, prover: u32) -> Prover {
-        let (rule_index, head) = program.deletion().prover(prover);
+        let deletion = program.deletion();
+        let (rule_index, head) = deletion.prover(prover);
         let rule = &program.rules()[rule_index];
         let atom = &rule.head[head];
         let key = PlanKey::Proof {
@@ -610,7 +698,15 @@ impl<'a> Evaluator<'a> {
         let first = plan
             .as_deref()
             .and_then(|plan| FirstProbe::of(rule, atom, plan, self.interner));
-        Prover { plan, first }
+        let job = plan.as_deref().and_then(|plan| {
+            let job = compile_proof(rule, head, plan, self.relations, self.udfs, self.interner)?;
+            let preds = job
+                .literals()
+                .map(|literal| deletion.body_pred(rule_index, literal))
+                .collect::<Option<_>>()?;
+            Some((job, preds))
+        });
+        Prover { plan, first, job }
     }
 
     /// The forward step: every stored fact a rule derives through `gone` —

@@ -133,6 +133,14 @@ pub struct PlanStats {
     /// round, a deletion's forward combinations included) plus aggregate
     /// recomputations.
     pub serial_batches: AtomicU64,
+    /// Constraints checked over the whole database: only a commit from an
+    /// unconverged workspace does that (`constraint` module docs).
+    pub constraint_full_checks: AtomicU64,
+    /// A retraction's proof joins — one rule run backwards from one fact —
+    /// by executor: the batch executor in id space, or the tuple path for a
+    /// rule with a UDF, a comparison or a singleton (`eval::dred`).
+    pub proof_joins_batch: AtomicU64,
+    pub proof_joins_tuple: AtomicU64,
 }
 
 impl PlanStats {
@@ -157,6 +165,9 @@ impl PlanStats {
             rows_examined: self.rows_examined.load(Ordering::Relaxed),
             parallel_batches: 0,
             serial_batches: self.serial_batches.load(Ordering::Relaxed),
+            constraint_full_checks: self.constraint_full_checks.load(Ordering::Relaxed),
+            proof_joins_batch: self.proof_joins_batch.load(Ordering::Relaxed),
+            proof_joins_tuple: self.proof_joins_tuple.load(Ordering::Relaxed),
         }
     }
 }
@@ -174,6 +185,9 @@ impl Clone for PlanStats {
             functional_hits: AtomicU64::new(snapshot.functional_hits),
             rows_examined: AtomicU64::new(snapshot.rows_examined),
             serial_batches: AtomicU64::new(snapshot.serial_batches),
+            constraint_full_checks: AtomicU64::new(snapshot.constraint_full_checks),
+            proof_joins_batch: AtomicU64::new(snapshot.proof_joins_batch),
+            proof_joins_tuple: AtomicU64::new(snapshot.proof_joins_tuple),
         }
     }
 }
@@ -195,6 +209,9 @@ pub struct PlanStatsSnapshot {
     /// benchmark re-base (ROADMAP item 4).
     pub parallel_batches: u64,
     pub serial_batches: u64,
+    pub constraint_full_checks: u64,
+    pub proof_joins_batch: u64,
+    pub proof_joins_tuple: u64,
 }
 
 impl std::ops::Add for PlanStatsSnapshot {
@@ -211,6 +228,9 @@ impl std::ops::Add for PlanStatsSnapshot {
             rows_examined: self.rows_examined + other.rows_examined,
             parallel_batches: 0,
             serial_batches: self.serial_batches + other.serial_batches,
+            constraint_full_checks: self.constraint_full_checks + other.constraint_full_checks,
+            proof_joins_batch: self.proof_joins_batch + other.proof_joins_batch,
+            proof_joins_tuple: self.proof_joins_tuple + other.proof_joins_tuple,
         }
     }
 }
@@ -239,6 +259,12 @@ pub enum PlanKey {
     /// function of the constraint, so it needs no place in the key; never
     /// delta-restricted).
     ConstraintRhs { constraint: usize },
+    /// The left-hand side of an installed constraint run from the variables
+    /// it shares with one changed literal — literal `literal` of `lhs` then
+    /// `rhs`, counted across both — as the check of a removed or excluded
+    /// witness does: planned under those variables (a function of the key),
+    /// never delta-restricted.
+    ConstraintLhsFrom { constraint: usize, literal: usize },
     /// An installed rule's body run backwards from one fact of its `head`-th
     /// head atom, as a retraction's proof search does: planned under that
     /// atom's variables (a function of the key), never delta-restricted.
@@ -249,7 +275,9 @@ impl PlanKey {
     fn delta_literal(self) -> Option<usize> {
         match self {
             PlanKey::Rule { delta, .. } | PlanKey::ConstraintLhs { delta, .. } => delta,
-            PlanKey::ConstraintRhs { .. } | PlanKey::Proof { .. } => None,
+            PlanKey::ConstraintRhs { .. }
+            | PlanKey::ConstraintLhsFrom { .. }
+            | PlanKey::Proof { .. } => None,
         }
     }
 }
@@ -501,6 +529,51 @@ pub fn scan_cost(cardinality: usize, bound_cols: usize) -> f64 {
     (cardinality as f64) * BOUND_COLUMN_SELECTIVITY.powi(bound_cols as i32)
 }
 
+/// The textual forward pass from `initially_bound`: per literal, which of
+/// its variables textual evaluation sees bound (`req`) and which unbound
+/// (`frozen`).  The planner schedules a pinned-kind literal (negation, type
+/// check, UDF) at exactly its `req` boundness, and binds none of its `frozen`
+/// variables before it runs: that would change its meaning (`!p(X, Z)` with Z
+/// textually unbound means "no p(X, _)").
+fn textual_boundness(
+    body: &[Literal],
+    kinds: &[LitKind],
+    initially_bound: &FnvSet<String>,
+) -> (Vec<FnvSet<String>>, Vec<FnvSet<String>>) {
+    let mut req = Vec::with_capacity(body.len());
+    let mut frozen = Vec::with_capacity(body.len());
+    let mut bound: FnvSet<String> = initially_bound.clone();
+    for (literal, kind) in body.iter().zip(kinds) {
+        let (seen, unseen) = literal_vars(literal)
+            .into_iter()
+            .partition(|v| bound.contains(v));
+        req.push(seen);
+        frozen.push(unseen);
+        for var in binds(literal, kind, &bound) {
+            bound.insert(var);
+        }
+    }
+    (req, frozen)
+}
+
+/// The variables some negation, built-in type check or UDF call of `body`
+/// textually sees unbound.  A caller that starts the body from bindings of
+/// its own leaves these out of them, because binding one beforehand would
+/// change what that literal means.  Empty for a body the planner cannot
+/// analyze.
+pub(crate) fn frozen_vars(body: &[Literal], udfs: &UdfRegistry) -> FnvSet<String> {
+    let Some(kinds) = classify(body, udfs) else {
+        return FnvSet::default();
+    };
+    let (_, frozen) = textual_boundness(body, &kinds, &FnvSet::default());
+    kinds
+        .iter()
+        .zip(frozen)
+        .filter(|(kind, _)| matches!(kind, LitKind::Neg | LitKind::TypeCheck | LitKind::Udf))
+        .flat_map(|(_, frozen)| frozen)
+        .collect()
+}
+
 /// Compile an execution plan for a literal sequence (a rule body, or one
 /// side of a constraint).
 ///
@@ -530,39 +603,7 @@ pub fn compile_body_plan(
         return RulePlan::textual(n);
     };
 
-    // Textual forward pass: record, for each pinned-kind literal (negation,
-    // type check, UDF), which of its variables textual evaluation would see
-    // bound.  The planner schedules those literals at exactly that degree of
-    // boundness to preserve semantics.
-    let mut req: Vec<FnvSet<String>> = Vec::with_capacity(n);
-    {
-        let mut bound: FnvSet<String> = initially_bound.clone();
-        for (literal, kind) in body.iter().zip(&kinds) {
-            let vars = literal_vars(literal);
-            req.push(
-                vars.iter()
-                    .filter(|v| bound.contains(*v))
-                    .cloned()
-                    .collect(),
-            );
-            for var in binds(literal, kind, &bound) {
-                bound.insert(var);
-            }
-        }
-    }
-    // Frozen variables of a pending pinned literal: variables it textually
-    // saw *unbound*.  Binding them before the literal runs would change its
-    // meaning (e.g. `!p(X, Z)` with Z textually unbound means "no p(X, _)").
-    let frozen: Vec<FnvSet<String>> = body
-        .iter()
-        .zip(&req)
-        .map(|(literal, req)| {
-            literal_vars(literal)
-                .into_iter()
-                .filter(|v| !req.contains(v))
-                .collect()
-        })
-        .collect();
+    let (req, frozen) = textual_boundness(body, &kinds, initially_bound);
 
     let mut bound: FnvSet<String> = initially_bound.clone();
     let mut scheduled = vec![false; n];

@@ -549,10 +549,13 @@ impl Workspace {
     /// Retract base facts and incrementally maintain derived relations: a
     /// derived fact the retraction reaches goes only when no derivation of it
     /// is left ([`Evaluator::delete`]).  A named fact a rule still derives
-    /// leaves the asserted set and stays stored.  The constraints its net
-    /// change can violate are re-checked afterwards, by the same rule as a
-    /// transaction's; a violation rolls the whole retraction back through the
-    /// journal, exactly as a refused transaction does.
+    /// leaves the asserted set and stays stored.  From an unconverged
+    /// workspace the program then runs naïvely, so facts entered since the
+    /// last commit get their consequences, as a transaction gives them.  The
+    /// constraints its net change can violate are re-checked afterwards, by
+    /// the same rule as a transaction's; a violation rolls the whole
+    /// retraction back through the journal, exactly as a refused transaction
+    /// does.
     pub fn retract(&mut self, batch: Vec<(String, Tuple)>) -> Result<Commit> {
         self.retract_with(batch, |evaluator, program, batch, edb| {
             evaluator.delete(program, batch, edb)
@@ -592,9 +595,20 @@ impl Workspace {
                 }
             }
         }
+        let converged = self.converged;
         let deleted = {
             let (mut evaluator, program, edb) = self.evaluator(&mut journal);
-            delete(&mut evaluator, program, &batch, edb)
+            delete(&mut evaluator, program, &batch, edb).and_then(|mut stats| {
+                // The deletion maintains only what it reaches.  Facts
+                // entered since the last commit (`assert_fact`,
+                // `install_program`) have no consequences yet: from such a
+                // state the retraction ends with the naïve run, in this
+                // journal, as a transaction from it does.
+                if !converged && stats.base_deleted > 0 {
+                    stats.rederived += evaluator.run(program)?.derived;
+                }
+                Ok(stats)
+            })
         };
         // A retraction that found nothing stored ran no fixpoint and changed
         // nothing: there is no delta to check or report.
@@ -1060,6 +1074,28 @@ mod tests {
     }
 
     #[test]
+    fn a_retraction_from_an_unconverged_workspace_derives_what_is_pending() {
+        // `e(b, c)` enters outside a transaction, so nothing derived `reach`
+        // from it yet; the retraction that follows must, as a transaction
+        // would.
+        let mut ws = Workspace::new();
+        ws.install_source("reach(X, Y) <- e(X, Y).").unwrap();
+        ws.transaction(vec![("e".into(), vec![s("a"), s("b")])])
+            .unwrap();
+        ws.assert_fact("e", vec![s("b"), s("c")]).unwrap();
+        let commit = ws
+            .retract(vec![("e".into(), vec![s("a"), s("b")])])
+            .unwrap();
+        assert_eq!(ws.query("reach"), vec![vec![s("b"), s("c")]]);
+        assert_eq!(commit.rederived, 1);
+        // Converged again: the next commit is seeded and derives from its
+        // own facts only.
+        ws.transaction(vec![("e".into(), vec![s("c"), s("d")])])
+            .unwrap();
+        assert_eq!(ws.count("reach"), 2);
+    }
+
+    #[test]
     fn a_non_converged_commit_checks_facts_no_transaction_saw() {
         // Facts entered outside a transaction are not journaled, so the
         // commit that follows must check every constraint, not its own delta.
@@ -1191,6 +1227,44 @@ mod tests {
         ws.retract(vec![("other".into(), vec![s("z")])]).unwrap();
         assert_eq!(ws.plan_stats().rows_examined, examined);
         assert_eq!(ws.plan_stats().index_probes, probes);
+    }
+
+    #[test]
+    fn a_chord_withdrawal_runs_every_proof_join_in_id_space() {
+        // The REACH application's rules and constraints over a ring of
+        // eight with two chords, links local and remote.
+        let mut ws = Workspace::new();
+        ws.install_source(
+            "link(N1, N2) -> node(N1), node(N2).\n\
+             remote_link(N1, N2) -> node(N1), node(N2).\n\
+             reach(N1, N2) -> node(N1), node(N2).\n\
+             reach(X, Y) <- link(X, Y).\n\
+             reach(X, Y) <- remote_link(X, Y).\n\
+             reach(X, Z) <- reach(X, Y), reach(Y, Z).",
+        )
+        .unwrap();
+        let node = |i: usize| s(&format!("n{i}"));
+        let edge = |pred: &str, a: usize, b: usize| (pred.to_string(), vec![node(a), node(b)]);
+        let pred = |a: usize| if a == 0 { "link" } else { "remote_link" };
+        let mut batch: Vec<(String, Tuple)> = (0..8)
+            .map(|i| ("node".to_string(), vec![node(i)]))
+            .collect();
+        for (a, b) in (0..8).map(|i| (i, (i + 1) % 8)).chain([(0, 4), (2, 6)]) {
+            batch.push(edge(pred(a), a, b));
+            batch.push(edge(pred(b), b, a));
+        }
+        ws.transaction(batch).unwrap();
+        assert_eq!(ws.count("reach"), 64);
+        let before = ws.plan_stats();
+        let commit = ws
+            .retract(vec![edge("link", 0, 4), edge("remote_link", 4, 0)])
+            .unwrap();
+        assert!(commit.checked > 0, "{commit:?}");
+        assert_eq!(ws.count("reach"), 64);
+        let after = ws.plan_stats();
+        assert_eq!(after.constraint_full_checks, before.constraint_full_checks);
+        assert_eq!(after.proof_joins_tuple, before.proof_joins_tuple);
+        assert!(after.proof_joins_batch > before.proof_joins_batch);
     }
 
     #[test]

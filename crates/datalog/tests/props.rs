@@ -382,10 +382,13 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Left-hand sides over `a/2`, `b/2`, `c/1` and the singleton `me[]`.  Every
-/// one binds X and Y; the second binds Z, by an assignment only.  (The
-/// surface syntax admits only positive atoms on the left of `->`; the AST
-/// and the planner take any literal, so sides are parsed as rule bodies.)
-const LHS: [&str; 8] = [
+/// one binds X and Y; the second binds Z by an assignment only, the last by
+/// a literal after a negation that reads Z unbound (so a removed `b` row,
+/// which re-checks the lhs from the variables `!b(X, Z)` shares with it,
+/// must not bind Z).  (The surface syntax admits only positive atoms on the
+/// left of `->`; the AST and the planner take any literal, so sides are
+/// parsed as rule bodies.)
+const LHS: [&str; 10] = [
     "a(X, Y)",
     "a(X, Y), Z = Y + 1",
     "a(X, Y), a(Y, X)",
@@ -394,6 +397,8 @@ const LHS: [&str; 8] = [
     "a(X, Y), !c(X)",
     "a(X, Y), X < 3",
     "a(X, me[]), Y = X",
+    "a(X, Y), !b(Y, W)",
+    "a(X, Y), !b(X, Z), c(Z)",
 ];
 
 /// Right-hand-side pieces, one to three of which make a right-hand side:

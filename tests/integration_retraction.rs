@@ -318,3 +318,80 @@ fn forged_sequence_number_cannot_mute_a_link() {
     );
     assert!(!remote.contains(&vec![Value::str("evil"), Value::str("evil2")]));
 }
+
+#[test]
+fn a_retraction_before_the_first_run_leaves_the_shared_facts_derivable() {
+    // Shared facts enter every workspace outside a transaction; a retraction
+    // that comes first must still derive what the rest of them support.
+    let app = "link(X, Y) -> node(X), node(Y).\nhop(X, Y) <- link(X, Y).";
+    let specs: Vec<NodeSpec> = ["a", "b", "c"].into_iter().map(NodeSpec::new).collect();
+    let config = DeploymentConfig {
+        shared_facts: vec![link("a", "b"), link("b", "c")],
+        ..DeploymentConfig::default()
+    };
+    let mut deployment = Deployment::build(app, &specs, config).unwrap();
+    deployment.retract("a", vec![link("a", "b")]).unwrap();
+    deployment.run().unwrap();
+    assert_eq!(
+        deployment.query("a", "hop"),
+        vec![vec![Value::str("b"), Value::str("c")]]
+    );
+    assert_eq!(deployment.query("b", "hop").len(), 2);
+}
+
+/// `REACH_APP` without its `reach` rules: what the signed gossip alone
+/// costs a retraction.
+const GOSSIP_APP: &str = r#"
+    link(N1, N2) -> node(N1), node(N2).
+    remote_link(N1, N2) -> node(N1), node(N2).
+    exportable(`remote_link).
+
+    says[`remote_link](self[], U, X, Y) <- link(X, Y), principal(U), U != self[].
+"#;
+
+/// The planner counters a chord withdrawal adds on a converged six-node
+/// ring under HMAC.
+fn chord_withdrawal(app: &str) -> secureblox_datalog::PlanStatsSnapshot {
+    let names: Vec<String> = (0..6).map(|i| format!("n{i}")).collect();
+    let mut specs: Vec<NodeSpec> = names.iter().map(NodeSpec::new).collect();
+    let mut edges: Vec<(usize, usize)> = (0..6).map(|i| (i, (i + 1) % 6)).collect();
+    edges.push((0, 3));
+    for (a, b) in edges {
+        specs[a].base_facts.push(link(&names[a], &names[b]));
+        specs[b].base_facts.push(link(&names[b], &names[a]));
+    }
+    let security = SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None);
+    let mut deployment = Deployment::build(app, &specs, config(security, None)).unwrap();
+    deployment.run().unwrap();
+    let before = deployment.plan_stats();
+    deployment.retract("n0", vec![link("n0", "n3")]).unwrap();
+    deployment.retract("n3", vec![link("n3", "n0")]).unwrap();
+    let report = deployment.run().unwrap();
+    assert_eq!(report.rejected_batches, 0, "{report:?}");
+    assert!(report.retractions_applied > 0, "{report:?}");
+    let after = deployment.plan_stats();
+    secureblox_datalog::PlanStatsSnapshot {
+        constraint_full_checks: after.constraint_full_checks - before.constraint_full_checks,
+        proof_joins_batch: after.proof_joins_batch - before.proof_joins_batch,
+        proof_joins_tuple: after.proof_joins_tuple - before.proof_joins_tuple,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn a_converged_chord_withdrawal_checks_no_constraint_in_full_and_proves_reach_in_id_space() {
+    let reach = chord_withdrawal(REACH_APP);
+    let gossip = chord_withdrawal(GOSSIP_APP);
+    // Every commit re-checks only what its removed witnesses supported.
+    assert_eq!(reach.constraint_full_checks, 0, "{reach:?}");
+    assert_eq!(gossip.constraint_full_checks, 0, "{gossip:?}");
+    // The policy's rules read `self[]`, call a UDF or compare, so their
+    // proof joins run tuple at a time: every batch proof join is a `reach`
+    // rule's.  (A `reach` proof also descends into `remote_link` facts,
+    // whose rule reads `self[]`, so the tuple counts differ; that no `reach`
+    // rule runs tuple at a time is `Workspace`'s
+    // `a_chord_withdrawal_runs_every_proof_join_in_id_space`.)
+    assert!(gossip.proof_joins_tuple > 0, "{gossip:?}");
+    assert_eq!(gossip.proof_joins_batch, 0, "{gossip:?}");
+    assert!(reach.proof_joins_batch > 0, "{reach:?}");
+}
