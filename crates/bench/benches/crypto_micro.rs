@@ -16,6 +16,16 @@ fn bench(c: &mut Criterion) {
     let signature_1024 = keypair_1024.sign(&payload);
     let keypair_bytes = keypair.to_bytes();
     let modulus = BigUint::random_prime(&mut rng, 512, 4);
+    // One CRT half of a 512-bit signature: a 511-bit encoded digest raised
+    // to a 256-bit exponent modulo a 256-bit prime.
+    let prime_256 = BigUint::random_prime(&mut rng, 256, 4);
+    let prime_ctx = MontgomeryCtx::new(&prime_256).unwrap();
+    let (digest_511, exponent_256) = (
+        BigUint::random_bits(&mut rng, 511),
+        BigUint::random_bits(&mut rng, 256),
+    );
+    // What one HMAC tag or RSA digest of a shipped delta hashes.
+    let message_64 = vec![0xabu8; 64];
 
     let mut group = c.benchmark_group("crypto_micro");
     group.throughput(Throughput::Bytes(payload.len() as u64));
@@ -23,6 +33,12 @@ fn bench(c: &mut Criterion) {
     group.bench_function("hmac_sha1_1k", |b| {
         b.iter(|| hmac_sha1(b"secret", &payload))
     });
+    group.throughput(Throughput::Bytes(message_64.len() as u64));
+    group.bench_function("sha1_64", |b| b.iter(|| sha1(&message_64)));
+    group.bench_function("hmac_sha1_64", |b| {
+        b.iter(|| hmac_sha1(b"secret", &message_64))
+    });
+    group.throughput(Throughput::Bytes(payload.len() as u64));
     group.bench_function("aes128_ctr_1k", |b| {
         b.iter(|| aes128_ctr_encrypt(b"secret", &payload))
     });
@@ -41,6 +57,9 @@ fn bench(c: &mut Criterion) {
     // validate the key pair and build its three contexts.
     group.bench_function("rsa_keypair_from_bytes_512", |b| {
         b.iter(|| RsaKeyPair::from_bytes(&keypair_bytes).unwrap())
+    });
+    group.bench_function("mont_pow_256", |b| {
+        b.iter(|| prime_ctx.pow(&digest_511, &exponent_256))
     });
     group.bench_function("mont_ctx_new_512", |b| {
         b.iter(|| MontgomeryCtx::new(&modulus).unwrap())

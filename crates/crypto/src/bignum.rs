@@ -6,7 +6,7 @@
 //! `BigUint` limbs are 32-bit, stored little-endian, so all intermediate
 //! products fit in `u64` without overflow.  Exponentiation modulo an odd
 //! number — the hot path of RSA — runs on [`MontgomeryCtx`], which holds the
-//! modulus as 64-bit limbs.
+//! modulus as a fixed-width array of 64-bit limbs.
 
 use rand::Rng;
 use std::cmp::Ordering;
@@ -288,7 +288,8 @@ impl BigUint {
         Ordering::Equal
     }
 
-    /// Division with remainder (binary long division).
+    /// Division with remainder: schoolbook division over 32-bit digits
+    /// (Knuth, TAOCP vol. 2, §4.3.1, Algorithm D).
     pub fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         assert!(!divisor.is_zero(), "division by zero");
         if self.cmp(divisor) == Ordering::Less {
@@ -309,32 +310,56 @@ impl BigUint {
             return (q, BigUint::from_u64(rem));
         }
 
-        let shift = self.bits() - divisor.bits();
-        let mut remainder = self.clone();
-        let mut quotient = BigUint::zero();
-        let mut shifted = divisor.shl(shift);
-        for i in (0..=shift).rev() {
-            if remainder.cmp(&shifted) != Ordering::Less {
-                remainder = remainder.sub(&shifted);
-                quotient = quotient.set_bit(i);
+        // Normalise so the divisor's top digit has its top bit set: then
+        // each estimated quotient digit is at most two too large.
+        const BASE: u64 = 1 << 32;
+        let shift = divisor.limbs.last().expect("non-zero").leading_zeros() as usize;
+        let v = divisor.shl(shift).limbs;
+        let mut u = self.shl(shift).limbs;
+        u.resize(self.limbs.len() + 1, 0);
+        let n = v.len();
+        let (v_top, v_next) = (v[n - 1] as u64, v[n - 2] as u64);
+        let mut quotient = vec![0u32; u.len() - n];
+        for j in (0..quotient.len()).rev() {
+            let top = (u[j + n] as u64) << 32 | u[j + n - 1] as u64;
+            let (mut qhat, mut rhat) = (top / v_top, top % v_top);
+            while qhat >= BASE || qhat * v_next > (rhat << 32 | u[j + n - 2] as u64) {
+                qhat -= 1;
+                rhat += v_top;
+                if rhat >= BASE {
+                    break;
+                }
             }
-            shifted = shifted.shr(1);
+            // u[j..=j+n] -= qhat · v
+            let (mut borrow, mut carry) = (0i64, 0u64);
+            for i in 0..n {
+                let product = qhat * v[i] as u64 + carry;
+                carry = product >> 32;
+                let diff = u[i + j] as i64 - borrow - (product as u32) as i64;
+                u[i + j] = diff as u32;
+                borrow = (diff < 0) as i64;
+            }
+            let diff = u[j + n] as i64 - borrow - carry as i64;
+            u[j + n] = diff as u32;
+            if diff < 0 {
+                // qhat was one too large: add one divisor back.
+                qhat -= 1;
+                let mut carry = 0u64;
+                for i in 0..n {
+                    let sum = u[i + j] as u64 + v[i] as u64 + carry;
+                    u[i + j] = sum as u32;
+                    carry = sum >> 32;
+                }
+                u[j + n] = u[j + n].wrapping_add(carry as u32);
+            }
+            quotient[j] = qhat as u32;
         }
-        (quotient, remainder)
-    }
-
-    /// Return a copy with bit `i` set.
-    fn set_bit(&self, i: usize) -> BigUint {
-        let limb = i / 32;
-        let offset = i % 32;
-        let mut limbs = self.limbs.clone();
-        if limbs.len() <= limb {
-            limbs.resize(limb + 1, 0);
-        }
-        limbs[limb] |= 1 << offset;
-        let mut out = BigUint { limbs };
-        out.normalize();
-        out
+        u.truncate(n);
+        let mut remainder = BigUint { limbs: u };
+        remainder.normalize();
+        let mut quotient = BigUint { limbs: quotient };
+        quotient.normalize();
+        (quotient, remainder.shr(shift))
     }
 
     /// `self mod modulus`.
@@ -349,9 +374,10 @@ impl BigUint {
 
     /// Modular exponentiation.
     ///
-    /// Odd moduli (every RSA modulus and Miller–Rabin candidate) build a
-    /// [`MontgomeryCtx`] and run its windowed kernel; even moduli take the
-    /// square-and-multiply `mulmod` loop, which reduces with long division.
+    /// Odd moduli of up to [`MAX_MODULUS_BITS`] (every RSA modulus and
+    /// Miller–Rabin candidate) build a [`MontgomeryCtx`] and run its kernel;
+    /// even and wider moduli take the square-and-multiply `mulmod` loop,
+    /// which reduces with long division.
     pub fn modpow(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "modpow with zero modulus");
         match MontgomeryCtx::new(modulus) {
@@ -361,9 +387,9 @@ impl BigUint {
     }
 
     /// Bit-at-a-time square-and-multiply over `mulmod`: the path for even
-    /// moduli, and the oracle the tests hold the Montgomery kernel against
-    /// (it shares no code with it).
-    pub(crate) fn modpow_naive(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
+    /// and over-wide moduli, and the oracle the tests hold the Montgomery
+    /// kernel against (it shares no code with it).
+    pub fn modpow_naive(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         if modulus.cmp(&BigUint::one()) == Ordering::Equal {
             return BigUint::zero();
         }
@@ -378,17 +404,10 @@ impl BigUint {
         result
     }
 
-    /// Little-endian 64-bit limbs, zero-padded to at least `len` limbs.
-    fn to_limbs64(&self, len: usize) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .limbs
-            .chunks(2)
-            .map(|pair| pair[0] as u64 | (pair.get(1).copied().unwrap_or(0) as u64) << 32)
-            .collect();
-        if out.len() < len {
-            out.resize(len, 0);
-        }
-        out
+    /// The value as `L` little-endian 64-bit limbs; it must fit.
+    fn to_array<const L: usize>(&self) -> [u64; L] {
+        debug_assert!(self.limbs.len() <= 2 * L, "value wider than {L} limbs");
+        limbs_to_array(&self.limbs)
     }
 
     fn from_limbs64(limbs: &[u64]) -> BigUint {
@@ -555,15 +574,20 @@ impl BigUint {
             s += 1;
         }
 
-        let ctx = MontgomeryCtx::new(self).expect("odd and above the small primes");
+        // A candidate wider than the kernel takes the long-division loop.
+        let ctx = MontgomeryCtx::new(self);
+        let pow = |x: &BigUint, exponent: &BigUint| match &ctx {
+            Some(ctx) => ctx.pow(x, exponent),
+            None => x.modpow_naive(exponent, self),
+        };
         'witness: for _ in 0..rounds {
             let a = BigUint::random_below(rng, &self.sub(&three)).add(&two);
-            let mut x = ctx.pow(&a, &d);
+            let mut x = pow(&a, &d);
             if x.cmp(&BigUint::one()) == Ordering::Equal || x.cmp(&n_minus_1) == Ordering::Equal {
                 continue 'witness;
             }
             for _ in 0..s - 1 {
-                x = ctx.mulmod(&x, &x);
+                x = pow(&x, &two);
                 if x.cmp(&n_minus_1) == Ordering::Equal {
                     continue 'witness;
                 }
@@ -588,247 +612,369 @@ impl BigUint {
     }
 }
 
-/// Width of an exponent window in [`MontgomeryCtx::pow`].  It divides the
-/// 32-bit limb, so no window straddles two limbs of the exponent.
+/// Width of an exponent window in [`MontgomeryCtx::pow`] for exponents
+/// longer than 64 bits.  It divides the 32-bit limb, so no window straddles
+/// two limbs of the exponent.
 const WINDOW_BITS: usize = 4;
 
+/// Widest modulus a [`MontgomeryCtx`] takes: 64 limbs of 64 bits.
+pub const MAX_MODULUS_BITS: usize = 4096;
+
 /// Everything an exponentiation modulo one odd `n ≥ 3` needs that depends on
-/// `n` alone, computed once per key: the modulus as 64-bit limbs, the
-/// Montgomery constant and the two powers of `R = 2^(64·l)` that take values
-/// into and out of the Montgomery domain.  This is the crate's only
-/// odd-modulus kernel: [`BigUint::modpow`], Miller–Rabin and RSA all run on
-/// it.  Products are CIOS over `u64` limbs with `u128` accumulators.
+/// `n` alone, computed once per key.  This is the crate's only odd-modulus
+/// kernel: [`BigUint::modpow`], Miller–Rabin and RSA all run on it.
 ///
-/// The schedule of products in [`MontgomeryCtx::pow`] depends on the
-/// exponent's length only, but table lookups are indexed by its bits and the
-/// final subtraction of each product is data-dependent: this is not
+/// The modulus runs at the narrowest of seven fixed widths — 1, 2, 4, 8, 16,
+/// 32 or 64 limbs of 64 bits — that holds it, with `R = 2^(64·width)`:
+/// Montgomery arithmetic only needs `R > n`, so a 3-limb modulus padded to
+/// four is invisible outside the context.  A modulus wider than
+/// [`MAX_MODULUS_BITS`] fits no width and gets no context.  Operands are
+/// arrays on the stack; products are CIOS and squares SOS (each cross
+/// product once, doubled, then the diagonal and the reduction), both over
+/// `u64` limbs with `u128` accumulators (Koç, Acar and Kaliski, IEEE Micro
+/// 1996).
+///
+/// An exponent of at most 64 bits — RSA's public `e` — is walked bit by
+/// bit and multiplies only on set bits.  A longer one — a private CRT
+/// exponent, a Miller–Rabin `d` — takes a fixed 4-bit window that
+/// multiplies on every window, so which products run depends on its length
+/// and not on its bits.  Table lookups are still indexed by those bits and
+/// the final subtraction of each product is data-dependent: this is not
 /// constant-time code.
 #[derive(Clone)]
 pub struct MontgomeryCtx {
-    /// The modulus, `l` little-endian limbs with a non-zero top limb.
-    n: Vec<u64>,
-    /// `-n⁻¹ mod 2^64`.
-    n0inv: u64,
-    /// `R mod n`: the Montgomery form of one.
-    r1: Vec<u64>,
-    /// `R² mod n`: a Montgomery product with it enters the domain.
-    r2: Vec<u64>,
+    width: Width,
+}
+
+/// One [`Kernel`] per instantiated width; boxed so a key holding a context
+/// is the same size whatever its modulus.
+#[derive(Clone)]
+enum Width {
+    L1(Box<Kernel<1>>),
+    L2(Box<Kernel<2>>),
+    L4(Box<Kernel<4>>),
+    L8(Box<Kernel<8>>),
+    L16(Box<Kernel<16>>),
+    L32(Box<Kernel<32>>),
+    L64(Box<Kernel<64>>),
+}
+
+/// Run `$body` with `$k` bound to the context's kernel, whatever its width.
+macro_rules! with_kernel {
+    ($width:expr, $k:ident => $body:expr) => {
+        match $width {
+            Width::L1($k) => $body,
+            Width::L2($k) => $body,
+            Width::L4($k) => $body,
+            Width::L8($k) => $body,
+            Width::L16($k) => $body,
+            Width::L32($k) => $body,
+            Width::L64($k) => $body,
+        }
+    };
 }
 
 impl fmt::Debug for MontgomeryCtx {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "MontgomeryCtx({} limbs)", self.n.len())
+        let limbs = with_kernel!(&self.width, k => k.n.len());
+        write!(f, "MontgomeryCtx({limbs} limbs)")
     }
 }
 
 impl MontgomeryCtx {
-    /// The context of `modulus`, or `None` when it is even or below three.
-    ///
-    /// No long division: `R mod n` is `2^(bits−1)` doubled up to `R`, and
-    /// `R² mod n` is the Montgomery form of two raised to the `64·l`-th power
-    /// inside the domain (`log₂(64·l)` squarings, each set bit a doubling).
+    /// The context of `modulus`, or `None` when it is even, below three or
+    /// wider than [`MAX_MODULUS_BITS`].
     pub fn new(modulus: &BigUint) -> Option<Self> {
         if modulus.is_even() || modulus.bits() < 2 {
             return None;
         }
-        let n = modulus.to_limbs64(0);
-        let l = n.len();
+        let width = match modulus.bits().div_ceil(64) {
+            1 => Width::L1(Box::new(Kernel::new(modulus))),
+            2 => Width::L2(Box::new(Kernel::new(modulus))),
+            3..=4 => Width::L4(Box::new(Kernel::new(modulus))),
+            5..=8 => Width::L8(Box::new(Kernel::new(modulus))),
+            9..=16 => Width::L16(Box::new(Kernel::new(modulus))),
+            17..=32 => Width::L32(Box::new(Kernel::new(modulus))),
+            33..=64 => Width::L64(Box::new(Kernel::new(modulus))),
+            _ => return None,
+        };
+        Some(MontgomeryCtx { width })
+    }
+
+    /// `base^exponent mod n`, for a base of any width.
+    pub fn pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
+        with_kernel!(&self.width, k => k.pow(base, exponent))
+    }
+
+    /// `a · b mod n`, for operands of any width.
+    pub fn mulmod(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        with_kernel!(&self.width, k => k.mulmod(a, b))
+    }
+
+    /// `a · a · R⁻¹ mod n` by the squaring and by the product, for an `a`
+    /// below `n`: the unit test of the squaring routine.
+    #[cfg(test)]
+    fn square_and_product(&self, a: &BigUint) -> (BigUint, BigUint) {
+        with_kernel!(&self.width, k => {
+            let a = a.to_array();
+            let (sqr, mul) = (k.sqr(&a), k.mul(&a, &a));
+            (BigUint::from_limbs64(&sqr), BigUint::from_limbs64(&mul))
+        })
+    }
+}
+
+/// `acc + a · b + carry` as (low, high) limbs; it cannot overflow 128 bits.
+#[inline(always)]
+fn mac(acc: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let wide = acc as u128 + a as u128 * b as u128 + carry as u128;
+    (wide as u64, (wide >> 64) as u64)
+}
+
+/// [`MontgomeryCtx`] at `L` limbs: the modulus zero-padded to `L` limbs,
+/// the Montgomery constant and the two powers of `R = 2^(64·L)` that take
+/// values into and out of the domain.  Every value in the domain is below
+/// `n`.
+#[derive(Clone)]
+struct Kernel<const L: usize> {
+    n: [u64; L],
+    /// `-n⁻¹ mod 2^64`.
+    n0inv: u64,
+    /// `R mod n`: the Montgomery form of one.
+    r1: [u64; L],
+    /// `R² mod n`: a Montgomery product with it enters the domain.
+    r2: [u64; L],
+}
+
+impl<const L: usize> Kernel<L> {
+    /// No long division: `R mod n` is `2^(bits−1)` doubled up to `R`, and
+    /// `R² mod n` is the Montgomery form of two raised to the `64·L`-th
+    /// power inside the domain (`log₂(64·L)` squarings, as `64·L` is a
+    /// power of two).
+    fn new(modulus: &BigUint) -> Self {
+        let n: [u64; L] = modulus.to_array();
         // 2-adic Newton iteration: an odd n0 is its own inverse to 3 bits,
         // and each step doubles the number of correct bits.
         let mut inv = n[0];
         for _ in 0..5 {
             inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
         }
-        let mut ctx = MontgomeryCtx {
+        let mut kernel = Kernel {
             n,
             n0inv: inv.wrapping_neg(),
-            r1: Vec::new(),
-            r2: Vec::new(),
+            r1: [0; L],
+            r2: [0; L],
         };
 
         let top_bit = modulus.bits() - 1;
-        let mut r1 = vec![0; l];
+        let mut r1 = [0; L];
         r1[top_bit / 64] = 1 << (top_bit % 64);
-        for _ in top_bit..64 * l {
-            ctx.double(&mut r1);
+        for _ in top_bit..64 * L {
+            kernel.double(&mut r1);
         }
-
-        let mut acc = r1.clone();
-        ctx.double(&mut acc);
-        let (mut tmp, mut t) = (vec![0; l], vec![0; l + 2]);
-        let power = 64 * l;
-        for bit in (0..power.ilog2()).rev() {
-            ctx.mul(&acc, &acc, &mut t, &mut tmp);
-            std::mem::swap(&mut acc, &mut tmp);
-            if (power >> bit) & 1 == 1 {
-                ctx.double(&mut acc);
-            }
+        let mut acc = r1;
+        kernel.double(&mut acc);
+        for _ in 0..(64 * L).ilog2() {
+            acc = kernel.sqr(&acc);
         }
-        ctx.r1 = r1;
-        ctx.r2 = acc;
-        Some(ctx)
+        kernel.r1 = r1;
+        kernel.r2 = acc;
+        kernel
     }
 
-    /// `base^exponent mod n`, for a base of any width.
-    ///
-    /// Fixed-window exponentiation that multiplies on every window, zero
-    /// windows included (by the Montgomery form of one), so which products
-    /// run depends on the exponent's length and not on its bits.
-    pub fn pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
+    fn pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
         if exponent.is_zero() {
             return BigUint::one();
         }
-        let l = self.n.len();
-        let mut t = vec![0; l + 2];
-        let base = self.enter(base, &mut t);
+        let base = self.enter(base);
+        let bits = exponent.bits();
+        if bits <= 64 {
+            let [e] = exponent.to_array();
+            let mut acc = base;
+            for bit in (0..bits - 1).rev() {
+                acc = self.sqr(&acc);
+                if (e >> bit) & 1 == 1 {
+                    acc = self.mul(&acc, &base);
+                }
+            }
+            return self.leave(&acc);
+        }
 
-        // table[i·l..][..l] = baseⁱ in Montgomery form.
-        let mut table = vec![0; l << WINDOW_BITS];
-        table[..l].copy_from_slice(&self.r1);
-        table[l..2 * l].copy_from_slice(&base);
+        // table[i] = baseⁱ in Montgomery form.
+        let mut table = [[0; L]; 1 << WINDOW_BITS];
+        table[0] = self.r1;
+        table[1] = base;
         for i in 2..1 << WINDOW_BITS {
-            let (done, rest) = table.split_at_mut(i * l);
-            self.mul(&done[(i - 1) * l..], &base, &mut t, &mut rest[..l]);
+            table[i] = if i % 2 == 0 {
+                self.sqr(&table[i / 2])
+            } else {
+                self.mul(&table[i - 1], &base)
+            };
         }
         let entry = |window: usize| {
             let per_limb = 32 / WINDOW_BITS;
             let limb = exponent.limbs.get(window / per_limb).copied().unwrap_or(0);
             let digit =
                 (limb >> (WINDOW_BITS * (window % per_limb))) as usize & ((1 << WINDOW_BITS) - 1);
-            &table[digit * l..][..l]
+            &table[digit]
         };
 
-        let windows = exponent.bits().div_ceil(WINDOW_BITS);
-        let mut acc = entry(windows - 1).to_vec();
-        let mut tmp = vec![0; l];
+        let windows = bits.div_ceil(WINDOW_BITS);
+        let mut acc = *entry(windows - 1);
         for window in (0..windows - 1).rev() {
             for _ in 0..WINDOW_BITS {
-                self.mul(&acc, &acc, &mut t, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
+                acc = self.sqr(&acc);
             }
-            self.mul(&acc, entry(window), &mut t, &mut tmp);
-            std::mem::swap(&mut acc, &mut tmp);
+            acc = self.mul(&acc, entry(window));
         }
-        self.leave(&acc, &mut t)
+        self.leave(&acc)
     }
 
-    /// `a · b mod n`, for operands of any width.
-    pub fn mulmod(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let l = self.n.len();
-        let mut t = vec![0; l + 2];
-        let (a, b) = (self.enter(a, &mut t), self.enter(b, &mut t));
-        let mut product = vec![0; l];
-        self.mul(&a, &b, &mut t, &mut product);
-        self.leave(&product, &mut t)
+    fn mulmod(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        let (a, b) = (self.enter(a), self.enter(b));
+        self.leave(&self.mul(&a, &b))
     }
 
-    /// `x · R mod n` for an `x` of any width: Horner's rule over `l`-limb
+    /// `x · R mod n` for an `x` of any width: Horner's rule over `L`-limb
     /// chunks from the top, where "shift by one chunk" and "enter the
     /// domain" are both a Montgomery product with `R² mod n`.  An `x` of up
-    /// to `l` limbs — a signature, a Miller–Rabin base — costs one product;
+    /// to `L` limbs — a signature, a Miller–Rabin base — costs one product;
     /// a message reduced modulo one RSA prime costs three.
-    fn enter(&self, x: &BigUint, t: &mut [u64]) -> Vec<u64> {
-        let l = self.n.len();
-        let limbs = x.to_limbs64(l);
-        let (mut acc, mut tmp, mut chunk) = (vec![0; l], vec![0; l], vec![0; l]);
-        for (i, part) in limbs.chunks(l).rev().enumerate() {
-            chunk.fill(0);
-            chunk[..part.len()].copy_from_slice(part);
+    fn enter(&self, x: &BigUint) -> [u64; L] {
+        let mut acc = [0; L];
+        for (i, part) in x.limbs.chunks(2 * L).rev().enumerate() {
+            let chunk = self.mul(&limbs_to_array(part), &self.r2);
             if i == 0 {
-                self.mul(&chunk, &self.r2, t, &mut acc);
+                acc = chunk;
                 continue;
             }
-            self.mul(&acc, &self.r2, t, &mut tmp);
-            self.mul(&chunk, &self.r2, t, &mut acc);
-            let mut carry = 0;
-            for (a, &b) in acc.iter_mut().zip(&tmp) {
-                let sum = *a as u128 + b as u128 + carry;
-                *a = sum as u64;
-                carry = sum >> 64;
+            let shifted = self.mul(&acc, &self.r2);
+            let mut carry = false;
+            for (a, (&b, &c)) in acc.iter_mut().zip(shifted.iter().zip(&chunk)) {
+                let (sum, c1) = b.overflowing_add(c);
+                let (sum, c2) = sum.overflowing_add(carry as u64);
+                *a = sum;
+                carry = c1 | c2;
             }
-            self.reduce_once(&mut acc, carry != 0);
+            acc = self.reduce_once(acc, carry);
         }
         acc
     }
 
-    /// Leave the Montgomery domain: a product with one.
-    fn leave(&self, x: &[u64], t: &mut [u64]) -> BigUint {
-        let l = self.n.len();
-        let mut one = vec![0; l];
-        one[0] = 1;
-        let mut out = vec![0; l];
-        self.mul(x, &one, t, &mut out);
-        BigUint::from_limbs64(&out)
+    /// Leave the Montgomery domain: the reduction of `x` alone.
+    fn leave(&self, x: &[u64; L]) -> BigUint {
+        BigUint::from_limbs64(&self.redc([*x, [0; L]]))
     }
 
-    /// CIOS Montgomery product: `out = a · b · R⁻¹ mod n`.  `a`, `b` and `out`
-    /// hold `l` limbs, the scratch `t` holds `l + 2`; `b` is below `n` and `a`
-    /// below `R`, which keeps every partial sum below `2n`.
-    fn mul(&self, a: &[u64], b: &[u64], t: &mut [u64], out: &mut [u64]) {
-        let l = self.n.len();
-        let (n, a, b) = (&self.n[..l], &a[..l], &b[..l]);
-        let (t, out) = (&mut t[..l + 2], &mut out[..l]);
-        t.fill(0);
+    /// CIOS Montgomery product `a · b · R⁻¹ mod n`, for `a` below `R` and
+    /// `b` below `n`, which keeps every partial sum below `2n`.  Each step
+    /// adds `aᵢ · b` and `m · n` in one pass, `m` chosen so the sum's low
+    /// limb is zero, and shifts it down a limb.
+    #[inline]
+    fn mul(&self, a: &[u64; L], b: &[u64; L]) -> [u64; L] {
+        let n = &self.n;
+        let mut t = [0u64; L];
+        // Limb `L` of the running sum.
+        let mut top = 0u64;
         for &ai in a {
-            // t += ai · b
-            let ai = ai as u128;
-            let mut carry = 0u128;
-            for j in 0..l {
-                let cur = t[j] as u128 + ai * b[j] as u128 + carry;
-                t[j] = cur as u64;
-                carry = cur >> 64;
+            let (t0, mut carry_ab) = mac(t[0], ai, b[0], 0);
+            let m = t0.wrapping_mul(self.n0inv);
+            let (_, mut carry_mn) = mac(t0, m, n[0], 0);
+            for j in 1..L {
+                let sum;
+                (sum, carry_ab) = mac(t[j], ai, b[j], carry_ab);
+                (t[j - 1], carry_mn) = mac(sum, m, n[j], carry_mn);
             }
-            let cur = t[l] as u128 + carry;
-            t[l] = cur as u64;
-            t[l + 1] = (cur >> 64) as u64;
-
-            // t = (t + m · n) / 2^64, with m chosen so the division is exact.
-            let m = t[0].wrapping_mul(self.n0inv) as u128;
-            let mut carry = (t[0] as u128 + m * n[0] as u128) >> 64;
-            for j in 1..l {
-                let cur = t[j] as u128 + m * n[j] as u128 + carry;
-                t[j - 1] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = t[l] as u128 + carry;
-            t[l - 1] = cur as u64;
-            t[l] = t[l + 1] + (cur >> 64) as u64;
+            let sum = top as u128 + carry_ab as u128 + carry_mn as u128;
+            t[L - 1] = sum as u64;
+            top = (sum >> 64) as u64;
         }
-        out.copy_from_slice(&t[..l]);
-        self.reduce_once(out, t[l] != 0);
+        self.reduce_once(t, top != 0)
+    }
+
+    /// SOS Montgomery square `a · a · R⁻¹ mod n`, for `a` below `n`: each
+    /// cross product `aᵢ·aⱼ (i < j)` once, the sum doubled, the diagonal
+    /// `aᵢ²` added, then the reduction.
+    #[inline]
+    fn sqr(&self, a: &[u64; L]) -> [u64; L] {
+        let mut wide = [[0u64; L]; 2];
+        let t = wide.as_flattened_mut();
+        for i in 0..L {
+            let mut carry = 0;
+            for j in i + 1..L {
+                (t[i + j], carry) = mac(t[i + j], a[i], a[j], carry);
+            }
+            t[i + L] = carry;
+        }
+        // t = 2t + Σ aᵢ² · 2^(128·i); the cross sum is below a²/2, so the
+        // doubling carries nothing out of the top limb.
+        let (mut shifted_out, mut carry) = (0, 0);
+        for i in 0..L {
+            let (lo, hi) = (t[2 * i], t[2 * i + 1]);
+            let square = a[i] as u128 * a[i] as u128 + carry as u128;
+            let low = ((lo << 1) | shifted_out) as u128 + (square as u64) as u128;
+            let high = ((hi << 1) | (lo >> 63)) as u128 + (square >> 64) + (low >> 64);
+            shifted_out = hi >> 63;
+            (t[2 * i], t[2 * i + 1], carry) = (low as u64, high as u64, (high >> 64) as u64);
+        }
+        self.redc(wide)
+    }
+
+    /// Montgomery reduction `t · R⁻¹ mod n` of a `2L`-limb `t` below `n·R`.
+    #[inline]
+    fn redc(&self, mut wide: [[u64; L]; 2]) -> [u64; L] {
+        let t = wide.as_flattened_mut();
+        let mut top = false;
+        for i in 0..L {
+            let m = t[i].wrapping_mul(self.n0inv);
+            let mut carry = 0;
+            for j in 0..L {
+                (t[i + j], carry) = mac(t[i + j], m, self.n[j], carry);
+            }
+            let (sum, c1) = t[i + L].overflowing_add(carry);
+            let (sum, c2) = sum.overflowing_add(top as u64);
+            t[i + L] = sum;
+            top = c1 | c2;
+        }
+        self.reduce_once(wide[1], top)
     }
 
     /// `x = 2x mod n` for an `x` below `n`.
-    fn double(&self, x: &mut [u64]) {
+    fn double(&self, x: &mut [u64; L]) {
         let mut carry = 0;
         for limb in x.iter_mut() {
             let shifted = (*limb << 1) | carry;
             carry = *limb >> 63;
             *limb = shifted;
         }
-        self.reduce_once(x, carry != 0);
+        *x = self.reduce_once(*x, carry != 0);
     }
 
-    /// Subtract `n` from a value below `2n` whose bit `64·l` is `overflow`,
-    /// if it is not already below `n`.
-    fn reduce_once(&self, x: &mut [u64], overflow: bool) {
-        let below = !overflow
-            && x.iter()
-                .rev()
-                .zip(self.n.iter().rev())
-                .find_map(|(a, b)| (a != b).then_some(a < b))
-                .unwrap_or(false);
-        if below {
-            return;
-        }
+    /// `x mod n` for an `x` below `2n` whose bit `64·L` is `overflow`.
+    #[inline]
+    fn reduce_once(&self, x: [u64; L], overflow: bool) -> [u64; L] {
+        let mut diff = [0; L];
         let mut borrow = false;
-        for (a, &b) in x.iter_mut().zip(&self.n) {
-            let (diff, b1) = a.overflowing_sub(b);
-            let (diff, b2) = diff.overflowing_sub(borrow as u64);
-            *a = diff;
+        for (d, (&a, &b)) in diff.iter_mut().zip(x.iter().zip(&self.n)) {
+            let (v, b1) = a.overflowing_sub(b);
+            let (v, b2) = v.overflowing_sub(borrow as u64);
+            *d = v;
             borrow = b1 | b2;
         }
+        if overflow || !borrow {
+            diff
+        } else {
+            x
+        }
     }
+}
+
+/// Little-endian 32-bit limbs (at most `2L` of them) as `L` 64-bit limbs.
+fn limbs_to_array<const L: usize>(limbs: &[u32]) -> [u64; L] {
+    let mut out = [0; L];
+    for (i, &limb) in limbs.iter().enumerate() {
+        out[i / 2] |= (limb as u64) << (32 * (i % 2));
+    }
+    out
 }
 
 impl PartialOrd for BigUint {
@@ -974,6 +1120,99 @@ mod tests {
                     assert_eq!(ctx.mulmod(base, &bases[2]), base.mulmod(&bases[2], &n));
                 }
             }
+        }
+    }
+
+    /// Moduli at each instantiated width, full and one bit past the width
+    /// below, and at the padded sizes between them.
+    fn moduli_at_every_width(rng: &mut StdRng) -> Vec<BigUint> {
+        let mut moduli = Vec::new();
+        for limbs in [1usize, 2, 3, 4, 5, 8, 9, 16, 32, 64] {
+            let low = if limbs == 1 { 2 } else { 64 * (limbs - 1) + 1 };
+            for bits in [low, 64 * limbs] {
+                moduli.push(random_odd(rng, bits));
+            }
+        }
+        moduli
+    }
+
+    /// The squaring routine equals the product of an operand with itself at
+    /// every width, on operands just below `n` (where every limb is near its
+    /// maximum and the final subtraction is most often taken), and each
+    /// modulus runs at the narrowest width that holds it.
+    #[test]
+    fn montgomery_square_equals_product_with_itself_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(0x5371);
+        for n in moduli_at_every_width(&mut rng) {
+            let ctx = MontgomeryCtx::new(&n).expect("odd modulus");
+            let limbs = n.bits().div_ceil(64).next_power_of_two();
+            assert_eq!(format!("{ctx:?}"), format!("MontgomeryCtx({limbs} limbs)"));
+            let below = |k: u64| n.sub(&big(k).rem(&n));
+            let operands = [
+                below(1),
+                below(2),
+                below(0xffff_ffff),
+                BigUint::random_below(&mut rng, &n),
+                BigUint::zero(),
+                BigUint::one(),
+            ];
+            for a in &operands {
+                let (square, product) = ctx.square_and_product(a);
+                assert_eq!(square, product, "{a}² mod {n}");
+            }
+        }
+    }
+
+    /// The widest modulus the kernel takes is 4096 bits; `modpow` still
+    /// answers past it, on the long-division loop.
+    #[test]
+    fn montgomery_ctx_refuses_moduli_wider_than_4096_bits() {
+        let mut rng = StdRng::seed_from_u64(0x4097);
+        let widest = random_odd(&mut rng, MAX_MODULUS_BITS);
+        assert!(MontgomeryCtx::new(&widest).is_some());
+        let wider = random_odd(&mut rng, MAX_MODULUS_BITS + 1);
+        assert!(MontgomeryCtx::new(&wider).is_none());
+        let base = BigUint::random_below(&mut rng, &wider);
+        assert_eq!(
+            base.modpow(&big(3), &wider),
+            base.mul(&base).mul(&base).rem(&wider)
+        );
+    }
+
+    /// Long division against reconstruction, including the digit estimate
+    /// that is one too large and must be added back.
+    #[test]
+    fn div_rem_reconstructs_the_dividend() {
+        let from = |limbs: &[u32]| {
+            let mut x = BigUint {
+                limbs: limbs.to_vec(),
+            };
+            x.normalize();
+            x
+        };
+        let add_back = (
+            from(&[0, 0, 0x8000_0000, 0x7fff_ffff]),
+            from(&[1, 0, 0x8000_0000]),
+        );
+        let mut rng = StdRng::seed_from_u64(0xd1f);
+        let mut cases = vec![add_back];
+        for (a_bits, d_bits) in [
+            (64, 33),
+            (128, 64),
+            (1024, 512),
+            (4096, 2048),
+            (8192, 4096),
+            (97, 96),
+        ] {
+            cases.push((
+                BigUint::random_bits(&mut rng, a_bits),
+                BigUint::random_bits(&mut rng, d_bits),
+            ));
+        }
+        for (a, d) in &cases {
+            let (q, r) = a.div_rem(d);
+            assert_eq!(q.mul(d).add(&r), *a, "{a} / {d}");
+            assert_eq!(r.cmp(d), Ordering::Less, "{a} % {d}");
         }
     }
 

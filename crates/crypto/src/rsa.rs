@@ -17,7 +17,7 @@
 //! encoding is deterministic, so the CRT path, the `m^d mod n` fallback and
 //! any earlier version of this module all produce the same signature bytes.
 
-use crate::bignum::{BigUint, MontgomeryCtx};
+use crate::bignum::{BigUint, MontgomeryCtx, MAX_MODULUS_BITS};
 use crate::error::CryptoError;
 use crate::sha1::{sha1, DIGEST_LEN};
 use rand::Rng;
@@ -104,13 +104,20 @@ fn take_field<'a>(data: &mut &'a [u8]) -> Option<&'a [u8]> {
 
 impl RsaPublicKey {
     /// A public key that [`RsaPublicKey::verify`] can use without panicking:
-    /// an odd modulus long enough for the digest encoding, and an odd public
-    /// exponent of at least three.
+    /// an odd modulus long enough for the digest encoding and narrow enough
+    /// for the Montgomery kernel, and an odd public exponent of at least
+    /// three.
     fn new(n: BigUint, e: BigUint) -> Result<Self, CryptoError> {
         let modulus_bytes = n.bits().div_ceil(8);
         if modulus_bytes < DIGEST_LEN + MIN_PADDING {
             return Err(CryptoError::InvalidKey(format!(
                 "modulus of {modulus_bytes} bytes is too short to encode a SHA-1 digest"
+            )));
+        }
+        if n.bits() > MAX_MODULUS_BITS {
+            return Err(CryptoError::InvalidKey(format!(
+                "modulus of {} bits is wider than {MAX_MODULUS_BITS}",
+                n.bits()
             )));
         }
         if e.is_even() || e.bits() < 2 {
@@ -181,11 +188,17 @@ impl RsaPublicKey {
 impl RsaKeyPair {
     /// Generate a fresh key pair with a modulus of roughly `bits` bits.
     ///
-    /// `bits` must be at least 256 so the PKCS#1-style digest encoding fits.
+    /// `bits` must be at least 256 so the PKCS#1-style digest encoding
+    /// fits, and at most [`MAX_MODULUS_BITS`] so the Montgomery kernel does.
     pub fn generate<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> Result<Self, CryptoError> {
         if bits < 256 {
             return Err(CryptoError::KeyGeneration(format!(
                 "modulus of {bits} bits is too small to encode a SHA-1 digest"
+            )));
+        }
+        if bits > MAX_MODULUS_BITS {
+            return Err(CryptoError::KeyGeneration(format!(
+                "modulus of {bits} bits is wider than {MAX_MODULUS_BITS}"
             )));
         }
         let e = BigUint::from_u64(PUBLIC_EXPONENT);
@@ -431,7 +444,7 @@ mod tests {
         signature: &'static str,
     }
 
-    const KATS: [Kat; 3] = [
+    const KATS: [Kat; 4] = [
         Kat {
             seed: 0x5ec0b10c,
             bits: 512,
@@ -499,6 +512,39 @@ mod tests {
                 "39fb7b4f754ad16665d60b94e819bcdc971fe74efe75b367739c5b3701fce700",
                 "c091a9fb6ad39f5fb964fb01cae712d5a29bc047b5575de616fad54eb09557ff",
                 "7196c978cd508fd5de3ac3e1b83e2c1db372e00c7663792c048ed0caddfd085d",
+            ),
+        },
+        // Printed by the slice-kernel version of this module, the last
+        // before the fixed-width kernel.
+        Kat {
+            seed: 0x31,
+            bits: 1024,
+            message: b"says[advertise](n4, n7, [n4, n2, n7])",
+            n: concat!(
+                "803e8af50948fc07547befa46838f985be821c819f560302a8bc32f36929ecd0",
+                "39a7d1ddec29e5ee8e82c0d75d2efedaf4b985b7cd886d988cabce1cd2831d46",
+                "17a4427543d4dec651384a44920c0c46addd3b88cb1bcb2eb5f0cb5cfa0b14e6",
+                "dfdcc0055d1fde3beb195e5ec79adaeaa8666035ac16a1b76375b05fe0ecb7b3",
+            ),
+            d: concat!(
+                "5e2b0ea82d603d48389e24f2e960e4c0738a60da41a0cbe718f5d0c7f1b1ca65",
+                "7fe09df74221e5e7cd176ff8f440bcfd1474621efc3a3097b2bbb9466ac1c22d",
+                "1a80ce16b64a66c5040774fa2f13d22b2bb426ec83811bc3a337b3c169970a6a",
+                "48d9a6a9df27206153694904bca5cd60a7713e7cb728fd8de01a262833098369",
+            ),
+            p: concat!(
+                "ae0bf9393b5021ad6760672dd2057e479d77a0c2d9450d33ef5c2dd031915c6f",
+                "02079d9db4b9dd6dbdd4ff08335c56201ad0317943fafa2006da38bb3605fb07",
+            ),
+            q: concat!(
+                "bca16d70096290882e703778cd73d760589ad48692f97fe6681b2c0f0e316d01",
+                "ac07a4690aba52a99c3cf5b46b9ebf255b23f553720d574258173a94f3c036f5",
+            ),
+            signature: concat!(
+                "4a3b9a6d4001ff83803f8ce098e866815ce3cc9a620e09347cb14288bbe1d9d3",
+                "b719c6818e5989527ead31b99efb56be20be9cf9afff2d68c48f1b83fb67bb63",
+                "27df1f56fa4b636c1bf60b04b9b6ae3f5d54980cbbf0f6933bc755682c0afa97",
+                "3e2171d53039256782cf63348c489239ae4618d44036701c2f19f81cc8446722",
             ),
         },
     ];
@@ -655,6 +701,46 @@ mod tests {
         assert!(matches!(
             RsaKeyPair::from_bytes(&old),
             Err(CryptoError::InvalidKey(_))
+        ));
+    }
+
+    /// A modulus wider than the kernel's 4096 bits is a refusal at parse,
+    /// not a panic; 4096 bits still parses.
+    #[test]
+    fn modulus_wider_than_4096_bits_is_refused_at_parse() {
+        let mut rng = StdRng::seed_from_u64(0x1001);
+        let mut odd = |bits| {
+            let n = BigUint::random_bits(&mut rng, bits);
+            if n.is_even() {
+                n.add(&BigUint::one())
+            } else {
+                n
+            }
+        };
+        let (n, wide) = (odd(MAX_MODULUS_BITS), odd(MAX_MODULUS_BITS + 1));
+        let encode = |n: &BigUint| {
+            let mut out = Vec::new();
+            put_field(&mut out, &n.to_bytes_be());
+            put_field(&mut out, &BigUint::from_u64(PUBLIC_EXPONENT).to_bytes_be());
+            out
+        };
+        assert!(RsaPublicKey::from_bytes(&encode(&n)).is_ok());
+        assert!(matches!(
+            RsaPublicKey::from_bytes(&encode(&wide)),
+            Err(CryptoError::InvalidKey(_))
+        ));
+        let mut pair = Vec::new();
+        put_field(&mut pair, &encode(&wide));
+        for value in [[0xa9u8], [0x11], [0x0f], [1], [1], [1]] {
+            put_field(&mut pair, &value);
+        }
+        assert!(matches!(
+            RsaKeyPair::from_bytes(&pair),
+            Err(CryptoError::InvalidKey(_))
+        ));
+        assert!(matches!(
+            RsaKeyPair::generate(&mut rng, MAX_MODULUS_BITS + 2),
+            Err(CryptoError::KeyGeneration(_))
         ));
     }
 

@@ -82,33 +82,25 @@ impl Sha1 {
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.length.wrapping_mul(8);
 
-        // Padding: a single 0x80 byte, zeros, then the 64-bit big-endian length.
-        self.update_padding(&[0x80]);
-        while self.buffered != 56 {
-            self.update_padding(&[0x00]);
+        // Padding: a single 0x80 byte, zeros, then the 64-bit big-endian
+        // length in the last eight bytes — of this block if they are still
+        // free, of one more block otherwise.
+        self.buffer[self.buffered] = 0x80;
+        self.buffer[self.buffered + 1..].fill(0);
+        if self.buffered >= BLOCK_LEN - 8 {
+            let block = self.buffer;
+            self.process_block(&block);
+            self.buffer = [0; BLOCK_LEN];
         }
-        self.update_padding(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffered, 0);
+        self.buffer[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        let block = self.buffer;
+        self.process_block(&block);
 
         let mut digest = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             digest[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
         }
         digest
-    }
-
-    /// `update` without counting the bytes towards the message length — used
-    /// only while appending padding in `finalize`.
-    fn update_padding(&mut self, data: &[u8]) {
-        for &byte in data {
-            self.buffer[self.buffered] = byte;
-            self.buffered += 1;
-            if self.buffered == BLOCK_LEN {
-                let block = self.buffer;
-                self.process_block(&block);
-                self.buffered = 0;
-            }
-        }
     }
 
     fn process_block(&mut self, block: &[u8; BLOCK_LEN]) {
@@ -121,26 +113,29 @@ impl Sha1 {
         }
 
         let [mut a, mut b, mut c, mut d, mut e] = self.state;
-
-        for (i, &word) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999),
-                20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
-                _ => (b ^ c ^ d, 0xCA62_C1D6),
+        // One 20-round loop per round function, so no round picks its
+        // function at run time.
+        macro_rules! rounds {
+            ($words:expr, $k:expr, $f:expr) => {
+                for &word in $words {
+                    let temp = a
+                        .rotate_left(5)
+                        .wrapping_add($f)
+                        .wrapping_add(e)
+                        .wrapping_add($k)
+                        .wrapping_add(word);
+                    e = d;
+                    d = c;
+                    c = b.rotate_left(30);
+                    b = a;
+                    a = temp;
+                }
             };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(word);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
         }
+        rounds!(&w[..20], 0x5A82_7999, (b & c) | (!b & d));
+        rounds!(&w[20..40], 0x6ED9_EBA1, b ^ c ^ d);
+        rounds!(&w[40..60], 0x8F1B_BCDC, (b & c) | (b & d) | (c & d));
+        rounds!(&w[60..], 0xCA62_C1D6, b ^ c ^ d);
 
         self.state[0] = self.state[0].wrapping_add(a);
         self.state[1] = self.state[1].wrapping_add(b);

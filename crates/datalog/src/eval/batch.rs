@@ -38,7 +38,7 @@
 //! job's trails the tuple path's (`eval::dred`).
 
 use super::join::DeltaRestriction;
-use super::plan::{is_membership, PlanStats, RulePlan};
+use super::plan::{is_membership, BatchMiss, PlanStats, RulePlan};
 use super::runtime_pred_name;
 use crate::ast::{Literal, Rule, Term};
 use crate::error::Result;
@@ -216,21 +216,61 @@ fn plain(term: &Term) -> bool {
     matches!(term, Term::Var(_) | Term::Const(_))
 }
 
-/// Every body literal a positive atom over plain terms and wildcards.  Most
-/// rules the batch path declines say so in their syntax (a comparison, a
-/// negation, an expression term): this is tested before anything is
-/// allocated.
-fn plain_body(rule: &Rule) -> bool {
-    rule.body.iter().all(|literal| {
-        matches!(literal, Literal::Pos(atom)
-            if atom.terms.iter().all(|term| plain(term) || matches!(term, Term::Wildcard)))
-    })
+/// What the batch shape lacks for `term`, besides a variable, a constant or
+/// a wildcard.
+fn term_miss(term: &Term) -> Option<BatchMiss> {
+    match term {
+        Term::Var(_) | Term::Const(_) | Term::Wildcard => None,
+        Term::SingletonRef(_) => Some(BatchMiss::Singleton),
+        Term::VarSeq(_) | Term::BinOp(..) => Some(BatchMiss::Expression),
+    }
+}
+
+/// The earlier of two reasons in declaration order, either may be absent.
+fn earlier(a: Option<BatchMiss>, b: Option<BatchMiss>) -> Option<BatchMiss> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// The first [`BatchMiss`] of `body` (in declaration order), or `None` when
+/// every literal is a positive atom over a stored relation with plain terms
+/// and wildcards.  Most rules the batch path declines say so in their
+/// syntax: this is tested before anything is allocated.
+fn body_miss(body: &[Literal], udfs: &UdfRegistry) -> Option<BatchMiss> {
+    let mut first = None;
+    let mut note = |miss| first = earlier(first, miss);
+    for literal in body {
+        match literal {
+            Literal::Pos(atom) => {
+                note(match runtime_pred_name(&atom.pred) {
+                    Err(_) => Some(BatchMiss::Expression),
+                    Ok(pred) if udfs.is_udf(&pred) => Some(BatchMiss::Udf),
+                    Ok(pred) if BUILTIN_TYPES.contains(&&*pred) && atom.terms.len() == 1 => {
+                        Some(BatchMiss::TypeCheck)
+                    }
+                    Ok(_) => None,
+                });
+                atom.terms.iter().for_each(|term| note(term_miss(term)));
+            }
+            Literal::Neg(atom) => {
+                note(Some(BatchMiss::Negation));
+                atom.terms.iter().for_each(|term| note(term_miss(term)));
+            }
+            Literal::Cmp(left, _, right) => {
+                note(Some(BatchMiss::Comparison));
+                note(term_miss(left));
+                note(term_miss(right));
+            }
+        }
+    }
+    first
 }
 
 /// Compiles plan steps against the frame columns bound so far.
 struct StepCompiler<'r, 'a> {
     relations: &'a Relations,
-    udfs: &'a UdfRegistry,
     interner: &'a Arc<Interner>,
     /// The frame column of every variable bound so far.
     vars: FnvMap<&'r str, usize>,
@@ -241,10 +281,9 @@ struct StepCompiler<'r, 'a> {
 }
 
 impl<'r, 'a> StepCompiler<'r, 'a> {
-    fn new(relations: &'a Relations, udfs: &'a UdfRegistry, interner: &'a Arc<Interner>) -> Self {
+    fn new(relations: &'a Relations, interner: &'a Arc<Interner>) -> Self {
         StepCompiler {
             relations,
-            udfs,
             interner,
             vars: FnvMap::default(),
             width: 0,
@@ -254,27 +293,24 @@ impl<'r, 'a> StepCompiler<'r, 'a> {
 
     /// One step per plan step of `body`, each appending a column per
     /// variable it binds first and, with `trail`, one for the matched
-    /// `TupleId`.  `None` when a literal falls outside the batch shape.
+    /// `TupleId`.  `body` has no [`body_miss`]; what is left to decline is
+    /// a relation on a foreign dictionary.
     fn steps(
         &mut self,
         body: &'r [Literal],
         plan: &RulePlan,
         delta: Option<DeltaRestriction<'_>>,
         trail: bool,
-    ) -> Option<Vec<StepExec>> {
+    ) -> std::result::Result<Vec<StepExec>, BatchMiss> {
         let mut steps = Vec::with_capacity(plan.order.len());
         for step in &plan.order {
             let Literal::Pos(atom) = &body[step.literal] else {
-                return None;
+                unreachable!("body_miss admits positive atoms only");
             };
-            let pred = runtime_pred_name(&atom.pred).ok()?;
-            if self.udfs.is_udf(&pred) || (BUILTIN_TYPES.contains(&&*pred) && atom.terms.len() == 1)
-            {
-                return None;
-            }
+            let pred = runtime_pred_name(&atom.pred).expect("body_miss admits runtime names only");
             if let Some(relation) = self.relations.get(&*pred) {
                 if !Arc::ptr_eq(relation.interner(), self.interner) {
-                    return None;
+                    return Err(BatchMiss::ForeignDictionary);
                 }
             }
             let mut positions = Vec::with_capacity(atom.terms.len());
@@ -301,7 +337,7 @@ impl<'r, 'a> StepCompiler<'r, 'a> {
                             PosSpec::Fresh
                         }
                     }
-                    _ => return None,
+                    _ => unreachable!("body_miss admits plain terms only"),
                 };
                 positions.push(spec);
             }
@@ -326,7 +362,7 @@ impl<'r, 'a> StepCompiler<'r, 'a> {
                 probe,
             });
         }
-        Some(steps)
+        Ok(steps)
     }
 }
 
@@ -358,11 +394,10 @@ fn probe_exec(positions: &[PosSpec], cols: u64) -> Option<ProbeExec> {
     })
 }
 
-/// Compile `rule` for batch execution, or `None` when the body falls outside
-/// the batch-executable shape (negation, comparisons, UDFs, builtin type
-/// checks, expression terms, singleton refs, head existentials, a relation
-/// on a foreign dictionary, or a delta literal the plan did not pin first).
-/// Head constants are interned here.
+/// Compile `rule` for batch execution, or say why it falls outside the
+/// batch-executable shape ([`BatchMiss`]).  Head existentials never reach
+/// here (`Evaluator::evaluate_round` runs them on their own path).  Head
+/// constants are interned here.
 pub(crate) fn compile_batch(
     rule: &Rule,
     plan: &RulePlan,
@@ -370,29 +405,41 @@ pub(crate) fn compile_batch(
     relations: &Relations,
     udfs: &UdfRegistry,
     interner: &Arc<Interner>,
-) -> Option<BatchJob> {
-    if rule.agg.is_some() || plan.order.is_empty() {
-        return None;
+) -> std::result::Result<BatchJob, BatchMiss> {
+    if rule.agg.is_some() {
+        return Err(BatchMiss::Aggregate);
+    }
+    let head_miss = rule
+        .head
+        .iter()
+        .flat_map(|atom| &atom.terms)
+        .filter_map(term_miss)
+        .min();
+    if let Some(miss) = earlier(body_miss(&rule.body, udfs), head_miss) {
+        return Err(miss);
+    }
+    if plan.order.is_empty() {
+        return Err(BatchMiss::EmptyBody);
     }
     if delta.is_some_and(|pinned| plan.order[0].literal != pinned.literal_index) {
-        return None;
+        return Err(BatchMiss::DeltaNotFirst);
     }
-    if !plain_body(rule) || !rule.head.iter().all(|atom| atom.terms.iter().all(plain)) {
-        return None;
-    }
-    let mut compiler = StepCompiler::new(relations, udfs, interner);
+    let mut compiler = StepCompiler::new(relations, interner);
     let steps = compiler.steps(&rule.body, plan, delta, false)?;
 
     let mut heads = Vec::with_capacity(rule.head.len());
     for atom in &rule.head {
-        let pred = runtime_pred_name(&atom.pred).ok()?;
+        let pred = runtime_pred_name(&atom.pred).map_err(|_| BatchMiss::Expression)?;
         let mut srcs = Vec::with_capacity(atom.terms.len());
         for term in &atom.terms {
-            match term {
-                Term::Var(name) => srcs.push(IdSrc::Frame(*compiler.vars.get(name.as_str())?)),
-                Term::Const(value) => srcs.push(IdSrc::Const(interner.intern(value))),
-                _ => return None,
-            }
+            srcs.push(match term {
+                Term::Var(name) => match compiler.vars.get(name.as_str()) {
+                    Some(&col) => IdSrc::Frame(col),
+                    None => return Err(BatchMiss::Expression),
+                },
+                Term::Const(value) => IdSrc::Const(interner.intern(value)),
+                _ => unreachable!("term_miss admits plain head terms only"),
+            });
         }
         heads.push(HeadExec {
             pred: pred.into_owned(),
@@ -402,7 +449,7 @@ pub(crate) fn compile_batch(
 
     // Encode the delta rows up front.  Delta tuples were inserted into
     // relations, so their values are already interned; a miss means the set
-    // is not encodable and the tuple path must run instead.
+    // is on another dictionary and the tuple path must run instead.
     let delta_rows = match delta {
         Some(pinned) => {
             let arity = steps[0].arity;
@@ -410,7 +457,7 @@ pub(crate) fn compile_batch(
             let mut ids = Vec::new();
             for tuple in pinned.delta {
                 if !interner.try_row(tuple, &mut ids) {
-                    return None;
+                    return Err(BatchMiss::ForeignDictionary);
                 }
                 // Rows of a different arity can never match step 0.
                 if ids.len() == arity {
@@ -422,7 +469,7 @@ pub(crate) fn compile_batch(
         None => None,
     };
 
-    Some(BatchJob {
+    Ok(BatchJob {
         steps,
         heads,
         delta_rows,
@@ -569,12 +616,12 @@ pub(crate) fn compile_proof(
     let atom = &rule.head[head];
     if rule.agg.is_some()
         || plan.order.is_empty()
-        || !plain_body(rule)
+        || body_miss(&rule.body, udfs).is_some()
         || !atom.terms.iter().all(plain)
     {
         return None;
     }
-    let mut compiler = StepCompiler::new(relations, udfs, interner);
+    let mut compiler = StepCompiler::new(relations, interner);
     let mut seed = Vec::with_capacity(atom.terms.len());
     for term in &atom.terms {
         seed.push(match term {
@@ -597,7 +644,7 @@ pub(crate) fn compile_proof(
         });
     }
     let mut width = compiler.width;
-    let steps = compiler.steps(&rule.body, plan, None, true)?;
+    let steps = compiler.steps(&rule.body, plan, None, true).ok()?;
     let trail = plan
         .order
         .iter()
@@ -945,7 +992,7 @@ mod tests {
                 }
             }
         }
-        let job = compile_batch(&rule, &plan, None, &relations, &udfs, &interner)?;
+        let job = compile_batch(&rule, &plan, None, &relations, &udfs, &interner).ok()?;
         let stats = PlanStats::default();
         let rows = execute_batch(&job, &relations, &stats).unwrap();
         Some(rehydrate(&interner, rows))

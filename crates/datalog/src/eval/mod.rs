@@ -12,7 +12,7 @@ pub mod seminaive;
 pub mod shuffle;
 
 pub use bindings::Bindings;
-pub use plan::{PlanCache, PlanKey, PlanStats, PlanStatsSnapshot, RulePlan};
+pub use plan::{BatchMiss, PlanCache, PlanKey, PlanStats, PlanStatsSnapshot, RulePlan};
 pub use seminaive::{Commit, EvalJournal, Evaluator, FactDelta, FixpointStats};
 
 use crate::ast::PredRef;

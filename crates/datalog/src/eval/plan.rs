@@ -113,6 +113,54 @@ impl RulePlan {
     }
 }
 
+/// Why a rule execution ran on the tuple path: the first of these, in
+/// declaration order, that the rule has and the batch executor lacks
+/// (`batch::compile_batch`).  Values the relations do not hold come first —
+/// computed by a function, then read from a singleton — so the generated
+/// signing rule counts as a UDF call although it also reads `self[]`, and a
+/// `says` rule that compares against `self[]` as a singleton read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum BatchMiss {
+    /// An aggregate rule (recomputed in full, never delta-driven).
+    Aggregate,
+    /// A body atom over a user-defined function.
+    Udf,
+    /// A singleton reference such as `self[]`, in the head or the body.
+    Singleton,
+    /// A negated body atom.
+    Negation,
+    /// A comparison or assignment literal.
+    Comparison,
+    /// A builtin type check (`int(X)`) in the body.
+    TypeCheck,
+    /// An arithmetic or variable-sequence term, a meta-level predicate the
+    /// evaluator cannot name, or a head variable the body does not bind.
+    Expression,
+    /// A relation, or a delta tuple, on another dictionary than the
+    /// workspace's.
+    ForeignDictionary,
+    /// The plan does not run the delta-pinned literal first.
+    DeltaNotFirst,
+    /// A rule with no body literal.
+    EmptyBody,
+}
+
+impl BatchMiss {
+    /// Every reason, in declaration order.
+    pub const ALL: [BatchMiss; 10] = [
+        BatchMiss::Aggregate,
+        BatchMiss::Udf,
+        BatchMiss::Singleton,
+        BatchMiss::Negation,
+        BatchMiss::Comparison,
+        BatchMiss::TypeCheck,
+        BatchMiss::Expression,
+        BatchMiss::ForeignDictionary,
+        BatchMiss::DeltaNotFirst,
+        BatchMiss::EmptyBody,
+    ];
+}
+
 /// Counters describing planner and index behaviour.  Shared immutably with
 /// the join executor, hence the atomics (`Relaxed` throughout — these are
 /// statistics, not synchronization).
@@ -141,6 +189,13 @@ pub struct PlanStats {
     /// rule with a UDF, a comparison or a singleton (`eval::dred`).
     pub proof_joins_batch: AtomicU64,
     pub proof_joins_tuple: AtomicU64,
+    /// Rule executions on the tuple path (not the batch executor, not the
+    /// head-existential path, not an aggregate recomputation).
+    pub tuple_executions: AtomicU64,
+    /// Per [`BatchMiss`] (indexed by `reason as usize`), the tuple-path
+    /// executions it caused: with the planner on, these sum to
+    /// `tuple_executions`.
+    pub batch_misses: [AtomicU64; BatchMiss::ALL.len()],
 }
 
 impl PlanStats {
@@ -168,6 +223,11 @@ impl PlanStats {
             constraint_full_checks: self.constraint_full_checks.load(Ordering::Relaxed),
             proof_joins_batch: self.proof_joins_batch.load(Ordering::Relaxed),
             proof_joins_tuple: self.proof_joins_tuple.load(Ordering::Relaxed),
+            tuple_executions: self.tuple_executions.load(Ordering::Relaxed),
+            batch_misses: self
+                .batch_misses
+                .each_ref()
+                .map(|count| count.load(Ordering::Relaxed)),
         }
     }
 }
@@ -188,6 +248,8 @@ impl Clone for PlanStats {
             constraint_full_checks: AtomicU64::new(snapshot.constraint_full_checks),
             proof_joins_batch: AtomicU64::new(snapshot.proof_joins_batch),
             proof_joins_tuple: AtomicU64::new(snapshot.proof_joins_tuple),
+            tuple_executions: AtomicU64::new(snapshot.tuple_executions),
+            batch_misses: snapshot.batch_misses.map(AtomicU64::new),
         }
     }
 }
@@ -212,6 +274,15 @@ pub struct PlanStatsSnapshot {
     pub constraint_full_checks: u64,
     pub proof_joins_batch: u64,
     pub proof_joins_tuple: u64,
+    pub tuple_executions: u64,
+    pub batch_misses: [u64; BatchMiss::ALL.len()],
+}
+
+impl PlanStatsSnapshot {
+    /// The tuple-path executions `reason` caused.
+    pub fn batch_miss(&self, reason: BatchMiss) -> u64 {
+        self.batch_misses[reason as usize]
+    }
 }
 
 impl std::ops::Add for PlanStatsSnapshot {
@@ -231,6 +302,8 @@ impl std::ops::Add for PlanStatsSnapshot {
             constraint_full_checks: self.constraint_full_checks + other.constraint_full_checks,
             proof_joins_batch: self.proof_joins_batch + other.proof_joins_batch,
             proof_joins_tuple: self.proof_joins_tuple + other.proof_joins_tuple,
+            tuple_executions: self.tuple_executions + other.tuple_executions,
+            batch_misses: std::array::from_fn(|i| self.batch_misses[i] + other.batch_misses[i]),
         }
     }
 }

@@ -522,6 +522,8 @@ impl<'a> Evaluator<'a> {
                 )?)
             } else if let Some(job) = plan.and_then(|plan| {
                 batch::compile_batch(rule, plan, delta, self.relations, self.udfs, self.interner)
+                    .map_err(|miss| PlanStats::bump(&self.plan_stats.batch_misses[miss as usize]))
+                    .ok()
             }) {
                 secureblox_telemetry::counter!("datalog_rule_exec_batch_total").inc();
                 let rows = batch::execute_batch(&job, self.relations, self.plan_stats)?;
@@ -538,6 +540,7 @@ impl<'a> Evaluator<'a> {
                 Derivation::Ids(rows)
             } else {
                 secureblox_telemetry::counter!("datalog_rule_exec_tuple_total").inc();
+                PlanStats::bump(&self.plan_stats.tuple_executions);
                 Derivation::Values(evaluate_tuple_combo(
                     rule,
                     plan,

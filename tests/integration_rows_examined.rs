@@ -12,11 +12,15 @@
 //! and then 2,000 rows.  The generated `says$T(..) -> sig$T(..), ..`
 //! constraint once probed `sig$T` on the receiver column alone — one
 //! `index_probes`, the whole inbox examined, per new fact.
+//!
+//! The same counters say why a rule execution ran on the tuple path
+//! (`PlanStatsSnapshot::batch_misses`): on the gossip flood, every one has
+//! exactly one reason, and it is the policy's.
 
 use secureblox::policy::SecurityConfig;
 use secureblox::runtime::{Deployment, DeploymentConfig, NodeSpec};
 use secureblox::{AuthScheme, EncScheme, Value};
-use secureblox_datalog::PlanStatsSnapshot;
+use secureblox_datalog::{BatchMiss, PlanStatsSnapshot};
 
 const GOSSIP_APP: &str = r#"
     link(N1, N2) -> node(N1), node(N2).
@@ -134,4 +138,23 @@ fn rows_examined_per_delta_do_not_grow_with_the_inbox() {
     }
     // Ten times the facts, not one scan more: all of them are bootstrap's.
     assert_eq!(scans[0], scans[1], "full scans at 200 and at 2,000 facts");
+}
+
+/// Every rule execution the gossip flood sends down the tuple path has
+/// exactly one reason, and the reasons are the policy's: the generated
+/// rules read `self[]` (the `says` rules, the import) or call `hmac_sign`
+/// (the signing rule).
+#[test]
+fn every_tuple_path_execution_of_the_gossip_flood_has_one_reason() {
+    let (plan, _) = run(GOSSIP_APP, &ring_specs(6));
+    assert!(plan.tuple_executions > 0, "{plan:?}");
+    assert_eq!(
+        plan.batch_misses.iter().sum::<u64>(),
+        plan.tuple_executions,
+        "{plan:?}"
+    );
+    for reason in BatchMiss::ALL {
+        let counted = matches!(reason, BatchMiss::Singleton | BatchMiss::Udf);
+        assert_eq!(plan.batch_miss(reason) > 0, counted, "{reason:?}: {plan:?}");
+    }
 }
