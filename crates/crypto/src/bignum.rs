@@ -389,7 +389,7 @@ impl BigUint {
     /// Bit-at-a-time square-and-multiply over `mulmod`: the path for even
     /// and over-wide moduli, and the oracle the tests hold the Montgomery
     /// kernel against (it shares no code with it).
-    pub fn modpow_naive(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
+    pub(crate) fn modpow_naive(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         if modulus.cmp(&BigUint::one()) == Ordering::Equal {
             return BigUint::zero();
         }
@@ -1160,6 +1160,35 @@ mod tests {
                 let (square, product) = ctx.square_and_product(a);
                 assert_eq!(square, product, "{a}² mod {n}");
             }
+        }
+    }
+
+    proptest::proptest! {
+        /// The context at every instantiated width (1–64 limbs) and at the
+        /// padded sizes between them (3, 5 and 9 limbs) against the
+        /// long-division loop, for exponents on both sides of the 64-bit
+        /// switch from the bit walk to the fixed window, and of full length.
+        #[test]
+        fn montgomery_ctx_matches_modpow_naive_at_every_width(width in 0usize..10,
+                                                               exponent_class in 0usize..7,
+                                                               seed in proptest::prelude::any::<u64>()) {
+            use rand::Rng;
+            const LIMBS: [usize; 10] = [1, 2, 3, 4, 5, 8, 9, 16, 32, 64];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let limbs = LIMBS[width];
+            let bits = rng.gen_range(64 * (limbs - 1)..64 * limbs).max(1) + 1;
+            let n = random_odd(&mut rng, bits);
+            let exponent_bits = [0, 1, 2, 17, 64, 65, bits][exponent_class];
+            let exponent = match exponent_bits {
+                0 => BigUint::zero(),
+                k => BigUint::random_bits(&mut rng, k),
+            };
+            let base_bits = rng.gen_range(1..2 * bits + 70);
+            let base = BigUint::random_bits(&mut rng, base_bits);
+            let ctx = MontgomeryCtx::new(&n).expect("odd, at least 2 bits, at most 4096");
+            proptest::prop_assert_eq!(ctx.pow(&base, &exponent), base.modpow_naive(&exponent, &n));
+            let other = BigUint::random_below(&mut rng, &n);
+            proptest::prop_assert_eq!(ctx.mulmod(&base, &other), base.mulmod(&other, &n));
         }
     }
 

@@ -285,36 +285,6 @@ proptest! {
         prop_assert_eq!(ctx.mulmod(&base, &exponent), base.mulmod(&exponent, &n));
     }
 
-    /// The context at every instantiated width (1–64 limbs) and at the
-    /// padded sizes between them (3, 5 and 9 limbs) against the
-    /// long-division loop, for exponents on both sides of the 64-bit switch
-    /// from the bit walk to the fixed window, and of full length.
-    #[test]
-    fn montgomery_ctx_matches_modpow_naive_at_every_width(width in 0usize..10,
-                                                           exponent_class in 0usize..7,
-                                                           seed in any::<u64>()) {
-        use rand::{Rng, SeedableRng};
-        const LIMBS: [usize; 10] = [1, 2, 3, 4, 5, 8, 9, 16, 32, 64];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let limbs = LIMBS[width];
-        let bits = rng.gen_range(64 * (limbs - 1)..64 * limbs).max(1) + 1;
-        let mut n = BigUint::random_bits(&mut rng, bits);
-        if n.is_even() {
-            n = n.add(&BigUint::one());
-        }
-        let exponent_bits = [0, 1, 2, 17, 64, 65, bits][exponent_class];
-        let exponent = match exponent_bits {
-            0 => BigUint::zero(),
-            k => BigUint::random_bits(&mut rng, k),
-        };
-        let base_bits = rng.gen_range(1..2 * bits + 70);
-        let base = BigUint::random_bits(&mut rng, base_bits);
-        let ctx = MontgomeryCtx::new(&n).expect("odd, at least 2 bits, at most 4096");
-        prop_assert_eq!(ctx.pow(&base, &exponent), base.modpow_naive(&exponent, &n));
-        let other = BigUint::random_below(&mut rng, &n);
-        prop_assert_eq!(ctx.mulmod(&base, &other), base.mulmod(&other, &n));
-    }
-
     /// gcd divides both operands and is commutative.
     #[test]
     fn bignum_gcd_divides(a in 1u64.., b in 1u64..) {

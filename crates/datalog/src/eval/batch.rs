@@ -226,6 +226,15 @@ fn term_miss(term: &Term) -> Option<BatchMiss> {
     }
 }
 
+/// What the batch shape lacks for head term `term`: besides [`term_miss`],
+/// a wildcard, which binds nothing to project (the tuple path refuses it).
+fn head_term_miss(term: &Term) -> Option<BatchMiss> {
+    match term {
+        Term::Wildcard => Some(BatchMiss::Expression),
+        term => term_miss(term),
+    }
+}
+
 /// The earlier of two reasons in declaration order, either may be absent.
 fn earlier(a: Option<BatchMiss>, b: Option<BatchMiss>) -> Option<BatchMiss> {
     match (a, b) {
@@ -413,7 +422,7 @@ pub(crate) fn compile_batch(
         .head
         .iter()
         .flat_map(|atom| &atom.terms)
-        .filter_map(term_miss)
+        .filter_map(head_term_miss)
         .min();
     if let Some(miss) = earlier(body_miss(&rule.body, udfs), head_miss) {
         return Err(miss);
@@ -438,7 +447,7 @@ pub(crate) fn compile_batch(
                     None => return Err(BatchMiss::Expression),
                 },
                 Term::Const(value) => IdSrc::Const(interner.intern(value)),
-                _ => unreachable!("term_miss admits plain head terms only"),
+                _ => unreachable!("head_term_miss admits plain head terms only"),
             });
         }
         heads.push(HeadExec {

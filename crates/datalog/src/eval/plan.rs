@@ -189,12 +189,9 @@ pub struct PlanStats {
     /// rule with a UDF, a comparison or a singleton (`eval::dred`).
     pub proof_joins_batch: AtomicU64,
     pub proof_joins_tuple: AtomicU64,
-    /// Rule executions on the tuple path (not the batch executor, not the
-    /// head-existential path, not an aggregate recomputation).
-    pub tuple_executions: AtomicU64,
     /// Per [`BatchMiss`] (indexed by `reason as usize`), the tuple-path
-    /// executions it caused: with the planner on, these sum to
-    /// `tuple_executions`.
+    /// rule executions it caused (with the planner on; off, nothing is
+    /// compiled and nothing counted).
     pub batch_misses: [AtomicU64; BatchMiss::ALL.len()],
 }
 
@@ -223,7 +220,6 @@ impl PlanStats {
             constraint_full_checks: self.constraint_full_checks.load(Ordering::Relaxed),
             proof_joins_batch: self.proof_joins_batch.load(Ordering::Relaxed),
             proof_joins_tuple: self.proof_joins_tuple.load(Ordering::Relaxed),
-            tuple_executions: self.tuple_executions.load(Ordering::Relaxed),
             batch_misses: self
                 .batch_misses
                 .each_ref()
@@ -248,7 +244,6 @@ impl Clone for PlanStats {
             constraint_full_checks: AtomicU64::new(snapshot.constraint_full_checks),
             proof_joins_batch: AtomicU64::new(snapshot.proof_joins_batch),
             proof_joins_tuple: AtomicU64::new(snapshot.proof_joins_tuple),
-            tuple_executions: AtomicU64::new(snapshot.tuple_executions),
             batch_misses: snapshot.batch_misses.map(AtomicU64::new),
         }
     }
@@ -274,7 +269,6 @@ pub struct PlanStatsSnapshot {
     pub constraint_full_checks: u64,
     pub proof_joins_batch: u64,
     pub proof_joins_tuple: u64,
-    pub tuple_executions: u64,
     pub batch_misses: [u64; BatchMiss::ALL.len()],
 }
 
@@ -302,7 +296,6 @@ impl std::ops::Add for PlanStatsSnapshot {
             constraint_full_checks: self.constraint_full_checks + other.constraint_full_checks,
             proof_joins_batch: self.proof_joins_batch + other.proof_joins_batch,
             proof_joins_tuple: self.proof_joins_tuple + other.proof_joins_tuple,
-            tuple_executions: self.tuple_executions + other.tuple_executions,
             batch_misses: std::array::from_fn(|i| self.batch_misses[i] + other.batch_misses[i]),
         }
     }

@@ -540,7 +540,6 @@ impl<'a> Evaluator<'a> {
                 Derivation::Ids(rows)
             } else {
                 secureblox_telemetry::counter!("datalog_rule_exec_tuple_total").inc();
-                PlanStats::bump(&self.plan_stats.tuple_executions);
                 Derivation::Values(evaluate_tuple_combo(
                     rule,
                     plan,

@@ -1356,6 +1356,25 @@ mod tests {
     }
 
     #[test]
+    fn wildcard_in_a_rule_head_is_an_eval_error() {
+        for use_planner in [true, false] {
+            let mut ws = Workspace::with_config(EvalConfig {
+                use_planner,
+                ..EvalConfig::default()
+            });
+            ws.install_source("p(X, _) <- q(X).").unwrap();
+            let err = ws
+                .transaction(vec![("q".into(), vec![s("a")])])
+                .unwrap_err();
+            assert!(
+                matches!(err, DatalogError::Eval(_)),
+                "planner={use_planner}: {err:?}"
+            );
+            assert_eq!(ws.count("q"), 0, "planner={use_planner}: rolled back");
+        }
+    }
+
+    #[test]
     fn clear_relation_empties_outbox() {
         let mut ws = Workspace::new();
         ws.install_source("export(n1, payload).").unwrap();
