@@ -296,15 +296,13 @@ pub(crate) struct NodeState {
     /// Highest update-stream sequence number seen per sending node, used to
     /// drop stale duplicates (at-most-once application per delta).
     pub(crate) last_update_seq_in: FnvMap<u32, u64>,
-    /// Per-destination update-stream sequence counters (sender side).  Owned
-    /// by the sending node so reactor tasks never share counter state.
-    pub(crate) stream_seq: FnvMap<usize, u64>,
     /// What this node measured about itself: commits, verdicts, traffic.
     /// Written only through this node's [`NodeCtx`]; every figure of the
     /// [`DeploymentReport`] is a fold over the nodes' ledgers.
     pub(crate) ledger: NodeLedger,
-    /// This node's per-destination sender outboxes (coalescing + credit).
-    /// A `BTreeMap` so the quiescence force-flush
+    /// This node's per-destination sender state: coalescing, credit, the
+    /// envelope sequence counter and the link's FIFO floor, all in one
+    /// [`LinkOutbox`].  A `BTreeMap` so the quiescence force-flush
     /// walks links in a deterministic order (the reference executor's
     /// bit-for-bit reproducibility depends on it).  Sender-owned: a credit
     /// grant is *addressed to* the data sender, so delivering it only ever
@@ -526,7 +524,6 @@ impl Deployment {
                 pending_bootstrap: spec.base_facts.clone(),
                 store: None,
                 last_update_seq_in: FnvMap::default(),
-                stream_seq: FnvMap::default(),
                 ledger: NodeLedger::default(),
                 outboxes: BTreeMap::new(),
             });
@@ -687,8 +684,8 @@ impl Deployment {
     /// scrutinized) by the normal [`MessageKind::Update`] path on the next
     /// [`Deployment::run`].
     ///
-    /// **Intentionally bypasses the per-link FIFO floor**: the plain `send`
-    /// at virtual time 0 lets the injected payload overtake every legitimate
+    /// **Intentionally bypasses the per-link FIFO floor**: an unordered
+    /// send at virtual time 0 lets the injected payload overtake every legitimate
     /// message queued on the same link — the reordering/replay position an
     /// on-path adversary gets on a real network.  The receiver's defenses
     /// (sequence watermark, signature constraints) must hold against it; see
@@ -712,7 +709,8 @@ impl Deployment {
             self.node_ctx(message.from.index())
                 .send(message, 0, Link::Unordered);
         } else {
-            self.network.send(message, 0);
+            let deliver_at = self.config.latency.deliver_at(0, message.wire_size(), 0);
+            self.network.push(deliver_at, message);
         }
     }
 
@@ -1015,7 +1013,9 @@ mod tests {
             }],
         };
         let forged = Message::new(NodeId(1), NodeId(0), MessageKind::Update, envelope.encode());
-        deployment.network.send(forged, 0);
+        let latency = &deployment.config.latency;
+        let at = latency.deliver_at(0, forged.wire_size(), 0);
+        deployment.network.push(at, forged);
         let report = deployment.run().unwrap();
         assert!(report.rejected_batches >= 1);
         assert!(!deployment
@@ -1064,7 +1064,9 @@ mod tests {
                             let payload = secureblox_net::message::encode_credit(1);
                             let forged =
                                 Message::new(NodeId(from as u32), NodeId(0), kind, payload);
-                            deployment.network.send(forged, 0);
+                            let latency = &deployment.config.latency;
+                            let at = latency.deliver_at(0, forged.wire_size(), 0);
+                            deployment.network.push(at, forged);
                         }
                     }
                     let report = deployment.run().expect(&what);
@@ -1346,6 +1348,61 @@ mod tests {
             reference_report.total_messages, reactor_report.total_messages,
             "each node's ledger counts its own sends, whichever executor drives it"
         );
+    }
+
+    /// A link delivers in send order under both executors.  The first
+    /// principal's name is long and sorts first, so every node's first flush
+    /// ships, on each link, an envelope naming it just ahead of small ones at
+    /// the same virtual time: the small ones would overtake it but for the
+    /// link's FIFO floor, and the receiver would drop the overtaken envelope
+    /// as a stale sequence number.
+    #[test]
+    fn every_link_delivers_in_send_order_on_both_executors() {
+        let mut principals: Vec<String> = (1..6).map(|i| format!("n{i}")).collect();
+        principals.insert(0, format!("a{}", "x".repeat(4096)));
+        let specs: Vec<NodeSpec> = principals
+            .iter()
+            .map(|me| NodeSpec {
+                principal: me.clone(),
+                base_facts: principals
+                    .iter()
+                    .filter(|other| *other != me)
+                    .map(|other| ("link".into(), vec![Value::str(me), Value::str(other)]))
+                    .collect(),
+            })
+            .collect();
+        let nodes = specs.len();
+        for reactor in [
+            ReactorConfig::disabled(),
+            ReactorConfig::with_threads(1),
+            ReactorConfig::with_threads(4),
+        ] {
+            for streaming in [
+                StreamingConfig::unbatched(),
+                StreamingConfig::with_knobs(2, 2),
+            ] {
+                let what = format!("{reactor:?}, {streaming:?}");
+                let config = DeploymentConfig {
+                    security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
+                    reactor: reactor.clone(),
+                    streaming,
+                    ..DeploymentConfig::default()
+                };
+                let mut deployment = Deployment::build(GOSSIP_APP, &specs, config).unwrap();
+                let report = deployment.run().expect(&what);
+                assert_eq!(report.rejected_batches, 0, "{what}");
+                for (receiver, principal) in principals.iter().enumerate() {
+                    let held = deployment.query(principal, "remote_link").len();
+                    assert_eq!(held, (nodes - 1) * (nodes - 1), "{what}: node {receiver}");
+                    for sender in (0..nodes).filter(|&sender| sender != receiver) {
+                        let shipped = deployment.nodes[sender].outboxes[&receiver].seq;
+                        let accepted =
+                            deployment.nodes[receiver].last_update_seq_in[&(sender as u32)];
+                        assert_eq!(accepted, shipped, "{what}: link {sender}->{receiver}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,25 +23,17 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Where a node context's outbound messages go once [`NodeCtx::send`] has
-/// recorded them: a sink computes a delivery time and enqueues, nothing else.
-/// The reference executor passes the [`SimNetwork`] itself; the reactor
-/// substitutes a per-task sink that computes delivery times locally and
-/// enqueues into the concurrent [`secureblox_net::LinkLanes`].
+/// recorded and stamped them: a sink only enqueues.  The reference executor
+/// passes the [`SimNetwork`] itself; the reactor substitutes a per-task sink
+/// that enqueues into the concurrent [`secureblox_net::LinkLanes`].
 pub(crate) trait NetSink {
-    /// Latency-modelled send; returns the delivery time.
-    fn send(&mut self, message: Message, now: VirtualTime) -> VirtualTime;
-    /// Send on the link's FIFO stream: delivery never precedes the previous
-    /// `send_fifo` message on the same (from, to) link.
-    fn send_fifo(&mut self, message: Message, now: VirtualTime) -> VirtualTime;
+    /// Queue `message` for delivery at the time its sender stamped.
+    fn enqueue(&mut self, deliver_at: VirtualTime, message: Message);
 }
 
 impl NetSink for SimNetwork {
-    fn send(&mut self, message: Message, now: VirtualTime) -> VirtualTime {
-        SimNetwork::send(self, message, now)
-    }
-
-    fn send_fifo(&mut self, message: Message, now: VirtualTime) -> VirtualTime {
-        SimNetwork::send_fifo(self, message, now)
+    fn enqueue(&mut self, deliver_at: VirtualTime, message: Message) {
+        self.push(deliver_at, message);
     }
 }
 
@@ -71,13 +63,15 @@ impl From<DeltaOp> for CommitOp {
     }
 }
 
-/// Which of a [`NetSink`]'s two methods a send takes.
+/// Whether a send waits for its link's FIFO floor.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Link {
-    /// The link's FIFO stream: update envelopes and onion cells.
+    /// The link's FIFO stream: update envelopes and onion cells.  Delivery
+    /// never precedes the previous FIFO message on the link.
     Fifo,
     /// A plain latency-modelled message that may overtake the stream: credit
-    /// grants (cumulative counts, order-free) and injected payloads.
+    /// grants (cumulative counts, order-free) and injected payloads.  It
+    /// neither waits for the floor nor moves it.
     Unordered,
 }
 
@@ -336,13 +330,8 @@ impl NodeCtx<'_> {
         let overhead = started.elapsed();
         secureblox_telemetry::histogram!("engine_export_flush_ns").record_duration(overhead);
         let send_time = self.charge(now, overhead);
-        let high_water = self.config.streaming.queue_high_water;
         for (dest, deltas) in per_dest {
-            let outbox = self
-                .node
-                .outboxes
-                .entry(dest)
-                .or_insert_with(|| LinkOutbox::new(high_water));
+            let outbox = self.outbox(dest);
             for delta in deltas {
                 if outbox.push(delta) {
                     secureblox_telemetry::counter!("engine_stream_annihilated_total").add(2);
@@ -356,21 +345,39 @@ impl NodeCtx<'_> {
         Ok(())
     }
 
-    /// The one place a send is recorded: every outbound message of this node
-    /// — update envelopes, onion cells, relay forwards, credit grants, and
-    /// what [`Deployment::inject_message`](crate::runtime::Deployment::inject_message)
-    /// sends in its name — is charged to the node's ledger here, with its
-    /// modelled latency sample, and then handed to the [`NetSink`].
+    /// The one place a send is recorded and its delivery time decided, for
+    /// both executors: every outbound message of this node — update
+    /// envelopes, onion cells, relay forwards, credit grants, and what
+    /// [`Deployment::inject_message`](crate::runtime::Deployment::inject_message)
+    /// sends in its name — is charged to the node's ledger here, stamped with
+    /// its delivery time (a [`Link::Fifo`] message at or after its link's
+    /// floor, kept in the link's [`LinkOutbox`]), sampled for latency, and
+    /// handed to the [`NetSink`].
     pub(crate) fn send(&mut self, message: Message, now: VirtualTime, link: Link) {
         let kind = message.kind;
-        self.node
-            .ledger
-            .record_send(message.to, message.wire_size(), kind);
+        let wire_size = message.wire_size();
+        self.node.ledger.record_send(message.to, wire_size, kind);
+        let latency = &self.config.latency;
         let deliver_at = match link {
-            Link::Fifo => self.net.send_fifo(message, now),
-            Link::Unordered => self.net.send(message, now),
+            Link::Fifo => {
+                let outbox = self.outbox(message.to.index());
+                outbox.floor = latency.deliver_at(now, wire_size, outbox.floor);
+                outbox.floor
+            }
+            Link::Unordered => latency.deliver_at(now, wire_size, 0),
         };
         record_message_latency(kind, deliver_at - now);
+        self.net.enqueue(deliver_at, message);
+    }
+
+    /// This node's sender state for the link to `dest`, created on first
+    /// use with a full credit window.
+    fn outbox(&mut self, dest: usize) -> &mut LinkOutbox {
+        let high_water = self.config.streaming.queue_high_water;
+        self.node
+            .outboxes
+            .entry(dest)
+            .or_insert_with(|| LinkOutbox::new(high_water))
     }
 
     /// Put one delta on its channel: the addressee's envelope, or an onion
@@ -447,11 +454,8 @@ impl NodeCtx<'_> {
             }
             secureblox_telemetry::histogram!("engine_stream_batch_deltas")
                 .record(deltas.len() as u64);
-            let seq = {
-                let counter = self.node.stream_seq.entry(dest).or_insert(0);
-                *counter += 1;
-                *counter
-            };
+            outbox.seq += 1;
+            let seq = outbox.seq;
             self.ship_envelope(dest, UpdateEnvelope { seq, deltas }, now)?;
         }
     }
@@ -676,7 +680,9 @@ impl NodeCtx<'_> {
         // node is the sender, `message.from` the receiver that granted.
         let dest = message.from.index();
         let Some(outbox) = self.node.outboxes.get_mut(&dest) else {
-            // Credit for a stream that never sent anything (forged): ignore.
+            // Credit for a link this node never sent on (forged): ignore.  A
+            // link that carried only onion cells has an empty outbox with a
+            // full window: the grant is capped and ships nothing.
             return Ok(());
         };
         if let Some(stalled_for) = outbox.grant_credit(granted, arrival) {
@@ -694,7 +700,7 @@ impl NodeCtx<'_> {
         let mut update_span =
             secureblox_telemetry::span("engine", "update_apply").node(message.to.0 as u64);
         let from_principal = self.shared.principals[message.from.index()].clone();
-        let mut payload = message.payload.to_vec();
+        let mut payload = message.payload;
         if self.config.security.enc == EncScheme::Aes128 {
             let secret = self
                 .shared
@@ -1053,6 +1059,104 @@ fn decode_anon_cell(payload: &[u8]) -> Option<(u64, u32, Vec<u8>)> {
 mod tests {
     use super::*;
     use crate::apps::anonjoin::{build_deployment, AnonJoinConfig};
+    use secureblox_net::LatencyModel;
+
+    /// A sink that keeps what it is handed, in order.
+    impl NetSink for Vec<(VirtualTime, Message)> {
+        fn enqueue(&mut self, deliver_at: VirtualTime, message: Message) {
+            self.push((deliver_at, message));
+        }
+    }
+
+    /// `NodeCtx::send` decides every delivery time: a FIFO message waits for
+    /// its link's floor, which update envelopes and onion cells share; an
+    /// unordered one neither waits for the floor nor moves it; the latency
+    /// sample is the stamped time minus the send time.  The latency model
+    /// is slow enough (2^50 ns of propagation) that no other test's samples
+    /// reach the histogram buckets checked here.
+    #[test]
+    fn send_stamps_the_link_floor_and_the_sink_only_enqueues() {
+        let latency = LatencyModel {
+            propagation: Duration::from_nanos(1 << 50),
+            bandwidth_bytes_per_sec: 1_000_000,
+        };
+        let mut deployment = build_deployment(&AnonJoinConfig {
+            latency: latency.clone(),
+            ..AnonJoinConfig::default()
+        })
+        .unwrap();
+        let mut sink = Vec::new();
+        let mut ctx = NodeCtx {
+            index: 0,
+            node: &mut deployment.nodes[0],
+            shared: &deployment.shared,
+            config: &deployment.config,
+            net: &mut sink,
+        };
+        let message = |to, kind, len| Message::new(NodeId(0), NodeId(to), kind, vec![0u8; len]);
+        let now = 1_000;
+        let later = now + (1 << 52);
+        let sends = [
+            (message(1, MessageKind::Update, 10_000), now, Link::Fifo),
+            (message(1, MessageKind::Update, 10), now, Link::Fifo),
+            (message(1, MessageKind::AnonForward, 10), now, Link::Fifo),
+            (message(1, MessageKind::Credit, 8), now, Link::Unordered),
+            (message(1, MessageKind::Credit, 8), later, Link::Unordered),
+            (message(1, MessageKind::Update, 10), now, Link::Fifo),
+            (message(2, MessageKind::AnonForward, 10), now, Link::Fifo),
+        ];
+        let sent_at: Vec<VirtualTime> = sends.iter().map(|(_, at, _)| *at).collect();
+        for (message, at, link) in sends {
+            ctx.send(message, at, link);
+        }
+        // The link to node 2 carries only onion cells, so its outbox is
+        // empty with a full window: a forged credit on it is capped and
+        // ships nothing.
+        let credit = secureblox_net::message::encode_credit(u64::MAX);
+        let forged = Message::new(NodeId(2), NodeId(0), MessageKind::Credit, credit);
+        ctx.deliver(forged, now).unwrap();
+        let onion_only = &deployment.nodes[0].outboxes[&2];
+        assert_eq!(
+            onion_only.credit(),
+            deployment.config.streaming.queue_high_water
+        );
+        assert_eq!(sink.len(), sent_at.len());
+        let stamped: Vec<VirtualTime> = sink.iter().map(|(at, _)| *at).collect();
+        let unfloored = |i: usize| latency.deliver_at(sent_at[i], sink[i].1.wire_size(), 0);
+        // The large envelope sets the floor; the small one behind it would
+        // overtake without it, and waits.
+        assert_eq!(stamped[0], unfloored(0));
+        assert!(unfloored(1) < stamped[0]);
+        assert_eq!(stamped[1], stamped[0]);
+        // An onion cell on the same link waits for the same floor.
+        assert_eq!(stamped[2], stamped[0]);
+        // An unordered grant overtakes the stream, and a later one that
+        // lands past the floor does not raise it.
+        assert_eq!(stamped[3], unfloored(3));
+        assert!(stamped[3] < stamped[0]);
+        assert_eq!(stamped[4], unfloored(4));
+        assert!(stamped[4] > stamped[0]);
+        assert_eq!(stamped[5], stamped[0]);
+        // Another link has a floor of its own.
+        assert_eq!(stamped[6], unfloored(6));
+        // One latency sample per send, each `stamped - sent_at`.
+        for (kind, label) in [
+            (MessageKind::Update, "update"),
+            (MessageKind::AnonForward, "anon_forward"),
+            (MessageKind::Credit, "credit"),
+        ] {
+            let samples: Vec<u64> = (0..sink.len())
+                .filter(|&i| sink[i].1.kind == kind)
+                .map(|i| stamped[i] - sent_at[i])
+                .collect();
+            let name = format!("net_message_latency_ns{{kind=\"{label}\"}}");
+            let histogram = secureblox_telemetry::registry().histogram(&name);
+            let buckets = histogram.nonzero_buckets().into_iter();
+            let ours: u64 = buckets.filter(|b| b.0 > 50).map(|b| b.1).sum();
+            assert_eq!(ours, samples.len() as u64, "{label}");
+            assert_eq!(histogram.max(), *samples.iter().max().unwrap(), "{label}");
+        }
+    }
 
     #[test]
     fn anon_cell_roundtrip() {

@@ -40,7 +40,6 @@ use crate::runtime::engine::{
 };
 use crate::runtime::node::{NetSink, NodeCtx};
 use secureblox_datalog::error::{DatalogError, Result};
-use secureblox_datalog::FnvMap;
 use secureblox_net::{LinkLanes, Message, VirtualTime};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU8, AtomicUsize, Ordering};
@@ -101,16 +100,10 @@ const RUNNING: u8 = 2;
 const DIRTY: u8 = 3;
 
 /// Everything one node's service pass mutates: the node state itself — its
-/// ledger included, so what the node measures moves in and out of the reactor
-/// with it — plus the sender-side floors.
+/// ledger and link outboxes (FIFO floors included) — so what the node
+/// measures and owes moves in and out of the reactor with it.
 struct NodeCell {
     node: NodeState,
-    /// Sender-side per-destination FIFO floors (the reactor's replacement
-    /// for `SimNetwork`'s internal `link_floor` map).  Sender-owned: only
-    /// this node sends on its outgoing links, so no cross-task floor exists.
-    /// Dropped at teardown — at quiescence no stream has in-flight messages,
-    /// so the floors carry no obligation forward.
-    floors: FnvMap<usize, VirtualTime>,
     /// The virtual-time-zero bootstrap batch has been processed.
     bootstrapped: bool,
 }
@@ -149,39 +142,20 @@ struct Reactor<'d> {
     config: &'d DeploymentConfig,
 }
 
-/// The per-task [`NetSink`]: computes delivery times from the shared latency
-/// model, enqueues into the concurrent mailboxes, and wakes the receiver.
+/// The per-task [`NetSink`]: enqueues a stamped message into the concurrent
+/// mailboxes and wakes the receiver.
 struct ReactorSink<'r, 'd> {
     reactor: &'r Reactor<'d>,
-    floors: &'r mut FnvMap<usize, VirtualTime>,
 }
 
-impl ReactorSink<'_, '_> {
-    fn dispatch(&mut self, message: Message, now: VirtualTime, floor: VirtualTime) -> VirtualTime {
-        let latency = &self.reactor.config.latency;
-        let delay = latency.delay(message.wire_size()).as_nanos() as u64;
-        let deliver_at = (now + delay).max(floor);
+impl NetSink for ReactorSink<'_, '_> {
+    fn enqueue(&mut self, deliver_at: VirtualTime, message: Message) {
         let to = message.to.index();
         // Count the message before it becomes visible: a receiver must never
         // drain work the quiescence counter has not yet accounted for.
         self.reactor.outstanding.fetch_add(1, Ordering::SeqCst);
         self.reactor.lanes.push(deliver_at, message);
         self.reactor.wake(to);
-        deliver_at
-    }
-}
-
-impl NetSink for ReactorSink<'_, '_> {
-    fn send(&mut self, message: Message, now: VirtualTime) -> VirtualTime {
-        self.dispatch(message, now, 0)
-    }
-
-    fn send_fifo(&mut self, message: Message, now: VirtualTime) -> VirtualTime {
-        let dest = message.to.index();
-        let floor = self.floors.get(&dest).copied().unwrap_or(0);
-        let delivered = self.dispatch(message, now, floor);
-        self.floors.insert(dest, delivered);
-        delivered
     }
 }
 
@@ -266,10 +240,7 @@ impl<'d> Reactor<'d> {
         cell: &mut NodeCell,
         body: impl FnOnce(&mut NodeCtx<'_>) -> R,
     ) -> R {
-        let mut sink = ReactorSink {
-            reactor: self,
-            floors: &mut cell.floors,
-        };
+        let mut sink = ReactorSink { reactor: self };
         let mut ctx = NodeCtx {
             index,
             node: &mut cell.node,
@@ -436,7 +407,6 @@ impl Deployment {
             .map(|node| NodeSlot {
                 cell: Mutex::new(NodeCell {
                     node,
-                    floors: FnvMap::default(),
                     bootstrapped: false,
                 }),
                 sched: AtomicU8::new(QUEUED),

@@ -85,8 +85,10 @@ impl StreamingConfig {
 /// queue compacts lazily as batches are taken from the front.
 type Slot = Option<UpdateDelta>;
 
-/// The per-link sender-side outbox: an ordered delta queue with
-/// assert-then-retract annihilation and a credit window.
+/// The per-link sender-side state: an ordered delta queue with
+/// assert-then-retract annihilation, a credit window, the envelope sequence
+/// counter, and the link's FIFO floor.  Sender-owned, so reactor tasks never
+/// share it.
 #[derive(Debug)]
 pub struct LinkOutbox {
     /// Queued deltas, front first.  `base` is the absolute index of the
@@ -107,6 +109,11 @@ pub struct LinkOutbox {
     /// Virtual time at which this outbox ran out of credit with deltas still
     /// queued, for the stall histogram.  Cleared when credit returns.
     stalled_since: Option<VirtualTime>,
+    /// Sequence number of the last envelope shipped on this link.
+    pub(crate) seq: u64,
+    /// Delivery time of the last FIFO message sent on this link — update
+    /// envelopes and onion cells alike.  The next one never arrives earlier.
+    pub(crate) floor: VirtualTime,
 }
 
 impl LinkOutbox {
@@ -120,6 +127,8 @@ impl LinkOutbox {
             credit: high_water.max(1),
             high_water: high_water.max(1),
             stalled_since: None,
+            seq: 0,
+            floor: 0,
         }
     }
 

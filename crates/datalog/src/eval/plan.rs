@@ -392,14 +392,11 @@ impl PlanCache {
         if let Some(plan) = self.plans.get(&key) {
             if !cardinalities_drifted(&plan.cardinalities, relations) {
                 PlanStats::bump(&stats.plan_cache_hits);
-                secureblox_telemetry::counter!("datalog_plan_cache_hits_total").inc();
                 return Arc::clone(plan);
             }
             PlanStats::bump(&stats.plan_recompiles);
-            secureblox_telemetry::counter!("datalog_plan_recompiles_total").inc();
         } else {
             PlanStats::bump(&stats.plans_compiled);
-            secureblox_telemetry::counter!("datalog_plans_compiled_total").inc();
         }
         let timer = secureblox_telemetry::histogram!("datalog_plan_compile_ns").start_timer();
         let plan = Arc::new(compile_body_plan(

@@ -1,14 +1,14 @@
 //! Network messages.
 
 use crate::node::NodeId;
-use bytes::Bytes;
 
 /// A message exchanged between simulated nodes.
 ///
 /// The payload is opaque at this layer: the SecureBlox runtime serializes
 /// (and optionally signs and encrypts) batches of tuples into it.  `kind`
 /// distinguishes the logical channel (`says`, `anon_export`, …) purely for
-/// statistics and debugging.
+/// statistics and debugging.  A message is moved from sender to receiver,
+/// never copied: the payload is the one buffer the sender encoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// The sender, as the message claims it.  Nothing at this layer proves
@@ -16,7 +16,7 @@ pub struct Message {
     pub from: NodeId,
     pub to: NodeId,
     pub kind: MessageKind,
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
 }
 
 /// Logical channel of a message.
@@ -54,7 +54,7 @@ pub const HEADER_OVERHEAD_BYTES: usize = 48;
 
 impl Message {
     /// Create a message.
-    pub fn new(from: NodeId, to: NodeId, kind: MessageKind, payload: impl Into<Bytes>) -> Self {
+    pub fn new(from: NodeId, to: NodeId, kind: MessageKind, payload: impl Into<Vec<u8>>) -> Self {
         Message {
             from,
             to,

@@ -36,6 +36,20 @@ impl LatencyModel {
             (wire_size as u128 * 1_000_000_000u128) / self.bandwidth_bytes_per_sec.max(1) as u128;
         self.propagation + Duration::from_nanos(transmission_ns as u64)
     }
+
+    /// When a message of `wire_size` bytes sent at `now` is delivered: after
+    /// its [`delay`](LatencyModel::delay), and never before `floor` — the
+    /// delivery time of the previous message on a FIFO link, or 0 for a
+    /// message that may overtake.  The one place a delay is added to a send
+    /// time.
+    pub fn deliver_at(
+        &self,
+        now: VirtualTime,
+        wire_size: usize,
+        floor: VirtualTime,
+    ) -> VirtualTime {
+        (now + self.delay(wire_size).as_nanos() as u64).max(floor)
+    }
 }
 
 /// An in-flight message scheduled for delivery at a virtual time.
@@ -58,18 +72,17 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// The simulated network: a latency model, per-link FIFO floors and a
-/// delivery queue ordered by virtual time.  It keeps no traffic table — a
-/// node records what it sends and receives in its own
+/// The simulated network: a delivery queue ordered by virtual time, ties
+/// broken by push order.  The sender stamps each message's delivery time
+/// (`NodeCtx::send` in the runtime); the network only queues.  It keeps no
+/// traffic table — a node records what it sends and receives in its own
 /// [`NodeLedger`](crate::stats::NodeLedger).
 #[derive(Debug)]
 pub struct SimNetwork {
-    latency: LatencyModel,
     queue: BinaryHeap<Reverse<Scheduled>>,
     sequence: u64,
-    /// Per-link delivery-time floors for [`SimNetwork::send_fifo`]: a stream
-    /// message never arrives before its predecessor on the same (from, to)
-    /// link, modelling a TCP-like ordered channel.
+    /// Latency model and per-link floors of [`SimNetwork::send_fifo`] only.
+    latency: LatencyModel,
     link_floor: HashMap<(usize, usize), VirtualTime>,
 }
 
@@ -103,13 +116,13 @@ pub fn record_message_latency(kind: MessageKind, latency_ns: VirtualTime) {
 /// directed link, plus one per receiver for messages whose `from` names no
 /// node (a sender's identity is its own claim) — so sender tasks can enqueue
 /// and receiver tasks can drain concurrently while each link stays FIFO in
-/// *push* order.  Push order
-/// is the sender's causal send order, which is exactly the guarantee
-/// [`SimNetwork::send_fifo`] provides in the reference executor; the global
+/// *push* order.  The sender stamped each message's delivery time, FIFO
+/// floor included, before the push, so both executors see the same
+/// per-link delivery times; the global
 /// cross-link virtual-time interleaving is deliberately *not* reproduced
 /// (outcome equivalence, not schedule equivalence — see DESIGN.md §13).
 ///
-/// Each entry carries the virtual delivery time computed at send, so
+/// Each entry carries the virtual delivery time stamped at send, so
 /// receivers can still advance their per-node virtual clocks and the
 /// `DeploymentReport` latency figures keep their meaning.
 #[derive(Debug)]
@@ -158,37 +171,21 @@ impl LinkLanes {
 }
 
 impl SimNetwork {
-    /// Create a network with the given latency model.  Nothing here is sized
-    /// by the node count; the parameter stays for the callers that pass it.
+    /// Create a network whose [`SimNetwork::send_fifo`] uses `latency`.
+    /// Nothing here is sized by the node count; the parameter stays for the
+    /// callers that pass it.
     pub fn new(_nodes: usize, latency: LatencyModel) -> Self {
         SimNetwork {
-            latency,
             queue: BinaryHeap::new(),
             sequence: 0,
+            latency,
             link_floor: HashMap::new(),
         }
     }
 
-    /// Send a message at virtual time `now`; it will be delivered after the
-    /// modelled latency.
-    pub fn send(&mut self, message: Message, now: VirtualTime) -> VirtualTime {
-        self.send_ordered(message, now, 0)
-    }
-
-    /// Send a message whose delivery must not precede `floor` — the FIFO
-    /// guarantee of a stream-shaped channel.  The update-stream runtime keeps
-    /// a per-link floor at the previous message's delivery time so an ordered
-    /// delta stream can never be reordered by a smaller message overtaking a
-    /// larger one (deliveries at equal times stay FIFO by send sequence).
-    /// Returns the scheduled delivery time, which is the caller's next floor.
-    pub fn send_ordered(
-        &mut self,
-        message: Message,
-        now: VirtualTime,
-        floor: VirtualTime,
-    ) -> VirtualTime {
-        let delay = self.latency.delay(message.wire_size()).as_nanos() as u64;
-        let deliver_at = (now + delay).max(floor);
+    /// Queue a message for delivery at `deliver_at`, a time its sender
+    /// stamped.  Deliveries at equal times come out in push order.
+    pub fn push(&mut self, deliver_at: VirtualTime, message: Message) {
         self.sequence += 1;
         self.queue.push(Reverse(Scheduled {
             deliver_at,
@@ -196,19 +193,20 @@ impl SimNetwork {
             message,
         }));
         secureblox_telemetry::gauge!("net_in_flight").set(self.queue.len() as i64);
-        deliver_at
     }
 
-    /// Send a message on its link's FIFO stream: delivery never precedes the
-    /// previous `send_fifo` message on the same (from, to) link.  The network
-    /// keeps the per-link floors internally, so every caller shares one
-    /// stream order per link.  Returns the scheduled delivery time.
+    /// Stamp and queue a message on its link's FIFO stream, the floor kept
+    /// here: delivery never precedes the previous `send_fifo` message on the
+    /// same (from, to) link.  Returns the delivery time.  The entry point of
+    /// the benchmark's bare-simulator probe; the runtime stamps its own
+    /// messages (`NodeCtx::send`) and calls [`SimNetwork::push`].
     pub fn send_fifo(&mut self, message: Message, now: VirtualTime) -> VirtualTime {
         let link = (message.from.index(), message.to.index());
         let floor = self.link_floor.get(&link).copied().unwrap_or(0);
-        let delivered = self.send_ordered(message, now, floor);
-        self.link_floor.insert(link, delivered);
-        delivered
+        let deliver_at = self.latency.deliver_at(now, message.wire_size(), floor);
+        self.link_floor.insert(link, deliver_at);
+        self.push(deliver_at, message);
+        deliver_at
     }
 
     /// Pop the next message in virtual-time order.
@@ -254,8 +252,9 @@ mod tests {
             vec![0u8; 10_000_000],
         );
         let b = Message::new(NodeId(1), NodeId(2), MessageKind::Update, vec![0u8; 10]);
-        network.send(a.clone(), 0);
-        network.send(b.clone(), 0);
+        let model = LatencyModel::default();
+        network.push(model.deliver_at(0, a.wire_size(), 0), a.clone());
+        network.push(model.deliver_at(0, b.wire_size(), 0), b.clone());
         // The small message overtakes the large one despite being sent second.
         let (t1, first) = network.next_delivery().unwrap();
         let (t2, second) = network.next_delivery().unwrap();
@@ -269,9 +268,9 @@ mod tests {
     fn fifo_for_equal_times() {
         let mut network = SimNetwork::new(2, LatencyModel::default());
         for i in 0..5u8 {
-            network.send(
+            network.push(
+                7,
                 Message::new(NodeId(0), NodeId(1), MessageKind::Update, vec![i]),
-                0,
             );
         }
         let mut order = Vec::new();
@@ -283,9 +282,10 @@ mod tests {
 
     #[test]
     fn ordered_send_respects_the_floor() {
-        let mut network = SimNetwork::new(2, LatencyModel::default());
-        // A huge message followed by a tiny one on the same link: with plain
-        // send the tiny one would overtake; the floor keeps the stream FIFO.
+        let model = LatencyModel::default();
+        let mut network = SimNetwork::new(2, model.clone());
+        // A huge message followed by a tiny one on the same link: with no
+        // floor the tiny one would overtake; the floor keeps the stream FIFO.
         let big = Message::new(
             NodeId(0),
             NodeId(1),
@@ -293,9 +293,12 @@ mod tests {
             vec![0u8; 10_000_000],
         );
         let small = Message::new(NodeId(0), NodeId(1), MessageKind::Update, vec![1u8]);
-        let first_at = network.send_ordered(big.clone(), 0, 0);
-        let second_at = network.send_ordered(small.clone(), 0, first_at);
-        assert!(second_at >= first_at);
+        let first_at = model.deliver_at(0, big.wire_size(), 0);
+        assert!(model.deliver_at(0, small.wire_size(), 0) < first_at);
+        let second_at = model.deliver_at(0, small.wire_size(), first_at);
+        assert_eq!(second_at, first_at, "the floor is not added to the delay");
+        network.push(first_at, big.clone());
+        network.push(second_at, small.clone());
         let (_, first) = network.next_delivery().unwrap();
         let (_, second) = network.next_delivery().unwrap();
         assert_eq!(first, big, "stream order preserved");

@@ -64,17 +64,20 @@ proptest! {
         prop_assert!(model.delay(small) >= Duration::from_micros(prop_us));
     }
 
-    /// Every message sent is delivered exactly once, deliveries come out in
-    /// non-decreasing virtual-time order, and no delivery happens before its
-    /// send time plus the propagation floor.
+    /// Every message pushed is delivered exactly once, deliveries come out
+    /// in non-decreasing virtual-time order, and an unfloored delivery time
+    /// is the send time plus the delay, never under the propagation floor.
     #[test]
     fn every_send_is_delivered_once_in_time_order(sends in arb_sends(8, 64)) {
-        let mut network = SimNetwork::new(8, LatencyModel::default());
+        let model = LatencyModel::default();
+        let mut network = SimNetwork::new(8, model.clone());
         let mut expected_payload_bytes: usize = 0;
         for &(from, to, len, kind, at) in &sends {
             let msg = Message::new(NodeId(from), NodeId(to), KINDS[kind], vec![0xAB; len]);
-            let deliver_at = network.send(msg, at);
-            prop_assert!(deliver_at >= at + LatencyModel::default().propagation.as_nanos() as u64);
+            let deliver_at = model.deliver_at(at, msg.wire_size(), 0);
+            prop_assert_eq!(deliver_at, at + model.delay(msg.wire_size()).as_nanos() as u64);
+            prop_assert!(deliver_at >= at + model.propagation.as_nanos() as u64);
+            network.push(deliver_at, msg);
             expected_payload_bytes += len;
         }
         prop_assert_eq!(network.in_flight(), sends.len());
