@@ -43,7 +43,7 @@ use super::runtime_pred_name;
 use crate::ast::{Literal, Rule, Term};
 use crate::error::Result;
 use crate::intern::{fnv_ids, FnvMap, Interner, PassMap};
-use crate::relation::{Relations, TupleId};
+use crate::relation::{Bucket, Relations, TupleId};
 use crate::schema::BUILTIN_TYPES;
 use crate::udf::UdfRegistry;
 use std::sync::Arc;
@@ -825,7 +825,7 @@ fn extend_frame(
             }
             PlanStats::bump(&stats.index_probes);
             let candidates: &[u32] = match index {
-                Some(map) => map.get(&hash).map(Vec::as_slice).unwrap_or(&[]),
+                Some(map) => map.get(&hash).map_or(&[], Bucket::as_slice),
                 None => fallback,
             };
             PlanStats::add(&stats.rows_examined, candidates.len());

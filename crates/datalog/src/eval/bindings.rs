@@ -2,7 +2,7 @@
 
 use crate::ast::{ArithOp, Term};
 use crate::error::{DatalogError, Result};
-use crate::relation::Relations;
+use crate::relation::{Relation, Relations, TupleId};
 use crate::value::Value;
 
 /// A substitution from variable names to values, kept as a stack.
@@ -154,10 +154,7 @@ pub fn eval_term(term: &Term, bindings: &Bindings, relations: &Relations) -> Res
         Term::Var(v) => Ok(bindings.get(v).cloned()),
         Term::Wildcard => Ok(None),
         Term::Const(v) => Ok(Some(v.clone())),
-        Term::SingletonRef(pred) => Ok(relations
-            .get(pred)
-            .and_then(|r| r.singleton_value())
-            .cloned()),
+        Term::SingletonRef(pred) => Ok(relations.get(pred).and_then(|r| r.singleton_value())),
         Term::VarSeq(v) => Err(DatalogError::Eval(format!(
             "variable sequence {v}* reached the evaluator; sequences are expanded by the \
              BloxGenerics compiler"
@@ -230,6 +227,60 @@ pub fn match_tuple(
             },
             other => eval_term(other, bindings, relations)
                 .map(|evaluated| evaluated.as_ref() == Some(value)),
+        };
+        if !matches!(ok, Ok(true)) {
+            bindings.restore(mark);
+            return ok;
+        }
+    }
+    Ok(true)
+}
+
+/// [`match_tuple`] against the stored tuple `id` of `relation`, read in
+/// place: constants and bound variables compare against the dictionary's
+/// values under one read guard, and a fresh variable binds a clone of its
+/// value (a reference-count bump).  Nothing is rehydrated, so no candidate
+/// allocates.
+pub fn match_stored(
+    terms: &[Term],
+    relation: &Relation,
+    id: TupleId,
+    bindings: &mut Bindings,
+    relations: &Relations,
+) -> Result<bool> {
+    let row = relation.row(id);
+    if terms.len() != row.arity() {
+        return Ok(false);
+    }
+    let interner = relation.interner();
+    let mark = bindings.mark();
+    let mut values = None;
+    for (col, term) in terms.iter().enumerate() {
+        let ok = match term {
+            Term::Wildcard => Ok(true),
+            Term::Var(v) => {
+                let value = values
+                    .get_or_insert_with(|| interner.values())
+                    .get(row.id(col));
+                match bindings.get(v) {
+                    Some(bound) => Ok(bound == value),
+                    None => {
+                        bindings.push(v, value.clone());
+                        Ok(true)
+                    }
+                }
+            }
+            Term::Const(constant) => Ok(constant
+                == values
+                    .get_or_insert_with(|| interner.values())
+                    .get(row.id(col))),
+            other => {
+                // An expression can read a singleton, which takes the
+                // dictionary's lock: give the guard up first.
+                values = None;
+                eval_term(other, bindings, relations)
+                    .map(|evaluated| evaluated.as_ref() == Some(interner.values().get(row.id(col))))
+            }
         };
         if !matches!(ok, Ok(true)) {
             bindings.restore(mark);

@@ -89,8 +89,6 @@ struct Search<'p> {
     /// Predicates no rule mentions that the batch named, numbered after the
     /// rules' own.
     unmentioned: Vec<String>,
-    /// Per numbered predicate, its asserted facts.
-    asserted: Vec<Option<&'p FnvSet<Tuple>>>,
     facts: Vec<Fact>,
     at: FnvMap<u64, u32>,
     /// Per waiting instance: its head and how many body facts are unproved.
@@ -206,14 +204,10 @@ impl FirstProbe {
 }
 
 impl<'p> Search<'p> {
-    fn new(deletion: &'p Deletion, edb_facts: &'p FactDelta) -> Self {
-        let asserted = (0..deletion.len() as u32)
-            .map(|pred| edb_facts.get(deletion.name(pred)))
-            .collect();
+    fn new(deletion: &'p Deletion) -> Self {
         Search {
             deletion,
             unmentioned: Vec::new(),
-            asserted,
             facts: Vec::new(),
             at: FnvMap::default(),
             waiting: Vec::new(),
@@ -276,16 +270,9 @@ impl<'p> Search<'p> {
         if let Some(&fact) = self.at.get(&key) {
             return (fact, false);
         }
-        let asserted = self
-            .asserted
-            .get(pred as usize)
-            .copied()
-            .flatten()
-            .is_some_and(|set| {
-                relations
-                    .get(self.name(pred))
-                    .is_some_and(|relation| set.contains(relation.tuple_by_id(id)))
-            });
+        let asserted = relations
+            .get(self.name(pred))
+            .is_some_and(|relation| relation.is_asserted(id));
         let fact = self.facts.len() as u32;
         self.facts.push(Fact {
             pred,
@@ -323,7 +310,7 @@ impl<'p> Search<'p> {
     }
 
     /// Record every instance of prover `prover` (run as `proof`) whose head
-    /// is `fact`, stored as `tuple` with id row `self.row`: the batch
+    /// is `fact`, stored as `stored` with id row `self.row`: the batch
     /// executor runs the body from the fact's ids where the rule allows it,
     /// the tuple path from its values otherwise, and either hands back the
     /// stored facts each instance used.
@@ -331,7 +318,7 @@ impl<'p> Search<'p> {
         &mut self,
         program: &RuleSet,
         (prover, proof): (u32, &mut Prover),
-        (fact, tuple): (u32, &Tuple),
+        (fact, stored): (u32, Stored<'_>),
         join: JoinContext<'_>,
         stats: &PlanStats,
         open: &mut Vec<u32>,
@@ -355,7 +342,7 @@ impl<'p> Search<'p> {
                     ends.push(used.len());
                 }
                 #[cfg(debug_assertions)]
-                self.debug_verify_proof(rule, head, proof, tuple, join)?;
+                self.debug_verify_proof(rule, head, proof, stored, join)?;
             }
             None => {
                 PlanStats::bump(&stats.proof_joins_tuple);
@@ -363,7 +350,7 @@ impl<'p> Search<'p> {
                     let pred = deletion.body_pred(rule_index, literal);
                     pred.expect("a stored literal is a positive atom")
                 };
-                self.tuple_instances(rule, head, proof.plan.as_deref(), tuple, join, |trail| {
+                self.tuple_instances(rule, head, proof.plan.as_deref(), stored, join, |trail| {
                     used.extend(trail.iter().map(|&(literal, id)| (body_pred(literal), id)));
                     ends.push(used.len());
                 })?;
@@ -378,16 +365,16 @@ impl<'p> Search<'p> {
         Ok(())
     }
 
-    /// The instances of head atom `head` of `rule` whose head is `tuple`,
-    /// tuple at a time: the body runs from the head's values on `join`, and
-    /// `each` gets the trail of every solution — `(body literal, TupleId)`
-    /// per stored literal, in plan order.
+    /// The instances of head atom `head` of `rule` whose head is the stored
+    /// fact `stored`, tuple at a time: the body runs from the head's values
+    /// on `join`, and `each` gets the trail of every solution — `(body
+    /// literal, TupleId)` per stored literal, in plan order.
     fn tuple_instances(
         &mut self,
         rule: &Rule,
         head: usize,
         plan: Option<&RulePlan>,
-        tuple: &Tuple,
+        stored: Stored<'_>,
         join: JoinContext<'_>,
         mut each: impl FnMut(&[(usize, TupleId)]),
     ) -> Result<()> {
@@ -395,12 +382,12 @@ impl<'p> Search<'p> {
         let relations = join.relations;
         let bindings = &mut self.bindings;
         bindings.restore(0);
-        let Some(check_after) = bind_head(atom, tuple, bindings) else {
+        let Some(check_after) = bind_head(atom, stored, bindings) else {
             return Ok(());
         };
         let trail = &self.trail;
         let mut collect = |solution: &Bindings| {
-            if !check_after || head_matches(atom, solution, tuple, relations)? {
+            if !check_after || head_matches(atom, solution, stored, relations)? {
                 each(&trail.borrow());
             }
             Ok(())
@@ -420,7 +407,7 @@ impl<'p> Search<'p> {
         rule: &Rule,
         head: usize,
         proof: &mut Prover,
-        tuple: &Tuple,
+        stored: Stored<'_>,
         join: JoinContext<'_>,
     ) -> Result<()> {
         let Some((job, _)) = &mut proof.job else {
@@ -441,7 +428,7 @@ impl<'p> Search<'p> {
             .collect();
         let mut tuple_path = Vec::new();
         let join = JoinContext::with_stats(join.relations, join.udfs, &scratch);
-        self.tuple_instances(rule, head, proof.plan.as_deref(), tuple, join, |trail| {
+        self.tuple_instances(rule, head, proof.plan.as_deref(), stored, join, |trail| {
             tuple_path.push(trail.to_vec())
         })?;
         batch.sort_unstable();
@@ -499,17 +486,15 @@ impl<'a> Evaluator<'a> {
     /// docs).  Fills the deletion counters of the returned [`Commit`]; its
     /// deltas are the caller's to read off the journal.
     ///
-    /// `edb_facts` is the set of explicitly asserted facts per predicate,
-    /// the named facts already taken out: an asserted fact is proved, so it
-    /// is never deleted.
+    /// The caller has cleared the named facts' asserted bits; a fact still
+    /// asserted is proved, so it is never deleted.
     pub fn delete(
         &mut self,
         program: &RuleSet,
         base_deletions: &[(String, Tuple)],
-        edb_facts: &FactDelta,
     ) -> Result<Commit> {
         let mut stats = Commit::default();
-        let mut search = Search::new(program.deletion(), edb_facts);
+        let mut search = Search::new(program.deletion());
         let mut candidates: Vec<u32> = Vec::new();
         for (pred, tuple) in base_deletions {
             let Some(id) = self.relations.get(pred).and_then(|r| r.find(tuple)) else {
@@ -544,10 +529,8 @@ impl<'a> Evaluator<'a> {
                 let relation = &self.relations[name];
                 let tuples = run
                     .iter()
-                    .map(|&fact| relation.tuple_by_id(search.facts[fact as usize].id));
-                gone.entry(name.to_string())
-                    .or_default()
-                    .extend(tuples.cloned());
+                    .map(|&fact| relation.tuple(search.facts[fact as usize].id));
+                gone.entry(name.to_string()).or_default().extend(tuples);
             }
             candidates = self.consequences(program, &mut search, &gone)?;
             stats.over_deleted += frontier
@@ -646,7 +629,6 @@ impl<'a> Evaluator<'a> {
         }
         let relations = &*self.relations;
         let relation = &relations[search.name(pred)];
-        let tuple = relation.tuple_by_id(id);
         relation.row_ids(id, &mut search.row);
         let mut open = Vec::new();
         for &prover in provers {
@@ -667,7 +649,7 @@ impl<'a> Evaluator<'a> {
                 search.instances(
                     program,
                     (prover, &mut proof),
-                    (fact, tuple),
+                    (fact, (relation, id)),
                     join,
                     self.plan_stats,
                     &mut open,
@@ -768,7 +750,7 @@ impl<'a> Evaluator<'a> {
                 let pred = runtime_pred_name(&atom.pred)?;
                 if let Some(relation) = relations.get(&*pred) {
                     let pred = search.pred_id(&pred);
-                    for (id, _) in relation.iter_ids() {
+                    for id in relation.ids() {
                         candidate(pred, id, search);
                     }
                 }
@@ -788,7 +770,6 @@ impl<'a> Evaluator<'a> {
         &mut self,
         program: &RuleSet,
         base_deletions: &[(String, Tuple)],
-        edb_facts: &FactDelta,
     ) -> Result<Commit> {
         let rules = program.rules();
         let mut stats = Commit::default();
@@ -813,8 +794,9 @@ impl<'a> Evaluator<'a> {
         let mut frontier = deleted.clone();
         while frontier.values().any(|set| !set.is_empty()) {
             let mut next = FactDelta::default();
-            let mut over_delete = |pred: &str, tuple: &Tuple| {
-                if edb_facts.get(pred).is_some_and(|set| set.contains(tuple))
+            // Every tuple offered is stored; `asserted` is its bit.
+            let mut over_delete = |pred: &str, tuple: &Tuple, asserted: bool| {
+                if asserted
                     || !deleted
                         .entry(pred.to_string())
                         .or_default()
@@ -834,8 +816,11 @@ impl<'a> Evaluator<'a> {
                 match derivation {
                     Derivation::Values(derived) => {
                         for (pred, tuple) in &derived {
-                            if relations.get(pred).is_some_and(|r| r.contains(tuple)) {
-                                over_delete(pred.as_str(), tuple);
+                            let Some(relation) = relations.get(pred) else {
+                                continue;
+                            };
+                            if let Some(id) = relation.find(tuple) {
+                                over_delete(pred.as_str(), tuple, relation.is_asserted(id));
                             }
                         }
                     }
@@ -846,7 +831,8 @@ impl<'a> Evaluator<'a> {
                             };
                             for row in batch.iter() {
                                 if let Some(id) = relation.find_row(row) {
-                                    over_delete(pred.as_str(), relation.tuple_by_id(id));
+                                    let tuple = relation.tuple(id);
+                                    over_delete(pred.as_str(), &tuple, relation.is_asserted(id));
                                 }
                             }
                         }
@@ -860,8 +846,8 @@ impl<'a> Evaluator<'a> {
                 for atom in &rules[rule_index].head {
                     let pred = runtime_pred_name(&atom.pred)?;
                     if let Some(relation) = self.relations.get(&*pred) {
-                        for tuple in relation.iter() {
-                            over_delete(&pred, tuple);
+                        for id in relation.ids() {
+                            over_delete(&pred, &relation.tuple(id), relation.is_asserted(id));
                         }
                     }
                 }
@@ -894,16 +880,22 @@ fn head_vars(atom: &Atom) -> FnvSet<String> {
         .collect()
 }
 
-/// Bind `atom`'s variables to `tuple`'s values.  `None` when no instance can
-/// have this head (arity, a constant or a repeated variable disagrees);
-/// otherwise whether some term is an expression, so each solution's head
-/// must be checked against `tuple`.
-fn bind_head(atom: &Atom, tuple: &Tuple, bindings: &mut Bindings) -> Option<bool> {
-    if atom.terms.len() != tuple.len() {
+/// A stored fact read in place: its relation and row.
+type Stored<'r> = (&'r Relation, TupleId);
+
+/// Bind `atom`'s variables to the values of the stored fact.  `None` when no
+/// instance can have this head (arity, a constant or a repeated variable
+/// disagrees); otherwise whether some term is an expression, so each
+/// solution's head must be checked against the fact.
+fn bind_head(atom: &Atom, (relation, id): Stored<'_>, bindings: &mut Bindings) -> Option<bool> {
+    let row = relation.row(id);
+    if atom.terms.len() != row.arity() {
         return None;
     }
+    let values = relation.interner().values();
     let mut check_after = false;
-    for (term, value) in atom.terms.iter().zip(tuple) {
+    for (col, term) in atom.terms.iter().enumerate() {
+        let value = values.get(row.id(col));
         match term {
             Term::Var(var) => {
                 if !bindings.bind(var, value.clone()) {
@@ -921,15 +913,19 @@ fn bind_head(atom: &Atom, tuple: &Tuple, bindings: &mut Bindings) -> Option<bool
     Some(check_after)
 }
 
-/// Does `atom` under `solution` project to `tuple`?
+/// Does `atom` under `solution` project to the stored fact?
 fn head_matches(
     atom: &Atom,
     solution: &Bindings,
-    tuple: &Tuple,
+    (relation, id): Stored<'_>,
     relations: &Relations,
 ) -> Result<bool> {
-    for (term, value) in atom.terms.iter().zip(tuple) {
-        if eval_term(term, solution, relations)?.as_ref() != Some(value) {
+    let row = relation.row(id);
+    for (col, term) in atom.terms.iter().enumerate() {
+        // The term is evaluated before the dictionary is read: it can read
+        // a singleton, which takes the dictionary's lock itself.
+        let value = eval_term(term, solution, relations)?;
+        if value.as_ref() != Some(relation.interner().values().get(row.id(col))) {
             return Ok(false);
         }
     }
@@ -957,7 +953,6 @@ mod tests {
         udfs: UdfRegistry,
         relations: Relations,
         interner: Arc<Interner>,
-        edb: FactDelta,
         entity_counter: u64,
         memo: ExistentialMemo,
         plan_cache: PlanCache,
@@ -974,16 +969,12 @@ mod tests {
             let strata = stratify(&rules, &udfs).unwrap();
             let interner = Arc::new(Interner::new());
             let mut relations = Relations::default();
-            let mut edb = FactDelta::default();
             for (pred, tuple) in facts {
-                relations
+                let relation = relations
                     .entry(pred.to_string())
-                    .or_insert_with(|| Relation::with_interner(*pred, None, Arc::clone(&interner)))
-                    .insert(tuple.clone())
-                    .unwrap();
-                edb.entry(pred.to_string())
-                    .or_default()
-                    .insert(tuple.clone());
+                    .or_insert_with(|| Relation::with_interner(*pred, None, Arc::clone(&interner)));
+                let (id, _) = relation.insert_new(tuple).unwrap();
+                relation.set_asserted(id, true);
             }
             let mut fixture = Fixture {
                 program: RuleSet::new(rules, strata),
@@ -991,7 +982,6 @@ mod tests {
                 udfs,
                 relations,
                 interner,
-                edb,
                 entity_counter: 0,
                 memo: ExistentialMemo::default(),
                 plan_cache: PlanCache::new(),
@@ -1035,10 +1025,14 @@ mod tests {
                 interner: &self.interner,
                 journal: &mut journal,
             };
-            // Keep the EDB bookkeeping in sync.
-            self.edb.get_mut(pred).map(|set| set.remove(&tuple));
+            // The named fact is no longer asserted.
+            if let Some(relation) = evaluator.relations.get_mut(pred) {
+                if let Some(id) = relation.find(&tuple) {
+                    relation.set_asserted(id, false);
+                }
+            }
             let mut commit = evaluator
-                .delete(&self.program, &[(pred.to_string(), tuple)], &self.edb)
+                .delete(&self.program, &[(pred.to_string(), tuple)])
                 .unwrap();
             (commit.added, commit.removed) = journal.net_delta(&self.relations);
             commit

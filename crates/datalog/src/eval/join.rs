@@ -25,7 +25,7 @@
 //!   positions), probing an index when one exists for the pattern,
 //! * comparisons, where `Var = ground-term` doubles as an assignment.
 
-use super::bindings::{eval_term, match_tuple, Bindings};
+use super::bindings::{eval_term, match_stored, match_tuple, Bindings};
 use super::plan::{is_membership, PlanStats, PlanStep, RulePlan};
 use super::runtime_pred_name;
 use crate::ast::{Atom, CmpOp, Literal, Term};
@@ -280,8 +280,7 @@ impl<'a> JoinContext<'a> {
                 if all_ground {
                     if let Some(id) = relation.functional_find(&key) {
                         self.bump(|s| &s.functional_hits);
-                        let tuple = relation.tuple_by_id(id);
-                        if match_tuple(&atom.terms, tuple, bindings, self.relations)? {
+                        if match_stored(&atom.terms, relation, id, bindings, self.relations)? {
                             let result = self
                                 .descend(literals, steps, position, id, delta, bindings, callback);
                             bindings.restore(mark);
@@ -312,8 +311,7 @@ impl<'a> JoinContext<'a> {
                     self.bump(|s| &s.index_probes);
                     self.examined(ids.len());
                     for id in ids {
-                        let tuple = relation.tuple_by_id(id);
-                        if match_tuple(&atom.terms, tuple, bindings, self.relations)? {
+                        if match_stored(&atom.terms, relation, id, bindings, self.relations)? {
                             let result = self
                                 .descend(literals, steps, position, id, delta, bindings, callback);
                             bindings.restore(mark);
@@ -329,8 +327,8 @@ impl<'a> JoinContext<'a> {
         // under the live iterator — no snapshot of the relation is taken.
         self.bump(|s| &s.full_scans);
         self.examined(relation.len());
-        for (id, tuple) in relation.iter_ids() {
-            if match_tuple(&atom.terms, tuple, bindings, self.relations)? {
+        for id in relation.ids() {
+            if match_stored(&atom.terms, relation, id, bindings, self.relations)? {
                 let result = self.descend(literals, steps, position, id, delta, bindings, callback);
                 bindings.restore(mark);
                 result?;

@@ -114,17 +114,19 @@ pub(super) enum Derivation {
 }
 
 /// The undo log of one transaction or retraction: every mutation of the
-/// relations, the EDB bookkeeping and the existential memo, recorded as it
+/// relations, their asserted bits and the existential memo, recorded as it
 /// happens.  It is how `Workspace` rolls a refused change back (reverse
 /// replay instead of a pre-image of the database) and where the incremental
 /// constraint check gets its delta.
 ///
 /// Undoing replays each relation's ops in reverse — an `Added` op removes the
 /// tuple again, a `Displaced` op re-inserts the value an aggregate
-/// recomputation displaced, a `Removed` op re-inserts a tuple a retraction
-/// deleted.  Interleaving matters: one run can insert a tuple and later
-/// displace it (or delete it, then put it back in a re-run), and only strict
-/// reverse-order replay restores the exact prior contents.
+/// recomputation displaced (asserted bit included), a `Removed` op
+/// re-inserts a tuple a retraction deleted — and then restores the asserted
+/// bits the change set or cleared.  Interleaving matters: one run can
+/// insert a tuple and later displace it (or delete it, then put it back in a
+/// re-run), and only strict reverse-order replay restores the exact prior
+/// contents.
 #[derive(Debug, Default)]
 pub struct EvalJournal {
     /// Relation mutations, per predicate, in execution order.  Mutations of
@@ -135,17 +137,16 @@ pub struct EvalJournal {
     created: Vec<String>,
     /// Existential-memo keys minted during the run.
     minted: Vec<(usize, Vec<Value>)>,
-    /// EDB-bookkeeping entries the change added / removed.
+    /// Facts whose asserted bit the change set / cleared.
     edb_added: Vec<(String, Tuple)>,
     edb_removed: Vec<(String, Tuple)>,
 }
 
 #[derive(Debug)]
 enum JournalOp {
-    /// Shares the relation's stored row: journaling an insertion copies
-    /// nothing.
-    Added(Arc<Tuple>),
-    Displaced(Tuple),
+    Added(Tuple),
+    /// The displaced tuple and whether it was asserted.
+    Displaced(Tuple, bool),
     Removed(Tuple),
 }
 
@@ -159,12 +160,12 @@ impl EvalJournal {
         }
     }
 
-    pub(crate) fn record_added(&mut self, pred: &str, tuple: Arc<Tuple>) {
+    pub(crate) fn record_added(&mut self, pred: &str, tuple: Tuple) {
         self.record(pred, JournalOp::Added(tuple));
     }
 
-    pub(crate) fn record_displaced(&mut self, pred: &str, tuple: Tuple) {
-        self.record(pred, JournalOp::Displaced(tuple));
+    pub(crate) fn record_displaced(&mut self, pred: &str, tuple: Tuple, asserted: bool) {
+        self.record(pred, JournalOp::Displaced(tuple, asserted));
     }
 
     pub(crate) fn record_removed(&mut self, pred: &str, tuple: Tuple) {
@@ -218,7 +219,7 @@ impl EvalJournal {
             for op in ops {
                 let (tuple, stored_before): (&Tuple, bool) = match op {
                     JournalOp::Added(tuple) => (tuple, false),
-                    JournalOp::Displaced(tuple) | JournalOp::Removed(tuple) => (tuple, true),
+                    JournalOp::Displaced(tuple, _) | JournalOp::Removed(tuple) => (tuple, true),
                 };
                 if repeats && !seen.insert(tuple) {
                     continue;
@@ -247,15 +248,10 @@ impl EvalJournal {
         commit.base_removed = self.edb_removed;
     }
 
-    /// Roll every journaled mutation back.  Restores the relations, the EDB
-    /// bookkeeping and the existential memo to their exact pre-run contents;
-    /// the caller restores the (plain-copy) entity counter itself.
-    pub fn undo(
-        self,
-        relations: &mut Relations,
-        edb_facts: &mut FactDelta,
-        existential_memo: &mut ExistentialMemo,
-    ) {
+    /// Roll every journaled mutation back.  Restores the relations, their
+    /// asserted bits and the existential memo to their exact pre-run
+    /// contents; the caller restores the (plain-copy) entity counter itself.
+    pub fn undo(self, relations: &mut Relations, existential_memo: &mut ExistentialMemo) {
         for (pred, ops) in self.ops {
             let Some(relation) = relations.get_mut(&pred) else {
                 continue;
@@ -268,8 +264,10 @@ impl EvalJournal {
                     // The displacing tuple was journaled as `Added` after
                     // this op, so reverse replay has already removed it;
                     // re-inserting the displaced value cannot conflict.
-                    JournalOp::Displaced(tuple) => {
-                        let _ = relation.insert_or_replace(tuple);
+                    JournalOp::Displaced(tuple, asserted) => {
+                        if let Ok((id, _)) = relation.insert_new(&tuple) {
+                            relation.set_asserted(id, asserted);
+                        }
                     }
                     // Everything added since the removal is already gone
                     // again, so the tuple goes back without conflict.
@@ -285,18 +283,21 @@ impl EvalJournal {
         for key in self.minted {
             existential_memo.remove(&key);
         }
-        // `edb_facts` never holds an empty set, so dropping an emptied entry
-        // is exact whether or not this change created it.
-        for (pred, tuple) in self.edb_added {
-            if let Some(set) = edb_facts.get_mut(&pred) {
-                set.remove(&tuple);
-                if set.is_empty() {
-                    edb_facts.remove(&pred);
+        // The rows are back first: a fact this change both stored and
+        // asserted left with its slot, and one it un-asserted and a
+        // deletion then removed is stored again without its bit.
+        let mut mark = |(pred, tuple): (String, Tuple), asserted: bool| {
+            if let Some(relation) = relations.get_mut(&pred) {
+                if let Some(id) = relation.find(&tuple) {
+                    relation.set_asserted(id, asserted);
                 }
             }
+        };
+        for fact in self.edb_added {
+            mark(fact, false);
         }
-        for (pred, tuple) in self.edb_removed {
-            edb_facts.entry(pred).or_default().insert(tuple);
+        for fact in self.edb_removed {
+            mark(fact, true);
         }
     }
 }
@@ -686,9 +687,10 @@ impl<'a> Evaluator<'a> {
                         .expect("relation just ensured");
                     let mut new_rows = Vec::new();
                     for row in batch.iter() {
-                        if let Some(stored) = relation.insert_ids(row)? {
-                            new_rows.push(Tuple::clone(&stored));
-                            self.journal.record_added(&pred, stored);
+                        if relation.insert_ids(row)?.1 {
+                            let tuple = self.interner.resolve_row(row);
+                            self.journal.record_added(&pred, tuple.clone());
+                            new_rows.push(tuple);
                         }
                     }
                     inserted += new_rows.len();
@@ -710,9 +712,9 @@ impl<'a> Evaluator<'a> {
     ) -> Result<usize> {
         let mut inserted = 0usize;
         for (pred, tuple) in derived {
-            if let Some(stored) = self.relation_entry(&pred).insert_new(&tuple)? {
+            if self.relation_entry(&pred).insert_new(&tuple)?.1 {
                 inserted += 1;
-                self.journal.record_added(&pred, stored);
+                self.journal.record_added(&pred, tuple.clone());
                 delta.entry(pred).or_default().insert(tuple);
             }
         }
@@ -729,15 +731,15 @@ impl<'a> Evaluator<'a> {
         let mut inserted = 0usize;
         for (pred, tuple) in derived {
             let relation = self.relation_entry(&pred);
-            let (added, displaced) = relation.insert_or_replace_returning(tuple.clone())?;
+            let (added, displaced) = relation.insert_or_replace_returning(&tuple)?;
             // Displacement is journaled before the insertion that caused it
             // — reverse replay then restores the displaced value after
             // removing its replacement.
-            if let Some(old) = displaced {
-                self.journal.record_displaced(&pred, old);
+            if let Some((old, asserted)) = displaced {
+                self.journal.record_displaced(&pred, old, asserted);
             }
             if added {
-                self.journal.record_added(&pred, Arc::new(tuple.clone()));
+                self.journal.record_added(&pred, tuple.clone());
                 inserted += 1;
                 delta.entry(pred).or_default().insert(tuple);
             }

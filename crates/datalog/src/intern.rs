@@ -80,10 +80,9 @@ pub type FnvBuild = BuildHasherDefault<Fnv64Hasher>;
 pub type PassBuild = BuildHasherDefault<PassHasher>;
 
 // The crate's only map and set types (DESIGN.md §10.1).  Every map of the
-// engine — relations by name, deltas, the EDB bookkeeping, the journal, the
-// plan cache, the UDF registry — hashes with FNV-1a: no per-map random state,
-// so iteration order is a function of the input, and no SipHash on the
-// per-commit path.  `clippy.toml` disallows the `RandomState` defaults, so
+// engine — relations by name, deltas, the journal, the plan cache, the UDF
+// registry — hashes with FNV-1a: no per-map random state, so iteration order
+// is a function of the input, and no SipHash on the per-commit path.  `clippy.toml` disallows the `RandomState` defaults, so
 // these aliases carry the crate's only `#[allow]`.
 
 /// A map hashed with [`FnvBuild`].
@@ -179,30 +178,16 @@ impl Interner {
         self.read().ids.get(value).copied()
     }
 
-    /// Encode a whole row into `out` (cleared first) under one lock.
-    pub fn intern_row(&self, values: &[Value], out: &mut Vec<u32>) {
-        out.clear();
-        // Fast path: all values already known under a single read lock.
-        {
-            let state = self.read();
-            let mut hit = true;
-            for value in values {
-                match state.ids.get(value) {
-                    Some(&id) => out.push(id),
-                    None => {
-                        hit = false;
-                        break;
-                    }
-                }
-            }
-            if hit {
-                return;
-            }
+    /// Encode a whole row into `out`, which is as long as `values`: one
+    /// read lock when every value is known, one write lock otherwise.
+    pub fn intern_ids(&self, values: &[Value], out: &mut [u32]) {
+        debug_assert_eq!(values.len(), out.len());
+        if self.try_ids(values, out) {
+            return;
         }
-        out.clear();
         let mut state = self.write();
-        for value in values {
-            let id = match state.ids.get(value) {
+        for (value, slot) in values.iter().zip(out) {
+            *slot = match state.ids.get(value) {
                 Some(&id) => id,
                 None => {
                     let id =
@@ -212,7 +197,6 @@ impl Interner {
                     id
                 }
             };
-            out.push(id);
         }
     }
 
@@ -220,14 +204,23 @@ impl Interner {
     /// value is unknown — i.e. the row cannot exist in any sharing relation.
     pub fn try_row(&self, values: &[Value], out: &mut Vec<u32>) -> bool {
         out.clear();
+        out.resize(values.len(), 0);
+        let known = self.try_ids(values, out);
+        if !known {
+            out.clear();
+        }
+        known
+    }
+
+    /// [`Interner::try_row`] into `out`, which is as long as `values`; on
+    /// `false` its contents are unspecified.
+    pub fn try_ids(&self, values: &[Value], out: &mut [u32]) -> bool {
+        debug_assert_eq!(values.len(), out.len());
         let state = self.read();
-        for value in values {
+        for (value, slot) in values.iter().zip(out) {
             match state.ids.get(value) {
-                Some(&id) => out.push(id),
-                None => {
-                    out.clear();
-                    return false;
-                }
+                Some(&id) => *slot = id,
+                None => return false,
             }
         }
         true
@@ -238,12 +231,30 @@ impl Interner {
         self.read().values[id as usize].clone()
     }
 
+    /// The dictionary under one read guard, for a caller that compares or
+    /// binds several values of a stored row without copying them.  Nothing
+    /// may take this dictionary's lock while the guard is held: a writer
+    /// queued on another thread would deadlock the second read.
+    pub fn values(&self) -> Values<'_> {
+        Values(self.read())
+    }
+
     /// Rehydrate a row of ids into a fresh tuple under one lock.
     pub fn resolve_row(&self, ids: &[u32]) -> Tuple {
         let state = self.read();
         ids.iter()
             .map(|&id| state.values[id as usize].clone())
             .collect()
+    }
+}
+
+/// A read guard over the dictionary ([`Interner::values`]).
+pub struct Values<'a>(RwLockReadGuard<'a, InternerState>);
+
+impl Values<'_> {
+    /// The value behind `id`, borrowed.
+    pub fn get(&self, id: u32) -> &Value {
+        &self.0.values[id as usize]
     }
 }
 
@@ -268,9 +279,8 @@ mod tests {
     fn row_round_trip() {
         let interner = Interner::new();
         let row = vec![Value::Int(1), Value::str("x"), Value::Bool(true)];
-        let mut ids = Vec::new();
-        interner.intern_row(&row, &mut ids);
-        assert_eq!(ids.len(), 3);
+        let mut ids = vec![0; 3];
+        interner.intern_ids(&row, &mut ids);
         assert_eq!(interner.resolve_row(&ids), row);
         let mut probe = Vec::new();
         assert!(interner.try_row(&row, &mut probe));

@@ -2,21 +2,28 @@
 //! enforcement and lazily-built, incrementally-maintained secondary indexes.
 //!
 //! Every value is encoded to a dense `u32` id by the workspace's shared
-//! [`Interner`] at insert time.  The authoritative hot-path storage is
-//! column-major: tuples of the same arity live in one [`ColumnGroup`] whose
+//! [`Interner`] at insert time, and the id row is the only form a tuple is
+//! stored in.  Tuples of the same arity live in one [`ColumnGroup`] whose
 //! `arity` parallel `Vec<u32>` columns the batch executor scans directly.
 //! Membership, the functional-dependency index, and every secondary index
 //! key on 64-bit FNV hashes of id projections ([`fnv_ids`]) — equality and
 //! hashing on the hot path are integer ops, and index maintenance projects
 //! id rows instead of cloning `Value`s per probe.  Bucket candidates are
 //! verified against the exact id projection before they are returned, so a
-//! hash collision can never surface a wrong tuple.
+//! hash collision can never surface a wrong tuple.  A bucket of one id holds
+//! it inline ([`Bucket`]); only a shared hash allocates.
 //!
-//! Alongside the columns, each live tuple keeps one materialized
-//! `Arc<Tuple>` row: the boundary representation handed to everything that
-//! must see real `Value`s (the codec, signing, Merkle commitments, UDFs,
-//! comparisons).  It is maintained at insert time, so boundary reads are
-//! free and dictionary ids never leak out of the storage layer.
+//! `Value`s are rehydrated from the dictionary at the boundaries that need
+//! them — [`Relation::iter`], [`Relation::tuple`], [`Relation::select`],
+//! [`Relation::remove_id`], [`Relation::functional_lookup`] — so the codec,
+//! signing and Merkle commitments see exactly the values that went in, and
+//! dictionary ids never leak out of the storage layer.  The tuple-at-a-time
+//! join reads a stored candidate in place through [`Relation::row`].
+//!
+//! Beside its id row a tuple carries one *asserted* bit: whether it was
+//! stated as an extensional fact, so a retraction never deletes it for lack
+//! of a derivation.  The bit lives with the slot; freeing the slot clears
+//! it, so a recycled [`TupleId`] starts unasserted.
 //!
 //! A tuple's [`TupleId`] is stable for its lifetime; removed slots are
 //! recycled.  Secondary indexes are built on demand (the planner requests
@@ -29,14 +36,15 @@
 //! are no evaluation workers.  A `Relation` is still `Send + Sync`, and every
 //! read path ([`Relation::probe`], [`Relation::iter`], [`Relation::select`],
 //! [`Relation::matches_any`], [`Relation::functional_lookup`],
-//! [`Relation::tuple_by_id`], [`Relation::group`]) takes `&self`, because
+//! [`Relation::row`], [`Relation::group`]) takes `&self`, because
 //! the reactor executor moves a node's workspace between its threads from
-//! one task to the next.  All mutation — inserts, removals, and
-//! [`Relation::ensure_index`] builds — takes `&mut self`.
+//! one task to the next.  All mutation — inserts, removals, asserted bits,
+//! and [`Relation::ensure_index`] builds — takes `&mut self`.
 
 use crate::error::{DatalogError, Result};
 use crate::intern::{fnv_ids, FnvMap, Interner, PassMap};
 use crate::value::{Tuple, Value};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Stable identifier of a tuple inside one relation.
@@ -74,14 +82,75 @@ pub fn column_set(columns: impl IntoIterator<Item = usize>) -> ColumnSet {
     set
 }
 
-/// Sentinel arity marking a recycled slot.
+/// The ids whose key hashes to one value of a membership or index map.
+/// Nearly every key has one, held inline; a second spills to a `Vec`, and
+/// removal back down to one folds it inline again.  Ids keep the order they
+/// were added in.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Bucket {
+    One(TupleId),
+    Many(Vec<TupleId>),
+}
+
+impl Bucket {
+    /// The ids, in the order they were added.
+    pub fn as_slice(&self) -> &[TupleId] {
+        match self {
+            Bucket::One(id) => std::slice::from_ref(id),
+            Bucket::Many(ids) => ids,
+        }
+    }
+
+    /// Add `id` to `hash`'s bucket of `map`.
+    fn add(map: &mut PassMap<Bucket>, hash: u64, id: TupleId) {
+        match map.entry(hash) {
+            Entry::Vacant(entry) => {
+                entry.insert(Bucket::One(id));
+            }
+            Entry::Occupied(mut entry) => match entry.get_mut() {
+                Bucket::One(first) => {
+                    let first = *first;
+                    entry.insert(Bucket::Many(vec![first, id]));
+                }
+                Bucket::Many(ids) => ids.push(id),
+            },
+        }
+    }
+
+    /// Take `id` out of `hash`'s bucket of `map`, dropping an emptied one.
+    fn remove(map: &mut PassMap<Bucket>, hash: u64, id: TupleId) {
+        let Some(bucket) = map.get_mut(&hash) else {
+            return;
+        };
+        match bucket {
+            Bucket::One(only) => {
+                if *only == id {
+                    map.remove(&hash);
+                }
+            }
+            Bucket::Many(ids) => {
+                ids.retain(|&candidate| candidate != id);
+                match ids[..] {
+                    [] => {
+                        map.remove(&hash);
+                    }
+                    [last] => *bucket = Bucket::One(last),
+                    _ => {}
+                }
+            }
+        }
+    }
+}
+
+/// Sentinel group marking a recycled slot.
 const FREE_SLOT: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    /// Arity of the stored tuple, or [`FREE_SLOT`].
-    arity: u32,
-    /// Row position inside the tuple's [`ColumnGroup`].
+    /// Position of the tuple's [`ColumnGroup`] in `Relation::groups`, or
+    /// [`FREE_SLOT`].
+    group: u32,
+    /// Row position inside that group.
     row: u32,
 }
 
@@ -145,6 +214,60 @@ impl ColumnGroup {
     }
 }
 
+/// One stored tuple read in place: its id row inside its column group.
+#[derive(Debug, Clone, Copy)]
+pub struct StoredRow<'r> {
+    group: &'r ColumnGroup,
+    row: usize,
+}
+
+impl StoredRow<'_> {
+    /// The tuple's arity.
+    pub fn arity(&self) -> usize {
+        self.group.arity
+    }
+
+    /// The dictionary id at column `col`.
+    pub fn id(&self, col: usize) -> u32 {
+        self.group.cols[col][self.row]
+    }
+}
+
+/// An id row encoded on the stack for the common arities, on the heap past
+/// them: a lookup or a duplicate insert allocates nothing.
+#[derive(Default)]
+struct IdBuf {
+    stack: [u32; IdBuf::SHORT],
+    heap: Vec<u32>,
+}
+
+impl IdBuf {
+    const SHORT: usize = 8;
+
+    fn slice(&mut self, len: usize) -> &mut [u32] {
+        if len <= Self::SHORT {
+            &mut self.stack[..len]
+        } else {
+            self.heap.resize(len, 0);
+            &mut self.heap
+        }
+    }
+
+    /// `values` as ids, `None` when one is in no relation sharing
+    /// `interner` (so no stored row can hold it).
+    fn known(&mut self, interner: &Interner, values: &[Value]) -> Option<&[u32]> {
+        let out = self.slice(values.len());
+        interner.try_ids(values, out).then_some(&*out)
+    }
+
+    /// `values` as ids, interning the new ones.
+    fn interned(&mut self, interner: &Interner, values: &[Value]) -> &[u32] {
+        let out = self.slice(values.len());
+        interner.intern_ids(values, out);
+        out
+    }
+}
+
 /// A stored relation: the extension of one predicate inside a workspace.
 #[derive(Debug)]
 pub struct Relation {
@@ -154,11 +277,11 @@ pub struct Relation {
     key_arity: Option<usize>,
     /// The value dictionary (shared workspace-wide via `Arc`).
     interner: Arc<Interner>,
-    /// Materialized boundary rows, indexed by [`TupleId`]; recycled slots
-    /// hold an empty tuple.
-    rows: Vec<Arc<Tuple>>,
-    /// Per-tuple location: arity + row inside that arity's group.
+    /// Per-tuple location: column group + row inside it, indexed by
+    /// [`TupleId`].
     slots: Vec<Slot>,
+    /// The asserted bit of every slot, 64 to a word.
+    asserted: Vec<u64>,
     /// Recyclable slots.
     free: Vec<TupleId>,
     /// Live tuple count.
@@ -167,11 +290,11 @@ pub struct Relation {
     /// relation in practice holds one or two arities).
     groups: Vec<ColumnGroup>,
     /// Membership: hash of (arity, id row) → candidate ids.
-    live: PassMap<Vec<TupleId>>,
+    live: PassMap<Bucket>,
     /// Functional predicates: hash of the key-id prefix → candidate ids.
-    fd_index: PassMap<Vec<TupleId>>,
+    fd_index: PassMap<Bucket>,
     /// Secondary indexes: signature → (hash of id projection → ids).
-    indexes: FnvMap<ColumnSet, PassMap<Vec<TupleId>>>,
+    indexes: FnvMap<ColumnSet, PassMap<Bucket>>,
 }
 
 impl Default for Relation {
@@ -180,20 +303,19 @@ impl Default for Relation {
     }
 }
 
-/// Cloning preserves [`TupleId`]s, shares the interner and the `Arc`'d
-/// boundary rows, and drops the secondary indexes: they are rebuildable
-/// caches, and a copy (a `Workspace::clone` taken as a test oracle or a
-/// what-if analysis) should not pay for copying them.  All other
-/// state is integer vectors and integer-keyed maps, so a clone is a flat
-/// memcpy plus one refcount bump per tuple — no value is rehashed.
+/// Cloning preserves [`TupleId`]s and asserted bits, shares the interner,
+/// and drops the secondary indexes: they are rebuildable caches, and a copy
+/// (a `Workspace::clone` taken as a test oracle or a what-if analysis)
+/// should not pay for copying them.  All other state is integer vectors and
+/// integer-keyed maps, so a clone is a flat copy — no value is rehashed.
 impl Clone for Relation {
     fn clone(&self) -> Self {
         Relation {
             name: self.name.clone(),
             key_arity: self.key_arity,
             interner: Arc::clone(&self.interner),
-            rows: self.rows.clone(),
             slots: self.slots.clone(),
+            asserted: self.asserted.clone(),
             free: self.free.clone(),
             len: self.len,
             groups: self.groups.clone(),
@@ -222,8 +344,8 @@ impl Relation {
             name: name.into(),
             key_arity,
             interner,
-            rows: Vec::new(),
             slots: Vec::new(),
+            asserted: Vec::new(),
             free: Vec::new(),
             len: 0,
             groups: Vec::new(),
@@ -265,37 +387,51 @@ impl Relation {
         self.groups.iter().find(|group| group.arity == arity)
     }
 
-    fn group_mut(&mut self, arity: usize) -> &mut ColumnGroup {
-        if let Some(position) = self.groups.iter().position(|group| group.arity == arity) {
-            &mut self.groups[position]
-        } else {
-            self.groups.push(ColumnGroup::new(arity));
-            self.groups.last_mut().expect("just pushed")
+    /// The position of the column group for `arity`, created on first use.
+    /// Groups are never removed short of [`Relation::clear`], so a position
+    /// stays valid.
+    fn group_position(&mut self, arity: usize) -> usize {
+        match self.groups.iter().position(|group| group.arity == arity) {
+            Some(position) => position,
+            None => {
+                self.groups.push(ColumnGroup::new(arity));
+                self.groups.len() - 1
+            }
+        }
+    }
+
+    /// The live tuple `id`, read in place.  Only ids obtained from this
+    /// relation against its current state are meaningful.
+    pub fn row(&self, id: TupleId) -> StoredRow<'_> {
+        let slot = self.slots[id as usize];
+        debug_assert_ne!(slot.group, FREE_SLOT);
+        StoredRow {
+            group: &self.groups[slot.group as usize],
+            row: slot.row as usize,
         }
     }
 
     /// The id at column `col` of the live tuple `id`, or `None` when the
     /// tuple is shorter.
     fn row_id_at(&self, id: TupleId, col: usize) -> Option<u32> {
-        let slot = self.slots[id as usize];
-        debug_assert_ne!(slot.arity, FREE_SLOT);
-        if col >= slot.arity as usize {
-            return None;
-        }
-        let group = self.group(slot.arity as usize)?;
-        Some(group.cols[col][slot.row as usize])
+        let row = self.row(id);
+        (col < row.arity()).then(|| row.id(col))
     }
 
     /// Gather the full id row of live tuple `id` into `out` (cleared first).
     pub fn row_ids(&self, id: TupleId, out: &mut Vec<u32>) {
+        let row = self.row(id);
         out.clear();
-        let slot = self.slots[id as usize];
-        debug_assert_ne!(slot.arity, FREE_SLOT);
-        if let Some(group) = self.group(slot.arity as usize) {
-            for col in &group.cols {
-                out.push(col[slot.row as usize]);
-            }
-        }
+        out.extend((0..row.arity()).map(|col| row.id(col)));
+    }
+
+    /// The live tuple `id` as values, rehydrated from the dictionary.
+    pub fn tuple(&self, id: TupleId) -> Tuple {
+        let row = self.row(id);
+        let values = self.interner.values();
+        (0..row.arity())
+            .map(|col| values.get(row.id(col)).clone())
+            .collect()
     }
 
     fn row_hash(ids: &[u32]) -> u64 {
@@ -306,24 +442,19 @@ impl Relation {
     fn find_live(&self, ids: &[u32]) -> Option<TupleId> {
         let bucket = self.live.get(&Self::row_hash(ids))?;
         bucket
+            .as_slice()
             .iter()
             .copied()
             .find(|&candidate| self.id_row_equals(candidate, ids))
     }
 
     fn id_row_equals(&self, id: TupleId, ids: &[u32]) -> bool {
-        let slot = self.slots[id as usize];
-        if slot.arity as usize != ids.len() {
-            return false;
-        }
-        let Some(group) = self.group(slot.arity as usize) else {
-            return false;
-        };
-        group
-            .cols
-            .iter()
-            .zip(ids)
-            .all(|(col, &want)| col[slot.row as usize] == want)
+        let row = self.row(id);
+        row.arity() == ids.len()
+            && ids
+                .iter()
+                .enumerate()
+                .all(|(col, &want)| row.id(col) == want)
     }
 
     fn fd_hash(key_ids: &[u32]) -> u64 {
@@ -335,7 +466,7 @@ impl Relation {
     /// Find the functional row whose key-id prefix equals `key_ids`.
     fn find_fd(&self, key_ids: &[u32]) -> Option<TupleId> {
         let bucket = self.fd_index.get(&Self::fd_hash(key_ids))?;
-        bucket.iter().copied().find(|&candidate| {
+        bucket.as_slice().iter().copied().find(|&candidate| {
             key_ids
                 .iter()
                 .enumerate()
@@ -391,11 +522,8 @@ impl Relation {
 
     /// The [`TupleId`] of `tuple`, if it is stored.
     pub fn find(&self, tuple: &[Value]) -> Option<TupleId> {
-        let mut ids = Vec::with_capacity(tuple.len());
-        if !self.interner.try_row(tuple, &mut ids) {
-            return None;
-        }
-        self.find_live(&ids)
+        let mut buf = IdBuf::default();
+        self.find_live(buf.known(&self.interner, tuple)?)
     }
 
     /// The [`TupleId`] of the stored row whose dictionary ids are `ids`
@@ -405,25 +533,23 @@ impl Relation {
         self.find_live(ids)
     }
 
-    /// Iterate over all tuples in [`TupleId`]-stable group order — a
-    /// deterministic function of the operation sequence applied to the
-    /// relation (unlike the value-hash order of the previous row store).
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.iter_ids().map(|(_, tuple)| tuple)
-    }
-
-    /// [`Relation::iter`] with each tuple's [`TupleId`].
-    pub fn iter_ids(&self) -> impl Iterator<Item = (TupleId, &Tuple)> {
+    /// Every stored [`TupleId`] in group order — a deterministic function of
+    /// the operation sequence applied to the relation.
+    pub fn ids(&self) -> impl Iterator<Item = TupleId> + '_ {
         self.groups
             .iter()
-            .flat_map(|group| group.ids.iter())
-            .map(|&id| (id, self.rows[id as usize].as_ref()))
+            .flat_map(|group| group.ids.iter().copied())
+    }
+
+    /// Every stored tuple, rehydrated, in the order of [`Relation::ids`].
+    pub fn iter(&self) -> impl Iterator<Item = Tuple> + '_ {
+        self.ids().map(|id| self.tuple(id))
     }
 
     /// All tuples in a deterministic order (sorted by the total value order),
     /// for stable output and tests.
     pub fn sorted(&self) -> Vec<Tuple> {
-        let mut out: Vec<Tuple> = self.iter().cloned().collect();
+        let mut out: Vec<Tuple> = self.iter().collect();
         out.sort_by(|a, b| crate::value::tuple_total_cmp(a, b));
         out
     }
@@ -434,212 +560,219 @@ impl Relation {
     /// present, and a [`DatalogError::FunctionalDependency`] error if the
     /// predicate is functional and the key already maps to a different value.
     pub fn insert(&mut self, tuple: Tuple) -> Result<bool> {
-        let mut ids = Vec::with_capacity(tuple.len());
-        self.interner.intern_row(&tuple, &mut ids);
-        match self.check_insert_ids(&ids)? {
-            None => Ok(false),
-            Some(()) => {
-                self.insert_row(Arc::new(tuple), &ids);
-                Ok(true)
-            }
-        }
+        self.insert_new(&tuple).map(|(_, new)| new)
     }
 
-    /// [`Relation::insert`] for a caller that keeps the tuple (the
-    /// evaluator: it goes on into the delta set and the journal).  Returns
-    /// the stored row — shared, not copied — when the tuple is new; a
-    /// duplicate returns `None` and costs no copy at all.
-    pub fn insert_new(&mut self, tuple: &Tuple) -> Result<Option<Arc<Tuple>>> {
-        let mut ids = Vec::with_capacity(tuple.len());
-        self.interner.intern_row(tuple, &mut ids);
-        Ok(self.check_insert_ids(&ids)?.map(|()| {
-            let row = Arc::new(tuple.clone());
-            self.insert_row(Arc::clone(&row), &ids);
-            row
-        }))
+    /// [`Relation::insert`] for a caller that keeps the tuple and wants its
+    /// row: the tuple's [`TupleId`] and whether this call stored it.  A
+    /// duplicate allocates nothing.
+    pub fn insert_new(&mut self, tuple: &[Value]) -> Result<(TupleId, bool)> {
+        let mut buf = IdBuf::default();
+        let ids = buf.interned(&self.interner, tuple);
+        self.insert_ids(ids)
     }
 
     /// Insert a pre-encoded id row (the batch executor's insert path; the
     /// ids must come from this relation's own interner).  Identical
-    /// semantics to [`Relation::insert_new`]; the boundary row is rehydrated
-    /// once, only for genuinely new tuples.
-    pub fn insert_ids(&mut self, ids: &[u32]) -> Result<Option<Arc<Tuple>>> {
-        Ok(self.check_insert_ids(ids)?.map(|()| {
-            let row = Arc::new(self.interner.resolve_row(ids));
-            self.insert_row(Arc::clone(&row), ids);
-            row
-        }))
+    /// semantics to [`Relation::insert_new`].
+    pub fn insert_ids(&mut self, ids: &[u32]) -> Result<(TupleId, bool)> {
+        Ok(match self.stored_as(ids)? {
+            Some(id) => (id, false),
+            None => (self.insert_row(ids), true),
+        })
     }
 
-    /// Shared admission check: `Ok(None)` = duplicate, `Ok(Some(()))` =
-    /// insert may proceed, `Err` = functional-dependency violation.
-    fn check_insert_ids(&self, ids: &[u32]) -> Result<Option<()>> {
-        if let Some(key_arity) = self.key_arity {
-            if ids.len() != key_arity + 1 {
-                return Err(DatalogError::Eval(format!(
-                    "functional predicate {} expects {} columns, got {}",
-                    self.name,
-                    key_arity + 1,
-                    ids.len()
-                )));
-            }
-            if let Some(existing_id) = self.find_fd(&ids[..key_arity]) {
-                let existing_value = self.rows[existing_id as usize][key_arity].clone();
-                if self.row_id_at(existing_id, key_arity) == Some(ids[key_arity]) {
-                    return Ok(None);
-                }
-                return Err(DatalogError::FunctionalDependency {
-                    predicate: self.name.clone(),
-                    key: self.interner.resolve_row(&ids[..key_arity]),
-                    existing: vec![existing_value],
-                    attempted: vec![self.interner.value(ids[key_arity])],
-                });
-            }
-            // A live duplicate always has a matching fd entry, so reaching
-            // here means the row is new.
-            debug_assert!(self.find_live(ids).is_none());
-        } else if self.find_live(ids).is_some() {
-            return Ok(None);
-        }
-        Ok(Some(()))
-    }
-
-    fn insert_row(&mut self, tuple: Arc<Tuple>, ids: &[u32]) {
-        let id = match self.free.pop() {
-            Some(id) => {
-                self.rows[id as usize] = tuple;
-                id
-            }
-            None => {
-                let id = self.rows.len() as TupleId;
-                self.rows.push(tuple);
-                self.slots.push(Slot {
-                    arity: FREE_SLOT,
-                    row: 0,
-                });
-                id
-            }
+    /// Shared admission check: `Ok(Some(id))` = already stored as `id`,
+    /// `Ok(None)` = insert may proceed, `Err` = functional-dependency
+    /// violation.
+    fn stored_as(&self, ids: &[u32]) -> Result<Option<TupleId>> {
+        let Some(key_arity) = self.key_arity else {
+            return Ok(self.find_live(ids));
         };
-        let row = self.group_mut(ids.len()).push(ids, id);
+        if ids.len() != key_arity + 1 {
+            return Err(DatalogError::Eval(format!(
+                "functional predicate {} expects {} columns, got {}",
+                self.name,
+                key_arity + 1,
+                ids.len()
+            )));
+        }
+        // A live duplicate always has a matching fd entry, so missing one
+        // means the row is new.
+        let Some(existing) = self.find_fd(&ids[..key_arity]) else {
+            debug_assert!(self.find_live(ids).is_none());
+            return Ok(None);
+        };
+        let existing_value = self.row(existing).id(key_arity);
+        if existing_value == ids[key_arity] {
+            return Ok(Some(existing));
+        }
+        Err(DatalogError::FunctionalDependency {
+            predicate: self.name.clone(),
+            key: self.interner.resolve_row(&ids[..key_arity]),
+            existing: vec![self.interner.value(existing_value)],
+            attempted: vec![self.interner.value(ids[key_arity])],
+        })
+    }
+
+    fn insert_row(&mut self, ids: &[u32]) -> TupleId {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot {
+                group: FREE_SLOT,
+                row: 0,
+            });
+            if self.slots.len() > self.asserted.len() * 64 {
+                self.asserted.push(0);
+            }
+            (self.slots.len() - 1) as TupleId
+        });
+        let group = self.group_position(ids.len());
+        let row = self.groups[group].push(ids, id);
         self.slots[id as usize] = Slot {
-            arity: ids.len() as u32,
+            group: group as u32,
             row,
         };
-        self.live.entry(Self::row_hash(ids)).or_default().push(id);
+        Bucket::add(&mut self.live, Self::row_hash(ids), id);
         if let Some(key_arity) = self.key_arity {
-            self.fd_index
-                .entry(Self::fd_hash(&ids[..key_arity]))
-                .or_default()
-                .push(id);
+            Bucket::add(&mut self.fd_index, Self::fd_hash(&ids[..key_arity]), id);
         }
         for (&cols, index) in &mut self.indexes {
             if let Some(hash) = Self::project_hash(ids, cols) {
-                index.entry(hash).or_default().push(id);
+                Bucket::add(index, hash, id);
             }
         }
         self.len += 1;
+        id
+    }
+
+    /// Whether the live tuple `id` is asserted.
+    pub fn is_asserted(&self, id: TupleId) -> bool {
+        self.asserted[id as usize / 64] & (1 << (id % 64)) != 0
+    }
+
+    /// Set or clear the asserted bit of the live tuple `id`; `true` when
+    /// that changed it.
+    pub fn set_asserted(&mut self, id: TupleId, asserted: bool) -> bool {
+        debug_assert_ne!(self.slots[id as usize].group, FREE_SLOT);
+        let word = &mut self.asserted[id as usize / 64];
+        let bit = 1 << (id % 64);
+        let was = *word & bit != 0;
+        if asserted {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+        was != asserted
+    }
+
+    /// Every slot whose asserted bit is set, in id order.  Only live tuples
+    /// are ever asserted: a freed slot has its bit cleared.
+    pub fn asserted_ids(&self) -> impl Iterator<Item = TupleId> + '_ {
+        self.asserted
+            .iter()
+            .enumerate()
+            .flat_map(|(word_index, &word)| {
+                let mut bits = word;
+                std::iter::from_fn(move || {
+                    if bits == 0 {
+                        return None;
+                    }
+                    let bit = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    Some(word_index as TupleId * 64 + bit)
+                })
+            })
+    }
+
+    /// Whether slot `id` holds a tuple (it may be free, awaiting reuse).
+    pub fn is_live(&self, id: TupleId) -> bool {
+        self.slots
+            .get(id as usize)
+            .is_some_and(|slot| slot.group != FREE_SLOT)
     }
 
     /// Insert a tuple for a functional predicate, replacing any existing
     /// value for the same key (used by aggregation recomputation, where a
     /// better aggregate legitimately supersedes the previous one).
     pub fn insert_or_replace(&mut self, tuple: Tuple) -> Result<bool> {
-        self.insert_or_replace_returning(tuple)
+        self.insert_or_replace_returning(&tuple)
             .map(|(inserted, _)| inserted)
     }
 
     /// [`Relation::insert_or_replace`], also returning the displaced tuple
-    /// (if any) so callers keeping an undo journal can restore it on
-    /// rollback.
-    pub fn insert_or_replace_returning(&mut self, tuple: Tuple) -> Result<(bool, Option<Tuple>)> {
+    /// with its asserted bit (if any) so callers keeping an undo journal can
+    /// restore both on rollback.  The displaced row's bit goes with it.
+    pub fn insert_or_replace_returning(
+        &mut self,
+        tuple: &[Value],
+    ) -> Result<(bool, Option<(Tuple, bool)>)> {
         let mut displaced = None;
         if let Some(key_arity) = self.key_arity {
             if tuple.len() == key_arity + 1 {
-                let mut key_ids = Vec::with_capacity(key_arity);
-                if self.interner.try_row(&tuple[..key_arity], &mut key_ids) {
-                    if let Some(existing_id) = self.find_fd(&key_ids) {
-                        if self.rows[existing_id as usize][key_arity] == tuple[key_arity] {
-                            return Ok((false, None));
-                        }
-                        displaced = Some((*self.rows[existing_id as usize]).clone());
-                        self.remove_by_id(existing_id);
+                let mut buf = IdBuf::default();
+                let existing = buf
+                    .known(&self.interner, &tuple[..key_arity])
+                    .and_then(|key_ids| self.find_fd(key_ids));
+                if let Some(existing) = existing {
+                    let value = self.row(existing).id(key_arity);
+                    if self.interner.try_id(&tuple[key_arity]) == Some(value) {
+                        return Ok((false, None));
                     }
+                    let asserted = self.is_asserted(existing);
+                    displaced = Some((self.remove_id(existing), asserted));
                 }
             }
         }
-        self.insert(tuple).map(|inserted| (inserted, displaced))
+        self.insert_new(tuple)
+            .map(|(_, inserted)| (inserted, displaced))
     }
 
     /// Remove a tuple, returning whether it was present.
     pub fn remove(&mut self, tuple: &[Value]) -> bool {
-        let mut ids = Vec::with_capacity(tuple.len());
-        if !self.interner.try_row(tuple, &mut ids) {
-            return false;
-        }
-        let Some(id) = self.find_live(&ids) else {
+        let Some(id) = self.find(tuple) else {
             return false;
         };
-        self.remove_found(id, &ids);
+        self.remove_slot(id);
         true
     }
 
-    fn remove_by_id(&mut self, id: TupleId) {
-        let mut ids = Vec::new();
-        self.row_ids(id, &mut ids);
-        self.remove_found(id, &ids);
-    }
-
-    /// Remove the live tuple `id` and hand its row back.  The ids of the
-    /// other live tuples do not change; `id` is recycled by a later insert.
+    /// Remove the live tuple `id` and hand its row back, rehydrated.  The
+    /// ids of the other live tuples do not change; `id` is recycled by a
+    /// later insert.
     pub fn remove_id(&mut self, id: TupleId) -> Tuple {
-        let row = Arc::clone(&self.rows[id as usize]);
-        self.remove_by_id(id);
-        Arc::unwrap_or_clone(row)
+        let tuple = self.tuple(id);
+        self.remove_slot(id);
+        tuple
     }
 
-    fn remove_found(&mut self, id: TupleId, ids: &[u32]) {
-        let retain = |bucket: &mut Vec<TupleId>| bucket.retain(|&candidate| candidate != id);
-        if let Some(bucket) = self.live.get_mut(&Self::row_hash(ids)) {
-            retain(bucket);
-            if bucket.is_empty() {
-                self.live.remove(&Self::row_hash(ids));
+    fn remove_slot(&mut self, id: TupleId) {
+        let mut buf = IdBuf::default();
+        let ids = {
+            let row = self.row(id);
+            let out = buf.slice(row.arity());
+            for (col, slot) in out.iter_mut().enumerate() {
+                *slot = row.id(col);
             }
-        }
+            &*out
+        };
+        Bucket::remove(&mut self.live, Self::row_hash(ids), id);
         if let Some(key_arity) = self.key_arity {
             if ids.len() == key_arity + 1 {
-                let hash = Self::fd_hash(&ids[..key_arity]);
-                if let Some(bucket) = self.fd_index.get_mut(&hash) {
-                    retain(bucket);
-                    if bucket.is_empty() {
-                        self.fd_index.remove(&hash);
-                    }
-                }
+                Bucket::remove(&mut self.fd_index, Self::fd_hash(&ids[..key_arity]), id);
             }
         }
         for (&cols, index) in &mut self.indexes {
             if let Some(hash) = Self::project_hash(ids, cols) {
-                if let Some(bucket) = index.get_mut(&hash) {
-                    retain(bucket);
-                    if bucket.is_empty() {
-                        index.remove(&hash);
-                    }
-                }
+                Bucket::remove(index, hash, id);
             }
         }
         let slot = self.slots[id as usize];
-        let position = self
-            .groups
-            .iter()
-            .position(|group| group.arity == slot.arity as usize)
-            .expect("live tuple has a group");
-        if let Some(moved) = self.groups[position].swap_remove(slot.row) {
+        if let Some(moved) = self.groups[slot.group as usize].swap_remove(slot.row) {
             self.slots[moved as usize].row = slot.row;
         }
-        // Release the tuple's allocation now rather than when the slot is
-        // recycled (retract-heavy workloads would otherwise pin the memory).
-        self.rows[id as usize] = Arc::new(Tuple::new());
+        self.set_asserted(id, false);
         self.slots[id as usize] = Slot {
-            arity: FREE_SLOT,
+            group: FREE_SLOT,
             row: 0,
         };
         self.free.push(id);
@@ -648,8 +781,8 @@ impl Relation {
 
     /// Remove all tuples (and drop every index).
     pub fn clear(&mut self) {
-        self.rows.clear();
         self.slots.clear();
+        self.asserted.clear();
         self.free.clear();
         self.len = 0;
         self.groups.clear();
@@ -659,9 +792,10 @@ impl Relation {
     }
 
     /// Look up the dependent value for `key` in a functional predicate.
-    pub fn functional_lookup(&self, key: &[Value]) -> Option<&Value> {
+    pub fn functional_lookup(&self, key: &[Value]) -> Option<Value> {
         let id = self.functional_find(key)?;
-        self.rows[id as usize].last()
+        let row = self.row(id);
+        Some(self.interner.value(row.id(row.arity() - 1)))
     }
 
     /// The [`TupleId`] of the functional row keyed by `key`, if any.
@@ -670,15 +804,12 @@ impl Relation {
         if key.len() != key_arity {
             return None;
         }
-        let mut key_ids = Vec::with_capacity(key.len());
-        if !self.interner.try_row(key, &mut key_ids) {
-            return None;
-        }
-        self.find_fd(&key_ids)
+        let mut buf = IdBuf::default();
+        self.find_fd(buf.known(&self.interner, key)?)
     }
 
     /// The value of a zero-key functional predicate (`p[] = v`), if set.
-    pub fn singleton_value(&self) -> Option<&Value> {
+    pub fn singleton_value(&self) -> Option<Value> {
         if self.key_arity == Some(0) {
             self.functional_lookup(&[])
         } else {
@@ -692,14 +823,14 @@ impl Relation {
         if cols == 0 || self.indexes.contains_key(&cols) {
             return false;
         }
-        let mut index: PassMap<Vec<TupleId>> = PassMap::default();
+        let mut index: PassMap<Bucket> = PassMap::default();
         let mut ids = Vec::new();
         for group in &self.groups {
             for row in 0..group.rows() {
                 ids.clear();
                 ids.extend(group.cols.iter().map(|col| col[row]));
                 if let Some(hash) = Self::project_hash(&ids, cols) {
-                    index.entry(hash).or_default().push(group.ids[row]);
+                    Bucket::add(&mut index, hash, group.ids[row]);
                 }
             }
         }
@@ -723,21 +854,22 @@ impl Relation {
     /// Candidates are verified, so the result is exact.
     pub fn probe(&self, cols: ColumnSet, key: &[Value]) -> Option<Vec<TupleId>> {
         let index = self.indexes.get(&cols)?;
-        let mut key_ids = Vec::with_capacity(key.len());
-        if !self.interner.try_row(key, &mut key_ids) {
-            // Some key value exists in no relation sharing the dictionary:
-            // a definitive miss.
+        let mut buf = IdBuf::default();
+        // A key value in no relation sharing the dictionary is a definitive
+        // miss.
+        let Some(key_ids) = buf.known(&self.interner, key) else {
             return Some(Vec::new());
-        }
+        };
         let hash = fnv_ids(cols, key_ids.iter().copied());
         let Some(bucket) = index.get(&hash) else {
             return Some(Vec::new());
         };
         Some(
             bucket
+                .as_slice()
                 .iter()
                 .copied()
-                .filter(|&id| self.projection_matches(id, cols, &key_ids))
+                .filter(|&id| self.projection_matches(id, cols, key_ids))
                 .collect(),
         )
     }
@@ -750,21 +882,15 @@ impl Relation {
     pub fn probe_ids(&self, cols: ColumnSet, key_ids: &[u32]) -> Option<&[TupleId]> {
         let index = self.indexes.get(&cols)?;
         let hash = fnv_ids(cols, key_ids.iter().copied());
-        Some(index.get(&hash).map(Vec::as_slice).unwrap_or(&[]))
+        Some(index.get(&hash).map_or(&[], Bucket::as_slice))
     }
 
     /// The secondary index for `cols` as its raw projection-hash map, for
     /// probe loops that resolve the index once per batch step and look up
     /// many precomputed [`fnv_ids`] hashes against it.  Buckets are
     /// collision-unfiltered — callers must re-verify candidates.
-    pub fn index_map(&self, cols: ColumnSet) -> Option<&PassMap<Vec<TupleId>>> {
+    pub fn index_map(&self, cols: ColumnSet) -> Option<&PassMap<Bucket>> {
         self.indexes.get(&cols)
-    }
-
-    /// The tuple stored under `id`.  Only ids obtained from [`Relation::probe`]
-    /// against the current state are meaningful.
-    pub fn tuple_by_id(&self, id: TupleId) -> &Tuple {
-        self.rows[id as usize].as_ref()
     }
 
     /// The bound-column signature of a partial binding pattern, or 0 when
@@ -782,33 +908,44 @@ impl Relation {
         )
     }
 
-    fn matches_pattern(tuple: &[Value], pattern: &[Option<Value>]) -> bool {
-        tuple.len() == pattern.len()
-            && pattern
-                .iter()
-                .zip(tuple.iter())
-                .all(|(p, v)| p.as_ref().is_none_or(|expected| expected == v))
+    /// The stored ids matching a partial binding pattern, read in id space:
+    /// `pattern[i] = Some(v)` requires column `i` to equal `v`.  Candidates
+    /// come from an exact-signature secondary index when one exists, from
+    /// the pattern's arity group otherwise; none when some bound value is in
+    /// no relation sharing the dictionary.
+    fn pattern_ids(&self, pattern: &[Option<Value>]) -> impl Iterator<Item = TupleId> + '_ {
+        let mut want: Vec<Option<u32>> = Vec::with_capacity(pattern.len());
+        let mut known = true;
+        for value in pattern {
+            let id = value.as_ref().map(|value| self.interner.try_id(value));
+            known &= id != Some(None);
+            want.push(id.flatten());
+        }
+        let cols = Self::pattern_cols(pattern);
+        let candidates: &[TupleId] = if !known {
+            &[]
+        } else if let Some(index) = self.indexes.get(&cols) {
+            let hash = fnv_ids(cols, want.iter().flatten().copied());
+            index.get(&hash).map_or(&[], Bucket::as_slice)
+        } else {
+            self.group(pattern.len())
+                .map_or(&[], ColumnGroup::tuple_ids)
+        };
+        candidates.iter().copied().filter(move |&id| {
+            let row = self.row(id);
+            row.arity() == want.len()
+                && want
+                    .iter()
+                    .enumerate()
+                    .all(|(col, want)| want.is_none_or(|want| row.id(col) == want))
+        })
     }
 
     /// Tuples matching a partial binding pattern: `pattern[i] = Some(v)`
     /// requires column `i` to equal `v`.  Uses an exact-signature secondary
     /// index when one exists.
-    pub fn select(&self, pattern: &[Option<Value>]) -> Vec<&Tuple> {
-        let cols = Self::pattern_cols(pattern);
-        if cols != 0 {
-            if let Some(ids) =
-                self.probe(cols, &pattern.iter().flatten().cloned().collect::<Tuple>())
-            {
-                return ids
-                    .into_iter()
-                    .map(|id| self.tuple_by_id(id))
-                    .filter(|tuple| tuple.len() == pattern.len())
-                    .collect();
-            }
-        }
-        self.iter()
-            .filter(|tuple| Self::matches_pattern(tuple, pattern))
-            .collect()
+    pub fn select(&self, pattern: &[Option<Value>]) -> Vec<Tuple> {
+        self.pattern_ids(pattern).map(|id| self.tuple(id)).collect()
     }
 
     /// True if at least one tuple matches the partial binding pattern.
@@ -818,18 +955,7 @@ impl Relation {
             let tuple: Tuple = pattern.iter().flatten().cloned().collect();
             return self.contains(&tuple);
         }
-        let cols = Self::pattern_cols(pattern);
-        if cols != 0 {
-            if let Some(ids) =
-                self.probe(cols, &pattern.iter().flatten().cloned().collect::<Tuple>())
-            {
-                return ids
-                    .into_iter()
-                    .any(|id| self.tuple_by_id(id).len() == pattern.len());
-            }
-        }
-        self.iter()
-            .any(|tuple| Self::matches_pattern(tuple, pattern))
+        self.pattern_ids(pattern).next().is_some()
     }
 }
 
@@ -861,7 +987,7 @@ mod tests {
         assert!(matches!(err, DatalogError::FunctionalDependency { .. }));
         // Different key is fine.
         rel.insert(t(&[1, 3, 7])).unwrap();
-        assert_eq!(rel.functional_lookup(&t(&[1, 2])), Some(&Value::Int(5)));
+        assert_eq!(rel.functional_lookup(&t(&[1, 2])), Some(Value::Int(5)));
     }
 
     #[test]
@@ -870,7 +996,7 @@ mod tests {
         rel.insert(t(&[1, 2, 5])).unwrap();
         assert!(rel.insert_or_replace(t(&[1, 2, 3])).unwrap());
         assert_eq!(rel.len(), 1);
-        assert_eq!(rel.functional_lookup(&t(&[1, 2])), Some(&Value::Int(3)));
+        assert_eq!(rel.functional_lookup(&t(&[1, 2])), Some(Value::Int(3)));
         assert!(!rel.contains(&t(&[1, 2, 5])));
         assert!(!rel.insert_or_replace(t(&[1, 2, 3])).unwrap());
     }
@@ -880,7 +1006,7 @@ mod tests {
         let mut rel = Relation::new("self", Some(0));
         assert!(rel.singleton_value().is_none());
         rel.insert(vec![Value::str("n1")]).unwrap();
-        assert_eq!(rel.singleton_value(), Some(&Value::str("n1")));
+        assert_eq!(rel.singleton_value(), Some(Value::str("n1")));
         // A non-singleton relation never reports a singleton value.
         let rel2 = Relation::new("link", None);
         assert!(rel2.singleton_value().is_none());
@@ -894,7 +1020,7 @@ mod tests {
         assert!(!rel.remove(&t(&[1, 10])));
         // After removal the key can be remapped without a violation.
         rel.insert(t(&[1, 20])).unwrap();
-        assert_eq!(rel.functional_lookup(&t(&[1])), Some(&Value::Int(20)));
+        assert_eq!(rel.functional_lookup(&t(&[1])), Some(Value::Int(20)));
     }
 
     #[test]
@@ -937,7 +1063,7 @@ mod tests {
         assert!(rel.ensure_index(cols));
         assert!(!rel.ensure_index(cols), "second ensure is a no-op");
         let ids = rel.probe(cols, &t(&[1])).unwrap();
-        let mut probed: Vec<Tuple> = ids.iter().map(|&id| rel.tuple_by_id(id).clone()).collect();
+        let mut probed: Vec<Tuple> = ids.iter().map(|&id| rel.tuple(id)).collect();
         probed.sort_by_key(|t| format!("{t:?}"));
         assert_eq!(probed, vec![t(&[1, 2]), t(&[1, 3])]);
         assert_eq!(rel.probe(cols, &t(&[9])).unwrap().len(), 0);
@@ -956,7 +1082,7 @@ mod tests {
         // Recycled slot gets indexed correctly.
         rel.insert(t(&[5, 2])).unwrap();
         let ids = rel.probe(cols, &t(&[2])).unwrap();
-        let mut values: Vec<Tuple> = ids.iter().map(|&id| rel.tuple_by_id(id).clone()).collect();
+        let mut values: Vec<Tuple> = ids.iter().map(|&id| rel.tuple(id)).collect();
         values.sort_by_key(|t| format!("{t:?}"));
         assert_eq!(values, vec![t(&[3, 2]), t(&[5, 2])]);
         rel.clear();
@@ -1012,7 +1138,7 @@ mod tests {
             let mut ids = Vec::new();
             rel.row_ids(id, &mut ids);
             assert_eq!(ids, vec![group.col(0)[row], group.col(1)[row]]);
-            assert_eq!(rel.tuple_by_id(id).len(), 2);
+            assert_eq!(rel.tuple(id).len(), 2);
         }
         assert_eq!(rel.group(1).unwrap().rows(), 1);
         assert!(rel.group(3).is_none());
@@ -1022,19 +1148,19 @@ mod tests {
     fn insert_ids_matches_value_insert() {
         let interner = Arc::new(Interner::new());
         let mut rel = Relation::with_interner("edge", None, Arc::clone(&interner));
-        let mut ids = Vec::new();
-        interner.intern_row(&t(&[4, 5]), &mut ids);
-        assert!(rel.insert_ids(&ids).unwrap().is_some());
-        assert!(rel.insert_ids(&ids).unwrap().is_none(), "id insert dedups");
+        let mut ids = vec![0; 2];
+        interner.intern_ids(&t(&[4, 5]), &mut ids);
+        assert!(rel.insert_ids(&ids).unwrap().1);
+        assert!(!rel.insert_ids(&ids).unwrap().1, "id insert dedups");
         assert!(!rel.insert(t(&[4, 5])).unwrap(), "value insert sees it");
         assert!(rel.contains(&t(&[4, 5])));
         assert_eq!(rel.sorted(), vec![t(&[4, 5])]);
         // Functional semantics are enforced on the id path too.
         let mut frel = Relation::with_interner("f", Some(1), Arc::clone(&interner));
-        let mut row = Vec::new();
-        interner.intern_row(&t(&[1, 10]), &mut row);
-        assert!(frel.insert_ids(&row).unwrap().is_some());
-        interner.intern_row(&t(&[1, 11]), &mut row);
+        let mut row = vec![0; 2];
+        interner.intern_ids(&t(&[1, 10]), &mut row);
+        assert!(frel.insert_ids(&row).unwrap().1);
+        interner.intern_ids(&t(&[1, 11]), &mut row);
         assert!(frel.insert_ids(&row).is_err());
     }
 
@@ -1051,7 +1177,7 @@ mod tests {
         let candidates = rel.probe_ids(cols, &[one]).unwrap();
         assert_eq!(candidates.len(), 2);
         for &id in candidates {
-            assert_eq!(rel.tuple_by_id(id)[0], Value::Int(1));
+            assert_eq!(rel.tuple(id)[0], Value::Int(1));
         }
     }
 
@@ -1076,6 +1202,71 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
         assert_eq!(total, 4 * 8);
+    }
+
+    #[test]
+    fn a_bucket_holds_one_id_inline_and_keeps_insertion_order() {
+        assert_eq!(
+            std::mem::size_of::<Bucket>(),
+            std::mem::size_of::<Vec<TupleId>>(),
+            "the inline id fits beside the vector's niche"
+        );
+        let mut map: PassMap<Bucket> = PassMap::default();
+        Bucket::add(&mut map, 7, 1);
+        assert_eq!(map[&7], Bucket::One(1));
+        Bucket::add(&mut map, 7, 2);
+        Bucket::add(&mut map, 7, 3);
+        assert_eq!(map[&7].as_slice(), &[1, 2, 3]);
+        Bucket::remove(&mut map, 7, 2);
+        assert_eq!(map[&7].as_slice(), &[1, 3]);
+        Bucket::remove(&mut map, 7, 1);
+        assert_eq!(
+            map[&7],
+            Bucket::One(3),
+            "a bucket back down to one folds inline"
+        );
+        Bucket::remove(&mut map, 7, 9);
+        assert_eq!(
+            map[&7],
+            Bucket::One(3),
+            "removing an absent id changes nothing"
+        );
+        Bucket::remove(&mut map, 7, 3);
+        assert!(map.is_empty());
+        // Distinct rows land in distinct buckets: none of them allocates.
+        let mut rel = Relation::new("edge", None);
+        rel.ensure_index(column_set([1]));
+        for i in 0..32 {
+            rel.insert(t(&[i, i + 100])).unwrap();
+        }
+        let inline = |map: &PassMap<Bucket>| map.values().all(|b| matches!(b, Bucket::One(_)));
+        assert!(inline(&rel.live));
+        assert!(inline(&rel.indexes[&column_set([1])]));
+    }
+
+    #[test]
+    fn freeing_a_slot_clears_its_asserted_bit() {
+        let mut rel = Relation::new("edge", None);
+        let (first, new) = rel.insert_new(&t(&[1, 2])).unwrap();
+        assert!(new && !rel.is_asserted(first));
+        assert!(rel.set_asserted(first, true));
+        assert!(!rel.set_asserted(first, true), "already asserted");
+        let (other, _) = rel.insert_new(&t(&[3, 4])).unwrap();
+        assert_eq!(rel.asserted_ids().collect::<Vec<_>>(), vec![first]);
+        let copy = rel.clone();
+        assert!(copy.is_asserted(first) && !copy.is_asserted(other));
+
+        assert!(rel.remove(&t(&[1, 2])));
+        assert!(!rel.is_live(first));
+        assert_eq!(rel.asserted_ids().count(), 0);
+        let (recycled, _) = rel.insert_new(&t(&[5, 6])).unwrap();
+        assert_eq!(recycled, first, "the freed slot is reused");
+        assert!(
+            !rel.is_asserted(recycled),
+            "a recycled id starts unasserted"
+        );
+        rel.clear();
+        assert_eq!(rel.asserted_ids().count(), 0);
     }
 
     #[test]

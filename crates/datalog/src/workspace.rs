@@ -41,9 +41,6 @@ pub struct Workspace {
     config: EvalConfig,
     entity_counter: u64,
     existential_memo: ExistentialMemo,
-    /// Explicitly asserted (extensional) facts, tracked so incremental
-    /// deletion never removes a fact that has a non-rule justification.
-    edb_facts: FactDelta,
     /// When true, static type checking failures abort installation.
     strict_typing: bool,
     /// When true, negation is permitted inside recursive components
@@ -105,7 +102,6 @@ impl Workspace {
             config: EvalConfig::default(),
             entity_counter: 0,
             existential_memo: ExistentialMemo::default(),
-            edb_facts: FactDelta::default(),
             strict_typing: true,
             allow_recursive_negation: false,
             plan_cache: PlanCache::new(),
@@ -285,32 +281,34 @@ impl Workspace {
     }
 
     /// Set the value of a zero-key functional (singleton) predicate, e.g.
-    /// `self[] = "n3"`.
+    /// `self[] = "n3"`.  The value is asserted; the one it replaces leaves
+    /// with its asserted bit.
     pub fn set_singleton(&mut self, pred: &str, value: Value) -> Result<()> {
         self.converged = false;
-        let relation = self
-            .relations
-            .entry(pred.to_string())
-            .or_insert_with(|| Relation::with_interner(pred, Some(0), Arc::clone(&self.interner)));
-        relation.insert_or_replace(vec![value.clone()])?;
-        self.edb_facts
-            .entry(pred.to_string())
-            .or_default()
-            .insert(vec![value]);
+        let relation = self.relation_or_create(pred, Some(0));
+        let tuple = [value];
+        relation.insert_or_replace_returning(&tuple)?;
+        let (id, _) = relation.insert_new(&tuple)?;
+        relation.set_asserted(id, true);
         Ok(())
     }
 
     fn insert_edb(&mut self, pred: &str, tuple: Tuple) -> Result<()> {
         let key_arity = self.key_arity(pred);
-        let relation = self.relations.entry(pred.to_string()).or_insert_with(|| {
-            Relation::with_interner(pred, key_arity, Arc::clone(&self.interner))
-        });
-        relation.insert(tuple.clone())?;
-        self.edb_facts
-            .entry(pred.to_string())
-            .or_default()
-            .insert(tuple);
+        let relation = self.relation_or_create(pred, key_arity);
+        let (id, _) = relation.insert_new(&tuple)?;
+        relation.set_asserted(id, true);
         Ok(())
+    }
+
+    /// The relation of `pred`, created on first use — the name is copied
+    /// only then.
+    fn relation_or_create(&mut self, pred: &str, key_arity: Option<usize>) -> &mut Relation {
+        if !self.relations.contains_key(pred) {
+            let relation = Relation::with_interner(pred, key_arity, Arc::clone(&self.interner));
+            self.relations.insert(pred.to_string(), relation);
+        }
+        self.relations.get_mut(pred).expect("relation just ensured")
     }
 
     /// All tuples of a predicate, in deterministic order.
@@ -333,10 +331,22 @@ impl Workspace {
 
     /// The value of a singleton predicate, if set.
     pub fn singleton(&self, pred: &str) -> Option<Value> {
-        self.relations
-            .get(pred)
-            .and_then(|r| r.singleton_value())
-            .cloned()
+        self.relations.get(pred).and_then(|r| r.singleton_value())
+    }
+
+    /// The asserted (extensional) tuples of a predicate, in deterministic
+    /// order: the facts a retraction never deletes for lack of a
+    /// derivation.
+    pub fn asserted(&self, pred: &str) -> Vec<Tuple> {
+        let Some(relation) = self.relations.get(pred) else {
+            return Vec::new();
+        };
+        let mut out: Vec<Tuple> = relation
+            .asserted_ids()
+            .map(|id| relation.tuple(id))
+            .collect();
+        out.sort_by(|a, b| crate::value::tuple_total_cmp(a, b));
+        out
     }
 
     /// Direct read access to a relation (used by the distributed runtime to
@@ -361,10 +371,7 @@ impl Workspace {
         };
         relation.ensure_index(cols);
         match relation.probe(cols, key) {
-            Some(ids) => ids
-                .iter()
-                .map(|&id| relation.tuple_by_id(id).clone())
-                .collect(),
+            Some(ids) => ids.into_iter().map(|id| relation.tuple(id)).collect(),
             None => Vec::new(),
         }
     }
@@ -376,7 +383,6 @@ impl Workspace {
         if let Some(relation) = self.relations.get_mut(pred) {
             relation.clear();
         }
-        self.edb_facts.remove(pred);
     }
 
     /// An empty transaction: run the installed rules to fixpoint and check
@@ -439,22 +445,20 @@ impl Workspace {
                 .relations
                 .get_mut(&pred)
                 .expect("relation just ensured");
-            if let Some(stored) = relation.insert_new(&tuple)? {
-                journal.record_added(&pred, stored);
+            let (id, new) = relation.insert_new(&tuple)?;
+            let newly_asserted = relation.set_asserted(id, true);
+            if new {
+                journal.record_added(&pred, tuple.clone());
                 seed.entry(pred.clone()).or_default().insert(tuple.clone());
             }
-            let asserted = match self.edb_facts.get_mut(&pred) {
-                Some(asserted) => asserted,
-                None => self.edb_facts.entry(pred.clone()).or_default(),
-            };
-            if asserted.insert(tuple.clone()) {
+            if newly_asserted {
                 journal.record_edb_added(&pred, tuple);
             }
             report.inserted += 1;
         }
         let seeded = self.seedable && self.converged;
         let stats = {
-            let (mut evaluator, program, _) = self.evaluator(journal);
+            let (mut evaluator, program) = self.evaluator(journal);
             if seeded {
                 evaluator.run_seeded(program, seed)?
             } else {
@@ -499,11 +503,7 @@ impl Workspace {
     /// Undo a refused transaction or retraction: reverse-replay its journal
     /// and restore the entity counter.
     fn rollback(&mut self, journal: EvalJournal, counter: u64) {
-        journal.undo(
-            &mut self.relations,
-            &mut self.edb_facts,
-            &mut self.existential_memo,
-        );
+        journal.undo(&mut self.relations, &mut self.existential_memo);
         self.entity_counter = counter;
     }
 
@@ -515,12 +515,8 @@ impl Workspace {
     }
 
     /// The evaluator over this workspace's mutable state, journaling into
-    /// `journal`, beside the parts of the workspace it reads but does not
-    /// own: the stratified rules and the EDB bookkeeping.
-    fn evaluator<'a>(
-        &'a mut self,
-        journal: &'a mut EvalJournal,
-    ) -> (Evaluator<'a>, &'a RuleSet, &'a FactDelta) {
+    /// `journal`, beside the stratified rules it reads but does not own.
+    fn evaluator<'a>(&'a mut self, journal: &'a mut EvalJournal) -> (Evaluator<'a>, &'a RuleSet) {
         let evaluator = Evaluator {
             relations: &mut self.relations,
             schema: &self.schema,
@@ -533,7 +529,7 @@ impl Workspace {
             interner: &self.interner,
             journal,
         };
-        (evaluator, &self.program, &self.edb_facts)
+        (evaluator, &self.program)
     }
 
     /// Planner and index counters accumulated by this workspace.
@@ -557,8 +553,8 @@ impl Workspace {
     /// retraction back through the journal, exactly as a refused transaction
     /// does.
     pub fn retract(&mut self, batch: Vec<(String, Tuple)>) -> Result<Commit> {
-        self.retract_with(batch, |evaluator, program, batch, edb| {
-            evaluator.delete(program, batch, edb)
+        self.retract_with(batch, |evaluator, program, batch| {
+            evaluator.delete(program, batch)
         })
     }
 
@@ -567,38 +563,32 @@ impl Workspace {
     /// tests' oracle, not part of the engine.
     #[doc(hidden)]
     pub fn retract_rederiving(&mut self, batch: Vec<(String, Tuple)>) -> Result<Commit> {
-        self.retract_with(batch, |evaluator, program, batch, edb| {
-            evaluator.delete_by_rederivation(program, batch, edb)
+        self.retract_with(batch, |evaluator, program, batch| {
+            evaluator.delete_by_rederivation(program, batch)
         })
     }
 
     fn retract_with(
         &mut self,
         batch: Vec<(String, Tuple)>,
-        delete: impl FnOnce(
-            &mut Evaluator<'_>,
-            &RuleSet,
-            &[(String, Tuple)],
-            &FactDelta,
-        ) -> Result<Commit>,
+        delete: impl FnOnce(&mut Evaluator<'_>, &RuleSet, &[(String, Tuple)]) -> Result<Commit>,
     ) -> Result<Commit> {
         let timer = secureblox_telemetry::histogram!("datalog_retract_ns").start_timer();
         let counter = self.entity_counter;
         let mut journal = EvalJournal::default();
         for (pred, tuple) in &batch {
-            if let Some(set) = self.edb_facts.get_mut(pred) {
-                if set.remove(tuple) {
-                    journal.record_edb_removed(pred, tuple.clone());
-                }
-                if set.is_empty() {
-                    self.edb_facts.remove(pred);
+            if let Some(relation) = self.relations.get_mut(pred) {
+                if let Some(id) = relation.find(tuple) {
+                    if relation.set_asserted(id, false) {
+                        journal.record_edb_removed(pred, tuple.clone());
+                    }
                 }
             }
         }
         let converged = self.converged;
         let deleted = {
-            let (mut evaluator, program, edb) = self.evaluator(&mut journal);
-            delete(&mut evaluator, program, &batch, edb).and_then(|mut stats| {
+            let (mut evaluator, program) = self.evaluator(&mut journal);
+            delete(&mut evaluator, program, &batch).and_then(|mut stats| {
                 // The deletion maintains only what it reaches.  Facts
                 // entered since the last commit (`assert_fact`,
                 // `install_program`) have no consequences yet: from such a
@@ -1343,12 +1333,7 @@ mod tests {
                 .collect();
             let rows: Vec<(String, Vec<Tuple>)> = ["link", "reach", "hub"]
                 .into_iter()
-                .map(|pred| {
-                    (
-                        pred.into(),
-                        ws.relation(pred).unwrap().iter().cloned().collect(),
-                    )
-                })
+                .map(|pred| (pred.into(), ws.relation(pred).unwrap().iter().collect()))
                 .collect();
             (removed, rows)
         };

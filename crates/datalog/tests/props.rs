@@ -132,7 +132,7 @@ proptest! {
         for (&k, &v) in &reference {
             prop_assert_eq!(
                 relation.functional_lookup(&[Value::Int(k)]),
-                Some(&Value::Int(v))
+                Some(Value::Int(v))
             );
         }
     }
@@ -147,7 +147,7 @@ proptest! {
         relation.insert(vec![Value::Int(k), Value::Int(v1)]).unwrap();
         let err = relation.insert(vec![Value::Int(k), Value::Int(v2)]);
         prop_assert!(err.is_err());
-        prop_assert_eq!(relation.functional_lookup(&[Value::Int(k)]), Some(&Value::Int(v1)));
+        prop_assert_eq!(relation.functional_lookup(&[Value::Int(k)]), Some(Value::Int(v1)));
         prop_assert_eq!(relation.len(), 1);
     }
 
@@ -1118,6 +1118,134 @@ proptest! {
             if let (Ok(got), Ok(expected)) = (got, expected) {
                 prop_assert_eq!(delta_dump(&got.added, true), delta_dump(&expected.added, true));
                 prop_assert_eq!(delta_dump(&got.removed, true), delta_dump(&expected.removed, true));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Asserted bits: the flags a relation keeps per row ≡ the set of facts
+// stated and not withdrawn
+// ---------------------------------------------------------------------------
+
+/// A functional predicate (FD conflicts), a constraint (refusals), closures
+/// that derive facts which are also asserted, an aggregate whose asserted
+/// values a recomputation displaces, and a rule reading a singleton.
+const ASSERTED_PROGRAM: &str = "\
+    cost[X, Y] = C -> node(X), node(Y), int(C).\n\
+    reach(X, Y) <- cost[X, Y] = _.\n\
+    reach(X, Y) <- cost[X, Z] = _, reach(Z, Y).\n\
+    best[X] = C <- agg<< C = min(Cx) >> cost[X, _] = Cx.\n\
+    near(X) <- reach(me[], X).\n";
+
+fn arb_asserted_fact() -> impl Strategy<Value = Fact> {
+    prop_oneof![
+        (0usize..5, 0usize..5, 1i64..3).prop_map(|(x, y, c)| (
+            "cost".to_string(),
+            vec![node_value(x), node_value(y), Value::Int(c)]
+        )),
+        (0usize..5).prop_map(|x| ("node".to_string(), vec![node_value(x)])),
+        (0usize..5, 0usize..5)
+            .prop_map(|(x, y)| ("reach".to_string(), vec![node_value(x), node_value(y)])),
+        (0usize..5).prop_map(|x| ("near".to_string(), vec![node_value(x)])),
+        (0usize..3, 1i64..3)
+            .prop_map(|(x, c)| ("best".to_string(), vec![node_value(x), Value::Int(c)])),
+    ]
+}
+
+/// Every asserted fact of `ws`, after checking what the bits themselves
+/// promise: only live rows carry one.
+fn asserted_facts(ws: &Workspace) -> Result<secureblox_datalog::FnvSet<Fact>, TestCaseError> {
+    let mut out = secureblox_datalog::FnvSet::default();
+    for pred in ws.predicate_names() {
+        let relation = ws.relation(&pred).unwrap();
+        for id in relation.asserted_ids() {
+            prop_assert!(
+                relation.is_live(id),
+                "{pred}: freed slot {id} keeps its bit"
+            );
+        }
+        out.extend(ws.asserted(&pred).into_iter().map(|t| (pred.clone(), t)));
+    }
+    Ok(out)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random transactions (some refused by the constraint or an FD
+    /// conflict), retractions, `assert_fact` and `set_singleton`: after
+    /// every call the asserted bits equal a model set of the facts stated
+    /// and not withdrawn, every one of them is stored, and no freed slot
+    /// keeps a bit — so a recycled `TupleId` starts unasserted.  Each
+    /// retraction also reaches the relations, verdict and bits of the
+    /// over-delete / re-derive pass.
+    #[test]
+    fn asserted_bits_track_the_stated_facts(
+        ops in proptest::collection::vec(
+            (0u8..4, proptest::collection::vec(arb_asserted_fact(), 1..4), 0usize..64), 1..16)
+    ) {
+        let mut ws = txn_workspace(ASSERTED_PROGRAM);
+        let mut model = secureblox_datalog::FnvSet::default();
+        for i in 0..4 {
+            let fact = ("node".to_string(), vec![node_value(i)]);
+            ws.assert_fact(&fact.0, fact.1.clone()).unwrap();
+            model.insert(fact);
+        }
+        ws.set_singleton("me", node_value(0)).unwrap();
+        model.insert(("me".to_string(), vec![node_value(0)]));
+        for (kind, mut batch, pick) in ops {
+            match kind {
+                0 => {
+                    if ws.transaction(batch.clone()).is_ok() {
+                        model.extend(batch);
+                    }
+                }
+                1 => {
+                    // Mostly withdraw facts that are asserted — not the
+                    // singleton: a rule reads it as a `me[]` term, which no
+                    // deletion follows, so withdrawing it leaves `near`
+                    // facts that the two passes judge differently.
+                    let mut stated: Vec<Fact> =
+                        model.iter().filter(|(pred, _)| pred != "me").cloned().collect();
+                    if pick % 4 != 0 && !stated.is_empty() {
+                        stated.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| {
+                            secureblox_datalog::value::tuple_total_cmp(&a.1, &b.1)
+                        }));
+                        batch[0] = stated[pick % stated.len()].clone();
+                    }
+                    let mut oracle = ws.clone();
+                    let expected = oracle.retract_rederiving(batch.clone());
+                    let got = ws.retract(batch.clone());
+                    prop_assert_eq!(verdict(&got), verdict(&expected));
+                    prop_assert_eq!(dump(&ws), dump(&oracle));
+                    prop_assert_eq!(asserted_facts(&ws)?, asserted_facts(&oracle)?);
+                    if got.is_ok() {
+                        for fact in &batch {
+                            model.remove(fact);
+                        }
+                    }
+                }
+                2 => {
+                    let (pred, tuple) = batch.swap_remove(0);
+                    if ws.assert_fact(&pred, tuple.clone()).is_ok() {
+                        model.insert((pred, tuple));
+                    }
+                }
+                _ => {
+                    let me = node_value(pick % 5);
+                    ws.set_singleton("me", me.clone()).unwrap();
+                    model.retain(|(pred, _)| pred != "me");
+                    model.insert(("me".to_string(), vec![me]));
+                }
+            }
+            // A recomputed minimum displaces an asserted `best` value, and
+            // the value's bit goes with its row.
+            model.retain(|(pred, tuple)| pred != "best" || ws.contains_fact(pred, tuple));
+            let flags = asserted_facts(&ws)?;
+            prop_assert_eq!(&flags, &model);
+            for (pred, tuple) in &flags {
+                prop_assert!(ws.contains_fact(pred, tuple), "{pred}{tuple:?} asserted, not stored");
             }
         }
     }

@@ -109,8 +109,7 @@ impl MetaDatabase {
         self.relations.get("pred_arity").and_then(|rel| {
             rel.iter()
                 .find(|t| t.first().and_then(|v| v.as_pred()) == Some(pred))
-                .and_then(|t| t.get(1))
-                .and_then(|v| v.as_int())
+                .and_then(|t| t.get(1).and_then(Value::as_int))
                 .map(|n| n as usize)
         })
     }
