@@ -1,6 +1,7 @@
 //! Ablation B: DatalogLB engine micro-benchmarks — fixpoint evaluation,
 //! transactional batches with constraint checking (a held fact re-asserted,
-//! and a new one derived through a rule and checked), incremental deletion
+//! and a new one derived through a rule and checked), a signed fact
+//! imported through a rule that reads `self[]`, incremental deletion
 //! (build, first fixpoint and steady-state retraction timed apart on a chain
 //! where everything reached goes; a chord withdrawn from a ring where almost
 //! nothing does), the
@@ -185,6 +186,42 @@ fn bench(c: &mut Criterion) {
                 ws.borrow_mut().retract(fact()).unwrap();
             },
             |()| ws.borrow_mut().transaction(fact()).unwrap(),
+            BatchSize::PerIteration,
+        )
+    });
+    group.bench_function("singleton_import_txn", |b| {
+        // The generated import rule's shape: every fact a node receives
+        // passes a rule that reads `self[]`, which the workspace lifts into
+        // the body literal `self[] = self[]` — one functional lookup per
+        // commit on top of the join.  A converged receiver holds 1k said
+        // facts; the timed fact is new on every iteration (withdrawn again
+        // off the clock), so each commit derives one `got` tuple through it.
+        let ws = RefCell::new(Workspace::new());
+        ws.borrow_mut()
+            .install_source("got(X, Y) <- says(P, self[], X, Y).")
+            .unwrap();
+        ws.borrow_mut()
+            .set_singleton("self", Value::str("sink"))
+            .unwrap();
+        let said = |v: i64| {
+            (
+                "says".to_string(),
+                vec![
+                    Value::str(format!("p{}", v % 4)),
+                    Value::str("sink"),
+                    Value::Int(v),
+                    Value::Int(v + 1),
+                ],
+            )
+        };
+        ws.borrow_mut()
+            .transaction((1..1_000).map(said).collect())
+            .unwrap();
+        b.iter_batched(
+            || {
+                ws.borrow_mut().retract(vec![said(0)]).unwrap();
+            },
+            |()| ws.borrow_mut().transaction(vec![said(0)]).unwrap(),
             BatchSize::PerIteration,
         )
     });

@@ -116,7 +116,9 @@ pub enum Term {
     /// A literal constant.
     Const(Value),
     /// Access to a zero-key functional predicate used inline as a term,
-    /// e.g. `self[]` or `initiator[]`.
+    /// e.g. `self[]` or `initiator[]`.  Surface syntax only: a workspace
+    /// lifts every read into a body literal when it installs the rule or
+    /// constraint ([`Rule::lift_singletons`]), and the evaluator refuses one.
     SingletonRef(String),
     /// A variable-length variable sequence `V*` (BloxGenerics templates only).
     VarSeq(String),
@@ -142,6 +144,54 @@ impl Term {
             _ => {}
         }
     }
+
+    /// Replace every singleton read `p[]` in this term by the variable
+    /// [`singleton_var`]`(p)`, noting each `p` in `reads` once.
+    pub(crate) fn lift_singletons(&mut self, reads: &mut Vec<String>) {
+        match self {
+            Term::SingletonRef(pred) => {
+                if !reads.contains(pred) {
+                    reads.push(pred.clone());
+                }
+                *self = Term::Var(singleton_var(pred));
+            }
+            Term::BinOp(l, _, r) => {
+                l.lift_singletons(reads);
+                r.lift_singletons(reads);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The variable a lifted singleton read `p[]` becomes: `p[]` itself, a name
+/// the parser cannot produce, so it never captures a variable of the rule.
+pub(crate) fn singleton_var(pred: &str) -> String {
+    format!("{pred}[]")
+}
+
+/// Lift the singleton reads of `literals`, noting each predicate in `reads`.
+fn lift_literals(literals: &mut [Literal], reads: &mut Vec<String>) {
+    for literal in literals {
+        match literal {
+            Literal::Pos(atom) | Literal::Neg(atom) => atom.lift_singletons(reads),
+            Literal::Cmp(l, _, r) => {
+                l.lift_singletons(reads);
+                r.lift_singletons(reads);
+            }
+        }
+    }
+}
+
+/// Put a literal `p[] = p[]` in front of `literals` for each `p` of
+/// `reads`, in order: a lookup of the one row of the zero-key functional
+/// predicate `p`, which binds the variable [`singleton_var`]`(p)` and has no
+/// match while the singleton is unset.
+fn bind_singletons(reads: &[String], literals: &mut Vec<Literal>) {
+    let binders = reads
+        .iter()
+        .map(|pred| Literal::Pos(Atom::functional(pred, vec![Term::Var(singleton_var(pred))])));
+    literals.splice(0..0, binders);
 }
 
 impl fmt::Display for Term {
@@ -198,6 +248,12 @@ impl Atom {
             if !out.contains(v) {
                 out.push(v.clone());
             }
+        }
+    }
+
+    fn lift_singletons(&mut self, reads: &mut Vec<String>) {
+        for term in &mut self.terms {
+            term.lift_singletons(reads);
         }
     }
 }
@@ -334,6 +390,22 @@ impl Rule {
             .filter(|v| !body_vars.contains(v))
             .collect()
     }
+
+    /// This rule with every singleton read `p[]` — in the head or the body —
+    /// replaced by the variable `p[]`, a name the parser cannot produce,
+    /// which a literal `p[] = p[]` put in front of the body binds.  A rule
+    /// reading an unset singleton then has no body solution, and
+    /// stratification, semi-naïve deltas and deletion follow the read as
+    /// they follow any literal.
+    pub fn lift_singletons(mut self) -> Rule {
+        let mut reads = Vec::new();
+        for atom in &mut self.head {
+            atom.lift_singletons(&mut reads);
+        }
+        lift_literals(&mut self.body, &mut reads);
+        bind_singletons(&reads, &mut self.body);
+        self
+    }
 }
 
 impl fmt::Display for Rule {
@@ -356,6 +428,24 @@ impl fmt::Display for Rule {
 pub struct Constraint {
     pub lhs: Vec<Literal>,
     pub rhs: Vec<Literal>,
+}
+
+impl Constraint {
+    /// This constraint with its singleton reads lifted as
+    /// [`Rule::lift_singletons`] lifts a rule's.  The binding literal of a
+    /// predicate some lhs term reads goes in front of the lhs, where an
+    /// unset singleton leaves no binding to check; the one of a predicate
+    /// only the rhs reads goes in front of the rhs, where an unset singleton
+    /// leaves every lhs binding without a witness.
+    pub fn lift_singletons(mut self) -> Constraint {
+        let mut reads = Vec::new();
+        lift_literals(&mut self.lhs, &mut reads);
+        bind_singletons(&reads, &mut self.lhs);
+        let lhs_reads = reads.len();
+        lift_literals(&mut self.rhs, &mut reads);
+        bind_singletons(&reads[lhs_reads..], &mut self.rhs);
+        self
+    }
 }
 
 impl fmt::Display for Constraint {
@@ -677,6 +767,42 @@ mod tests {
             vec![],
         )));
         assert!(program.has_generics());
+    }
+
+    #[test]
+    fn singleton_reads_lift_into_one_literal_each() {
+        let rule = crate::parser::parse_rule(
+            "says(self[], U, X) <- link(X, Y), principal(U), U != self[], Y = cfg[] + 1.",
+        )
+        .unwrap()
+        .lift_singletons();
+        assert_eq!(
+            rule.to_string(),
+            "says(self[], U, X) <- self[] = self[], cfg[] = cfg[], link(X, Y), principal(U), \
+             U != self[], Y = cfg[] + 1."
+        );
+        let mut vars = Vec::new();
+        rule.head[0].collect_vars(&mut vars);
+        assert_eq!(vars, ["self[]", "U", "X"]);
+        assert!(rule.head_existentials().is_empty());
+        // Lifting twice changes nothing.
+        assert_eq!(rule.clone().lift_singletons(), rule);
+
+        // A constraint binds a singleton on the side that first needs it.
+        let side = |source: &str| {
+            crate::parser::parse_rule(&format!("x(X) <- {source}."))
+                .unwrap()
+                .body
+        };
+        let constraint = Constraint {
+            lhs: side("a(X, me[])"),
+            rhs: side("b(X, me[]), c(you[])"),
+        }
+        .lift_singletons();
+        assert_eq!(
+            constraint.to_string(),
+            "me[] = me[], a(X, me[]) -> you[] = you[], b(X, me[]), c(you[])."
+        );
     }
 
     #[test]

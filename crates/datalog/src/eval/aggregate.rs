@@ -69,7 +69,7 @@ pub(crate) fn evaluate_agg_rule_exec(
             for term in &atom.terms {
                 let value = match term {
                     Term::Var(v) => solution.get(v).cloned(),
-                    other => eval_term(other, &solution, relations)?,
+                    other => eval_term(other, &solution)?,
                 };
                 match value {
                     Some(v) => tuple.push(v),

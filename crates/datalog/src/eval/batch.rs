@@ -221,8 +221,7 @@ fn plain(term: &Term) -> bool {
 fn term_miss(term: &Term) -> Option<BatchMiss> {
     match term {
         Term::Var(_) | Term::Const(_) | Term::Wildcard => None,
-        Term::SingletonRef(_) => Some(BatchMiss::Singleton),
-        Term::VarSeq(_) | Term::BinOp(..) => Some(BatchMiss::Expression),
+        Term::SingletonRef(_) | Term::VarSeq(_) | Term::BinOp(..) => Some(BatchMiss::Expression),
     }
 }
 
@@ -303,7 +302,7 @@ impl<'r, 'a> StepCompiler<'r, 'a> {
     /// One step per plan step of `body`, each appending a column per
     /// variable it binds first and, with `trail`, one for the matched
     /// `TupleId`.  `body` has no [`body_miss`]; what is left to decline is
-    /// a relation on a foreign dictionary.
+    /// a functional lookup and a relation on a foreign dictionary.
     fn steps(
         &mut self,
         body: &'r [Literal],
@@ -311,6 +310,11 @@ impl<'r, 'a> StepCompiler<'r, 'a> {
         delta: Option<DeltaRestriction<'_>>,
         trail: bool,
     ) -> std::result::Result<Vec<StepExec>, BatchMiss> {
+        // The plan leaves a functional lookup to the tuple path's one-row
+        // find; a step here would scan the relation.
+        if plan.order.iter().any(|step| step.functional) {
+            return Err(BatchMiss::Functional);
+        }
         let mut steps = Vec::with_capacity(plan.order.len());
         for step in &plan.order {
             let Literal::Pos(atom) = &body[step.literal] else {
@@ -430,11 +434,11 @@ pub(crate) fn compile_batch(
     if plan.order.is_empty() {
         return Err(BatchMiss::EmptyBody);
     }
+    let mut compiler = StepCompiler::new(relations, interner);
+    let steps = compiler.steps(&rule.body, plan, delta, false)?;
     if delta.is_some_and(|pinned| plan.order[0].literal != pinned.literal_index) {
         return Err(BatchMiss::DeltaNotFirst);
     }
-    let mut compiler = StepCompiler::new(relations, interner);
-    let steps = compiler.steps(&rule.body, plan, delta, false)?;
 
     let mut heads = Vec::with_capacity(rule.head.len());
     for atom in &rule.head {

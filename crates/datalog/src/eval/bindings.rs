@@ -2,7 +2,7 @@
 
 use crate::ast::{ArithOp, Term};
 use crate::error::{DatalogError, Result};
-use crate::relation::{Relation, Relations, TupleId};
+use crate::relation::{Relation, TupleId};
 use crate::value::Value;
 
 /// A substitution from variable names to values, kept as a stack.
@@ -144,24 +144,28 @@ impl Bindings {
     }
 }
 
-/// Evaluate a term under `bindings`.
+/// Evaluate a term under `bindings`: a pure function of the two, which reads
+/// no relation.
 ///
 /// Returns `Ok(None)` when the term cannot be evaluated to a ground value
-/// (an unbound variable, a wildcard, an unset singleton, or arithmetic over
-/// such) — callers treat that as a failed match rather than an error.
-pub fn eval_term(term: &Term, bindings: &Bindings, relations: &Relations) -> Result<Option<Value>> {
+/// (an unbound variable, a wildcard, or arithmetic over such) — callers
+/// treat that as a failed match rather than an error.
+pub fn eval_term(term: &Term, bindings: &Bindings) -> Result<Option<Value>> {
     match term {
         Term::Var(v) => Ok(bindings.get(v).cloned()),
         Term::Wildcard => Ok(None),
         Term::Const(v) => Ok(Some(v.clone())),
-        Term::SingletonRef(pred) => Ok(relations.get(pred).and_then(|r| r.singleton_value())),
+        Term::SingletonRef(pred) => Err(DatalogError::Eval(format!(
+            "singleton read {pred}[] reached the evaluator; a workspace lifts it into a body \
+             literal when it installs the rule (`Rule::lift_singletons`)"
+        ))),
         Term::VarSeq(v) => Err(DatalogError::Eval(format!(
             "variable sequence {v}* reached the evaluator; sequences are expanded by the \
              BloxGenerics compiler"
         ))),
         Term::BinOp(lhs, op, rhs) => {
-            let lhs = eval_term(lhs, bindings, relations)?;
-            let rhs = eval_term(rhs, bindings, relations)?;
+            let lhs = eval_term(lhs, bindings)?;
+            let rhs = eval_term(rhs, bindings)?;
             match (lhs, rhs) {
                 (Some(Value::Int(a)), Some(Value::Int(b))) => {
                     let value = match op {
@@ -205,12 +209,7 @@ pub fn eval_term(term: &Term, bindings: &Bindings, relations: &Relations) -> Res
 /// Returns whether the tuple matched.  On a match the new bindings sit above
 /// the caller's [`Bindings::mark`], for it to restore when it backtracks; on
 /// a mismatch — or an error — `bindings` is exactly as it was.
-pub fn match_tuple(
-    terms: &[Term],
-    tuple: &[Value],
-    bindings: &mut Bindings,
-    relations: &Relations,
-) -> Result<bool> {
+pub fn match_tuple(terms: &[Term], tuple: &[Value], bindings: &mut Bindings) -> Result<bool> {
     if terms.len() != tuple.len() {
         return Ok(false);
     }
@@ -225,8 +224,7 @@ pub fn match_tuple(
                     Ok(true)
                 }
             },
-            other => eval_term(other, bindings, relations)
-                .map(|evaluated| evaluated.as_ref() == Some(value)),
+            other => eval_term(other, bindings).map(|evaluated| evaluated.as_ref() == Some(value)),
         };
         if !matches!(ok, Ok(true)) {
             bindings.restore(mark);
@@ -246,41 +244,26 @@ pub fn match_stored(
     relation: &Relation,
     id: TupleId,
     bindings: &mut Bindings,
-    relations: &Relations,
 ) -> Result<bool> {
     let row = relation.row(id);
     if terms.len() != row.arity() {
         return Ok(false);
     }
-    let interner = relation.interner();
+    let values = relation.interner().values();
     let mark = bindings.mark();
-    let mut values = None;
     for (col, term) in terms.iter().enumerate() {
+        let value = values.get(row.id(col));
         let ok = match term {
             Term::Wildcard => Ok(true),
-            Term::Var(v) => {
-                let value = values
-                    .get_or_insert_with(|| interner.values())
-                    .get(row.id(col));
-                match bindings.get(v) {
-                    Some(bound) => Ok(bound == value),
-                    None => {
-                        bindings.push(v, value.clone());
-                        Ok(true)
-                    }
+            Term::Var(v) => match bindings.get(v) {
+                Some(bound) => Ok(bound == value),
+                None => {
+                    bindings.push(v, value.clone());
+                    Ok(true)
                 }
-            }
-            Term::Const(constant) => Ok(constant
-                == values
-                    .get_or_insert_with(|| interner.values())
-                    .get(row.id(col))),
-            other => {
-                // An expression can read a singleton, which takes the
-                // dictionary's lock: give the guard up first.
-                values = None;
-                eval_term(other, bindings, relations)
-                    .map(|evaluated| evaluated.as_ref() == Some(interner.values().get(row.id(col))))
-            }
+            },
+            Term::Const(constant) => Ok(constant == value),
+            other => eval_term(other, bindings).map(|evaluated| evaluated.as_ref() == Some(value)),
         };
         if !matches!(ok, Ok(true)) {
             bindings.restore(mark);
@@ -294,11 +277,6 @@ pub fn match_stored(
 mod tests {
     use super::*;
     use crate::ast::Term;
-    use crate::relation::Relation;
-
-    fn no_relations() -> Relations {
-        Relations::default()
-    }
 
     #[test]
     fn bindings_are_shareable_across_worker_threads() {
@@ -326,67 +304,57 @@ mod tests {
             ArithOp::Add,
             Box::new(Term::Const(Value::Int(1))),
         );
-        assert_eq!(
-            eval_term(&term, &b, &no_relations()).unwrap(),
-            Some(Value::Int(5))
-        );
+        assert_eq!(eval_term(&term, &b).unwrap(), Some(Value::Int(5)));
         // Unbound operand → not ground.
         let term = Term::BinOp(
             Box::new(Term::var("Z")),
             ArithOp::Mul,
             Box::new(Term::Const(Value::Int(2))),
         );
-        assert_eq!(eval_term(&term, &b, &no_relations()).unwrap(), None);
+        assert_eq!(eval_term(&term, &b).unwrap(), None);
         // Division by zero is an error.
         let term = Term::BinOp(
             Box::new(Term::Const(Value::Int(1))),
             ArithOp::Div,
             Box::new(Term::Const(Value::Int(0))),
         );
-        assert!(eval_term(&term, &b, &no_relations()).is_err());
+        assert!(eval_term(&term, &b).is_err());
         // String concatenation with `+`.
         let term = Term::BinOp(
             Box::new(Term::Const(Value::str("says$"))),
             ArithOp::Add,
             Box::new(Term::Const(Value::str("path"))),
         );
-        assert_eq!(
-            eval_term(&term, &b, &no_relations()).unwrap(),
-            Some(Value::str("says$path"))
-        );
+        assert_eq!(eval_term(&term, &b).unwrap(), Some(Value::str("says$path")));
     }
 
     #[test]
     fn eval_singleton_ref() {
-        let mut relations = Relations::default();
-        let mut rel = Relation::new("self", Some(0));
-        rel.insert(vec![Value::str("n1")]).unwrap();
-        relations.insert("self".to_string(), rel);
-        let value = eval_term(
-            &Term::SingletonRef("self".into()),
-            &Bindings::new(),
-            &relations,
-        )
-        .unwrap();
-        assert_eq!(value, Some(Value::str("n1")));
-        // Unset singleton is simply not ground.
-        let value = eval_term(
-            &Term::SingletonRef("missing".into()),
-            &Bindings::new(),
-            &relations,
-        )
-        .unwrap();
-        assert_eq!(value, None);
+        // A singleton read is lifted into a body literal at install; one
+        // that reaches the evaluator is refused, bare or inside arithmetic.
+        let read = Term::SingletonRef("self".into());
+        let error = eval_term(&read, &Bindings::new()).unwrap_err();
+        assert!(matches!(error, DatalogError::Eval(_)), "{error}");
+        let sum = Term::BinOp(
+            Box::new(Term::Const(Value::Int(1))),
+            ArithOp::Add,
+            Box::new(read),
+        );
+        assert!(eval_term(&sum, &Bindings::new()).is_err());
+        // The variable the lift binds evaluates like any other.
+        let mut b = Bindings::new();
+        b.bind(&crate::ast::singleton_var("self"), Value::str("n1"));
+        let lifted = Term::var(crate::ast::singleton_var("self"));
+        assert_eq!(eval_term(&lifted, &b).unwrap(), Some(Value::str("n1")));
     }
 
     #[test]
     fn varseq_at_runtime_is_error() {
-        assert!(eval_term(&Term::VarSeq("V".into()), &Bindings::new(), &no_relations()).is_err());
+        assert!(eval_term(&Term::VarSeq("V".into()), &Bindings::new()).is_err());
     }
 
     #[test]
     fn match_binds_and_backtracks() {
-        let relations = no_relations();
         let mut b = Bindings::new();
         let terms = vec![Term::var("X"), Term::var("Y"), Term::var("X")];
         // Matching tuple: X=1, Y=2, X=1 again.
@@ -395,7 +363,6 @@ mod tests {
             &terms,
             &[Value::Int(1), Value::Int(2), Value::Int(1)],
             &mut b,
-            &relations,
         )
         .unwrap());
         assert_eq!(b.len(), 2);
@@ -406,7 +373,6 @@ mod tests {
             &terms,
             &[Value::Int(1), Value::Int(2), Value::Int(3)],
             &mut b,
-            &relations,
         )
         .unwrap();
         assert!(!matched);
@@ -415,30 +381,16 @@ mod tests {
 
     #[test]
     fn match_respects_constants_and_wildcards() {
-        let relations = no_relations();
         let mut b = Bindings::new();
         let terms = vec![Term::Const(Value::str("n1")), Term::Wildcard];
-        assert!(match_tuple(
-            &terms,
-            &[Value::str("n1"), Value::Int(9)],
-            &mut b,
-            &relations
-        )
-        .unwrap());
-        assert!(!match_tuple(
-            &terms,
-            &[Value::str("n2"), Value::Int(9)],
-            &mut b,
-            &relations
-        )
-        .unwrap());
+        assert!(match_tuple(&terms, &[Value::str("n1"), Value::Int(9)], &mut b).unwrap());
+        assert!(!match_tuple(&terms, &[Value::str("n2"), Value::Int(9)], &mut b).unwrap());
         // Arity mismatch never matches.
-        assert!(!match_tuple(&terms, &[Value::str("n1")], &mut b, &relations).unwrap());
+        assert!(!match_tuple(&terms, &[Value::str("n1")], &mut b).unwrap());
     }
 
     #[test]
     fn a_failed_match_leaves_the_bindings_as_it_found_them() {
-        let relations = no_relations();
         // X is bound before the match, Y and Z are bound by it; Y repeats,
         // and the last term reads Z.
         let terms = vec![
@@ -464,16 +416,16 @@ mod tests {
         for position in 0..terms.len() {
             let mut tuple = good.to_vec();
             tuple[position] = Value::str("spoilt");
-            let result = match_tuple(&terms, &tuple, &mut b, &relations);
+            let result = match_tuple(&terms, &tuple, &mut b);
             assert!(!matches!(result, Ok(true)), "position {position}");
             assert_eq!(b.live(), before.live(), "position {position}");
         }
-        assert!(!match_tuple(&terms, &good[1..], &mut b, &relations).unwrap());
+        assert!(!match_tuple(&terms, &good[1..], &mut b).unwrap());
         assert_eq!(b.live(), before.live());
         // A match binds above the caller's mark, and restoring it undoes
         // exactly that.
         let mark = b.mark();
-        assert!(match_tuple(&terms, &good, &mut b, &relations).unwrap());
+        assert!(match_tuple(&terms, &good, &mut b).unwrap());
         assert_eq!(b.len(), 4);
         assert_eq!(b.get("Z"), Some(&Value::Int(2)));
         b.restore(mark);

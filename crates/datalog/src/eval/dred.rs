@@ -23,8 +23,9 @@
 //!   searched in turn, depth first.  A proof join runs in the batch executor
 //!   from the fact's ids ([`ProofJob`]: a one-row frame, a `TupleId` trail),
 //!   or tuple at a time from its values for a rule with a UDF, a comparison
-//!   or a singleton; ahead of either, the plan's first probe in id space
-//!   ([`FirstProbe`]) skips a rule with no instance.  A fact is *proved* when it is
+//!   or a functional lookup (a singleton read among them); ahead of either,
+//!   the plan's first probe in id space ([`FirstProbe`]) skips a rule with
+//!   no instance.  A fact is *proved* when it is
 //!   asserted, or when every body fact of one of its rule instances is
 //!   proved; instances wait with a count of unproved body facts, so a fact
 //!   proved late proves what waited on it (B/F's saturation), recursion
@@ -120,7 +121,7 @@ struct Prover {
     first: Option<FirstProbe>,
     /// The body in id space, when the batch executor can run it, beside the
     /// predicate of each literal on its trail.  `None` for a rule with a
-    /// UDF, a comparison or a singleton: the tuple path runs it.
+    /// UDF, a comparison or a functional lookup: the tuple path runs it.
     job: Option<(ProofJob, Vec<u32>)>,
 }
 
@@ -379,7 +380,6 @@ impl<'p> Search<'p> {
         mut each: impl FnMut(&[(usize, TupleId)]),
     ) -> Result<()> {
         let atom = &rule.head[head];
-        let relations = join.relations;
         let bindings = &mut self.bindings;
         bindings.restore(0);
         let Some(check_after) = bind_head(atom, stored, bindings) else {
@@ -387,7 +387,7 @@ impl<'p> Search<'p> {
         };
         let trail = &self.trail;
         let mut collect = |solution: &Bindings| {
-            if !check_after || head_matches(atom, solution, stored, relations)? {
+            if !check_after || head_matches(atom, solution, stored)? {
                 each(&trail.borrow());
             }
             Ok(())
@@ -914,18 +914,11 @@ fn bind_head(atom: &Atom, (relation, id): Stored<'_>, bindings: &mut Bindings) -
 }
 
 /// Does `atom` under `solution` project to the stored fact?
-fn head_matches(
-    atom: &Atom,
-    solution: &Bindings,
-    (relation, id): Stored<'_>,
-    relations: &Relations,
-) -> Result<bool> {
+fn head_matches(atom: &Atom, solution: &Bindings, (relation, id): Stored<'_>) -> Result<bool> {
     let row = relation.row(id);
+    let values = relation.interner().values();
     for (col, term) in atom.terms.iter().enumerate() {
-        // The term is evaluated before the dictionary is read: it can read
-        // a singleton, which takes the dictionary's lock itself.
-        let value = eval_term(term, solution, relations)?;
-        if value.as_ref() != Some(relation.interner().values().get(row.id(col))) {
+        if eval_term(term, solution)?.as_ref() != Some(values.get(row.id(col))) {
             return Ok(false);
         }
     }

@@ -193,7 +193,7 @@ impl<'a> JoinContext<'a> {
 
         // Built-in primitive type check, e.g. `int(C)` from a type declaration.
         if BUILTIN_TYPES.contains(&name) && atom.terms.len() == 1 {
-            let value = eval_term(&atom.terms[0], bindings, self.relations)?;
+            let value = eval_term(&atom.terms[0], bindings)?;
             return match value {
                 Some(v) if v.primitive_type() == name => {
                     self.join_steps(literals, steps, position + 1, delta, bindings, callback)
@@ -211,7 +211,7 @@ impl<'a> JoinContext<'a> {
                 pattern.push(match term {
                     Term::Var(v) => bindings.get(v).cloned(),
                     Term::Wildcard => None,
-                    other => eval_term(other, bindings, self.relations)?,
+                    other => eval_term(other, bindings)?,
                 });
             }
             let rows = self
@@ -222,7 +222,7 @@ impl<'a> JoinContext<'a> {
                     message,
                 })?;
             for row in rows {
-                if match_tuple(&atom.terms, &row, bindings, self.relations)? {
+                if match_tuple(&atom.terms, &row, bindings)? {
                     let result =
                         self.join_steps(literals, steps, position + 1, delta, bindings, callback);
                     bindings.restore(mark);
@@ -235,7 +235,7 @@ impl<'a> JoinContext<'a> {
         // Stored relation (possibly restricted to the delta set).
         if let Some(pinned) = delta.filter(|d| d.literal_index == steps[position].literal) {
             for tuple in pinned.delta {
-                if match_tuple(&atom.terms, tuple, bindings, self.relations)? {
+                if match_tuple(&atom.terms, tuple, bindings)? {
                     let result =
                         self.join_steps(literals, steps, position + 1, delta, bindings, callback);
                     bindings.restore(mark);
@@ -268,7 +268,7 @@ impl<'a> JoinContext<'a> {
                             all_ground = false;
                             break;
                         }
-                        other => match eval_term(other, bindings, self.relations)? {
+                        other => match eval_term(other, bindings)? {
                             Some(value) => key.push(value),
                             None => {
                                 all_ground = false;
@@ -280,7 +280,7 @@ impl<'a> JoinContext<'a> {
                 if all_ground {
                     if let Some(id) = relation.functional_find(&key) {
                         self.bump(|s| &s.functional_hits);
-                        if match_stored(&atom.terms, relation, id, bindings, self.relations)? {
+                        if match_stored(&atom.terms, relation, id, bindings)? {
                             let result = self
                                 .descend(literals, steps, position, id, delta, bindings, callback);
                             bindings.restore(mark);
@@ -296,8 +296,7 @@ impl<'a> JoinContext<'a> {
         // in the relation's secondary index — or, when the plan bound every
         // column, in its primary map: the key is the tuple, there is nothing
         // left to bind and no candidate to match.  Falls back to a scan when
-        // a key term is not ground at runtime (e.g. an unset singleton) or
-        // the index is missing.
+        // a key term is not ground at runtime or the index is missing.
         if let Some(cols) = probe {
             if let Some(key) = self.probe_key(atom, cols, bindings)? {
                 if is_membership(atom.terms.len(), cols) {
@@ -311,7 +310,7 @@ impl<'a> JoinContext<'a> {
                     self.bump(|s| &s.index_probes);
                     self.examined(ids.len());
                     for id in ids {
-                        if match_stored(&atom.terms, relation, id, bindings, self.relations)? {
+                        if match_stored(&atom.terms, relation, id, bindings)? {
                             let result = self
                                 .descend(literals, steps, position, id, delta, bindings, callback);
                             bindings.restore(mark);
@@ -328,7 +327,7 @@ impl<'a> JoinContext<'a> {
         self.bump(|s| &s.full_scans);
         self.examined(relation.len());
         for id in relation.ids() {
-            if match_stored(&atom.terms, relation, id, bindings, self.relations)? {
+            if match_stored(&atom.terms, relation, id, bindings)? {
                 let result = self.descend(literals, steps, position, id, delta, bindings, callback);
                 bindings.restore(mark);
                 result?;
@@ -376,7 +375,7 @@ impl<'a> JoinContext<'a> {
             if position >= 64 || cols & (1 << position) == 0 {
                 continue;
             }
-            match eval_term(term, bindings, self.relations)? {
+            match eval_term(term, bindings)? {
                 Some(value) => key.push(value),
                 None => return Ok(None),
             }
@@ -403,7 +402,7 @@ impl<'a> JoinContext<'a> {
             pattern.push(match term {
                 Term::Var(v) => bindings.get(v).cloned(),
                 Term::Wildcard => None,
-                other => eval_term(other, bindings, self.relations)?,
+                other => eval_term(other, bindings)?,
             });
         }
         Ok(!relation.matches_any(&pattern))
@@ -425,8 +424,8 @@ impl<'a> JoinContext<'a> {
     where
         F: FnMut(&Bindings) -> Result<()>,
     {
-        let lhs_value = eval_term(lhs, bindings, self.relations)?;
-        let rhs_value = eval_term(rhs, bindings, self.relations)?;
+        let lhs_value = eval_term(lhs, bindings)?;
+        let rhs_value = eval_term(rhs, bindings)?;
 
         // Assignment form: `X = ground` or `ground = X` with X unbound.
         if op == CmpOp::Eq {

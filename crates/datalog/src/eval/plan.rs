@@ -66,6 +66,11 @@ pub struct PlanStep {
     /// argument ground — is a membership test on the primary map, for which
     /// no secondary index is declared or built.
     pub probe: Option<ColumnSet>,
+    /// A stored-relation literal over a functional predicate whose key is
+    /// bound when it runs (never the delta literal): the tuple path looks
+    /// its one row up by the key, so it has no probe.  A lifted `self[]`
+    /// read is one.
+    pub functional: bool,
 }
 
 /// The signature binding every column of an `arity`-column literal, or
@@ -105,6 +110,7 @@ impl RulePlan {
                 .map(|literal| PlanStep {
                     literal,
                     probe: None,
+                    functional: false,
                 })
                 .collect(),
             ensure: Vec::new(),
@@ -113,20 +119,24 @@ impl RulePlan {
     }
 }
 
-/// Why a rule execution ran on the tuple path: the first of these, in
-/// declaration order, that the rule has and the batch executor lacks
-/// (`batch::compile_batch`).  Values the relations do not hold come first —
-/// computed by a function, then read from a singleton — so the generated
-/// signing rule counts as a UDF call although it also reads `self[]`, and a
-/// `says` rule that compares against `self[]` as a singleton read.
+/// Why a rule execution ran on the tuple path: what the rule has and the
+/// batch executor lacks (`batch::compile_batch`).  What the rule's syntax
+/// says is ranked in declaration order — the generated signing rule counts
+/// as a UDF call although it also reads `self[]`, a `says` rule's
+/// `U != self[]` as a comparison — and only a rule its syntax admits is
+/// asked about its plan: a functional lookup, a foreign dictionary, the
+/// delta literal's place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BatchMiss {
     /// An aggregate rule (recomputed in full, never delta-driven).
     Aggregate,
     /// A body atom over a user-defined function.
     Udf,
-    /// A singleton reference such as `self[]`, in the head or the body.
-    Singleton,
+    /// A functional literal the plan reaches with its key bound
+    /// ([`PlanStep::functional`]), such as the `self[] = self[]` a lifted
+    /// `self[]` read becomes: the tuple path looks its one row up, the
+    /// batch executor would scan the relation.
+    Functional,
     /// A negated body atom.
     Negation,
     /// A comparison or assignment literal.
@@ -150,7 +160,7 @@ impl BatchMiss {
     pub const ALL: [BatchMiss; 10] = [
         BatchMiss::Aggregate,
         BatchMiss::Udf,
-        BatchMiss::Singleton,
+        BatchMiss::Functional,
         BatchMiss::Negation,
         BatchMiss::Comparison,
         BatchMiss::TypeCheck,
@@ -186,7 +196,7 @@ pub struct PlanStats {
     pub constraint_full_checks: AtomicU64,
     /// A retraction's proof joins — one rule run backwards from one fact —
     /// by executor: the batch executor in id space, or the tuple path for a
-    /// rule with a UDF, a comparison or a singleton (`eval::dred`).
+    /// rule with a UDF, a comparison or a functional lookup (`eval::dred`).
     pub proof_joins_batch: AtomicU64,
     pub proof_joins_tuple: AtomicU64,
     /// Per [`BatchMiss`] (indexed by `reason as usize`), the tuple-path
@@ -490,8 +500,8 @@ pub fn bound_after(body: &[Literal], udfs: &UdfRegistry) -> FnvSet<String> {
 fn term_ground(term: &Term, bound: &FnvSet<String>) -> bool {
     match term {
         Term::Var(v) => bound.contains(v),
-        Term::Const(_) | Term::SingletonRef(_) => true,
-        Term::Wildcard | Term::VarSeq(_) => false,
+        Term::Const(_) => true,
+        Term::Wildcard | Term::VarSeq(_) | Term::SingletonRef(_) => false,
         Term::BinOp(l, _, r) => term_ground(l, bound) && term_ground(r, bound),
     }
 }
@@ -679,6 +689,7 @@ pub fn compile_body_plan(
                     order: &mut Vec<PlanStep>,
                     ensure: &mut Vec<IndexSpec>| {
         let mut probe = None;
+        let mut functional = false;
         if let LitKind::Stored { pred } = &kinds[index] {
             let Literal::Pos(atom) = &body[index] else {
                 unreachable!("stored literal is positive");
@@ -687,14 +698,14 @@ pub fn compile_body_plan(
                 let cols = probe_signature(atom, bound);
                 // Skip the probe when the functional fast path already covers
                 // the lookup (all key columns ground).
-                let functional_covers = relations
+                functional = relations
                     .get(pred)
                     .and_then(Relation::key_arity)
                     .is_some_and(|k| {
                         atom.terms.len() == k + 1
                             && atom.terms[..k].iter().all(|t| term_ground(t, bound))
                     });
-                if cols != 0 && !functional_covers {
+                if cols != 0 && !functional {
                     probe = Some(cols);
                     let spec = IndexSpec {
                         pred: pred.clone(),
@@ -732,6 +743,7 @@ pub fn compile_body_plan(
         order.push(PlanStep {
             literal: index,
             probe,
+            functional,
         });
     };
 
@@ -981,11 +993,14 @@ mod tests {
         let relations = relations_with(&[("sig", 1000), ("secret", 10)]);
         let udfs = UdfRegistry::new();
         // The generated signature constraint's right-hand side: P, V bound
-        // by the left-hand side, `me[]` shared by every row of `sig`.
-        let rule = parse_rule("out(S) <- sig(P, me[], V, S), secret(P, K).").unwrap();
+        // by the left-hand side, `me[]` shared by every row of `sig` and
+        // bound by the literal its lift puts first.
+        let rule = parse_rule("out(S) <- sig(P, me[], V, S), secret(P, K).")
+            .unwrap()
+            .lift_singletons();
         let from_nothing =
             compile_body_plan(&rule.body, None, &FnvSet::default(), &relations, &udfs);
-        let sig_step = |plan: &RulePlan| plan.order.iter().find(|s| s.literal == 0).unwrap().probe;
+        let sig_step = |plan: &RulePlan| plan.order.iter().find(|s| s.literal == 1).unwrap().probe;
         assert_ne!(sig_step(&from_nothing), Some(column_set([0, 1, 2])));
         let plan = compile_body_plan(&rule.body, None, &bound(&["P", "V"]), &relations, &udfs);
         assert_eq!(sig_step(&plan), Some(column_set([0, 1, 2])));
@@ -1021,7 +1036,9 @@ mod tests {
     fn bound_after_is_the_closure_of_what_the_literals_bind() {
         let udfs = UdfRegistry::new();
         let vars = |source: &str| {
-            let rule = parse_rule(&format!("out(X) <- {source}.")).unwrap();
+            let rule = parse_rule(&format!("out(X) <- {source}."))
+                .unwrap()
+                .lift_singletons();
             let mut vars: Vec<String> = bound_after(&rule.body, &udfs).into_iter().collect();
             vars.sort();
             vars
@@ -1033,7 +1050,7 @@ mod tests {
             vars("C = B + 1, B = Y, a(X, Y), X < D"),
             ["B", "C", "X", "Y"]
         );
-        assert_eq!(vars("a(X, me[]), Z = me[]"), ["X", "Z"]);
+        assert_eq!(vars("a(X, me[]), Z = me[]"), ["X", "Z", "me[]"]);
         assert!(vars("says[T](P, X)").is_empty());
     }
 

@@ -605,7 +605,7 @@ impl<'a> Evaluator<'a> {
             }
             // Same head projection the combination paths use — one
             // implementation, so the paths cannot drift.
-            project_heads(rule, &solution, self.relations, &mut derived)?;
+            project_heads(rule, &solution, &mut derived)?;
         }
         Ok(derived)
     }
@@ -834,7 +834,7 @@ fn evaluate_tuple_combo(
 ) -> Result<Vec<(String, Tuple)>> {
     let ctx = JoinContext::with_stats(relations, udfs, stats);
     let mut derived: Vec<(String, Tuple)> = Vec::new();
-    let mut collect = |b: &Bindings| project_heads(rule, b, relations, &mut derived);
+    let mut collect = |b: &Bindings| project_heads(rule, b, &mut derived);
     match plan {
         Some(plan) => ctx.join_planned(&rule.body, plan, restriction, bindings, &mut collect)?,
         None => ctx.join(&rule.body, restriction, bindings, &mut collect)?,
@@ -848,7 +848,6 @@ fn evaluate_tuple_combo(
 fn project_heads(
     rule: &Rule,
     solution: &Bindings,
-    relations: &Relations,
     derived: &mut Vec<(String, Tuple)>,
 ) -> Result<()> {
     for atom in &rule.head {
@@ -857,7 +856,7 @@ fn project_heads(
         for term in &atom.terms {
             let value = match term {
                 Term::Var(v) => solution.get(v).cloned(),
-                other => eval_term(other, solution, relations)?,
+                other => eval_term(other, solution)?,
             };
             match value {
                 Some(v) => tuple.push(v),
@@ -1148,14 +1147,20 @@ mod tests {
             journal: &mut EvalJournal::default(),
         };
         // Y is a head existential, so it actually mints an entity — that is
-        // allowed.  A truly unsafe head would use an expression over unbound
-        // variables; simulate by evaluating a rule with a singleton that is
-        // unset.
-        let program = parse_program("out(K) <- link(X, _), K = missing[] + 1.").unwrap();
+        // allowed.  A truly unsafe head reads a variable the body mentions
+        // but never binds: `!blocked(Z)` only tests that no `blocked` row
+        // exists, so the head expression `Z + 1` has no value.
+        let program = parse_program("out(Z + 1) <- link(X, _), !blocked(Z).").unwrap();
         let rules: Vec<Rule> = program.rules().cloned().collect();
         let program = RuleSet::new(rules, vec![vec![0]]);
         let result = evaluator.evaluate_round(&program, &[(0, None)], &FactDelta::default());
-        assert!(result.is_err_and(|error| matches!(error, DatalogError::Eval(_))));
+        assert!(
+            result.is_err_and(|error| matches!(
+                &error,
+                DatalogError::Eval(message) if message.contains("unsafe rule")
+            )),
+            "an unbound head expression is an unsafe rule"
+        );
     }
 
     #[test]

@@ -213,9 +213,14 @@ impl Interner {
     }
 
     /// [`Interner::try_row`] into `out`, which is as long as `values`; on
-    /// `false` its contents are unspecified.
+    /// `false` its contents are unspecified.  An empty `values` — the key
+    /// of a zero-key functional lookup such as a singleton read — takes no
+    /// lock.
     pub fn try_ids(&self, values: &[Value], out: &mut [u32]) -> bool {
         debug_assert_eq!(values.len(), out.len());
+        if values.is_empty() {
+            return true;
+        }
         let state = self.read();
         for (value, slot) in values.iter().zip(out) {
             match state.ids.get(value) {

@@ -808,15 +808,6 @@ impl Relation {
         self.find_fd(buf.known(&self.interner, key)?)
     }
 
-    /// The value of a zero-key functional predicate (`p[] = v`), if set.
-    pub fn singleton_value(&self) -> Option<Value> {
-        if self.key_arity == Some(0) {
-            self.functional_lookup(&[])
-        } else {
-            None
-        }
-    }
-
     /// Build the secondary index for `cols` if it does not exist yet.
     /// Returns `true` when an index was actually built.
     pub fn ensure_index(&mut self, cols: ColumnSet) -> bool {
@@ -1003,13 +994,17 @@ mod tests {
 
     #[test]
     fn singleton_value_access() {
+        // A singleton's value is the functional lookup of the empty key.
         let mut rel = Relation::new("self", Some(0));
-        assert!(rel.singleton_value().is_none());
+        assert!(rel.functional_lookup(&[]).is_none());
         rel.insert(vec![Value::str("n1")]).unwrap();
-        assert_eq!(rel.singleton_value(), Some(Value::str("n1")));
-        // A non-singleton relation never reports a singleton value.
-        let rel2 = Relation::new("link", None);
-        assert!(rel2.singleton_value().is_none());
+        assert_eq!(rel.functional_lookup(&[]), Some(Value::str("n1")));
+        // Any other relation has no value under the empty key.
+        let mut rel2 = Relation::new("link", None);
+        rel2.insert(vec![Value::str("n1")]).unwrap();
+        assert!(rel2.functional_lookup(&[]).is_none());
+        let rel3 = Relation::new("cost", Some(1));
+        assert!(rel3.functional_lookup(&[]).is_none());
     }
 
     #[test]

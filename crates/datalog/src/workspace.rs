@@ -10,7 +10,7 @@
 //! constraint, then the transaction (including the input tuples) is rolled
 //! back" (§5.2) — [`Workspace::transaction`] implements exactly that.
 
-use crate::ast::{Constraint, Literal, Program, Rule, Statement, Term};
+use crate::ast::{singleton_var, Constraint, Literal, Program, Rule, Statement, Term};
 use crate::constraint::{check_constraints_for_delta, check_constraints_planned};
 use crate::error::{DatalogError, Result};
 use crate::eval::seminaive::ExistentialMemo;
@@ -193,6 +193,12 @@ impl Workspace {
     /// place the per-rule facts evaluation reads every round are computed
     /// ([`RuleSet`]).
     ///
+    /// Rules and constraints enter with their singleton reads lifted into
+    /// body literals ([`Rule::lift_singletons`],
+    /// [`Constraint::lift_singletons`]), so the evaluator reads the database
+    /// through literals only; a fact's `p[]` is resolved here, to the value
+    /// the singleton has now.
+    ///
     /// Programs containing BloxGenerics statements must be compiled with the
     /// meta-compiler first; installing them directly is an error.
     pub fn install_program(&mut self, program: &Program) -> Result<()> {
@@ -211,8 +217,10 @@ impl Workspace {
         let mut rules = self.program.rules().to_vec();
         for statement in &program.statements {
             match statement {
-                Statement::Rule(rule) => rules.push(rule.clone()),
-                Statement::Constraint(constraint) => self.constraints.push(constraint.clone()),
+                Statement::Rule(rule) => rules.push(rule.clone().lift_singletons()),
+                Statement::Constraint(constraint) => {
+                    self.constraints.push(constraint.clone().lift_singletons())
+                }
                 Statement::Fact(fact) => {
                     let pred = crate::eval::runtime_pred_name(&fact.atom.pred)?;
                     let tuple = self.ground_terms(&fact.atom.terms)?;
@@ -258,11 +266,24 @@ impl Workspace {
         true
     }
 
+    /// A fact's argument terms as values, each singleton read lifted and
+    /// bound to the singleton's value (an unset one leaves its term without
+    /// a value).
     fn ground_terms(&self, terms: &[Term]) -> Result<Tuple> {
-        let bindings = Bindings::new();
+        let mut terms = terms.to_vec();
+        let mut reads = Vec::new();
+        for term in &mut terms {
+            term.lift_singletons(&mut reads);
+        }
+        let mut bindings = Bindings::new();
+        for pred in reads {
+            if let Some(value) = self.singleton(&pred) {
+                bindings.bind(&singleton_var(&pred), value);
+            }
+        }
         let mut tuple = Vec::with_capacity(terms.len());
-        for term in terms {
-            match crate::eval::bindings::eval_term(term, &bindings, &self.relations)? {
+        for term in &terms {
+            match crate::eval::bindings::eval_term(term, &bindings)? {
                 Some(v) => tuple.push(v),
                 None => {
                     return Err(DatalogError::Eval(format!(
@@ -331,7 +352,7 @@ impl Workspace {
 
     /// The value of a singleton predicate, if set.
     pub fn singleton(&self, pred: &str) -> Option<Value> {
-        self.relations.get(pred).and_then(|r| r.singleton_value())
+        self.relations.get(pred)?.functional_lookup(&[])
     }
 
     /// The asserted (extensional) tuples of a predicate, in deterministic
@@ -771,6 +792,10 @@ mod tests {
         ws.set_singleton("self", s("n8")).unwrap();
         assert_eq!(ws.singleton("self"), Some(s("n8")));
         assert_eq!(ws.singleton("other"), None);
+        // A fact statement reads the value the singleton has at install.
+        ws.install_source("owner(self[], 1).").unwrap();
+        assert_eq!(ws.query("owner"), vec![vec![s("n8"), Value::Int(1)]]);
+        assert!(ws.install_source("owner(other[], 2).").is_err());
     }
 
     #[test]
@@ -1338,6 +1363,178 @@ mod tests {
             (removed, rows)
         };
         assert_eq!(run(), run());
+    }
+
+    /// The non-empty relations of a workspace built from scratch: `source`
+    /// installed, `facts` asserted, one fixpoint.
+    fn from_scratch(source: &str, facts: &[(&str, Tuple)]) -> Vec<(String, Vec<Tuple>)> {
+        let mut ws = Workspace::new();
+        ws.set_strict_typing(false);
+        ws.install_source(source).unwrap();
+        for (pred, tuple) in facts {
+            ws.assert_fact(pred, tuple.clone()).unwrap();
+        }
+        ws.fixpoint().unwrap();
+        non_empty(&ws)
+    }
+
+    fn non_empty(ws: &Workspace) -> Vec<(String, Vec<Tuple>)> {
+        let mut relations = contents(ws);
+        relations.retain(|(_, tuples)| !tuples.is_empty());
+        relations
+    }
+
+    #[test]
+    fn a_singleton_read_in_an_atom_waits_for_the_rule_deriving_it() {
+        // `cfg[]` is derived: its rule must run before the one reading it.
+        let source = "cfg[] = V <- setting(V).\n\
+                      out(Y) <- edge(cfg[], Y).";
+        let edges = [
+            ("edge", vec![s("a"), s("b")]),
+            ("edge", vec![s("c"), s("d")]),
+        ];
+        let mut ws = Workspace::new();
+        ws.install_source(source).unwrap();
+        let mut batch: Vec<(String, Tuple)> = edges
+            .iter()
+            .map(|(pred, tuple)| (pred.to_string(), tuple.clone()))
+            .collect();
+        batch.push(("setting".into(), vec![s("a")]));
+        ws.transaction(batch).unwrap();
+        assert_eq!(ws.query("out"), vec![vec![s("b")]]);
+        let mut facts = edges.to_vec();
+        facts.push(("setting", vec![s("a")]));
+        assert_eq!(non_empty(&ws), from_scratch(source, &facts));
+        // A new setting, and the read follows it: the old value's `out` goes.
+        ws.retract(vec![("setting".into(), vec![s("a")])]).unwrap();
+        assert!(ws.query("out").is_empty());
+        ws.transaction(vec![("setting".into(), vec![s("c")])])
+            .unwrap();
+        assert_eq!(ws.query("out"), vec![vec![s("d")]]);
+        facts.pop();
+        facts.push(("setting", vec![s("c")]));
+        assert_eq!(non_empty(&ws), from_scratch(source, &facts));
+    }
+
+    #[test]
+    fn a_singleton_read_in_a_comparison_is_a_bound_operand() {
+        let source = "cfg[] = V <- setting(V).\n\
+                      out(X) <- item(X), X = cfg[].";
+        let items = [("item", vec![s("a")]), ("item", vec![s("b")])];
+        let batch = |facts: &[(&str, Tuple)]| -> Vec<(String, Tuple)> {
+            facts
+                .iter()
+                .map(|(pred, tuple)| (pred.to_string(), tuple.clone()))
+                .collect()
+        };
+        // Unset, the comparison has nothing to compare: no match, no error.
+        let mut ws = Workspace::new();
+        ws.install_source(source).unwrap();
+        ws.transaction(batch(&items)).unwrap();
+        assert!(ws.query("out").is_empty());
+        assert_eq!(non_empty(&ws), from_scratch(source, &items));
+        // Derived in the same commit as what it filters.
+        let mut facts = items.to_vec();
+        facts.push(("setting", vec![s("b")]));
+        let mut ws = Workspace::new();
+        ws.install_source(source).unwrap();
+        ws.transaction(batch(&facts)).unwrap();
+        assert_eq!(ws.query("out"), vec![vec![s("b")]]);
+        assert_eq!(non_empty(&ws), from_scratch(source, &facts));
+    }
+
+    #[test]
+    fn a_singleton_only_the_rhs_reads_is_a_witness_the_check_follows() {
+        // `me[]` is read on the right only: unset, no `p` fact has its
+        // witness; set, the commit holds; withdrawn, the witness goes and
+        // the retraction is refused like any other.
+        let mut ws = Workspace::new();
+        ws.install_source("p(X) -> q(X, me[]).\nq(1, n0).").unwrap();
+        ws.fixpoint().unwrap();
+        let p = || vec![("p".to_string(), vec![Value::Int(1)])];
+        let refused = |result: Result<Commit>| {
+            let error = result.unwrap_err();
+            assert!(
+                matches!(error, DatalogError::ConstraintViolation(_)),
+                "{error}"
+            );
+        };
+        refused(ws.transaction(p()));
+        ws.set_singleton("me", s("n0")).unwrap();
+        ws.transaction(p()).unwrap();
+        let before = contents(&ws);
+        refused(ws.retract(vec![("me".into(), vec![s("n0")])]));
+        assert_eq!(contents(&ws), before);
+    }
+
+    #[test]
+    fn an_unset_singleton_read_in_a_negation_or_only_in_the_head_matches_nothing() {
+        // Lifted, both reads need `me`'s row: while it is unset the negated
+        // read leaves no body solution — it is not a wildcard — and the
+        // head-only read derives nothing, without an `unsafe rule` error.
+        let mut ws = Workspace::new();
+        ws.install_source(
+            "free(Y) <- slot(Y), !b(me[], Y).\n\
+             mine(me[], Y) <- slot(Y).\n\
+             b(n1, 1).",
+        )
+        .unwrap();
+        let slots = (1..=2).map(|i| ("slot".to_string(), vec![Value::Int(i)]));
+        ws.transaction(slots.collect()).unwrap();
+        assert!(ws.query("free").is_empty());
+        assert!(ws.query("mine").is_empty());
+        ws.set_singleton("me", s("n1")).unwrap();
+        ws.fixpoint().unwrap();
+        assert_eq!(ws.query("free"), vec![vec![Value::Int(2)]]);
+        assert_eq!(
+            ws.query("mine"),
+            vec![vec![s("n1"), Value::Int(1)], vec![s("n1"), Value::Int(2)]]
+        );
+    }
+
+    #[test]
+    fn withdrawing_a_singleton_reaches_the_facts_read_through_it() {
+        // ROADMAP item 15's repro: `near` reads `me[]`, and withdrawing
+        // `me`'s fact — with `near(n3)` or alone — must leave what a
+        // from-scratch evaluation of the remaining facts holds.
+        let source = "cost[X, Y] = C -> node(X), node(Y), int(C).\n\
+                      reach(X, Y) <- cost[X, Y] = _.\n\
+                      reach(X, Y) <- cost[X, Z] = _, reach(Z, Y).\n\
+                      best[X] = C <- agg<< C = min(Cx) >> cost[X, _] = Cx.\n\
+                      near(X) <- reach(me[], X).";
+        let nodes: Vec<(&str, Tuple)> = (0..4)
+            .map(|i| ("node", vec![s(&format!("n{i}"))]))
+            .collect();
+        let cost = ("cost", vec![s("n0"), s("n3"), Value::Int(2)]);
+        let near = ("near".to_string(), vec![s("n3")]);
+        let me = ("me".to_string(), vec![s("n0")]);
+        for withdrawn in [vec![me.clone(), near.clone()], vec![me.clone()]] {
+            let mut ws = Workspace::new();
+            ws.set_strict_typing(false);
+            ws.install_source(source).unwrap();
+            for (pred, tuple) in &nodes {
+                ws.assert_fact(pred, tuple.clone()).unwrap();
+            }
+            ws.set_singleton("me", s("n0")).unwrap();
+            ws.transaction(vec![(cost.0.into(), cost.1.clone()), near.clone()])
+                .unwrap();
+            assert_eq!(ws.query("near"), vec![vec![s("n3")]]);
+            let oracle = {
+                let mut oracle = ws.clone();
+                oracle.retract_rederiving(withdrawn.clone()).unwrap();
+                non_empty(&oracle)
+            };
+            ws.retract(withdrawn.clone()).unwrap();
+            // `near(n3)` stays asserted when only `me` is withdrawn.
+            let mut facts = nodes.clone();
+            facts.push(cost.clone());
+            if withdrawn.len() == 1 {
+                facts.push(("near", vec![s("n3")]));
+            }
+            let expected = from_scratch(source, &facts);
+            assert_eq!(non_empty(&ws), expected, "withdrawing {withdrawn:?}");
+            assert_eq!(oracle, expected, "re-derived, withdrawing {withdrawn:?}");
+        }
     }
 
     #[test]

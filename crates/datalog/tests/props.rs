@@ -402,11 +402,14 @@ const LHS: [&str; 10] = [
 ];
 
 /// Right-hand-side pieces, one to three of which make a right-hand side:
-/// existential and repeated variables, constants, the singleton, fully
-/// ground atoms, negation with bound and unbound positions, comparisons, an
-/// assignment feeding a probe, the UDF verifier, builtin type checks — and
-/// Z, which is bound or existential depending on the left-hand side.
-const RHS: [&str; 18] = [
+/// existential and repeated variables, constants, the singleton (read in an
+/// atom, a negation and a comparison, so with a left-hand side that does not
+/// read it, a constraint whose only `me[]` read is its right-hand side's),
+/// fully ground atoms, negation with bound and unbound positions,
+/// comparisons, an assignment feeding a probe, the UDF verifier, builtin
+/// type checks — and Z, which is bound or existential depending on the
+/// left-hand side.
+const RHS: [&str; 20] = [
     "b(X, W)",
     "b(X, Y)",
     "b(Y, W), c(W)",
@@ -414,6 +417,8 @@ const RHS: [&str; 18] = [
     "b(X, 2)",
     "c(me[])",
     "b(X, me[])",
+    "!b(me[], Y)",
+    "X != me[]",
     "!c(X)",
     "!b(X, V)",
     "!b(Y, X)",
@@ -505,11 +510,13 @@ proptest! {
         rhs in proptest::collection::vec(0..RHS.len(), 1..4),
         rows in arb_constraint_rows(),
         me in (any::<bool>(), 0i64..4).prop_map(|(set, me)| set.then_some(me)),
+        me_after in (any::<bool>(), 0i64..4).prop_map(|(set, me)| set.then_some(me)),
         change in arb_constraint_rows(),
         drop_mask in proptest::collection::vec(any::<bool>(), 14),
     ) {
         let rhs: Vec<&str> = rhs.iter().map(|&i| RHS[i]).collect();
-        let constraint = Constraint { lhs: side(LHS[lhs]), rhs: side(&rhs.join(", ")) };
+        let constraint = Constraint { lhs: side(LHS[lhs]), rhs: side(&rhs.join(", ")) }
+            .lift_singletons();
         let constraints = [constraint.clone()];
         let udfs = constraint_udfs();
         let oracle = |relations: &Relations| {
@@ -534,26 +541,29 @@ proptest! {
         prop_assert!(unbound.is_empty(), "{:?} over-estimated for {}", unbound, constraint);
 
         // Changes to a state that satisfied the constraint: each stored row
-        // removed alone, each row of `change` added alone, and all of it at
-        // once.  (`me[]` stays: a singleton is read through a term, which
-        // the delta rule does not follow.)
+        // removed alone, each row of `change` added alone, `me[]` set,
+        // changed or unset alone, and all of it at once.  A singleton read
+        // is a literal, so its fact drives the check as any other does.
         let without = |dropped: &dyn Fn(usize) -> bool| -> Rows {
             let kept = rows.iter().enumerate().filter(|(i, _)| !dropped(*i));
             kept.map(|(_, row)| row.clone()).collect()
         };
-        let mut changes: Vec<Rows> = (0..rows.len()).map(|gone| without(&|i| i == gone)).collect();
-        changes.extend(change.iter().map(|row| [rows.clone(), vec![row.clone()]].concat()));
-        changes.push([without(&|i| drop_mask[i]), change].concat());
+        let mut changes: Vec<(Rows, Option<i64>)> =
+            (0..rows.len()).map(|gone| (without(&|i| i == gone), me)).collect();
+        changes.extend(change.iter().map(|row| ([rows.clone(), vec![row.clone()]].concat(), me)));
+        changes.push((rows.clone(), me_after));
+        changes.push(([without(&|i| drop_mask[i]), change].concat(), me_after));
         let mut changed = relations.clone();
-        for after in changes.iter().filter(|_| held.is_none()) {
-            changed = constraint_relations(after, me);
+        for (after, me_after) in changes.iter().filter(|_| held.is_none()) {
+            changed = constraint_relations(after, *me_after);
             let (mut added, mut removed) = (FactDelta::default(), FactDelta::default());
             for (from, to, delta) in [
                 (&changed, &relations, &mut added),
                 (&relations, &changed, &mut removed),
             ] {
                 for (pred, relation) in from {
-                    for tuple in relation.iter().filter(|t| !to[pred].contains(t)) {
+                    let held = |t: &Vec<Value>| to.get(pred).is_some_and(|r| r.contains(t));
+                    for tuple in relation.iter().filter(|t| !held(t)) {
                         delta.entry(pred.clone()).or_default().insert(tuple.clone());
                     }
                 }
@@ -1202,12 +1212,9 @@ proptest! {
                     }
                 }
                 1 => {
-                    // Mostly withdraw facts that are asserted — not the
-                    // singleton: a rule reads it as a `me[]` term, which no
-                    // deletion follows, so withdrawing it leaves `near`
-                    // facts that the two passes judge differently.
-                    let mut stated: Vec<Fact> =
-                        model.iter().filter(|(pred, _)| pred != "me").cloned().collect();
+                    // Mostly withdraw facts that are asserted, the
+                    // singleton `near` reads among them.
+                    let mut stated: Vec<Fact> = model.iter().cloned().collect();
                     if pick % 4 != 0 && !stated.is_empty() {
                         stated.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| {
                             secureblox_datalog::value::tuple_total_cmp(&a.1, &b.1)

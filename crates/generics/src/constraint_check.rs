@@ -24,7 +24,8 @@ pub fn check_generic_constraint(constraint: &GenericConstraint, meta: &MetaDatab
     let as_constraint = Constraint {
         lhs: constraint.lhs.clone(),
         rhs: constraint.rhs.clone(),
-    };
+    }
+    .lift_singletons();
     let udfs = UdfRegistry::new();
     check_constraint(&as_constraint, meta.relations(), &udfs).map_err(|error| match error {
         DatalogError::ConstraintViolation(violation) => DatalogError::Generics(format!(
