@@ -11,7 +11,7 @@
 
 pub use secureblox_datalog::codec::{deserialize_tuple, serialize_tuple};
 
-use secureblox_datalog::codec::read_count;
+use secureblox_datalog::codec::{DecodeError, Reader};
 use secureblox_datalog::value::Tuple;
 
 /// The two operations an update-stream delta can describe.
@@ -78,51 +78,21 @@ impl UpdateEnvelope {
     }
 
     /// Parse an envelope from message-payload bytes.
-    pub fn decode(data: &[u8]) -> Result<Self, String> {
-        let mut pos = 0usize;
-        let take4 = |data: &[u8], pos: &mut usize, what: &str| -> Result<usize, String> {
-            let bytes = data
-                .get(*pos..*pos + 4)
-                .ok_or_else(|| format!("truncated {what}"))?;
-            *pos += 4;
-            Ok(u32::from_be_bytes(bytes.try_into().expect("4 bytes")) as usize)
-        };
-        let seq_bytes = data.get(0..8).ok_or("truncated stream sequence")?;
-        pos += 8;
-        let seq = u64::from_be_bytes(seq_bytes.try_into().expect("8 bytes"));
+    pub fn decode(data: &[u8]) -> Result<Self, DecodeError> {
+        let mut reader = Reader::new(data);
+        let seq = reader.u64()?;
         // The shortest delta: op, empty predicate, empty tuple, no signature.
-        let count = read_count(data, &mut pos, 13, "delta count")?;
+        let count = reader.count(13)?;
         let mut deltas = Vec::with_capacity(count);
         for _ in 0..count {
-            let op = match data.get(pos) {
-                Some(0) => DeltaOp::Assert,
-                Some(1) => DeltaOp::Retract,
-                Some(other) => return Err(format!("unknown delta op {other}")),
-                None => return Err("truncated delta op".into()),
-            };
-            pos += 1;
-            let len = take4(data, &mut pos, "predicate length")?;
-            let pred_bytes = data.get(pos..pos + len).ok_or("truncated predicate name")?;
-            pos += len;
-            let pred =
-                String::from_utf8(pred_bytes.to_vec()).map_err(|_| "invalid predicate name")?;
-            let tuple = deserialize_tuple(data, &mut pos)?;
-            let sig_len = take4(data, &mut pos, "signature length")?;
-            let signature = data
-                .get(pos..pos + sig_len)
-                .ok_or("truncated signature")?
-                .to_vec();
-            pos += sig_len;
             deltas.push(UpdateDelta {
-                op,
-                pred,
-                tuple,
-                signature,
+                op: [DeltaOp::Assert, DeltaOp::Retract][reader.tag(2, "delta op")? as usize],
+                pred: reader.str()?.to_owned(),
+                tuple: reader.tuple()?,
+                signature: reader.bytes()?.to_vec(),
             });
         }
-        if pos != data.len() {
-            return Err("trailing bytes after deltas".into());
-        }
+        reader.finish()?;
         Ok(UpdateEnvelope { seq, deltas })
     }
 }

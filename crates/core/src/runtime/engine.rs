@@ -872,7 +872,7 @@ impl Deployment {
 mod tests {
     use super::*;
     use crate::policy::{SecurityConfig, TrustModel};
-    use crate::runtime::codec::{DeltaOp, UpdateDelta, UpdateEnvelope};
+    use crate::runtime::codec::{serialize_tuple, DeltaOp, UpdateDelta, UpdateEnvelope};
     use secureblox_crypto::{AuthScheme, EncScheme};
 
     /// A two-node "reachability gossip" application: each node says its links
@@ -1418,5 +1418,154 @@ mod tests {
         let text = err.to_string();
         assert!(text.contains("message budget of 1"), "got: {text}");
         assert!(text.contains("busiest links:"), "got: {text}");
+    }
+
+    /// Gossip plus its transitive closure.
+    const REACH_APP: &str = r#"
+        link(N1, N2) -> node(N1), node(N2).
+        remote_link(N1, N2) -> node(N1), node(N2).
+        reach(N1, N2) -> node(N1), node(N2).
+        exportable(`remote_link).
+
+        says[`remote_link](self[], U, X, Y) <- link(X, Y), principal(U), U != self[].
+        reach(X, Y) <- link(X, Y).
+        reach(X, Y) <- remote_link(X, Y).
+        reach(X, Z) <- reach(X, Y), reach(Y, Z).
+    "#;
+
+    /// [`Deployment::run_virtual`], keeping a copy of every update envelope
+    /// it delivers.
+    fn run_keeping_updates(deployment: &mut Deployment) -> Vec<Message> {
+        for index in 0..deployment.nodes.len() {
+            let batch = std::mem::take(&mut deployment.nodes[index].pending_bootstrap);
+            deployment.node_ctx(index).process_batch(batch, 0).unwrap();
+        }
+        let mut kept = Vec::new();
+        loop {
+            let Some((arrival, message)) = deployment.network.next_delivery() else {
+                if deployment.flush_pending_outboxes().unwrap() {
+                    continue;
+                }
+                return kept;
+            };
+            if message.kind == MessageKind::Update {
+                kept.push(message.clone());
+            }
+            let to = message.to.index();
+            deployment.node_ctx(to).deliver(message, arrival).unwrap();
+        }
+    }
+
+    /// Every relation of every node, as sorted tuple encodings.
+    fn relations(deployment: &Deployment) -> BTreeMap<(usize, String), Vec<Vec<u8>>> {
+        let mut out = BTreeMap::new();
+        for (index, node) in deployment.nodes.iter().enumerate() {
+            for pred in node.workspace.predicate_names() {
+                let tuples = node.workspace.query(&pred);
+                let mut encoded: Vec<Vec<u8>> = tuples.iter().map(|t| serialize_tuple(t)).collect();
+                encoded.sort();
+                out.insert((index, pred), encoded);
+            }
+        }
+        out
+    }
+
+    /// Whether `to` refuses `payload` from `from` before reading any delta:
+    /// it does not decrypt or does not decode.
+    fn refused_at_decode(
+        deployment: &Deployment,
+        (from, to): (usize, usize),
+        payload: &[u8],
+    ) -> bool {
+        let plain = match deployment.config.security.enc {
+            EncScheme::None => payload.to_vec(),
+            EncScheme::Aes128 => {
+                let (us, them) = (
+                    &deployment.nodes[to].info.principal,
+                    &deployment.nodes[from].info.principal,
+                );
+                let secret = deployment.shared.keystore.shared_secret(us, them).unwrap();
+                match secureblox_crypto::aes128_ctr_decrypt(secret, payload) {
+                    Ok(plain) => plain,
+                    Err(_) => return true,
+                }
+            }
+        };
+        UpdateEnvelope::decode(&plain).is_err()
+    }
+
+    /// Mutated copies of the update envelopes a run really sent, injected
+    /// on REACH and on the sharded hash join under HMAC and HMAC+AES.
+    /// `run` stays `Ok`; an envelope refused at decode costs exactly one
+    /// rejection and changes no relation; and no mutant leaves a relation
+    /// holding a tuple the unmutated run does not hold.  That a decodable
+    /// mutant can *delete* a fact (a flipped op byte) is ROADMAP item 21.
+    #[test]
+    fn mutated_envelopes_cost_a_rejection_and_admit_nothing() {
+        use crate::apps::hashjoin::{build_sharded_deployment, HashJoinConfig};
+        use crate::runtime::node::tests::mutants;
+        use proptest::prelude::TestRng;
+
+        let mut specs: Vec<NodeSpec> = ["n0", "n1", "n2"].map(NodeSpec::new).to_vec();
+        for (a, b) in [(0, 1), (1, 2), (2, 0)] {
+            let link = vec![Value::str(format!("n{a}")), Value::str(format!("n{b}"))];
+            specs[a].base_facts.push(("link".into(), link));
+        }
+        let rejected = |d: &Deployment| {
+            d.ledgers()
+                .iter()
+                .map(|l| l.rejected_batches())
+                .sum::<usize>()
+        };
+        let mut rng = TestRng::seed_from_u64(38);
+        let mut refused = 0;
+        for enc in [EncScheme::None, EncScheme::Aes128] {
+            let security = SecurityConfig::new(AuthScheme::HmacSha1, enc);
+            let reach = DeploymentConfig {
+                security: security.clone(),
+                ..DeploymentConfig::default()
+            };
+            let (sharded, _) = build_sharded_deployment(&HashJoinConfig {
+                num_nodes: 4,
+                table_a_rows: 40,
+                table_b_rows: 30,
+                distinct_join_values: 8,
+                security,
+                ..HashJoinConfig::default()
+            })
+            .unwrap();
+            let reach = Deployment::build(REACH_APP, &specs, reach).unwrap();
+            for (app, mut deployment) in [("REACH", reach), ("sharded hash join", sharded)] {
+                let what = format!("{app} under {}", deployment.config.security.label());
+                let envelopes = run_keeping_updates(&mut deployment);
+                let converged = relations(&deployment);
+                for case in 0..48 {
+                    let what = format!("{what}, case {case}");
+                    let [message, other] = [0, 1].map(|_| &envelopes[rng.below(envelopes.len())]);
+                    let mut candidates = mutants(&message.payload, &other.payload, &mut rng);
+                    let mutant = candidates.swap_remove(rng.below(candidates.len()));
+                    let link = (message.from.index(), message.to.index());
+                    let at_decode = refused_at_decode(&deployment, link, &mutant);
+                    let (before, rejections) = (relations(&deployment), rejected(&deployment));
+                    deployment.inject_message(link.0, link.1, mutant);
+                    deployment.run().expect(&what);
+                    let after = relations(&deployment);
+                    if at_decode {
+                        refused += 1;
+                        assert_eq!(rejected(&deployment), rejections + 1, "{what}");
+                        assert_eq!(after, before, "{what}");
+                    }
+                    for (relation, tuples) in &after {
+                        let held = converged.get(relation).map_or(&[][..], Vec::as_slice);
+                        let admitted = tuples.iter().all(|t| held.binary_search(t).is_ok());
+                        assert!(admitted, "{what}: {relation:?} gained a tuple");
+                    }
+                }
+            }
+        }
+        assert!(
+            refused > 48,
+            "only {refused} of 192 mutants were refused at decode"
+        );
     }
 }

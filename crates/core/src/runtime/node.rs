@@ -11,6 +11,7 @@ use crate::runtime::stream::LinkOutbox;
 use secureblox_crypto::{
     aes128_ctr_decrypt, aes128_ctr_encrypt, hmac_sha1_verify, AuthScheme, EncScheme, RsaSignature,
 };
+use secureblox_datalog::codec::{DecodeError, Reader};
 use secureblox_datalog::column_set;
 use secureblox_datalog::error::{DatalogError, Result};
 use secureblox_datalog::eval::shuffle::is_exchange_pred;
@@ -905,7 +906,7 @@ impl NodeCtx<'_> {
         let Some(peeled) = circuit
             .keys
             .get(hop)
-            .and_then(|key| aes128_ctr_decrypt(key, &body).ok())
+            .and_then(|key| aes128_ctr_decrypt(key, body).ok())
         else {
             self.node.ledger.record_rejection(arrival);
             return Ok(());
@@ -955,7 +956,7 @@ impl NodeCtx<'_> {
         if hop == u32::MAX || here == circuit.initiator {
             // Initiator: peel every layer (relays in forward order, then the
             // endpoint's innermost layer).
-            let mut plain = body;
+            let mut plain = body.to_vec();
             for key in &circuit.keys {
                 match aes128_ctr_decrypt(key, &plain) {
                     Ok(next) => plain = next,
@@ -983,7 +984,7 @@ impl NodeCtx<'_> {
             self.node.ledger.record_rejection(arrival);
             return Ok(());
         };
-        let wrapped = aes128_ctr_encrypt(key, &body);
+        let wrapped = aes128_ctr_encrypt(key, body);
         let (next, next_hop) = match hop.checked_sub(1).and_then(|prev| circuit.relays.get(prev)) {
             Some(&relay) => (relay, hop as u32 - 1),
             None => (circuit.initiator, u32::MAX),
@@ -1036,29 +1037,26 @@ fn encode_anon_cell(circuit_id: u64, hop: u32, body: &[u8]) -> Vec<u8> {
 
 /// An inbound anonymity cell's circuit, claimed hop and body; `None` when it
 /// does not parse or names no circuit of this deployment.
-fn open_anon_cell<'s>(
+fn open_anon_cell<'s, 'p>(
     shared: &'s EngineShared,
-    payload: &[u8],
-) -> Option<(&'s Circuit, u32, Vec<u8>)> {
-    let (circuit_id, hop, body) = decode_anon_cell(payload)?;
+    payload: &'p [u8],
+) -> Option<(&'s Circuit, u32, &'p [u8])> {
+    let (circuit_id, hop, body) = decode_anon_cell(payload).ok()?;
     let circuit = shared.circuits.iter().find(|c| c.id == circuit_id)?;
     Some((circuit, hop, body))
 }
 
-/// Decode an anonymity cell.
-fn decode_anon_cell(payload: &[u8]) -> Option<(u64, u32, Vec<u8>)> {
-    if payload.len() < 12 {
-        return None;
-    }
-    let circuit_id = u64::from_be_bytes(payload[0..8].try_into().ok()?);
-    let hop = u32::from_be_bytes(payload[8..12].try_into().ok()?);
-    Some((circuit_id, hop, payload[12..].to_vec()))
+/// Decode an anonymity cell written by [`encode_anon_cell`].
+fn decode_anon_cell(payload: &[u8]) -> std::result::Result<(u64, u32, &[u8]), DecodeError> {
+    let mut reader = Reader::new(payload);
+    Ok((reader.u64()?, reader.u32()?, reader.rest()))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::apps::anonjoin::{build_deployment, AnonJoinConfig};
+    use proptest::prelude::*;
     use secureblox_net::LatencyModel;
 
     /// A sink that keeps what it is handed, in order.
@@ -1164,7 +1162,64 @@ mod tests {
         let (id, hop, body) = decode_anon_cell(&cell).unwrap();
         assert_eq!((id, hop), (7, 2));
         assert_eq!(body, b"body bytes");
-        assert!(decode_anon_cell(&cell[..5]).is_none());
+        let truncated = decode_anon_cell(&cell[..5]);
+        assert_eq!(truncated, Err(DecodeError::Truncated { offset: 0 }));
+    }
+
+    /// Every mutant of `valid` the decoder properties feed a decoder: its
+    /// truncations, bit flips, the `u32` at every offset overwritten with 0,
+    /// `u32::MAX` and itself ± 1, splices with `other` (another valid
+    /// encoding) and extensions.  `tests/props_decoders.rs` has the same
+    /// set for the public decoders.
+    pub(crate) fn mutants(valid: &[u8], other: &[u8], rng: &mut TestRng) -> Vec<Vec<u8>> {
+        let mut out: Vec<Vec<u8>> = (0..valid.len()).map(|cut| valid[..cut].to_vec()).collect();
+        for _ in 0..8 {
+            let mut flipped = valid.to_vec();
+            if !flipped.is_empty() {
+                let at = rng.below(flipped.len());
+                flipped[at] ^= 1 << rng.below(8);
+            }
+            out.push(flipped);
+        }
+        for at in 0..valid.len().saturating_sub(3) {
+            let was = u32::from_be_bytes(valid[at..at + 4].try_into().unwrap());
+            for value in [0, u32::MAX, was.wrapping_sub(1), was.wrapping_add(1)] {
+                let mut overwritten = valid.to_vec();
+                overwritten[at..at + 4].copy_from_slice(&value.to_be_bytes());
+                out.push(overwritten);
+            }
+        }
+        for _ in 0..4 {
+            let (head, tail) = (rng.below(valid.len() + 1), rng.below(other.len() + 1));
+            out.push([&valid[..head], &other[tail..]].concat());
+        }
+        let garbage: Vec<u8> = (0..1 + rng.below(8))
+            .map(|_| rng.next_u64() as u8)
+            .collect();
+        out.push([valid, &garbage].concat());
+        out.push([valid, other].concat());
+        out
+    }
+
+    proptest! {
+        /// The anonymity cell decoder on every mutant of a random cell: a
+        /// typed error or a cell that re-encodes to exactly its bytes.
+        #[test]
+        fn anon_cell_decoder_accepts_exactly_what_it_encodes(
+            cells in proptest::collection::vec(
+                (any::<u64>(), any::<u32>(), proptest::collection::vec(any::<u8>(), 0..24)),
+                2,
+            ),
+            seed in any::<u64>(),
+        ) {
+            let [a, b] = [0, 1].map(|i| encode_anon_cell(cells[i].0, cells[i].1, &cells[i].2));
+            for mutant in mutants(&a, &b, &mut TestRng::seed_from_u64(seed)) {
+                match decode_anon_cell(&mutant) {
+                    Ok((id, hop, body)) => prop_assert_eq!(encode_anon_cell(id, hop, body), mutant),
+                    Err(error) => prop_assert!(mutant.len() < 12, "{error}"),
+                }
+            }
+        }
     }
 
     /// Regression (remote abort): a cell's hop index is the sender's claim.

@@ -154,14 +154,19 @@ impl RsaPublicKey {
     }
 
     /// Parse and validate a public key serialized by
-    /// [`RsaPublicKey::to_bytes`].
+    /// [`RsaPublicKey::to_bytes`].  Only that encoding parses: integers
+    /// without a leading zero byte, and nothing after them.
     pub fn from_bytes(mut data: &[u8]) -> Result<Self, CryptoError> {
-        let mut field = || {
-            take_field(&mut data)
-                .map(BigUint::from_bytes_be)
-                .ok_or_else(|| CryptoError::InvalidKey("truncated RSA public key encoding".into()))
+        let invalid = |what: &str| CryptoError::InvalidKey(format!("{what} in RSA public key"));
+        let mut field = || match take_field(&mut data) {
+            Some([0, ..]) => Err(invalid("leading zero byte")),
+            Some(field) => Ok(BigUint::from_bytes_be(field)),
+            None => Err(invalid("truncated field")),
         };
         let (n, e) = (field()?, field()?);
+        if !data.is_empty() {
+            return Err(invalid("trailing bytes"));
+        }
         Self::new(n, e)
     }
 
@@ -418,6 +423,20 @@ mod tests {
     fn public_key_parse_rejects_garbage() {
         assert!(RsaPublicKey::from_bytes(&[]).is_err());
         assert!(RsaPublicKey::from_bytes(&[0, 0, 0, 200, 1, 2]).is_err());
+    }
+
+    /// Regression: a key with bytes after its exponent, or with a leading
+    /// zero byte in an integer, used to parse to the same key as its
+    /// `to_bytes` encoding, so one key had many encodings.
+    #[test]
+    fn public_key_parse_accepts_only_its_own_encoding() {
+        let bytes = keypair(512).public_key().to_bytes();
+        assert!(RsaPublicKey::from_bytes(&bytes).is_ok());
+        assert!(RsaPublicKey::from_bytes(&[&bytes[..], &[0]].concat()).is_err());
+        let (n_len, rest) = bytes.split_at(4);
+        let n_len = u32::from_be_bytes(n_len.try_into().unwrap()) + 1;
+        let padded = [&n_len.to_be_bytes()[..], &[0], rest].concat();
+        assert!(RsaPublicKey::from_bytes(&padded).is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::error::{Result, StoreError};
 use crate::merkle::{leaf_hash, merkle_root, HASH_LEN};
 use crate::object::{is_object_id, ObjectId};
 use secureblox_crypto::sha1;
-use secureblox_datalog::codec::{deserialize_tuple, read_count, read_string, write_string};
+use secureblox_datalog::codec::{ensure, write_string, DecodeError, Reader};
 use secureblox_datalog::value::Tuple;
 use std::fs;
 use std::path::Path;
@@ -85,51 +85,7 @@ impl SnapshotManifest {
     }
 
     pub fn decode(data: &[u8]) -> Result<SnapshotManifest> {
-        let corrupt = |reason: &str| StoreError::CorruptSnapshot {
-            reason: reason.to_string(),
-        };
-        if data.get(..8) != Some(MANIFEST_MAGIC.as_slice()) {
-            return Err(corrupt("bad manifest magic"));
-        }
-        let take8 = |pos: usize| -> Result<u64> {
-            let bytes = data
-                .get(pos..pos + 8)
-                .ok_or_else(|| corrupt("truncated header"))?;
-            Ok(u64::from_be_bytes(bytes.try_into().expect("8 bytes")))
-        };
-        let watermark = take8(8)?;
-        let wal_seq = take8(16)?;
-        let mut pos = 24usize;
-        // An entry is two length-prefixed strings.
-        let count = read_count(data, &mut pos, 8, "relation count")
-            .map_err(|reason| StoreError::CorruptSnapshot { reason })?;
-        let mut relations = Vec::with_capacity(count);
-        for _ in 0..count {
-            let name = read_string(data, &mut pos)
-                .map_err(|reason| StoreError::CorruptSnapshot { reason })?;
-            let object = read_string(data, &mut pos)
-                .map_err(|reason| StoreError::CorruptSnapshot { reason })?;
-            if !is_object_id(&object) {
-                return Err(corrupt(&format!("malformed object id for relation {name}")));
-            }
-            relations.push(RelationEntry { name, object });
-        }
-        let root_bytes = data
-            .get(pos..pos + HASH_LEN)
-            .ok_or_else(|| corrupt("truncated root"))?;
-        pos += HASH_LEN;
-        if pos != data.len() {
-            return Err(corrupt("trailing bytes after root"));
-        }
-        if !relations.windows(2).all(|w| w[0].name < w[1].name) {
-            return Err(corrupt("relation listing not strictly sorted by name"));
-        }
-        let manifest = SnapshotManifest {
-            watermark,
-            wal_seq,
-            relations,
-            root: root_bytes.try_into().expect("20 bytes"),
-        };
+        let manifest = Self::read(&mut Reader::new(data)).map_err(corrupt)?;
         let recomputed = SnapshotManifest::compute_root(&manifest.relations)?;
         if recomputed != manifest.root {
             return Err(StoreError::RootMismatch {
@@ -138,6 +94,31 @@ impl SnapshotManifest {
             });
         }
         Ok(manifest)
+    }
+
+    fn read(reader: &mut Reader) -> std::result::Result<SnapshotManifest, DecodeError> {
+        ensure(reader.array()? == *MANIFEST_MAGIC, 0, "manifest magic")?;
+        let (watermark, wal_seq) = (reader.u64()?, reader.u64()?);
+        // An entry is two length-prefixed strings.
+        let count = reader.count(8)?;
+        let mut relations: Vec<RelationEntry> = Vec::with_capacity(count);
+        for _ in 0..count {
+            let offset = reader.offset();
+            let (name, object) = (reader.str()?, reader.str()?);
+            let sorted = relations.last().is_none_or(|l| l.name.as_str() < name);
+            ensure(sorted, offset, "relation order")?;
+            ensure(is_object_id(object), offset, "object id")?;
+            let (name, object) = (name.to_owned(), object.to_owned());
+            relations.push(RelationEntry { name, object });
+        }
+        let root = reader.array()?;
+        reader.finish()?;
+        Ok(SnapshotManifest {
+            watermark,
+            wal_seq,
+            relations,
+            root,
+        })
     }
 }
 
@@ -165,22 +146,33 @@ pub fn encode_relation<'a>(
 
 /// Decode a relation object into its name and tuples.
 pub fn decode_relation(data: &[u8]) -> Result<(String, Vec<Tuple>)> {
-    let corrupt = |reason: String| StoreError::CorruptSnapshot { reason };
-    if data.get(..8) != Some(RELATION_MAGIC.as_slice()) {
-        return Err(corrupt("bad relation magic".into()));
-    }
-    let mut pos = 8usize;
-    let name = read_string(data, &mut pos).map_err(corrupt)?;
+    read_relation(&mut Reader::new(data)).map_err(corrupt)
+}
+
+/// A relation object's tuples must be strictly ascending by encoded bytes,
+/// as [`encode_relation`] writes them.
+fn read_relation(reader: &mut Reader) -> std::result::Result<(String, Vec<Tuple>), DecodeError> {
+    ensure(reader.array()? == *RELATION_MAGIC, 0, "relation magic")?;
+    let name = reader.str()?.to_owned();
     // The shortest tuple is its own four-byte length.
-    let count = read_count(data, &mut pos, 4, "tuple count").map_err(corrupt)?;
+    let count = reader.count(4)?;
     let mut tuples = Vec::with_capacity(count);
+    let mut previous = None;
     for _ in 0..count {
-        tuples.push(deserialize_tuple(data, &mut pos).map_err(corrupt)?);
+        let offset = reader.offset();
+        tuples.push(reader.tuple()?);
+        let encoded = reader.since(offset);
+        ensure(previous.is_none_or(|p| p < encoded), offset, "tuple order")?;
+        previous = Some(encoded);
     }
-    if pos != data.len() {
-        return Err(corrupt(format!("trailing bytes in relation object {name}")));
-    }
+    reader.finish()?;
     Ok((name, tuples))
+}
+
+/// A snapshot object that does not decode.
+fn corrupt(error: DecodeError) -> StoreError {
+    let reason = error.to_string();
+    StoreError::CorruptSnapshot { reason }
 }
 
 /// The content digest of a relation object (its would-be object id, raw).
@@ -292,6 +284,33 @@ mod tests {
             SnapshotManifest::decode(&manifest),
             Err(StoreError::CorruptSnapshot { .. })
         ));
+    }
+
+    /// Regression: a relation object used to decode with its tuples in any
+    /// order and with duplicates, which `encode_relation` never writes, so
+    /// one relation had many object ids.
+    #[test]
+    fn unsorted_or_duplicate_tuples_are_corrupt() {
+        let (_, tuples) = sample_relation();
+        let encoded: Vec<Vec<u8>> = tuples.iter().map(|t| serialize_tuple(t)).collect();
+        let frame = |order: &[usize]| {
+            let mut out = RELATION_MAGIC.to_vec();
+            write_string(&mut out, "link");
+            out.extend_from_slice(&(order.len() as u32).to_be_bytes());
+            order
+                .iter()
+                .for_each(|&i| out.extend_from_slice(&encoded[i]));
+            out
+        };
+        assert_eq!(decode_relation(&frame(&[0, 1])).unwrap().1, tuples);
+        for order in [[1, 0], [0, 0]] {
+            match decode_relation(&frame(&order)) {
+                Err(StoreError::CorruptSnapshot { reason }) => {
+                    assert!(reason.contains("tuple order"), "{order:?}: {reason}")
+                }
+                other => panic!("{order:?}: expected CorruptSnapshot, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -16,10 +16,10 @@
 
 use crate::error::{Result, StoreError};
 use secureblox_crypto::hmac_sha1;
-use secureblox_datalog::codec::{deserialize_tuple, read_string, serialize_tuple, write_string};
+use secureblox_datalog::codec::{serialize_tuple, write_string, DecodeError, Reader};
 use secureblox_datalog::value::Tuple;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Length of the HMAC-SHA1 chain tag.
@@ -79,79 +79,29 @@ impl WalRecord {
         out
     }
 
-    /// Decode a record body.  `expected_seq` is `None` for the first record
-    /// of a log — a WAL may start at any base sequence number (a store seeded
-    /// from a synced snapshot continues the master's numbering without
-    /// holding its history) — and enforces contiguity afterwards.
-    fn decode_body(index: u64, expected_seq: Option<u64>, body: &[u8]) -> Result<WalRecord> {
-        let corrupt = |reason: &str| StoreError::CorruptRecord {
-            seq: index,
-            reason: reason.into(),
+    /// Decode a record body; sequence contiguity is the caller's check.
+    fn decode_body(body: &[u8]) -> std::result::Result<WalRecord, DecodeError> {
+        use WalOp::{ExportClear, ExportMark, Insert, Retract};
+        let mut reader = Reader::new(body);
+        let mut record = WalRecord {
+            seq: reader.u64()?,
+            watermark: reader.u64()?,
+            op: [Insert, Retract, ExportMark, ExportClear][reader.tag(4, "WAL op")? as usize],
+            pred: reader.str()?.to_owned(),
+            tuple: reader.tuple()?,
+            signature: Vec::new(),
         };
-        let take8 = |pos: usize| -> Result<u64> {
-            let bytes = body
-                .get(pos..pos + 8)
-                .ok_or_else(|| corrupt("truncated header"))?;
-            Ok(u64::from_be_bytes(bytes.try_into().expect("8 bytes")))
-        };
-        let seq = take8(0)?;
-        if let Some(expected) = expected_seq {
-            if seq != expected {
-                return Err(StoreError::CorruptRecord {
-                    seq: index,
-                    reason: format!("record claims sequence {seq}, expected {expected}"),
-                });
-            }
+        if matches!(record.op, ExportMark | ExportClear) {
+            record.signature = reader.bytes()?.to_vec();
         }
-        let watermark = take8(8)?;
-        let op = match body.get(16) {
-            Some(0) => WalOp::Insert,
-            Some(1) => WalOp::Retract,
-            Some(2) => WalOp::ExportMark,
-            Some(3) => WalOp::ExportClear,
-            Some(other) => return Err(corrupt(&format!("unknown op tag {other}"))),
-            None => return Err(corrupt("truncated op tag")),
-        };
-        let mut pos = 17usize;
-        let pred = read_string(body, &mut pos)
-            .map_err(|reason| StoreError::CorruptRecord { seq: index, reason })?;
-        let tuple = deserialize_tuple(body, &mut pos)
-            .map_err(|reason| StoreError::CorruptRecord { seq: index, reason })?;
-        let signature = if matches!(op, WalOp::ExportMark | WalOp::ExportClear) {
-            let len_bytes = body
-                .get(pos..pos + 4)
-                .ok_or_else(|| corrupt("truncated signature length"))?;
-            let len = u32::from_be_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-            pos += 4;
-            let bytes = body
-                .get(pos..pos + len)
-                .ok_or_else(|| corrupt("truncated signature"))?;
-            pos += len;
-            bytes.to_vec()
-        } else {
-            Vec::new()
-        };
-        if pos != body.len() {
-            return Err(corrupt("trailing bytes after tuple"));
-        }
-        Ok(WalRecord {
-            seq,
-            watermark,
-            op,
-            pred,
-            tuple,
-            signature,
-        })
+        reader.finish()?;
+        Ok(record)
     }
 }
 
 /// Compute the chain tag for one frame.
 fn chain_tag(key: &[u8], prev: &[u8; TAG_LEN], len_be: &[u8; 4], body: &[u8]) -> [u8; TAG_LEN] {
-    let mut message = Vec::with_capacity(TAG_LEN + 4 + body.len());
-    message.extend_from_slice(prev);
-    message.extend_from_slice(len_be);
-    message.extend_from_slice(body);
-    hmac_sha1(key, &message)
+    hmac_sha1(key, &[prev, &len_be[..], body].concat())
 }
 
 /// The outcome of reading a WAL file from disk.
@@ -165,44 +115,37 @@ pub struct WalReadout {
 }
 
 fn read_wal(path: &Path, key: &[u8]) -> Result<WalReadout> {
-    let mut data = Vec::new();
-    match File::open(path) {
-        Ok(mut file) => {
-            file.read_to_end(&mut data)
-                .map_err(|e| StoreError::io(path, e))?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+    let data = match std::fs::read(path) {
+        Ok(data) => data,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(StoreError::io(path, e)),
-    }
+    };
     let mut records = Vec::new();
     let mut tag = [0u8; TAG_LEN];
-    let mut pos = 0usize;
     let mut torn_at = None;
-    while pos < data.len() {
-        let frame_start = pos;
-        let Some(len_bytes) = data.get(pos..pos + 4) else {
-            torn_at = Some(frame_start as u64);
-            break;
-        };
-        let len_be: [u8; 4] = len_bytes.try_into().expect("4 bytes");
-        let len = u32::from_be_bytes(len_be) as usize;
-        let Some(body) = data.get(pos + 4..pos + 4 + len) else {
-            torn_at = Some(frame_start as u64);
-            break;
-        };
-        let Some(stored_tag) = data.get(pos + 4 + len..pos + 4 + len + TAG_LEN) else {
+    let mut reader = Reader::new(&data);
+    while reader.offset() < data.len() {
+        let frame_start = reader.offset();
+        let frame = reader.bytes().and_then(|body| Ok((body, reader.array()?)));
+        let Ok((body, stored_tag)) = frame else {
             torn_at = Some(frame_start as u64);
             break;
         };
         let index = records.len() as u64;
-        let expected = chain_tag(key, &tag, &len_be, body);
+        let expected = chain_tag(key, &tag, &(body.len() as u32).to_be_bytes(), body);
         if stored_tag != expected {
             return Err(StoreError::TamperedRecord { seq: index });
         }
-        let expected_seq = records.last().map(|r: &WalRecord| r.seq + 1);
-        records.push(WalRecord::decode_body(index, expected_seq, body)?);
+        let corrupt = |reason| StoreError::CorruptRecord { seq: index, reason };
+        let record = WalRecord::decode_body(body).map_err(|e| corrupt(e.to_string()))?;
+        // A WAL may start at any sequence number: a store seeded from a
+        // synced snapshot continues the master's numbering.
+        let previous = records.last().map(|r: &WalRecord| r.seq);
+        if previous.is_some_and(|previous| record.seq.checked_sub(1) != Some(previous)) {
+            return Err(corrupt(format!("record claims sequence {}", record.seq)));
+        }
+        records.push(record);
         tag = expected;
-        pos += 4 + len + TAG_LEN;
     }
     Ok(WalReadout {
         records,
@@ -265,7 +208,10 @@ impl Wal {
             path,
             key: key.to_vec(),
             file,
-            next_seq: readout.records.last().map_or(0, |r| r.seq + 1),
+            next_seq: readout
+                .records
+                .last()
+                .map_or(0, |r| r.seq.saturating_add(1)),
             last_tag: readout.last_tag,
         };
         Ok((wal, readout))

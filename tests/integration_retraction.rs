@@ -286,6 +286,49 @@ fn forged_retraction_is_rejected() {
     );
 }
 
+/// The delta op is not authenticated: an Assert's signature covers only the
+/// `says` payload, and a Retract is authorized by that same signature
+/// (DESIGN.md §9.3).  So anyone holding n1's Assert — n0 stores its
+/// signature in `sig$remote_link` — can withdraw n1's fact at n0 by
+/// replaying it as a Retract.  The correct outcome is that the fact stays.
+#[test]
+#[ignore = "ROADMAP item 21: the delta op is unauthenticated"]
+fn a_replayed_assert_signature_cannot_retract() {
+    let security = SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None);
+    let mut deployment =
+        Deployment::build(REACH_APP, &specs(&TRIANGLE), config(security, None)).unwrap();
+    deployment.run().unwrap();
+    let before = observable_state(&deployment);
+    let says_tuple = vec![
+        Value::str("n1"),
+        Value::str("n0"),
+        Value::str("n1"),
+        Value::str("n2"),
+    ];
+    let stored = deployment.query("n0", "sig$remote_link");
+    let sig_row = stored
+        .iter()
+        .find(|row| row[..4] == says_tuple[..])
+        .expect("n0 holds n1's signature over link(n1, n2)");
+    let replayed = UpdateEnvelope {
+        seq: 1_000_000,
+        deltas: vec![UpdateDelta {
+            op: DeltaOp::Retract,
+            pred: "remote_link".into(),
+            tuple: says_tuple,
+            signature: sig_row[4].as_bytes().unwrap().to_vec(),
+        }],
+    };
+    deployment.inject_message(1, 0, replayed.encode());
+    let report = deployment.run().unwrap();
+    assert_eq!(report.retractions_applied, 0, "{report:?}");
+    assert_eq!(
+        observable_state(&deployment),
+        before,
+        "a replayed Assert signature withdrew n1's link"
+    );
+}
+
 #[test]
 fn forged_sequence_number_cannot_mute_a_link() {
     // An envelope of forged deltas claiming a huge stream sequence must not
