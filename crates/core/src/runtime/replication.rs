@@ -21,7 +21,7 @@
 
 use crate::runtime::engine::Deployment;
 use crate::runtime::DurabilityError;
-use secureblox_store::{derive_node_key, sync_store, SyncStats};
+use secureblox_store::{derive_node_key, node_dir_name, sync_store, SyncStats};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -141,7 +141,7 @@ impl Deployment {
                 let key = derive_node_key(self.config.seed, principal);
                 let stats = sync_store(
                     &durability.node_dir(principal),
-                    &replica.dir.join(principal),
+                    &replica.dir.join(node_dir_name(principal)),
                     &key,
                 )
                 .map_err(DurabilityError::Store)?;

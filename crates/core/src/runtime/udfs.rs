@@ -90,20 +90,20 @@ pub fn register_crypto_udfs(workspace: &mut Workspace) {
             RsaPublicKey::from_bytes(key.as_bytes().ok_or("rsa_verify: key must be bytes")?)
                 .map_err(|e| format!("rsa_verify: {e}"))?;
         let signature = require_bound(args, args.len() - 1, "rsa_verify")?;
-        let mut values = Vec::new();
+        // The answer row is the arguments; the signed values are its middle.
+        let mut row = Vec::with_capacity(args.len());
+        row.push(key);
         for (i, arg) in args.iter().enumerate().take(args.len() - 1).skip(1) {
-            values.push(
+            row.push(
                 arg.clone()
                     .ok_or_else(|| format!("rsa_verify: argument {i} must be bound"))?,
             );
         }
         let valid = public.verify(
-            &serialize_tuple(&values),
+            &serialize_tuple(&row[1..]),
             &RsaSignature(signature.as_bytes().unwrap_or_default().to_vec()),
         );
         if valid {
-            let mut row = vec![key];
-            row.extend(values);
             row.push(signature);
             Ok(vec![row])
         } else {
@@ -139,21 +139,21 @@ pub fn register_crypto_udfs(workspace: &mut Workspace) {
         }
         let key = require_bound(args, 0, "hmac_verify")?;
         let tag = require_bound(args, args.len() - 1, "hmac_verify")?;
-        let mut values = Vec::new();
+        // The answer row is the arguments; the tagged values are its middle.
+        let mut row = Vec::with_capacity(args.len());
+        row.push(key);
         for (i, arg) in args.iter().enumerate().take(args.len() - 1).skip(1) {
-            values.push(
+            row.push(
                 arg.clone()
                     .ok_or_else(|| format!("hmac_verify: argument {i} must be bound"))?,
             );
         }
         let valid = hmac_sha1_verify(
-            key.as_bytes().ok_or("hmac_verify: key must be bytes")?,
-            &serialize_tuple(&values),
+            row[0].as_bytes().ok_or("hmac_verify: key must be bytes")?,
+            &serialize_tuple(&row[1..]),
             tag.as_bytes().unwrap_or_default(),
         );
         if valid {
-            let mut row = vec![key];
-            row.extend(values);
             row.push(tag);
             Ok(vec![row])
         } else {

@@ -30,11 +30,12 @@
 
 use crate::ast::{Atom, Constraint, Literal, Term};
 use crate::error::{ConstraintViolation, DatalogError, Result};
+use crate::eval::batch::{self, Drive, Exec, Verdict, Witness};
 use crate::eval::bindings::Bindings;
 use crate::eval::join::{DeltaRestriction, JoinContext};
 use crate::eval::plan::{bound_after, frozen_vars, PlanCache, PlanKey, PlanStats, RulePlan};
 use crate::eval::{runtime_pred_name, FactDelta};
-use crate::intern::FnvSet;
+use crate::intern::{FnvSet, Interner};
 use crate::relation::Relations;
 use crate::udf::UdfRegistry;
 use crate::value::{Tuple, Value};
@@ -239,14 +240,18 @@ fn changed<'d>(atom: &Atom, delta: &'d FactDelta) -> Option<&'d FnvSet<Tuple>> {
 ///   literal shares with it: [`check_from_witnesses`] runs the lhs from
 ///   those values alone.
 ///
-/// Each check costs in proportion to the tuples that drive it.  A
-/// constraint none of this touches is skipped.
+/// Each check costs in proportion to the tuples that drive it, and runs in
+/// id space on the batch executor (`eval::batch::ConstraintJob`) unless the
+/// constraint has a shape it declines; `interner` is the dictionary the
+/// relations share.  A constraint none of this touches is skipped.
+#[allow(clippy::too_many_arguments)]
 pub fn check_constraints_for_delta(
     constraints: &[Constraint],
     relations: &mut Relations,
     udfs: &UdfRegistry,
     cache: &mut PlanCache,
     stats: &PlanStats,
+    interner: &Arc<Interner>,
     added: &FactDelta,
     removed: &FactDelta,
 ) -> Result<()> {
@@ -271,17 +276,33 @@ pub fn check_constraints_for_delta(
                 cache,
                 stats,
             );
-            check_constraint_with(
-                constraint,
+            let restriction = DeltaRestriction {
+                literal_index,
+                delta: pred_delta,
+            };
+            let relations = &*relations;
+            let exec = Exec {
                 relations,
                 udfs,
-                Some((&*lhs_plan, &*rhs_plan)),
-                Some(DeltaRestriction {
-                    literal_index,
-                    delta: pred_delta,
-                }),
-                Some(stats),
-                &mut Bindings::new(),
+                interner,
+                stats,
+            };
+            check_driven(
+                (constraint, lhs_key, (&lhs_plan, &rhs_plan)),
+                (Drive::Delta(pred_delta), None),
+                (exec, interner),
+                cache,
+                |stats| {
+                    check_constraint_with(
+                        constraint,
+                        relations,
+                        udfs,
+                        Some((&*lhs_plan, &*rhs_plan)),
+                        Some(restriction),
+                        Some(stats),
+                        &mut Bindings::new(),
+                    )
+                },
             )?;
         }
         let lhs_len = constraint.lhs.len();
@@ -300,12 +321,84 @@ pub fn check_constraints_for_delta(
                     relations,
                     udfs,
                     cache,
-                    stats,
+                    (interner, stats),
                 )?;
             }
         }
     }
     Ok(())
+}
+
+/// One delta- or witness-driven check of `constraint` under its lhs plan
+/// key and plans: in id space when the batch executor runs its shape, on
+/// the tuple path (`tuple`, given the counters to bump) when it declines,
+/// when a driving tuple is on another dictionary, or when a UDF call in id
+/// space failed — the tuple path then reports the error it reports.  Debug
+/// builds hold every id-space verdict, violation text and witness
+/// included, to the tuple path's.
+fn check_driven(
+    (constraint, lhs_key, (lhs_plan, rhs_plan)): (
+        &Constraint,
+        PlanKey,
+        (&Arc<RulePlan>, &Arc<RulePlan>),
+    ),
+    (drive, witness): (Drive<'_>, Option<Witness<'_>>),
+    (exec, interner): (Exec<'_>, &Arc<Interner>),
+    cache: &mut PlanCache,
+    tuple: impl Fn(&PlanStats) -> Result<()>,
+) -> Result<()> {
+    let stats = exec.stats;
+    let delta = match lhs_key {
+        PlanKey::ConstraintLhs { delta, .. } => delta,
+        _ => None,
+    };
+    let job = batch::constraint_job(
+        cache.job(lhs_key),
+        constraint,
+        (lhs_plan, rhs_plan),
+        delta,
+        witness,
+        exec.relations,
+        exec.udfs,
+        interner,
+        stats,
+    );
+    let verdict = match job {
+        Ok(job) => match job.check(drive, exec) {
+            Ok(Ok(verdict)) => Ok(verdict),
+            Ok(Err(miss)) => Err(Some(miss)),
+            // The tuple path reports a UDF error as it meets it.
+            Err(_) => Err(None),
+        },
+        Err(miss) => Err(Some(miss)),
+    };
+    let verdict = match verdict {
+        Ok(verdict) => verdict,
+        Err(miss) => {
+            if let Some(miss) = miss {
+                PlanStats::bump(&stats.constraint_misses[miss as usize]);
+            }
+            PlanStats::bump(&stats.constraint_checks_tuple);
+            return tuple(stats);
+        }
+    };
+    PlanStats::bump(&stats.constraint_checks_batch);
+    let result = match verdict {
+        Verdict::Holds => Ok(()),
+        Verdict::Violated(witness) => Err(DatalogError::ConstraintViolation(ConstraintViolation {
+            constraint: constraint.to_string(),
+            witness,
+        })),
+    };
+    #[cfg(debug_assertions)]
+    {
+        let expected = tuple(&PlanStats::default());
+        debug_assert_eq!(
+            result, expected,
+            "the id-space check of `{constraint}` diverged from the tuple path"
+        );
+    }
+    result
 }
 
 /// Re-check the lhs bindings the changed `tuples` of `atom`, literal
@@ -325,58 +418,80 @@ fn check_from_witnesses(
     relations: &mut Relations,
     udfs: &UdfRegistry,
     cache: &mut PlanCache,
-    stats: &PlanStats,
+    (interner, stats): (&Arc<Interner>, &PlanStats),
 ) -> Result<()> {
-    let bound = bound_after(&constraint.lhs, udfs);
-    let frozen = frozen_vars(&constraint.lhs, udfs);
-    // The shared variables, in the order the literal first names them.
-    let mut shared: Vec<&str> = Vec::new();
-    for term in &atom.terms {
-        if let Term::Var(var) = term {
-            if bound.contains(var) && !frozen.contains(var) && !shared.contains(&var.as_str()) {
-                shared.push(var);
+    // The shared variables, in the order the literal first names them;
+    // asked only when a plan or a job compiles, or on the tuple path.
+    let shared = || -> Vec<String> {
+        let bound = bound_after(&constraint.lhs, udfs);
+        let frozen = frozen_vars(&constraint.lhs, udfs);
+        let mut shared: Vec<String> = Vec::new();
+        for term in &atom.terms {
+            if let Term::Var(var) = term {
+                if bound.contains(var) && !frozen.contains(var) && !shared.contains(var) {
+                    shared.push(var.clone());
+                }
             }
         }
-    }
+        shared
+    };
     let lhs_key = PlanKey::ConstraintLhsFrom {
         constraint: index,
         literal,
     };
-    let seeds = || shared.iter().map(|var| var.to_string()).collect();
     let (lhs_plan, rhs_plan) = prepare_constraint_plans(
         index,
         constraint,
-        (lhs_key, seeds),
+        (lhs_key, || shared().into_iter().collect()),
         relations,
         udfs,
         cache,
         stats,
     );
-    let mut seen: FnvSet<Vec<Value>> = FnvSet::default();
-    let mut bindings = Bindings::new();
-    for tuple in tuples {
-        let Some(values) = shared_values(atom, tuple, &shared) else {
-            continue;
-        };
-        if seen.contains(&values) {
-            continue;
-        }
-        for (var, value) in shared.iter().zip(&values) {
-            bindings.bind(var, value.clone());
-        }
-        check_constraint_with(
-            constraint,
-            relations,
-            udfs,
-            Some((&*lhs_plan, &*rhs_plan)),
-            None,
-            Some(stats),
-            &mut bindings,
-        )?;
-        bindings.restore(0);
-        seen.insert(values);
-    }
-    Ok(())
+    let relations = &*relations;
+    check_driven(
+        (constraint, lhs_key, (&lhs_plan, &rhs_plan)),
+        (Drive::Witnesses(tuples), Some((atom, &shared))),
+        (
+            Exec {
+                relations,
+                udfs,
+                interner,
+                stats,
+            },
+            interner,
+        ),
+        cache,
+        |stats| {
+            let shared = shared();
+            let shared: Vec<&str> = shared.iter().map(String::as_str).collect();
+            let mut seen: FnvSet<Vec<Value>> = FnvSet::default();
+            let mut bindings = Bindings::new();
+            for tuple in tuples {
+                let Some(values) = shared_values(atom, tuple, &shared) else {
+                    continue;
+                };
+                if seen.contains(&values) {
+                    continue;
+                }
+                for (var, value) in shared.iter().zip(&values) {
+                    bindings.bind(var, value.clone());
+                }
+                check_constraint_with(
+                    constraint,
+                    relations,
+                    udfs,
+                    Some((&*lhs_plan, &*rhs_plan)),
+                    None,
+                    Some(stats),
+                    &mut bindings,
+                )?;
+                bindings.restore(0);
+                seen.insert(values);
+            }
+            Ok(())
+        },
+    )
 }
 
 /// The values `tuple` gives the `shared` variables when it matches `atom`,

@@ -44,7 +44,7 @@
 //! [`Evaluator::delete_by_rederivation`], the property tests' oracle for the
 //! programs that need the re-run.
 
-use super::batch::{compile_proof, ProofJob};
+use super::batch::{compiled_proof, proof_job, Exec, Job, ProofJob};
 use super::bindings::{eval_term, Bindings};
 use super::join::{JoinContext, Trail};
 use super::plan::{is_membership, PlanKey, PlanStats, RulePlan};
@@ -114,15 +114,28 @@ struct Search<'p> {
 
 /// A rule run backwards from one of its head atoms, for one retraction.
 struct Prover {
+    key: PlanKey,
     plan: Option<Arc<RulePlan>>,
     /// When the plan opens with a probe whose key is head values and
     /// constants: an empty bucket means no instance, and the join is
     /// skipped.  Most facts a deletion reaches on a chain fail there.
     first: Option<FirstProbe>,
-    /// The body in id space, when the batch executor can run it, beside the
-    /// predicate of each literal on its trail.  `None` for a rule with a
-    /// UDF, a comparison or a functional lookup: the tuple path runs it.
-    job: Option<(ProofJob, Vec<u32>)>,
+    /// The batch job slot beside the plan, taken from the plan cache for the
+    /// retraction and put back after it ([`Evaluator::delete`]).
+    slot: Option<Job>,
+    /// The predicate of each literal on the proof job's trail, when the
+    /// batch executor runs the body.  `None` for a rule it declines (a
+    /// negation, a comparison, a UDF that binds an output): the tuple path
+    /// runs it.
+    preds: Option<Vec<u32>>,
+}
+
+impl Prover {
+    /// The body in id space beside its trail's predicates, when the batch
+    /// executor runs it.
+    fn job(&mut self) -> Option<(&mut ProofJob, &[u32])> {
+        Some((compiled_proof(&mut self.slot)?, self.preds.as_deref()?))
+    }
 }
 
 /// The first step of a proof plan as an id-space lookup keyed by the
@@ -321,9 +334,10 @@ impl<'p> Search<'p> {
         (prover, proof): (u32, &mut Prover),
         (fact, stored): (u32, Stored<'_>),
         join: JoinContext<'_>,
-        stats: &PlanStats,
+        exec: Exec<'_>,
         open: &mut Vec<u32>,
     ) -> Result<()> {
+        let stats = exec.stats;
         let deletion = self.deletion;
         let (rule_index, head) = deletion.prover(prover);
         let rule = &program.rules()[rule_index];
@@ -334,16 +348,16 @@ impl<'p> Search<'p> {
         );
         used.clear();
         ends.clear();
-        match &mut proof.job {
+        match proof.job() {
             Some((job, preds)) => {
                 PlanStats::bump(&stats.proof_joins_batch);
-                let instances = job.run(&self.row, relations, stats)?;
+                let instances = job.run(&self.row, exec)?;
                 for trail in instances.iter() {
                     used.extend(preds.iter().copied().zip(trail.iter().copied()));
                     ends.push(used.len());
                 }
                 #[cfg(debug_assertions)]
-                self.debug_verify_proof(rule, head, proof, stored, join)?;
+                self.debug_verify_proof(rule, head, proof, stored, join, exec)?;
             }
             None => {
                 PlanStats::bump(&stats.proof_joins_tuple);
@@ -409,14 +423,19 @@ impl<'p> Search<'p> {
         proof: &mut Prover,
         stored: Stored<'_>,
         join: JoinContext<'_>,
+        exec: Exec<'_>,
     ) -> Result<()> {
-        let Some((job, _)) = &mut proof.job else {
+        let Some((job, _)) = proof.job() else {
             return Ok(());
         };
         let literals: Vec<usize> = job.literals().collect();
         let scratch = PlanStats::default();
+        let exec = Exec {
+            stats: &scratch,
+            ..exec
+        };
         let mut batch: Vec<Vec<(usize, TupleId)>> = job
-            .run(&self.row, join.relations, &scratch)?
+            .run(&self.row, exec)?
             .iter()
             .map(|trail| {
                 literals
@@ -552,6 +571,13 @@ impl<'a> Evaluator<'a> {
             }
         }
         stats.checked = search.searched;
+        // The provers' jobs go back beside their plans for the next
+        // retraction; an error above leaves them to be compiled again.
+        for prover in search.provers.into_iter().flatten() {
+            if let Some(plan) = &prover.plan {
+                self.plan_cache.put_job(prover.key, plan, prover.slot);
+            }
+        }
 
         if rerun {
             let before: usize = self.relations.values().map(Relation::len).sum();
@@ -646,12 +672,18 @@ impl<'a> Evaluator<'a> {
                 Ok(())
             } else {
                 let join = JoinContext::with_stats(relations, self.udfs, self.plan_stats);
+                let exec = Exec {
+                    relations,
+                    udfs: self.udfs,
+                    interner: self.interner,
+                    stats: self.plan_stats,
+                };
                 search.instances(
                     program,
                     (prover, &mut proof),
                     (fact, (relation, id)),
                     join,
-                    self.plan_stats,
+                    exec,
                     &mut open,
                 )
             };
@@ -666,7 +698,7 @@ impl<'a> Evaluator<'a> {
 
     /// Prover `prover` ([`Deletion::prover`]) as a search runs it: its plan,
     /// indexes built, the first step's probe in id space, and the batch job
-    /// when the rule has the batch shape.
+    /// slot beside the plan, its job compiled on first use.
     fn prover(&mut self, program: &RuleSet, prover: u32) -> Prover {
         let deletion = program.deletion();
         let (rule_index, head) = deletion.prover(prover);
@@ -680,15 +712,29 @@ impl<'a> Evaluator<'a> {
         let first = plan
             .as_deref()
             .and_then(|plan| FirstProbe::of(rule, atom, plan, self.interner));
-        let job = plan.as_deref().and_then(|plan| {
-            let job = compile_proof(rule, head, plan, self.relations, self.udfs, self.interner)?;
-            let preds = job
-                .literals()
+        let mut slot = self.plan_cache.take_job(key);
+        let preds = plan.as_deref().and_then(|plan| {
+            let job = proof_job(
+                &mut slot,
+                rule,
+                head,
+                plan,
+                self.relations,
+                self.udfs,
+                self.interner,
+                self.plan_stats,
+            )?;
+            job.literals()
                 .map(|literal| deletion.body_pred(rule_index, literal))
-                .collect::<Option<_>>()?;
-            Some((job, preds))
+                .collect()
         });
-        Prover { plan, first, job }
+        Prover {
+            key,
+            plan,
+            first,
+            slot,
+            preds,
+        }
     }
 
     /// The forward step: every stored fact a rule derives through `gone` —
@@ -716,7 +762,7 @@ impl<'a> Evaluator<'a> {
                 Derivation::Values(derived) => {
                     for run in derived.chunk_by(|a, b| a.0 == b.0) {
                         let pred = &run[0].0;
-                        let Some(relation) = relations.get(pred) else {
+                        let Some(relation) = relations.get(&**pred) else {
                             continue;
                         };
                         let pred = search.pred_id(pred);
@@ -729,7 +775,7 @@ impl<'a> Evaluator<'a> {
                 }
                 Derivation::Ids(derived) => {
                     for (pred, batch) in &derived {
-                        let Some(relation) = relations.get(pred) else {
+                        let Some(relation) = relations.get(&**pred) else {
                             continue;
                         };
                         let pred = search.pred_id(pred);
@@ -816,7 +862,7 @@ impl<'a> Evaluator<'a> {
                 match derivation {
                     Derivation::Values(derived) => {
                         for (pred, tuple) in &derived {
-                            let Some(relation) = relations.get(pred) else {
+                            let Some(relation) = relations.get(&**pred) else {
                                 continue;
                             };
                             if let Some(id) = relation.find(tuple) {
@@ -826,13 +872,13 @@ impl<'a> Evaluator<'a> {
                     }
                     Derivation::Ids(derived) => {
                         for (pred, batch) in &derived {
-                            let Some(relation) = relations.get(pred) else {
+                            let Some(relation) = relations.get(&**pred) else {
                                 continue;
                             };
                             for row in batch.iter() {
                                 if let Some(id) = relation.find_row(row) {
                                     let tuple = relation.tuple(id);
-                                    over_delete(pred.as_str(), &tuple, relation.is_asserted(id));
+                                    over_delete(pred, &tuple, relation.is_asserted(id));
                                 }
                             }
                         }
@@ -997,6 +1043,7 @@ mod tests {
                 plan_stats: &self.plan_stats,
                 interner: &self.interner,
                 journal: &mut EvalJournal::default(),
+                bindings: &mut Bindings::new(),
             };
             evaluator.run(&self.program).unwrap();
         }
@@ -1017,6 +1064,7 @@ mod tests {
                 plan_stats: &self.plan_stats,
                 interner: &self.interner,
                 journal: &mut journal,
+                bindings: &mut Bindings::new(),
             };
             // The named fact is no longer asserted.
             if let Some(relation) = evaluator.relations.get_mut(pred) {

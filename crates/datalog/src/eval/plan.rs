@@ -35,6 +35,7 @@
 //!   scans; the runtime layer aggregates these per deployment for the bench
 //!   harness.
 
+use super::batch::Job;
 use super::runtime_pred_name;
 use crate::ast::{Atom, CmpOp, Literal, Term};
 use crate::intern::{FnvMap, FnvSet};
@@ -67,7 +68,7 @@ pub struct PlanStep {
     /// no secondary index is declared or built.
     pub probe: Option<ColumnSet>,
     /// A stored-relation literal over a functional predicate whose key is
-    /// bound when it runs (never the delta literal): the tuple path looks
+    /// bound when it runs (never the delta literal): both executors look
     /// its one row up by the key, so it has no probe.  A lifted `self[]`
     /// read is one.
     pub functional: bool,
@@ -119,30 +120,24 @@ impl RulePlan {
     }
 }
 
-/// Why a rule execution ran on the tuple path: what the rule has and the
-/// batch executor lacks (`batch::compile_batch`).  What the rule's syntax
-/// says is ranked in declaration order — the generated signing rule counts
-/// as a UDF call although it also reads `self[]`, a `says` rule's
-/// `U != self[]` as a comparison — and only a rule its syntax admits is
-/// asked about its plan: a functional lookup, a foreign dictionary, the
-/// delta literal's place.
+/// Why a rule execution or a constraint check ran on the tuple path: what
+/// the body has and the batch executor lacks (`batch::compile_batch`).
+/// What the body's syntax says is ranked in declaration order — a `says`
+/// rule's `U != self[]` counts as a comparison — and only a body its syntax
+/// admits is asked about its plan: a UDF call with an argument unbound when
+/// it runs, a foreign dictionary, the delta literal's place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BatchMiss {
     /// An aggregate rule (recomputed in full, never delta-driven).
     Aggregate,
-    /// A body atom over a user-defined function.
+    /// A user-defined function that binds an output (the signing rules'
+    /// `hmac_sign`, `rsa_sign`) or takes a wildcard; one called with every
+    /// argument bound is a batch filter.
     Udf,
-    /// A functional literal the plan reaches with its key bound
-    /// ([`PlanStep::functional`]), such as the `self[] = self[]` a lifted
-    /// `self[]` read becomes: the tuple path looks its one row up, the
-    /// batch executor would scan the relation.
-    Functional,
     /// A negated body atom.
     Negation,
     /// A comparison or assignment literal.
     Comparison,
-    /// A builtin type check (`int(X)`) in the body.
-    TypeCheck,
     /// An arithmetic or variable-sequence term, a meta-level predicate the
     /// evaluator cannot name, or a head variable the body does not bind.
     Expression,
@@ -157,13 +152,11 @@ pub enum BatchMiss {
 
 impl BatchMiss {
     /// Every reason, in declaration order.
-    pub const ALL: [BatchMiss; 10] = [
+    pub const ALL: [BatchMiss; 8] = [
         BatchMiss::Aggregate,
         BatchMiss::Udf,
-        BatchMiss::Functional,
         BatchMiss::Negation,
         BatchMiss::Comparison,
-        BatchMiss::TypeCheck,
         BatchMiss::Expression,
         BatchMiss::ForeignDictionary,
         BatchMiss::DeltaNotFirst,
@@ -196,13 +189,29 @@ pub struct PlanStats {
     pub constraint_full_checks: AtomicU64,
     /// A retraction's proof joins — one rule run backwards from one fact —
     /// by executor: the batch executor in id space, or the tuple path for a
-    /// rule with a UDF, a comparison or a functional lookup (`eval::dred`).
+    /// rule it declines — a negation, a comparison, a UDF that binds an
+    /// output (`eval::dred`).
     pub proof_joins_batch: AtomicU64,
     pub proof_joins_tuple: AtomicU64,
     /// Per [`BatchMiss`] (indexed by `reason as usize`), the tuple-path
     /// rule executions it caused (with the planner on; off, nothing is
     /// compiled and nothing counted).
     pub batch_misses: [AtomicU64; BatchMiss::ALL.len()],
+    /// Constraint checks a commit's delta drove — one per (constraint,
+    /// delta-pinned lhs literal) and one per (constraint, changed witness
+    /// literal) — by executor: the batch executor in id space, or the tuple
+    /// path.  A full check ([`Self::constraint_full_checks`]) is in neither.
+    pub constraint_checks_batch: AtomicU64,
+    pub constraint_checks_tuple: AtomicU64,
+    /// Per [`BatchMiss`], the tuple-path constraint checks it caused (apart
+    /// from the rule executions of [`Self::batch_misses`]).  A check whose
+    /// id-space run met a UDF error re-runs on the tuple path, for the
+    /// error the tuple path reports, under no reason.
+    pub constraint_misses: [AtomicU64; BatchMiss::ALL.len()],
+    /// Batch jobs compiled — rule, proof and constraint, declines included:
+    /// one per plan key, again only when its plan or the dictionary moved
+    /// on (`batch` module docs).
+    pub batch_jobs_compiled: AtomicU64,
 }
 
 impl PlanStats {
@@ -234,6 +243,13 @@ impl PlanStats {
                 .batch_misses
                 .each_ref()
                 .map(|count| count.load(Ordering::Relaxed)),
+            constraint_checks_batch: self.constraint_checks_batch.load(Ordering::Relaxed),
+            constraint_checks_tuple: self.constraint_checks_tuple.load(Ordering::Relaxed),
+            constraint_misses: self
+                .constraint_misses
+                .each_ref()
+                .map(|count| count.load(Ordering::Relaxed)),
+            batch_jobs_compiled: self.batch_jobs_compiled.load(Ordering::Relaxed),
         }
     }
 }
@@ -255,6 +271,10 @@ impl Clone for PlanStats {
             proof_joins_batch: AtomicU64::new(snapshot.proof_joins_batch),
             proof_joins_tuple: AtomicU64::new(snapshot.proof_joins_tuple),
             batch_misses: snapshot.batch_misses.map(AtomicU64::new),
+            constraint_checks_batch: AtomicU64::new(snapshot.constraint_checks_batch),
+            constraint_checks_tuple: AtomicU64::new(snapshot.constraint_checks_tuple),
+            constraint_misses: snapshot.constraint_misses.map(AtomicU64::new),
+            batch_jobs_compiled: AtomicU64::new(snapshot.batch_jobs_compiled),
         }
     }
 }
@@ -280,12 +300,21 @@ pub struct PlanStatsSnapshot {
     pub proof_joins_batch: u64,
     pub proof_joins_tuple: u64,
     pub batch_misses: [u64; BatchMiss::ALL.len()],
+    pub constraint_checks_batch: u64,
+    pub constraint_checks_tuple: u64,
+    pub constraint_misses: [u64; BatchMiss::ALL.len()],
+    pub batch_jobs_compiled: u64,
 }
 
 impl PlanStatsSnapshot {
-    /// The tuple-path executions `reason` caused.
+    /// The tuple-path rule executions `reason` caused.
     pub fn batch_miss(&self, reason: BatchMiss) -> u64 {
         self.batch_misses[reason as usize]
+    }
+
+    /// The tuple-path constraint checks `reason` caused.
+    pub fn constraint_miss(&self, reason: BatchMiss) -> u64 {
+        self.constraint_misses[reason as usize]
     }
 }
 
@@ -307,6 +336,12 @@ impl std::ops::Add for PlanStatsSnapshot {
             proof_joins_batch: self.proof_joins_batch + other.proof_joins_batch,
             proof_joins_tuple: self.proof_joins_tuple + other.proof_joins_tuple,
             batch_misses: std::array::from_fn(|i| self.batch_misses[i] + other.batch_misses[i]),
+            constraint_checks_batch: self.constraint_checks_batch + other.constraint_checks_batch,
+            constraint_checks_tuple: self.constraint_checks_tuple + other.constraint_checks_tuple,
+            constraint_misses: std::array::from_fn(|i| {
+                self.constraint_misses[i] + other.constraint_misses[i]
+            }),
+            batch_jobs_compiled: self.batch_jobs_compiled + other.batch_jobs_compiled,
         }
     }
 }
@@ -320,7 +355,7 @@ impl std::ops::AddAssign for PlanStatsSnapshot {
 /// Identity of a compiled plan in the cache.  Rule bodies and constraint
 /// sides share one cache (and one recompile-on-drift policy): constraint
 /// checking runs through the same cost-based planner as rule evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanKey {
     /// An installed rule's body, optionally with a delta-pinned literal.
     Rule { rule: usize, delta: Option<usize> },
@@ -347,6 +382,27 @@ pub enum PlanKey {
     Proof { rule: usize, head: usize },
 }
 
+/// One word per key, hashed once: every rule execution and constraint
+/// check looks its plan (and job) up.  Indexes past 2^28 share words, which
+/// costs a probe, never a wrong plan (`Eq` compares the key).
+impl std::hash::Hash for PlanKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let (kind, a, b) = match *self {
+            PlanKey::Rule { rule, delta } => (0, rule, delta.map_or(0, |d| d + 1)),
+            PlanKey::ConstraintLhs { constraint, delta } => {
+                (1, constraint, delta.map_or(0, |d| d + 1))
+            }
+            PlanKey::ConstraintRhs { constraint } => (2, constraint, 0),
+            PlanKey::ConstraintLhsFrom {
+                constraint,
+                literal,
+            } => (3, constraint, literal),
+            PlanKey::Proof { rule, head } => (4, rule, head),
+        };
+        state.write_u64(kind | (a as u64) << 4 | (b as u64) << 36);
+    }
+}
+
 impl PlanKey {
     fn delta_literal(self) -> Option<usize> {
         match self {
@@ -358,11 +414,13 @@ impl PlanKey {
     }
 }
 
-/// Memoized plans per [`PlanKey`] with recompile-on-drift.  A plan is
-/// immutable once compiled, so the cache and every caller share it.
+/// Memoized plans per [`PlanKey`] with recompile-on-drift, each beside the
+/// batch job compiled from it (`batch` module docs).  A plan is immutable
+/// once compiled, so the cache and every caller share it; its job goes when
+/// it is recompiled.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
-    plans: FnvMap<PlanKey, Arc<RulePlan>>,
+    plans: FnvMap<PlanKey, (Arc<RulePlan>, Option<Job>)>,
 }
 
 impl PlanCache {
@@ -399,7 +457,7 @@ impl PlanCache {
         udfs: &UdfRegistry,
         stats: &PlanStats,
     ) -> Arc<RulePlan> {
-        if let Some(plan) = self.plans.get(&key) {
+        if let Some((plan, _)) = self.plans.get(&key) {
             if !cardinalities_drifted(&plan.cardinalities, relations) {
                 PlanStats::bump(&stats.plan_cache_hits);
                 return Arc::clone(plan);
@@ -417,8 +475,34 @@ impl PlanCache {
             udfs,
         ));
         drop(timer);
-        self.plans.insert(key, Arc::clone(&plan));
+        self.plans.insert(key, (Arc::clone(&plan), None));
         plan
+    }
+
+    /// The batch job slot beside `key`'s plan, which [`Self::plan_for`]
+    /// cached.
+    pub(crate) fn job(&mut self, key: PlanKey) -> &mut Option<Job> {
+        &mut self
+            .plans
+            .get_mut(&key)
+            .expect("the plan is cached before its job")
+            .1
+    }
+
+    /// Take the job beside `key`'s plan, to run it while the cache is used
+    /// for other keys; [`Self::put_job`] brings it back.
+    pub(crate) fn take_job(&mut self, key: PlanKey) -> Option<Job> {
+        self.plans.get_mut(&key)?.1.take()
+    }
+
+    /// Put `job`, compiled from `plan`, back beside `key`'s plan — unless
+    /// that plan was recompiled meanwhile.
+    pub(crate) fn put_job(&mut self, key: PlanKey, plan: &Arc<RulePlan>, job: Option<Job>) {
+        if let Some((cached, slot)) = self.plans.get_mut(&key) {
+            if Arc::ptr_eq(cached, plan) {
+                *slot = job;
+            }
+        }
     }
 }
 

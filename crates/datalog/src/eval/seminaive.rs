@@ -25,7 +25,7 @@
 //! B, the end state of a round is a pure function of its start state.
 
 use super::aggregate::evaluate_agg_rule_exec;
-use super::batch::{self, IdBatch};
+use super::batch::{self, Exec, HeadRows};
 use super::bindings::{eval_term, Bindings};
 use super::join::{DeltaRestriction, JoinContext};
 use super::plan::{PlanCache, PlanKey, PlanStats, RulePlan};
@@ -110,7 +110,7 @@ pub struct Commit {
 /// tuples are rehydrated (for the delta sets).
 pub(super) enum Derivation {
     Values(Vec<(String, Tuple)>),
-    Ids(Vec<(String, IdBatch)>),
+    Ids(HeadRows),
 }
 
 /// The undo log of one transaction or retraction: every mutation of the
@@ -325,6 +325,10 @@ pub struct Evaluator<'a> {
     /// Record of every mutation this evaluator performs, appended at each
     /// insertion and removal site; the owner undoes it to roll back.
     pub journal: &'a mut EvalJournal,
+    /// The tuple path's substitution stack, kept by the owner from round to
+    /// round and commit to commit, so its slots' name buffers are allocated
+    /// once.
+    pub bindings: &'a mut Bindings,
 }
 
 /// How a stratum's first round is driven.
@@ -475,10 +479,11 @@ impl<'a> Evaluator<'a> {
         delta_sets: &FactDelta,
     ) -> Result<Vec<Derivation>> {
         let mut derivations = Vec::with_capacity(combos.len());
-        // One substitution stack for the whole round: every join leaves it
-        // as it found it, so its slots are reused from combination to
-        // combination.
-        let mut bindings = Bindings::new();
+        // One substitution stack: every join leaves it as it found it, so
+        // its slots are reused from combination to combination (and, through
+        // `self.bindings`, from round to round).  An error drops it.
+        let mut bindings = std::mem::take(self.bindings);
+        bindings.restore(0);
         for &(rule_index, literal) in combos {
             let rule = &program.rules()[rule_index];
             let delta = match literal {
@@ -504,9 +509,9 @@ impl<'a> Evaluator<'a> {
 
             // One observation and one count per combination, whichever way
             // it runs — coarse enough to stay inside the telemetry overhead
-            // budget.  `compile_batch` is the only place the batch path
-            // interns (head constants), so dictionary ids follow combination
-            // order.
+            // budget.  A rule job's first compile is the only place the
+            // batch path interns (head constants), so dictionary ids follow
+            // combination order.
             let _join_timer =
                 secureblox_telemetry::histogram!("datalog_rule_batch_join_ns").start_timer();
             PlanStats::bump(&self.plan_stats.serial_batches);
@@ -521,38 +526,74 @@ impl<'a> Evaluator<'a> {
                     delta,
                     &mut bindings,
                 )?)
-            } else if let Some(job) = plan.and_then(|plan| {
-                batch::compile_batch(rule, plan, delta, self.relations, self.udfs, self.interner)
-                    .map_err(|miss| PlanStats::bump(&self.plan_stats.batch_misses[miss as usize]))
-                    .ok()
-            }) {
-                secureblox_telemetry::counter!("datalog_rule_exec_batch_total").inc();
-                let rows = batch::execute_batch(&job, self.relations, self.plan_stats)?;
-                #[cfg(debug_assertions)]
-                debug_verify_batch(
-                    rule,
-                    plan,
-                    delta,
-                    self.relations,
-                    self.udfs,
-                    self.interner,
-                    &rows,
-                )?;
-                Derivation::Ids(rows)
             } else {
-                secureblox_telemetry::counter!("datalog_rule_exec_tuple_total").inc();
-                Derivation::Values(evaluate_tuple_combo(
-                    rule,
-                    plan,
-                    delta,
-                    self.relations,
-                    self.udfs,
-                    self.plan_stats,
-                    &mut bindings,
-                )?)
+                let batch = match plan {
+                    Some(plan) => {
+                        let key = PlanKey::Rule {
+                            rule: rule_index,
+                            delta: literal,
+                        };
+                        let exec = Exec {
+                            relations: self.relations,
+                            udfs: self.udfs,
+                            interner: self.interner,
+                            stats: self.plan_stats,
+                        };
+                        match batch::rule_job(
+                            self.plan_cache.job(key),
+                            rule,
+                            plan,
+                            literal,
+                            exec.relations,
+                            self.udfs,
+                            self.interner,
+                            self.plan_stats,
+                        ) {
+                            Ok(job) => Some(batch::execute_batch(
+                                job,
+                                delta.map(|pinned| pinned.delta),
+                                exec,
+                            )?),
+                            Err(miss) => Some(Err(miss)),
+                        }
+                    }
+                    None => None,
+                };
+                match batch {
+                    Some(Ok(rows)) => {
+                        secureblox_telemetry::counter!("datalog_rule_exec_batch_total").inc();
+                        #[cfg(debug_assertions)]
+                        debug_verify_batch(
+                            rule,
+                            plan,
+                            delta,
+                            self.relations,
+                            self.udfs,
+                            self.interner,
+                            &rows,
+                        )?;
+                        Derivation::Ids(rows)
+                    }
+                    miss => {
+                        if let Some(Err(miss)) = miss {
+                            PlanStats::bump(&self.plan_stats.batch_misses[miss as usize]);
+                        }
+                        secureblox_telemetry::counter!("datalog_rule_exec_tuple_total").inc();
+                        Derivation::Values(evaluate_tuple_combo(
+                            rule,
+                            plan,
+                            delta,
+                            self.relations,
+                            self.udfs,
+                            self.plan_stats,
+                            &mut bindings,
+                        )?)
+                    }
+                }
             };
             derivations.push(derivation);
         }
+        *self.bindings = bindings;
         Ok(derivations)
     }
 
@@ -683,7 +724,7 @@ impl<'a> Evaluator<'a> {
                     self.relation_entry(&pred);
                     let relation = self
                         .relations
-                        .get_mut(&pred)
+                        .get_mut(&*pred)
                         .expect("relation just ensured");
                     let mut new_rows = Vec::new();
                     for row in batch.iter() {
@@ -695,7 +736,7 @@ impl<'a> Evaluator<'a> {
                     }
                     inserted += new_rows.len();
                     if !new_rows.is_empty() {
-                        delta.entry(pred).or_default().extend(new_rows);
+                        delta.entry(pred.to_string()).or_default().extend(new_rows);
                     }
                 }
                 Ok(inserted)
@@ -885,7 +926,7 @@ fn debug_verify_batch(
     relations: &Relations,
     udfs: &UdfRegistry,
     interner: &Arc<Interner>,
-    rows: &[(String, IdBatch)],
+    rows: &HeadRows,
 ) -> Result<()> {
     fn canonicalize(mut derived: Vec<(String, Tuple)>) -> Vec<(String, Tuple)> {
         derived.sort_by(|a, b| {
@@ -909,7 +950,7 @@ fn debug_verify_batch(
         .flat_map(|(pred, batch)| {
             batch
                 .iter()
-                .map(|row| (pred.clone(), interner.resolve_row(row)))
+                .map(|row| (pred.to_string(), interner.resolve_row(row)))
         })
         .collect();
     debug_assert_eq!(
@@ -990,6 +1031,7 @@ mod tests {
                 plan_stats: &self.plan_stats,
                 interner: &self.interner,
                 journal: &mut EvalJournal::default(),
+                bindings: &mut Bindings::new(),
             };
             evaluator.run(&self.program).unwrap()
         }
@@ -1145,6 +1187,7 @@ mod tests {
             plan_stats: &fixture.plan_stats,
             interner: &fixture.interner,
             journal: &mut EvalJournal::default(),
+            bindings: &mut Bindings::new(),
         };
         // Y is a head existential, so it actually mints an entity — that is
         // allowed.  A truly unsafe head reads a variable the body mentions
@@ -1184,6 +1227,7 @@ mod tests {
             plan_stats: &fixture.plan_stats,
             interner: &fixture.interner,
             journal: &mut EvalJournal::default(),
+            bindings: &mut Bindings::new(),
         };
         let err = evaluator.run(&fixture.program).unwrap_err();
         assert!(matches!(err, DatalogError::FixpointBudget { .. }));

@@ -808,6 +808,15 @@ impl Relation {
         self.find_fd(buf.known(&self.interner, key)?)
     }
 
+    /// [`Relation::functional_find`] by the key's dictionary ids (which must
+    /// come from this relation's own interner).
+    pub fn find_key(&self, key_ids: &[u32]) -> Option<TupleId> {
+        if self.key_arity? != key_ids.len() {
+            return None;
+        }
+        self.find_fd(key_ids)
+    }
+
     /// Build the secondary index for `cols` if it does not exist yet.
     /// Returns `true` when an index was actually built.
     pub fn ensure_index(&mut self, cols: ColumnSet) -> bool {

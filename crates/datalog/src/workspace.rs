@@ -51,6 +51,8 @@ pub struct Workspace {
     plan_cache: PlanCache,
     /// Planner / index counters for the bench harness.
     plan_stats: PlanStats,
+    /// The tuple path's substitution stack, lent to every evaluator.
+    bindings: Bindings,
     /// The workspace-wide value dictionary.  Every relation of this workspace
     /// shares it, which is what makes the columnar batch executor eligible
     /// (see [`crate::intern`]).
@@ -106,6 +108,7 @@ impl Workspace {
             allow_recursive_negation: false,
             plan_cache: PlanCache::new(),
             plan_stats: PlanStats::default(),
+            bindings: Bindings::new(),
             interner: Arc::new(Interner::new()),
             seedable: true,
             converged: false,
@@ -468,14 +471,16 @@ impl Workspace {
                 .expect("relation just ensured");
             let (id, new) = relation.insert_new(&tuple)?;
             let newly_asserted = relation.set_asserted(id, true);
+            report.inserted += 1;
             if new {
                 journal.record_added(&pred, tuple.clone());
-                seed.entry(pred.clone()).or_default().insert(tuple.clone());
-            }
-            if newly_asserted {
+                if newly_asserted {
+                    journal.record_edb_added(&pred, tuple.clone());
+                }
+                seed.entry(pred).or_default().insert(tuple);
+            } else if newly_asserted {
                 journal.record_edb_added(&pred, tuple);
             }
-            report.inserted += 1;
         }
         let seeded = self.seedable && self.converged;
         let stats = {
@@ -516,6 +521,7 @@ impl Workspace {
             &self.udfs,
             &mut self.plan_cache,
             &self.plan_stats,
+            &self.interner,
             added,
             removed,
         )
@@ -549,6 +555,7 @@ impl Workspace {
             plan_stats: &self.plan_stats,
             interner: &self.interner,
             journal,
+            bindings: &mut self.bindings,
         };
         (evaluator, &self.program)
     }

@@ -41,6 +41,6 @@ pub use error::{Result, StoreError};
 pub use merkle::{leaf_hash, merkle_proof, merkle_root, verify_proof, ProofStep, HASH_LEN};
 pub use object::{object_id, ObjectId, ObjectStore};
 pub use snapshot::{RelationEntry, SnapshotManifest};
-pub use store::{derive_node_key, DurabilityConfig, FactStore, SnapshotInfo};
+pub use store::{derive_node_key, node_dir_name, DurabilityConfig, FactStore, SnapshotInfo};
 pub use sync::{sync_deployment, sync_store, SyncStats};
 pub use wal::{Wal, WalOp, WalRecord};

@@ -22,7 +22,7 @@ use crate::snapshot::{
     decode_relation, encode_relation, read_head, write_head, RelationEntry, SnapshotManifest,
 };
 use crate::wal::{Wal, WalOp, WalRecord};
-use secureblox_crypto::{hmac_sha1, to_hex};
+use secureblox_crypto::{hmac_sha1, sha1, to_hex};
 use secureblox_datalog::codec::serialize_tuple;
 use secureblox_datalog::value::Tuple;
 use std::collections::BTreeMap;
@@ -31,7 +31,8 @@ use std::path::{Path, PathBuf};
 /// Where (and whether) a deployment persists its nodes' base facts.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Root directory; each node gets a subdirectory named by its principal.
+    /// Root directory; each node gets a subdirectory named by
+    /// [`node_dir_name`] of its principal.
     pub dir: PathBuf,
     /// Flush WAL appends to the OS after every committed batch (cheap; real
     /// fsync durability is out of scope for the simulation).
@@ -46,9 +47,31 @@ impl DurabilityConfig {
         }
     }
 
-    /// The store directory for one node.
+    /// The store directory for one node: [`node_dir_name`] under the root.
     pub fn node_dir(&self, principal: &str) -> PathBuf {
-        self.dir.join(principal)
+        self.dir.join(node_dir_name(principal))
+    }
+}
+
+/// The longest principal kept verbatim as a directory name.
+const PLAIN_NAME_MAX: usize = 64;
+
+/// The directory name of a node's store under a deployment or replica root.
+/// A principal is deployment input, so it is not trusted to be a path
+/// component: one of at most 64 bytes of `[A-Za-z0-9_.-]`, not starting with
+/// `.`, keeps its name; any other becomes `p-` and the hex SHA-1 of its
+/// bytes, which is bounded and never leaves the root.
+pub fn node_dir_name(principal: &str) -> String {
+    let plain = !principal.is_empty()
+        && principal.len() <= PLAIN_NAME_MAX
+        && !principal.starts_with('.')
+        && principal
+            .bytes()
+            .all(|byte| byte.is_ascii_alphanumeric() || matches!(byte, b'_' | b'.' | b'-'));
+    if plain {
+        principal.to_string()
+    } else {
+        format!("p-{}", to_hex(&sha1(principal.as_bytes())))
     }
 }
 
@@ -485,6 +508,26 @@ mod tests {
         assert_eq!(store.recovered_suffix().len(), 4);
         assert!(store.recovered_snapshot_facts().is_empty());
         assert_eq!(store.watermark(), 10);
+    }
+
+    #[test]
+    fn a_node_directory_stays_under_the_root_and_bounded() {
+        let config = DurabilityConfig::new("/base");
+        // Plain principals keep their names, so existing stores stay put.
+        for plain in ["n0", "sink", "node-7.a_b", &"x".repeat(64)] {
+            assert_eq!(node_dir_name(plain), plain);
+        }
+        for hostile in ["../x", "a/b", "..", ".hidden", "", &"x".repeat(4_097), "ü"] {
+            let name = node_dir_name(hostile);
+            assert!(
+                name.starts_with("p-") && name.len() == 42,
+                "{hostile:?} -> {name}"
+            );
+            let dir = config.node_dir(hostile);
+            assert_eq!(dir.parent(), Some(Path::new("/base")), "{hostile:?}");
+            assert_eq!(dir.components().count(), 3, "{hostile:?}");
+        }
+        assert_ne!(node_dir_name("../x"), node_dir_name("a/b"));
     }
 
     #[test]

@@ -135,7 +135,11 @@ pub fn sync_store(master_dir: &Path, replica_dir: &Path, key: &[u8]) -> Result<S
 
 /// Synchronize every node store under `master_dir` (one subdirectory per
 /// principal, as laid out by `DurabilityConfig`) into `replica_dir`.  `seed`
-/// is the deployment seed the node keys derive from.
+/// is the deployment seed the node keys derive from.  A directory name is
+/// taken for the principal, which holds for every principal
+/// [`crate::node_dir_name`] keeps verbatim; a hashed `p-…` directory names
+/// no principal, so its key does not derive here and its WAL fails to
+/// verify — sync such a store with [`sync_store`] and the principal's key.
 pub fn sync_deployment(
     master_dir: &Path,
     replica_dir: &Path,

@@ -15,9 +15,12 @@
 //!
 //! The same counters say why a rule execution ran on the tuple path
 //! (`PlanStatsSnapshot::batch_misses`): on the gossip flood, every one has
-//! exactly one reason, and it is the policy's.  And a functional lookup
-//! whose key is bound — a lifted `self[]` read among them — costs one
-//! functional hit, never a walk of the relation.
+//! exactly one reason, and it is the policy's.  A functional lookup whose
+//! key is bound — a lifted `self[]` read among them — costs one functional
+//! hit in the batch executor, never a walk of the relation.  And every
+//! constraint check a delta drives after bootstrap — the type declarations'
+//! membership probes, the signature check's `hmac_verify` — runs in id
+//! space (`constraint_checks_batch`).
 
 use secureblox::policy::SecurityConfig;
 use secureblox::runtime::{Deployment, DeploymentConfig, NodeSpec};
@@ -144,30 +147,24 @@ fn rows_examined_per_delta_do_not_grow_with_the_inbox() {
 
 /// Every rule execution the gossip flood sends down the tuple path is
 /// counted under one reason, and the reasons are the policy's: the signing
-/// rule calls `hmac_sign`, the import and the app's `says` rules look
-/// `self[]` up (the functional literal its lift adds), and an app rule's
-/// `U != self[]` is a comparison — ranked ahead of that lookup, because the
-/// syntax is asked before the plan.  Nothing else is counted.  (A 6-ring
-/// reads `Udf` 366, `Functional` 432, `Comparison` 84.)
+/// rule's `hmac_sign` binds the signature (a UDF with an output), and an app
+/// rule's `U != self[]` is a comparison.  The import rule's `self[]` read is
+/// a keyed lookup in the batch executor.  Nothing else is counted.  (A
+/// 6-ring reads `Udf` 366 and `Comparison` 84.)
 #[test]
 fn every_tuple_path_execution_of_the_gossip_flood_has_one_reason() {
     let (plan, _) = run(GOSSIP_APP, &ring_specs(6));
     assert!(plan.batch_misses.iter().sum::<u64>() > 0, "{plan:?}");
     for reason in BatchMiss::ALL {
-        let counted = matches!(
-            reason,
-            BatchMiss::Udf | BatchMiss::Functional | BatchMiss::Comparison
-        );
+        let counted = matches!(reason, BatchMiss::Udf | BatchMiss::Comparison);
         assert_eq!(plan.batch_miss(reason) > 0, counted, "{reason:?}: {plan:?}");
     }
 }
 
 /// A functional literal the plan reaches with its key bound is a one-row
-/// lookup: the planner leaves it no probe, because the tuple path finds the
-/// row by its key.  The batch executor has no such lookup and declines the
-/// rule (`BatchMiss::Functional`) instead of walking the relation, so a
-/// one-fact transaction examines the same handful of rows over 1,000 `f`
-/// facts as over none.
+/// lookup: the planner leaves it no probe, and the batch executor finds the
+/// row by its key, so a one-fact transaction examines the same handful of
+/// rows over 1,000 `f` facts as over none — and runs in batch.
 #[test]
 fn a_functional_lookup_under_a_bound_key_walks_no_relation() {
     let mut ws = Workspace::new();
@@ -192,6 +189,39 @@ fn a_functional_lookup_under_a_bound_key_walks_no_relation() {
     );
     assert_eq!(after.full_scans, before.full_scans, "no full scan");
     assert_eq!(after.functional_hits - before.functional_hits, 1);
-    let functional = |plan: &PlanStatsSnapshot| plan.batch_miss(BatchMiss::Functional);
-    assert_eq!(functional(&after) - functional(&before), 1);
+    assert_eq!(
+        after.batch_misses, before.batch_misses,
+        "the rule ran in batch"
+    );
+}
+
+/// After a node's bootstrap transaction (a full check, in neither count),
+/// every constraint check a delta or a withdrawn witness drives runs in id
+/// space, on the ring and on the fan-in, and the rows it examines stay
+/// inside the per-delta budget above.
+#[test]
+fn every_delta_driven_constraint_check_runs_in_id_space() {
+    let flood = run(GOSSIP_APP, &ring_specs(6));
+    let fanin = run(FANIN_APP, &fanin_specs(50));
+    for ((plan, deployment), (deltas, what)) in [
+        (flood, (2 * 6 * 6 * 5, "the 6-ring flood")),
+        (fanin, (200, "the fan-in")),
+    ] {
+        assert!(plan.constraint_checks_batch > 0, "{what}: {plan:?}");
+        assert_eq!(plan.constraint_checks_tuple, 0, "{what}: {plan:?}");
+        assert_eq!(plan.constraint_misses, [0; BatchMiss::ALL.len()], "{what}");
+        let per_delta = plan.rows_examined as f64 / deltas as f64;
+        assert!(
+            per_delta <= ROWS_PER_DELTA,
+            "{what}: {per_delta:.1} rows examined per delta"
+        );
+        // Jobs compile once per plan key, not once per execution.
+        let executions = plan.serial_batches + plan.constraint_checks_batch;
+        assert!(
+            plan.batch_jobs_compiled * 4 < executions,
+            "{what}: {} jobs compiled for {executions} executions",
+            plan.batch_jobs_compiled
+        );
+        drop(deployment);
+    }
 }
