@@ -55,8 +55,9 @@ fn bench(c: &mut Criterion) {
     });
 
     // Registry disabled: histograms early-return, timers skip the clock.
-    // Counters/gauges stay live by design (their cost matches the plan-stats
-    // counters the engine always paid), so this isolates the *gated* cost.
+    // Counters/gauges stay live by design (one relaxed atomic each; the
+    // engine's own counts are plain integers in its workspace), so this
+    // isolates the *gated* cost.
     secureblox_telemetry::set_metrics_enabled(false);
     group.bench_function("triple_join_10k_disabled", |b| {
         let mut ws = triple_join_workspace();

@@ -39,7 +39,7 @@ use secureblox_crypto::KeyStore;
 use secureblox_datalog::error::{DatalogError, Result};
 use secureblox_datalog::eval::shuffle::ExchangeSummary;
 use secureblox_datalog::value::{Tuple, Value};
-use secureblox_datalog::{FnvMap, PlanStatsSnapshot, Workspace};
+use secureblox_datalog::{FnvMap, PlanStats, Workspace};
 use secureblox_net::stats::{self, NodeLedger};
 use secureblox_net::{
     LatencyModel, Message, MessageKind, NodeId, NodeInfo, SimNetwork, VirtualTime,
@@ -117,7 +117,7 @@ pub struct DeploymentConfig {
     /// [`Deployment::build`] / [`Deployment::recover`] refuse anything larger
     /// with [`DatalogError::Config`].  Kept only because
     /// `examples/benchmark/sut.rs` sets it; goes at the next benchmark
-    /// re-base (ROADMAP item 4).
+    /// re-base (ROADMAP item 3).
     pub parallelism: usize,
     /// Streaming-scheduler knobs: per-link delta batching, annihilation, and
     /// credit-based backpressure.  The default honours `SECUREBLOX_BATCH_MAX`
@@ -218,9 +218,12 @@ pub struct DeploymentReport {
     /// Per-node sent bytes.
     pub per_node_bytes: Vec<usize>,
     pub total_messages: usize,
-    /// Planner / index counters summed over every node's workspace (plan
-    /// cache hits, index probes, full scans, …) for the bench harness.
-    pub plan: PlanStatsSnapshot,
+    /// Planner, index and rule-execution counters summed over every node's
+    /// workspace (plan cache hits, index probes, full scans, …).
+    pub plan: PlanStats,
+    /// Export candidates the nodes' flushes examined: what their commits
+    /// added or removed, never the relations (DESIGN.md §9.3's O(delta)).
+    pub export_candidates: usize,
     /// Median committed-transaction (apply) latency across all nodes — the
     /// p50 figure of the streaming-throughput benchmark.
     pub apply_latency_p50: Duration,
@@ -812,6 +815,7 @@ impl Deployment {
             per_node_bytes: ledgers.iter().map(|l| l.traffic().bytes_sent).collect(),
             total_messages: sum(|l| l.traffic().messages_sent),
             plan: self.plan_stats(),
+            export_candidates: sum(NodeLedger::export_candidates),
             apply_latency_p50: stats::transaction_duration_percentile(&ledgers, 0.5),
             apply_latency_p99: stats::transaction_duration_percentile(&ledgers, 0.99),
             shard: self.shard_report(),
@@ -822,11 +826,11 @@ impl Deployment {
     /// Planner / index counters summed over every node's workspace.  Plan
     /// caches live in the workspaces, so they persist across deployment
     /// ticks: steady-state ticks should show cache hits, not compilations.
-    pub fn plan_stats(&self) -> PlanStatsSnapshot {
+    pub fn plan_stats(&self) -> PlanStats {
         self.nodes
             .iter()
             .map(|node| node.workspace.plan_stats())
-            .fold(PlanStatsSnapshot::default(), |acc, s| acc + s)
+            .sum()
     }
 
     /// The reference loop's quiescence step: run

@@ -246,8 +246,8 @@ impl NodeCtx<'_> {
     pub(crate) fn flush_updates(&mut self, now: VirtualTime) -> Result<()> {
         let started = Instant::now();
         let (removed, added) = self.node.export_pending.take_sorted();
-        secureblox_telemetry::counter!("engine_export_candidates_total")
-            .add((added.len() + removed.len()) as u64);
+        let candidates = added.len() + removed.len();
+        self.node.ledger.record_export_candidates(candidates);
         // Ordered deltas per destination node: retractions first (they refer
         // to the pre-flush state), then asserts, each in deterministic order.
         let mut per_dest: BTreeMap<usize, Vec<UpdateDelta>> = BTreeMap::new();
@@ -498,11 +498,7 @@ impl NodeCtx<'_> {
                     delta.pred.len() + serialize_tuple(&delta.tuple).len() + delta.signature.len()
                 })
                 .sum();
-            if bytes > 0 {
-                self.node.ledger.record_exchange(bytes);
-                secureblox_telemetry::counter!("engine_shard_exchange_bytes_total")
-                    .add(bytes as u64);
-            }
+            self.node.ledger.record_exchange(bytes);
         }
         let mut payload = envelope.encode();
         if self.config.security.enc == EncScheme::Aes128 {

@@ -46,7 +46,7 @@ pub struct StreamingConfig {
     /// `Deployment::build` / `Deployment::recover` refuse `false` with
     /// `DatalogError::Config`.  Kept only because
     /// `examples/benchmark/sut.rs` reads it; goes at the next benchmark
-    /// re-base (ROADMAP item 4).
+    /// re-base (ROADMAP item 3).
     pub enabled: bool,
     /// Maximum deltas per shipped envelope.
     pub batch_max: usize,

@@ -33,7 +33,7 @@ use crate::error::{ConstraintViolation, DatalogError, Result};
 use crate::eval::batch::{self, Drive, Exec, Verdict, Witness};
 use crate::eval::bindings::Bindings;
 use crate::eval::join::{DeltaRestriction, JoinContext};
-use crate::eval::plan::{bound_after, frozen_vars, PlanCache, PlanKey, PlanStats, RulePlan};
+use crate::eval::plan::{bound_after, frozen_vars, PlanCache, PlanKey, RulePlan, StatsCell};
 use crate::eval::{runtime_pred_name, FactDelta};
 use crate::intern::{FnvSet, Interner};
 use crate::relation::Relations;
@@ -51,17 +51,14 @@ fn check_constraint_with(
     udfs: &UdfRegistry,
     plans: Option<(&RulePlan, &RulePlan)>,
     restriction: Option<DeltaRestriction<'_>>,
-    stats: Option<&PlanStats>,
+    stats: &StatsCell,
     bindings: &mut Bindings,
 ) -> Result<()> {
     // An empty right-hand side (`p(X) -> .`) is a pure declaration.
     if constraint.rhs.is_empty() {
         return Ok(());
     }
-    let ctx = match stats {
-        Some(stats) => JoinContext::with_stats(relations, udfs, stats),
-        None => JoinContext::new(relations, udfs),
-    };
+    let ctx = JoinContext::new(relations, udfs, stats);
     let mut violation: Option<ConstraintViolation> = None;
     let mut rhs_bindings = Bindings::new();
     let mut on_lhs = |lhs_binding: &Bindings| {
@@ -126,7 +123,7 @@ pub fn check_constraint(
         udfs,
         None,
         None,
-        None,
+        &StatsCell::default(),
         &mut Bindings::new(),
     )
 }
@@ -143,7 +140,7 @@ fn prepare_constraint_plans(
     relations: &mut Relations,
     udfs: &UdfRegistry,
     cache: &mut PlanCache,
-    stats: &PlanStats,
+    stats: &StatsCell,
 ) -> (Arc<RulePlan>, Arc<RulePlan>) {
     let lhs = cache.plan_for(lhs_key, &constraint.lhs, lhs_bound, relations, udfs, stats);
     let rhs = cache.plan_for(
@@ -157,7 +154,7 @@ fn prepare_constraint_plans(
     for spec in lhs.ensure.iter().chain(rhs.ensure.iter()) {
         if let Some(relation) = relations.get_mut(&spec.pred) {
             if relation.ensure_index(spec.cols) {
-                PlanStats::bump(&stats.index_builds);
+                stats.borrow_mut().index_builds += 1;
             }
         }
     }
@@ -171,9 +168,9 @@ fn check_constraint_in_full(
     relations: &mut Relations,
     udfs: &UdfRegistry,
     cache: &mut PlanCache,
-    stats: &PlanStats,
+    stats: &StatsCell,
 ) -> Result<()> {
-    PlanStats::bump(&stats.constraint_full_checks);
+    stats.borrow_mut().constraint_full_checks += 1;
     let lhs_key = PlanKey::ConstraintLhs {
         constraint: index,
         delta: None,
@@ -193,7 +190,7 @@ fn check_constraint_in_full(
         udfs,
         Some((&*lhs_plan, &*rhs_plan)),
         None,
-        Some(stats),
+        stats,
         &mut Bindings::new(),
     )
 }
@@ -208,7 +205,7 @@ pub fn check_constraints_planned(
     relations: &mut Relations,
     udfs: &UdfRegistry,
     cache: &mut PlanCache,
-    stats: &PlanStats,
+    stats: &StatsCell,
 ) -> Result<()> {
     for (index, constraint) in constraints.iter().enumerate() {
         if !constraint.rhs.is_empty() {
@@ -250,7 +247,7 @@ pub fn check_constraints_for_delta(
     relations: &mut Relations,
     udfs: &UdfRegistry,
     cache: &mut PlanCache,
-    stats: &PlanStats,
+    stats: &StatsCell,
     interner: &Arc<Interner>,
     added: &FactDelta,
     removed: &FactDelta,
@@ -299,7 +296,7 @@ pub fn check_constraints_for_delta(
                         udfs,
                         Some((&*lhs_plan, &*rhs_plan)),
                         Some(restriction),
-                        Some(stats),
+                        stats,
                         &mut Bindings::new(),
                     )
                 },
@@ -345,7 +342,7 @@ fn check_driven(
     (drive, witness): (Drive<'_>, Option<Witness<'_>>),
     (exec, interner): (Exec<'_>, &Arc<Interner>),
     cache: &mut PlanCache,
-    tuple: impl Fn(&PlanStats) -> Result<()>,
+    tuple: impl Fn(&StatsCell) -> Result<()>,
 ) -> Result<()> {
     let stats = exec.stats;
     let delta = match lhs_key {
@@ -376,13 +373,13 @@ fn check_driven(
         Ok(verdict) => verdict,
         Err(miss) => {
             if let Some(miss) = miss {
-                PlanStats::bump(&stats.constraint_misses[miss as usize]);
+                stats.borrow_mut().constraint_misses[miss as usize] += 1;
             }
-            PlanStats::bump(&stats.constraint_checks_tuple);
+            stats.borrow_mut().constraint_checks_tuple += 1;
             return tuple(stats);
         }
     };
-    PlanStats::bump(&stats.constraint_checks_batch);
+    stats.borrow_mut().constraint_checks_batch += 1;
     let result = match verdict {
         Verdict::Holds => Ok(()),
         Verdict::Violated(witness) => Err(DatalogError::ConstraintViolation(ConstraintViolation {
@@ -392,7 +389,7 @@ fn check_driven(
     };
     #[cfg(debug_assertions)]
     {
-        let expected = tuple(&PlanStats::default());
+        let expected = tuple(&StatsCell::default());
         debug_assert_eq!(
             result, expected,
             "the id-space check of `{constraint}` diverged from the tuple path"
@@ -418,7 +415,7 @@ fn check_from_witnesses(
     relations: &mut Relations,
     udfs: &UdfRegistry,
     cache: &mut PlanCache,
-    (interner, stats): (&Arc<Interner>, &PlanStats),
+    (interner, stats): (&Arc<Interner>, &StatsCell),
 ) -> Result<()> {
     // The shared variables, in the order the literal first names them;
     // asked only when a plan or a job compiles, or on the tuple path.
@@ -483,7 +480,7 @@ fn check_from_witnesses(
                     udfs,
                     Some((&*lhs_plan, &*rhs_plan)),
                     None,
-                    Some(stats),
+                    stats,
                     &mut bindings,
                 )?;
                 bindings.restore(0);

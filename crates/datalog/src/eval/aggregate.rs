@@ -6,7 +6,7 @@
 
 use super::bindings::{eval_term, Bindings};
 use super::join::JoinContext;
-use super::plan::{PlanStats, RulePlan};
+use super::plan::{RulePlan, StatsCell};
 use super::runtime_pred_name;
 use crate::ast::{AggFunc, AggSpec, Rule, Term};
 use crate::error::{DatalogError, Result};
@@ -23,17 +23,18 @@ pub fn evaluate_agg_rule(
     relations: &Relations,
     udfs: &UdfRegistry,
 ) -> Result<Vec<(String, Tuple)>> {
-    evaluate_agg_rule_exec(rule, relations, udfs, None, None)
+    evaluate_agg_rule_exec(rule, relations, udfs, None, &StatsCell::default())
 }
 
 /// Like [`evaluate_agg_rule`] but executing the body with a compiled plan
-/// (and recording probe statistics) when one is supplied.
+/// when one is supplied, and counting the recomputation and its probes in
+/// `stats`.
 pub(crate) fn evaluate_agg_rule_exec(
     rule: &Rule,
     relations: &Relations,
     udfs: &UdfRegistry,
     plan: Option<&RulePlan>,
-    stats: Option<&PlanStats>,
+    stats: &StatsCell,
 ) -> Result<Vec<(String, Tuple)>> {
     let agg = rule.agg.as_ref().ok_or_else(|| {
         DatalogError::Eval("evaluate_agg_rule called on a non-aggregate rule".into())
@@ -50,8 +51,10 @@ pub(crate) fn evaluate_agg_rule_exec(
         .cloned()
         .collect();
 
-    if let Some(stats) = stats {
-        PlanStats::bump(&stats.serial_batches);
+    {
+        let mut stats = stats.borrow_mut();
+        stats.serial_batches += 1;
+        stats.rule_exec_aggregate += 1;
     }
     let groups = fold_groups(rule, agg, plan, relations, udfs, stats, &group_vars)?;
 
@@ -93,13 +96,10 @@ fn fold_groups(
     plan: Option<&RulePlan>,
     relations: &Relations,
     udfs: &UdfRegistry,
-    stats: Option<&PlanStats>,
+    stats: &StatsCell,
     group_vars: &[String],
 ) -> Result<FnvMap<Vec<Value>, AggAccumulator>> {
-    let ctx = match stats {
-        Some(stats) => JoinContext::with_stats(relations, udfs, stats),
-        None => JoinContext::new(relations, udfs),
-    };
+    let ctx = JoinContext::new(relations, udfs, stats);
     let mut groups: FnvMap<Vec<Value>, AggAccumulator> = FnvMap::default();
     let mut bindings = Bindings::new();
     let mut fold = |b: &Bindings| {

@@ -66,7 +66,7 @@
 //! path's (`eval::dred`), and a constraint job's verdict the tuple path's
 //! (`constraint`).
 
-use super::plan::{is_membership, BatchMiss, PlanStats, RulePlan};
+use super::plan::{is_membership, BatchMiss, RulePlan, StatsCell};
 use super::runtime_pred_name;
 use crate::ast::{Atom, Constraint, Literal, Rule, Term};
 use crate::error::{DatalogError, Result};
@@ -629,7 +629,7 @@ pub(crate) enum Job {
 /// counted in `jobs_compiled`) otherwise.
 fn cached<'s, J>(
     slot: &'s mut Option<Job>,
-    stats: &PlanStats,
+    stats: &StatsCell,
     current: impl Fn(&Stamp) -> bool,
     view: fn(&mut Job) -> Option<&mut Compiled<J>>,
     wrap: fn(Box<Compiled<J>>) -> Job,
@@ -640,7 +640,7 @@ fn cached<'s, J>(
         .and_then(view)
         .is_some_and(|compiled| current(&compiled.stamp));
     if !fresh {
-        PlanStats::bump(&stats.batch_jobs_compiled);
+        stats.borrow_mut().batch_jobs_compiled += 1;
         *slot = Some(wrap(Box::new(compile())));
     }
     let compiled = view(slot.as_mut().expect("just filled")).expect("of this kind");
@@ -658,7 +658,7 @@ pub(crate) fn rule_job<'j>(
     relations: &Relations,
     udfs: &UdfRegistry,
     interner: &Arc<Interner>,
-    stats: &PlanStats,
+    stats: &StatsCell,
 ) -> std::result::Result<&'j mut BatchJob, BatchMiss> {
     cached(
         slot,
@@ -765,7 +765,7 @@ pub(crate) struct Exec<'a> {
     pub relations: &'a Relations,
     pub udfs: &'a UdfRegistry,
     pub interner: &'a Interner,
-    pub stats: &'a PlanStats,
+    pub stats: &'a StatsCell,
 }
 
 /// A binding frame: one row of `u32` ids per partial solution, `width` ids
@@ -916,7 +916,7 @@ pub(crate) fn proof_job<'j>(
     relations: &Relations,
     udfs: &UdfRegistry,
     interner: &Arc<Interner>,
-    stats: &PlanStats,
+    stats: &StatsCell,
 ) -> Option<&'j mut ProofJob> {
     cached(
         slot,
@@ -1145,7 +1145,7 @@ pub(crate) fn constraint_job<'j>(
     relations: &Relations,
     udfs: &UdfRegistry,
     interner: &Arc<Interner>,
-    stats: &PlanStats,
+    stats: &StatsCell,
 ) -> std::result::Result<&'j mut ConstraintJob, BatchMiss> {
     cached(
         slot,
@@ -1458,12 +1458,11 @@ fn extend_frame(
                 let candidates: &[TupleId] = if keyed {
                     found = relation.find_key(key);
                     if found.is_some() {
-                        PlanStats::bump(&stats.functional_hits);
+                        stats.borrow_mut().functional_hits += 1;
                     }
                     found.as_slice()
                 } else {
-                    PlanStats::bump(&stats.full_scans);
-                    PlanStats::add(&stats.rows_examined, scan.len());
+                    stats.borrow_mut().scanned(scan.len());
                     scan
                 };
                 for &id in candidates {
@@ -1518,7 +1517,7 @@ fn extend_frame(
                     IdSrc::Frame(col) => frame_row[*col],
                     IdSrc::Const(id) => *id,
                 }));
-                PlanStats::bump(&stats.index_probes);
+                stats.borrow_mut().index_probes += 1;
                 if let Some(id) = relation.find_row(key) {
                     matched(fresh_vals, key, Some(id));
                     emit(i, fresh_vals);
@@ -1579,12 +1578,11 @@ fn extend_frame(
                     caching = false;
                 }
             }
-            PlanStats::bump(&stats.index_probes);
             let candidates: &[u32] = match index {
                 Some(map) => map.get(&hash).map_or(&[], Bucket::as_slice),
                 None => fallback,
             };
-            PlanStats::add(&stats.rows_examined, candidates.len());
+            stats.borrow_mut().probed(candidates.len());
             let match_at = match_arena.len();
             let mut match_rows = 0u32;
             for &id in candidates {
@@ -1618,10 +1616,11 @@ fn extend_frame(
     let Some(relation) = relation else {
         return Ok(());
     };
-    PlanStats::bump(&stats.full_scans);
+    let group = relation.group(step.arity);
+    let rows = group.map_or(0, |group| group.rows());
+    stats.borrow_mut().scanned(rows);
     let mut candidates = IdBatch::new(step.arity + usize::from(step.trail));
-    if let Some(group) = relation.group(step.arity) {
-        PlanStats::add(&stats.rows_examined, group.rows());
+    if let Some(group) = group {
         for (index, &id) in group.tuple_ids().iter().enumerate() {
             scratch.clear();
             scratch.extend((0..group.arity()).map(|col| group.col(col)[index]));
@@ -1698,7 +1697,7 @@ fn canonicalize(mut buffers: HeadRows) -> HeadRows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::plan::{compile_body_plan, PlanStats};
+    use crate::eval::plan::{compile_body_plan, PlanStats, StatsCell};
     use crate::parser::parse_rule;
     use crate::relation::Relation;
     use crate::value::Value;
@@ -1747,7 +1746,7 @@ mod tests {
             }
         }
         let mut job = compile_batch(&rule, &plan, None, &relations, udfs, &interner)?;
-        let stats = PlanStats::default();
+        let stats = StatsCell::default();
         let exec = Exec {
             relations: &relations,
             udfs,
@@ -1755,7 +1754,7 @@ mod tests {
             stats: &stats,
         };
         let rows = execute_batch(&mut job, None, exec).unwrap().unwrap();
-        Ok((rehydrate(&interner, rows), stats))
+        Ok((rehydrate(&interner, rows), stats.into_inner()))
     }
 
     fn run(
@@ -1848,7 +1847,6 @@ mod tests {
         let (rows, stats) = run_with("out(X, V) <- item(X), f[X] = V.", &facts, true, &udfs)
             .expect("a functional read runs in batch");
         assert_eq!(rows, vec![("out".to_string(), vec![int(7), int(14)])]);
-        let stats = stats.snapshot();
         assert_eq!(stats.functional_hits, 1, "one key has a row");
         assert_eq!(
             stats.rows_examined, 2,
@@ -1929,7 +1927,7 @@ mod tests {
         let udfs = UdfRegistry::new();
         let rule = parse_rule("out(X, 42) <- e(X, 42).").unwrap();
         let plan = compile_body_plan(&rule.body, None, &FnvSet::default(), &relations, &udfs);
-        let stats = PlanStats::default();
+        let stats = StatsCell::default();
         let mut slot = None;
         let job = rule_job(
             &mut slot, &rule, &plan, None, &relations, &udfs, &interner, &stats,
@@ -1965,7 +1963,7 @@ mod tests {
         let udfs = UdfRegistry::new();
         let rule = parse_rule("out(X) <- e(X, 42).").unwrap();
         let plan = compile_body_plan(&rule.body, None, &FnvSet::default(), &relations, &udfs);
-        let stats = PlanStats::default();
+        let stats = StatsCell::default();
         let mut slot = None;
         for _ in 0..3 {
             let job = rule_job(
@@ -1973,19 +1971,19 @@ mod tests {
             );
             assert!(job.unwrap().impossible);
         }
-        assert_eq!(stats.snapshot().batch_jobs_compiled, 1);
+        assert_eq!(stats.borrow().batch_jobs_compiled, 1);
         // 42 enters the dictionary: the job may match now.
         interner.intern(&int(42));
         let job = rule_job(
             &mut slot, &rule, &plan, None, &relations, &udfs, &interner, &stats,
         );
         assert!(!job.unwrap().impossible);
-        assert_eq!(stats.snapshot().batch_jobs_compiled, 2);
+        assert_eq!(stats.borrow().batch_jobs_compiled, 2);
         // Another dictionary is another job.
         let other = Arc::new(Interner::new());
         let _ = rule_job(
             &mut slot, &rule, &plan, None, &relations, &udfs, &other, &stats,
         );
-        assert_eq!(stats.snapshot().batch_jobs_compiled, 3);
+        assert_eq!(stats.borrow().batch_jobs_compiled, 3);
     }
 }

@@ -47,7 +47,7 @@
 use super::batch::{compiled_proof, proof_job, Exec, Job, ProofJob};
 use super::bindings::{eval_term, Bindings};
 use super::join::{JoinContext, Trail};
-use super::plan::{is_membership, PlanKey, PlanStats, RulePlan};
+use super::plan::{is_membership, PlanKey, RulePlan};
 use super::runtime_pred_name;
 use super::seminaive::{delta_combos, Commit, Derivation, Evaluator, FactDelta};
 use crate::ast::{Atom, Literal, Rule, Term};
@@ -350,7 +350,7 @@ impl<'p> Search<'p> {
         ends.clear();
         match proof.job() {
             Some((job, preds)) => {
-                PlanStats::bump(&stats.proof_joins_batch);
+                stats.borrow_mut().proof_joins_batch += 1;
                 let instances = job.run(&self.row, exec)?;
                 for trail in instances.iter() {
                     used.extend(preds.iter().copied().zip(trail.iter().copied()));
@@ -360,7 +360,7 @@ impl<'p> Search<'p> {
                 self.debug_verify_proof(rule, head, proof, stored, join, exec)?;
             }
             None => {
-                PlanStats::bump(&stats.proof_joins_tuple);
+                stats.borrow_mut().proof_joins_tuple += 1;
                 let body_pred = |literal| {
                     let pred = deletion.body_pred(rule_index, literal);
                     pred.expect("a stored literal is a positive atom")
@@ -429,7 +429,7 @@ impl<'p> Search<'p> {
             return Ok(());
         };
         let literals: Vec<usize> = job.literals().collect();
-        let scratch = PlanStats::default();
+        let scratch = super::plan::StatsCell::default();
         let exec = Exec {
             stats: &scratch,
             ..exec
@@ -446,7 +446,7 @@ impl<'p> Search<'p> {
             })
             .collect();
         let mut tuple_path = Vec::new();
-        let join = JoinContext::with_stats(join.relations, join.udfs, &scratch);
+        let join = JoinContext::new(join.relations, join.udfs, &scratch);
         self.tuple_instances(rule, head, proof.plan.as_deref(), stored, join, |trail| {
             tuple_path.push(trail.to_vec())
         })?;
@@ -671,7 +671,7 @@ impl<'a> Evaluator<'a> {
             {
                 Ok(())
             } else {
-                let join = JoinContext::with_stats(relations, self.udfs, self.plan_stats);
+                let join = JoinContext::new(relations, self.udfs, self.plan_stats);
                 let exec = Exec {
                     relations,
                     udfs: self.udfs,
@@ -975,7 +975,7 @@ fn head_matches(atom: &Atom, solution: &Bindings, (relation, id): Stored<'_>) ->
 mod tests {
     use super::*;
     use crate::ast::Rule;
-    use crate::eval::plan::{PlanCache, PlanStats};
+    use crate::eval::plan::{PlanCache, StatsCell};
     use crate::eval::seminaive::ExistentialMemo;
     use crate::eval::{EvalConfig, EvalJournal};
     use crate::intern::Interner;
@@ -995,7 +995,7 @@ mod tests {
         entity_counter: u64,
         memo: ExistentialMemo,
         plan_cache: PlanCache,
-        plan_stats: PlanStats,
+        plan_stats: StatsCell,
     }
 
     impl Fixture {
@@ -1024,7 +1024,7 @@ mod tests {
                 entity_counter: 0,
                 memo: ExistentialMemo::default(),
                 plan_cache: PlanCache::new(),
-                plan_stats: PlanStats::default(),
+                plan_stats: StatsCell::default(),
             };
             fixture.run_fixpoint();
             fixture

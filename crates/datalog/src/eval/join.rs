@@ -26,7 +26,7 @@
 //! * comparisons, where `Var = ground-term` doubles as an assignment.
 
 use super::bindings::{eval_term, match_stored, match_tuple, Bindings};
-use super::plan::{is_membership, PlanStats, PlanStep, RulePlan};
+use super::plan::{is_membership, PlanStep, RulePlan, StatsCell};
 use super::runtime_pred_name;
 use crate::ast::{Atom, CmpOp, Literal, Term};
 use crate::error::{DatalogError, Result};
@@ -36,7 +36,6 @@ use crate::schema::BUILTIN_TYPES;
 use crate::udf::UdfRegistry;
 use crate::value::{Tuple, Value};
 use std::cell::RefCell;
-use std::sync::atomic::AtomicU64;
 
 /// A restriction of one body literal to a delta set (semi-naïve evaluation).
 #[derive(Debug, Clone, Copy)]
@@ -52,35 +51,22 @@ pub struct DeltaRestriction<'a> {
 /// per positive stored-relation literal, in plan order.
 pub type Trail = RefCell<Vec<(usize, TupleId)>>;
 
-/// Join context: the relations and UDFs visible to the evaluation.
+/// Join context: the relations and UDFs visible to the evaluation, and the
+/// counters its probes and scans bump.
 pub struct JoinContext<'a> {
     pub relations: &'a Relations,
     pub udfs: &'a UdfRegistry,
-    stats: Option<&'a PlanStats>,
+    stats: &'a StatsCell,
     trail: Option<&'a Trail>,
 }
 
 impl<'a> JoinContext<'a> {
-    /// Create a join context.
-    pub fn new(relations: &'a Relations, udfs: &'a UdfRegistry) -> Self {
+    /// Create a join context that counts its probes and scans in `stats`.
+    pub fn new(relations: &'a Relations, udfs: &'a UdfRegistry, stats: &'a StatsCell) -> Self {
         JoinContext {
             relations,
             udfs,
-            stats: None,
-            trail: None,
-        }
-    }
-
-    /// Create a join context that records probe/scan statistics.
-    pub fn with_stats(
-        relations: &'a Relations,
-        udfs: &'a UdfRegistry,
-        stats: &'a PlanStats,
-    ) -> Self {
-        JoinContext {
-            relations,
-            udfs,
-            stats: Some(stats),
+            stats,
             trail: None,
         }
     }
@@ -92,18 +78,6 @@ impl<'a> JoinContext<'a> {
     pub fn with_trail(mut self, trail: &'a Trail) -> Self {
         self.trail = Some(trail);
         self
-    }
-
-    fn bump(&self, pick: impl Fn(&PlanStats) -> &AtomicU64) {
-        if let Some(stats) = self.stats {
-            PlanStats::bump(pick(stats));
-        }
-    }
-
-    fn examined(&self, rows: usize) {
-        if let Some(stats) = self.stats {
-            PlanStats::add(&stats.rows_examined, rows);
-        }
     }
 
     /// Enumerate all solutions of `literals` in textual order starting from
@@ -279,7 +253,7 @@ impl<'a> JoinContext<'a> {
                 }
                 if all_ground {
                     if let Some(id) = relation.functional_find(&key) {
-                        self.bump(|s| &s.functional_hits);
+                        self.stats.borrow_mut().functional_hits += 1;
                         if match_stored(&atom.terms, relation, id, bindings)? {
                             let result = self
                                 .descend(literals, steps, position, id, delta, bindings, callback);
@@ -300,15 +274,14 @@ impl<'a> JoinContext<'a> {
         if let Some(cols) = probe {
             if let Some(key) = self.probe_key(atom, cols, bindings)? {
                 if is_membership(atom.terms.len(), cols) {
-                    self.bump(|s| &s.index_probes);
+                    self.stats.borrow_mut().index_probes += 1;
                     if let Some(id) = relation.find(&key) {
                         self.descend(literals, steps, position, id, delta, bindings, callback)?;
                     }
                     return Ok(());
                 }
                 if let Some(ids) = relation.probe(cols, &key) {
-                    self.bump(|s| &s.index_probes);
-                    self.examined(ids.len());
+                    self.stats.borrow_mut().probed(ids.len());
                     for id in ids {
                         if match_stored(&atom.terms, relation, id, bindings)? {
                             let result = self
@@ -324,8 +297,7 @@ impl<'a> JoinContext<'a> {
 
         // General scan.  All borrows are shared, so the recursion can run
         // under the live iterator — no snapshot of the relation is taken.
-        self.bump(|s| &s.full_scans);
-        self.examined(relation.len());
+        self.stats.borrow_mut().scanned(relation.len());
         for id in relation.ids() {
             if match_stored(&atom.terms, relation, id, bindings)? {
                 let result = self.descend(literals, steps, position, id, delta, bindings, callback);
@@ -492,7 +464,8 @@ mod tests {
         vars: &[&str],
     ) -> Vec<Vec<Value>> {
         let rule = parse_rule(&format!("out(X) <- {body_source}.")).unwrap();
-        let ctx = JoinContext::new(relations, udfs);
+        let stats = StatsCell::default();
+        let ctx = JoinContext::new(relations, udfs, &stats);
         let mut results = Vec::new();
         let mut bindings = Bindings::new();
         ctx.join(&rule.body, None, &mut bindings, &mut |b| {
@@ -530,8 +503,8 @@ mod tests {
                 .unwrap()
                 .ensure_index(spec.cols);
         }
-        let stats = PlanStats::default();
-        let ctx = JoinContext::with_stats(&relations, &udfs, &stats);
+        let stats = StatsCell::default();
+        let ctx = JoinContext::new(&relations, &udfs, &stats);
         let mut results = Vec::new();
         let mut bindings = Bindings::new();
         ctx.join_planned(&rule.body, &plan, None, &mut bindings, &mut |b| {
@@ -545,8 +518,10 @@ mod tests {
         results.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
         let textual = collect_solutions(&relations, &udfs, "link(X, Z), link(Z, Y)", &["X", "Y"]);
         assert_eq!(results, textual);
-        let snap = stats.snapshot();
-        assert!(snap.index_probes > 0, "second literal should probe");
+        assert!(
+            stats.borrow().index_probes > 0,
+            "second literal should probe"
+        );
     }
 
     #[test]
@@ -606,7 +581,8 @@ mod tests {
         let rule = parse_rule("out(C) <- bestcost[X, Y] = C, X = a, Y = b.").unwrap();
         // Reorder so the key is bound before the lookup: use explicit constants instead.
         let rule2 = parse_rule("out(C) <- bestcost[a, b] = C.").unwrap();
-        let ctx = JoinContext::new(&relations, &udfs);
+        let stats = StatsCell::default();
+        let ctx = JoinContext::new(&relations, &udfs, &stats);
         let mut results = Vec::new();
         let mut bindings = Bindings::new();
         ctx.join(&rule2.body, None, &mut bindings, &mut |b| {
@@ -627,8 +603,8 @@ mod tests {
         // The planner hoists the assignments, so the planned execution takes
         // the functional fast path instead of scanning.
         let plan = compile_body_plan(&rule.body, None, &FnvSet::default(), &relations, &udfs);
-        let stats = PlanStats::default();
-        let ctx = JoinContext::with_stats(&relations, &udfs, &stats);
+        let stats = StatsCell::default();
+        let ctx = JoinContext::new(&relations, &udfs, &stats);
         let mut results = Vec::new();
         let mut bindings = Bindings::new();
         ctx.join_planned(&rule.body, &plan, None, &mut bindings, &mut |b| {
@@ -637,7 +613,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(results, vec![Value::Int(4)]);
-        let snap = stats.snapshot();
+        let snap = *stats.borrow();
         assert_eq!(snap.functional_hits, 1);
         assert_eq!(snap.full_scans, 0);
     }
@@ -647,7 +623,8 @@ mod tests {
         let relations = relations_with_edges(&[("n1", "n2"), ("n2", "n3")]);
         let udfs = UdfRegistry::new();
         let rule = parse_rule("out(X, Y) <- link(X, Y).").unwrap();
-        let ctx = JoinContext::new(&relations, &udfs);
+        let stats = StatsCell::default();
+        let ctx = JoinContext::new(&relations, &udfs, &stats);
         let delta: FnvSet<Tuple> = [vec![Value::str("n2"), Value::str("n3")]]
             .into_iter()
             .collect();
@@ -674,7 +651,8 @@ mod tests {
         let relations = relations_with_edges(&[("n1", "n2")]);
         let udfs = UdfRegistry::new();
         let rule = parse_rule("out(X) <- link(X, _), X < Undefined.").unwrap();
-        let ctx = JoinContext::new(&relations, &udfs);
+        let stats = StatsCell::default();
+        let ctx = JoinContext::new(&relations, &udfs, &stats);
         let mut bindings = Bindings::new();
         let result = ctx.join(&rule.body, None, &mut bindings, &mut |_| Ok(()));
         assert!(result.is_err());

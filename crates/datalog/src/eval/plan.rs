@@ -31,9 +31,9 @@
 //!   constraint sides share the cache — and
 //!   recompiles only when the body relations' cardinalities drift past a
 //!   threshold, so steady-state evaluation pays no planning cost.
-//! * [`PlanStats`] counts compilations, cache hits, index builds, probes and
-//!   scans; the runtime layer aggregates these per deployment for the bench
-//!   harness.
+//! * [`PlanStats`] counts compilations, cache hits, index builds, probes,
+//!   scans and rule executions, once per workspace; a deployment report
+//!   sums the nodes' copies.
 
 use super::batch::Job;
 use super::runtime_pred_name;
@@ -42,7 +42,7 @@ use crate::intern::{FnvMap, FnvSet};
 use crate::relation::{column_set, ColumnSet, Relation, Relations};
 use crate::schema::BUILTIN_TYPES;
 use crate::udf::UdfRegistry;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Selectivity credited to each statically bound column when estimating the
@@ -164,149 +164,142 @@ impl BatchMiss {
     ];
 }
 
-/// Counters describing planner and index behaviour.  Shared immutably with
-/// the join executor, hence the atomics (`Relaxed` throughout — these are
-/// statistics, not synchronization).
-#[derive(Debug, Default)]
-pub struct PlanStats {
-    pub plans_compiled: AtomicU64,
-    pub plan_cache_hits: AtomicU64,
-    pub plan_recompiles: AtomicU64,
-    pub index_builds: AtomicU64,
-    pub index_probes: AtomicU64,
-    pub full_scans: AtomicU64,
-    pub functional_hits: AtomicU64,
+/// Declares [`PlanStats`] from one list of counters, each with its doc
+/// comment, and sums it field by field: adding a counter is one line in
+/// the list below.
+macro_rules! plan_stats {
+    ($($(#[doc = $doc:literal])* $name:ident: $ty:ty,)*) => {
+        /// Counters describing planner and index behaviour, as plain
+        /// integers.  A workspace owns one, behind the [`StatsCell`] its
+        /// executors share; a deployment report sums the nodes' copies.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct PlanStats {
+            $($(#[doc = $doc])* pub $name: $ty,)*
+        }
+
+        impl std::ops::AddAssign for PlanStats {
+            fn add_assign(&mut self, other: PlanStats) {
+                $(Count::add(&mut self.$name, other.$name);)*
+            }
+        }
+    };
+}
+
+plan_stats! {
+    /// Plans compiled for a key the cache did not hold.
+    plans_compiled: u64,
+    /// Plan lookups the cache answered.
+    plan_cache_hits: u64,
+    /// Cached plans compiled again because their relations' sizes drifted.
+    plan_recompiles: u64,
+    /// Secondary indexes built for a plan's probes.
+    index_builds: u64,
+    /// Index probes, in both executors.
+    index_probes: u64,
+    /// Full scans of a stored relation, in both executors.
+    full_scans: u64,
+    /// Keyed reads of a functional literal that found a row.
+    functional_hits: u64,
     /// Stored rows a probe bucket or a scan handed to the matcher, in both
     /// executors.  A probe on a column every row shares is one
     /// `index_probes` and the whole relation here.
-    pub rows_examined: AtomicU64,
+    rows_examined: u64,
     /// Rule executions (one per `(rule, delta-literal)` combination of a
     /// round, a deletion's forward combinations included) plus aggregate
-    /// recomputations.
-    pub serial_batches: AtomicU64,
+    /// recomputations: the sum of the `rule_exec_*` counts and
+    /// [`PlanStats::rule_exec_tuple`].
+    serial_batches: u64,
+    /// Rule executions the batch executor ran in id space.
+    rule_exec_batch: u64,
+    /// Executions of a rule with a head existential (tuple path: it mints).
+    rule_exec_existential: u64,
+    /// Aggregate recomputations.
+    rule_exec_aggregate: u64,
+    /// Always 0: there is no intra-node pool (DESIGN.md §8).  Kept only
+    /// because `examples/benchmark/sut.rs` reads it; goes at the next
+    /// benchmark re-base (ROADMAP item 3).
+    parallel_batches: u64,
     /// Constraints checked over the whole database: only a commit from an
     /// unconverged workspace does that (`constraint` module docs).
-    pub constraint_full_checks: AtomicU64,
+    constraint_full_checks: u64,
     /// A retraction's proof joins — one rule run backwards from one fact —
-    /// by executor: the batch executor in id space, or the tuple path for a
-    /// rule it declines — a negation, a comparison, a UDF that binds an
-    /// output (`eval::dred`).
-    pub proof_joins_batch: AtomicU64,
-    pub proof_joins_tuple: AtomicU64,
+    /// the batch executor ran in id space.
+    proof_joins_batch: u64,
+    /// Proof joins of a rule the batch executor declines — a negation, a
+    /// comparison, a UDF that binds an output (`eval::dred`).
+    proof_joins_tuple: u64,
     /// Per [`BatchMiss`] (indexed by `reason as usize`), the tuple-path
     /// rule executions it caused (with the planner on; off, nothing is
     /// compiled and nothing counted).
-    pub batch_misses: [AtomicU64; BatchMiss::ALL.len()],
+    batch_misses: [u64; BatchMiss::ALL.len()],
     /// Constraint checks a commit's delta drove — one per (constraint,
     /// delta-pinned lhs literal) and one per (constraint, changed witness
-    /// literal) — by executor: the batch executor in id space, or the tuple
-    /// path.  A full check ([`Self::constraint_full_checks`]) is in neither.
-    pub constraint_checks_batch: AtomicU64,
-    pub constraint_checks_tuple: AtomicU64,
+    /// literal) — that ran in id space.  A full check
+    /// ([`PlanStats::constraint_full_checks`]) is not one.
+    constraint_checks_batch: u64,
+    /// The delta-driven constraint checks that ran on the tuple path.
+    constraint_checks_tuple: u64,
     /// Per [`BatchMiss`], the tuple-path constraint checks it caused (apart
-    /// from the rule executions of [`Self::batch_misses`]).  A check whose
+    /// from the rule executions of `batch_misses`).  A check whose
     /// id-space run met a UDF error re-runs on the tuple path, for the
     /// error the tuple path reports, under no reason.
-    pub constraint_misses: [AtomicU64; BatchMiss::ALL.len()],
+    constraint_misses: [u64; BatchMiss::ALL.len()],
     /// Batch jobs compiled — rule, proof and constraint, declines included:
     /// one per plan key, again only when its plan or the dictionary moved
     /// on (`batch` module docs).
-    pub batch_jobs_compiled: AtomicU64,
+    batch_jobs_compiled: u64,
+}
+
+/// A [`PlanStats`] field: one count, or one count per [`BatchMiss`].
+trait Count {
+    fn add(&mut self, other: Self);
+}
+
+impl Count for u64 {
+    fn add(&mut self, other: u64) {
+        *self += other;
+    }
+}
+
+impl<const N: usize> Count for [u64; N] {
+    fn add(&mut self, other: [u64; N]) {
+        for (count, more) in self.iter_mut().zip(other) {
+            *count += more;
+        }
+    }
+}
+
+impl std::iter::Sum for PlanStats {
+    fn sum<I: Iterator<Item = PlanStats>>(stats: I) -> PlanStats {
+        stats.fold(PlanStats::default(), |mut total, one| {
+            total += one;
+            total
+        })
+    }
 }
 
 impl PlanStats {
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+    /// Rule executions on the tuple path, apart from the existential ones:
+    /// what `serial_batches` holds beyond the `rule_exec_*` counts.
+    pub fn rule_exec_tuple(&self) -> u64 {
+        self.serial_batches
+            - self.rule_exec_batch
+            - self.rule_exec_existential
+            - self.rule_exec_aggregate
     }
 
-    pub fn add(counter: &AtomicU64, n: usize) {
-        counter.fetch_add(n as u64, Ordering::Relaxed);
+    /// One index probe that handed `rows` stored rows to the matcher.
+    pub(crate) fn probed(&mut self, rows: usize) {
+        self.index_probes += 1;
+        self.rows_examined += rows as u64;
     }
 
-    /// A plain-value copy of the counters.
-    pub fn snapshot(&self) -> PlanStatsSnapshot {
-        PlanStatsSnapshot {
-            plans_compiled: self.plans_compiled.load(Ordering::Relaxed),
-            plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
-            plan_recompiles: self.plan_recompiles.load(Ordering::Relaxed),
-            index_builds: self.index_builds.load(Ordering::Relaxed),
-            index_probes: self.index_probes.load(Ordering::Relaxed),
-            full_scans: self.full_scans.load(Ordering::Relaxed),
-            functional_hits: self.functional_hits.load(Ordering::Relaxed),
-            rows_examined: self.rows_examined.load(Ordering::Relaxed),
-            parallel_batches: 0,
-            serial_batches: self.serial_batches.load(Ordering::Relaxed),
-            constraint_full_checks: self.constraint_full_checks.load(Ordering::Relaxed),
-            proof_joins_batch: self.proof_joins_batch.load(Ordering::Relaxed),
-            proof_joins_tuple: self.proof_joins_tuple.load(Ordering::Relaxed),
-            batch_misses: self
-                .batch_misses
-                .each_ref()
-                .map(|count| count.load(Ordering::Relaxed)),
-            constraint_checks_batch: self.constraint_checks_batch.load(Ordering::Relaxed),
-            constraint_checks_tuple: self.constraint_checks_tuple.load(Ordering::Relaxed),
-            constraint_misses: self
-                .constraint_misses
-                .each_ref()
-                .map(|count| count.load(Ordering::Relaxed)),
-            batch_jobs_compiled: self.batch_jobs_compiled.load(Ordering::Relaxed),
-        }
+    /// One full scan over `rows` stored rows.
+    pub(crate) fn scanned(&mut self, rows: usize) {
+        self.full_scans += 1;
+        self.rows_examined += rows as u64;
     }
-}
 
-impl Clone for PlanStats {
-    fn clone(&self) -> Self {
-        let snapshot = self.snapshot();
-        PlanStats {
-            plans_compiled: AtomicU64::new(snapshot.plans_compiled),
-            plan_cache_hits: AtomicU64::new(snapshot.plan_cache_hits),
-            plan_recompiles: AtomicU64::new(snapshot.plan_recompiles),
-            index_builds: AtomicU64::new(snapshot.index_builds),
-            index_probes: AtomicU64::new(snapshot.index_probes),
-            full_scans: AtomicU64::new(snapshot.full_scans),
-            functional_hits: AtomicU64::new(snapshot.functional_hits),
-            rows_examined: AtomicU64::new(snapshot.rows_examined),
-            serial_batches: AtomicU64::new(snapshot.serial_batches),
-            constraint_full_checks: AtomicU64::new(snapshot.constraint_full_checks),
-            proof_joins_batch: AtomicU64::new(snapshot.proof_joins_batch),
-            proof_joins_tuple: AtomicU64::new(snapshot.proof_joins_tuple),
-            batch_misses: snapshot.batch_misses.map(AtomicU64::new),
-            constraint_checks_batch: AtomicU64::new(snapshot.constraint_checks_batch),
-            constraint_checks_tuple: AtomicU64::new(snapshot.constraint_checks_tuple),
-            constraint_misses: snapshot.constraint_misses.map(AtomicU64::new),
-            batch_jobs_compiled: AtomicU64::new(snapshot.batch_jobs_compiled),
-        }
-    }
-}
-
-/// Plain-value counters, summable across workspaces (one per deployment
-/// node), in the same spirit as `secureblox-net`'s traffic stats.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanStatsSnapshot {
-    pub plans_compiled: u64,
-    pub plan_cache_hits: u64,
-    pub plan_recompiles: u64,
-    pub index_builds: u64,
-    pub index_probes: u64,
-    pub full_scans: u64,
-    pub functional_hits: u64,
-    pub rows_examined: u64,
-    /// Always 0: there is no intra-node pool (DESIGN.md §8).  Kept only
-    /// because `examples/benchmark/sut.rs` reads it; goes at the next
-    /// benchmark re-base (ROADMAP item 4).
-    pub parallel_batches: u64,
-    pub serial_batches: u64,
-    pub constraint_full_checks: u64,
-    pub proof_joins_batch: u64,
-    pub proof_joins_tuple: u64,
-    pub batch_misses: [u64; BatchMiss::ALL.len()],
-    pub constraint_checks_batch: u64,
-    pub constraint_checks_tuple: u64,
-    pub constraint_misses: [u64; BatchMiss::ALL.len()],
-    pub batch_jobs_compiled: u64,
-}
-
-impl PlanStatsSnapshot {
     /// The tuple-path rule executions `reason` caused.
     pub fn batch_miss(&self, reason: BatchMiss) -> u64 {
         self.batch_misses[reason as usize]
@@ -318,39 +311,11 @@ impl PlanStatsSnapshot {
     }
 }
 
-impl std::ops::Add for PlanStatsSnapshot {
-    type Output = PlanStatsSnapshot;
-    fn add(self, other: PlanStatsSnapshot) -> PlanStatsSnapshot {
-        PlanStatsSnapshot {
-            plans_compiled: self.plans_compiled + other.plans_compiled,
-            plan_cache_hits: self.plan_cache_hits + other.plan_cache_hits,
-            plan_recompiles: self.plan_recompiles + other.plan_recompiles,
-            index_builds: self.index_builds + other.index_builds,
-            index_probes: self.index_probes + other.index_probes,
-            full_scans: self.full_scans + other.full_scans,
-            functional_hits: self.functional_hits + other.functional_hits,
-            rows_examined: self.rows_examined + other.rows_examined,
-            parallel_batches: 0,
-            serial_batches: self.serial_batches + other.serial_batches,
-            constraint_full_checks: self.constraint_full_checks + other.constraint_full_checks,
-            proof_joins_batch: self.proof_joins_batch + other.proof_joins_batch,
-            proof_joins_tuple: self.proof_joins_tuple + other.proof_joins_tuple,
-            batch_misses: std::array::from_fn(|i| self.batch_misses[i] + other.batch_misses[i]),
-            constraint_checks_batch: self.constraint_checks_batch + other.constraint_checks_batch,
-            constraint_checks_tuple: self.constraint_checks_tuple + other.constraint_checks_tuple,
-            constraint_misses: std::array::from_fn(|i| {
-                self.constraint_misses[i] + other.constraint_misses[i]
-            }),
-            batch_jobs_compiled: self.batch_jobs_compiled + other.batch_jobs_compiled,
-        }
-    }
-}
-
-impl std::ops::AddAssign for PlanStatsSnapshot {
-    fn add_assign(&mut self, other: PlanStatsSnapshot) {
-        *self = *self + other;
-    }
-}
+/// A workspace's live [`PlanStats`].  The planner and both executors share
+/// it through `&`, and a workspace runs on one thread (DESIGN.md §8), so a
+/// count is a plain increment under a `RefCell` borrow held for that one
+/// statement.
+pub type StatsCell = RefCell<PlanStats>;
 
 /// Identity of a compiled plan in the cache.  Rule bodies and constraint
 /// sides share one cache (and one recompile-on-drift policy): constraint
@@ -455,16 +420,16 @@ impl PlanCache {
         bound: impl FnOnce() -> FnvSet<String>,
         relations: &Relations,
         udfs: &UdfRegistry,
-        stats: &PlanStats,
+        stats: &StatsCell,
     ) -> Arc<RulePlan> {
         if let Some((plan, _)) = self.plans.get(&key) {
             if !cardinalities_drifted(&plan.cardinalities, relations) {
-                PlanStats::bump(&stats.plan_cache_hits);
+                stats.borrow_mut().plan_cache_hits += 1;
                 return Arc::clone(plan);
             }
-            PlanStats::bump(&stats.plan_recompiles);
+            stats.borrow_mut().plan_recompiles += 1;
         } else {
-            PlanStats::bump(&stats.plans_compiled);
+            stats.borrow_mut().plans_compiled += 1;
         }
         let timer = secureblox_telemetry::histogram!("datalog_plan_compile_ns").start_timer();
         let plan = Arc::new(compile_body_plan(
@@ -1153,7 +1118,7 @@ mod tests {
         let mut relations = relations_with(&[("a", 4), ("b", 4)]);
         let udfs = UdfRegistry::new();
         let rule = parse_rule("out(X, Z) <- a(X, Y), b(Y, Z).").unwrap();
-        let stats = PlanStats::default();
+        let stats = StatsCell::default();
         let mut cache = PlanCache::new();
         let p1 = cache.plan_for(
             PlanKey::Rule {
@@ -1178,9 +1143,8 @@ mod tests {
             &stats,
         );
         assert_eq!(p1, p2);
-        let snap = stats.snapshot();
-        assert_eq!(snap.plans_compiled, 1);
-        assert_eq!(snap.plan_cache_hits, 1);
+        assert_eq!(stats.borrow().plans_compiled, 1);
+        assert_eq!(stats.borrow().plan_cache_hits, 1);
         // Grow `a` far beyond the drift threshold → recompile.
         let rel = relations.get_mut("a").unwrap();
         for i in 0..500 {
@@ -1198,26 +1162,28 @@ mod tests {
             &udfs,
             &stats,
         );
-        assert_eq!(stats.snapshot().plan_recompiles, 1);
+        assert_eq!(stats.borrow().plan_recompiles, 1);
         cache.clear();
         assert!(cache.is_empty());
     }
 
     #[test]
     fn snapshot_sums() {
-        let a = PlanStatsSnapshot {
+        let mut a = PlanStats {
             index_probes: 2,
             ..Default::default()
         };
-        let b = PlanStatsSnapshot {
+        a.batch_misses[BatchMiss::Udf as usize] = 1;
+        let b = PlanStats {
             index_probes: 3,
             full_scans: 1,
             ..Default::default()
         };
-        let mut c = a + b;
+        let mut c: PlanStats = [a, b].into_iter().sum();
         assert_eq!(c.index_probes, 5);
         assert_eq!(c.full_scans, 1);
         c += a;
         assert_eq!(c.index_probes, 7);
+        assert_eq!(c.batch_miss(BatchMiss::Udf), 2);
     }
 }

@@ -28,7 +28,7 @@ use super::aggregate::evaluate_agg_rule_exec;
 use super::batch::{self, Exec, HeadRows};
 use super::bindings::{eval_term, Bindings};
 use super::join::{DeltaRestriction, JoinContext};
-use super::plan::{PlanCache, PlanKey, PlanStats, RulePlan};
+use super::plan::{PlanCache, PlanKey, RulePlan, StatsCell};
 use super::runtime_pred_name;
 use super::EvalConfig;
 use crate::ast::{Literal, Rule, Term};
@@ -317,7 +317,7 @@ pub struct Evaluator<'a> {
     /// the owning workspace lives that long).
     pub plan_cache: &'a mut PlanCache,
     /// Planner / index counters.
-    pub plan_stats: &'a PlanStats,
+    pub plan_stats: &'a StatsCell,
     /// The workspace dictionary every relation this evaluator creates must
     /// share — batch execution requires one dictionary per workspace (see
     /// [`crate::intern`]).
@@ -507,17 +507,16 @@ impl<'a> Evaluator<'a> {
             let plan = self.prepare_plan(program.rules(), rule_index, literal);
             let plan = plan.as_deref();
 
-            // One observation and one count per combination, whichever way
-            // it runs — coarse enough to stay inside the telemetry overhead
-            // budget.  A rule job's first compile is the only place the
-            // batch path interns (head constants), so dictionary ids follow
+            // One observation per combination and one count by the way it
+            // ran.  A rule job's first compile is the only place the batch
+            // path interns (head constants), so dictionary ids follow
             // combination order.
             let _join_timer =
                 secureblox_telemetry::histogram!("datalog_rule_batch_join_ns").start_timer();
-            PlanStats::bump(&self.plan_stats.serial_batches);
+            self.plan_stats.borrow_mut().serial_batches += 1;
             let existentials = program.existentials(rule_index);
             let derivation = if !existentials.head.is_empty() {
-                secureblox_telemetry::counter!("datalog_rule_exec_existential_total").inc();
+                self.plan_stats.borrow_mut().rule_exec_existential += 1;
                 Derivation::Values(self.evaluate_existential(
                     rule_index,
                     rule,
@@ -561,7 +560,7 @@ impl<'a> Evaluator<'a> {
                 };
                 match batch {
                     Some(Ok(rows)) => {
-                        secureblox_telemetry::counter!("datalog_rule_exec_batch_total").inc();
+                        self.plan_stats.borrow_mut().rule_exec_batch += 1;
                         #[cfg(debug_assertions)]
                         debug_verify_batch(
                             rule,
@@ -576,9 +575,8 @@ impl<'a> Evaluator<'a> {
                     }
                     miss => {
                         if let Some(Err(miss)) = miss {
-                            PlanStats::bump(&self.plan_stats.batch_misses[miss as usize]);
+                            self.plan_stats.borrow_mut().batch_misses[miss as usize] += 1;
                         }
-                        secureblox_telemetry::counter!("datalog_rule_exec_tuple_total").inc();
                         Derivation::Values(evaluate_tuple_combo(
                             rule,
                             plan,
@@ -610,7 +608,7 @@ impl<'a> Evaluator<'a> {
         restriction: Option<DeltaRestriction<'_>>,
         bindings: &mut Bindings,
     ) -> Result<Vec<(String, Tuple)>> {
-        let ctx = JoinContext::with_stats(self.relations, self.udfs, self.plan_stats);
+        let ctx = JoinContext::new(self.relations, self.udfs, self.plan_stats);
         let mut solutions: Vec<Bindings> = Vec::new();
         let mut collect = |b: &Bindings| {
             solutions.push(b.clone());
@@ -683,7 +681,7 @@ impl<'a> Evaluator<'a> {
         for spec in &plan.ensure {
             if let Some(relation) = self.relations.get_mut(&spec.pred) {
                 if relation.ensure_index(spec.cols) {
-                    PlanStats::bump(&self.plan_stats.index_builds);
+                    self.plan_stats.borrow_mut().index_builds += 1;
                 }
             }
         }
@@ -697,13 +695,12 @@ impl<'a> Evaluator<'a> {
         rule_index: usize,
     ) -> Result<Vec<(String, Tuple)>> {
         let plan = self.prepare_plan(rules, rule_index, None);
-        secureblox_telemetry::counter!("datalog_rule_exec_aggregate_total").inc();
         evaluate_agg_rule_exec(
             &rules[rule_index],
             self.relations,
             self.udfs,
             plan.as_deref(),
-            Some(self.plan_stats),
+            self.plan_stats,
         )
     }
 
@@ -870,10 +867,10 @@ fn evaluate_tuple_combo(
     restriction: Option<DeltaRestriction<'_>>,
     relations: &Relations,
     udfs: &UdfRegistry,
-    stats: &PlanStats,
+    stats: &StatsCell,
     bindings: &mut Bindings,
 ) -> Result<Vec<(String, Tuple)>> {
-    let ctx = JoinContext::with_stats(relations, udfs, stats);
+    let ctx = JoinContext::new(relations, udfs, stats);
     let mut derived: Vec<(String, Tuple)> = Vec::new();
     let mut collect = |b: &Bindings| project_heads(rule, b, &mut derived);
     match plan {
@@ -942,7 +939,7 @@ fn debug_verify_batch(
         delta,
         relations,
         udfs,
-        &PlanStats::default(),
+        &StatsCell::default(),
         &mut Bindings::new(),
     )?;
     let rehydrated: Vec<(String, Tuple)> = rows
@@ -979,7 +976,7 @@ mod tests {
         entity_counter: u64,
         memo: ExistentialMemo,
         plan_cache: PlanCache,
-        plan_stats: PlanStats,
+        plan_stats: StatsCell,
     }
 
     impl Fixture {
@@ -1014,7 +1011,7 @@ mod tests {
                 entity_counter: 0,
                 memo: ExistentialMemo::default(),
                 plan_cache: PlanCache::new(),
-                plan_stats: PlanStats::default(),
+                plan_stats: StatsCell::default(),
             }
         }
 

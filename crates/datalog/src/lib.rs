@@ -60,7 +60,7 @@ pub mod workspace;
 pub use ast::{Atom, Constraint, Literal, PredRef, Program, Rule, Statement, Term};
 pub use codec::{deserialize_tuple, serialize_tuple};
 pub use error::{DatalogError, Result};
-pub use eval::{BatchMiss, Commit, EvalConfig, FactDelta, PlanStatsSnapshot};
+pub use eval::{BatchMiss, Commit, EvalConfig, FactDelta, PlanStats};
 pub use intern::{FnvMap, FnvSet, Interner};
 pub use parser::{parse_program, parse_rule};
 pub use relation::{column_set, ColumnSet, Relation, Relations};

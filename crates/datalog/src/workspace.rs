@@ -16,7 +16,7 @@ use crate::error::{DatalogError, Result};
 use crate::eval::seminaive::ExistentialMemo;
 use crate::eval::{
     Bindings, Commit, EvalConfig, EvalJournal, Evaluator, FactDelta, PlanCache, PlanStats,
-    PlanStatsSnapshot,
+    StatsCell,
 };
 use crate::intern::{FnvSet, Interner};
 use crate::parser::parse_program;
@@ -49,8 +49,9 @@ pub struct Workspace {
     /// Compiled rule plans, kept across transactions (and deployment ticks)
     /// so steady-state evaluation pays no planning cost.
     plan_cache: PlanCache,
-    /// Planner / index counters for the bench harness.
-    plan_stats: PlanStats,
+    /// Every count this workspace keeps, bumped by the planner and both
+    /// executors through `&`.
+    plan_stats: StatsCell,
     /// The tuple path's substitution stack, lent to every evaluator.
     bindings: Bindings,
     /// The workspace-wide value dictionary.  Every relation of this workspace
@@ -107,7 +108,7 @@ impl Workspace {
             strict_typing: true,
             allow_recursive_negation: false,
             plan_cache: PlanCache::new(),
-            plan_stats: PlanStats::default(),
+            plan_stats: StatsCell::default(),
             bindings: Bindings::new(),
             interner: Arc::new(Interner::new()),
             seedable: true,
@@ -560,9 +561,9 @@ impl Workspace {
         (evaluator, &self.program)
     }
 
-    /// Planner and index counters accumulated by this workspace.
-    pub fn plan_stats(&self) -> PlanStatsSnapshot {
-        self.plan_stats.snapshot()
+    /// A copy of every count this workspace has kept since it was created.
+    pub fn plan_stats(&self) -> PlanStats {
+        *self.plan_stats.borrow()
     }
 
     /// Number of compiled rule plans currently cached.

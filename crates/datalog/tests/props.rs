@@ -14,11 +14,11 @@ use secureblox_datalog::constraint::{
 };
 use secureblox_datalog::eval::join::JoinContext;
 use secureblox_datalog::eval::plan::{bound_after, compile_body_plan, full_signature};
-use secureblox_datalog::eval::{Bindings, PlanCache, PlanStats};
+use secureblox_datalog::eval::{Bindings, PlanCache, StatsCell};
 use secureblox_datalog::intern::Interner;
 use secureblox_datalog::{
-    parse_program, parse_rule, BatchMiss, Constraint, FactDelta, FnvMap, Literal,
-    PlanStatsSnapshot, Relation, Relations, UdfRegistry, Value, Workspace,
+    parse_program, parse_rule, BatchMiss, Constraint, FactDelta, FnvMap, Literal, PlanStats,
+    Relation, Relations, UdfRegistry, Value, Workspace,
 };
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -557,7 +557,7 @@ fn planned_constraint_checks_match_the_textual_oracle() {
         arb_constraint_rows(),
         (proptest::collection::vec(any::<bool>(), 17), 0u8..8),
     );
-    let mut totals = PlanStatsSnapshot::default();
+    let mut totals = PlanStats::default();
     proptest::test_runner::run_cases(
         config,
         "planned_constraint_checks_match_the_textual_oracle",
@@ -603,7 +603,7 @@ struct ConstraintCase {
 }
 
 /// One case of the property above; its counters.
-fn constraint_case(case: ConstraintCase) -> Result<PlanStatsSnapshot, TestCaseError> {
+fn constraint_case(case: ConstraintCase) -> Result<PlanStats, TestCaseError> {
     let ConstraintCase {
         lhs,
         rhs,
@@ -628,7 +628,7 @@ fn constraint_case(case: ConstraintCase) -> Result<PlanStatsSnapshot, TestCaseEr
     let interner = shared.clone().unwrap_or_default();
     let mut relations = constraint_relations(&rows, me, shared.as_ref());
     let held = oracle(&relations);
-    let (mut cache, stats) = (PlanCache::new(), PlanStats::default());
+    let (mut cache, stats) = (PlanCache::new(), StatsCell::default());
     let planned =
         check_constraints_planned(&constraints, &mut relations, &udfs, &mut cache, &stats);
     prop_assert!(verdict(&planned) == held, "full check of {}", constraint);
@@ -636,7 +636,7 @@ fn constraint_case(case: ConstraintCase) -> Result<PlanStatsSnapshot, TestCaseEr
     // What the rhs is planned under, every lhs solution binds.
     let bound = bound_after(&constraint.lhs, &udfs);
     let mut unbound = Vec::new();
-    JoinContext::new(&relations, &udfs)
+    JoinContext::new(&relations, &udfs, &stats)
         .join(
             &constraint.lhs,
             None,
@@ -727,7 +727,7 @@ fn constraint_case(case: ConstraintCase) -> Result<PlanStatsSnapshot, TestCaseEr
             prop_assert!(!relations[pred].has_index(full_signature(arity).unwrap()));
         }
     }
-    Ok(stats.snapshot())
+    Ok(stats.into_inner())
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ use secureblox_datalog::ast::{
 };
 use secureblox_datalog::error::{DatalogError, Result};
 use secureblox_datalog::eval::join::JoinContext;
-use secureblox_datalog::eval::Bindings;
+use secureblox_datalog::eval::{Bindings, StatsCell};
 use secureblox_datalog::schema::Schema;
 use secureblox_datalog::udf::UdfRegistry;
 use secureblox_datalog::value::Value;
@@ -121,8 +121,10 @@ impl GenericsCompiler {
         // Relational representation of the program.
         let mut meta = MetaDatabase::from_program(input, &schema)?;
 
-        // Fixpoint over the generic rules.
+        // Fixpoint over the generic rules.  Its joins count into a table
+        // of their own: compile time belongs to no workspace.
         let udfs = UdfRegistry::new();
+        let stats = StatsCell::default();
         let mut generated: Vec<Statement> = Vec::new();
         let mut generated_seen: HashSet<String> = HashSet::new();
         let mut instantiated: HashSet<(usize, String)> = HashSet::new();
@@ -141,7 +143,7 @@ impl GenericsCompiler {
             let mut changed = false;
             for (rule_index, generic_rule) in generic_rules.iter().enumerate() {
                 let solutions = {
-                    let ctx = JoinContext::new(meta.relations(), &udfs);
+                    let ctx = JoinContext::new(meta.relations(), &udfs, &stats);
                     let mut solutions: Vec<Bindings> = Vec::new();
                     let mut bindings = Bindings::new();
                     ctx.join(&generic_rule.body, None, &mut bindings, &mut |b| {

@@ -85,6 +85,8 @@ pub struct NodeLedger {
     /// shipped on the update stream — the wire cost of the shard plane,
     /// separated from ordinary `says` traffic.
     exchange_bytes: usize,
+    /// Export candidates this node's flushes examined.
+    export_candidates: usize,
 }
 
 impl NodeLedger {
@@ -106,6 +108,11 @@ impl NodeLedger {
     /// Record `bytes` of exchange-relation deltas shipped by this node.
     pub fn record_exchange(&mut self, bytes: usize) {
         self.exchange_bytes += bytes;
+    }
+
+    /// Record `count` export candidates examined by one flush.
+    pub fn record_export_candidates(&mut self, count: usize) {
+        self.export_candidates += count;
     }
 
     /// Record a committed transaction finishing at virtual time
@@ -190,6 +197,11 @@ impl NodeLedger {
     /// Bytes of exchange-relation deltas this node shipped.
     pub fn exchange_bytes(&self) -> usize {
         self.exchange_bytes
+    }
+
+    /// Export candidates this node's flushes examined.
+    pub fn export_candidates(&self) -> usize {
+        self.export_candidates
     }
 }
 

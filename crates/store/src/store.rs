@@ -192,8 +192,6 @@ impl FactStore {
             recovered_suffix.push(record);
         }
 
-        secureblox_telemetry::counter!("store_recovery_records_total")
-            .add(recovered_suffix.len() as u64);
         recover_span.record_field("suffix_records", recovered_suffix.len());
         recover_span.record_field("snapshot_facts", recovered_snapshot_facts.len());
         Ok(FactStore {

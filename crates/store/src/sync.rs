@@ -25,7 +25,7 @@
 use crate::error::{Result, StoreError};
 use crate::object::ObjectStore;
 use crate::snapshot::{read_head, write_head, SnapshotManifest};
-use crate::store::derive_node_key;
+use crate::store::{derive_node_key, node_dir_name};
 use crate::wal::Wal;
 use std::path::Path;
 
@@ -38,6 +38,10 @@ pub struct SyncStats {
     pub skipped: usize,
     /// WAL records shipped past the snapshot (the suffix).
     pub wal_records: usize,
+    /// What the suffix added to the replica's log on disk: what this sync
+    /// shipped at WAL granularity (0 when the replica was already caught
+    /// up; a rebuilt replica log can shrink, and only growth counts).
+    pub suffix_bytes: u64,
 }
 
 /// Synchronize one node's store from `master_dir` into `replica_dir`.
@@ -48,8 +52,13 @@ pub struct SyncStats {
 ///
 /// A master that has never checkpointed replicates WAL-only; a master that
 /// has checkpointed replicates the snapshot (incrementally, by content
-/// address) plus whatever WAL suffix follows it.
+/// address) plus whatever WAL suffix follows it.  A `master_dir` that does
+/// not exist is an I/O error (`NotFound`): nothing is created in its place.
 pub fn sync_store(master_dir: &Path, replica_dir: &Path, key: &[u8]) -> Result<SyncStats> {
+    if !master_dir.is_dir() {
+        let missing = std::io::Error::from(std::io::ErrorKind::NotFound);
+        return Err(StoreError::io(master_dir, missing));
+    }
     let _sync_timer = secureblox_telemetry::histogram!("store_sync_ns").start_timer();
     let mut sync_span = secureblox_telemetry::span("store", "sync");
     let mut stats = SyncStats::default();
@@ -119,46 +128,33 @@ pub fn sync_store(master_dir: &Path, replica_dir: &Path, key: &[u8]) -> Result<S
         stats.wal_records += 1;
     }
     replica_wal.flush()?;
-    // The suffix's on-disk size: what this sync actually shipped at WAL
-    // granularity (0 when the replica was already caught up).  A rebuilt
-    // replica log can shrink; count growth only.
     let wal_bytes_after = std::fs::metadata(&replica_wal_path).map_or(0, |m| m.len());
-    let suffix_bytes = wal_bytes_after.saturating_sub(wal_bytes_before);
-    secureblox_telemetry::counter!("store_sync_suffix_bytes_total").add(suffix_bytes);
-    secureblox_telemetry::counter!("store_sync_suffix_records_total").add(stats.wal_records as u64);
-    secureblox_telemetry::counter!("store_sync_objects_copied_total").add(stats.copied as u64);
+    stats.suffix_bytes = wal_bytes_after.saturating_sub(wal_bytes_before);
     sync_span.record_field("copied", stats.copied);
     sync_span.record_field("wal_records", stats.wal_records);
-    sync_span.record_field("suffix_bytes", suffix_bytes);
+    sync_span.record_field("suffix_bytes", stats.suffix_bytes);
     Ok(stats)
 }
 
-/// Synchronize every node store under `master_dir` (one subdirectory per
-/// principal, as laid out by `DurabilityConfig`) into `replica_dir`.  `seed`
-/// is the deployment seed the node keys derive from.  A directory name is
-/// taken for the principal, which holds for every principal
-/// [`crate::node_dir_name`] keeps verbatim; a hashed `p-…` directory names
-/// no principal, so its key does not derive here and its WAL fails to
-/// verify — sync such a store with [`sync_store`] and the principal's key.
-pub fn sync_deployment(
+/// Synchronize the store of each of `principals` under `master_dir` (one
+/// [`node_dir_name`] subdirectory per principal, as laid out by
+/// `DurabilityConfig`) into `replica_dir`, in the order given.  `seed` is
+/// the deployment seed the node keys derive from.
+pub fn sync_deployment<'p>(
     master_dir: &Path,
     replica_dir: &Path,
+    principals: impl IntoIterator<Item = &'p str>,
     seed: u64,
 ) -> Result<Vec<(String, SyncStats)>> {
-    let mut results = Vec::new();
-    let entries = std::fs::read_dir(master_dir).map_err(|e| StoreError::io(master_dir, e))?;
-    let mut names: Vec<String> = entries
-        .filter_map(|entry| entry.ok())
-        .filter(|entry| entry.path().is_dir())
-        .filter_map(|entry| entry.file_name().to_str().map(String::from))
-        .collect();
-    names.sort();
-    for name in names {
-        let key = derive_node_key(seed, &name);
-        let stats = sync_store(&master_dir.join(&name), &replica_dir.join(&name), &key)?;
-        results.push((name, stats));
-    }
-    Ok(results)
+    principals
+        .into_iter()
+        .map(|principal| {
+            let dir = node_dir_name(principal);
+            let key = derive_node_key(seed, principal);
+            let stats = sync_store(&master_dir.join(&dir), &replica_dir.join(&dir), &key)?;
+            Ok((principal.to_string(), stats))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -209,7 +205,8 @@ mod tests {
             SyncStats {
                 copied: 0,
                 skipped: 2,
-                wal_records: 0
+                wal_records: 0,
+                suffix_bytes: 0,
             }
         );
     }
@@ -246,7 +243,7 @@ mod tests {
 
         // Idempotent: nothing ships twice.
         let again = sync_store(&master_dir, &replica_dir, &key).unwrap();
-        assert_eq!(again.wal_records, 0);
+        assert_eq!((again.wal_records, again.suffix_bytes), (0, 0));
     }
 
     #[test]
@@ -261,6 +258,8 @@ mod tests {
         let stats = sync_store(&master_dir, &replica_dir, &key).unwrap();
         assert_eq!(stats.copied, 0);
         assert_eq!(stats.wal_records, 3);
+        let replica_log = std::fs::metadata(replica_dir.join("wal.log")).unwrap();
+        assert_eq!(stats.suffix_bytes, replica_log.len());
         let replica = FactStore::open(&replica_dir, &key).unwrap();
         assert!(replica.snapshot().is_none());
         assert_eq!(replica.base_facts(), master.base_facts());
@@ -410,5 +409,44 @@ mod tests {
         ));
         // The replica HEAD was never installed.
         assert_eq!(read_head(&replica_dir.join("HEAD")).unwrap(), None);
+    }
+
+    #[test]
+    fn sync_deployment_keys_each_store_by_its_principal() {
+        // `a/b` is no path component, so its store lives under a hashed
+        // `p-…` directory; the sync still finds it and derives its key.
+        let master_dir = tmp("deploy-master");
+        let replica_dir = tmp("deploy-replica");
+        let principals = ["plain", "a/b"];
+        let mut masters = Vec::new();
+        for principal in principals {
+            let key = derive_node_key(9, principal);
+            let mut store =
+                FactStore::open(master_dir.join(node_dir_name(principal)), &key).unwrap();
+            let facts: Vec<(String, Tuple)> = (0..3).map(fact).collect();
+            log(&mut store, &facts, 1);
+            store.flush().unwrap();
+            masters.push(store);
+        }
+
+        let synced = sync_deployment(&master_dir, &replica_dir, principals, 9).unwrap();
+        let names: Vec<&str> = synced.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, principals);
+        for ((principal, stats), master) in synced.iter().zip(&masters) {
+            assert_eq!(stats.wal_records, 3, "{principal}");
+            let key = derive_node_key(9, principal);
+            let replica =
+                FactStore::open(replica_dir.join(node_dir_name(principal)), &key).unwrap();
+            assert_eq!(replica.base_root(), master.base_root(), "{principal}");
+        }
+
+        // A principal with no store is an error, and no store appears.
+        assert!(matches!(
+            sync_deployment(&master_dir, &replica_dir, ["nobody"], 9),
+            Err(StoreError::Io { .. })
+        ));
+        assert!(!master_dir.join("nobody").exists());
+        let _ = std::fs::remove_dir_all(&master_dir);
+        let _ = std::fs::remove_dir_all(&replica_dir);
     }
 }

@@ -1,12 +1,12 @@
 //! The SecureBlox telemetry plane.
 //!
 //! The paper's whole evaluation (§8.1) is measurement — per-node bandwidth,
-//! transaction duration, fixpoint latency.  The per-run, per-node figures
-//! live with the node that measures them (`PlanStats` in its workspace, a
+//! transaction duration, fixpoint latency.  Every per-run count lives once,
+//! as a plain integer, with its node (`PlanStats` in its workspace, a
 //! `NodeLedger` in its runtime state; a report folds them).  This crate is
-//! the other half: the process-wide timing distributions, monotone counters
-//! and event stream, one shared, zero-dependency observability substrate
-//! for every runtime crate:
+//! the other half: process-wide timing distributions, gauges, the counters
+//! the benchmark reads by name, and the event stream, one shared,
+//! zero-dependency observability substrate for every runtime crate:
 //!
 //! * **Metrics** ([`metrics`]): a process-wide registry of named monotonic
 //!   [`Counter`]s, [`Gauge`]s, and fixed-bucket log₂-scale [`Histogram`]s
@@ -26,8 +26,8 @@
 //!
 //! The disabled paths are genuinely cheap, by construction:
 //!
-//! * Counters and gauges always count — a single relaxed atomic RMW, the
-//!   same cost the pre-existing `PlanStats` counters already paid.
+//! * Counters and gauges always count — a single relaxed atomic RMW (a
+//!   node's own counts are plain integers, cheaper still).
 //! * Histogram recording and timer starts check one relaxed atomic flag
 //!   ([`metrics_enabled`]); disabled, a timer never even reads the clock.
 //! * Span construction checks one relaxed atomic flag ([`tracing_enabled`]);

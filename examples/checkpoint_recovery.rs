@@ -111,7 +111,9 @@ fn main() {
     assert!(matches);
 
     println!("\n== 4. replicate: copy missing objects, swap HEAD, recover replica ==");
-    let stats = sync_deployment(&master_dir, &replica_dir, 1).unwrap();
+    let nodes = specs();
+    let principals = nodes.iter().map(|spec| spec.principal.as_str());
+    let stats = sync_deployment(&master_dir, &replica_dir, principals, 1).unwrap();
     for (node, s) in &stats {
         println!(
             "   {node}: copied {} objects, {} already present, {} WAL records shipped",

@@ -588,7 +588,8 @@ fn synced_replica_answers_identical_queries() {
     let checkpoints = master.checkpoint().unwrap();
     let queries = all_queries(&master);
 
-    let stats = sync_deployment(&master_dir, &replica_dir, 1).unwrap();
+    let principals = ["n0", "n1", "n2"];
+    let stats = sync_deployment(&master_dir, &replica_dir, principals, 1).unwrap();
     assert_eq!(stats.len(), 3);
     assert!(stats.iter().all(|(_, s)| s.copied > 0));
 
@@ -608,7 +609,7 @@ fn synced_replica_answers_identical_queries() {
 
     // Re-sync after nothing changed copies zero objects (content addressing
     // makes replication incremental for free).
-    let again = sync_deployment(&master_dir, &replica_dir, 1).unwrap();
+    let again = sync_deployment(&master_dir, &replica_dir, principals, 1).unwrap();
     assert!(again.iter().all(|(_, s)| s.copied == 0));
 }
 

@@ -1,12 +1,9 @@
 //! `flush_updates` costs O(delta): the export candidates a flush examines
 //! are the exportable tuples its node's commits added or removed, never the
 //! relations' contents.  On a gossip flood that is checkable from outside —
-//! the counter `engine_export_candidates_total` against the number of deltas
-//! that crossed the wire — and it must hold at 6 nodes and at 18, where the
+//! the report's `export_candidates` against the number of deltas that
+//! crossed the wire — and it must hold at 6 nodes and at 18, where the
 //! exported relation is nine times larger per node.
-//!
-//! One test, in a test binary of its own: the telemetry registry is
-//! process-global.
 
 use secureblox::policy::SecurityConfig;
 use secureblox::runtime::{Deployment, DeploymentConfig, NodeSpec};
@@ -44,11 +41,9 @@ fn ring_specs(n: usize) -> Vec<NodeSpec> {
 
 #[test]
 fn candidates_examined_track_the_deltas_not_the_relation_size() {
-    let registry = secureblox_telemetry::registry();
-    let examined = registry.counter("engine_export_candidates_total");
-    let flushes = registry.histogram("engine_export_flush_ns");
+    let flushes = secureblox_telemetry::registry().histogram("engine_export_flush_ns");
     for n in [6usize, 18] {
-        let (before, flushes_before) = (examined.get(), flushes.count());
+        let flushes_before = flushes.count();
         let config = DeploymentConfig {
             security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
             ..DeploymentConfig::default()
@@ -64,7 +59,7 @@ fn candidates_examined_track_the_deltas_not_the_relation_size() {
             .sum();
         // Each of the 2n links crosses each of the n(n-1) directed pairs once.
         assert_eq!(crossed, 2 * (2 * n) * (n * (n - 1)), "the flood's size");
-        let candidates = (examined.get() - before) as usize;
+        let candidates = report.export_candidates;
         assert!(
             candidates >= crossed / 2 && candidates <= 2 * crossed,
             "n={n}: {candidates} candidates examined for {crossed} deltas received + exported"

@@ -394,7 +394,7 @@ const GOSSIP_APP: &str = r#"
 
 /// The planner counters a chord withdrawal adds on a converged six-node
 /// ring under HMAC.
-fn chord_withdrawal(app: &str) -> secureblox_datalog::PlanStatsSnapshot {
+fn chord_withdrawal(app: &str) -> secureblox_datalog::PlanStats {
     let names: Vec<String> = (0..6).map(|i| format!("n{i}")).collect();
     let mut specs: Vec<NodeSpec> = names.iter().map(NodeSpec::new).collect();
     let mut edges: Vec<(usize, usize)> = (0..6).map(|i| (i, (i + 1) % 6)).collect();
@@ -413,7 +413,7 @@ fn chord_withdrawal(app: &str) -> secureblox_datalog::PlanStatsSnapshot {
     assert_eq!(report.rejected_batches, 0, "{report:?}");
     assert!(report.retractions_applied > 0, "{report:?}");
     let after = deployment.plan_stats();
-    secureblox_datalog::PlanStatsSnapshot {
+    secureblox_datalog::PlanStats {
         constraint_full_checks: after.constraint_full_checks - before.constraint_full_checks,
         proof_joins_batch: after.proof_joins_batch - before.proof_joins_batch,
         proof_joins_tuple: after.proof_joins_tuple - before.proof_joins_tuple,

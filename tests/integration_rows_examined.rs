@@ -1,7 +1,7 @@
 //! A committed delta examines O(1) stored rows: what a seeded round and its
 //! constraint check look at is found by probing on what is already bound,
 //! never by walking a relation that grows with the deployment.  The counter
-//! is `PlanStatsSnapshot::rows_examined` — every stored row a probe bucket
+//! is `PlanStats::rows_examined` — every stored row a probe bucket
 //! or a scan handed to the matcher — beside `full_scans`; both are counts
 //! of the program's own work and repeat exactly from run to run.
 //!
@@ -14,7 +14,7 @@
 //! `index_probes`, the whole inbox examined, per new fact.
 //!
 //! The same counters say why a rule execution ran on the tuple path
-//! (`PlanStatsSnapshot::batch_misses`): on the gossip flood, every one has
+//! (`PlanStats::batch_misses`): on the gossip flood, every one has
 //! exactly one reason, and it is the policy's.  A functional lookup whose
 //! key is bound — a lifted `self[]` read among them — costs one functional
 //! hit in the batch executor, never a walk of the relation.  And every
@@ -25,7 +25,7 @@
 use secureblox::policy::SecurityConfig;
 use secureblox::runtime::{Deployment, DeploymentConfig, NodeSpec};
 use secureblox::{AuthScheme, EncScheme, Value};
-use secureblox_datalog::{BatchMiss, PlanStatsSnapshot, Workspace};
+use secureblox_datalog::{BatchMiss, PlanStats, Workspace};
 
 const GOSSIP_APP: &str = r#"
     link(N1, N2) -> node(N1), node(N2).
@@ -81,7 +81,7 @@ fn fanin_specs(per_sender: usize) -> Vec<NodeSpec> {
 /// Run to quiescence and return the planner counters summed over the nodes.
 /// Serial evaluation: a worker shard counts its own probes, so the counts
 /// below are those of one thread per node.
-fn run(app: &str, specs: &[NodeSpec]) -> (PlanStatsSnapshot, Deployment) {
+fn run(app: &str, specs: &[NodeSpec]) -> (PlanStats, Deployment) {
     let config = DeploymentConfig {
         security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
         parallelism: 1,

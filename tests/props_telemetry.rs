@@ -211,33 +211,18 @@ fn report_telemetry_exposes_fixpoint_wal_and_update_apply() {
 }
 
 /// Every rule execution is counted once, by the way it ran, and observed
-/// once: on one workspace the `datalog_rule_exec_*_total` counters add up to
-/// `serial_batches`, and `datalog_rule_batch_join_ns` holds one observation
-/// per combination — everything but the aggregate recomputations.
+/// once: on one workspace the `rule_exec_*` counts add up to
+/// `serial_batches`, each path is reached, and `datalog_rule_batch_join_ns`
+/// holds one observation per combination — everything but the aggregate
+/// recomputations.
 #[test]
 fn rule_executions_are_counted_by_path_and_observed_once() {
     let _lock = FLAG_LOCK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let registry = secureblox_telemetry::registry();
-    let read = || {
-        let counter = |path: &str| {
-            registry
-                .counter(&format!("datalog_rule_exec_{path}_total"))
-                .get()
-        };
-        (
-            [
-                counter("batch"),
-                counter("tuple"),
-                counter("existential"),
-                counter("aggregate"),
-            ],
-            registry.histogram("datalog_rule_batch_join_ns").count(),
-        )
-    };
+    let joins = secureblox_telemetry::registry().histogram("datalog_rule_batch_join_ns");
     with_telemetry(true, || {
-        let (before, observed_before) = read();
+        let observed_before = joins.count();
         // A batch-eligible recursion, a comparison (tuple path), a head
         // existential and an aggregate, through a naive fixpoint, a seeded
         // transaction and a retraction.
@@ -257,20 +242,22 @@ fn rule_executions_are_counted_by_path_and_observed_once() {
         ws.transaction(link(3, 4)).unwrap();
         ws.retract(link(2, 3)).unwrap();
 
-        let (after, observed_after) = read();
-        let [batch, tuple, existential, aggregate] =
-            std::array::from_fn(|path| after[path] - before[path]);
-        for (path, count) in [
-            ("batch", batch),
-            ("tuple", tuple),
-            ("existential", existential),
-            ("aggregate", aggregate),
-        ] {
+        let stats = ws.plan_stats();
+        let paths = [
+            ("batch", stats.rule_exec_batch),
+            ("tuple", stats.rule_exec_tuple()),
+            ("existential", stats.rule_exec_existential),
+            ("aggregate", stats.rule_exec_aggregate),
+        ];
+        for (path, count) in paths {
             assert!(count > 0, "no {path} execution counted");
         }
-        let executions = ws.plan_stats().serial_batches;
-        assert_eq!(batch + tuple + existential + aggregate, executions);
-        assert_eq!(observed_after - observed_before, executions - aggregate);
+        let executions: u64 = paths.iter().map(|(_, count)| count).sum();
+        assert_eq!(executions, stats.serial_batches);
+        assert_eq!(
+            joins.count() - observed_before,
+            executions - stats.rule_exec_aggregate
+        );
     });
 }
 
