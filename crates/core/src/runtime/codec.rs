@@ -12,7 +12,7 @@
 pub use secureblox_datalog::codec::{deserialize_tuple, serialize_tuple};
 
 use secureblox_datalog::codec::{DecodeError, Reader};
-use secureblox_datalog::value::Tuple;
+use secureblox_datalog::value::{Tuple, Value};
 
 /// The two operations an update-stream delta can describe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,19 +60,15 @@ pub struct UpdateEnvelope {
 impl UpdateEnvelope {
     /// Serialize the envelope into message-payload bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&(self.deltas.len() as u32).to_be_bytes());
+        let mut out = encode_header(self.seq, self.deltas.len());
         for delta in &self.deltas {
-            out.push(match delta.op {
-                DeltaOp::Assert => 0,
-                DeltaOp::Retract => 1,
-            });
-            out.extend_from_slice(&(delta.pred.len() as u32).to_be_bytes());
-            out.extend_from_slice(delta.pred.as_bytes());
-            out.extend_from_slice(&serialize_tuple(&delta.tuple));
-            out.extend_from_slice(&(delta.signature.len() as u32).to_be_bytes());
-            out.extend_from_slice(&delta.signature);
+            encode_delta(
+                &mut out,
+                delta.op,
+                &delta.pred,
+                &delta.tuple,
+                &delta.signature,
+            );
         }
         out
     }
@@ -95,6 +91,38 @@ impl UpdateEnvelope {
         reader.finish()?;
         Ok(UpdateEnvelope { seq, deltas })
     }
+}
+
+/// An envelope's first bytes: its sequence number and delta count.  The
+/// deltas follow, each appended by [`encode_delta`].
+pub(crate) fn encode_header(seq: u64, deltas: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&seq.to_be_bytes());
+    out.extend_from_slice(&(deltas as u32).to_be_bytes());
+    out
+}
+
+/// Append one delta to an envelope being encoded.  Returns its content
+/// bytes: the predicate name, the encoded tuple and the signature, without
+/// the op tag and the two length prefixes.
+pub(crate) fn encode_delta(
+    out: &mut Vec<u8>,
+    op: DeltaOp,
+    pred: &str,
+    tuple: &[Value],
+    signature: &[u8],
+) -> usize {
+    let start = out.len();
+    out.push(match op {
+        DeltaOp::Assert => 0,
+        DeltaOp::Retract => 1,
+    });
+    out.extend_from_slice(&(pred.len() as u32).to_be_bytes());
+    out.extend_from_slice(pred.as_bytes());
+    out.extend_from_slice(&serialize_tuple(tuple));
+    out.extend_from_slice(&(signature.len() as u32).to_be_bytes());
+    out.extend_from_slice(signature);
+    out.len() - start - 9
 }
 
 #[cfg(test)]

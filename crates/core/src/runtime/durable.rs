@@ -30,9 +30,10 @@
 //! per-node Merkle roots as the one that was dropped.
 
 use crate::runtime::engine::{Deployment, DeploymentConfig, NodeSpec};
+use crate::runtime::export::{Shipped, NOT_QUEUED, NO_SIGNATURE};
 use crate::runtime::node::{CommitOp, Verdict};
 use secureblox_datalog::error::DatalogError;
-use secureblox_datalog::value::Tuple;
+use secureblox_datalog::value::{Tuple, Value};
 use secureblox_datalog::FactDelta;
 use secureblox_net::NodeLedger;
 use secureblox_store::{derive_node_key, DurabilityConfig, FactStore, StoreError, WalOp};
@@ -234,14 +235,33 @@ impl Deployment {
             // withdrawal message may never have left.  Restoring them into
             // `sent` (with the signature the export went out under) as
             // removed candidates makes the first flush re-send exactly those
-            // Retract deltas.
+            // Retract deltas.  The cursor is in id space, and the replay
+            // may never have interned a vanished tuple's values or its
+            // signature: they are interned here, the one place a cursor
+            // entry adds to the dictionary.
             let node = ctx.node;
             let mut vanished = FactDelta::default();
             for (pred, tuple, signature) in store.export_cursor() {
-                if !node.workspace.contains_fact(&pred, &tuple) {
-                    node.sent.insert((pred.clone(), tuple.clone()), signature);
-                    vanished.entry(pred).or_default().insert(tuple);
+                if node.workspace.contains_fact(&pred, &tuple) {
+                    continue;
                 }
+                let Some(number) = node.export_pending.preds.number(&pred) else {
+                    continue;
+                };
+                let interner = node.workspace.interner();
+                let mut key = vec![number; 1 + tuple.len()];
+                interner.intern_ids(&tuple, &mut key[1..]);
+                let signature = if signature.is_empty() {
+                    NO_SIGNATURE
+                } else {
+                    interner.intern(&Value::bytes(signature))
+                };
+                let shipped = Shipped {
+                    signature,
+                    queued: NOT_QUEUED,
+                };
+                node.sent.insert(key.into(), shipped);
+                vanished.entry(pred).or_default().insert(tuple);
             }
             node.export_pending.absorb(FactDelta::default(), vanished);
             // The replay charged this host's time to the clock; the node

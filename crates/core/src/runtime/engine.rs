@@ -10,11 +10,11 @@
 //!   insert, fixpoint, constraint check, commit or roll back,
 //! * all inter-node state flow rides one **authenticated update stream**: an
 //!   exported batch is an ordered sequence of signed `Assert`/`Retract`
-//!   deltas ([`UpdateEnvelope`]), shipped FIFO per link.  `Assert` deltas
-//!   carry newly derived `says$T` tuples (serialized, signed per the
-//!   generated `sig$T` rules, optionally AES-encrypted); the receiver inserts
-//!   the `says$T` and `sig$T` facts and its own constraints decide whether to
-//!   accept them.  `Retract` deltas withdraw previously shipped tuples under
+//!   deltas ([`UpdateEnvelope`](crate::runtime::codec::UpdateEnvelope)),
+//!   shipped FIFO per link.  `Assert` deltas carry newly derived `says$T`
+//!   tuples (serialized, signed per the generated `sig$T` rules, optionally
+//!   AES-encrypted); the receiver inserts the `says$T` and `sig$T` facts and
+//!   its own constraints decide whether to accept them.  `Retract` deltas withdraw previously shipped tuples under
 //!   the same detached signature; the receiver verifies it, maintains
 //!   everything derived from the fact, logs the retraction to its WAL, and
 //!   propagates any cascaded withdrawals onward through its own streams,
@@ -28,7 +28,7 @@
 
 use crate::policy::{compile_secured_program, SecurityConfig};
 use crate::runtime::env;
-use crate::runtime::export::ExportCandidates;
+use crate::runtime::export::{ExportCandidates, ExportKey, Shipped};
 use crate::runtime::node::{CommitOp, Link, NodeCtx, Verdict};
 use crate::runtime::reactor::ReactorConfig;
 use crate::runtime::replication::ReplicaState;
@@ -280,13 +280,15 @@ pub(crate) struct Circuit {
 pub(crate) struct NodeState {
     pub(crate) info: NodeInfo,
     pub(crate) workspace: Workspace,
-    /// The export cursor: outgoing `says`/`anon` tuples already shipped,
-    /// mapped to the detached signature they shipped with.  Only ever probed
-    /// by key: membership deduplicates asserts, and a removed candidate found
+    /// The export cursor: outgoing `says`/`anon` tuples already shipped, in
+    /// id space — keyed by exported predicate and id row ([`ExportKey`]),
+    /// mapped to the dictionary id of the detached signature they shipped
+    /// with and the position of their queued `Assert`.  Only ever probed by
+    /// key: membership deduplicates asserts, and a removed candidate found
     /// here is withdrawn through the same channel as a `Retract` delta
     /// carrying the recorded signature — its entry goes, so a re-derivation
     /// re-asserts it.
-    pub(crate) sent: FnvMap<(String, Tuple), Vec<u8>>,
+    pub(crate) sent: FnvMap<ExportKey, Shipped>,
     /// Exportable tuples this node's commits added or removed since its last
     /// flush — the only thing [`NodeCtx::flush_updates`] reads.  Every
     /// runtime commit (transaction, retraction, recovery replay) feeds its

@@ -1,16 +1,23 @@
-//! Export candidates: what a node's commits hand its update streams.
+//! Export candidates and the export cursor's keys: what a node's commits
+//! hand its update streams, and how the streams remember what they shipped.
 //!
 //! A node ships the `says` tuples its transactions *derived* (paper §2, §6).
 //! Every runtime commit — transaction, retraction, recovery replay — reports
 //! its net delta from the evaluation journal (`Commit::added`,
 //! `Commit::removed`); [`ExportCandidates::absorb`] keeps the
-//! exportable part, classified once by generated predicate name, and
+//! exportable part, classified once per generated predicate, and
 //! `NodeCtx::flush_updates` reads nothing else.  A flush therefore costs
 //! O(delta), whatever the relations hold.
+//!
+//! What a flush shipped it keeps in id space (DESIGN.md §9.3): the cursor
+//! (`NodeState::sent`) and the link outboxes key a fact by an
+//! [`ExportKey`], and a signature is its dictionary id.  The workspace's
+//! dictionary never frees an id, so a key names its values for the
+//! workspace's lifetime, after the stored fact is gone too — which is what
+//! a later withdrawal needs.
 
 use secureblox_datalog::value::{tuple_total_cmp, Tuple, Value};
-use secureblox_datalog::FactDelta;
-use std::cmp::Ordering;
+use secureblox_datalog::{FactDelta, FnvMap};
 
 /// Which export channel a generated predicate feeds.
 #[derive(Debug, Clone, Copy)]
@@ -55,32 +62,105 @@ impl ExportChannel {
     }
 }
 
+/// A generated predicate one of a node's export channels reads, numbered in
+/// the order the node first saw it ([`ExportPreds`]).
+pub(crate) type ExportPred = u32;
+
+/// One shipped fact in id space: its [`ExportPred`], then the dictionary id
+/// row of its tuple.  One slice, so the cursor is probed with a borrowed
+/// `&[u32]` and never allocates to ask.
+pub(crate) type ExportKey = Box<[u32]>;
+
+/// The signature id of a fact shipped without one (NoAuth, circuit
+/// traffic): no dictionary entry stands for the empty signature.
+pub(crate) const NO_SIGNATURE: u32 = u32::MAX;
+
+/// The queue position of a cursor entry whose `Assert` was never queued on
+/// a link outbox (circuit traffic, an unknown addressee, a recovered entry).
+pub(crate) const NOT_QUEUED: u64 = u64::MAX;
+
+/// A cursor entry: what one shipped fact went out with.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Shipped {
+    /// Dictionary id of the detached signature, or [`NO_SIGNATURE`].
+    pub(crate) signature: u32,
+    /// Absolute position of the fact's `Assert` in its link outbox, where a
+    /// matching `Retract` annihilates it while it is still queued
+    /// (`LinkOutbox::annihilate` checks it against the outbox's front).
+    pub(crate) queued: u64,
+}
+
+/// What the export plane knows of one generated predicate.
+#[derive(Debug)]
+struct ExportPredicate {
+    /// The generated name, e.g. `says$link`.
+    name: String,
+    channel: ExportChannel,
+    /// `sig$T`, where a `says$T` fact's detached signature is stored.
+    signatures: String,
+}
+
+/// A node's numbering of the generated predicates its channels read.  A
+/// handful per program, so a number costs the cursor 4 bytes per fact
+/// where the name cost a `String`.
+#[derive(Debug, Default)]
+pub(crate) struct ExportPreds {
+    table: Vec<ExportPredicate>,
+    numbers: FnvMap<String, ExportPred>,
+}
+
+impl ExportPreds {
+    /// The number of generated predicate `name`, assigned on first sight;
+    /// `None` for a predicate no channel reads.
+    pub(crate) fn number(&mut self, name: &str) -> Option<ExportPred> {
+        let channel = ExportChannel::of(name)?;
+        if let Some(&number) = self.numbers.get(name) {
+            return Some(number);
+        }
+        let number = self.table.len() as ExportPred;
+        let param = &name[channel.prefix().len()..];
+        self.table.push(ExportPredicate {
+            name: name.to_string(),
+            channel,
+            signatures: format!("sig${param}"),
+        });
+        self.numbers.insert(name.to_string(), number);
+        Some(number)
+    }
+
+    /// The generated predicate name.
+    pub(crate) fn name(&self, pred: ExportPred) -> &str {
+        &self.table[pred as usize].name
+    }
+
+    pub(super) fn channel(&self, pred: ExportPred) -> ExportChannel {
+        self.table[pred as usize].channel
+    }
+
+    /// The exported predicate `T`, as it is named on the wire.
+    pub(crate) fn param(&self, pred: ExportPred) -> &str {
+        let predicate = &self.table[pred as usize];
+        &predicate.name[predicate.channel.prefix().len()..]
+    }
+
+    /// The `sig$T` relation holding the detached signatures of `says$T`.
+    pub(crate) fn signatures(&self, pred: ExportPred) -> &str {
+        &self.table[pred as usize].signatures
+    }
+}
+
 /// One exportable tuple a commit added or removed.
 #[derive(Debug)]
 pub(super) struct ExportCandidate {
-    pub(super) channel: ExportChannel,
-    /// Generated predicate name and tuple: the key in `NodeState::sent`.
-    pub(super) fact: (String, Tuple),
+    pub(super) pred: ExportPred,
+    pub(super) tuple: Tuple,
 }
 
-impl ExportCandidate {
-    /// The exported predicate `T`, as it is named on the wire.
-    pub(super) fn param(&self) -> &str {
-        &self.fact.0[self.channel.prefix().len()..]
-    }
-
-    /// The flush order, the one the update stream has always had: generated
-    /// predicate name, then [`tuple_total_cmp`].
-    fn cmp_fact(&self, other: &Self) -> Ordering {
-        let ((pred, tuple), (other_pred, other_tuple)) = (&self.fact, &other.fact);
-        pred.cmp(other_pred)
-            .then_with(|| tuple_total_cmp(tuple, other_tuple))
-    }
-}
-
-/// A node's export candidates since its last flush.
+/// A node's export candidates since its last flush, and the numbering of
+/// the predicates they are of.
 #[derive(Debug, Default)]
 pub(crate) struct ExportCandidates {
+    pub(crate) preds: ExportPreds,
     added: Vec<ExportCandidate>,
     removed: Vec<ExportCandidate>,
 }
@@ -90,26 +170,34 @@ impl ExportCandidates {
     pub(crate) fn absorb(&mut self, added: FactDelta, removed: FactDelta) {
         for (delta, into) in [(added, &mut self.added), (removed, &mut self.removed)] {
             for (pred, tuples) in delta {
-                let Some(channel) = ExportChannel::of(&pred) else {
+                let Some(pred) = self.preds.number(&pred) else {
                     continue;
                 };
-                into.extend(tuples.into_iter().map(|tuple| ExportCandidate {
-                    channel,
-                    fact: (pred.clone(), tuple),
-                }));
+                into.extend(
+                    tuples
+                        .into_iter()
+                        .map(|tuple| ExportCandidate { pred, tuple }),
+                );
             }
         }
     }
 
     /// Hand everything pending to a flush as `(removed, added)`, each in
-    /// flush order, so every envelope lists its deltas deterministically.
+    /// the flush order the update stream has always had — generated
+    /// predicate name, then [`tuple_total_cmp`] — so every envelope lists
+    /// its deltas deterministically.
     pub(super) fn take_sorted(&mut self) -> (Vec<ExportCandidate>, Vec<ExportCandidate>) {
-        let ExportCandidates {
-            mut added,
-            mut removed,
-        } = std::mem::take(self);
-        removed.sort_by(ExportCandidate::cmp_fact);
-        added.sort_by(ExportCandidate::cmp_fact);
+        let mut removed = std::mem::take(&mut self.removed);
+        let mut added = std::mem::take(&mut self.added);
+        let preds = &self.preds;
+        for candidates in [&mut removed, &mut added] {
+            candidates.sort_by(|a, b| {
+                preds
+                    .name(a.pred)
+                    .cmp(preds.name(b.pred))
+                    .then_with(|| tuple_total_cmp(&a.tuple, &b.tuple))
+            });
+        }
         (removed, added)
     }
 }
@@ -122,6 +210,7 @@ mod tests {
     //! tuples its workspace stores that are its own to ship, and no candidate
     //! may be left pending.
 
+    use super::ExportCandidate;
     use crate::apps::pathvector;
     use crate::policy::SecurityConfig;
     use crate::runtime::codec::{serialize_tuple, DeltaOp, UpdateDelta, UpdateEnvelope};
@@ -159,13 +248,36 @@ mod tests {
         exportable
     }
 
+    /// The export cursor's facts, rehydrated from its id-space keys.
+    fn cursor(node: &NodeState) -> HashSet<(String, Tuple)> {
+        let preds = &node.export_pending.preds;
+        let interner = node.workspace.interner();
+        node.sent
+            .keys()
+            .map(|key| {
+                (
+                    preds.name(key[0]).to_string(),
+                    interner.resolve_row(&key[1..]),
+                )
+            })
+            .collect()
+    }
+
+    /// The facts of pending candidates.
+    fn facts(node: &NodeState, candidates: &[ExportCandidate]) -> HashSet<(String, Tuple)> {
+        let preds = &node.export_pending.preds;
+        candidates
+            .iter()
+            .map(|c| (preds.name(c.pred).to_string(), c.tuple.clone()))
+            .collect()
+    }
+
     /// After every flush — so after every `run`, `retract`, `ingest` and
     /// local batch — the cursor is the rescan and nothing is pending.
     fn assert_cursor_is_the_rescan(deployment: &Deployment, when: &str) {
         for node in &deployment.nodes {
             let who = &node.info.principal;
-            let cursor: HashSet<(String, Tuple)> = node.sent.keys().cloned().collect();
-            assert_eq!(cursor, rescan(node), "{who}: cursor != rescan {when}");
+            assert_eq!(cursor(node), rescan(node), "{who}: cursor != rescan {when}");
             assert!(
                 node.export_pending.added.is_empty() && node.export_pending.removed.is_empty(),
                 "{who}: candidates left pending {when}"
@@ -179,25 +291,17 @@ mod tests {
     fn assert_recovery_owes_the_rescan(deployment: &Deployment) {
         for node in &deployment.nodes {
             let who = &node.info.principal;
-            let derived = rescan(node);
+            let (derived, cursor) = (rescan(node), cursor(node));
             assert!(
-                node.sent.keys().all(|fact| !derived.contains(fact)),
+                cursor.is_disjoint(&derived),
                 "{who}: a still-derived tuple was restored into the cursor"
             );
-            let pending: HashSet<&(String, Tuple)> =
-                node.export_pending.added.iter().map(|c| &c.fact).collect();
             assert!(
-                derived.iter().all(|fact| pending.contains(fact)),
+                derived.is_subset(&facts(node, &node.export_pending.added)),
                 "{who}: a derived export is not pending re-shipment"
             );
-            let owed: HashSet<&(String, Tuple)> = node
-                .export_pending
-                .removed
-                .iter()
-                .map(|c| &c.fact)
-                .collect();
             assert!(
-                node.sent.keys().all(|fact| owed.contains(fact)),
+                cursor.is_subset(&facts(node, &node.export_pending.removed)),
                 "{who}: a vanished cursor entry is not a removed candidate"
             );
         }
@@ -444,6 +548,113 @@ mod tests {
             assert_cursor_is_the_rescan(&again, "after the second recovery");
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// One exported item per node; nothing else holds its value.
+    const ITEM_APP: &str = r#"
+        item(X) -> int[32](X).
+        remote_item(X) -> int[32](X).
+        exportable(`remote_item).
+
+        says[`remote_item](self[], U, X) <- item(X), principal(U), U != self[].
+    "#;
+
+    /// The one path where the id-keyed cursor interns: a withdrawn export
+    /// whose values the recovered workspace never saw.  n1 ships item 777,
+    /// then crashes after the local retraction's commit and before its
+    /// flush; a checkpoint taken at the crash leaves 777 out of the
+    /// snapshot, so recovery replays no fact that holds it.  The first flush
+    /// must still re-ship the `Retract` under the signature the cursor
+    /// recorded, and the cursor must end equal to the rescan.
+    #[test]
+    fn recovery_re_ships_a_withdrawn_export_whose_values_it_never_stored() {
+        let dir = fresh_dir("withdrawn-unseen");
+        let item = |x: i64| ("item".to_string(), vec![Value::Int(x)]);
+        let specs = vec![
+            NodeSpec::new(name(0)),
+            NodeSpec {
+                principal: name(1),
+                base_facts: vec![item(777)],
+            },
+        ];
+        let durable = || DeploymentConfig {
+            durability: Some(DurabilityConfig::new(&dir)),
+            ..config(StreamingConfig::unbatched(), ReactorConfig::disabled())
+        };
+        let mut deployment = Deployment::build(ITEM_APP, &specs, durable()).unwrap();
+        deployment.run().unwrap();
+        assert_eq!(deployment.query(&name(0), "remote_item"), vec![item(777).1]);
+        let seed = deployment.config.seed;
+        drop(deployment);
+
+        // The crash: the retraction is committed and logged, the flush
+        // never ran, so the cursor still holds the export.
+        let mut store =
+            FactStore::open(dir.join(name(1)), &derive_node_key(seed, &name(1))).unwrap();
+        let (pred, tuple) = item(777);
+        let watermark = store.watermark() + 1;
+        store
+            .log_retracts([(pred.as_str(), &tuple)], watermark)
+            .unwrap();
+        store.checkpoint(watermark).unwrap();
+        let exported = vec![Value::str(name(1)), Value::str(name(0)), Value::Int(777)];
+        let recorded = store
+            .export_cursor()
+            .into_iter()
+            .find(|(pred, tuple, _)| pred == "says$remote_item" && *tuple == exported)
+            .map(|(_, _, signature)| signature)
+            .expect("the export is in the recorded cursor");
+        assert!(!recorded.is_empty());
+        drop(store);
+
+        let mut recovered = Deployment::recover(&dir, ITEM_APP, &specs, durable()).unwrap();
+        let n1 = &recovered.nodes[1];
+        for pred in n1.workspace.predicate_names() {
+            for tuple in n1.workspace.query(&pred) {
+                assert!(
+                    !tuple.contains(&Value::Int(777))
+                        && !tuple.contains(&Value::bytes(recorded.clone())),
+                    "{pred} holds the withdrawn export's values after recovery"
+                );
+            }
+        }
+        assert_recovery_owes_the_rescan(&recovered);
+        assert_eq!(
+            cursor(n1),
+            HashSet::from([("says$remote_item".to_string(), exported.clone())])
+        );
+
+        // The first flush ships the withdrawal, signed as recorded.
+        let now = recovered.nodes[1].available_at;
+        recovered.node_ctx(1).flush_updates(now).unwrap();
+        let mut in_flight = Vec::new();
+        while let Some(delivery) = recovered.network.next_delivery() {
+            in_flight.push(delivery);
+        }
+        let shipped: Vec<UpdateDelta> = in_flight
+            .iter()
+            .filter(|(_, m)| m.kind == MessageKind::Update && m.from.index() == 1)
+            .flat_map(|(_, m)| UpdateEnvelope::decode(&m.payload).unwrap().deltas)
+            .collect();
+        assert_eq!(
+            shipped,
+            vec![UpdateDelta {
+                op: DeltaOp::Retract,
+                pred: "remote_item".into(),
+                tuple: exported,
+                signature: recorded,
+            }]
+        );
+        for (at, message) in in_flight {
+            recovered.network.push(at, message);
+        }
+        let report = recovered.run().unwrap();
+        assert_eq!(report.rejected_batches, 0);
+        assert!(report.retractions_applied >= 1);
+        assert!(recovered.query(&name(0), "remote_item").is_empty());
+        assert_cursor_is_the_rescan(&recovered, "after the recovered run");
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Sharded ingest: exchange relations are `says$shard_xchg_*` exports

@@ -4,10 +4,14 @@
 //! handlers — so the virtual-time reference loop (`runtime::engine`) and the
 //! reactor's worker tasks (`runtime::reactor`) drive identical logic.
 
-use crate::runtime::codec::{serialize_tuple, DeltaOp, UpdateDelta, UpdateEnvelope};
+use crate::runtime::codec::{
+    encode_delta, encode_header, serialize_tuple, DeltaOp, UpdateDelta, UpdateEnvelope,
+};
 use crate::runtime::engine::{Circuit, DeploymentConfig, EngineShared, NodeState};
-use crate::runtime::export::{ExportCandidate, ExportChannel};
-use crate::runtime::stream::LinkOutbox;
+use crate::runtime::export::{
+    ExportCandidate, ExportChannel, ExportKey, ExportPred, Shipped, NOT_QUEUED, NO_SIGNATURE,
+};
+use crate::runtime::stream::{LinkOutbox, QueuedDelta};
 use secureblox_crypto::{
     aes128_ctr_decrypt, aes128_ctr_encrypt, hmac_sha1_verify, AuthScheme, EncScheme, RsaSignature,
 };
@@ -15,12 +19,13 @@ use secureblox_datalog::codec::{DecodeError, Reader};
 use secureblox_datalog::column_set;
 use secureblox_datalog::error::{DatalogError, Result};
 use secureblox_datalog::eval::shuffle::is_exchange_pred;
+use secureblox_datalog::intern::Values;
 use secureblox_datalog::value::{Tuple, Value};
 use secureblox_net::{
     record_message_latency, Message, MessageKind, NodeId, NodeLedger, SimNetwork, VirtualTime,
 };
 use secureblox_store::StoreError;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// Where a node context's outbound messages go once [`NodeCtx::send`] has
@@ -241,109 +246,152 @@ impl NodeCtx<'_> {
     /// `Assert`.  Judging both against the workspace *now* is what lets one
     /// flush cover several commits: a tuple asserted then retracted (or
     /// retracted then re-asserted) between two flushes ships nothing.  The
-    /// deltas go, in order, into each destination's [`LinkOutbox`], which
-    /// ships them as [`UpdateEnvelope`]s over the FIFO link.
+    /// deltas go, in order and in id space, into each destination's
+    /// [`LinkOutbox`], which ships them as [`UpdateEnvelope`]s over the FIFO
+    /// link.
     pub(crate) fn flush_updates(&mut self, now: VirtualTime) -> Result<()> {
         let started = Instant::now();
         let (removed, added) = self.node.export_pending.take_sorted();
         let candidates = added.len() + removed.len();
         self.node.ledger.record_export_candidates(candidates);
-        // Ordered deltas per destination node: retractions first (they refer
-        // to the pre-flush state), then asserts, each in deterministic order.
-        let mut per_dest: BTreeMap<usize, Vec<UpdateDelta>> = BTreeMap::new();
+        // The links this flush queues deltas on — retractions first (they
+        // refer to the pre-flush state), then asserts, each in flush order —
+        // drained once the flush is charged.
+        let mut links: BTreeSet<usize> = BTreeSet::new();
         let mut anon_outgoing: Vec<Message> = Vec::new();
-        // Export-cursor mutations to WAL-log before anything ships: marks
-        // for newly shipped tuples, clears for flushed withdrawals.
-        let mut export_marks: Vec<(String, Tuple, Vec<u8>)> = Vec::new();
-        let mut export_clears: Vec<(String, Tuple)> = Vec::new();
+        // Export-cursor mutations to WAL-log before anything ships, on a
+        // durable node: clears for flushed withdrawals, marks (with the
+        // signature's id) for newly shipped tuples.
+        let durable = self.node.store.is_some();
+        let mut export_clears: Vec<(ExportPred, Tuple)> = Vec::new();
+        let mut export_marks: Vec<(ExportPred, Tuple, u32)> = Vec::new();
+        let mut key: Vec<u32> = Vec::new();
 
         // 1. Withdrawals.  A repeated candidate finds its `sent` entry gone.
+        //    A removed fact's values stay in the dictionary, so its key is
+        //    there to find.
         for candidate in removed {
-            let (pred, tuple) = &candidate.fact;
-            if self.node.workspace.contains_fact(pred, tuple) {
+            if !self.cursor_key(&candidate, &mut key) || self.stored(&candidate, &key) {
                 continue;
             }
-            let Some(signature) = self.node.sent.remove(&candidate.fact) else {
+            let Some((key, shipped)) = self.node.sent.remove_entry(&key[..]) else {
                 continue;
             };
-            export_clears.push(candidate.fact.clone());
             self.route(
-                candidate,
+                &candidate,
                 DeltaOp::Retract,
-                signature,
-                &mut per_dest,
+                key,
+                shipped,
+                &mut links,
                 &mut anon_outgoing,
             )?;
+            if durable {
+                export_clears.push((candidate.pred, candidate.tuple));
+            }
         }
 
         // 2. Assertions.  A repeated candidate finds its `sent` entry there.
         for candidate in added {
-            let (pred, tuple) = &candidate.fact;
-            if !candidate
-                .channel
-                .originates_at(&self.node.info.principal, tuple)
-                || self.node.sent.contains_key(&candidate.fact)
-                || !self.node.workspace.contains_fact(pred, tuple)
+            let channel = self.node.export_pending.preds.channel(candidate.pred);
+            if !channel.originates_at(&self.node.info.principal, &candidate.tuple)
+                || !self.cursor_key(&candidate, &mut key)
+                || self.node.sent.contains_key(&key[..])
+                || !self.stored(&candidate, &key)
             {
                 continue;
             }
-            let signature = match candidate.channel {
-                ExportChannel::Says => self.lookup_signature(candidate.param(), tuple),
+            let signature = match channel {
+                ExportChannel::Says => self.signature_id(candidate.pred, &key[1..]),
                 // The onion layers authenticate circuit traffic.
-                ExportChannel::AnonForward | ExportChannel::AnonBackward => Vec::new(),
+                ExportChannel::AnonForward | ExportChannel::AnonBackward => NO_SIGNATURE,
             };
-            export_marks.push((pred.clone(), tuple.clone(), signature.clone()));
-            self.node
-                .sent
-                .insert(candidate.fact.clone(), signature.clone());
-            self.route(
-                candidate,
-                DeltaOp::Assert,
+            let mut shipped = Shipped {
                 signature,
-                &mut per_dest,
+                queued: NOT_QUEUED,
+            };
+            let key: ExportKey = key.as_slice().into();
+            shipped.queued = self.route(
+                &candidate,
+                DeltaOp::Assert,
+                key.clone(),
+                shipped,
+                &mut links,
                 &mut anon_outgoing,
             )?;
+            self.node.sent.insert(key, shipped);
+            if durable {
+                export_marks.push((candidate.pred, candidate.tuple, signature));
+            }
         }
 
         // Persist the export-cursor mutations before anything ships: a mark
         // must hit the WAL no later than its message leaves, or a crash in
         // between would lose the recovery obligation the message created.
-        if !export_clears.is_empty() || !export_marks.is_empty() {
-            if let Some(store) = &mut self.node.store {
+        // The signatures are rehydrated here, where the WAL's bytes are
+        // made.
+        if let Some(store) = &mut self.node.store {
+            if !export_clears.is_empty() || !export_marks.is_empty() {
+                let preds = &self.node.export_pending.preds;
+                let values = self.node.workspace.interner().values();
                 store
-                    .log_export_clears(fact_refs(&export_clears), now)
+                    .log_export_clears(
+                        export_clears
+                            .iter()
+                            .map(|(pred, tuple)| (preds.name(*pred), tuple)),
+                        now,
+                    )
                     .map_err(durability)?;
                 store
                     .log_export_marks(
-                        export_marks
-                            .iter()
-                            .map(|(p, t, s)| (p.as_str(), t, s.as_slice())),
+                        export_marks.iter().map(|(pred, tuple, signature)| {
+                            (
+                                preds.name(*pred),
+                                tuple,
+                                signature_bytes(&values, *signature),
+                            )
+                        }),
                         now,
                     )
                     .map_err(durability)?;
             }
         }
 
-        // 3. Export processing (serialization, signature lookup, encryption)
+        // 3. Export processing (cursor probes, signature lookup, queueing)
         //    costs real compute; charge it to the node's virtual clock, then
-        //    ship through the per-link outboxes (coalescing, annihilation,
-        //    credit).
+        //    ship through the per-link outboxes (coalescing, credit) and the
+        //    circuits.
         let overhead = started.elapsed();
         secureblox_telemetry::histogram!("engine_export_flush_ns").record_duration(overhead);
         let send_time = self.charge(now, overhead);
-        for (dest, deltas) in per_dest {
-            let outbox = self.outbox(dest);
-            for delta in deltas {
-                if outbox.push(delta) {
-                    secureblox_telemetry::counter!("engine_stream_annihilated_total").add(2);
-                }
-            }
+        for dest in links {
             self.drain_outbox(dest, send_time, false)?;
         }
         for message in anon_outgoing {
             self.send(message, send_time, Link::Fifo);
         }
         Ok(())
+    }
+
+    /// Fill `key` with `candidate`'s cursor key ([`ExportKey`]).  `false`
+    /// when a value of its tuple is in no relation's dictionary: then the
+    /// fact is neither stored nor shipped.
+    fn cursor_key(&self, candidate: &ExportCandidate, key: &mut Vec<u32>) -> bool {
+        key.clear();
+        key.push(candidate.pred);
+        key.resize(1 + candidate.tuple.len(), 0);
+        self.node
+            .workspace
+            .interner()
+            .try_ids(&candidate.tuple, &mut key[1..])
+    }
+
+    /// Whether `candidate`, whose cursor key is `key`, is stored now.
+    fn stored(&self, candidate: &ExportCandidate, key: &[u32]) -> bool {
+        let name = self.node.export_pending.preds.name(candidate.pred);
+        self.node
+            .workspace
+            .relation(name)
+            .is_some_and(|relation| relation.find_row(&key[1..]).is_some())
     }
 
     /// The one place a send is recorded and its delivery time decided, for
@@ -381,41 +429,54 @@ impl NodeCtx<'_> {
             .or_insert_with(|| LinkOutbox::new(high_water))
     }
 
-    /// Put one delta on its channel: the addressee's envelope, or an onion
-    /// cell of this node's circuit.  A tuple addressed to no known principal
-    /// ships nowhere (its cursor entry is kept all the same).
+    /// Put one delta on its channel: the addressee's link outbox, or an
+    /// onion cell of this node's circuit.  A `Retract` whose `Assert` is
+    /// still queued annihilates it instead.  Returns where an `Assert` was
+    /// queued ([`NOT_QUEUED`] off the peer streams).  A tuple addressed to no
+    /// known principal ships nowhere (its cursor entry is kept all the same).
     fn route(
-        &self,
-        candidate: ExportCandidate,
+        &mut self,
+        candidate: &ExportCandidate,
         op: DeltaOp,
-        signature: Vec<u8>,
-        per_dest: &mut BTreeMap<usize, Vec<UpdateDelta>>,
+        key: ExportKey,
+        shipped: Shipped,
+        links: &mut BTreeSet<usize>,
         anon_outgoing: &mut Vec<Message>,
-    ) -> Result<()> {
-        let pred = candidate.param().to_string();
-        let tuple = candidate.fact.1;
+    ) -> Result<u64> {
+        let preds = &self.node.export_pending.preds;
+        let (channel, param) = (preds.channel(candidate.pred), preds.param(candidate.pred));
+        let tuple = &candidate.tuple;
         let addressee = tuple.get(1).and_then(|v| v.as_str());
-        match candidate.channel {
+        match channel {
             ExportChannel::Says => {
-                if let Some(&dest) = addressee.and_then(|to| self.shared.principal_index.get(to)) {
-                    per_dest.entry(dest).or_default().push(UpdateDelta {
-                        op,
-                        pred,
-                        tuple,
-                        signature,
-                    });
+                let Some(&dest) = addressee.and_then(|to| self.shared.principal_index.get(to))
+                else {
+                    return Ok(NOT_QUEUED);
+                };
+                links.insert(dest);
+                let outbox = self.outbox(dest);
+                if op == DeltaOp::Retract && outbox.annihilate(shipped.queued) {
+                    secureblox_telemetry::counter!("engine_stream_annihilated_total").add(2);
+                    return Ok(NOT_QUEUED);
                 }
+                Ok(outbox.push(QueuedDelta {
+                    op,
+                    key,
+                    signature: shipped.signature,
+                }))
             }
             ExportChannel::AnonForward => {
                 if let Some(to) = addressee {
-                    anon_outgoing.push(self.onion_wrap_forward(&pred, to, &tuple, op)?);
+                    let message = self.onion_wrap_forward(param, to, tuple, op)?;
+                    anon_outgoing.push(message);
                 }
+                Ok(NOT_QUEUED)
             }
             ExportChannel::AnonBackward => {
-                anon_outgoing.extend(self.onion_wrap_backward(&pred, &tuple, op)?);
+                anon_outgoing.extend(self.onion_wrap_backward(param, tuple, op)?);
+                Ok(NOT_QUEUED)
             }
         }
-        Ok(())
     }
 
     /// Ship as much of this node's `dest` outbox as its credit window
@@ -457,7 +518,7 @@ impl NodeCtx<'_> {
                 .record(deltas.len() as u64);
             outbox.seq += 1;
             let seq = outbox.seq;
-            self.ship_envelope(dest, UpdateEnvelope { seq, deltas }, now)?;
+            self.ship_envelope(dest, seq, &deltas, now)?;
         }
     }
 
@@ -481,26 +542,36 @@ impl NodeCtx<'_> {
         Ok(shipped)
     }
 
-    /// Encode (and, under AES, encrypt) one update-stream envelope and send
-    /// it on the link's FIFO stream.
+    /// Encode (and, under AES, encrypt) one update-stream envelope of queued
+    /// deltas and send it on the link's FIFO stream.  The values and the
+    /// signatures are rehydrated here, where the envelope's bytes are made;
+    /// under sharding, the same pass counts the exchange deltas' bytes.
     fn ship_envelope(
         &mut self,
         dest: usize,
-        envelope: UpdateEnvelope,
+        seq: u64,
+        deltas: &[QueuedDelta],
         send_time: VirtualTime,
     ) -> Result<()> {
-        if self.config.sharding.is_some() {
-            let bytes: usize = envelope
-                .deltas
-                .iter()
-                .filter(|delta| is_exchange_pred(&delta.pred))
-                .map(|delta| {
-                    delta.pred.len() + serialize_tuple(&delta.tuple).len() + delta.signature.len()
-                })
-                .sum();
-            self.node.ledger.record_exchange(bytes);
+        let sharded = self.config.sharding.is_some();
+        let mut payload = encode_header(seq, deltas.len());
+        let mut exchange_bytes = 0;
+        {
+            let preds = &self.node.export_pending.preds;
+            let values = self.node.workspace.interner().values();
+            let mut tuple: Tuple = Vec::new();
+            for delta in deltas {
+                let param = preds.param(delta.key[0]);
+                tuple.clear();
+                tuple.extend(delta.key[1..].iter().map(|&id| values.get(id).clone()));
+                let signature = signature_bytes(&values, delta.signature);
+                let bytes = encode_delta(&mut payload, delta.op, param, &tuple, signature);
+                if sharded && is_exchange_pred(param) {
+                    exchange_bytes += bytes;
+                }
+            }
         }
-        let mut payload = envelope.encode();
+        self.node.ledger.record_exchange(exchange_bytes);
         if self.config.security.enc == EncScheme::Aes128 {
             let from_principal = &self.node.info.principal;
             let to_principal = &self.shared.principals[dest];
@@ -521,25 +592,35 @@ impl NodeCtx<'_> {
         Ok(())
     }
 
-    /// Find the detached signature for a `says$T` tuple in the corresponding
-    /// `sig$T` relation (empty when the scheme carries no signatures), via a
-    /// secondary index on the tuple prefix — built once, maintained
-    /// incrementally — instead of a linear scan per exported tuple.
-    fn lookup_signature(&mut self, param: &str, says_tuple: &[Value]) -> Vec<u8> {
-        let sig_pred = format!("sig${param}");
-        let cols = column_set(0..says_tuple.len());
-        for tuple in self
+    /// The dictionary id of the detached signature of the `says$T` fact
+    /// whose id row is `row`, found in the corresponding `sig$T` relation
+    /// through a secondary index on the row's columns — built once,
+    /// maintained incrementally — all in id space.  [`NO_SIGNATURE`] when
+    /// the scheme carries no signatures.
+    fn signature_id(&mut self, pred: ExportPred, row: &[u32]) -> u32 {
+        let signatures = self.node.export_pending.preds.signatures(pred);
+        let width = row.len();
+        let found = self
             .node
             .workspace
-            .probe_indexed(&sig_pred, cols, says_tuple)
-        {
-            if tuple.len() == says_tuple.len() + 1 {
-                if let Some(bytes) = tuple[says_tuple.len()].as_bytes() {
-                    return bytes.to_vec();
-                }
+            .probe_indexed(signatures, column_set(0..width), row)
+            .find(|stored| stored.arity() == width + 1)
+            .map(|stored| stored.id(width));
+        match found {
+            Some(id)
+                if self
+                    .node
+                    .workspace
+                    .interner()
+                    .values()
+                    .get(id)
+                    .as_bytes()
+                    .is_some() =>
+            {
+                id
             }
+            _ => NO_SIGNATURE,
         }
-        Vec::new()
     }
 
     // ------------------------------------------------------------------
@@ -573,16 +654,8 @@ impl NodeCtx<'_> {
         // name the circuit (paper §6.2).  Circuit traffic rides the same
         // delta envelope as peer streams; the onion layers authenticate it in
         // place of a detached signature.
-        let envelope = UpdateEnvelope {
-            seq: 0,
-            deltas: vec![UpdateDelta {
-                op,
-                pred: param.to_string(),
-                tuple: tuple[2..].to_vec(),
-                signature: Vec::new(),
-            }],
-        };
-        let mut body = envelope.encode();
+        let mut body = encode_header(0, 1);
+        encode_delta(&mut body, op, param, &tuple[2..], &[]);
         for key in circuit.keys.iter().rev() {
             body = aes128_ctr_encrypt(key, &body);
         }
@@ -614,21 +687,11 @@ impl NodeCtx<'_> {
         else {
             return Ok(None);
         };
-        let envelope = UpdateEnvelope {
-            seq: 0,
-            deltas: vec![UpdateDelta {
-                op,
-                pred: param.to_string(),
-                tuple: tuple[1..].to_vec(),
-                signature: Vec::new(),
-            }],
-        };
+        let mut body = encode_header(0, 1);
+        encode_delta(&mut body, op, param, &tuple[1..], &[]);
         // The endpoint adds its own layer; each relay will add one more on
         // the way back and the initiator peels them all.
-        let body = aes128_ctr_encrypt(
-            circuit.keys.last().expect("endpoint key"),
-            &envelope.encode(),
-        );
+        let body = aes128_ctr_encrypt(circuit.keys.last().expect("endpoint key"), &body);
         let (next, hop) = match circuit.relays.last() {
             Some(&relay) => (relay, circuit.relays.len() as u32 - 1),
             None => (circuit.initiator, u32::MAX),
@@ -1001,6 +1064,15 @@ impl NodeCtx<'_> {
 /// Facts as the store's `log_*` groups take them.
 fn fact_refs(facts: &[(String, Tuple)]) -> impl Iterator<Item = (&str, &Tuple)> {
     facts.iter().map(|(pred, tuple)| (pred.as_str(), tuple))
+}
+
+/// The bytes of the signature whose dictionary id is `id` (empty for
+/// [`NO_SIGNATURE`]).
+fn signature_bytes<'v>(values: &'v Values<'_>, id: u32) -> &'v [u8] {
+    if id == NO_SIGNATURE {
+        return &[];
+    }
+    values.get(id).as_bytes().unwrap_or_default()
 }
 
 /// A store failure under a commit or a flush, as the engine reports it.

@@ -16,12 +16,12 @@
 //!   each sharded body literal as co-partitioned, shuffle, or broadcast;
 //!   this module turns the needed dataflows into *generated DatalogLB
 //!   source* — typed declarations, `exportable` listings, and
-//!   `says[\`shard_xchg_…]`/`says[\`shard_bcast_…]` routing rules over the
+//!   ``says[`shard_xchg_…]``/``says[`shard_bcast_…]`` routing rules over the
 //!   engine-maintained `shard_slot`/`shard_member` facts — appended to the
 //!   app before policy compilation, so exchange traffic ships as ordinary
 //!   signed streaming envelopes and inherits verification, WAL logging, and
 //!   recovery for free;
-//! * after policy compilation, [`rewrite_program`] re-runs the (pure,
+//! * after policy compilation, `rewrite_program` re-runs the (pure,
 //!   deterministic) classification over the compiled rules and substitutes
 //!   each shuffled or broadcast body atom with its exchanged copy;
 //! * [`Deployment::apply_shard_map`] re-partitions on membership change:
@@ -97,7 +97,8 @@ pub fn slot_position(slot: i64) -> i64 {
 }
 
 /// Declares which base relations are partitioned, on which column, across
-/// which group members.  Carried in [`DeploymentConfig::sharding`].
+/// which group members.  Carried in
+/// [`DeploymentConfig::sharding`](crate::runtime::DeploymentConfig::sharding).
 #[derive(Debug, Clone)]
 pub struct ShardMap {
     group: Vec<String>,

@@ -4,11 +4,11 @@
 //! Every delta a node exports ships this way (DESIGN.md §12):
 //!
 //! * **Sender:** every exported delta is pushed into a per-link
-//!   [`LinkOutbox`].  Consecutive deltas coalesce into one multi-delta
-//!   [`UpdateEnvelope`] of up to [`StreamingConfig::batch_max`] deltas; an
-//!   assert-then-retract pair for the same fact *annihilates* in the outbox
-//!   before it ever hits the wire (the receiver would have inserted and then
-//!   deleted it — net nothing).
+//!   [`LinkOutbox`], in id space like the export cursor.  Consecutive deltas
+//!   coalesce into one multi-delta [`UpdateEnvelope`] of up to
+//!   [`StreamingConfig::batch_max`] deltas; an assert-then-retract pair for
+//!   the same fact *annihilates* in the outbox before it ever hits the wire
+//!   (the receiver would have inserted and then deleted it — net nothing).
 //! * **Backpressure:** each outbox holds a credit window, initially
 //!   [`StreamingConfig::queue_high_water`] deltas.  Shipping a delta consumes
 //!   one credit; the receiver returns credit (a [`MessageKind::Credit`]
@@ -25,9 +25,8 @@
 //! [`UpdateEnvelope`]: crate::runtime::codec::UpdateEnvelope
 //! [`MessageKind::Credit`]: secureblox_net::MessageKind::Credit
 
-use crate::runtime::codec::{DeltaOp, UpdateDelta};
-use secureblox_datalog::value::Tuple;
-use secureblox_datalog::FnvMap;
+use crate::runtime::codec::DeltaOp;
+use crate::runtime::export::ExportKey;
 use secureblox_net::VirtualTime;
 use std::collections::VecDeque;
 
@@ -81,9 +80,21 @@ impl StreamingConfig {
     }
 }
 
+/// One queued delta in id space: what ships, not yet as bytes.  Values are
+/// rehydrated from the node's dictionary only when the envelope is encoded
+/// (`NodeCtx::ship_envelope`).
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct QueuedDelta {
+    pub(crate) op: DeltaOp,
+    /// The fact: exported predicate and id row, as the cursor keys it.
+    pub(crate) key: ExportKey,
+    /// Dictionary id of the detached signature, or `NO_SIGNATURE`.
+    pub(crate) signature: u32,
+}
+
 /// A queued delta slot.  `None` marks a tombstone left by annihilation; the
 /// queue compacts lazily as batches are taken from the front.
-type Slot = Option<UpdateDelta>;
+type Slot = Option<QueuedDelta>;
 
 /// The per-link sender-side state: an ordered delta queue with
 /// assert-then-retract annihilation, a credit window, the envelope sequence
@@ -91,14 +102,11 @@ type Slot = Option<UpdateDelta>;
 /// share it.
 #[derive(Debug)]
 pub struct LinkOutbox {
-    /// Queued deltas, front first.  `base` is the absolute index of the
-    /// front slot, so [`LinkOutbox::pending_asserts`] positions stay valid as
-    /// the front drains.
+    /// Queued deltas, front first.  `base` is the absolute position of the
+    /// front slot: [`LinkOutbox::push`] hands out absolute positions, which
+    /// stay valid as the front drains, and one below `base` has shipped.
     deltas: VecDeque<Slot>,
     base: u64,
-    /// Absolute slot index of the queued (unshipped) `Assert` per fact, for
-    /// O(1) annihilation when the matching `Retract` arrives.
-    pending_asserts: FnvMap<(String, Tuple), u64>,
     /// Queued deltas that are not tombstones.
     live: usize,
     /// Remaining send window in deltas.
@@ -122,7 +130,6 @@ impl LinkOutbox {
         LinkOutbox {
             deltas: VecDeque::new(),
             base: 0,
-            pending_asserts: FnvMap::default(),
             live: 0,
             credit: high_water.max(1),
             high_water: high_water.max(1),
@@ -132,55 +139,50 @@ impl LinkOutbox {
         }
     }
 
-    /// Queue a delta.  A `Retract` that finds the matching `Assert` still
-    /// queued annihilates the pair (neither ships); returns whether that
-    /// happened.  Only the assert-then-retract direction annihilates — a
-    /// retract followed by a re-assert must reach the receiver in order, or
-    /// a previously shipped copy of the fact would survive.
-    pub fn push(&mut self, delta: UpdateDelta) -> bool {
-        let key = (delta.pred.clone(), delta.tuple.clone());
-        match delta.op {
-            DeltaOp::Retract => {
-                if let Some(position) = self.pending_asserts.remove(&key) {
-                    let slot = (position - self.base) as usize;
-                    debug_assert!(matches!(
-                        self.deltas.get(slot),
-                        Some(Some(UpdateDelta {
-                            op: DeltaOp::Assert,
-                            ..
-                        }))
-                    ));
-                    self.deltas[slot] = None;
-                    self.live -= 1;
-                    return true;
-                }
-            }
-            DeltaOp::Assert => {
-                self.pending_asserts
-                    .insert(key, self.base + self.deltas.len() as u64);
-            }
-        }
+    /// Queue a delta at the back; returns its absolute position.
+    pub(crate) fn push(&mut self, delta: QueuedDelta) -> u64 {
         self.deltas.push_back(Some(delta));
         self.live += 1;
-        false
+        self.base + self.deltas.len() as u64 - 1
+    }
+
+    /// Annihilate the `Assert` queued at absolute `position` with the
+    /// `Retract` that withdraws it: neither ships.  Returns whether the
+    /// assert was still queued — a position below the front has shipped,
+    /// and then the retract must be queued to follow it.  Only the
+    /// assert-then-retract direction annihilates: a retract followed by a
+    /// re-assert must reach the receiver in order, or a previously shipped
+    /// copy of the fact would survive.  The export cursor holds the
+    /// position (`Shipped::queued`) and forgets it when the fact is
+    /// withdrawn, so a position names the assert it was handed out for.
+    pub(crate) fn annihilate(&mut self, position: u64) -> bool {
+        let Some(slot) = position
+            .checked_sub(self.base)
+            .and_then(|slot| self.deltas.get_mut(slot as usize))
+        else {
+            return false;
+        };
+        debug_assert!(matches!(
+            slot,
+            Some(QueuedDelta {
+                op: DeltaOp::Assert,
+                ..
+            })
+        ));
+        *slot = None;
+        self.live -= 1;
+        true
     }
 
     /// Take up to `max` deltas from the front, in order, skipping tombstones.
-    pub fn take_batch(&mut self, max: usize) -> Vec<UpdateDelta> {
+    pub(crate) fn take_batch(&mut self, max: usize) -> Vec<QueuedDelta> {
         let mut batch = Vec::new();
         while batch.len() < max {
             let Some(slot) = self.deltas.pop_front() else {
                 break;
             };
-            let position = self.base;
             self.base += 1;
             if let Some(delta) = slot {
-                if delta.op == DeltaOp::Assert {
-                    let key = (delta.pred.clone(), delta.tuple.clone());
-                    if self.pending_asserts.get(&key) == Some(&position) {
-                        self.pending_asserts.remove(&key);
-                    }
-                }
                 self.live -= 1;
                 batch.push(delta);
             }
@@ -232,76 +234,79 @@ impl LinkOutbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use secureblox_datalog::value::Value;
+    use crate::runtime::export::NOT_QUEUED;
 
-    fn delta(op: DeltaOp, pred: &str, marker: &str) -> UpdateDelta {
-        UpdateDelta {
+    /// A delta of fact `marker` (predicate 0, id row `[1, 2, marker]`).
+    fn delta(op: DeltaOp, marker: u32) -> QueuedDelta {
+        QueuedDelta {
             op,
-            pred: pred.into(),
-            tuple: vec![Value::str("a"), Value::str("b"), Value::str(marker)],
-            signature: vec![1, 2, 3],
+            key: vec![0, 1, 2, marker].into(),
+            signature: 7,
         }
+    }
+
+    fn markers(batch: &[QueuedDelta]) -> Vec<(DeltaOp, u32)> {
+        batch.iter().map(|d| (d.op, d.key[3])).collect()
     }
 
     #[test]
     fn outbox_preserves_order_and_batches() {
         let mut outbox = LinkOutbox::new(16);
-        for marker in ["x", "y", "z"] {
-            outbox.push(delta(DeltaOp::Assert, "p", marker));
+        for marker in 0..3 {
+            assert_eq!(outbox.push(delta(DeltaOp::Assert, marker)), marker as u64);
         }
         assert_eq!(outbox.live(), 3);
         let first = outbox.take_batch(2);
-        assert_eq!(first.len(), 2);
-        assert_eq!(first[0].tuple[2], Value::str("x"));
-        assert_eq!(first[1].tuple[2], Value::str("y"));
+        assert_eq!(
+            markers(&first),
+            [(DeltaOp::Assert, 0), (DeltaOp::Assert, 1)]
+        );
         let rest = outbox.take_batch(10);
-        assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].tuple[2], Value::str("z"));
+        assert_eq!(markers(&rest), [(DeltaOp::Assert, 2)]);
         assert_eq!(outbox.live(), 0);
         assert!(outbox.take_batch(10).is_empty());
+        // Positions keep counting across the drained front.
+        assert_eq!(outbox.push(delta(DeltaOp::Assert, 3)), 3);
     }
 
     #[test]
     fn assert_then_retract_annihilates() {
         let mut outbox = LinkOutbox::new(16);
-        outbox.push(delta(DeltaOp::Assert, "p", "x"));
-        outbox.push(delta(DeltaOp::Assert, "p", "y"));
-        assert!(outbox.push(delta(DeltaOp::Retract, "p", "x")));
+        let x = outbox.push(delta(DeltaOp::Assert, 0));
+        outbox.push(delta(DeltaOp::Assert, 1));
+        assert!(outbox.annihilate(x));
         assert_eq!(outbox.live(), 1);
-        let batch = outbox.take_batch(10);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].tuple[2], Value::str("y"));
+        assert_eq!(markers(&outbox.take_batch(10)), [(DeltaOp::Assert, 1)]);
     }
 
     #[test]
     fn retract_then_assert_does_not_annihilate() {
         let mut outbox = LinkOutbox::new(16);
-        // The assert was already shipped; only the retract is queued.
-        assert!(!outbox.push(delta(DeltaOp::Retract, "p", "x")));
-        // A re-derivation re-asserts the same fact: both must ship, in order.
-        assert!(!outbox.push(delta(DeltaOp::Assert, "p", "x")));
-        let batch = outbox.take_batch(10);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0].op, DeltaOp::Retract);
-        assert_eq!(batch[1].op, DeltaOp::Assert);
+        // The assert was already shipped or never queued: the retract
+        // queues, and a re-derivation's re-assert follows it, in order.
+        assert!(!outbox.annihilate(NOT_QUEUED));
+        outbox.push(delta(DeltaOp::Retract, 0));
+        outbox.push(delta(DeltaOp::Assert, 0));
+        assert_eq!(
+            markers(&outbox.take_batch(10)),
+            [(DeltaOp::Retract, 0), (DeltaOp::Assert, 0)]
+        );
     }
 
     #[test]
     fn annihilation_survives_partial_drain() {
         let mut outbox = LinkOutbox::new(16);
-        outbox.push(delta(DeltaOp::Assert, "p", "x"));
-        outbox.push(delta(DeltaOp::Assert, "p", "y"));
-        // Ship "x"; its pending-assert entry must not dangle.
-        let shipped = outbox.take_batch(1);
-        assert_eq!(shipped[0].tuple[2], Value::str("x"));
-        // Retracting the *shipped* "x" queues normally (no annihilation).
-        assert!(!outbox.push(delta(DeltaOp::Retract, "p", "x")));
-        // Retracting the still-queued "y" annihilates.
-        assert!(outbox.push(delta(DeltaOp::Retract, "p", "y")));
-        let rest = outbox.take_batch(10);
-        assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].op, DeltaOp::Retract);
-        assert_eq!(rest[0].tuple[2], Value::str("x"));
+        let x = outbox.push(delta(DeltaOp::Assert, 0));
+        let y = outbox.push(delta(DeltaOp::Assert, 1));
+        // Ship "x": its position falls below the front.
+        assert_eq!(markers(&outbox.take_batch(1)), [(DeltaOp::Assert, 0)]);
+        // Withdrawing the *shipped* "x" annihilates nothing; its retract
+        // queues.
+        assert!(!outbox.annihilate(x));
+        outbox.push(delta(DeltaOp::Retract, 0));
+        // Withdrawing the still-queued "y" annihilates.
+        assert!(outbox.annihilate(y));
+        assert_eq!(markers(&outbox.take_batch(10)), [(DeltaOp::Retract, 0)]);
     }
 
     #[test]
@@ -310,7 +315,7 @@ mod tests {
         assert_eq!(outbox.credit(), 4);
         outbox.consume_credit(4);
         assert_eq!(outbox.credit(), 0);
-        outbox.push(delta(DeltaOp::Assert, "p", "x"));
+        outbox.push(delta(DeltaOp::Assert, 0));
         outbox.mark_stalled(1_000);
         outbox.mark_stalled(2_000); // second mark must not reset the clock
         let stall = outbox.grant_credit(2, 5_000);

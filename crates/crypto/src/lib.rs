@@ -13,7 +13,7 @@
 //!
 //! ## Modules
 //!
-//! * [`sha1`] — the SHA-1 hash function (FIPS 180-1).
+//! * [`sha1`](mod@sha1) — the SHA-1 hash function (FIPS 180-1).
 //! * [`hmac`] — HMAC-SHA1 keyed message authentication (RFC 2104).
 //! * [`aes`] — AES-128 block cipher plus a CTR-mode stream construction.
 //! * [`bignum`] — arbitrary-precision unsigned integers (the little that RSA

@@ -234,7 +234,7 @@ fn changed<'d>(atom: &Atom, delta: &'d FactDelta) -> Option<&'d FnvSet<Tuple>> {
 ///   creating an lhs binding by removing what a negated lhs literal
 ///   excluded.  Either way the changed tuple matched that literal under the
 ///   binding, so the binding agrees with the tuple on the lhs variables the
-///   literal shares with it: [`check_from_witnesses`] runs the lhs from
+///   literal shares with it: `check_from_witnesses` runs the lhs from
 ///   those values alone.
 ///
 /// Each check costs in proportion to the tuples that drive it, and runs in

@@ -27,15 +27,15 @@
 //!
 //! ## Jobs, compiled once per plan
 //!
-//! Three jobs run step pipelines: a rule's forward job ([`BatchJob`]), a
-//! retraction's proof job ([`ProofJob`]) and a constraint check
-//! ([`ConstraintJob`]).  Each is compiled from one plan key's plan and kept
-//! beside that plan in the [`super::PlanCache`] ([`Job`]), decline included,
+//! Three jobs run step pipelines: a rule's forward job (`BatchJob`), a
+//! retraction's proof job (`ProofJob`) and a constraint check
+//! (`ConstraintJob`).  Each is compiled from one plan key's plan and kept
+//! beside that plan in the [`super::PlanCache`] (`Job`), decline included,
 //! so a steady-state execution compiles nothing.  A job is recompiled when
 //! its plan is (the cache drops it with the plan), when a constraint's rhs
 //! plan changed, when the dictionary is another one, and — for a job compiled
 //! while a body constant was in no relation — when the dictionary holds more
-//! values than before that compile ([`Stamp`]).  Compiling is the one place the batch path interns
+//! values than before that compile (`Stamp`).  Compiling is the one place the batch path interns
 //! (head constants, at a rule job's first compile); the evaluator compiles
 //! in combination order, which keeps dictionary id assignment a pure function
 //! of the operation sequence ([`crate::intern`] module docs).  Executing is

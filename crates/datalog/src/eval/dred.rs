@@ -11,7 +11,7 @@
 //! no derivation of it.  Nothing is removed and put back.
 //!
 //! * **Forward.**  The deleted frontier is the delta set of
-//!   [`Evaluator::evaluate_round`]: every `(rule, positive literal)` over it,
+//!   `Evaluator::evaluate_round`: every `(rule, positive literal)` over it,
 //!   pinned to it, against the relations earlier frontiers have already
 //!   left — the fixpoint's own evaluator, batch executor where the rule
 //!   allows it.  Every stored head it derives is a candidate.  Then the
@@ -21,10 +21,10 @@
 //!   rule runs from the candidate ([`PlanKey::Proof`] plans the body under
 //!   the head's variables), and the stored facts each solution used are
 //!   searched in turn, depth first.  A proof join runs in the batch executor
-//!   from the fact's ids ([`ProofJob`]: a one-row frame, a `TupleId` trail),
+//!   from the fact's ids (`ProofJob`: a one-row frame, a `TupleId` trail),
 //!   or tuple at a time from its values for a rule with a UDF, a comparison
 //!   or a functional lookup (a singleton read among them); ahead of either,
-//!   the plan's first probe in id space ([`FirstProbe`]) skips a rule with
+//!   the plan's first probe in id space (`FirstProbe`) skips a rule with
 //!   no instance.  A fact is *proved* when it is
 //!   asserted, or when every body fact of one of its rule instances is
 //!   proved; instances wait with a count of unproved body facts, so a fact
@@ -35,7 +35,7 @@
 //! * **What the search cannot decide** keeps DRed's semantics inside the same
 //!   pass.  A predicate derived by an aggregate, a head-existential or a
 //!   negating rule, or by a rule reading such a predicate
-//!   ([`Upkeep::Rerun`]), has its facts deleted without a check when a
+//!   (`Upkeep::Rerun`), has its facts deleted without a check when a
 //!   deletion reaches them.  The naive fixpoint re-run then puts back what
 //!   still holds; it runs only when such a fact went or a predicate some rule
 //!   negates lost a tuple.

@@ -25,7 +25,7 @@
 //! the shard map, and the initial base-relation cardinalities — so the
 //! pre-compile analysis (which decides which exchange dataflows to
 //! generate) and the post-compile rewrite (which substitutes body atoms)
-//! always agree.  Movement costs reuse the cost model of [`plan`]
+//! always agree.  Movement costs reuse the cost model of [`plan`](super::plan)
 //! (`scan_cost`): a shuffle ships one copy of a relation, a broadcast ships
 //! `partitions − 1` copies.
 //!

@@ -500,7 +500,7 @@ impl Relation {
     }
 
     /// True when live tuple `id` projects onto `cols` exactly as `key_ids`.
-    fn projection_matches(&self, id: TupleId, cols: ColumnSet, key_ids: &[u32]) -> bool {
+    pub(crate) fn projection_matches(&self, id: TupleId, cols: ColumnSet, key_ids: &[u32]) -> bool {
         let mut mask = cols;
         for &want in key_ids {
             if mask == 0 {

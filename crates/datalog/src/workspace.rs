@@ -380,25 +380,35 @@ impl Workspace {
         self.relations.get(pred)
     }
 
+    /// The workspace-wide value dictionary every relation shares: what a
+    /// caller holding facts as id rows encodes and rehydrates them with.
+    pub fn interner(&self) -> &Interner {
+        &self.interner
+    }
+
     /// Probe `pred` on a secondary index over the columns of `cols`, building
     /// the index on first use (it is maintained incrementally afterwards).
-    /// Returns every stored tuple whose projection onto `cols` equals `key`
+    /// `key` holds dictionary ids ([`Workspace::interner`]).  Yields every
+    /// stored tuple whose projection onto `cols` equals `key`, read in place
     /// — the distributed runtime uses this to find the detached signature of
     /// an exported tuple without scanning the whole signature relation.
-    pub fn probe_indexed(
-        &mut self,
+    pub fn probe_indexed<'w>(
+        &'w mut self,
         pred: &str,
         cols: crate::relation::ColumnSet,
-        key: &[Value],
-    ) -> Vec<Tuple> {
-        let Some(relation) = self.relations.get_mut(pred) else {
-            return Vec::new();
-        };
-        relation.ensure_index(cols);
-        match relation.probe(cols, key) {
-            Some(ids) => ids.into_iter().map(|id| relation.tuple(id)).collect(),
-            None => Vec::new(),
-        }
+        key: &'w [u32],
+    ) -> impl Iterator<Item = crate::relation::StoredRow<'w>> + 'w {
+        let relation = self.relations.get_mut(pred).map(|relation| {
+            relation.ensure_index(cols);
+            &*relation
+        });
+        relation.into_iter().flat_map(move |relation| {
+            let bucket = relation.probe_ids(cols, key).unwrap_or(&[]);
+            bucket
+                .iter()
+                .filter(move |&&id| relation.projection_matches(id, cols, key))
+                .map(move |&id| relation.row(id))
+        })
     }
 
     /// Remove every tuple of a predicate without touching derived data (used

@@ -14,7 +14,7 @@
 //!   is a relaxed atomic — no locks on the hot path (the registry lock is
 //!   taken once per call *site*, cached through the [`counter!`]/[`gauge!`]/
 //!   [`histogram!`] macros).
-//! * **Spans** ([`span`]): RAII scopes carrying a target, an optional node
+//! * **Spans** ([`span`](mod@span)): RAII scopes carrying a target, an optional node
 //!   id, and key/value fields.  Closed spans land in a bounded in-memory
 //!   ring buffer, and stream as JSON-lines to the file named by the
 //!   `SECUREBLOX_TRACE` environment variable when it is set.
